@@ -1,4 +1,4 @@
-//! Criterion micro-benchmarks of the v2 framed codec against the v1
+//! Criterion micro-benchmarks of the framed codec against the v1
 //! byte codec: single-message encode/decode, and the batched multi-frame
 //! datagram path the runtime's `OutBatch` flush actually exercises
 //! (reused `FrameBuilder` scratch, borrowed-slice decode).
@@ -45,18 +45,18 @@ fn proposal(seq: u64) -> Proposal {
     }
 }
 
-fn bench_v1_vs_v2(c: &mut Criterion) {
+fn bench_v1_vs_framed(c: &mut Criterion) {
     let mut g = c.benchmark_group("frame_codec");
     for window in [0usize, 16, 64] {
         let msg = Msg::Decision(loaded_decision(window));
         let v1 = msg.to_bytes();
-        let v2 = frame::encode_single(&msg);
-        g.throughput(Throughput::Bytes(v2.len() as u64));
+        let framed = frame::encode_single(&msg);
+        g.throughput(Throughput::Bytes(framed.len() as u64));
         g.bench_function(format!("v1_encode_decision_w{window}"), |b| {
             b.iter(|| std::hint::black_box(&msg).to_bytes())
         });
         let mut builder = FrameBuilder::new();
-        g.bench_function(format!("v2_encode_decision_w{window}"), |b| {
+        g.bench_function(format!("framed_encode_decision_w{window}"), |b| {
             b.iter(|| {
                 builder.reset();
                 builder.push_msg(std::hint::black_box(&msg));
@@ -66,8 +66,8 @@ fn bench_v1_vs_v2(c: &mut Criterion) {
         g.bench_function(format!("v1_decode_decision_w{window}"), |b| {
             b.iter(|| Msg::from_bytes(std::hint::black_box(&v1)).unwrap())
         });
-        g.bench_function(format!("v2_decode_decision_w{window}"), |b| {
-            b.iter(|| frame::decode_datagram(std::hint::black_box(&v2)).unwrap())
+        g.bench_function(format!("framed_decode_decision_w{window}"), |b| {
+            b.iter(|| frame::decode_datagram(std::hint::black_box(&framed)).unwrap())
         });
     }
     g.finish();
@@ -100,5 +100,5 @@ fn bench_batched(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_v1_vs_v2, bench_batched);
+criterion_group!(benches, bench_v1_vs_framed, bench_batched);
 criterion_main!(benches);

@@ -8,7 +8,7 @@
 //! * **mem** — n = 3 event-loop cluster on the in-process mesh, load
 //!   windowed at saturation: delivered updates/second at a
 //!   non-proposing node.
-//! * **udp** — n = 5 cluster on real UDP sockets with the v2 framed
+//! * **udp** — n = 5 cluster on real UDP sockets with the framed
 //!   codec: delivered/second plus the sender's [`WireStats`] — how many
 //!   `sendmmsg`/`send_to` syscalls, datagrams and messages the flood
 //!   actually cost. `syscall_reduction` = messages per syscall: what an

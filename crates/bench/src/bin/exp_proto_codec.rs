@@ -1,10 +1,13 @@
-//! Codec probe — v1 (`tw_proto::codec`) vs v2 framed (`tw_proto::frame`).
+//! Codec probe — v1 (`tw_proto::codec`) vs framed (`tw_proto::frame`).
 //!
 //! Measures encode/decode cost and wire size over a seeded hot-path
 //! message mix (proposals and decisions dominate, as on a loaded team),
 //! plus the batched case the runtime actually exercises: eight messages
 //! packed into one multi-frame datagram through a reused
-//! [`FrameBuilder`].
+//! [`FrameBuilder`]. Decisions carry the window a loaded team ships —
+//! a thousand-odd descriptors in proposer batches and ack generations —
+//! so the `*_bytes_per_msg` metrics the bench gate compares everywhere
+//! are dominated by the oal block encoding.
 //!
 //! Deliberately self-contained — no serde_json, no rand, no criterion —
 //! so the shadow harness can build and run it offline, and so the JSON
@@ -23,7 +26,7 @@ use tw_proto::codec::{Decode, Encode};
 use tw_proto::frame::{self, FrameBuilder};
 use tw_proto::{
     AckBits, ClockSyncMsg, Decision, Descriptor, HwTime, Incarnation, Join, Msg, NoDecision, Oal,
-    Ordinal, ProcessId, Proposal, Semantics, SyncTime, View, ViewId,
+    Ordinal, ProcessId, Proposal, ProposalId, Semantics, SyncTime, View, ViewId,
 };
 
 /// SplitMix64 — tiny, seedable, dependency-free.
@@ -64,31 +67,67 @@ fn proposal(rng: &mut SplitMix64, n: u16) -> Proposal {
     }
 }
 
+/// A decision under load, shaped like the ladder's: 16–24 proposer
+/// batches of 64 updates (consecutive sequence numbers 1 µs apart, one
+/// hdo per batch, 2 ms between batches), now and then a membership
+/// descriptor between two batches, and acknowledgements in three
+/// generations — the oldest third stable but for one member, the middle
+/// third seen by a random majority, the newest by the decider alone.
 fn decision(rng: &mut SplitMix64, n: u16) -> Decision {
     let view = team_view(n);
-    let mut oal = Oal::new();
-    for _ in 0..8 {
-        let p = proposal(rng, n);
-        let ord = oal.append(Descriptor::update(
-            p.id(),
-            p.hdo,
-            p.semantics,
-            p.send_ts,
-            p.sender,
-        ));
+    let sender = ProcessId(rng.below(n as u64) as u16);
+    let batches = 16 + rng.below(9);
+    let pruned = rng.below(1 << 20);
+    let mut ts = 1_000_000 + rng.below(1 << 30) as i64;
+    let mut next_seq = vec![1 + rng.below(1 << 16); n as usize];
+    let mut entries = Vec::new();
+    for b in 0..batches {
+        let proposer = ProcessId(rng.below(n as u64) as u16);
+        let semantics = match rng.below(3) {
+            0 => Semantics::TOTAL_STRONG,
+            1 => Semantics::TIME_STRICT,
+            _ => Semantics::UNORDERED_WEAK,
+        };
+        let hdo = Ordinal(pruned + entries.len() as u64);
+        let mut acks = AckBits::EMPTY;
+        acks.set(sender);
         for rank in 0..n {
-            if rng.below(2) == 0 {
-                oal.ack(ord, ProcessId(rank));
+            let seen = match b * 3 / batches {
+                0 => rank != n - 1,
+                1 => rng.below(2) == 0,
+                _ => false,
+            };
+            if seen {
+                acks.set(ProcessId(rank));
             }
         }
+        for i in 0..64 {
+            let seq = &mut next_seq[proposer.rank()];
+            let mut d = Descriptor::update(
+                ProposalId::new(proposer, *seq),
+                hdo,
+                semantics,
+                SyncTime(ts + i),
+                sender,
+            );
+            d.acks = acks;
+            entries.push(d);
+            *seq += 1;
+        }
+        ts += 2_000;
+        if rng.below(16) == 0 {
+            entries.push(Descriptor::membership(view.clone(), sender));
+        }
     }
+    let mut oal = Oal::new();
+    oal.restore(Ordinal(1 + pruned + entries.len() as u64), entries);
     let mut alive = AckBits::EMPTY;
     for rank in 0..n {
         alive.set(ProcessId(rank));
     }
     Decision {
-        sender: ProcessId(rng.below(n as u64) as u16),
-        send_ts: SyncTime(2_000_000 + rng.below(1 << 30) as i64),
+        sender,
+        send_ts: SyncTime(ts),
         view,
         oal,
         alive,
@@ -212,19 +251,19 @@ fn main() {
         Msg::from_bytes(b).expect("v1 decode").sender().0 as u64
     });
 
-    // v2 single-message datagrams through one reused builder.
+    // Framed single-message datagrams through one reused builder.
     let mut builder = FrameBuilder::new();
-    let (v2_enc_ns, _) = measure(&msgs, reps, |m| {
+    let (framed_enc_ns, _) = measure(&msgs, reps, |m| {
         builder.reset();
         builder.push_msg(m);
         builder.bytes().len() as u64
     });
-    let v2_dgrams: Vec<Vec<u8>> = msgs.iter().map(frame::encode_single).collect();
+    let framed_dgrams: Vec<Vec<u8>> = msgs.iter().map(frame::encode_single).collect();
     let mut j = 0usize;
-    let (v2_dec_ns, _) = measure(&msgs, reps, |_| {
-        let d = &v2_dgrams[j % v2_dgrams.len()];
+    let (framed_dec_ns, _) = measure(&msgs, reps, |_| {
+        let d = &framed_dgrams[j % framed_dgrams.len()];
         j += 1;
-        frame::decode_datagram(d).expect("v2 decode")[0].sender().0 as u64
+        frame::decode_datagram(d).expect("decode")[0].sender().0 as u64
     });
 
     // Batched: 8 messages per datagram, encode + decode per message.
@@ -240,7 +279,7 @@ fn main() {
             batched_total += batch_builder.bytes().len();
         }
     }
-    let v2_batch_enc_ns = start.elapsed().as_nanos() as f64 / (reps * msgs.len()) as f64;
+    let batch_enc_ns = start.elapsed().as_nanos() as f64 / (reps * msgs.len()) as f64;
     let batch_dgrams: Vec<Vec<u8>> = msgs
         .chunks(8)
         .map(|chunk| {
@@ -255,27 +294,27 @@ fn main() {
     let mut decoded = 0usize;
     for _ in 0..reps {
         for d in &batch_dgrams {
-            decoded += frame::decode_datagram(d).expect("v2 batch decode").len();
+            decoded += frame::decode_datagram(d).expect("batch decode").len();
         }
     }
-    let v2_batch_dec_ns = start.elapsed().as_nanos() as f64 / decoded as f64;
+    let batch_dec_ns = start.elapsed().as_nanos() as f64 / decoded as f64;
 
     let v1_total: usize = v1_bytes.iter().map(|b| b.len()).sum();
-    let v2_total: usize = v2_dgrams.iter().map(|d| d.len()).sum();
+    let framed_total: usize = framed_dgrams.iter().map(|d| d.len()).sum();
     let v1_bpm = v1_total as f64 / msgs.len() as f64;
-    let v2_bpm = v2_total as f64 / msgs.len() as f64;
+    let framed_bpm = framed_total as f64 / msgs.len() as f64;
     let batch_bpm = batched_total as f64 / (reps * msgs.len()) as f64;
 
     let metrics = [
         Metric { name: "v1_encode_ns_per_msg", value: v1_enc_ns, better: "lower", portable: false },
         Metric { name: "v1_decode_ns_per_msg", value: v1_dec_ns, better: "lower", portable: false },
-        Metric { name: "v2_encode_ns_per_msg", value: v2_enc_ns, better: "lower", portable: false },
-        Metric { name: "v2_decode_ns_per_msg", value: v2_dec_ns, better: "lower", portable: false },
-        Metric { name: "v2_batch_encode_ns_per_msg", value: v2_batch_enc_ns, better: "lower", portable: false },
-        Metric { name: "v2_batch_decode_ns_per_msg", value: v2_batch_dec_ns, better: "lower", portable: false },
+        Metric { name: "framed_encode_ns_per_msg", value: framed_enc_ns, better: "lower", portable: false },
+        Metric { name: "framed_decode_ns_per_msg", value: framed_dec_ns, better: "lower", portable: false },
+        Metric { name: "framed_batch_encode_ns_per_msg", value: batch_enc_ns, better: "lower", portable: false },
+        Metric { name: "framed_batch_decode_ns_per_msg", value: batch_dec_ns, better: "lower", portable: false },
         Metric { name: "v1_bytes_per_msg", value: v1_bpm, better: "lower", portable: true },
-        Metric { name: "v2_bytes_per_msg", value: v2_bpm, better: "lower", portable: true },
-        Metric { name: "v2_batch_bytes_per_msg", value: batch_bpm, better: "lower", portable: true },
+        Metric { name: "framed_bytes_per_msg", value: framed_bpm, better: "lower", portable: true },
+        Metric { name: "framed_batch_bytes_per_msg", value: batch_bpm, better: "lower", portable: true },
     ];
 
     println!("== proto codec probe (seed {seed}, {} msgs x {reps} reps, team n={n}) ==", msgs.len());
@@ -284,9 +323,9 @@ fn main() {
         println!("{:<28} {:>12.2} {:>8}", m.name, m.value, m.better);
     }
     println!(
-        "\nv2 is {:.1}% smaller than v1 on the wire; batching amortizes the \
+        "\nframed is {:.1}% smaller than v1 on the wire; batching amortizes the \
          version byte and builder reset across 8 frames.",
-        100.0 * (1.0 - v2_bpm / v1_bpm)
+        100.0 * (1.0 - framed_bpm / v1_bpm)
     );
 
     let json = emit_json("proto_codec", seed, iters, &metrics);

@@ -1,4 +1,4 @@
-//! Zero-copy framed wire format (wire version 2).
+//! Zero-copy framed wire format (wire version 3).
 //!
 //! The hot-path replacement for the fixed-width [`codec`](crate::codec)
 //! format: a datagram is a **version byte** followed by one or more
@@ -16,6 +16,30 @@
 //! ivarint  := zigzag(i64) as uvarint
 //! ```
 //!
+//! The oal carried by decisions, no-decisions and reconfigurations is
+//! the one field that is not a plain field list: consecutive update
+//! descriptors differ in almost nothing, so the window travels as
+//! **delta-coded runs** (see [`MAX_OAL_WINDOW`] for the expansion bound):
+//!
+//! ```text
+//! oal      := next:uvarint len:uvarint entry*     (entries expand to exactly len descriptors)
+//! entry    := 0x01 view acks:uvarint undeliverable:bool          (membership, verbatim)
+//!           | flags:u8 [proposer:uvarint] [seq:uvarint] [hdo] [mode:u8]
+//!             [acks:uvarint] ts [count:uvarint stride:ivarint]   (update, or a run of them)
+//! flags    := 0x02 PROPOSER | 0x04 SEQ | 0x08 HDO | 0x10 MODE
+//!           | 0x20 ACKS | 0x40 ABS | 0x80 RUN
+//! hdo, ts  := ivarint delta against the previous update entry,
+//!             or the absolute value (uvarint / ivarint) when ABS is set
+//! mode     := ordering | atomicity << 2 | undeliverable << 4
+//! ```
+//!
+//! A field whose flag is clear repeats the previous update entry's
+//! value (initially: proposer 0, hdo 0, unordered/weak, deliverable, no
+//! acks, timestamp 0); a clear SEQ means one more than the last
+//! sequence number this block carried for the proposer. RUN appends
+//! `count` further descriptors that differ from the entry's first only
+//! in `seq + 1` and `ts + stride` each.
+//!
 //! Encoding goes through a [`WireCursor`] writing into a **caller-owned
 //! `Vec<u8>` scratch** that is reused across sends — steady-state sending
 //! allocates nothing. Decoding goes through a [`FrameRef`], a borrowed
@@ -29,11 +53,12 @@
 //! datagram in one buffer. LEB128 tolerates such non-canonical encodings;
 //! the decoder accepts any valid LEB128 length.
 //!
-//! Version policy: a v2 datagram's first byte is [`VERSION_BYTE`]
+//! Version policy: a datagram's first byte is [`VERSION_BYTE`]
 //! (`0xD0 | version`). v1 messages began with a variant tag `0..=7`, so
 //! the two can never be confused. Receivers reject any other leading byte
-//! with [`WireError::BadVersion`] — there is no silent fallback; see
-//! DESIGN.md §12 for the compatibility policy.
+//! — older framed versions included — with [`WireError::BadVersion`];
+//! there is no silent fallback; see DESIGN.md §12 for the compatibility
+//! policy.
 
 use crate::codec::WireError;
 use crate::ids::{Incarnation, Ordinal, ProcessId, ProposalId};
@@ -48,7 +73,7 @@ use crate::view::{View, ViewId};
 use bytes::Bytes;
 
 /// Current wire format version.
-pub const WIRE_VERSION: u8 = 2;
+pub const WIRE_VERSION: u8 = 3;
 
 /// First byte of every framed datagram: `0xD0 | WIRE_VERSION`. The high
 /// nibble keeps it out of the v1 tag space (`0..=7`).
@@ -60,6 +85,17 @@ pub const MAX_FRAME_LEN: usize = (1 << 28) - 1;
 
 /// Sanity cap on any decoded sequence length (items, not bytes).
 const MAX_SEQ: usize = 1 << 20;
+
+/// Most descriptors the oal blocks of one datagram may expand to.
+///
+/// A run count is a decompression step: a few bytes can stand for any
+/// number of descriptors, so unlike every other sequence the expanded
+/// size is not bounded by the datagram's. This cap is that bound — at
+/// most this many [`Descriptor`]s (under 2 MiB) are ever materialized
+/// from one datagram, whatever it claims. Senders must keep the window
+/// under it: a larger one is rejected by every receiver as
+/// [`WireError::TooLong`] and counted, like any undecodable datagram.
+pub const MAX_OAL_WINDOW: usize = 1 << 15;
 
 /// Longest legal LEB128 encoding of a u64.
 const MAX_VARINT_BYTES: usize = 10;
@@ -94,6 +130,15 @@ pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
+/// A number that does not fit the integer it is decoded into, or that
+/// arithmetic on wire-derived values pushed out of range.
+fn out_of_range(what: &'static str) -> WireError {
+    WireError::TooLong {
+        what,
+        len: usize::MAX,
+    }
+}
+
 /// Decode an unsigned LEB128 value from the front of `buf`.
 /// Returns `(value, bytes_consumed)`.
 #[inline]
@@ -105,10 +150,7 @@ pub fn read_uvarint(buf: &[u8], what: &'static str) -> Result<(u64, usize), Wire
         // The 10th byte may only contribute the low bit of the 64-bit
         // value; anything more overflows.
         if shift == 63 && data > 1 {
-            return Err(WireError::TooLong {
-                what,
-                len: usize::MAX,
-            });
+            return Err(out_of_range(what));
         }
         value |= data << shift;
         if byte & 0x80 == 0 {
@@ -120,10 +162,7 @@ pub fn read_uvarint(buf: &[u8], what: &'static str) -> Result<(u64, usize), Wire
         Err(WireError::UnexpectedEof { what })
     } else {
         // 10 continuation bytes and still going: not a valid u64.
-        Err(WireError::TooLong {
-            what,
-            len: usize::MAX,
-        })
+        Err(out_of_range(what))
     }
 }
 
@@ -236,12 +275,20 @@ impl<'a> WireCursor<'a> {
 pub struct FrameRef<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Descriptors oal blocks may still expand to ([`MAX_OAL_WINDOW`]
+    /// for a fresh cursor; [`decode_datagram`] carries what is left from
+    /// frame to frame so the bound holds per datagram).
+    oal_budget: usize,
 }
 
 impl<'a> FrameRef<'a> {
     /// Wrap a byte string.
     pub fn new(buf: &'a [u8]) -> Self {
-        FrameRef { buf, pos: 0 }
+        FrameRef {
+            buf,
+            pos: 0,
+            oal_budget: MAX_OAL_WINDOW,
+        }
     }
 
     /// Bytes not yet consumed.
@@ -295,10 +342,7 @@ impl<'a> FrameRef<'a> {
     #[inline]
     fn narrow<T: TryFrom<u64>>(&mut self, what: &'static str) -> Result<T, WireError> {
         let v = self.uvarint(what)?;
-        T::try_from(v).map_err(|_| WireError::TooLong {
-            what,
-            len: usize::MAX,
-        })
+        T::try_from(v).map_err(|_| out_of_range(what))
     }
 
     /// Consume a length-prefixed byte string as a borrowed subslice.
@@ -451,9 +495,12 @@ pub fn open_datagram(dgram: &[u8]) -> Result<FrameIter<'_>, WireError> {
 /// senders never emit one, so it can only be truncation.
 pub fn decode_datagram(dgram: &[u8]) -> Result<Vec<Msg>, WireError> {
     let mut out = Vec::new();
+    let mut oal_budget = MAX_OAL_WINDOW;
     for frame in open_datagram(dgram)? {
         let mut f = frame?;
+        f.oal_budget = oal_budget;
         let msg = decode_msg(&mut f)?;
+        oal_budget = f.oal_budget;
         if !f.is_exhausted() {
             return Err(WireError::TrailingBytes {
                 remaining: f.remaining(),
@@ -476,7 +523,7 @@ pub fn encode_single(msg: &Msg) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------------
-// v2 message codec
+// message codec
 // ---------------------------------------------------------------------------
 
 fn put_pid(w: &mut WireCursor, p: ProcessId) {
@@ -499,45 +546,55 @@ fn get_proposal_id(f: &mut FrameRef<'_>) -> Result<ProposalId, WireError> {
     })
 }
 
-fn put_semantics(w: &mut WireCursor, s: &Semantics) {
-    w.put_u8(match s.ordering {
+fn ordering_tag(o: Ordering) -> u8 {
+    match o {
         Ordering::Unordered => 0,
         Ordering::Total => 1,
         Ordering::Time => 2,
-    });
-    w.put_u8(match s.atomicity {
+    }
+}
+
+fn ordering_of(tag: u8) -> Result<Ordering, WireError> {
+    match tag {
+        0 => Ok(Ordering::Unordered),
+        1 => Ok(Ordering::Total),
+        2 => Ok(Ordering::Time),
+        tag => Err(WireError::BadTag {
+            what: "ordering",
+            tag,
+        }),
+    }
+}
+
+fn atomicity_tag(a: Atomicity) -> u8 {
+    match a {
         Atomicity::Weak => 0,
         Atomicity::Strong => 1,
         Atomicity::Strict => 2,
-    });
+    }
+}
+
+fn atomicity_of(tag: u8) -> Result<Atomicity, WireError> {
+    match tag {
+        0 => Ok(Atomicity::Weak),
+        1 => Ok(Atomicity::Strong),
+        2 => Ok(Atomicity::Strict),
+        tag => Err(WireError::BadTag {
+            what: "atomicity",
+            tag,
+        }),
+    }
+}
+
+fn put_semantics(w: &mut WireCursor, s: &Semantics) {
+    w.put_u8(ordering_tag(s.ordering));
+    w.put_u8(atomicity_tag(s.atomicity));
 }
 
 fn get_semantics(f: &mut FrameRef<'_>) -> Result<Semantics, WireError> {
-    let ordering = match f.u8("ordering")? {
-        0 => Ordering::Unordered,
-        1 => Ordering::Total,
-        2 => Ordering::Time,
-        tag => {
-            return Err(WireError::BadTag {
-                what: "ordering",
-                tag,
-            })
-        }
-    };
-    let atomicity = match f.u8("atomicity")? {
-        0 => Atomicity::Weak,
-        1 => Atomicity::Strong,
-        2 => Atomicity::Strict,
-        tag => {
-            return Err(WireError::BadTag {
-                what: "atomicity",
-                tag,
-            })
-        }
-    };
     Ok(Semantics {
-        ordering,
-        atomicity,
+        ordering: ordering_of(f.u8("ordering")?)?,
+        atomicity: atomicity_of(f.u8("atomicity")?)?,
     })
 }
 
@@ -588,70 +645,302 @@ fn get_update_desc(f: &mut FrameRef<'_>) -> Result<UpdateDesc, WireError> {
     })
 }
 
-fn put_descriptor(w: &mut WireCursor, d: &Descriptor) {
-    match &d.body {
-        DescriptorBody::Update {
-            id,
-            hdo,
-            semantics,
-            send_ts,
-        } => {
-            w.put_u8(0);
-            put_proposal_id(w, id);
-            w.put_uvarint(hdo.0);
-            put_semantics(w, semantics);
-            w.put_ivarint(send_ts.0);
-        }
-        DescriptorBody::Membership(view) => {
-            w.put_u8(1);
-            put_view(w, view);
-        }
-    }
-    w.put_uvarint(d.acks.0);
-    w.put_bool(d.undeliverable);
+/// Flag bits of one oal entry (module docs give the grammar).
+mod oal_flag {
+    pub const MEMBERSHIP: u8 = 0x01;
+    pub const PROPOSER: u8 = 0x02;
+    pub const SEQ: u8 = 0x04;
+    pub const HDO: u8 = 0x08;
+    pub const MODE: u8 = 0x10;
+    pub const ACKS: u8 = 0x20;
+    pub const ABS: u8 = 0x40;
+    pub const RUN: u8 = 0x80;
 }
 
-fn get_descriptor(f: &mut FrameRef<'_>) -> Result<Descriptor, WireError> {
-    let body = match f.u8("descriptor-body")? {
-        0 => DescriptorBody::Update {
-            id: get_proposal_id(f)?,
-            hdo: Ordinal(f.uvarint("hdo")?),
-            semantics: get_semantics(f)?,
-            send_ts: SyncTime(f.ivarint("send-ts")?),
-        },
-        1 => DescriptorBody::Membership(get_view(f)?),
-        tag => {
-            return Err(WireError::BadTag {
-                what: "descriptor-body",
-                tag,
-            })
+/// An update descriptor flattened to the fields the oal block codes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct UpdateEntry {
+    proposer: ProcessId,
+    seq: u64,
+    hdo: u64,
+    semantics: Semantics,
+    undeliverable: bool,
+    acks: AckBits,
+    ts: i64,
+}
+
+impl UpdateEntry {
+    /// The update fields of `d`, or the view of a membership descriptor.
+    fn of(d: &Descriptor) -> Result<UpdateEntry, &View> {
+        match &d.body {
+            DescriptorBody::Update {
+                id,
+                hdo,
+                semantics,
+                send_ts,
+            } => Ok(UpdateEntry {
+                proposer: id.proposer,
+                seq: id.seq,
+                hdo: hdo.0,
+                semantics: *semantics,
+                undeliverable: d.undeliverable,
+                acks: d.acks,
+                ts: send_ts.0,
+            }),
+            DescriptorBody::Membership(view) => Err(view),
         }
-    };
-    Ok(Descriptor {
-        body,
-        acks: AckBits(f.uvarint("acks")?),
-        undeliverable: f.bool("undeliverable")?,
-    })
+    }
+
+    fn descriptor(&self) -> Descriptor {
+        Descriptor {
+            body: DescriptorBody::Update {
+                id: ProposalId {
+                    proposer: self.proposer,
+                    seq: self.seq,
+                },
+                hdo: Ordinal(self.hdo),
+                semantics: self.semantics,
+                send_ts: SyncTime(self.ts),
+            },
+            acks: self.acks,
+            undeliverable: self.undeliverable,
+        }
+    }
+
+    /// `ordering | atomicity << 2 | undeliverable << 4`.
+    fn mode(&self) -> u8 {
+        ordering_tag(self.semantics.ordering)
+            | atomicity_tag(self.semantics.atomicity) << 2
+            | (self.undeliverable as u8) << 4
+    }
+
+    fn set_mode(&mut self, mode: u8) -> Result<(), WireError> {
+        if mode >> 5 != 0 {
+            return Err(WireError::BadTag {
+                what: "oal mode",
+                tag: mode,
+            });
+        }
+        self.semantics = Semantics {
+            ordering: ordering_of(mode & 0b11)?,
+            atomicity: atomicity_of((mode >> 2) & 0b11)?,
+        };
+        self.undeliverable = mode & 0x10 != 0;
+        Ok(())
+    }
+
+    /// Whether `next` can follow `self` inside a run of stride `stride`.
+    fn continued_by(&self, next: &UpdateEntry, stride: i64) -> bool {
+        let step = UpdateEntry {
+            seq: next.seq,
+            ts: next.ts,
+            ..*self
+        };
+        step == *next
+            && self.seq.checked_add(1) == Some(next.seq)
+            && self.ts.checked_add(stride) == Some(next.ts)
+    }
+}
+
+/// What encoder and decoder both remember while walking an oal block:
+/// the previous update entry, and per proposer the last sequence number
+/// carried (a direct-mapped table over the team-size bound; two
+/// proposers sharing a slot only cost explicit sequence numbers).
+struct OalContext {
+    prev: UpdateEntry,
+    last_seq: [u64; AckBits::MAX_TEAM],
+}
+
+impl OalContext {
+    fn new() -> Self {
+        OalContext {
+            prev: UpdateEntry {
+                proposer: ProcessId(0),
+                seq: 0,
+                hdo: 0,
+                semantics: Semantics::default(),
+                undeliverable: false,
+                acks: AckBits::EMPTY,
+                ts: 0,
+            },
+            last_seq: [0; AckBits::MAX_TEAM],
+        }
+    }
+
+    fn last_seq(&mut self, p: ProcessId) -> &mut u64 {
+        &mut self.last_seq[p.rank() % AckBits::MAX_TEAM]
+    }
 }
 
 fn put_oal(w: &mut WireCursor, oal: &Oal) {
+    debug_assert!(oal.len() <= MAX_OAL_WINDOW, "oal window over the wire cap");
     w.put_uvarint(oal.next_ordinal().0);
     w.put_uvarint(oal.len() as u64);
-    for (_, d) in oal.iter() {
-        put_descriptor(w, d);
+    let mut ctx = OalContext::new();
+    let mut window = oal.iter().map(|(_, d)| d).peekable();
+    while let Some(d) = window.next() {
+        let first = match UpdateEntry::of(d) {
+            Ok(e) => e,
+            Err(view) => {
+                w.put_u8(oal_flag::MEMBERSHIP);
+                put_view(w, view);
+                w.put_uvarint(d.acks.0);
+                w.put_bool(d.undeliverable);
+                continue;
+            }
+        };
+        // Fold the followers that continue `first` at a constant stride.
+        let mut last = first;
+        let mut count = 0u64;
+        let mut stride = 0i64;
+        while let Some(next) = window.peek().and_then(|d| UpdateEntry::of(d).ok()) {
+            if count == 0 {
+                let Some(s) = next.ts.checked_sub(last.ts) else {
+                    break;
+                };
+                stride = s;
+            }
+            if !last.continued_by(&next, stride) {
+                break;
+            }
+            last = next;
+            count += 1;
+            window.next();
+        }
+
+        let prev = ctx.prev;
+        let hdo_delta = i64::try_from(first.hdo as i128 - prev.hdo as i128).ok();
+        let (abs, hdo, ts) = match (hdo_delta, first.ts.checked_sub(prev.ts)) {
+            (Some(hdo), Some(ts)) => (false, zigzag(hdo), ts),
+            _ => (true, first.hdo, first.ts),
+        };
+        let mut flags = 0u8;
+        if first.proposer != prev.proposer {
+            flags |= oal_flag::PROPOSER;
+        }
+        if ctx.last_seq(first.proposer).checked_add(1) != Some(first.seq) {
+            flags |= oal_flag::SEQ;
+        }
+        if first.hdo != prev.hdo {
+            flags |= oal_flag::HDO;
+        }
+        if first.mode() != prev.mode() {
+            flags |= oal_flag::MODE;
+        }
+        if first.acks != prev.acks {
+            flags |= oal_flag::ACKS;
+        }
+        if abs {
+            flags |= oal_flag::ABS;
+        }
+        if count > 0 {
+            flags |= oal_flag::RUN;
+        }
+        w.put_u8(flags);
+        if flags & oal_flag::PROPOSER != 0 {
+            put_pid(w, first.proposer);
+        }
+        if flags & oal_flag::SEQ != 0 {
+            w.put_uvarint(first.seq);
+        }
+        if flags & oal_flag::HDO != 0 {
+            w.put_uvarint(hdo);
+        }
+        if flags & oal_flag::MODE != 0 {
+            w.put_u8(first.mode());
+        }
+        if flags & oal_flag::ACKS != 0 {
+            w.put_uvarint(first.acks.0);
+        }
+        w.put_ivarint(ts);
+        if count > 0 {
+            w.put_uvarint(count);
+            w.put_ivarint(stride);
+        }
+        *ctx.last_seq(last.proposer) = last.seq;
+        ctx.prev = last;
     }
 }
 
 fn get_oal(f: &mut FrameRef<'_>) -> Result<Oal, WireError> {
     let next = Ordinal(f.uvarint("oal next")?);
     let len = f.seq_len("oal")?;
-    if (len as u64) >= next.0.max(1) {
-        // A window longer than the assigned range is nonsense.
+    if len > f.oal_budget || (len as u64) >= next.0.max(1) {
+        // Over the expansion cap, or a window longer than the assigned
+        // range: nonsense either way.
         return Err(WireError::TooLong { what: "oal", len });
     }
-    let mut entries = Vec::with_capacity(len.min(1024));
-    for _ in 0..len {
-        entries.push(get_descriptor(f)?);
+    f.oal_budget -= len;
+    // `len` is inside the cap, so the exact allocation is bounded too.
+    let mut entries = Vec::with_capacity(len);
+    let mut ctx = OalContext::new();
+    while entries.len() < len {
+        let flags = f.u8("oal entry")?;
+        if flags & oal_flag::MEMBERSHIP != 0 {
+            if flags != oal_flag::MEMBERSHIP {
+                return Err(WireError::BadTag {
+                    what: "oal entry",
+                    tag: flags,
+                });
+            }
+            entries.push(Descriptor {
+                body: DescriptorBody::Membership(get_view(f)?),
+                acks: AckBits(f.uvarint("acks")?),
+                undeliverable: f.bool("undeliverable")?,
+            });
+            continue;
+        }
+        let abs = flags & oal_flag::ABS != 0;
+        let mut e = ctx.prev;
+        if flags & oal_flag::PROPOSER != 0 {
+            e.proposer = get_pid(f)?;
+        }
+        e.seq = if flags & oal_flag::SEQ != 0 {
+            f.uvarint("proposal-seq")?
+        } else {
+            ctx.last_seq(e.proposer)
+                .checked_add(1)
+                .ok_or(out_of_range("proposal-seq"))?
+        };
+        if flags & oal_flag::HDO != 0 {
+            e.hdo = if abs {
+                f.uvarint("hdo")?
+            } else {
+                e.hdo
+                    .checked_add_signed(f.ivarint("hdo")?)
+                    .ok_or(out_of_range("hdo"))?
+            };
+        }
+        if flags & oal_flag::MODE != 0 {
+            e.set_mode(f.u8("oal mode")?)?;
+        }
+        if flags & oal_flag::ACKS != 0 {
+            e.acks = AckBits(f.uvarint("acks")?);
+        }
+        e.ts = if abs {
+            f.ivarint("send-ts")?
+        } else {
+            e.ts.checked_add(f.ivarint("send-ts")?)
+                .ok_or(out_of_range("send-ts"))?
+        };
+        entries.push(e.descriptor());
+        if flags & oal_flag::RUN != 0 {
+            let count = f.uvarint("oal run")?;
+            if count > (len - entries.len()) as u64 {
+                return Err(WireError::TooLong {
+                    what: "oal run",
+                    len: usize::try_from(count).unwrap_or(usize::MAX),
+                });
+            }
+            let stride = f.ivarint("oal stride")?;
+            for _ in 0..count {
+                e.seq = e.seq.checked_add(1).ok_or(out_of_range("proposal-seq"))?;
+                e.ts = e.ts.checked_add(stride).ok_or(out_of_range("send-ts"))?;
+                entries.push(e.descriptor());
+            }
+        }
+        *ctx.last_seq(e.proposer) = e.seq;
+        ctx.prev = e;
     }
     let mut oal = Oal::new();
     oal.restore(next, entries);
@@ -682,7 +971,7 @@ fn get_proposal(f: &mut FrameRef<'_>) -> Result<Proposal, WireError> {
     })
 }
 
-/// Encode `msg` (tag byte + v2 body) through the cursor. Framing is the
+/// Encode `msg` (tag byte + body) through the cursor. Framing is the
 /// caller's concern ([`FrameBuilder::push_msg`] brackets this with a
 /// length prefix).
 pub fn encode_msg(msg: &Msg, w: &mut WireCursor) {
@@ -803,7 +1092,7 @@ pub fn encode_msg(msg: &Msg, w: &mut WireCursor) {
     }
 }
 
-/// Decode one message body (tag byte + v2 fields) from a frame cursor.
+/// Decode one message body (tag byte + fields) from a frame cursor.
 /// The caller checks [`FrameRef::is_exhausted`] afterwards if trailing
 /// bytes must be rejected.
 pub fn decode_msg(f: &mut FrameRef<'_>) -> Result<Msg, WireError> {
@@ -957,7 +1246,7 @@ pub fn decode_msg(f: &mut FrameRef<'_>) -> Result<Msg, WireError> {
 mod tests {
     use super::*;
 
-    fn v2_roundtrip(msg: &Msg) -> Msg {
+    fn roundtrip(msg: &Msg) -> Msg {
         let dgram = encode_single(msg);
         let mut msgs = decode_datagram(&dgram).expect("decode");
         assert_eq!(msgs.len(), 1);
@@ -1048,7 +1337,7 @@ mod tests {
     }
 
     #[test]
-    fn every_msg_kind_roundtrips_v2() {
+    fn every_msg_kind_roundtrips() {
         let oal = Oal::new();
         let view = sample_view();
         let alive: AckBits = [ProcessId(0), ProcessId(1)].into_iter().collect();
@@ -1115,12 +1404,12 @@ mod tests {
             }),
         ];
         for m in msgs {
-            assert_eq!(v2_roundtrip(&m), m);
+            assert_eq!(roundtrip(&m), m);
         }
     }
 
     #[test]
-    fn oal_roundtrip_preserves_base_v2() {
+    fn oal_roundtrip_preserves_base() {
         let g = View::new(ViewId::new(1, ProcessId(0)), [ProcessId(0), ProcessId(1)]);
         let mut oal = Oal::new();
         for i in 0..5u64 {
@@ -1142,6 +1431,7 @@ mod tests {
         let mut f = FrameRef::new(&buf);
         let back = get_oal(&mut f).unwrap();
         assert!(f.is_exhausted());
+        assert_eq!(back, oal);
         assert_eq!(back.base(), oal.base());
         assert_eq!(back.next_ordinal(), oal.next_ordinal());
     }
@@ -1179,8 +1469,9 @@ mod tests {
 
     #[test]
     fn unknown_version_rejected() {
-        // v1 encodings start with a tag byte 0..=7 — all rejected.
-        for first in [0u8, 1, 7, 0xD0 | 1, 0xD0 | 3, 0xFF] {
+        // v1 encodings start with a tag byte 0..=7 — all rejected, as
+        // are the framed versions before and after this one.
+        for first in [0u8, 1, 7, 0xD0 | 1, 0xD2, 0xD0 | 4, 0xFF] {
             let dgram = [first, 0x00];
             assert!(
                 matches!(
@@ -1257,7 +1548,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_is_denser_than_v1_for_control_traffic() {
+    fn framed_is_denser_than_v1_for_control_traffic() {
         use crate::codec::Encode;
         let mut oal = Oal::new();
         for i in 0..8u64 {
@@ -1277,10 +1568,10 @@ mod tests {
             alive: AckBits(0b111),
         });
         let v1 = d.to_bytes().len();
-        let v2 = encode_single(&d).len();
+        let framed = encode_single(&d).len();
         assert!(
-            v2 < v1,
-            "v2 ({v2} bytes) should be denser than v1 ({v1} bytes)"
+            framed < v1,
+            "framed ({framed} bytes) should be denser than v1 ({v1} bytes)"
         );
     }
 

@@ -93,8 +93,134 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
     ]
 }
 
+/// An oal window made of run-shaped segments (same proposer, seq + 1,
+/// constant timestamp stride) with breaks of every kind between and
+/// inside them — what the wire v3 run coding folds and must unfold.
+fn arb_oal() -> impl Strategy<Value = Oal> {
+    let segment = (
+        arb_pid(),
+        prop_oneof![0u64..1 << 20, u64::MAX - 40..=u64::MAX],
+        any::<i64>(),
+        -3i64..4,
+        any::<u16>(),
+        any::<u8>(),
+        0u64..40,
+        0u8..6,
+    );
+    (proptest::collection::vec(segment, 0..8), 0u64..1 << 40).prop_map(|(segments, pruned)| {
+        let mut entries = Vec::new();
+        for (p, seq, ts, stride, hdo, acks, len, breaker) in segments {
+            for k in 0..len {
+                let mut d = Descriptor::update(
+                    ProposalId::new(p, seq.wrapping_add(k)),
+                    Ordinal(hdo as u64),
+                    Semantics::TOTAL_STRONG,
+                    SyncTime(ts.wrapping_add(stride * k as i64)),
+                    p,
+                );
+                d.acks = AckBits(acks as u64);
+                if k == len / 2 {
+                    match breaker {
+                        0 => d.undeliverable = true,
+                        1 => d.acks = AckBits(u64::MAX),
+                        2 => entries
+                            .push(Descriptor::membership(View::new(ViewId::new(k, p), [p]), p)),
+                        _ => {}
+                    }
+                }
+                entries.push(d);
+            }
+        }
+        let mut oal = Oal::new();
+        oal.restore(Ordinal(1 + pruned + entries.len() as u64), entries);
+        oal
+    })
+}
+
+/// The three message kinds that carry an oal.
+fn arb_oal_msg() -> impl Strategy<Value = Msg> {
+    (arb_oal(), arb_pid(), any::<i64>(), 0usize..3).prop_map(|(oal, p, ts, kind)| match kind {
+        0 => Msg::Decision(Decision {
+            sender: p,
+            send_ts: SyncTime(ts),
+            view: View::new(ViewId::new(1, p), [p]),
+            oal,
+            alive: AckBits(1),
+        }),
+        1 => Msg::NoDecision(NoDecision {
+            sender: p,
+            send_ts: SyncTime(ts),
+            suspect: p,
+            view_id: ViewId::new(1, p),
+            oal_view: oal,
+            dpd: vec![],
+            alive: AckBits(1),
+        }),
+        _ => Msg::Reconfig(Reconfig {
+            sender: p,
+            send_ts: SyncTime(ts),
+            reconfig_list: vec![p],
+            last_decision_ts: SyncTime(ts),
+            last_view: ViewId::new(1, p),
+            oal_view: oal,
+            dpd: vec![],
+            alive: AckBits(1),
+        }),
+    })
+}
+
+/// Descriptors materialized by the oal blocks of one decoded datagram.
+fn expanded(msgs: &[Msg]) -> usize {
+    msgs.iter()
+        .map(|m| match m {
+            Msg::Decision(d) => d.oal.len(),
+            Msg::NoDecision(nd) => nd.oal_view.len(),
+            Msg::Reconfig(r) => r.oal_view.len(),
+            _ => 0,
+        })
+        .sum()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    // ----- the oal block: delta-coded runs (exhaustive single-message
+    // sweeps live in tests/oal_wire.rs, which also runs offline) -----
+
+    #[test]
+    fn oal_block_round_trips(msg in arb_oal_msg()) {
+        let dgram = tw_proto::frame::encode_single(&msg);
+        let back = tw_proto::frame::decode_datagram(&dgram);
+        prop_assert_eq!(back, Ok(vec![msg]));
+    }
+
+    #[test]
+    fn oal_block_truncated_anywhere_is_an_error(msg in arb_oal_msg()) {
+        let dgram = tw_proto::frame::encode_single(&msg);
+        for cut in 0..dgram.len() {
+            prop_assert!(tw_proto::frame::decode_datagram(&dgram[..cut]).is_err(), "cut {}", cut);
+        }
+    }
+
+    #[test]
+    fn oal_block_with_any_bit_flipped_is_an_error_or_a_bounded_message(
+        msgs in proptest::collection::vec(arb_oal_msg(), 1..3),
+    ) {
+        let mut b = tw_proto::frame::FrameBuilder::new();
+        for m in &msgs {
+            b.push_msg(m);
+        }
+        let dgram = b.bytes().to_vec();
+        for bit in 0..dgram.len() * 8 {
+            let mut flipped = dgram.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            match tw_proto::frame::decode_datagram(&flipped) {
+                Err(tw_proto::codec::WireError::BadVersion { .. }) => prop_assert!(bit < 8),
+                Err(_) => {}
+                Ok(decoded) => prop_assert!(expanded(&decoded) <= tw_proto::frame::MAX_OAL_WINDOW),
+            }
+        }
+    }
 
     #[test]
     fn bit_flip_never_panics_and_never_changes_kind(
@@ -114,10 +240,10 @@ proptest! {
         }
     }
 
-    // ----- v2 framed datagrams: corruption across frame boundaries -----
+    // ----- framed datagrams: corruption across frame boundaries -----
 
     #[test]
-    fn v2_bit_flip_never_panics(
+    fn framed_bit_flip_never_panics(
         msgs in proptest::collection::vec(arb_msg(), 1..4),
         byte_pick in any::<u64>(),
         bit in 0u8..8,
@@ -138,7 +264,7 @@ proptest! {
     }
 
     #[test]
-    fn v2_truncation_yields_error_or_frame_prefix(
+    fn framed_truncation_yields_error_or_frame_prefix(
         msgs in proptest::collection::vec(arb_msg(), 1..4),
         cut_frac in 0.0f64..1.0,
     ) {
@@ -163,7 +289,7 @@ proptest! {
     }
 
     #[test]
-    fn v2_length_prefix_flip_never_panics(
+    fn framed_length_prefix_flip_never_panics(
         msgs in proptest::collection::vec(arb_msg(), 1..4),
         prefix_byte in 0usize..4,
         bit in 0u8..8,

@@ -7,9 +7,9 @@
 //! onto the paper's timed-asynchronous failure model:
 //!
 //! * drop / corrupt / cut — **omission** failures (a corrupted datagram
-//!   is exercised through [`Msg::from_bytes`] like a real receiver
-//!   would, then discarded — the harness plays the role of the UDP
-//!   checksum);
+//!   is exercised through [`frame::decode_datagram`] like a real
+//!   receiver would, then discarded — the harness plays the role of the
+//!   UDP checksum);
 //! * delay / reorder — **performance** failures (the datagram service is
 //!   unordered, so reordering is just a per-message delay);
 //! * duplication — legal datagram behavior the protocol must absorb.
@@ -33,7 +33,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use tw_obs::{ClockStamp, FaultKind, TraceEvent, Tracer};
-use tw_proto::{Decode, Encode, Msg, ProcessId, SyncTime};
+use tw_proto::codec::WireError;
+use tw_proto::frame;
+use tw_proto::{Msg, ProcessId, SyncTime};
 
 /// SplitMix64 — a tiny, high-quality, dependency-free PRNG. Used for
 /// every chaos decision so runs are reproducible from a single seed.
@@ -69,6 +71,17 @@ impl ChaosRng {
 /// The per-message fate lane: a fresh SplitMix64 stream keyed by
 /// `(seed, from, to, seq)`, so every message's draws are independent of
 /// every other message's.
+/// Flip one `rng`-chosen bit of `msg`'s datagram and hand the result to
+/// the decoder every receiver runs. Returns the byte hit and what the
+/// decoder made of it. Two draws, byte then bit, whatever the message.
+fn corrupt_on_the_wire(msg: &Msg, rng: &mut ChaosRng) -> (usize, Result<Vec<Msg>, WireError>) {
+    let mut dgram = frame::encode_single(msg);
+    let at_byte = rng.below(dgram.len() as u64) as usize;
+    let bit = rng.below(8) as u8;
+    dgram[at_byte] ^= 1 << bit;
+    (at_byte, frame::decode_datagram(&dgram))
+}
+
 fn lane(seed: u64, from: ProcessId, to: ProcessId, seq: u64) -> ChaosRng {
     let mut s = seed;
     for v in [from.0 as u64 + 1, to.0 as u64 + 1, seq + 1] {
@@ -474,15 +487,9 @@ impl FaultTransport {
             // real decoder, exactly as a receiver would — it must not
             // panic. Then discard: corruption is an omission (the
             // harness plays the role of the UDP checksum).
-            let mut bytes = msg.to_bytes().to_vec();
-            if !bytes.is_empty() {
-                let at_byte = rng.below(bytes.len() as u64) as usize;
-                let bit = rng.below(8) as u8;
-                bytes[at_byte] ^= 1 << bit;
-                let _ = Msg::from_bytes(&bytes);
-                self.emit(FaultKind::Corrupt, to, at_byte as u32);
-                return;
-            }
+            let (at_byte, _decoded) = corrupt_on_the_wire(msg, &mut rng);
+            self.emit(FaultKind::Corrupt, to, at_byte as u32);
+            return;
         }
         if dropped {
             self.emit(FaultKind::Drop, to, 0);
@@ -659,22 +666,42 @@ mod tests {
         }
         assert!(rx.try_recv().is_err(), "corrupted datagrams never arrive");
         assert_eq!(net.injected(FaultKind::Corrupt), 64);
-        let corrupts = sink
+        let hit_bytes: Vec<u32> = sink
             .snapshot()
             .into_iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    TraceEvent::FaultInjected {
-                        pid: ProcessId(0),
-                        kind: FaultKind::Corrupt,
-                        target: ProcessId(1),
-                        ..
-                    }
-                )
+            .filter_map(|e| match e {
+                TraceEvent::FaultInjected {
+                    pid: ProcessId(0),
+                    kind: FaultKind::Corrupt,
+                    target: ProcessId(1),
+                    arg,
+                    ..
+                } => Some(arg),
+                _ => None,
             })
-            .count();
-        assert_eq!(corrupts, 64);
+            .collect();
+        assert_eq!(hit_bytes.len(), 64);
+        // The bytes hit are bytes of the framed datagram a receiver
+        // would have been handed, and the decoder run on them is the one
+        // receivers run: replay each message's lane (five fate draws,
+        // then byte and bit) and a flip in byte 0 is a bad *version*.
+        let mut version_hits = 0;
+        for (rid, &traced) in hit_bytes.iter().enumerate() {
+            let msg = sample(0, rid as u64);
+            let mut rng = lane(5, ProcessId(0), ProcessId(1), rid as u64);
+            for _ in 0..5 {
+                rng.chance_ppm(0);
+            }
+            let (at_byte, decoded) = corrupt_on_the_wire(&msg, &mut rng);
+            assert_eq!(at_byte as u32, traced, "message {rid}");
+            assert!(at_byte < frame::encode_single(&msg).len());
+            assert_ne!(decoded, Ok(vec![msg]), "a flipped bit never decodes clean");
+            if at_byte == 0 {
+                assert!(matches!(decoded, Err(WireError::BadVersion { .. })));
+                version_hits += 1;
+            }
+        }
+        assert!(version_hits > 0, "64 draws over ~12 bytes reach byte 0");
     }
 
     #[test]

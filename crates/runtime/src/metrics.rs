@@ -40,6 +40,8 @@ pub struct NodeMetrics {
     batch_fill: Gauge,
     inbox_dropped: Counter,
     udp_recv_errors: Counter,
+    send_errors_emsgsize: Counter,
+    send_errors_other: Counter,
 }
 
 impl NodeMetrics {
@@ -60,6 +62,8 @@ impl NodeMetrics {
         let batch_fill = registry.gauge("tw_mmsg_batch_fill");
         let inbox_dropped = registry.counter("tw_inbox_dropped_total");
         let udp_recv_errors = registry.counter("tw_udp_recv_errors_total");
+        let send_errors_emsgsize = registry.counter("tw_send_errors_total.emsgsize");
+        let send_errors_other = registry.counter("tw_send_errors_total.other");
         Arc::new(Self {
             registry,
             sends,
@@ -73,6 +77,8 @@ impl NodeMetrics {
             batch_fill,
             inbox_dropped,
             udp_recv_errors,
+            send_errors_emsgsize,
+            send_errors_other,
         })
     }
 
@@ -136,10 +142,16 @@ impl NodeMetrics {
         self.recorder_buffered.clone()
     }
 
-    /// Handle on the `tw_mmsg_batch_fill` gauge: datagrams coalesced
-    /// into the most recent vectored UDP send.
-    pub fn batch_fill(&self) -> Gauge {
-        self.batch_fill.clone()
+    /// The UDP send path's handles: the `tw_mmsg_batch_fill` gauge
+    /// (datagrams coalesced into the most recent vectored send) and the
+    /// `tw_send_errors_total.{emsgsize,other}` counters — datagrams the
+    /// kernel refused, the ones that outgrew UDP apart from the rest.
+    pub fn send_metrics(&self) -> crate::transport::SendMetrics {
+        crate::transport::SendMetrics {
+            batch_fill: self.batch_fill.clone(),
+            errors_emsgsize: self.send_errors_emsgsize.clone(),
+            errors_other: self.send_errors_other.clone(),
+        }
     }
 
     /// The registry behind the counters.
@@ -189,9 +201,13 @@ mod tests {
         let m = NodeMetrics::new();
         m.inbox_dropped().add(3);
         m.udp_recv_errors().inc();
+        m.send_metrics().errors_emsgsize.add(2);
+        m.send_metrics().errors_other.inc();
         let s = m.snapshot();
         assert_eq!(s.counter("tw_inbox_dropped_total"), 3);
         assert_eq!(s.counter("tw_udp_recv_errors_total"), 1);
+        assert_eq!(s.counter("tw_send_errors_total.emsgsize"), 2);
+        assert_eq!(s.counter("tw_send_errors_total.other"), 1);
     }
 
     #[test]
@@ -201,7 +217,7 @@ mod tests {
         m.on_deadline_overrun(40);
         m.inbox_depth().set(7);
         m.recorder_buffered().set(12);
-        m.batch_fill().set(3);
+        m.send_metrics().batch_fill.set(3);
         let s = m.snapshot();
         assert_eq!(s.histograms.get("tick_lag_us").expect("tick lag").count, 1);
         assert_eq!(

@@ -52,13 +52,21 @@ impl RecvSlot {
 
 /// Batched send/receive over one datagram socket.
 ///
-/// Both methods are best-effort, like UDP itself: a failed or partial
-/// submission is indistinguishable from network loss to the protocol.
+/// Both methods are best-effort, like UDP itself: to the protocol a
+/// refused datagram is indistinguishable from network loss. To the
+/// operator it is not, so no refusal goes unreported.
 pub trait BatchSocket {
-    /// Submit every (payload, destination) datagram. Returns the number
-    /// of syscalls issued (the quantity the hot-path optimization
-    /// minimizes; exposed so benchmarks and tests can assert on it).
-    fn send_batch(&self, items: &[OutDatagram<'_>]) -> usize;
+    /// Submit every (payload, destination) datagram. A datagram the
+    /// kernel refuses is reported through `on_error` (its index in
+    /// `items` and the error) and skipped; every other datagram of the
+    /// batch is still submitted. Returns the number of syscalls issued
+    /// (the quantity the hot-path optimization minimizes; exposed so
+    /// benchmarks and tests can assert on it).
+    fn send_batch(
+        &self,
+        items: &[OutDatagram<'_>],
+        on_error: &mut dyn FnMut(usize, &std::io::Error),
+    ) -> usize;
 
     /// Receive up to `slots.len()` datagrams in one pass, blocking (per
     /// the socket's read timeout) only for the first. Returns how many
@@ -68,8 +76,12 @@ pub trait BatchSocket {
 }
 
 impl BatchSocket for UdpSocket {
-    fn send_batch(&self, items: &[OutDatagram<'_>]) -> usize {
-        imp::send_batch(self, items)
+    fn send_batch(
+        &self,
+        items: &[OutDatagram<'_>],
+        on_error: &mut dyn FnMut(usize, &std::io::Error),
+    ) -> usize {
+        imp::send_batch(self, items, on_error)
     }
 
     fn recv_batch(&self, slots: &mut [RecvSlot]) -> std::io::Result<usize> {
@@ -83,6 +95,19 @@ pub fn backend() -> &'static str {
     imp::BACKEND
 }
 
+/// True when `err` is the platform's `EMSGSIZE`: the datagram is larger
+/// than the transport can carry (65 507 payload bytes over UDP/IPv4), so
+/// retrying it can never help. No `std::io::ErrorKind` names it.
+pub fn is_emsgsize(err: &std::io::Error) -> bool {
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    const EMSGSIZE: i32 = 90;
+    #[cfg(windows)]
+    const EMSGSIZE: i32 = 10040; // WSAEMSGSIZE
+    #[cfg(not(any(target_os = "linux", target_os = "android", windows)))]
+    const EMSGSIZE: i32 = 40; // the BSD family, macOS included
+    err.raw_os_error() == Some(EMSGSIZE)
+}
+
 /// Portable sequential implementation: one syscall per datagram. Used
 /// directly on non-Linux targets and as the escape path for address
 /// families the vectored path does not handle.
@@ -90,13 +115,17 @@ mod seq {
     use super::{OutDatagram, RecvSlot};
     use std::net::UdpSocket;
 
-    pub fn send_batch(sock: &UdpSocket, items: &[OutDatagram<'_>]) -> usize {
-        let mut syscalls = 0;
-        for (payload, addr) in items {
-            syscalls += 1;
-            let _ = sock.send_to(payload, addr);
+    pub fn send_batch(
+        sock: &UdpSocket,
+        items: &[OutDatagram<'_>],
+        on_error: &mut dyn FnMut(usize, &std::io::Error),
+    ) -> usize {
+        for (i, (payload, addr)) in items.iter().enumerate() {
+            if let Err(e) = sock.send_to(payload, addr) {
+                on_error(i, &e);
+            }
         }
-        syscalls
+        items.len()
     }
 
     // On linux-gnu only the send side falls back here (non-IPv4
@@ -201,7 +230,11 @@ mod imp {
         })
     }
 
-    pub fn send_batch(sock: &UdpSocket, items: &[OutDatagram<'_>]) -> usize {
+    pub fn send_batch(
+        sock: &UdpSocket,
+        items: &[OutDatagram<'_>],
+        on_error: &mut dyn FnMut(usize, &std::io::Error),
+    ) -> usize {
         // Any non-IPv4 destination: take the portable path for the whole
         // batch (mixed-family batches are not worth the complexity; the
         // runtime's clusters are single-family).
@@ -210,7 +243,7 @@ mod imp {
             .map(|(_, a)| v4_name(a))
             .collect::<Option<Vec<_>>>()
         else {
-            return seq::send_batch(sock, items);
+            return seq::send_batch(sock, items, on_error);
         };
         let fd = sock.as_raw_fd();
         let mut syscalls = 0;
@@ -254,11 +287,17 @@ mod imp {
                         0,
                     )
                 };
-                if rc <= 0 {
-                    // Best effort: an errored batch reads as loss.
-                    break;
+                if rc > 0 {
+                    sent += rc as usize;
+                    continue;
                 }
-                sent += rc as usize;
+                // The kernel stops at the first datagram it refuses and
+                // returns the error only when nothing before it went
+                // out in this call — so the refused one is `hdrs[sent]`.
+                // Report it, step over it, submit the rest.
+                let err = std::io::Error::last_os_error();
+                on_error(chunk_at * MAX_BATCH + sent, &err);
+                sent += 1;
             }
         }
         syscalls
@@ -335,7 +374,7 @@ mod tests {
             .unwrap();
         let payloads: Vec<Vec<u8>> = (0u8..5).map(|i| vec![i; 16 + i as usize]).collect();
         let items: Vec<OutDatagram<'_>> = payloads.iter().map(|p| (p.as_slice(), to_b)).collect();
-        let syscalls = a.send_batch(&items);
+        let syscalls = a.send_batch(&items, &mut |i, e| panic!("datagram {i}: {e}"));
         assert!(syscalls >= 1);
         #[cfg(all(target_os = "linux", target_env = "gnu"))]
         assert_eq!(syscalls, 1, "5 datagrams must ride one sendmmsg");
@@ -350,6 +389,27 @@ mod tests {
         let mut want = payloads.clone();
         want.sort();
         assert_eq!(seen, want);
+    }
+
+    #[test]
+    fn one_refused_datagram_costs_only_itself() {
+        let (a, b, to_b) = pair();
+        b.set_read_timeout(Some(std::time::Duration::from_secs(2)))
+            .unwrap();
+        // The middle datagram is larger than UDP can carry.
+        let payloads = [vec![1u8; 16], vec![2u8; 65_508], vec![3u8; 16]];
+        let items: Vec<OutDatagram<'_>> = payloads.iter().map(|p| (p.as_slice(), to_b)).collect();
+        let mut refused = Vec::new();
+        a.send_batch(&items, &mut |i, e| refused.push((i, is_emsgsize(e))));
+        assert_eq!(refused, [(1, true)], "only the oversize one, as EMSGSIZE");
+        let mut buf = [0u8; 2048];
+        let mut seen = Vec::new();
+        for _ in 0..2 {
+            let (len, _) = b.recv_from(&mut buf).unwrap();
+            seen.push(buf[..len].to_vec());
+        }
+        seen.sort();
+        assert_eq!(seen, [payloads[0].clone(), payloads[2].clone()]);
     }
 
     #[test]

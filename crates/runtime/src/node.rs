@@ -625,7 +625,7 @@ fn spawn_udp_cluster_inner(
         let pid = ProcessId(i as u16);
         let transport = UdpTransport::bind(pid, *addr, peers.clone())?;
         let metrics = NodeMetrics::new();
-        transport.set_batch_fill_gauge(metrics.batch_fill());
+        transport.set_send_metrics(metrics.send_metrics());
         let (inbox_tx, inbox_rx) = node_inbox(INBOX_CAPACITY, Some(metrics.inbox_dropped()));
         let rx_handle = transport.spawn_receiver(inbox_tx, Some(metrics.udp_recv_errors()));
         let mut member = Member::new_unchecked(pid, cfg);

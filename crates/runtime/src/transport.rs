@@ -7,9 +7,9 @@
 //!   Reliable and fast; the timed-asynchronous failure modes are absent,
 //!   which is fine: the protocol only *tolerates* them.
 //! * [`UdpTransport`] — real UDP sockets on localhost (or any address
-//!   map), using the framed zero-copy wire format ([`tw_proto::frame`],
-//!   wire v2). Genuinely lossy under load, exactly the substrate the
-//!   paper deployed on.
+//!   map), using the framed zero-copy wire format ([`tw_proto::frame`]).
+//!   Genuinely lossy under load, exactly the substrate the paper
+//!   deployed on.
 //!
 //! Hot-path batching: executors collect a dispatch's outbound messages
 //! into an [`OutBatch`] and hand the whole thing to [`Transport::flush`]
@@ -26,7 +26,7 @@
 //! in `tw_inbox_dropped_total`, so overload degrades gracefully and
 //! observably instead of growing an unbounded queue.
 
-use crate::mmsg::{BatchSocket, RecvSlot};
+use crate::mmsg::{is_emsgsize, BatchSocket, RecvSlot};
 use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -221,6 +221,7 @@ struct WireCounters {
     datagrams_recv: AtomicU64,
     msgs_recv: AtomicU64,
     decode_errors: AtomicU64,
+    send_errors: AtomicU64,
 }
 
 /// A point-in-time copy of a transport's wire counters.
@@ -228,9 +229,10 @@ struct WireCounters {
 pub struct WireStats {
     /// Send-side syscalls issued (`sendto`/`sendmmsg` calls).
     pub send_syscalls: u64,
-    /// Datagrams put on the wire.
+    /// Datagrams the kernel accepted for the wire.
     pub datagrams_sent: u64,
-    /// Protocol messages put on the wire (≥ datagrams when coalescing).
+    /// Protocol messages in those datagrams (≥ datagrams when
+    /// coalescing).
     pub msgs_sent: u64,
     /// Datagrams received and decoded.
     pub datagrams_recv: u64,
@@ -239,9 +241,27 @@ pub struct WireStats {
     /// Datagrams dropped as undecodable (bad version, truncation,
     /// corruption — the model's omission failure).
     pub decode_errors: u64,
+    /// Datagrams the kernel refused to send (`EMSGSIZE` for one that
+    /// outgrew UDP, or any other send error): omissions the sender
+    /// inflicted on itself.
+    pub send_errors: u64,
 }
 
-/// Real UDP datagrams with the framed zero-copy wire format (v2).
+/// Registry handles the send path reports into (see
+/// [`UdpTransport::set_send_metrics`]).
+#[derive(Debug, Clone)]
+pub struct SendMetrics {
+    /// `tw_mmsg_batch_fill`: datagrams coalesced into the most recent
+    /// vectored submission.
+    pub batch_fill: Gauge,
+    /// `tw_send_errors_total.emsgsize`: datagrams refused as too large.
+    pub errors_emsgsize: Counter,
+    /// `tw_send_errors_total.other`: datagrams refused for any other
+    /// reason.
+    pub errors_other: Counter,
+}
+
+/// Real UDP datagrams with the framed zero-copy wire format.
 pub struct UdpTransport {
     socket: UdpSocket,
     peers: HashMap<ProcessId, SocketAddr>,
@@ -251,10 +271,9 @@ pub struct UdpTransport {
     me: ProcessId,
     stop: AtomicBool,
     wire: WireCounters,
-    /// Optional `tw_mmsg_batch_fill` gauge: datagrams coalesced into the
-    /// most recent vectored submission (set once at node wiring time;
-    /// the hot path pays one pointer load plus an atomic store).
-    batch_fill: OnceLock<Gauge>,
+    /// Optional registry handles (set once at node wiring time; the hot
+    /// path pays one pointer load plus an atomic store).
+    metrics: OnceLock<SendMetrics>,
 }
 
 impl UdpTransport {
@@ -275,7 +294,7 @@ impl UdpTransport {
             me,
             stop: AtomicBool::new(false),
             wire: WireCounters::default(),
-            batch_fill: OnceLock::new(),
+            metrics: OnceLock::new(),
         }))
     }
 
@@ -284,15 +303,28 @@ impl UdpTransport {
         self.stop.store(true, Ordering::Relaxed);
     }
 
-    /// Wire the `tw_mmsg_batch_fill` gauge: every vectored submission
-    /// records how many datagrams it coalesced. First caller wins.
-    pub fn set_batch_fill_gauge(&self, gauge: Gauge) {
-        let _ = self.batch_fill.set(gauge);
+    /// Wire the send path into a registry: every vectored submission
+    /// records how many datagrams it coalesced, every refused datagram
+    /// is counted by cause. First caller wins.
+    pub fn set_send_metrics(&self, metrics: SendMetrics) {
+        let _ = self.metrics.set(metrics);
     }
 
     fn note_batch_fill(&self, datagrams: usize) {
-        if let Some(g) = self.batch_fill.get() {
-            g.set(datagrams as i64);
+        if let Some(m) = self.metrics.get() {
+            m.batch_fill.set(datagrams as i64);
+        }
+    }
+
+    /// Count one datagram the kernel refused.
+    fn note_send_error(&self, err: &std::io::Error) {
+        self.wire.send_errors.fetch_add(1, Ordering::Relaxed);
+        if let Some(m) = self.metrics.get() {
+            if is_emsgsize(err) {
+                m.errors_emsgsize.inc();
+            } else {
+                m.errors_other.inc();
+            }
         }
     }
 
@@ -305,6 +337,7 @@ impl UdpTransport {
             datagrams_recv: self.wire.datagrams_recv.load(Ordering::Relaxed),
             msgs_recv: self.wire.msgs_recv.load(Ordering::Relaxed),
             decode_errors: self.wire.decode_errors.load(Ordering::Relaxed),
+            send_errors: self.wire.send_errors.load(Ordering::Relaxed),
         }
     }
 
@@ -410,8 +443,13 @@ impl Transport for UdpTransport {
     fn send(&self, to: ProcessId, msg: &Msg) {
         if let Some(addr) = self.peers.get(&to) {
             let dgram = frame::encode_single(msg);
-            let _ = self.socket.send_to(&dgram, addr);
-            self.note_sent(1, 1, 1);
+            match self.socket.send_to(&dgram, addr) {
+                Ok(_) => self.note_sent(1, 1, 1),
+                Err(e) => {
+                    self.note_sent(1, 0, 0);
+                    self.note_send_error(&e);
+                }
+            }
         }
     }
 
@@ -427,8 +465,12 @@ impl Transport for UdpTransport {
         if items.is_empty() {
             return;
         }
-        let syscalls = self.socket.send_batch(&items);
-        self.note_sent(syscalls as u64, items.len() as u64, items.len() as u64);
+        let mut sent = items.len() as u64;
+        let syscalls = self.socket.send_batch(&items, &mut |_, e| {
+            self.note_send_error(e);
+            sent -= 1;
+        });
+        self.note_sent(syscalls as u64, sent, sent);
         self.note_batch_fill(items.len());
     }
 
@@ -457,32 +499,38 @@ impl Transport for UdpTransport {
         for b in &mut batch.builders[..dests.len()] {
             b.reset();
         }
-        let mut msgs_encoded = 0u64;
         for item in &batch.items {
             match item {
                 OutItem::Broadcast(m) => {
                     for b in &mut batch.builders[..dests.len()] {
                         b.push_msg(m);
                     }
-                    msgs_encoded += dests.len() as u64;
                 }
                 OutItem::Send(to, m) => {
                     if let Some(i) = dests.iter().position(|(pid, _)| pid == to) {
                         batch.builders[i].push_msg(m);
-                        msgs_encoded += 1;
                     }
                 }
             }
         }
-        let items: Vec<(&[u8], SocketAddr)> = batch.builders[..dests.len()]
+        let builders = &batch.builders[..dests.len()];
+        let items: Vec<(&[u8], SocketAddr)> = builders
             .iter()
             .zip(&dests)
             .filter(|(b, _)| !b.is_empty())
             .map(|(b, (_, addr))| (b.bytes(), *addr))
             .collect();
         if !items.is_empty() {
-            let syscalls = self.socket.send_batch(&items);
-            self.note_sent(syscalls as u64, items.len() as u64, msgs_encoded);
+            let mut datagrams = items.len() as u64;
+            let mut msgs: u64 = builders.iter().map(|b| b.frames() as u64).sum();
+            let syscalls = self.socket.send_batch(&items, &mut |i, e| {
+                self.note_send_error(e);
+                datagrams -= 1;
+                // `items[i]` came from the i-th non-empty builder.
+                let lost = builders.iter().filter(|b| !b.is_empty()).nth(i);
+                msgs -= lost.map_or(0, |b| b.frames() as u64);
+            });
+            self.note_sent(syscalls as u64, datagrams, msgs);
             self.note_batch_fill(items.len());
         }
         batch.items.clear();
@@ -731,6 +779,66 @@ mod tests {
     }
 
     #[test]
+    fn udp_flush_skips_an_oversize_datagram_and_counts_it() {
+        // Node 0 with three peers that are plain sockets. One flush:
+        // a small broadcast to all, plus a state transfer to the middle
+        // peer that pushes *its* datagram past what UDP carries.
+        let any: SocketAddr = "127.0.0.1:0".parse().unwrap();
+        let socks: Vec<UdpSocket> = (0..3).map(|_| UdpSocket::bind(any).unwrap()).collect();
+        let mut peers: HashMap<ProcessId, SocketAddr> = socks
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (ProcessId(i as u16 + 1), s.local_addr().unwrap()))
+            .collect();
+        peers.insert(ProcessId(0), any);
+        let t = UdpTransport::bind(ProcessId(0), any, peers).unwrap();
+        let registry = tw_obs::Registry::new();
+        t.set_send_metrics(SendMetrics {
+            batch_fill: registry.gauge("tw_mmsg_batch_fill"),
+            errors_emsgsize: registry.counter("tw_send_errors_total.emsgsize"),
+            errors_other: registry.counter("tw_send_errors_total.other"),
+        });
+        let oversize = Msg::StateTransfer(tw_proto::StateTransfer {
+            sender: ProcessId(0),
+            to: ProcessId(2),
+            view_id: tw_proto::ViewId::new(1, ProcessId(0)),
+            app_state: Bytes::from(vec![7u8; 65_507]),
+            proposals: vec![],
+            fifo: vec![],
+            ordinals: vec![],
+        });
+        let mut batch = OutBatch::new();
+        batch.push_broadcast(sample(0));
+        batch.push_send(ProcessId(2), oversize.clone());
+        t.flush(ProcessId(0), &mut batch);
+
+        let mut buf = vec![0u8; 64 * 1024];
+        for (i, s) in socks.iter().enumerate() {
+            s.set_read_timeout(Some(std::time::Duration::from_millis(300)))
+                .unwrap();
+            match s.recv_from(&mut buf) {
+                Ok((len, _)) => {
+                    assert_ne!(i, 1, "the oversize datagram cannot have arrived");
+                    assert_eq!(frame::decode_datagram(&buf[..len]).unwrap(), [sample(0)]);
+                }
+                Err(_) => assert_eq!(i, 1, "first and third peers get their datagram"),
+            }
+        }
+        let stats = t.wire_stats();
+        assert_eq!(stats.send_errors, 1);
+        assert_eq!(stats.datagrams_sent, 2, "only what the kernel accepted");
+        assert_eq!(stats.msgs_sent, 2);
+        assert_eq!(registry.counter_value("tw_send_errors_total.emsgsize"), 1);
+        assert_eq!(registry.counter_value("tw_send_errors_total.other"), 0);
+
+        // The single-send path accounts the same way.
+        t.send(ProcessId(2), &oversize);
+        let stats = t.wire_stats();
+        assert_eq!((stats.send_errors, stats.datagrams_sent), (2, 2));
+        assert_eq!(registry.counter_value("tw_send_errors_total.emsgsize"), 2);
+    }
+
+    #[test]
     fn udp_receiver_drops_unknown_version_and_counts_it() {
         let (ta, tb) = udp_pair();
         let (tx, rx) = unbounded();
@@ -741,7 +849,7 @@ mod tests {
         let v1 = tw_proto::Encode::to_bytes(&sample(0));
         let addr = tb.socket.local_addr().unwrap();
         ta.socket.send_to(&v1, addr).unwrap();
-        // Then a valid v2 datagram to prove the loop survived.
+        // Then a valid datagram to prove the loop survived.
         ta.send(ProcessId(1), &sample(0));
         match rx.recv_timeout(std::time::Duration::from_secs(2)).unwrap() {
             Incoming::Msg(_, msg) => assert_eq!(msg, sample(0)),

@@ -290,15 +290,15 @@ fi
 # meaningless on one vCPU, so they are tagged shadow-smoke and only
 # self-gated; the point is that flood, ops scrape, live tail and JSON
 # emission all work end to end.
-cargo run --offline -q -p tw-probes-shadow --bin exp_proto_codec -- --iters 256 --out /tmp/shadow-codec.json
+cargo run --offline -q -p tw-probes-shadow --bin exp_proto_codec -- --iters 256 --out "$build"/shadow-codec.json
 cargo run --offline -q --release -p tw-probes-shadow --bin exp_hotpath -- \
-  --updates 2000 --machine shadow-smoke --out /tmp/shadow-hotpath.json
+  --updates 2000 --machine shadow-smoke --out "$build"/shadow-hotpath.json
 cargo run --offline -q --release -p tw-probes-shadow --bin exp_obs_live -- \
-  --updates 2000 --machine shadow-smoke --out /tmp/shadow-obs-live.json
+  --updates 2000 --machine shadow-smoke --out "$build"/shadow-obs-live.json
 cargo run --offline -q -p xtask --bin xtask -- bench-gate --self-test
 cargo run --offline -q -p xtask --bin xtask -- bench-gate \
-  --baseline /tmp/shadow-codec.json --candidate /tmp/shadow-codec.json
+  --baseline "$build"/shadow-codec.json --candidate "$build"/shadow-codec.json
 cargo run --offline -q -p xtask --bin xtask -- bench-gate \
-  --baseline /tmp/shadow-hotpath.json --candidate /tmp/shadow-hotpath.json
+  --baseline "$build"/shadow-hotpath.json --candidate "$build"/shadow-hotpath.json
 cargo run --offline -q -p xtask --bin xtask -- bench-gate \
-  --baseline /tmp/shadow-obs-live.json --candidate /tmp/shadow-obs-live.json
+  --baseline "$build"/shadow-obs-live.json --candidate "$build"/shadow-obs-live.json
