@@ -1,14 +1,15 @@
-//! Criterion micro-benchmarks of the protocol's hot paths: the wire
-//! codec, oal algebra, member message dispatch, and whole-simulator
-//! throughput.
+//! Criterion micro-benchmarks of the protocol's hot paths: oal algebra,
+//! member message dispatch, and whole-simulator throughput. (Encode,
+//! decode and bytes per message are priced by `benchmark/`'s
+//! `ladder_weak`.)
 
 use bytes::Bytes;
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use timewheel::harness::{all_in_group, run_until_pred, team_world, TeamParams};
 use timewheel::{Config, Member};
 use tw_proto::{
-    AckBits, Decision, Decode, Descriptor, Duration, Encode, Msg, Oal, Ordinal, ProcessId,
-    Proposal, ProposalId, Semantics, SyncTime, View, ViewId,
+    AckBits, Decision, Descriptor, Duration, Msg, Oal, Ordinal, ProcessId, Proposal, ProposalId,
+    Semantics, SyncTime, View, ViewId,
 };
 use tw_sim::SimTime;
 
@@ -32,39 +33,6 @@ fn loaded_decision(window: usize) -> Decision {
         oal,
         alive: AckBits(0b11111),
     }
-}
-
-fn bench_codec(c: &mut Criterion) {
-    let mut g = c.benchmark_group("codec");
-    for window in [0usize, 16, 64] {
-        let msg = Msg::Decision(loaded_decision(window));
-        let bytes = msg.to_bytes();
-        g.throughput(Throughput::Bytes(bytes.len() as u64));
-        g.bench_function(format!("encode_decision_w{window}"), |b| {
-            b.iter(|| std::hint::black_box(&msg).to_bytes())
-        });
-        g.bench_function(format!("decode_decision_w{window}"), |b| {
-            b.iter(|| Msg::from_bytes(std::hint::black_box(&bytes)).unwrap())
-        });
-    }
-    let prop = Msg::Proposal(Proposal {
-        sender: ProcessId(1),
-        incarnation: tw_proto::Incarnation(0),
-        seq: 1,
-        send_ts: SyncTime(5),
-        hdo: Ordinal(3),
-        semantics: Semantics::TOTAL_STRONG,
-        payload: Bytes::from(vec![7u8; 256]),
-    });
-    let pbytes = prop.to_bytes();
-    g.throughput(Throughput::Bytes(pbytes.len() as u64));
-    g.bench_function("encode_proposal_256B", |b| {
-        b.iter(|| std::hint::black_box(&prop).to_bytes())
-    });
-    g.bench_function("decode_proposal_256B", |b| {
-        b.iter(|| Msg::from_bytes(std::hint::black_box(&pbytes)).unwrap())
-    });
-    g.finish();
 }
 
 fn bench_oal(c: &mut Criterion) {
@@ -184,11 +152,5 @@ fn bench_simulation(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_codec,
-    bench_oal,
-    bench_member_dispatch,
-    bench_simulation
-);
+criterion_group!(benches, bench_oal, bench_member_dispatch, bench_simulation);
 criterion_main!(benches);

@@ -1,27 +1,29 @@
-//! Live-telemetry overhead probe — the T1-style flood from the hot-path
-//! probe, run twice: once on a plain cluster and once with the full
+//! Live-telemetry overhead probe — a T1-style flood run twice: once on
+//! a plain cluster and once with the full
 //! telemetry plane active (ops endpoints bound, a Prometheus scraper
 //! hitting `/metrics` on every node, and a `LiveTail` draining node 0's
 //! `/trace` stream), so the emitted ratio is the *measured* cost of
 //! observing a running cluster, not the cost of having the code linked.
 //!
-//! Scenario (mirrors `exp_hotpath`'s mem arm): n = 3 event-loop cluster
-//! on the in-process mesh, flooding unordered/weak updates unpaced and
+//! Scenario: n = 3 event-loop cluster on the in-process mesh, flooding unordered/weak updates unpaced and
 //! counting delivered updates/second at a non-proposing node. Each arm
 //! runs twice interleaved (off, on, off, on) and keeps its best rate,
 //! which is robust against one arm eating a scheduler hiccup.
 //!
 //! Metrics: `obs_off_delivered_per_s`, `obs_on_delivered_per_s`, and
-//! the gate-friendly `obs_on_off_ratio` (on ÷ off, 1.0 = free; the
-//! 25 % gate threshold trips if the telemetry tax grows from the
-//! baseline's ratio by more than a quarter). The acceptance target for
-//! this PR is ≤ 5 % overhead on CI hardware.
+//! `obs_on_off_ratio` (on ÷ off, 1.0 = free). The plane's design budget
+//! is ≤ 5 % overhead.
+//!
+//! A probe, not a gate: nothing compares its output. `benchmark/` cannot
+//! show the plane's cost yet (its live workloads are latency-bound, see
+//! `benchmark/README.md`), so this stays the one place the scrape-and-
+//! tail plane is exercised under load; CI's `observability` job runs it
+//! and uploads the JSON, `tools/shadow/check.sh` smoke-runs it.
 //!
 //! Self-contained (no serde_json/rand/criterion) so the shadow harness
-//! can build it offline. Emits the `BENCH_obs_live.json` baseline for
-//! `cargo xtask bench-gate`; refresh per DESIGN.md §12.5.
+//! can build it offline.
 //!
-//! Usage: `exp_obs_live [--quick] [--updates N] [--out FILE] [--machine TAG]`
+//! Usage: `exp_obs_live [--quick] [--updates N] [--out FILE]`
 
 #![forbid(unsafe_code)]
 
@@ -105,7 +107,7 @@ fn flood(nodes: &[Node], count: usize) -> f64 {
     delivered as f64 / secs
 }
 
-/// Telemetry off: the plain cluster the hot-path probe measures.
+/// Telemetry off: a plain cluster, nothing bound, nothing tailing.
 fn off_throughput(count: usize) -> f64 {
     let n = 3;
     let nodes = spawn_cluster(ExecutorKind::EventLoop, cfg(n));
@@ -181,22 +183,20 @@ struct Metric {
     name: &'static str,
     value: f64,
     better: &'static str,
-    portable: bool,
 }
 
-fn emit_json(seed: u64, iters: usize, machine: &str, metrics: &[Metric]) -> String {
+fn emit_json(iters: usize, metrics: &[Metric]) -> String {
     let rows: Vec<String> = metrics
         .iter()
         .map(|m| {
             format!(
-                "    {{\"name\": \"{}\", \"value\": {:.4}, \"better\": \"{}\", \"portable\": {}}}",
-                m.name, m.value, m.better, m.portable
+                "    {{\"name\": \"{}\", \"value\": {:.4}, \"better\": \"{}\"}}",
+                m.name, m.value, m.better
             )
         })
         .collect();
     format!(
-        "{{\n  \"bench\": \"obs_live\",\n  \"schema\": 1,\n  \"machine\": \"{machine}\",\n  \
-         \"seed\": {seed},\n  \"iters\": {iters},\n  \"metrics\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"obs_live\",\n  \"iters\": {iters},\n  \"metrics\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     )
 }
@@ -204,8 +204,6 @@ fn emit_json(seed: u64, iters: usize, machine: &str, metrics: &[Metric]) -> Stri
 fn main() {
     let mut updates = 40_000usize;
     let mut out: Option<String> = None;
-    let mut machine =
-        format!("{}-{}", std::env::consts::OS, std::env::consts::ARCH);
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -214,11 +212,9 @@ fn main() {
                 updates = args.next().expect("--updates N").parse().expect("number")
             }
             "--out" => out = Some(args.next().expect("--out FILE")),
-            "--machine" => machine = args.next().expect("--machine TAG"),
             other => {
                 eprintln!(
-                    "unknown arg {other}; usage: exp_obs_live [--quick] [--updates N] \
-                     [--out FILE] [--machine TAG]"
+                    "unknown arg {other}; usage: exp_obs_live [--quick] [--updates N] [--out FILE]"
                 );
                 std::process::exit(2);
             }
@@ -246,9 +242,9 @@ fn main() {
     let overhead_pct = (1.0 - ratio) * 100.0;
 
     let metrics = [
-        Metric { name: "obs_off_delivered_per_s", value: off, better: "higher", portable: false },
-        Metric { name: "obs_on_delivered_per_s", value: on, better: "higher", portable: false },
-        Metric { name: "obs_on_off_ratio", value: ratio, better: "higher", portable: false },
+        Metric { name: "obs_off_delivered_per_s", value: off, better: "higher" },
+        Metric { name: "obs_on_delivered_per_s", value: on, better: "higher" },
+        Metric { name: "obs_on_off_ratio", value: ratio, better: "higher" },
     ];
 
     println!("== live-telemetry overhead probe ({updates} weak updates per arm) ==");
@@ -257,12 +253,12 @@ fn main() {
         println!("{:<26} {:>14.1}", m.name, m.value);
     }
     println!(
-        "\ntelemetry tax: {overhead_pct:.1}% (acceptance target: <= 5% on CI hardware)\n\
+        "\ntelemetry tax: {overhead_pct:.1}% (design budget: <= 5%)\n\
          observation pressure during the 'on' arms: {scrapes} /metrics scrapes, \
          {events} events drained off /trace."
     );
 
-    let json = emit_json(0, updates, &machine, &metrics);
+    let json = emit_json(updates, &metrics);
     match out {
         Some(path) => {
             if let Some(dir) = std::path::Path::new(&path).parent() {

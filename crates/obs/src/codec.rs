@@ -1,4 +1,27 @@
-//! Wire codec for trace events: `tag(u8) · len(u16) · payload`.
+//! Wire codec for trace events: `tag(u8) · len(uvarint) · payload`,
+//! written and read with [`tw_proto::frame`]'s cursors — the same
+//! primitives, error type and bounds as protocol datagrams.
+//!
+//! ```text
+//! event    := tag:u8 len:uvarint payload[len]
+//! payload  := pid stamp fields               (per tag, below)
+//! stamp    := hw:ivarint sync:ivarint
+//! 0 decision-sent           send_ts:ivarint view-id
+//! 1 decision-received       from:pid send_ts:ivarint view-id
+//! 2 suspicion-raised        suspect:pid view-id
+//! 3 no-decision-hop         suspect:pid send_ts:ivarint view-id
+//! 4 wrong-suspicion-rescue  suspect:pid view-id
+//! 5 reconfig-slot-fired     slot:ivarint listed:uvarint empty:bool
+//! 6 view-installed          view-id members:uvarint
+//! 7 delivered               proposal-id (0x00 | 0x01 ordinal:uvarint) semantics
+//!                           send_ts:ivarint view-id
+//! 8 purged                  view-id lost:uvarint orphaned:uvarint unknown:uvarint
+//! 9 fault-injected          kind:u8 target:pid arg:uvarint
+//! ```
+//!
+//! (`pid`, `view-id`, `proposal-id`, `semantics`, `uvarint`, `ivarint`
+//! and `bool` as in the [`tw_proto::frame`] grammar; the writer emits
+//! `len` as the cursor's padded 4-byte LEB128.)
 //!
 //! The explicit payload length is what buys forward compatibility in
 //! both directions:
@@ -9,52 +32,22 @@
 //!   appended fields) still decodes: parsing reads the fields it knows
 //!   and discards the remainder of the frame.
 //!
-//! Field encodings reuse [`tw_proto::codec`]'s little-endian primitives,
-//! so trace frames and protocol datagrams share one wire vocabulary.
 //! Decoding is total: arbitrary bytes either decode or return a
 //! [`WireError`], never panic (fuzzed in `tests/prop_codec.rs`).
 
 use crate::trace::{ClockStamp, FaultKind, TraceEvent};
-use bytes::{BufMut, Bytes, BytesMut};
-use tw_proto::codec::{Decode, Encode, WireError};
-use tw_proto::{HwTime, Ordinal, SyncTime};
+use tw_proto::frame::{
+    get_pid, get_proposal_id, get_semantics, get_view_id, put_pid, put_proposal_id, put_semantics,
+    put_view_id,
+};
+use tw_proto::{AckBits, FrameRef, HwTime, Ordinal, SyncTime, WireCursor, WireError};
 
 /// Highest event tag this version of the crate produces.
 pub const MAX_KNOWN_TAG: u8 = 9;
 
-impl Encode for ClockStamp {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.hw.encode(buf);
-        self.sync.encode(buf);
-    }
-}
-
-impl Decode for ClockStamp {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(ClockStamp {
-            hw: HwTime::decode(buf)?,
-            sync: SyncTime::decode(buf)?,
-        })
-    }
-}
-
-fn encode_ordinal_opt(o: &Option<Ordinal>, buf: &mut BytesMut) {
-    match o {
-        Some(v) => {
-            true.encode(buf);
-            v.encode(buf);
-        }
-        None => false.encode(buf),
-    }
-}
-
-fn decode_ordinal_opt(buf: &mut Bytes) -> Result<Option<Ordinal>, WireError> {
-    if bool::decode(buf)? {
-        Ok(Some(Ordinal::decode(buf)?))
-    } else {
-        Ok(None)
-    }
-}
+/// Upper bound on one encoded event: tag, padded length and the longest
+/// payload (`delivered` with every varint at full width is 72 bytes).
+pub const MAX_EVENT_LEN: usize = 80;
 
 impl TraceEvent {
     /// The variant's wire tag. [`TraceEvent::Unknown`] re-encodes under
@@ -75,252 +68,236 @@ impl TraceEvent {
         }
     }
 
-    fn encode_payload(&self, buf: &mut BytesMut) {
+    /// Append this event's frame (`tag · len · payload`).
+    pub fn encode(&self, w: &mut WireCursor) {
+        w.put_u8(self.tag());
+        let frame = w.begin_frame();
+        if let (Some(pid), Some(at)) = (self.pid(), self.stamp()) {
+            put_pid(w, pid);
+            w.put_ivarint(at.hw.0);
+            w.put_ivarint(at.sync.0);
+        }
         match self {
-            TraceEvent::DecisionSent {
-                pid,
-                at,
-                send_ts,
-                view,
-            } => {
-                pid.encode(buf);
-                at.encode(buf);
-                send_ts.encode(buf);
-                view.encode(buf);
+            TraceEvent::DecisionSent { send_ts, view, .. } => {
+                w.put_ivarint(send_ts.0);
+                put_view_id(w, view);
             }
             TraceEvent::DecisionReceived {
-                pid,
-                at,
                 from,
                 send_ts,
                 view,
+                ..
             } => {
-                pid.encode(buf);
-                at.encode(buf);
-                from.encode(buf);
-                send_ts.encode(buf);
-                view.encode(buf);
+                put_pid(w, *from);
+                w.put_ivarint(send_ts.0);
+                put_view_id(w, view);
             }
-            TraceEvent::SuspicionRaised {
-                pid,
-                at,
-                suspect,
-                view,
-            }
-            | TraceEvent::WrongSuspicionRescue {
-                pid,
-                at,
-                suspect,
-                view,
-            } => {
-                pid.encode(buf);
-                at.encode(buf);
-                suspect.encode(buf);
-                view.encode(buf);
+            TraceEvent::SuspicionRaised { suspect, view, .. }
+            | TraceEvent::WrongSuspicionRescue { suspect, view, .. } => {
+                put_pid(w, *suspect);
+                put_view_id(w, view);
             }
             TraceEvent::NoDecisionHop {
-                pid,
-                at,
                 suspect,
                 send_ts,
                 view,
+                ..
             } => {
-                pid.encode(buf);
-                at.encode(buf);
-                suspect.encode(buf);
-                send_ts.encode(buf);
-                view.encode(buf);
+                put_pid(w, *suspect);
+                w.put_ivarint(send_ts.0);
+                put_view_id(w, view);
             }
             TraceEvent::ReconfigSlotFired {
-                pid,
-                at,
                 slot,
                 listed,
                 empty,
+                ..
             } => {
-                pid.encode(buf);
-                at.encode(buf);
-                slot.encode(buf);
-                listed.encode(buf);
-                empty.encode(buf);
+                w.put_ivarint(*slot);
+                w.put_uvarint(*listed as u64);
+                w.put_bool(*empty);
             }
-            TraceEvent::ViewInstalled {
-                pid,
-                at,
-                view,
-                members,
-            } => {
-                pid.encode(buf);
-                at.encode(buf);
-                view.encode(buf);
-                members.encode(buf);
+            TraceEvent::ViewInstalled { view, members, .. } => {
+                put_view_id(w, view);
+                w.put_uvarint(members.0);
             }
             TraceEvent::Delivered {
-                pid,
-                at,
                 id,
                 ordinal,
                 semantics,
                 send_ts,
                 view,
+                ..
             } => {
-                pid.encode(buf);
-                at.encode(buf);
-                id.encode(buf);
-                encode_ordinal_opt(ordinal, buf);
-                semantics.encode(buf);
-                send_ts.encode(buf);
-                view.encode(buf);
+                put_proposal_id(w, id);
+                w.put_bool(ordinal.is_some());
+                if let Some(o) = ordinal {
+                    w.put_uvarint(o.0);
+                }
+                put_semantics(w, semantics);
+                w.put_ivarint(send_ts.0);
+                put_view_id(w, view);
             }
             TraceEvent::Purged {
-                pid,
-                at,
                 view,
                 lost,
                 orphaned,
                 unknown,
+                ..
             } => {
-                pid.encode(buf);
-                at.encode(buf);
-                view.encode(buf);
-                lost.encode(buf);
-                orphaned.encode(buf);
-                unknown.encode(buf);
+                put_view_id(w, view);
+                w.put_uvarint(*lost as u64);
+                w.put_uvarint(*orphaned as u64);
+                w.put_uvarint(*unknown as u64);
             }
             TraceEvent::FaultInjected {
-                pid,
-                at,
-                kind,
-                target,
-                arg,
+                kind, target, arg, ..
             } => {
-                pid.encode(buf);
-                at.encode(buf);
-                (*kind as u8).encode(buf);
-                target.encode(buf);
-                arg.encode(buf);
+                w.put_u8(*kind as u8);
+                put_pid(w, *target);
+                w.put_uvarint(*arg as u64);
             }
             TraceEvent::Unknown { .. } => {}
         }
+        w.end_frame(frame);
     }
 
-    fn decode_payload(tag: u8, buf: &mut Bytes) -> Result<TraceEvent, WireError> {
+    /// Consume one event frame from the front of `f`.
+    pub fn decode(f: &mut FrameRef<'_>) -> Result<TraceEvent, WireError> {
+        let tag = f.u8("trace event tag")?;
+        let mut payload = FrameRef::new(f.bytes("trace event payload")?);
+        if tag > MAX_KNOWN_TAG {
+            // Newer producer: skip the frame, keep the stream parseable.
+            return Ok(TraceEvent::Unknown { tag });
+        }
+        let p = &mut payload;
+        let pid = get_pid(p)?;
+        let at = ClockStamp {
+            hw: HwTime(p.ivarint("hw")?),
+            sync: SyncTime(p.ivarint("sync")?),
+        };
+        // Trailing payload bytes (fields appended by a newer producer)
+        // are deliberately ignored.
         Ok(match tag {
             0 => TraceEvent::DecisionSent {
-                pid: Decode::decode(buf)?,
-                at: Decode::decode(buf)?,
-                send_ts: Decode::decode(buf)?,
-                view: Decode::decode(buf)?,
+                pid,
+                at,
+                send_ts: SyncTime(p.ivarint("send-ts")?),
+                view: get_view_id(p)?,
             },
             1 => TraceEvent::DecisionReceived {
-                pid: Decode::decode(buf)?,
-                at: Decode::decode(buf)?,
-                from: Decode::decode(buf)?,
-                send_ts: Decode::decode(buf)?,
-                view: Decode::decode(buf)?,
+                pid,
+                at,
+                from: get_pid(p)?,
+                send_ts: SyncTime(p.ivarint("send-ts")?),
+                view: get_view_id(p)?,
             },
             2 => TraceEvent::SuspicionRaised {
-                pid: Decode::decode(buf)?,
-                at: Decode::decode(buf)?,
-                suspect: Decode::decode(buf)?,
-                view: Decode::decode(buf)?,
+                pid,
+                at,
+                suspect: get_pid(p)?,
+                view: get_view_id(p)?,
             },
             3 => TraceEvent::NoDecisionHop {
-                pid: Decode::decode(buf)?,
-                at: Decode::decode(buf)?,
-                suspect: Decode::decode(buf)?,
-                send_ts: Decode::decode(buf)?,
-                view: Decode::decode(buf)?,
+                pid,
+                at,
+                suspect: get_pid(p)?,
+                send_ts: SyncTime(p.ivarint("send-ts")?),
+                view: get_view_id(p)?,
             },
             4 => TraceEvent::WrongSuspicionRescue {
-                pid: Decode::decode(buf)?,
-                at: Decode::decode(buf)?,
-                suspect: Decode::decode(buf)?,
-                view: Decode::decode(buf)?,
+                pid,
+                at,
+                suspect: get_pid(p)?,
+                view: get_view_id(p)?,
             },
             5 => TraceEvent::ReconfigSlotFired {
-                pid: Decode::decode(buf)?,
-                at: Decode::decode(buf)?,
-                slot: Decode::decode(buf)?,
-                listed: Decode::decode(buf)?,
-                empty: Decode::decode(buf)?,
+                pid,
+                at,
+                slot: p.ivarint("slot")?,
+                listed: p.narrow("listed")?,
+                empty: p.bool("empty")?,
             },
             6 => TraceEvent::ViewInstalled {
-                pid: Decode::decode(buf)?,
-                at: Decode::decode(buf)?,
-                view: Decode::decode(buf)?,
-                members: Decode::decode(buf)?,
+                pid,
+                at,
+                view: get_view_id(p)?,
+                members: AckBits(p.uvarint("members")?),
             },
             7 => TraceEvent::Delivered {
-                pid: Decode::decode(buf)?,
-                at: Decode::decode(buf)?,
-                id: Decode::decode(buf)?,
-                ordinal: decode_ordinal_opt(buf)?,
-                semantics: Decode::decode(buf)?,
-                send_ts: Decode::decode(buf)?,
-                view: Decode::decode(buf)?,
+                pid,
+                at,
+                id: get_proposal_id(p)?,
+                ordinal: match p.bool("has ordinal")? {
+                    true => Some(Ordinal(p.uvarint("ordinal")?)),
+                    false => None,
+                },
+                semantics: get_semantics(p)?,
+                send_ts: SyncTime(p.ivarint("send-ts")?),
+                view: get_view_id(p)?,
             },
             8 => TraceEvent::Purged {
-                pid: Decode::decode(buf)?,
-                at: Decode::decode(buf)?,
-                view: Decode::decode(buf)?,
-                lost: Decode::decode(buf)?,
-                orphaned: Decode::decode(buf)?,
-                unknown: Decode::decode(buf)?,
+                pid,
+                at,
+                view: get_view_id(p)?,
+                lost: p.narrow("lost")?,
+                orphaned: p.narrow("orphaned")?,
+                unknown: p.narrow("unknown")?,
             },
             9 => TraceEvent::FaultInjected {
-                pid: Decode::decode(buf)?,
-                at: Decode::decode(buf)?,
+                pid,
+                at,
                 kind: {
-                    let b = u8::decode(buf)?;
+                    let b = p.u8("fault kind")?;
                     FaultKind::from_u8(b).ok_or(WireError::BadTag {
                         what: "fault kind",
                         tag: b,
                     })?
                 },
-                target: Decode::decode(buf)?,
-                arg: Decode::decode(buf)?,
+                target: get_pid(p)?,
+                arg: p.narrow("arg")?,
             },
-            _ => unreachable!("caller routes unknown tags"),
+            tag => {
+                return Err(WireError::BadTag {
+                    what: "trace event",
+                    tag,
+                })
+            }
         })
     }
 }
 
-impl Encode for TraceEvent {
-    fn encode(&self, buf: &mut BytesMut) {
-        let mut payload = BytesMut::with_capacity(64);
-        self.encode_payload(&mut payload);
-        self.tag().encode(buf);
-        debug_assert!(payload.len() <= u16::MAX as usize);
-        (payload.len() as u16).encode(buf);
-        buf.put_slice(&payload);
-    }
-}
-
-impl Decode for TraceEvent {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let tag = u8::decode(buf)?;
-        let len = u16::decode(buf)? as usize;
-        if buf.len() < len {
-            return Err(WireError::UnexpectedEof {
-                what: "trace event payload",
-            });
-        }
-        let mut payload = buf.split_to(len);
-        if tag > MAX_KNOWN_TAG {
-            // Newer producer: skip the frame, keep the stream parseable.
-            return Ok(TraceEvent::Unknown { tag });
-        }
-        // Trailing payload bytes (fields appended by a newer producer)
-        // are deliberately ignored.
-        TraceEvent::decode_payload(tag, &mut payload)
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use tw_proto::{AckBits, ProcessId, ProposalId, Semantics, ViewId};
+    use tw_proto::{ProcessId, ProposalId, Semantics, ViewId};
+
+    fn to_bytes(ev: &TraceEvent) -> Vec<u8> {
+        let mut buf = Vec::new();
+        ev.encode(&mut WireCursor::new(&mut buf));
+        buf
+    }
+
+    fn from_bytes(bytes: &[u8]) -> Result<TraceEvent, WireError> {
+        let mut f = FrameRef::new(bytes);
+        let ev = TraceEvent::decode(&mut f)?;
+        f.finish()?;
+        Ok(ev)
+    }
+
+    /// `tag · len · payload` by hand, for frames no encoder produces.
+    fn frame(tag: u8, payload: &[u8]) -> Vec<u8> {
+        let mut buf = vec![tag];
+        WireCursor::new(&mut buf).put_bytes(payload);
+        buf
+    }
+
+    /// The payload bytes of `ev`'s frame.
+    fn payload_of(ev: &TraceEvent) -> Vec<u8> {
+        let bytes = to_bytes(ev);
+        let mut f = FrameRef::new(&bytes[1..]);
+        f.bytes("payload").unwrap().to_vec()
+    }
 
     fn stamp(hw: i64, sync: i64) -> ClockStamp {
         ClockStamp {
@@ -329,7 +306,7 @@ mod tests {
         }
     }
 
-    fn all_variants() -> Vec<TraceEvent> {
+    pub(crate) fn all_variants() -> Vec<TraceEvent> {
         let pid = ProcessId(3);
         let view = ViewId::new(7, ProcessId(1));
         let at = stamp(1_000, 1_002);
@@ -418,43 +395,57 @@ mod tests {
     #[test]
     fn every_variant_roundtrips() {
         for ev in all_variants() {
-            let bytes = ev.to_bytes();
-            let back = TraceEvent::from_bytes(&bytes).unwrap();
+            let back = from_bytes(&to_bytes(&ev)).unwrap();
             assert_eq!(back, ev, "roundtrip of {}", ev.label());
         }
     }
 
     #[test]
+    fn widest_event_fits_max_event_len() {
+        let pid = ProcessId(u16::MAX);
+        let ev = TraceEvent::Delivered {
+            pid,
+            at: stamp(i64::MIN, i64::MIN),
+            id: ProposalId::new(pid, u64::MAX),
+            ordinal: Some(Ordinal(u64::MAX)),
+            semantics: Semantics::TIME_STRICT,
+            send_ts: SyncTime(i64::MIN),
+            view: ViewId::new(u64::MAX, pid),
+        };
+        let bytes = to_bytes(&ev);
+        assert_eq!(bytes.len(), 77);
+        assert!(bytes.len() <= MAX_EVENT_LEN);
+        assert_eq!(from_bytes(&bytes).unwrap(), ev);
+    }
+
+    #[test]
     fn a_stream_of_events_decodes_in_sequence() {
         let evs = all_variants();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         for ev in &evs {
-            ev.encode(&mut buf);
+            ev.encode(&mut WireCursor::new(&mut buf));
         }
-        let mut bytes = buf.freeze();
+        let mut f = FrameRef::new(&buf);
         for ev in &evs {
-            assert_eq!(&TraceEvent::decode(&mut bytes).unwrap(), ev);
+            assert_eq!(&TraceEvent::decode(&mut f).unwrap(), ev);
         }
-        assert!(bytes.is_empty());
+        assert!(f.is_exhausted());
     }
 
     #[test]
     fn unknown_tag_skips_payload_and_keeps_stream() {
         // Frame a fictitious tag-42 event with 5 payload bytes, followed
         // by a real event.
-        let mut buf = BytesMut::new();
-        42u8.encode(&mut buf);
-        5u16.encode(&mut buf);
-        buf.put_slice(&[9, 9, 9, 9, 9]);
         let real = all_variants().remove(0);
-        real.encode(&mut buf);
-        let mut bytes = buf.freeze();
+        let mut buf = frame(42, &[9, 9, 9, 9, 9]);
+        real.encode(&mut WireCursor::new(&mut buf));
+        let mut f = FrameRef::new(&buf);
         assert_eq!(
-            TraceEvent::decode(&mut bytes).unwrap(),
+            TraceEvent::decode(&mut f).unwrap(),
             TraceEvent::Unknown { tag: 42 }
         );
-        assert_eq!(TraceEvent::decode(&mut bytes).unwrap(), real);
-        assert!(bytes.is_empty());
+        assert_eq!(TraceEvent::decode(&mut f).unwrap(), real);
+        assert!(f.is_exhausted());
     }
 
     #[test]
@@ -462,25 +453,32 @@ mod tests {
         // A newer producer appends bytes to a DecisionSent payload; we
         // must parse the fields we know and skip the rest of the frame.
         let ev = all_variants().remove(0);
-        let mut payload = BytesMut::new();
-        ev.encode_payload(&mut payload);
-        payload.put_slice(&[1, 2, 3]);
-        let mut buf = BytesMut::new();
-        ev.tag().encode(&mut buf);
-        (payload.len() as u16).encode(&mut buf);
-        buf.put_slice(&payload);
-        let mut bytes = buf.freeze();
-        assert_eq!(TraceEvent::decode(&mut bytes).unwrap(), ev);
-        assert!(bytes.is_empty());
+        let mut payload = payload_of(&ev);
+        payload.extend_from_slice(&[1, 2, 3]);
+        assert_eq!(from_bytes(&frame(ev.tag(), &payload)).unwrap(), ev);
     }
 
     #[test]
     fn truncated_input_errors_without_panicking() {
-        let full = all_variants().remove(7).to_bytes(); // Delivered
-        for cut in 0..full.len() {
-            let r = TraceEvent::from_bytes(&full[..cut]);
-            assert!(r.is_err(), "prefix of {cut} bytes must not decode");
+        for ev in all_variants() {
+            let full = to_bytes(&ev);
+            for cut in 0..full.len() {
+                assert!(from_bytes(&full[..cut]).is_err(), "{cut} bytes of {ev:?}");
+            }
+            // A frame whose length is honest but whose payload stops
+            // short of the fields is an error too.
+            let payload = payload_of(&ev);
+            for cut in 0..payload.len() {
+                assert!(from_bytes(&frame(ev.tag(), &payload[..cut])).is_err());
+            }
         }
+    }
+
+    #[test]
+    fn over_long_payload_length_errors_without_allocating() {
+        let mut buf = vec![0u8];
+        WireCursor::new(&mut buf).put_uvarint(u64::MAX);
+        assert!(matches!(from_bytes(&buf), Err(WireError::TooLong { .. })));
     }
 
     #[test]
@@ -488,20 +486,16 @@ mod tests {
         // Frame a FaultInjected event whose kind byte is a value this
         // version does not know: decoding must fail cleanly, not panic
         // and not alias onto another kind.
-        let pid = ProcessId(2);
-        let mut payload = BytesMut::new();
-        pid.encode(&mut payload);
-        stamp(5, 6).encode(&mut payload);
-        255u8.encode(&mut payload);
-        pid.encode(&mut payload);
-        0u32.encode(&mut payload);
-        let mut buf = BytesMut::new();
-        9u8.encode(&mut buf);
-        (payload.len() as u16).encode(&mut buf);
-        buf.put_slice(&payload);
-        let mut bytes = buf.freeze();
+        let mut payload = Vec::new();
+        let mut w = WireCursor::new(&mut payload);
+        put_pid(&mut w, ProcessId(2));
+        w.put_ivarint(5);
+        w.put_ivarint(6);
+        w.put_u8(255);
+        put_pid(&mut w, ProcessId(2));
+        w.put_uvarint(0);
         assert!(matches!(
-            TraceEvent::decode(&mut bytes),
+            from_bytes(&frame(9, &payload)),
             Err(WireError::BadTag {
                 what: "fault kind",
                 tag: 255
@@ -512,8 +506,8 @@ mod tests {
     #[test]
     fn unknown_reencodes_as_empty_frame() {
         let ev = TraceEvent::Unknown { tag: 99 };
-        let bytes = ev.to_bytes();
-        assert_eq!(bytes.len(), 3); // tag + zero length
-        assert_eq!(TraceEvent::from_bytes(&bytes).unwrap(), ev);
+        let bytes = to_bytes(&ev);
+        assert_eq!(bytes, [99, 0x80, 0x80, 0x80, 0x00]); // tag + zero length
+        assert_eq!(from_bytes(&bytes).unwrap(), ev);
     }
 }

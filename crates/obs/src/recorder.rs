@@ -13,17 +13,19 @@
 //! ([`crate::recording`]) detects by CRC and skips, never losing the
 //! frames before it.
 //!
-//! ## File format (`TWFR` version 1)
+//! ## File format (`TWFR` version 2)
 //!
 //! ```text
-//! header  : magic b"TWFR0001" · pid u16 LE · team u16 LE · epsilon_us i64 LE
-//! segment*: len u32 LE · crc32 u32 LE · payload[len]
+//! header  : magic b"TWFR0002" · pid u16 LE · team u16 LE · epsilon_us i64 LE
+//! segment*: len u32 LE · crc32 u32 LE · payload[len]      (len ≤ MAX_SEGMENT_LEN)
 //! ```
 //!
 //! The payload of a segment is a concatenation of [`TraceEvent`] wire
 //! frames (`tag · len · payload`, [`crate::codec`]) — the exact bytes a
 //! live exporter would ship, so recordings and network streams share one
-//! vocabulary. `crc32` is CRC-32/ISO-HDLC over the payload bytes. The
+//! vocabulary. `crc32` is CRC-32/ISO-HDLC over the payload bytes. A
+//! file with any other version digits is refused at the header, naming
+//! the version it carries; there is no reader for older formats. The
 //! header carries the emitting process, the team size and the clock-sync
 //! deviation bound ε at recording time, so the offline analyzer can
 //! align recordings from different nodes without out-of-band
@@ -33,21 +35,28 @@
 // file I/O: it runs host-side (behind a TraceSink), never inside a simulated
 // actor, and persistence is its entire purpose.
 
+use crate::codec::MAX_EVENT_LEN;
 use crate::trace::{TraceEvent, TraceSink};
-use bytes::BytesMut;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
-use tw_proto::codec::Encode;
-use tw_proto::{Duration, ProcessId};
+use tw_proto::{Duration, ProcessId, WireCursor};
 
 /// File magic + format version, the first 8 bytes of every recording.
-pub const FILE_MAGIC: &[u8; 8] = b"TWFR0001";
+pub const FILE_MAGIC: &[u8; 8] = b"TWFR0002";
 /// Total header length: magic, pid, team, epsilon.
 pub const HEADER_LEN: usize = 8 + 2 + 2 + 8;
 /// Per-segment framing overhead: length and CRC words.
 pub const SEGMENT_OVERHEAD: usize = 4 + 4;
+/// Largest segment payload a writer produces and a reader accepts. A
+/// reader meeting a larger length word reports corruption at once
+/// instead of buffering toward it — the word is read before any CRC
+/// can vouch for it.
+pub const MAX_SEGMENT_LEN: usize = 1 << 20;
+/// Most events a sink buffers before it spills, whatever its configured
+/// capacity: that many always encode inside [`MAX_SEGMENT_LEN`].
+pub const MAX_SEGMENT_EVENTS: usize = MAX_SEGMENT_LEN / MAX_EVENT_LEN;
 
 /// Encode a TWFR header: the exact bytes [`FlightRecorder::create`]
 /// writes at the start of a file, and the first bytes a live stream
@@ -68,14 +77,19 @@ pub fn encode_segment(events: &[TraceEvent]) -> Vec<u8> {
     if events.is_empty() {
         return Vec::new();
     }
-    let mut payload = BytesMut::with_capacity(events.len() * 32);
+    debug_assert!(events.len() <= MAX_SEGMENT_EVENTS, "over MAX_SEGMENT_LEN");
+    let mut out = vec![0u8; SEGMENT_OVERHEAD];
+    out.reserve(events.len() * 32);
+    let mut w = WireCursor::new(&mut out);
     for ev in events {
-        ev.encode(&mut payload);
+        ev.encode(&mut w);
     }
-    let mut out = Vec::with_capacity(SEGMENT_OVERHEAD + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let (len, crc) = {
+        let payload = &out[SEGMENT_OVERHEAD..];
+        (payload.len() as u32, crc32(payload))
+    };
+    out[..4].copy_from_slice(&len.to_le_bytes());
+    out[4..8].copy_from_slice(&crc.to_le_bytes());
     out
 }
 
@@ -118,6 +132,8 @@ pub struct RecorderConfig {
     pub epsilon: Duration,
     /// Events buffered in memory before a segment is spilled. Bounds
     /// both memory use and the worst-case loss window on a hard crash.
+    /// Clamped to `1..=`[`MAX_SEGMENT_EVENTS`] when the recorder is
+    /// created.
     pub capacity: usize,
 }
 
@@ -163,7 +179,8 @@ pub struct FlightRecorder {
 impl FlightRecorder {
     /// Create (truncating) the recording file at `path` and write its
     /// header. The returned recorder is ready to use as a sink.
-    pub fn create(path: impl AsRef<Path>, cfg: RecorderConfig) -> std::io::Result<Self> {
+    pub fn create(path: impl AsRef<Path>, mut cfg: RecorderConfig) -> std::io::Result<Self> {
+        cfg.capacity = cfg.capacity.clamp(1, MAX_SEGMENT_EVENTS);
         let path = path.as_ref().to_path_buf();
         let file = File::create(&path)?;
         let mut writer = BufWriter::new(file);

@@ -12,8 +12,9 @@
 //!   errors are an unreadable file or a broken header (without the
 //!   header there is no recording to speak of).
 //!
-//! Detection is structural (a segment length that overruns the file) or
-//! checksummed (CRC-32 mismatch over the payload). The loader does not
+//! Detection is structural (a segment length that overruns the file, or
+//! one over [`MAX_SEGMENT_LEN`] that no writer produces) or checksummed
+//! (CRC-32 mismatch over the payload). The loader does not
 //! try to resynchronize past damage: frame lengths are not
 //! self-delimiting under corruption, so anything after the first bad
 //! segment is untrusted by design.
@@ -30,13 +31,11 @@
 // flight recorder's file format; it runs in analyzers and tests, never inside a
 // simulated actor.
 
-use crate::recorder::{crc32, FILE_MAGIC, HEADER_LEN, SEGMENT_OVERHEAD};
+use crate::recorder::{crc32, FILE_MAGIC, HEADER_LEN, MAX_SEGMENT_LEN, SEGMENT_OVERHEAD};
 use crate::trace::TraceEvent;
-use bytes::Bytes;
 use std::fmt;
 use std::path::Path;
-use tw_proto::codec::Decode;
-use tw_proto::{Duration, ProcessId};
+use tw_proto::{Duration, FrameRef, ProcessId};
 
 /// Where and how a recording was damaged. The events of all segments
 /// before the damage are still in [`Recording::events`].
@@ -49,7 +48,8 @@ pub enum Damage {
         index: u64,
     },
     /// Segment `index` failed its CRC (bit rot, or a torn write that
-    /// happened to keep the length plausible).
+    /// happened to keep the length plausible), or claims a length over
+    /// [`MAX_SEGMENT_LEN`].
     CorruptSegment {
         /// Zero-based index of the damaged segment.
         index: u64,
@@ -81,8 +81,8 @@ impl fmt::Display for Damage {
 pub enum LoadError {
     /// Reading the file failed.
     Io(std::io::Error),
-    /// The file is shorter than a header or does not start with
-    /// [`FILE_MAGIC`].
+    /// The file is shorter than a header, is not a TWFR recording, or
+    /// is one of a format version this build does not read.
     BadHeader(String),
 }
 
@@ -179,9 +179,7 @@ impl StreamReader {
             }
             if &self.buf[..8] != FILE_MAGIC {
                 self.dead = true;
-                return Err(LoadError::BadHeader(
-                    "missing TWFR0001 magic — not a flight recording".into(),
-                ));
+                return Err(LoadError::BadHeader(foreign_magic(&self.buf[..8])));
             }
             let b = &self.buf;
             self.header = Some(StreamHeader {
@@ -204,10 +202,16 @@ impl StreamReader {
                 self.buf[off + 4..off + 8].try_into().expect("4 bytes"),
             );
             let start = off + SEGMENT_OVERHEAD;
+            let index = self.intact_segments;
+            if len > MAX_SEGMENT_LEN {
+                // No writer produces this: refuse now rather than buffer
+                // toward a length no CRC has vouched for.
+                self.damage = Some(Damage::CorruptSegment { index });
+                break;
+            }
             if self.buf.len() - start < len {
                 break; // partial segment — wait for more bytes
             }
-            let index = self.intact_segments;
             let payload = &self.buf[start..start + len];
             if crc32(payload) != crc {
                 self.damage = Some(Damage::CorruptSegment { index });
@@ -300,21 +304,39 @@ impl Recording {
 }
 
 fn decode_payload(payload: &[u8]) -> Option<Vec<TraceEvent>> {
-    let mut buf = Bytes::from(payload.to_vec());
+    let mut f = FrameRef::new(payload);
     let mut out = Vec::new();
-    while !buf.is_empty() {
-        match TraceEvent::decode(&mut buf) {
-            Ok(ev) => out.push(ev),
-            Err(_) => return None,
-        }
+    while !f.is_exhausted() {
+        out.push(TraceEvent::decode(&mut f).ok()?);
     }
     Some(out)
+}
+
+/// Why eight bytes that are not [`FILE_MAGIC`] were refused: another
+/// TWFR format version (named, so the operator knows to re-record), or
+/// not a recording at all.
+fn foreign_magic(magic: &[u8]) -> String {
+    let version = |magic: &[u8]| {
+        let digits = magic.strip_prefix(b"TWFR")?;
+        if !digits.iter().all(u8::is_ascii_digit) {
+            return None; // `parse` alone would take "+002"
+        }
+        std::str::from_utf8(digits).ok()?.parse::<u32>().ok()
+    };
+    match (version(magic), version(FILE_MAGIC)) {
+        (Some(found), Some(this)) => {
+            format!("recording format version {found}; this build reads version {this} — re-record")
+        }
+        _ => "missing TWFR magic — not a flight recording".into(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{FlightRecorder, RecorderConfig};
+    use crate::recorder::{
+        encode_header, encode_segment, FlightRecorder, RecorderConfig, MAX_SEGMENT_EVENTS,
+    };
     use crate::trace::{ClockStamp, TraceSink};
     use std::path::PathBuf;
     use tw_proto::{HwTime, SyncTime, ViewId};
@@ -362,6 +384,115 @@ mod tests {
             Recording::parse(&bytes),
             Err(LoadError::BadHeader(_))
         ));
+    }
+
+    #[test]
+    fn other_format_versions_are_named_not_called_garbage() {
+        let why = |bytes: &[u8]| match Recording::parse(bytes) {
+            Err(LoadError::BadHeader(why)) => why,
+            other => panic!("expected BadHeader, got {other:?}"),
+        };
+        let mut bytes = written(2, 10, "version.twrec");
+        bytes[..8].copy_from_slice(b"TWFR0001");
+        let old = why(&bytes);
+        assert!(old.contains("format version 1"), "{old}");
+        assert!(old.contains("reads version 2"), "{old}");
+        bytes[..8].copy_from_slice(b"TWFR0013");
+        assert!(why(&bytes).contains("format version 13"));
+        for not_twfr in [b"XWFR0002", b"TWFRv002", b"TWFR+002", b"\x7fELF\0\0\0\0"] {
+            bytes[..8].copy_from_slice(not_twfr);
+            assert!(why(&bytes).contains("not a flight recording"));
+        }
+    }
+
+    #[test]
+    fn oversize_length_word_is_damage_at_once_not_a_wait() {
+        // Header, one good segment, then a length word followed by a CRC
+        // word and 1 KiB of bytes.
+        let with_word = |word: u32| {
+            let mut bytes = written(2, 2, "oversize.twrec");
+            bytes.extend_from_slice(&word.to_le_bytes());
+            bytes.extend_from_slice(&[0xAB; 4 + 1024]);
+            bytes
+        };
+        // A word no writer produces: the reader must not sit on it
+        // waiting for 4 GiB that no CRC has vouched for.
+        for word in [u32::MAX, MAX_SEGMENT_LEN as u32 + 1] {
+            let mut r = StreamReader::new();
+            let events = r.feed(&with_word(word)).unwrap();
+            assert_eq!(events, (0..2).map(ev).collect::<Vec<_>>());
+            assert_eq!(r.damage(), Some(&Damage::CorruptSegment { index: 1 }));
+            assert!(r.buf.is_empty(), "nothing is kept past damage");
+            assert!(r.feed(&[0u8; 64]).unwrap().is_empty());
+            assert!(r.buf.is_empty());
+        }
+        // The largest legal word is still just a partial segment.
+        let mut r = StreamReader::new();
+        r.feed(&with_word(MAX_SEGMENT_LEN as u32)).unwrap();
+        assert_eq!(r.damage(), None);
+        assert_eq!(r.finish(), Some(Damage::TruncatedSegment { index: 1 }));
+    }
+
+    #[test]
+    fn sinks_spill_inside_max_segment_len_whatever_capacity_says() {
+        let path = tmp("hugecap.twrec");
+        let mut cfg = RecorderConfig::new(ProcessId(2), 3, Duration::ZERO);
+        cfg.capacity = usize::MAX;
+        let rec = FlightRecorder::create(&path, cfg).unwrap();
+        for i in 0..MAX_SEGMENT_EVENTS as i64 + 1 {
+            rec.record(&ev(i));
+        }
+        assert_eq!(rec.segments(), 1, "spilled at the cap, not at capacity");
+        assert_eq!(rec.buffered(), 1);
+        drop(rec);
+        let r = Recording::load(&path).unwrap();
+        assert_eq!((r.intact_segments, r.damage), (2, None));
+        assert_eq!(r.events.len(), MAX_SEGMENT_EVENTS + 1);
+
+        let sink = crate::server::StreamSink::new(ProcessId(2), 3, Duration::ZERO, usize::MAX);
+        for i in 0..MAX_SEGMENT_EVENTS as i64 {
+            sink.record(&ev(i));
+        }
+        assert_eq!(sink.buffered(), 0, "the live sink spilled at the cap too");
+    }
+
+    #[test]
+    fn frozen_twfr0002_recording_loads_every_variant() {
+        // Header plus one segment holding every variant, captured when
+        // the format was fixed: a change to the header, the segment
+        // framing or any event's field encoding fails here first, so the
+        // next format change is a deliberate one (and a magic bump).
+        #[rustfmt::skip]
+        const FIXTURE: &[u8] = &[
+            // header: magic · pid 3 · team 5 · epsilon 250 µs
+            0x54, 0x57, 0x46, 0x52, 0x30, 0x30, 0x30, 0x32,
+            0x03, 0x00, 0x05, 0x00, 0xfa, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            // segment: len 158 · crc32
+            0x9e, 0x00, 0x00, 0x00, 0xf4, 0x4e, 0x74, 0x1b,
+            // one frame per variant, `all_variants()` order: tag · padded len · payload
+            0x00, 0x88, 0x80, 0x80, 0x00, 0x03, 0xd0, 0x0f, 0xd4, 0x0f, 0x0a, 0x07, 0x01,
+            0x01, 0x89, 0x80, 0x80, 0x00, 0x03, 0xd0, 0x0f, 0xd4, 0x0f, 0x02, 0x0a, 0x07, 0x01,
+            0x02, 0x88, 0x80, 0x80, 0x00, 0x03, 0xd0, 0x0f, 0xd4, 0x0f, 0x04, 0x07, 0x01,
+            0x03, 0x89, 0x80, 0x80, 0x00, 0x03, 0xd0, 0x0f, 0xd4, 0x0f, 0x04, 0x0c, 0x07, 0x01,
+            0x04, 0x88, 0x80, 0x80, 0x00, 0x03, 0xd0, 0x0f, 0xd4, 0x0f, 0x00, 0x07, 0x01,
+            0x05, 0x88, 0x80, 0x80, 0x00, 0x03, 0xd0, 0x0f, 0xd4, 0x0f, 0x05, 0x04, 0x01,
+            0x06, 0x88, 0x80, 0x80, 0x00, 0x03, 0xd0, 0x0f, 0xd4, 0x0f, 0x07, 0x01, 0x17,
+            0x07, 0x8e, 0x80, 0x80, 0x00, 0x03, 0xd0, 0x0f, 0xd4, 0x0f, 0x02, 0x09, 0x01, 0x0b, 0x01, 0x01,
+              0x08, 0x07, 0x01,
+            0x07, 0x8d, 0x80, 0x80, 0x00, 0x03, 0xd0, 0x0f, 0xd4, 0x0f, 0x02, 0x0a, 0x00, 0x00, 0x00, 0x0a,
+              0x07, 0x01,
+            0x08, 0x8a, 0x80, 0x80, 0x00, 0x03, 0xd0, 0x0f, 0xd4, 0x0f, 0x07, 0x01, 0x01, 0x02, 0x03,
+            0x09, 0x88, 0x80, 0x80, 0x00, 0x03, 0xd0, 0x0f, 0xd4, 0x0f, 0x04, 0x01, 0x11,
+        ];
+        let events = crate::codec::tests::all_variants();
+        let mut fresh = encode_header(ProcessId(3), 5, Duration::from_micros(250)).to_vec();
+        fresh.extend(encode_segment(&events));
+        assert_eq!(fresh, FIXTURE, "the writer still produces the frozen bytes");
+        let rec = Recording::parse(FIXTURE).unwrap();
+        assert_eq!((rec.pid, rec.team), (ProcessId(3), 5));
+        assert_eq!(rec.epsilon, Duration::from_micros(250));
+        assert_eq!(rec.events, events);
+        assert_eq!((rec.intact_segments, rec.damage), (1, None));
     }
 
     #[test]

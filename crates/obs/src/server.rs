@@ -33,7 +33,7 @@
 
 use crate::export::render_labeled;
 use crate::metrics::Registry;
-use crate::recorder::{encode_header, encode_segment, HEADER_LEN};
+use crate::recorder::{encode_header, encode_segment, HEADER_LEN, MAX_SEGMENT_EVENTS};
 use crate::recording::{Damage, LoadError, StreamHeader, StreamReader};
 use crate::trace::{TraceEvent, TraceSink};
 use std::io::{Read, Write};
@@ -88,7 +88,7 @@ impl StreamSink {
     pub fn new(pid: ProcessId, team: usize, epsilon: Duration, capacity: usize) -> Self {
         StreamSink {
             header: encode_header(pid, team, epsilon),
-            capacity: capacity.max(1),
+            capacity: capacity.clamp(1, MAX_SEGMENT_EVENTS),
             inner: Mutex::new(SinkInner {
                 buf: Vec::new(),
                 subs: Vec::new(),
@@ -723,6 +723,35 @@ mod tests {
             Some(Damage::TruncatedSegment { index: 1 }),
             "the cut reads as a torn tail, same as a crashed recorder"
         );
+    }
+
+    #[test]
+    fn a_stream_of_another_format_version_is_refused_by_name() {
+        // A node built before the format bump serving /trace: the
+        // tailer must say which version it met, not "not a recording".
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().unwrap();
+            let mut discard = [0u8; 256];
+            let _ = sock.read(&mut discard);
+            let mut header = encode_header(ProcessId(9), 3, Duration::ZERO);
+            header[..8].copy_from_slice(b"TWFR0001");
+            sock.write_all(b"HTTP/1.0 200 OK\r\n\r\n").unwrap();
+            sock.write_all(&header).unwrap();
+            sock.flush().unwrap();
+        });
+        let mut tail = LiveTail::connect(addr, StdDuration::from_secs(2)).unwrap();
+        let verdict = loop {
+            match tail.poll(StdDuration::from_millis(10)) {
+                Ok(_) if tail.done() => panic!("stream ended without a header verdict"),
+                Ok(_) => {}
+                Err(e) => break e,
+            }
+        };
+        server.join().unwrap();
+        assert!(matches!(&verdict, LoadError::BadHeader(why) if why.contains("format version 1")));
+        assert!(tail.header().is_none());
     }
 
     #[test]

@@ -2,14 +2,27 @@
 //! round-trip, unknown tags are skipped without breaking the stream
 //! (forward compatibility), and arbitrary byte soup never panics.
 
-use bytes::{BufMut, BytesMut};
 use proptest::prelude::*;
 use tw_obs::codec::MAX_KNOWN_TAG;
 use tw_obs::{ClockStamp, FaultKind, TraceEvent};
-use tw_proto::codec::{Decode, Encode};
 use tw_proto::{
-    AckBits, Atomicity, HwTime, Ordinal, ProcessId, ProposalId, Semantics, SyncTime, ViewId,
+    AckBits, Atomicity, FrameRef, HwTime, Ordinal, ProcessId, ProposalId, Semantics, SyncTime,
+    ViewId, WireCursor, WireError,
 };
+
+fn to_bytes(ev: &TraceEvent) -> Vec<u8> {
+    let mut buf = Vec::new();
+    ev.encode(&mut WireCursor::new(&mut buf));
+    buf
+}
+
+/// Decode one complete event, rejecting trailing bytes.
+fn from_bytes(bytes: &[u8]) -> Result<TraceEvent, WireError> {
+    let mut f = FrameRef::new(bytes);
+    let ev = TraceEvent::decode(&mut f)?;
+    f.finish()?;
+    Ok(ev)
+}
 
 fn arb_pid() -> impl Strategy<Value = ProcessId> {
     (0u16..64).prop_map(ProcessId)
@@ -170,28 +183,27 @@ proptest! {
 
     #[test]
     fn any_event_round_trips(ev in arb_event()) {
-        let bytes = ev.to_bytes();
-        let back = TraceEvent::from_bytes(&bytes).expect("decode");
+        let back = from_bytes(&to_bytes(&ev)).expect("decode");
         prop_assert_eq!(back, ev);
     }
 
     #[test]
     fn encoding_is_deterministic(ev in arb_event()) {
-        prop_assert_eq!(ev.to_bytes(), ev.to_bytes());
+        prop_assert_eq!(to_bytes(&ev), to_bytes(&ev));
     }
 
     #[test]
     fn decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         // Any result is fine; panicking or looping is not.
-        let _ = TraceEvent::from_bytes(&bytes);
+        let _ = from_bytes(&bytes);
     }
 
     #[test]
     fn truncation_always_detected(ev in arb_event(), cut_frac in 0.0f64..1.0) {
-        let bytes = ev.to_bytes();
+        let bytes = to_bytes(&ev);
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
         if cut < bytes.len() {
-            prop_assert!(TraceEvent::from_bytes(&bytes[..cut]).is_err());
+            prop_assert!(from_bytes(&bytes[..cut]).is_err());
         }
     }
 
@@ -203,21 +215,20 @@ proptest! {
     ) {
         // Interleave a frame from a "future" producer at the front; every
         // event behind it must still decode.
-        let mut buf = BytesMut::new();
-        future_tag.encode(&mut buf);
-        (future_payload.len() as u16).encode(&mut buf);
-        buf.put_slice(&future_payload);
+        let mut buf = vec![future_tag];
+        let mut w = WireCursor::new(&mut buf);
+        w.put_bytes(&future_payload);
         for ev in &evs {
-            ev.encode(&mut buf);
+            ev.encode(&mut w);
         }
-        let mut bytes = buf.freeze();
+        let mut f = FrameRef::new(&buf);
         prop_assert_eq!(
-            TraceEvent::decode(&mut bytes).expect("skip future frame"),
+            TraceEvent::decode(&mut f).expect("skip future frame"),
             TraceEvent::Unknown { tag: future_tag }
         );
         for ev in &evs {
-            prop_assert_eq!(&TraceEvent::decode(&mut bytes).expect("tail event"), ev);
+            prop_assert_eq!(&TraceEvent::decode(&mut f).expect("tail event"), ev);
         }
-        prop_assert!(bytes.is_empty());
+        prop_assert!(f.is_exhausted());
     }
 }

@@ -1,7 +1,7 @@
-//! Zero-copy framed wire format (wire version 3).
+//! The wire format (wire version 3), and the cursor vocabulary every
+//! encoder and decoder in the workspace is written in.
 //!
-//! The hot-path replacement for the fixed-width [`codec`](crate::codec)
-//! format: a datagram is a **version byte** followed by one or more
+//! A datagram is a **version byte** followed by one or more
 //! **length-prefixed LEB128 frames**, each frame holding exactly one
 //! [`Msg`] encoded with variable-length integers. Batching many messages
 //! into one datagram is what lets the runtime amortize one syscall over a
@@ -9,11 +9,35 @@
 //! ranks and sequence numbers at one byte each.
 //!
 //! ```text
-//! datagram := version-byte frame*
-//! frame    := len:uvarint body          (len = |body| in bytes)
-//! body     := tag:u8 fields*            (same tags/field order as v1)
-//! uvarint  := unsigned LEB128, ≤ 10 bytes
-//! ivarint  := zigzag(i64) as uvarint
+//! datagram    := version-byte frame*
+//! frame       := len:uvarint body              (len = |body| in bytes)
+//! body        := 0x00 proposal
+//!              | 0x01 sender:pid send_ts:ivarint view oal alive:uvarint              (decision)
+//!              | 0x02 sender:pid send_ts:ivarint suspect:pid view-id oal dpd
+//!                     alive:uvarint                                                  (no-decision)
+//!              | 0x03 sender:pid incarnation:uvarint send_ts:ivarint
+//!                     n:uvarint (pid incarnation:uvarint)*n alive:uvarint            (join)
+//!              | 0x04 sender:pid send_ts:ivarint n:uvarint pid*n
+//!                     last_decision_ts:ivarint view-id oal dpd alive:uvarint         (reconfiguration)
+//!              | 0x05 0x00 sender:pid rid:uvarint hw_send:ivarint                    (clock-sync request)
+//!              | 0x05 0x01 sender:pid rid:uvarint hw_send_echo:ivarint
+//!                     sync_at_reply:ivarint synced:bool                              (clock-sync reply)
+//!              | 0x06 sender:pid to:pid view-id app_state:bytes n:uvarint proposal*n
+//!                     n:uvarint (pid next:uvarint)*n
+//!                     n:uvarint (proposal-id ordinal:uvarint)*n                      (state transfer)
+//!              | 0x07 sender:pid send_ts:ivarint n:uvarint proposal-id*n             (nack)
+//! proposal    := sender:pid incarnation:uvarint seq:uvarint send_ts:ivarint
+//!                hdo:uvarint semantics payload:bytes
+//! dpd         := n:uvarint (proposal-id hdo:uvarint semantics send_ts:ivarint)*n
+//! view        := view-id n:uvarint pid*n
+//! view-id     := seq:uvarint creator:pid
+//! proposal-id := proposer:pid seq:uvarint
+//! semantics   := ordering:u8 atomicity:u8      (0 unordered/weak, 1 total/strong, 2 time/strict)
+//! pid         := uvarint                       (≤ 65 535)
+//! bytes       := len:uvarint byte*len
+//! bool        := 0x00 | 0x01
+//! uvarint     := unsigned LEB128, ≤ 10 bytes
+//! ivarint     := zigzag(i64) as uvarint
 //! ```
 //!
 //! The oal carried by decisions, no-decisions and reconfigurations is
@@ -45,7 +69,13 @@
 //! allocates nothing. Decoding goes through a [`FrameRef`], a borrowed
 //! cursor over `&[u8]`: parsing never copies the datagram; only the
 //! variable-length payload fields of an owned [`Msg`] are copied out of
-//! the frame at the very end.
+//! the frame at the very end. Decoding is total: any byte string either
+//! decodes or returns a [`WireError`], never panics.
+//!
+//! The two cursors are also how everything else that leaves a process
+//! is written — trace events in recordings and `/trace` streams
+//! (`tw-obs`), replicated-state-machine commands (`tw-rsm`) — so there
+//! is one set of primitives, one error type and one set of bounds.
 //!
 //! The encoder emits frame length prefixes as **padded 4-byte LEB128**
 //! (continuation bits set on the first three bytes) so a frame can be
@@ -54,13 +84,11 @@
 //! the decoder accepts any valid LEB128 length.
 //!
 //! Version policy: a datagram's first byte is [`VERSION_BYTE`]
-//! (`0xD0 | version`). v1 messages began with a variant tag `0..=7`, so
-//! the two can never be confused. Receivers reject any other leading byte
-//! — older framed versions included — with [`WireError::BadVersion`];
-//! there is no silent fallback; see DESIGN.md §12 for the compatibility
-//! policy.
+//! (`0xD0 | version`). Receivers reject any other leading byte — other
+//! framed versions, and the message tags `0..=7` that led the retired
+//! unframed format — with [`WireError::BadVersion`]; there is no silent
+//! fallback; see DESIGN.md §12 for the compatibility policy.
 
-use crate::codec::WireError;
 use crate::ids::{Incarnation, Ordinal, ProcessId, ProposalId};
 use crate::messages::{
     ClockSyncMsg, Decision, Join, Msg, Nack, NoDecision, Proposal, Reconfig, StateTransfer,
@@ -71,12 +99,66 @@ use crate::semantics::{Atomicity, Ordering, Semantics};
 use crate::time::{HwTime, SyncTime};
 use crate::view::{View, ViewId};
 use bytes::Bytes;
+use std::fmt;
+
+/// Decoding failure.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WireError {
+    /// Input ended before the value was complete.
+    UnexpectedEof {
+        /// What was being decoded.
+        what: &'static str,
+    },
+    /// An unknown variant tag.
+    BadTag {
+        /// What was being decoded.
+        what: &'static str,
+        /// The offending tag byte.
+        tag: u8,
+    },
+    /// A length prefix exceeding the sanity limit.
+    TooLong {
+        /// What was being decoded.
+        what: &'static str,
+        /// The claimed length.
+        len: usize,
+    },
+    /// Trailing bytes after a complete message.
+    TrailingBytes {
+        /// How many bytes remained.
+        remaining: usize,
+    },
+    /// A framed datagram whose leading version byte is not a version
+    /// this build understands (see [`WIRE_VERSION`]).
+    BadVersion {
+        /// The offending first byte.
+        found: u8,
+    },
+}
+
+impl fmt::Display for WireError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WireError::UnexpectedEof { what } => write!(f, "unexpected eof decoding {what}"),
+            WireError::BadTag { what, tag } => write!(f, "bad tag {tag} decoding {what}"),
+            WireError::TooLong { what, len } => write!(f, "length {len} too long decoding {what}"),
+            WireError::TrailingBytes { remaining } => {
+                write!(f, "{remaining} trailing bytes after message")
+            }
+            WireError::BadVersion { found } => {
+                write!(f, "unknown wire version byte {found:#04x}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for WireError {}
 
 /// Current wire format version.
 pub const WIRE_VERSION: u8 = 3;
 
 /// First byte of every framed datagram: `0xD0 | WIRE_VERSION`. The high
-/// nibble keeps it out of the v1 tag space (`0..=7`).
+/// nibble keeps it out of the message-tag space (`0..=7`).
 pub const VERSION_BYTE: u8 = 0xD0 | WIRE_VERSION;
 
 /// Sanity cap on a single frame's body length (bytes). Also the largest
@@ -301,6 +383,15 @@ impl<'a> FrameRef<'a> {
         self.pos == self.buf.len()
     }
 
+    /// `Ok` when the whole frame was consumed, [`WireError::TrailingBytes`]
+    /// otherwise — the last step of decoding a complete value.
+    pub fn finish(&self) -> Result<(), WireError> {
+        match self.remaining() {
+            0 => Ok(()),
+            remaining => Err(WireError::TrailingBytes { remaining }),
+        }
+    }
+
     /// The full underlying frame body (position-independent).
     pub fn as_slice(&self) -> &'a [u8] {
         self.buf
@@ -340,7 +431,7 @@ impl<'a> FrameRef<'a> {
 
     /// Consume a `u64` varint and narrow it, rejecting out-of-range.
     #[inline]
-    fn narrow<T: TryFrom<u64>>(&mut self, what: &'static str) -> Result<T, WireError> {
+    pub fn narrow<T: TryFrom<u64>>(&mut self, what: &'static str) -> Result<T, WireError> {
         let v = self.uvarint(what)?;
         T::try_from(v).map_err(|_| out_of_range(what))
     }
@@ -474,8 +565,7 @@ impl<'a> Iterator for FrameIter<'a> {
 }
 
 /// Open a framed datagram: check the version byte and return the frame
-/// iterator. Rejects unknown versions — including v1 messages, whose
-/// leading tag byte is outside the version space.
+/// iterator. Rejects every leading byte other than [`VERSION_BYTE`].
 pub fn open_datagram(dgram: &[u8]) -> Result<FrameIter<'_>, WireError> {
     let Some((&first, rest)) = dgram.split_first() else {
         return Err(WireError::UnexpectedEof { what: "datagram" });
@@ -501,11 +591,7 @@ pub fn decode_datagram(dgram: &[u8]) -> Result<Vec<Msg>, WireError> {
         f.oal_budget = oal_budget;
         let msg = decode_msg(&mut f)?;
         oal_budget = f.oal_budget;
-        if !f.is_exhausted() {
-            return Err(WireError::TrailingBytes {
-                remaining: f.remaining(),
-            });
-        }
+        f.finish()?;
         out.push(msg);
     }
     if out.is_empty() {
@@ -526,20 +612,24 @@ pub fn encode_single(msg: &Msg) -> Vec<u8> {
 // message codec
 // ---------------------------------------------------------------------------
 
-fn put_pid(w: &mut WireCursor, p: ProcessId) {
+/// Append a `pid`.
+pub fn put_pid(w: &mut WireCursor, p: ProcessId) {
     w.put_uvarint(p.0 as u64);
 }
 
-fn get_pid(f: &mut FrameRef<'_>) -> Result<ProcessId, WireError> {
+/// Consume a `pid`.
+pub fn get_pid(f: &mut FrameRef<'_>) -> Result<ProcessId, WireError> {
     Ok(ProcessId(f.narrow::<u16>("process-id")?))
 }
 
-fn put_proposal_id(w: &mut WireCursor, id: &ProposalId) {
+/// Append a `proposal-id`.
+pub fn put_proposal_id(w: &mut WireCursor, id: &ProposalId) {
     put_pid(w, id.proposer);
     w.put_uvarint(id.seq);
 }
 
-fn get_proposal_id(f: &mut FrameRef<'_>) -> Result<ProposalId, WireError> {
+/// Consume a `proposal-id`.
+pub fn get_proposal_id(f: &mut FrameRef<'_>) -> Result<ProposalId, WireError> {
     Ok(ProposalId {
         proposer: get_pid(f)?,
         seq: f.uvarint("proposal-seq")?,
@@ -586,24 +676,28 @@ fn atomicity_of(tag: u8) -> Result<Atomicity, WireError> {
     }
 }
 
-fn put_semantics(w: &mut WireCursor, s: &Semantics) {
+/// Append a `semantics` pair.
+pub fn put_semantics(w: &mut WireCursor, s: &Semantics) {
     w.put_u8(ordering_tag(s.ordering));
     w.put_u8(atomicity_tag(s.atomicity));
 }
 
-fn get_semantics(f: &mut FrameRef<'_>) -> Result<Semantics, WireError> {
+/// Consume a `semantics` pair.
+pub fn get_semantics(f: &mut FrameRef<'_>) -> Result<Semantics, WireError> {
     Ok(Semantics {
         ordering: ordering_of(f.u8("ordering")?)?,
         atomicity: atomicity_of(f.u8("atomicity")?)?,
     })
 }
 
-fn put_view_id(w: &mut WireCursor, id: &ViewId) {
+/// Append a `view-id`.
+pub fn put_view_id(w: &mut WireCursor, id: &ViewId) {
     w.put_uvarint(id.seq);
     put_pid(w, id.creator);
 }
 
-fn get_view_id(f: &mut FrameRef<'_>) -> Result<ViewId, WireError> {
+/// Consume a `view-id`.
+pub fn get_view_id(f: &mut FrameRef<'_>) -> Result<ViewId, WireError> {
     Ok(ViewId {
         seq: f.uvarint("view-seq")?,
         creator: get_pid(f)?,
@@ -1469,8 +1563,8 @@ mod tests {
 
     #[test]
     fn unknown_version_rejected() {
-        // v1 encodings start with a tag byte 0..=7 — all rejected, as
-        // are the framed versions before and after this one.
+        // A bare message tag (0..=7) is rejected, as are the framed
+        // versions before and after this one.
         for first in [0u8, 1, 7, 0xD0 | 1, 0xD2, 0xD0 | 4, 0xFF] {
             let dgram = [first, 0x00];
             assert!(
@@ -1545,34 +1639,6 @@ mod tests {
             decode_datagram(&buf),
             Err(WireError::TrailingBytes { remaining: 1 })
         ));
-    }
-
-    #[test]
-    fn framed_is_denser_than_v1_for_control_traffic() {
-        use crate::codec::Encode;
-        let mut oal = Oal::new();
-        for i in 0..8u64 {
-            oal.append(Descriptor::update(
-                ProposalId::new(ProcessId(0), i + 1),
-                Ordinal(i),
-                Semantics::TOTAL_STRONG,
-                SyncTime(1_000 + i as i64),
-                ProcessId(0),
-            ));
-        }
-        let d = Msg::Decision(Decision {
-            sender: ProcessId(0),
-            send_ts: SyncTime(2_000),
-            view: sample_view(),
-            oal,
-            alive: AckBits(0b111),
-        });
-        let v1 = d.to_bytes().len();
-        let framed = encode_single(&d).len();
-        assert!(
-            framed < v1,
-            "framed ({framed} bytes) should be denser than v1 ({v1} bytes)"
-        );
     }
 
     #[test]

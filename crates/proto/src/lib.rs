@@ -3,7 +3,12 @@
 //! This crate defines the identifiers, timestamps, the ordering and
 //! acknowledgement list (*oal*), group views and every message exchanged by
 //! the timewheel protocols (atomic broadcast, membership, clock
-//! synchronization), together with a compact hand-rolled binary codec.
+//! synchronization), together with the one wire format they travel in:
+//! [`frame`] — a version byte, then length-prefixed LEB128 frames — and
+//! its two cursors, [`WireCursor`] (write into a caller-owned `Vec<u8>`)
+//! and [`FrameRef`] (read a borrowed `&[u8]`), which are also what trace
+//! events and state-machine commands are encoded with. Decoding failures
+//! are a [`WireError`], never a panic.
 //!
 //! The types here are deliberately *dumb data*: all protocol logic lives in
 //! the [`timewheel`] core crate. Keeping the wire types in a leaf crate lets
@@ -15,7 +20,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codec;
 pub mod frame;
 pub mod ids;
 pub mod messages;
@@ -26,8 +30,7 @@ pub mod view;
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::codec::{Decode, Encode, WireError};
-    pub use crate::frame::{FrameBuilder, FrameRef, WireCursor, WIRE_VERSION};
+    pub use crate::frame::{FrameBuilder, FrameRef, WireCursor, WireError, WIRE_VERSION};
     pub use crate::ids::{Incarnation, Ordinal, ProcessId, ProposalId};
     pub use crate::messages::{
         ClockSyncMsg, Decision, Join, Msg, NoDecision, Proposal, Reconfig, StateTransfer,

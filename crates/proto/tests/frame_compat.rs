@@ -1,20 +1,19 @@
-//! v1 ↔ framed codec compatibility — every message kind must survive
-//! both codecs and come back identical, the framing must reject foreign
-//! version bytes outright (no silent fallback to v1 or to an older
-//! framed version), and a seeded workload pins the two codecs against
-//! each other at scale.
+//! What a receiver accepts and what it refuses: mixed-kind batches come
+//! back identical and in order, and every leading byte other than the
+//! current version byte — the retired unframed format included, frozen
+//! here as one literal — is refused outright as `BadVersion`, never
+//! half-decoded and never guessed at.
 //!
 //! Deliberately proptest-free so the offline shadow harness runs it;
 //! the randomized sweep uses a hand-rolled SplitMix64 with a fixed
 //! seed, making failures reproducible by seed alone.
 
 use bytes::Bytes;
-use tw_proto::codec::{Decode, Encode, WireError};
 use tw_proto::frame::{self, FrameBuilder, VERSION_BYTE};
 use tw_proto::{
     AckBits, ClockSyncMsg, Decision, Descriptor, HwTime, Incarnation, Join, Msg, Nack,
     NoDecision, Oal, Ordinal, ProcessId, Proposal, ProposalId, Reconfig, Semantics, StateTransfer,
-    SyncTime, View, ViewId,
+    SyncTime, View, ViewId, WireError,
 };
 
 struct SplitMix64(u64);
@@ -172,27 +171,6 @@ fn sample(rng: &mut SplitMix64, kind: usize) -> Msg {
 const KINDS: usize = 8;
 
 #[test]
-fn every_kind_roundtrips_through_both_codecs_identically() {
-    let mut rng = SplitMix64(0xC0FFEE);
-    for kind in 0..KINDS {
-        for _ in 0..50 {
-            let msg = sample(&mut rng, kind);
-            // v1: flat byte codec.
-            let v1 = msg.to_bytes();
-            let from_v1 = Msg::from_bytes(&v1).expect("v1 decode");
-            assert_eq!(from_v1, msg, "v1 roundtrip, kind {kind}");
-            // Framed datagram.
-            let framed = frame::encode_single(&msg);
-            let from_framed = frame::decode_datagram(&framed).expect("framed decode");
-            assert_eq!(from_framed.len(), 1);
-            assert_eq!(from_framed[0], msg, "framed roundtrip, kind {kind}");
-            // Cross-check: the two decode paths agree on the message.
-            assert_eq!(from_v1, from_framed[0]);
-        }
-    }
-}
-
-#[test]
 fn batches_preserve_order_across_mixed_kinds() {
     let mut rng = SplitMix64(0xBEEF);
     let mut builder = FrameBuilder::new();
@@ -213,54 +191,38 @@ fn batches_preserve_order_across_mixed_kinds() {
     }
 }
 
-#[test]
-fn v1_datagrams_are_rejected_with_bad_version() {
-    let mut rng = SplitMix64(0x51DE);
-    for kind in 0..KINDS {
-        let msg = sample(&mut rng, kind);
-        let v1 = msg.to_bytes();
-        // v1 kind tags are small integers; they can never equal the
-        // version byte, so a legacy datagram is rejected up front
-        // instead of being half-decoded as framing.
-        assert_ne!(v1[0], VERSION_BYTE);
-        match frame::decode_datagram(&v1) {
-            Err(WireError::BadVersion { found }) => assert_eq!(found, v1[0]),
-            other => panic!("kind {kind}: expected BadVersion, got {other:?}"),
-        }
+/// The last datagram the retired fixed-width format ever produced
+/// here: `Decision { sender: p1, send_ts: 2000, view: 3@p1 {p0, p1, p4},
+/// oal: empty, alive: 0b10011 }`, bytes captured from the commit before
+/// that codec was deleted. `runtime`'s
+/// `udp_receiver_drops_unknown_version_and_counts_it` sends the same
+/// bytes at a live socket.
+const V1_DECISION: &[u8] = &[
+    0x01, 0x01, 0x00, 0xd0, 0x07, 0, 0, 0, 0, 0, 0, 0x03, 0, 0, 0, 0, 0, 0, 0, 0x01, 0x00, 0x03, 0,
+    0, 0, 0x00, 0x00, 0x01, 0x00, 0x04, 0x00, 0x01, 0, 0, 0, 0, 0, 0, 0, 0x00, 0, 0, 0, 0x13, 0, 0,
+    0, 0, 0, 0, 0,
+];
+
+fn assert_bad_version(dgram: &[u8]) {
+    match frame::decode_datagram(dgram) {
+        Err(WireError::BadVersion { found }) => assert_eq!(found, dgram[0]),
+        other => panic!("byte {:#x}: expected BadVersion, got {other:?}", dgram[0]),
     }
+}
+
+#[test]
+fn the_frozen_v1_datagram_is_rejected_with_bad_version() {
+    assert_eq!(V1_DECISION.len(), 51);
+    assert_bad_version(V1_DECISION);
 }
 
 #[test]
 fn other_version_bytes_are_rejected_not_guessed() {
-    // The previous framed version (0xD2), a hypothetical next one and
-    // arbitrary junk must all surface as BadVersion — the decoder
-    // guesses nothing.
-    for b in [0xD0u8, 0xD1, 0xD2, 0xD4, 0xD7, 0x00, 0xFF] {
-        let dgram = [b, 0x01, 0x00];
-        match frame::decode_datagram(&dgram) {
-            Err(WireError::BadVersion { found }) => assert_eq!(found, b),
-            other => panic!("version {b:#x}: expected BadVersion, got {other:?}"),
-        }
+    // Every message tag (what led an unframed datagram), the previous
+    // framed version (0xD2), a hypothetical next one and arbitrary junk
+    // must all surface as BadVersion — the decoder guesses nothing.
+    for b in (0..=7u8).chain([0xD0, 0xD1, 0xD2, 0xD4, 0xD7, 0xFF]) {
+        assert_ne!(b, VERSION_BYTE);
+        assert_bad_version(&[b, 0x01, 0x00]);
     }
-}
-
-#[test]
-fn seeded_workload_sizes_favor_framed() {
-    // Not a perf claim (the probes own that) — a structural one: over a
-    // large mixed workload of *random* messages, where no two oal
-    // descriptors share a field and the run coding finds nothing to
-    // fold, the framed format still undercuts v1 overall. (What it does
-    // to the windows the hot path ships is pinned in `oal_wire.rs`.)
-    let mut rng = SplitMix64(7);
-    let mut v1_total = 0usize;
-    let mut framed_total = 0usize;
-    for i in 0..400 {
-        let msg = sample(&mut rng, i % KINDS);
-        v1_total += msg.to_bytes().len();
-        framed_total += frame::encode_single(&msg).len();
-    }
-    assert!(
-        framed_total < v1_total,
-        "framed total {framed_total} should undercut v1 total {v1_total}"
-    );
 }

@@ -1,5 +1,6 @@
-//! Property tests for the wire codec: arbitrary messages round-trip, and
-//! arbitrary byte soup never panics the decoder.
+//! Property tests for the wire format: arbitrary messages round-trip
+//! through a datagram, encode deterministically, fail on every
+//! truncation, and arbitrary byte soup never panics the decoder.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -247,28 +248,36 @@ proptest! {
 
     #[test]
     fn any_message_round_trips(msg in arb_msg()) {
-        let bytes = msg.to_bytes();
-        let back = Msg::from_bytes(&bytes).expect("decode");
-        prop_assert_eq!(back, msg);
+        let dgram = frame::encode_single(&msg);
+        prop_assert_eq!(frame::decode_datagram(&dgram), Ok(vec![msg]));
     }
 
     #[test]
-    fn decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        // Any result is fine; panicking or looping is not.
-        let _ = Msg::from_bytes(&bytes);
+    fn decoder_never_panics_on_garbage(
+        mut bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        versioned in any::<bool>(),
+    ) {
+        // Any result is fine; panicking or looping is not. Half the
+        // cases get a valid version byte so the soup reaches the frame
+        // and message decoders instead of stopping at byte 0.
+        if versioned && !bytes.is_empty() {
+            bytes[0] = frame::VERSION_BYTE;
+        }
+        let _ = frame::decode_datagram(&bytes);
     }
 
     #[test]
     fn truncation_always_detected(msg in arb_msg(), cut_frac in 0.0f64..1.0) {
-        let bytes = msg.to_bytes();
-        let cut = ((bytes.len() as f64) * cut_frac) as usize;
-        if cut < bytes.len() {
-            prop_assert!(Msg::from_bytes(&bytes[..cut]).is_err());
+        // A single-frame datagram: every proper prefix is an error.
+        let dgram = frame::encode_single(&msg);
+        let cut = ((dgram.len() as f64) * cut_frac) as usize;
+        if cut < dgram.len() {
+            prop_assert!(frame::decode_datagram(&dgram[..cut]).is_err());
         }
     }
 
     #[test]
     fn encoding_is_deterministic(msg in arb_msg()) {
-        prop_assert_eq!(msg.to_bytes(), msg.to_bytes());
+        prop_assert_eq!(frame::encode_single(&msg), frame::encode_single(&msg));
     }
 }

@@ -1,11 +1,11 @@
 //! Corruption-focused codec properties: a datagram with flipped bits or
 //! missing bytes — what a faulty network hands the receive path — must
-//! never panic the decoder, and must never silently decode as a
-//! *different message kind* unless the corruption hit the kind tag
-//! itself (byte 0). The chaos harness's `FaultTransport` relies on
-//! exactly this: it models corruption as flip-then-drop (a UDP checksum
-//! failure), and these properties guarantee the decode attempt it makes
-//! on the flipped bytes is safe.
+//! never panic the decoder, must report a version problem only when the
+//! version byte itself was hit, and must never expand past the decoder's
+//! bounds. The chaos harness's `FaultTransport` relies on exactly this:
+//! it models corruption as flip-then-drop (a UDP checksum failure), and
+//! these properties guarantee the decode attempt it makes on the flipped
+//! bytes is safe.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -215,28 +215,10 @@ proptest! {
             let mut flipped = dgram.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
             match tw_proto::frame::decode_datagram(&flipped) {
-                Err(tw_proto::codec::WireError::BadVersion { .. }) => prop_assert!(bit < 8),
+                Err(tw_proto::WireError::BadVersion { .. }) => prop_assert!(bit < 8),
                 Err(_) => {}
                 Ok(decoded) => prop_assert!(expanded(&decoded) <= tw_proto::frame::MAX_OAL_WINDOW),
             }
-        }
-    }
-
-    #[test]
-    fn bit_flip_never_panics_and_never_changes_kind(
-        msg in arb_msg(),
-        byte_pick in any::<u64>(),
-        bit in 0u8..8,
-    ) {
-        let bytes = msg.to_bytes();
-        let mut flipped = bytes.to_vec();
-        let idx = (byte_pick % flipped.len() as u64) as usize;
-        flipped[idx] ^= 1 << bit;
-        match Msg::from_bytes(&flipped) {
-            // The kind tag is byte 0: corruption anywhere else may
-            // yield a different *message*, never a different *kind*.
-            Ok(decoded) if idx != 0 => prop_assert_eq!(decoded.kind(), msg.kind()),
-            Ok(_) | Err(_) => {}
         }
     }
 
@@ -258,7 +240,7 @@ proptest! {
         match tw_proto::frame::decode_datagram(&flipped) {
             // A flip that leaves the version byte intact must never be
             // reported as a version problem.
-            Err(tw_proto::codec::WireError::BadVersion { .. }) => prop_assert_eq!(idx, 0),
+            Err(tw_proto::WireError::BadVersion { .. }) => prop_assert_eq!(idx, 0),
             Ok(_) | Err(_) => {}
         }
     }
@@ -304,29 +286,5 @@ proptest! {
         // exercises the framing bounds checks, not the message codec.
         flipped[1 + prefix_byte] ^= 1 << bit;
         let _ = tw_proto::frame::decode_datagram(&flipped);
-    }
-
-    #[test]
-    fn truncated_then_flipped_never_panics(
-        msg in arb_msg(),
-        cut_frac in 0.0f64..1.0,
-        byte_pick in any::<u64>(),
-        bit in 0u8..8,
-    ) {
-        let bytes = msg.to_bytes();
-        let cut = ((bytes.len() as f64) * cut_frac) as usize;
-        let mut mangled = bytes[..cut.min(bytes.len())].to_vec();
-        let mut idx = usize::MAX;
-        if !mangled.is_empty() {
-            idx = (byte_pick % mangled.len() as u64) as usize;
-            mangled[idx] ^= 1 << bit;
-        }
-        // Decoding may fail or — when the flip re-synchronized an
-        // internal length with the shorter frame — succeed; it must
-        // never panic, and an intact tag byte pins the kind.
-        match Msg::from_bytes(&mangled) {
-            Ok(decoded) if idx != 0 => prop_assert_eq!(decoded.kind(), msg.kind()),
-            Ok(_) | Err(_) => {}
-        }
     }
 }

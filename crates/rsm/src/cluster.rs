@@ -136,7 +136,6 @@ where
 mod tests {
     use super::*;
     use crate::machines::{KvCmd, KvResponse, KvStore};
-    use tw_proto::codec::{Decode, Encode};
     use tw_proto::Duration;
 
     #[test]

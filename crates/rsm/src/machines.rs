@@ -1,13 +1,32 @@
 //! Ready-made state machines: a key-value store and a counter.
 //!
-//! Commands and responses use the workspace's own binary codec
-//! ([`tw_proto::codec`]), so they are compact on the wire and symmetric
-//! with the protocol messages.
+//! Commands and responses are written with [`tw_proto::frame`]'s cursors
+//! (a tag byte, then varints and length-prefixed strings), so they decode
+//! under the same bounds and error type as the protocol messages.
 
 use crate::machine::StateMachine;
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use std::collections::BTreeMap;
-use tw_proto::codec::{Decode, Encode, WireError};
+use tw_proto::{FrameRef, WireCursor, WireError};
+
+/// `to_bytes` / `from_bytes` over a type's `encode` / `decode`.
+macro_rules! wire_bytes {
+    ($($ty:ty),*) => {$(impl $ty {
+        /// Encode into a fresh buffer.
+        pub fn to_bytes(&self) -> Bytes {
+            let mut buf = Vec::new();
+            self.encode(&mut WireCursor::new(&mut buf));
+            Bytes::from(buf)
+        }
+        /// Decode a complete value, rejecting trailing bytes.
+        pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
+            let mut f = FrameRef::new(bytes);
+            let v = Self::decode(&mut f)?;
+            f.finish().map(|()| v)
+        }
+    })*};
+}
+wire_bytes!(KvCmd, KvResponse, CounterCmd);
 
 // ---------------------------------------------------------------- KvStore
 
@@ -59,123 +78,101 @@ pub enum KvResponse {
     BadCommand,
 }
 
-fn put_string(buf: &mut BytesMut, s: &str) {
-    (s.len() as u32).encode(buf);
-    buf.extend_from_slice(s.as_bytes());
+fn bad_tag(what: &'static str, tag: u8) -> WireError {
+    WireError::BadTag { what, tag }
 }
 
-fn get_string(buf: &mut Bytes) -> Result<String, WireError> {
-    let raw = Bytes::decode(buf)?;
-    String::from_utf8(raw.to_vec()).map_err(|_| WireError::BadTag {
-        what: "utf8 string",
-        tag: 0,
-    })
+fn get_string(f: &mut FrameRef<'_>) -> Result<String, WireError> {
+    String::from_utf8(f.bytes("string")?.to_vec()).map_err(|_| bad_tag("utf8 string", 0))
 }
 
-fn put_opt_string(buf: &mut BytesMut, s: &Option<String>) {
-    match s {
-        None => false.encode(buf),
-        Some(v) => {
-            true.encode(buf);
-            put_string(buf, v);
-        }
+fn put_opt_string(w: &mut WireCursor, s: &Option<String>) {
+    w.put_bool(s.is_some());
+    if let Some(v) = s {
+        w.put_bytes(v.as_bytes());
     }
 }
 
-fn get_opt_string(buf: &mut Bytes) -> Result<Option<String>, WireError> {
-    if bool::decode(buf)? {
-        Ok(Some(get_string(buf)?))
-    } else {
-        Ok(None)
-    }
+fn get_opt_string(f: &mut FrameRef<'_>) -> Result<Option<String>, WireError> {
+    f.bool("option")?.then(|| get_string(f)).transpose()
 }
 
-impl Encode for KvCmd {
-    fn encode(&self, buf: &mut BytesMut) {
+impl KvCmd {
+    /// Append this command (tag byte, then fields).
+    pub fn encode(&self, w: &mut WireCursor) {
         match self {
             KvCmd::Put { key, value } => {
-                0u8.encode(buf);
-                put_string(buf, key);
-                put_string(buf, value);
+                w.put_u8(0);
+                w.put_bytes(key.as_bytes());
+                w.put_bytes(value.as_bytes());
             }
             KvCmd::Get { key } => {
-                1u8.encode(buf);
-                put_string(buf, key);
+                w.put_u8(1);
+                w.put_bytes(key.as_bytes());
             }
             KvCmd::Del { key } => {
-                2u8.encode(buf);
-                put_string(buf, key);
+                w.put_u8(2);
+                w.put_bytes(key.as_bytes());
             }
             KvCmd::Cas { key, expect, new } => {
-                3u8.encode(buf);
-                put_string(buf, key);
-                put_opt_string(buf, expect);
-                put_string(buf, new);
+                w.put_u8(3);
+                w.put_bytes(key.as_bytes());
+                put_opt_string(w, expect);
+                w.put_bytes(new.as_bytes());
             }
         }
     }
-}
 
-impl Decode for KvCmd {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(match u8::decode(buf)? {
+    /// Consume one command from the front of `f`.
+    pub fn decode(f: &mut FrameRef<'_>) -> Result<Self, WireError> {
+        Ok(match f.u8("kv-cmd")? {
             0 => KvCmd::Put {
-                key: get_string(buf)?,
-                value: get_string(buf)?,
+                key: get_string(f)?,
+                value: get_string(f)?,
             },
             1 => KvCmd::Get {
-                key: get_string(buf)?,
+                key: get_string(f)?,
             },
             2 => KvCmd::Del {
-                key: get_string(buf)?,
+                key: get_string(f)?,
             },
             3 => KvCmd::Cas {
-                key: get_string(buf)?,
-                expect: get_opt_string(buf)?,
-                new: get_string(buf)?,
+                key: get_string(f)?,
+                expect: get_opt_string(f)?,
+                new: get_string(f)?,
             },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "kv-cmd",
-                    tag,
-                })
-            }
+            tag => return Err(bad_tag("kv-cmd", tag)),
         })
     }
 }
 
-impl Encode for KvResponse {
-    fn encode(&self, buf: &mut BytesMut) {
+impl KvResponse {
+    /// Append this response (tag byte, then fields).
+    pub fn encode(&self, w: &mut WireCursor) {
         match self {
             KvResponse::Value(v) => {
-                0u8.encode(buf);
-                put_opt_string(buf, v);
+                w.put_u8(0);
+                put_opt_string(w, v);
             }
             KvResponse::CasResult { swapped, actual } => {
-                1u8.encode(buf);
-                swapped.encode(buf);
-                put_opt_string(buf, actual);
+                w.put_u8(1);
+                w.put_bool(*swapped);
+                put_opt_string(w, actual);
             }
-            KvResponse::BadCommand => 2u8.encode(buf),
+            KvResponse::BadCommand => w.put_u8(2),
         }
     }
-}
 
-impl Decode for KvResponse {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(match u8::decode(buf)? {
-            0 => KvResponse::Value(get_opt_string(buf)?),
+    /// Consume one response from the front of `f`.
+    pub fn decode(f: &mut FrameRef<'_>) -> Result<Self, WireError> {
+        Ok(match f.u8("kv-response")? {
+            0 => KvResponse::Value(get_opt_string(f)?),
             1 => KvResponse::CasResult {
-                swapped: bool::decode(buf)?,
-                actual: get_opt_string(buf)?,
+                swapped: f.bool("swapped")?,
+                actual: get_opt_string(f)?,
             },
             2 => KvResponse::BadCommand,
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "kv-response",
-                    tag,
-                })
-            }
+            tag => return Err(bad_tag("kv-response", tag)),
         })
     }
 }
@@ -192,8 +189,7 @@ impl KvStore {
         Self::default()
     }
 
-    /// Read a key directly (local, not replicated — for tests and
-    /// observers).
+    /// Read a key locally (not replicated — for tests and observers).
     pub fn get(&self, key: &str) -> Option<&String> {
         self.map.get(key)
     }
@@ -218,40 +214,34 @@ impl StateMachine for KvStore {
             Ok(KvCmd::Del { key }) => KvResponse::Value(self.map.remove(&key)),
             Ok(KvCmd::Cas { key, expect, new }) => {
                 let actual = self.map.get(&key).cloned();
-                if actual == expect {
+                let swapped = actual == expect;
+                if swapped {
                     self.map.insert(key, new);
-                    KvResponse::CasResult {
-                        swapped: true,
-                        actual,
-                    }
-                } else {
-                    KvResponse::CasResult {
-                        swapped: false,
-                        actual,
-                    }
                 }
+                KvResponse::CasResult { swapped, actual }
             }
         };
         resp.to_bytes()
     }
 
     fn snapshot(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        (self.map.len() as u32).encode(&mut buf);
+        let mut buf = Vec::new();
+        let mut w = WireCursor::new(&mut buf);
+        w.put_uvarint(self.map.len() as u64);
         for (k, v) in &self.map {
-            put_string(&mut buf, k);
-            put_string(&mut buf, v);
+            w.put_bytes(k.as_bytes());
+            w.put_bytes(v.as_bytes());
         }
-        buf.freeze()
+        Bytes::from(buf)
     }
 
     fn restore(snapshot: &[u8]) -> Self {
-        let mut buf = Bytes::copy_from_slice(snapshot);
-        let n = u32::decode(&mut buf).expect("kv snapshot length");
+        let mut f = FrameRef::new(snapshot);
+        let n = f.uvarint("kv snapshot length").expect("kv snapshot length");
         let mut map = BTreeMap::new();
         for _ in 0..n {
-            let k = get_string(&mut buf).expect("kv snapshot key");
-            let v = get_string(&mut buf).expect("kv snapshot value");
+            let k = get_string(&mut f).expect("kv snapshot key");
+            let v = get_string(&mut f).expect("kv snapshot value");
             map.insert(k, v);
         }
         KvStore { map }
@@ -269,29 +259,24 @@ pub enum CounterCmd {
     Read,
 }
 
-impl Encode for CounterCmd {
-    fn encode(&self, buf: &mut BytesMut) {
+impl CounterCmd {
+    /// Append this command (tag byte, then the amount).
+    pub fn encode(&self, w: &mut WireCursor) {
         match self {
             CounterCmd::Add(v) => {
-                0u8.encode(buf);
-                v.encode(buf);
+                w.put_u8(0);
+                w.put_ivarint(*v);
             }
-            CounterCmd::Read => 1u8.encode(buf),
+            CounterCmd::Read => w.put_u8(1),
         }
     }
-}
 
-impl Decode for CounterCmd {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(match u8::decode(buf)? {
-            0 => CounterCmd::Add(i64::decode(buf)?),
+    /// Consume one command from the front of `f`.
+    pub fn decode(f: &mut FrameRef<'_>) -> Result<Self, WireError> {
+        Ok(match f.u8("counter-cmd")? {
+            0 => CounterCmd::Add(f.ivarint("amount")?),
             1 => CounterCmd::Read,
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "counter-cmd",
-                    tag,
-                })
-            }
+            tag => return Err(bad_tag("counter-cmd", tag)),
         })
     }
 }
@@ -333,6 +318,7 @@ mod tests {
 
     #[test]
     fn kv_commands_round_trip() {
+        let mut kv = KvStore::new();
         for cmd in [
             KvCmd::Put {
                 key: "k".into(),
@@ -353,7 +339,13 @@ mod tests {
         ] {
             let b = cmd.to_bytes();
             assert_eq!(KvCmd::from_bytes(&b).unwrap(), cmd);
+            for cut in 0..b.len() {
+                assert!(KvCmd::from_bytes(&b[..cut]).is_err(), "cut at {cut}");
+                let r = kv.apply(&b[..cut]);
+                assert_eq!(KvResponse::from_bytes(&r).unwrap(), KvResponse::BadCommand);
+            }
         }
+        assert!(kv.is_empty());
     }
 
     #[test]
@@ -432,8 +424,16 @@ mod tests {
     #[test]
     fn kv_rejects_garbage_gracefully() {
         let mut kv = KvStore::new();
-        let r = kv.apply(b"\xff\xff\xff");
-        assert_eq!(KvResponse::from_bytes(&r).unwrap(), KvResponse::BadCommand);
+        // A bad tag; a Put whose well-framed key is not UTF-8; a Get
+        // whose key claims more bytes than any frame may hold.
+        let bad_utf8 = vec![0, 2, 0xFF, 0xFE, 1, b'v'];
+        let mut over_long = vec![1u8];
+        WireCursor::new(&mut over_long).put_uvarint(u64::MAX);
+        for bytes in [b"\xff\xff\xff".to_vec(), bad_utf8, over_long] {
+            assert!(KvCmd::from_bytes(&bytes).is_err(), "{bytes:?}");
+            let r = kv.apply(&bytes);
+            assert_eq!(KvResponse::from_bytes(&r).unwrap(), KvResponse::BadCommand);
+        }
         assert!(kv.is_empty());
     }
 

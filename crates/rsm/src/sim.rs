@@ -66,7 +66,6 @@ mod tests {
     use super::*;
     use crate::machines::{Counter, CounterCmd, KvCmd, KvStore};
     use timewheel::harness::{all_in_group, run_until_pred};
-    use tw_proto::codec::Encode;
     use tw_proto::{Duration, Semantics};
     use tw_sim::SimTime;
 

@@ -33,9 +33,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use tw_obs::{ClockStamp, FaultKind, TraceEvent, Tracer};
-use tw_proto::codec::WireError;
 use tw_proto::frame;
-use tw_proto::{Msg, ProcessId, SyncTime};
+use tw_proto::{Msg, ProcessId, SyncTime, WireError};
 
 /// SplitMix64 — a tiny, high-quality, dependency-free PRNG. Used for
 /// every chaos decision so runs are reproducible from a single seed.

@@ -16,7 +16,7 @@
 //!
 //! Transports: [`transport::MemTransport`] (an in-process crossbeam
 //! channel mesh) and [`transport::UdpTransport`] (real UDP datagrams with
-//! the [`tw_proto::codec`] wire format — the paper's deployment style).
+//! the [`tw_proto::frame`] wire format — the paper's deployment style).
 
 // `deny`, not `forbid`: the one exception is the vectored-I/O FFI in
 // [`mmsg`], which carries a module-local `#[allow(unsafe_code)]` and a

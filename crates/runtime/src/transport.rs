@@ -843,12 +843,17 @@ mod tests {
         let (ta, tb) = udp_pair();
         let (tx, rx) = unbounded();
         let _h = tb.spawn_receiver(tx.into(), None);
-        // A legacy v1-encoded message: leading tag byte, not a version
-        // byte. The receiver must reject it (explicit version bump, no
-        // silent fallback) and count the drop.
-        let v1 = tw_proto::Encode::to_bytes(&sample(0));
+        // A decision in the retired unframed format (the literal frozen
+        // in proto/tests/frame_compat.rs): leading tag byte, not a
+        // version byte. The receiver must reject it (explicit version
+        // bump, no silent fallback) and count the drop.
+        const V1_DECISION: &[u8] = &[
+            0x01, 0x01, 0x00, 0xd0, 0x07, 0, 0, 0, 0, 0, 0, 0x03, 0, 0, 0, 0, 0, 0, 0, 0x01, 0x00,
+            0x03, 0, 0, 0, 0x00, 0x00, 0x01, 0x00, 0x04, 0x00, 0x01, 0, 0, 0, 0, 0, 0, 0, 0x00, 0,
+            0, 0, 0x13, 0, 0, 0, 0, 0, 0, 0,
+        ];
         let addr = tb.socket.local_addr().unwrap();
-        ta.socket.send_to(&v1, addr).unwrap();
+        ta.socket.send_to(V1_DECISION, addr).unwrap();
         // Then a valid datagram to prove the loop survived.
         ta.send(ProcessId(1), &sample(0));
         match rx.recv_timeout(std::time::Duration::from_secs(2)).unwrap() {

@@ -1,6 +1,6 @@
 //! Repo automation for the timewheel workspace.
 //!
-//! Two jobs, both about the same property — the simulator's determinism
+//! Three jobs, all about the same property — the simulator's determinism
 //! guarantee is only as strong as the discipline of the code inside it:
 //!
 //! * [`lint`] — a static vocabulary pass that *forbids* the
@@ -16,16 +16,11 @@
 //!   protocol and checks the paper's invariants at each terminal state
 //!   (see `tw_sim::explore` and the `explore` bin in `timewheel`).
 //!
-//! Plus one job about speed: [`bench_gate`], the CI perf-regression
-//! gate comparing fresh probe output against the committed
-//! `BENCH_*.json` baselines.
-//!
 //! Invoked via the `cargo xtask` alias (see `.cargo/config.toml`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench_gate;
 pub mod concurrency;
 pub mod lexer;
 pub mod lint;

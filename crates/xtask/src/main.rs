@@ -1,7 +1,7 @@
 //! `cargo xtask` — repo automation entry point.
 
 use std::process::ExitCode;
-use xtask::{bench_gate, concurrency, lint};
+use xtask::{concurrency, lint};
 
 const USAGE: &str = "\
 cargo xtask <command>
@@ -14,12 +14,6 @@ Commands:
                     analysis over tw-runtime and tw-obs; exit 1 on findings
   explore [args..]  build and run the exhaustive schedule explorer
                     (forwards args to `cargo run --release -p timewheel --bin explore`)
-  bench-gate --baseline FILE --candidate FILE [--threshold PCT]
-                    fail (exit 1) when any metric in the candidate bench
-                    JSON regressed more than PCT% (default 25) against the
-                    committed baseline; see DESIGN.md §12
-  bench-gate --self-test
-                    prove the gate trips on a doctored-slow fixture
   help              show this message
 
 Lint escape hatch: `// tw-lint: allow(<rule>) -- <justification>` on the
@@ -31,7 +25,6 @@ fn main() -> ExitCode {
         Some("lint") => run_lint(args.iter().any(|a| a == "--all")),
         Some("lint-concurrency") => run_lint_concurrency(),
         Some("explore") => run_explore(&args[1..]),
-        Some("bench-gate") => run_bench_gate(&args[1..]),
         Some("help") => {
             println!("{USAGE}");
             ExitCode::SUCCESS
@@ -107,60 +100,6 @@ fn report(pass: &str, rules: usize, scope: &str, findings: &[lint::Finding]) -> 
         }
         println!("\n{pass}: {} finding(s)", findings.len());
         ExitCode::FAILURE
-    }
-}
-
-fn run_bench_gate(args: &[String]) -> ExitCode {
-    if args.iter().any(|a| a == "--self-test") {
-        return match bench_gate::self_test() {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("bench-gate self-test FAILED: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let mut baseline = None;
-    let mut candidate = None;
-    let mut threshold = bench_gate::DEFAULT_THRESHOLD;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--baseline" => baseline = it.next().cloned(),
-            "--candidate" => candidate = it.next().cloned(),
-            "--threshold" => {
-                // tw-lint: allow(float-state) -- CLI percentage, not protocol state
-                threshold = match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                    Some(pct) if pct > 0.0 => pct / 100.0,
-                    _ => {
-                        eprintln!("bench-gate: --threshold wants a positive percentage");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            other => {
-                eprintln!("bench-gate: unknown arg `{other}`\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let (Some(base), Some(cand)) = (baseline, candidate) else {
-        eprintln!("bench-gate: need --baseline FILE and --candidate FILE (or --self-test)\n\n{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    match bench_gate::run(&base, &cand, threshold) {
-        Ok(true) => {
-            println!("bench-gate: PASS");
-            ExitCode::SUCCESS
-        }
-        Ok(false) => {
-            eprintln!("bench-gate: FAIL — candidate regressed past the threshold");
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("bench-gate: {e}");
-            ExitCode::FAILURE
-        }
     }
 }
 

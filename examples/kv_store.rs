@@ -10,7 +10,6 @@
 
 use std::time::Duration as StdDuration;
 use timewheel::Config;
-use tw_proto::codec::{Decode, Encode};
 use tw_proto::Duration;
 use tw_rsm::{spawn_rsm_cluster, KvCmd, KvResponse, KvStore};
 use tw_runtime::ExecutorKind;

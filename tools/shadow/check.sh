@@ -50,16 +50,14 @@ copy_chaos_bin() {
   cp -p "$repo/crates/bench/src/bin/tw-chaos.rs" "$build/chaos/src/bin/tw-chaos.rs"
 }
 copy_chaos_bin
-copy_probe_bins() {
-  # Same pattern for the perf probes behind the bench gate: they are
-  # deliberately serde_json/rand/criterion-free, so the shadow build
-  # both compiles them and (for the pure-CPU codec probe) runs them.
+copy_probe_bin() {
+  # Same pattern for the live-telemetry plane probe: it is deliberately
+  # serde_json/rand/criterion-free, so the shadow build both compiles
+  # and smoke-runs it.
   mkdir -p "$build/probes/src/bin"
-  cp -p "$repo/crates/bench/src/bin/exp_proto_codec.rs" "$build/probes/src/bin/exp_proto_codec.rs"
-  cp -p "$repo/crates/bench/src/bin/exp_hotpath.rs" "$build/probes/src/bin/exp_hotpath.rs"
   cp -p "$repo/crates/bench/src/bin/exp_obs_live.rs" "$build/probes/src/bin/exp_obs_live.rs"
 }
-copy_probe_bins
+copy_probe_bin
 copy_crate obs
 copy_crate clock
 copy_crate sim
@@ -216,14 +214,6 @@ tw-runtime = { path = "../runtime" }
 bytes = { path = "$stubs/bytes" }
 
 [[bin]]
-name = "exp_proto_codec"
-path = "src/bin/exp_proto_codec.rs"
-
-[[bin]]
-name = "exp_hotpath"
-path = "src/bin/exp_hotpath.rs"
-
-[[bin]]
 name = "exp_obs_live"
 path = "src/bin/exp_obs_live.rs"
 EOF
@@ -246,6 +236,19 @@ cargo check --offline --workspace --all-targets
 # keep them out of this debug-mode workspace pass.
 rm -f runtime/tests/cluster.rs runtime/tests/chaos_cluster.rs runtime/tests/ops_cluster.rs
 cargo test --offline --workspace "$@" -- --skip "cluster::tests::"
+
+# The end-to-end benchmark is its own package over the real crates (not
+# the copies above), built against the same stubs through
+# [patch.crates-io]. Nothing else builds it, so an API change under
+# crates/ would break it unseen: run its tests, run one short workload,
+# and check the build did not rewrite anything it tracks (its lock file).
+cargo test --offline --manifest-path "$repo/benchmark/Cargo.toml"
+cargo run --release --offline --quiet --manifest-path "$repo/benchmark/Cargo.toml" -- \
+  --workload ladder_weak --seconds 1 --trace 0
+if ! git -C "$repo" diff --quiet -- benchmark; then
+  echo "benchmark/: building it rewrote a tracked file (Cargo.lock?)" >&2
+  exit 1
+fi
 
 # Real-time cluster suites, release mode as on CI. These were
 # unrunnable offline while the `select!` stub slept between polls (on
@@ -282,23 +285,9 @@ if cargo run --offline -q -p tw-obs --bin tw-trace -- /nonexistent.twrec 2>/dev/
   exit 1
 fi
 
-# Perf-gate plumbing must work end to end offline: the pure-CPU codec
-# probe runs for real (tiny iteration count), its JSON feeds the gate,
-# and the gate's self-test proves it still trips on a doctored-slow
-# fixture. The cluster probes (hot path, live-telemetry overhead) run
-# real clusters at a smoke-sized update count — their numbers are
-# meaningless on one vCPU, so they are tagged shadow-smoke and only
-# self-gated; the point is that flood, ops scrape, live tail and JSON
+# The live-telemetry plane probe runs a real cluster at a smoke-sized
+# update count — its numbers are meaningless on one vCPU and nothing
+# compares them; the point is that flood, ops scrape, live tail and JSON
 # emission all work end to end.
-cargo run --offline -q -p tw-probes-shadow --bin exp_proto_codec -- --iters 256 --out "$build"/shadow-codec.json
-cargo run --offline -q --release -p tw-probes-shadow --bin exp_hotpath -- \
-  --updates 2000 --machine shadow-smoke --out "$build"/shadow-hotpath.json
 cargo run --offline -q --release -p tw-probes-shadow --bin exp_obs_live -- \
-  --updates 2000 --machine shadow-smoke --out "$build"/shadow-obs-live.json
-cargo run --offline -q -p xtask --bin xtask -- bench-gate --self-test
-cargo run --offline -q -p xtask --bin xtask -- bench-gate \
-  --baseline "$build"/shadow-codec.json --candidate "$build"/shadow-codec.json
-cargo run --offline -q -p xtask --bin xtask -- bench-gate \
-  --baseline "$build"/shadow-hotpath.json --candidate "$build"/shadow-hotpath.json
-cargo run --offline -q -p xtask --bin xtask -- bench-gate \
-  --baseline "$build"/shadow-obs-live.json --candidate "$build"/shadow-obs-live.json
+  --updates 2000 --out "$build"/shadow-obs-live.json
