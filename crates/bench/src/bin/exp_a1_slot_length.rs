@@ -56,7 +56,7 @@ fn main() {
                 crash_at + Duration::from_secs(60),
                 |w| {
                     [0u16, 2, 4].iter().all(|&i| {
-                        let m = &w.actor(ProcessId(i)).member;
+                        let m = w.actor(ProcessId(i)).member();
                         m.state() == timewheel::CreatorState::FailureFree && m.view().len() == 3
                     })
                 },
@@ -124,7 +124,7 @@ fn main() {
                 crash_at + Duration::from_secs(45),
                 |w| {
                     [0u16, 2, 4].iter().all(|&i| {
-                        let m = &w.actor(ProcessId(i)).member;
+                        let m = w.actor(ProcessId(i)).member();
                         m.state() == timewheel::CreatorState::FailureFree && m.view().len() == 3
                     })
                 },

@@ -26,7 +26,7 @@ fn run(n: usize, fastpath: bool) -> (f64, f64, f64) {
         let recovered =
             timewheel::harness::run_until_pred(&mut w, crash_at + Duration::from_secs(120), |w| {
                 (0..n as u16).filter(|&i| i != 1).all(|i| {
-                    let m = &w.actor(ProcessId(i)).member;
+                    let m = w.actor(ProcessId(i)).member();
                     m.state() == timewheel::CreatorState::FailureFree && m.view().len() == n - 1
                 })
             })

@@ -25,7 +25,7 @@ fn main() {
     let params = TeamParams::new(n);
     let (mut w, formed) = formed_team(&params);
     // Exercise all layers: client load, a crash, a recovery.
-    tw_bench::inject_proposals(
+    timewheel::harness::inject_proposals(
         &mut w,
         n,
         50,

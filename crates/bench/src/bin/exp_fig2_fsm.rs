@@ -66,7 +66,7 @@ fn observe(
             if w.status(ProcessId(i)) != tw_sim::ProcessStatus::Up {
                 continue;
             }
-            let s = w.actor(ProcessId(i)).member.state();
+            let s = w.actor(ProcessId(i)).member().state();
             let prev = last[i as usize];
             if s != prev {
                 seen.insert((prev.label(), s.label()));
@@ -106,7 +106,7 @@ fn main() {
                 let until = t0 + Duration::from_secs(20);
                 // a recovered process restarts in join state:
                 observe(&mut w, until, n, &mut last, &mut seen);
-                last[1] = w.actor(ProcessId(1)).member.state();
+                last[1] = w.actor(ProcessId(1)).member().state();
             }
             2 => {
                 // false alarm: decision dropped to two members

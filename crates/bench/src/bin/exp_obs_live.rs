@@ -34,9 +34,7 @@ use std::time::{Duration as StdDuration, Instant};
 use timewheel::Config;
 use tw_obs::{http_get, LiveTail};
 use tw_proto::{Duration, Semantics};
-use tw_runtime::{
-    spawn_cluster, spawn_cluster_observed, ExecutorKind, Node, NodeOutput, OpsSetup,
-};
+use tw_runtime::{spawn_cluster, ClusterBuilder, ExecutorKind, Node, NodeOutput, OpsSetup};
 
 fn cfg(n: usize) -> Config {
     Config::for_team(n, Duration::from_millis(10))
@@ -125,7 +123,9 @@ fn off_throughput(count: usize) -> f64 {
 /// 0's `/trace` stream while the flood runs.
 fn on_throughput(count: usize) -> (f64, u64, usize) {
     let n = 3;
-    let nodes = spawn_cluster_observed(ExecutorKind::EventLoop, cfg(n), &OpsSetup::ephemeral())
+    let nodes = ClusterBuilder::new(cfg(n))
+        .ops(&OpsSetup::ephemeral())
+        .spawn()
         .expect("bind ops endpoints");
     formed(&nodes, n);
     let addrs: Vec<_> = (0..n)

@@ -67,7 +67,7 @@ fn sim_run_ms(runs: usize, cycles: i64, recorded: bool) -> f64 {
                         .expect("create recording"),
                 );
                 w.actor_mut(pid)
-                    .member
+                    .member_mut()
                     .set_tracer(Tracer::new(rec.clone() as Arc<dyn TraceSink>));
                 recorders.push(rec);
             }

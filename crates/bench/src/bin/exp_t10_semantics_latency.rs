@@ -12,8 +12,8 @@
 //! strict adds full stability (one ack rotation ≈ a cycle);
 //! time is pinned at the configured Δ_deliv regardless.
 
-use timewheel::harness::TeamParams;
-use tw_bench::{formed_team, inject_proposals, mean, percentile, Table};
+use timewheel::harness::{inject_proposals, TeamParams};
+use tw_bench::{formed_team, mean, percentile, Table};
 use tw_proto::{Duration, ProcessId, Semantics};
 
 fn main() {

@@ -47,7 +47,7 @@ fn main() {
                 crash_at + Duration::from_millis(delta_ms * 4_000),
                 |w| {
                     (0..n as u16).filter(|&i| i != 1).all(|i| {
-                        let m = &w.actor(ProcessId(i)).member;
+                        let m = w.actor(ProcessId(i)).member();
                         m.state() == timewheel::CreatorState::FailureFree
                             && m.view().len() == n - 1
                     })
@@ -70,7 +70,7 @@ fn main() {
                 crash2 + Duration::from_millis(delta_ms * 8_000),
                 |w| {
                     [0u16, 2, 4].iter().all(|&i| {
-                        let m = &w.actor(ProcessId(i)).member;
+                        let m = w.actor(ProcessId(i)).member();
                         m.state() == timewheel::CreatorState::FailureFree
                             && m.view().len() == 3
                     })

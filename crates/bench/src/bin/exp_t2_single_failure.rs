@@ -39,7 +39,7 @@ fn main() {
                 crash_at + Duration::from_secs(60),
                 |w| {
                     (0..n as u16).filter(|&i| i != 1).all(|i| {
-                        let m = &w.actor(ProcessId(i)).member;
+                        let m = w.actor(ProcessId(i)).member();
                         m.state() == timewheel::CreatorState::FailureFree
                             && m.view().len() == n - 1
                             && !m.view().contains(victim)

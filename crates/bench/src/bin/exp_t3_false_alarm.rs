@@ -12,8 +12,8 @@
 //! episode vs. the failure-free baseline, and how many election messages
 //! the false alarm cost.
 
-use timewheel::harness::TeamParams;
-use tw_bench::{formed_team, inject_proposals, ms, Table};
+use timewheel::harness::{inject_proposals, TeamParams};
+use tw_bench::{formed_team, ms, Table};
 use tw_proto::{Duration, Msg, ProcessId, Semantics};
 use tw_sim::{Fault, MsgMatcher};
 
@@ -38,7 +38,7 @@ fn worst_gap_ms(w: &tw_bench::TeamWorld, from_hw_us: i64) -> f64 {
 fn run(n: usize, drop_targets: &[u16]) -> (bool, bool, f64, u64) {
     let params = TeamParams::new(n).seed(7);
     let (mut w, _) = formed_team(&params);
-    let view_seq_before = w.actor(ProcessId(0)).member.view().id.seq;
+    let view_seq_before = w.actor(ProcessId(0)).member().view().id.seq;
     // Steady client load: one update every 10 ms for 8 s.
     inject_proposals(
         &mut w,
@@ -68,7 +68,7 @@ fn run(n: usize, drop_targets: &[u16]) -> (bool, bool, f64, u64) {
     let member_removed =
         (0..n as u16).any(|i| w.actor(ProcessId(i)).views.iter().any(|(_, v)| v.len() < n));
     let reformed =
-        (0..n as u16).any(|i| w.actor(ProcessId(i)).member.view().id.seq != view_seq_before);
+        (0..n as u16).any(|i| w.actor(ProcessId(i)).member().view().id.seq != view_seq_before);
     let gap = worst_gap_ms(&w, from_hw);
     let election_msgs = w.stats().sends_of(&["no-decision", "reconfig"]);
     let _ = ms; // (helper exercised elsewhere)

@@ -52,7 +52,7 @@ fn main() {
                     crash_at + Duration::from_secs(120),
                     |w| {
                         survivors.iter().all(|&i| {
-                            let m = &w.actor(ProcessId(i)).member;
+                            let m = w.actor(ProcessId(i)).member();
                             m.state() == timewheel::CreatorState::FailureFree
                                 && m.view().len() == n - f
                                 && victims.iter().all(|v| !m.view().contains(*v))

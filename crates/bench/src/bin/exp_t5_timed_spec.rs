@@ -28,7 +28,7 @@ fn main() {
     let t_up = timewheel::harness::run_until_pred(&mut w, tw_sim::SimTime::MAX, |w| {
         (0..n as u16).all(|i| {
             let p = ProcessId(i);
-            w.actor(p).member.is_up_to_date(w.hw_time(p))
+            w.actor(p).member().is_up_to_date(w.hw_time(p))
         })
     })
     .unwrap();
@@ -54,7 +54,7 @@ fn main() {
             if w.status(p) != tw_sim::ProcessStatus::Up {
                 continue;
             }
-            let m = &w.actor(p).member;
+            let m = w.actor(p).member();
             if m.is_up_to_date(w.hw_time(p)) {
                 match current {
                     None => current = Some(m.view().id),
@@ -80,7 +80,7 @@ fn main() {
         w2.run_for(Duration::from_millis(50));
         for i in 0..n as u16 {
             let p = ProcessId(i);
-            let m = &w2.actor(p).member;
+            let m = w2.actor(p).member();
             if m.is_up_to_date(w2.hw_time(p)) {
                 majority &= m.view().is_majority_of(n);
                 for j in 0..n as u16 {
@@ -112,14 +112,14 @@ fn main() {
         timewheel::harness::run_until_pred(&mut w3, cut + Duration::from_secs(60), |w| {
             [3u16, 4].iter().all(|&i| {
                 let p = ProcessId(i);
-                !w.actor(p).member.is_up_to_date(w.hw_time(p))
+                !w.actor(p).member().is_up_to_date(w.hw_time(p))
             })
         })
         .expect("minority never noticed");
     let excluded =
         timewheel::harness::run_until_pred(&mut w3, cut + Duration::from_secs(60), |w| {
             [0u16, 1, 2].iter().all(|&i| {
-                let m = &w.actor(ProcessId(i)).member;
+                let m = w.actor(ProcessId(i)).member();
                 m.state() == timewheel::CreatorState::FailureFree
                     && !m.view().contains(ProcessId(3))
                     && !m.view().contains(ProcessId(4))

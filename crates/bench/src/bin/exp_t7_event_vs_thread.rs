@@ -71,8 +71,10 @@ fn throughput(kind: ExecutorKind, rate: usize, secs: u64) -> f64 {
 }
 
 /// Paced weak updates with embedded timestamps; receiver-side latency
-/// (mean, p99) in microseconds.
-fn latency(kind: ExecutorKind, count: usize) -> (f64, f64) {
+/// (mean, p99) in microseconds, plus the receiver's own median dispatch
+/// latency (every input kind, lock wait included on the threaded
+/// executor) from its `dispatch_latency_us` histogram.
+fn latency(kind: ExecutorKind, count: usize) -> (f64, f64, u64) {
     let nodes = formed_nodes(kind);
     while nodes[1].outputs.try_recv().is_ok() {}
     let epoch = Instant::now();
@@ -111,10 +113,13 @@ fn latency(kind: ExecutorKind, count: usize) -> (f64, f64) {
             Err(_) => {}
         }
     }
+    let dispatch_p50 = nodes[1].metrics_snapshot().histograms["dispatch_latency_us"]
+        .quantile(1, 2)
+        .expect("median dispatch inside the histogram's finite buckets");
     for n in nodes {
         n.shutdown();
     }
-    (mean(&lats), percentile(&mut lats, 99.0))
+    (mean(&lats), percentile(&mut lats, 99.0), dispatch_p50)
 }
 
 fn main() {
@@ -135,13 +140,23 @@ fn main() {
     }
     sweep.print("T7a: sustained throughput vs offered load (N = 3, unordered/weak)");
 
-    let mut lat = Table::new(&["executor", "mean_latency_us", "p99_latency_us"]);
+    let mut lat = Table::new(&[
+        "executor",
+        "mean_latency_us",
+        "p99_latency_us",
+        "dispatch_p50_us",
+    ]);
     for (label, kind) in [
         ("event-loop (paper §5)", ExecutorKind::EventLoop),
         ("thread-per-event-type", ExecutorKind::Threaded),
     ] {
-        let (m, p99) = latency(kind, 500);
-        lat.row(&[label.into(), format!("{m:.0}"), format!("{p99:.0}")]);
+        let (m, p99, dispatch_p50) = latency(kind, 500);
+        lat.row(&[
+            label.into(),
+            format!("{m:.0}"),
+            format!("{p99:.0}"),
+            dispatch_p50.to_string(),
+        ]);
     }
     lat.print("T7b: propose→deliver latency at low load (500 upd/s)");
 

@@ -36,7 +36,7 @@ fn main() {
                     .map(|i| {
                         let p = ProcessId(i);
                         let hw = w.hw_time(p);
-                        w.actor(p).member.now_sync(hw).map(|t| t.0)
+                        w.actor(p).member().now_sync(hw).map(|t| t.0)
                     })
                     .collect();
                 for a in 0..n {
@@ -56,7 +56,7 @@ fn main() {
                     [3u16, 4].iter().all(|&i| {
                         let p = ProcessId(i);
                         let hw = w.hw_time(p);
-                        w.actor(p).member.now_sync(hw).is_none()
+                        w.actor(p).member().now_sync(hw).is_none()
                     })
                 })
                 .expect("minority never lost sync awareness");

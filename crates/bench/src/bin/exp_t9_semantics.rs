@@ -12,8 +12,8 @@
 //! * the purge report of the new decider accounts for the suppressed
 //!   updates.
 
-use timewheel::harness::TeamParams;
-use tw_bench::{formed_team, inject_proposals, Table};
+use timewheel::harness::{inject_proposals, TeamParams};
+use tw_bench::{formed_team, Table};
 use tw_proto::{Duration, ProcessId, Semantics};
 
 fn main() {
@@ -94,16 +94,7 @@ fn main() {
         let t = w.now() + Duration::from_millis(at_ms);
         let payload = Bytes::from(tag.to_string());
         w.call_at(t, ProcessId(who), move |a, ctx| {
-            if let Ok(actions) = a.member.propose(ctx.now_hw(), payload, sem) {
-                for act in actions {
-                    match act {
-                        timewheel::Action::Broadcast(m) => ctx.broadcast(m),
-                        timewheel::Action::Send(to, m) => ctx.send(to, m),
-                        timewheel::Action::Deliver(d) => a.deliveries.push((ctx.now_hw(), d)),
-                        _ => {}
-                    }
-                }
-            }
+            let _ = a.propose(ctx, payload, sem);
         });
     };
     let total_weak = Semantics::new(Ord2::Total, Atomicity::Weak);
@@ -123,7 +114,7 @@ fn main() {
     let mut purge_table = Table::new(&["category", "count", "proposals"]);
     let mut found = false;
     for &i in &survivors {
-        if let Some(r) = w.actor(ProcessId(i)).member.last_purge() {
+        if let Some(r) = w.actor(ProcessId(i)).member().last_purge() {
             if r.total() == 0 {
                 continue;
             }

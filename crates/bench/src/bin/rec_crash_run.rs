@@ -38,7 +38,7 @@ fn main() {
                     .expect("create recording"),
             );
             w.actor_mut(pid)
-                .member
+                .member_mut()
                 .set_tracer(Tracer::new(rec.clone() as Arc<dyn TraceSink>));
             rec
         })
@@ -49,7 +49,7 @@ fn main() {
     w.crash_at(crash_at, victim);
     run_until_pred(&mut w, crash_at + Duration::from_secs(60), |w| {
         (0..N as u16).filter(|&i| i != victim.0).all(|i| {
-            let m = &w.actor(ProcessId(i)).member;
+            let m = w.actor(ProcessId(i)).member();
             m.state() == timewheel::CreatorState::FailureFree
                 && m.view().len() == N - 1
                 && !m.view().contains(victim)

@@ -52,8 +52,8 @@ use tw_obs::{analyze, Analysis, Recording, TraceSet};
 use tw_proto::{Duration, Semantics};
 use tw_runtime::chaos::recovery_envelope;
 use tw_runtime::{
-    ChaosCluster, ChaosOp, ChaosSchedule, ExecutorKind, FaultBudget, LinkPlan, OpsSetup,
-    RecorderSetup,
+    ChaosCluster, ChaosOp, ChaosSchedule, ClusterBuilder, ExecutorKind, FaultBudget, LinkPlan,
+    OpsSetup, RecorderSetup,
 };
 
 const USAGE: &str = "usage: tw-chaos [--scenario loss|partition|crash|random] [--seed N] \
@@ -289,9 +289,13 @@ fn run_once(
 ) -> Result<RunOutcome, String> {
     let n = cfg.n;
     let setup = RecorderSetup::new(dir).capacity(4096);
-    let mut cluster =
-        ChaosCluster::spawn_recorded_observed(kind, cfg, schedule.seed, &setup, None, ops)
-            .map_err(|e| format!("spawn recorded cluster: {e}"))?;
+    let mut builder = ClusterBuilder::new(cfg).executor(kind).record(&setup);
+    if let Some(ops) = ops {
+        builder = builder.ops(ops);
+    }
+    let mut cluster = builder
+        .chaos(schedule.seed)
+        .map_err(|e| format!("spawn recorded cluster: {e}"))?;
 
     let mut out = RunOutcome {
         formed: true,

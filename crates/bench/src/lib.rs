@@ -8,9 +8,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use bytes::Bytes;
 use timewheel::harness::{all_in_group, run_until_pred, team_world, SimMember, TeamParams};
-use tw_proto::{Duration, ProcessId, Semantics};
+use tw_proto::ProcessId;
 use tw_sim::{SimTime, World};
 
 /// A simulated team world.
@@ -63,15 +62,26 @@ impl Table {
             println!("{}", line(row));
         }
         for row in &self.rows {
-            let obj: serde_json::Map<String, serde_json::Value> = self
-                .headers
-                .iter()
-                .zip(row)
-                .map(|(h, c)| (h.clone(), serde_json::Value::String(c.clone())))
-                .collect();
-            println!("JSON {}", serde_json::Value::Object(obj));
+            println!("JSON {}", json_object(&self.headers, row));
         }
     }
+}
+
+/// One row as a JSON object of string fields, keys sorted — hand-built,
+/// same discipline as `tw_obs::metrics::Snapshot::to_json` (no serde for
+/// output), so every experiment binary builds offline.
+fn json_object(headers: &[String], row: &[String]) -> String {
+    let fields: std::collections::BTreeMap<&String, &String> = headers.iter().zip(row).collect();
+    let mut out = String::from("{");
+    for (i, (h, c)) in fields.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        tw_obs::metrics::push_json_str(&mut out, h);
+        out.push(':');
+        tw_obs::metrics::push_json_str(&mut out, c);
+    }
+    out + "}"
 }
 
 /// Median of a set of samples (ms, latencies, …).
@@ -117,35 +127,6 @@ pub fn formed_team(params: &TeamParams) -> (TeamWorld, SimTime) {
     (w, t)
 }
 
-/// Schedule `count` proposals from rotating senders starting `after` from
-/// now, spaced `gap` apart.
-pub fn inject_proposals(
-    w: &mut TeamWorld,
-    n: usize,
-    count: usize,
-    sem: Semantics,
-    after: Duration,
-    gap: Duration,
-) {
-    for k in 0..count {
-        let sender = ProcessId((k % n) as u16);
-        let t = w.now() + after + gap * k as i64;
-        let payload = Bytes::from(format!("u{k}"));
-        w.call_at(t, sender, move |a, ctx| {
-            if let Ok(actions) = a.member.propose(ctx.now_hw(), payload, sem) {
-                for act in actions {
-                    match act {
-                        timewheel::Action::Broadcast(m) => ctx.broadcast(m),
-                        timewheel::Action::Send(to, m) => ctx.send(to, m),
-                        timewheel::Action::Deliver(d) => a.deliveries.push((ctx.now_hw(), d)),
-                        _ => {}
-                    }
-                }
-            }
-        });
-    }
-}
-
 /// The live members currently in failure-free state with views of the
 /// given size.
 pub fn members_in_group(w: &TeamWorld, size: usize) -> usize {
@@ -153,7 +134,7 @@ pub fn members_in_group(w: &TeamWorld, size: usize) -> usize {
         .filter(|&i| {
             let p = ProcessId(i as u16);
             w.status(p) == tw_sim::ProcessStatus::Up && {
-                let m = &w.actor(p).member;
+                let m = w.actor(p).member();
                 m.state() == timewheel::CreatorState::FailureFree && m.view().len() == size
             }
         })
@@ -178,6 +159,16 @@ mod tests {
         let mut s: Vec<f64> = (1..=100).map(|x| x as f64).collect();
         assert_eq!(percentile(&mut s, 99.0), 99.0);
         assert!((mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn json_rows_are_sorted_and_escaped() {
+        let headers = ["b".to_string(), "a\"q".to_string()];
+        let row = ["x\\y".to_string(), "1\n".to_string()];
+        assert_eq!(
+            json_object(&headers, &row),
+            r#"{"a\"q":"1\u000a","b":"x\\y"}"#
+        );
     }
 
     #[test]

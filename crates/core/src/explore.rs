@@ -223,16 +223,14 @@ impl ExploreMember {
                 Semantics::TOTAL_STRONG
             };
             let payload = Bytes::from_static(b"explored-update");
-            if let Ok(actions) = self.inner.member.propose(ctx.now_hw(), payload, sem) {
+            if self.inner.propose(ctx, payload, sem).is_ok() {
                 self.proposals_left -= 1;
-                self.inner.apply(actions, ctx);
             }
         }
         if self.sabotage && !self.sabotaged {
-            if let Some(first) = self.inner.deliveries.first().cloned() {
+            if let Some((at, first)) = self.inner.deliveries.first().cloned() {
                 let view = self.inner.delivery_views[0];
-                self.inner.deliveries.push(first);
-                self.inner.delivery_views.push(view);
+                self.inner.log_delivery(at, first, view);
                 self.sabotaged = true;
             }
         }

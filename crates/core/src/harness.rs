@@ -7,9 +7,11 @@
 //! through it.
 
 use crate::config::Config;
+use crate::driver::{AppEvent, Driver, Input};
 use crate::events::{Action, Delivery, LeaveReason};
-use crate::member::Member;
-use tw_proto::{Duration, HwTime, Msg, ProcessId, View};
+use crate::member::{Member, ProposeError};
+use bytes::Bytes;
+use tw_proto::{Duration, HwTime, Msg, ProcessId, Semantics, View, ViewId};
 use tw_sim::{Actor, ClockConfig, Ctx, LinkModel, World, WorldConfig};
 
 /// Timer token for the fixed-period protocol tick.
@@ -17,49 +19,34 @@ const TICK: u64 = 1;
 /// Timer token for the clock-synchronization resync tick.
 const CLOCK_TICK: u64 = 2;
 
-/// What the application hook is called with.
-#[derive(Debug)]
-pub enum AppEvent<'a> {
-    /// An update was delivered (apply it).
-    Deliver(&'a Delivery),
-    /// A join-time snapshot arrived (replace the application state).
-    InstallSnapshot(&'a bytes::Bytes),
-}
-
-/// Application hook: invoked synchronously on every delivery and on
-/// join-time snapshot installation; a `Some(snapshot)` return value
-/// becomes the member's fresh application snapshot (shipped to joiners
-/// in state transfers), keeping snapshot and delivery stream consistent
-/// by construction.
-pub type DeliveryHook = Box<dyn FnMut(AppEvent<'_>) -> Option<bytes::Bytes>>;
-
 /// A [`Member`] wired to the simulator, with an experiment log.
 pub struct SimMember {
-    /// The protocol state machine.
-    pub member: Member,
+    driver: Driver,
     /// Every delivered update, with the local hardware receive time.
     pub deliveries: Vec<(HwTime, Delivery)>,
     /// The view this member was in at each delivery (aligned with
     /// `deliveries`) — lets checkers scope agreement to *completed*
     /// majority groups, the paper's §3 guarantee.
-    pub delivery_views: Vec<tw_proto::ViewId>,
+    pub delivery_views: Vec<ViewId>,
     /// Every installed view, with the local hardware time.
     pub views: Vec<(HwTime, View)>,
     /// Every departure to join state.
     pub leaves: Vec<(HwTime, LeaveReason)>,
-    /// Optional application layered on the delivery stream.
-    pub on_deliver: Option<DeliveryHook>,
+    /// Optional application layered on the delivery stream (see
+    /// [`crate::driver::DeliveryHook`]; the simulator is single-threaded,
+    /// so its hooks need not be `Send`).
+    on_deliver: Option<Box<dyn FnMut(AppEvent<'_>) -> Option<Bytes>>>,
 }
 
 /// Manual impl: the exhaustive schedule explorer (`tw_sim::explore`)
-/// forks member state at every branch point, but [`DeliveryHook`] is an
-/// arbitrary `FnMut` and not clonable — forks carry the full protocol
-/// state and logs with `on_deliver` reset to `None`. Explored scenarios
+/// forks member state at every branch point, but the application hook is
+/// an arbitrary `FnMut` and not clonable — forks carry the full protocol
+/// state and logs with the hook reset to `None`. Explored scenarios
 /// therefore exercise the protocol layer, not application hooks.
 impl Clone for SimMember {
     fn clone(&self) -> Self {
         SimMember {
-            member: self.member.clone(),
+            driver: self.driver.clone(),
             deliveries: self.deliveries.clone(),
             delivery_views: self.delivery_views.clone(),
             views: self.views.clone(),
@@ -73,7 +60,7 @@ impl SimMember {
     /// Wrap a member.
     pub fn new(member: Member) -> Self {
         SimMember {
-            member,
+            driver: Driver::new(member),
             deliveries: Vec::new(),
             delivery_views: Vec::new(),
             views: Vec::new(),
@@ -82,45 +69,76 @@ impl SimMember {
         }
     }
 
-    /// Attach an application hook (see [`DeliveryHook`]).
-    pub fn with_hook(mut self, hook: DeliveryHook) -> Self {
-        self.on_deliver = Some(hook);
-        self
+    /// The protocol state machine.
+    pub fn member(&self) -> &Member {
+        self.driver.member()
     }
 
-    pub(crate) fn apply(&mut self, actions: Vec<Action>, ctx: &mut Ctx<'_, Msg>) {
+    /// Set-up access to the member (attach a tracer, take transferred
+    /// state); events reach it through the simulator only.
+    pub fn member_mut(&mut self) -> &mut Member {
+        self.driver.member_mut()
+    }
+
+    /// Attach an application hook.
+    pub fn set_hook(&mut self, hook: impl FnMut(AppEvent<'_>) -> Option<Bytes> + 'static) {
+        self.on_deliver = Some(Box::new(hook));
+    }
+
+    /// Broadcast a client update from inside a [`World::call_at`]
+    /// closure — the simulator's client API.
+    pub fn propose(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        payload: Bytes,
+        semantics: Semantics,
+    ) -> Result<(), ProposeError> {
+        self.dispatch(ctx, Input::Propose(vec![(payload, semantics)]))
+    }
+
+    /// The one place the delivery log grows, so `deliveries` and
+    /// `delivery_views` cannot drift apart.
+    pub fn log_delivery(&mut self, at: HwTime, d: Delivery, view: ViewId) {
+        self.deliveries.push((at, d));
+        self.delivery_views.push(view);
+    }
+
+    /// Step the driver and route its effects: messages to the simulated
+    /// network, everything else to the experiment log. Timers are the
+    /// host's: re-armed after the inputs that consumed them.
+    fn dispatch(&mut self, ctx: &mut Ctx<'_, Msg>, input: Input) -> Result<(), ProposeError> {
         let now = ctx.now_hw();
-        for a in actions {
-            match a {
+        let (arm_clock, arm_tick) = match input {
+            Input::Start | Input::Recover => (true, true),
+            Input::ClockTick => (true, false),
+            Input::Tick => (false, true),
+            _ => (false, false),
+        };
+        let effects = self.driver.step(now, input, &mut self.on_deliver)?;
+        let view = self.member().view().id;
+        for e in effects {
+            match e {
                 Action::Broadcast(m) => ctx.broadcast(m),
                 Action::Send(to, m) => ctx.send(to, m),
-                Action::ScheduleClockTick(d) => {
-                    ctx.set_timer(d, CLOCK_TICK);
-                }
-                Action::Deliver(d) => {
-                    if let Some(hook) = &mut self.on_deliver {
-                        if let Some(snapshot) = hook(AppEvent::Deliver(&d)) {
-                            self.member.set_app_snapshot(snapshot);
-                        }
-                    }
-                    self.delivery_views.push(self.member.view().id);
-                    self.deliveries.push((now, d));
-                }
-                Action::InstallAppState(b) => {
-                    if let Some(hook) = &mut self.on_deliver {
-                        if let Some(snapshot) = hook(AppEvent::InstallSnapshot(&b)) {
-                            self.member.set_app_snapshot(snapshot);
-                        }
-                    }
-                }
+                Action::Deliver(d) => self.log_delivery(now, d, view),
                 Action::InstallView(v) => self.views.push((now, v)),
                 Action::LeftGroup { reason } => self.leaves.push((now, reason)),
+                Action::ScheduleClockTick(_) | Action::InstallAppState(_) => {
+                    unreachable!("consumed by Driver::step")
+                }
             }
         }
+        if arm_clock {
+            ctx.set_timer(self.driver.clock_deadline() - now, CLOCK_TICK);
+        }
+        if arm_tick {
+            self.arm_tick(ctx);
+        }
+        Ok(())
     }
 
     pub(crate) fn arm_tick(&self, ctx: &mut Ctx<'_, Msg>) {
-        ctx.set_timer(self.member.config().tick, TICK);
+        ctx.set_timer(self.member().config().tick, TICK);
     }
 }
 
@@ -128,35 +146,23 @@ impl Actor for SimMember {
     type Msg = Msg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let actions = self.member.on_start(ctx.now_hw());
-        self.apply(actions, ctx);
-        self.arm_tick(ctx);
+        let _ = self.dispatch(ctx, Input::Start);
     }
 
     fn on_recover(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let actions = self.member.on_recover(ctx.now_hw());
-        self.apply(actions, ctx);
-        self.arm_tick(ctx);
+        let _ = self.dispatch(ctx, Input::Recover);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcessId, msg: Msg) {
-        let actions = self.member.on_message(ctx.now_hw(), from, msg);
-        self.apply(actions, ctx);
+        let _ = self.dispatch(ctx, Input::Message(from, msg));
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
-        match token {
-            TICK => {
-                let actions = self.member.on_tick(ctx.now_hw());
-                self.apply(actions, ctx);
-                self.arm_tick(ctx);
-            }
-            CLOCK_TICK => {
-                let actions = self.member.on_clock_tick(ctx.now_hw());
-                self.apply(actions, ctx);
-            }
-            _ => {}
-        }
+        let _ = match token {
+            TICK => self.dispatch(ctx, Input::Tick),
+            CLOCK_TICK => self.dispatch(ctx, Input::ClockTick),
+            _ => Ok(()),
+        };
     }
 }
 
@@ -233,6 +239,27 @@ pub fn team_world(params: &TeamParams) -> World<SimMember> {
     world
 }
 
+/// Schedule `count` proposals from rotating senders (`k % n`), the first
+/// `after` from now and `gap` apart. A sender that is outside the group
+/// when its turn comes simply skips it.
+pub fn inject_proposals(
+    world: &mut World<SimMember>,
+    n: usize,
+    count: usize,
+    sem: Semantics,
+    after: Duration,
+    gap: Duration,
+) {
+    for k in 0..count {
+        let sender = ProcessId((k % n) as u16);
+        let t = world.now() + after + gap * k as i64;
+        let payload = Bytes::from(format!("u{k}"));
+        world.call_at(t, sender, move |a, ctx| {
+            let _ = a.propose(ctx, payload, sem);
+        });
+    }
+}
+
 /// Step the world until `pred` holds or `deadline` passes. Returns the
 /// time the predicate first held.
 pub fn run_until_pred<F>(
@@ -264,28 +291,9 @@ pub fn all_in_group(world: &World<SimMember>, expect_members: usize) -> bool {
         if world.status(p) != tw_sim::ProcessStatus::Up {
             return true;
         }
-        let m = &world.actor(p).member;
+        let m = world.actor(p).member();
         m.state() == crate::member::CreatorState::FailureFree && m.view().len() == expect_members
     })
-}
-
-/// Convenience predicate: all live members that are in a group share the
-/// same view id, and at least `min_members` are in a group.
-pub fn group_agreed(world: &World<SimMember>, min_members: usize) -> bool {
-    let mut ids = std::collections::BTreeSet::new();
-    let mut count = 0;
-    for i in 0..world.len() {
-        let p = ProcessId(i as u16);
-        if world.status(p) != tw_sim::ProcessStatus::Up {
-            continue;
-        }
-        let m = &world.actor(p).member;
-        if m.state() == crate::member::CreatorState::FailureFree && !m.view().is_empty() {
-            ids.insert(m.view().id);
-            count += 1;
-        }
-    }
-    ids.len() == 1 && count >= min_members
 }
 
 #[cfg(test)]
@@ -306,9 +314,9 @@ mod tests {
         let formed = run_until_pred(&mut w, SimTime::from_secs(10), |w| all_in_group(w, 3));
         assert!(formed.is_some(), "3-team never formed a group");
         // All three installed the same view.
-        let v0 = w.actor(ProcessId(0)).member.view().clone();
+        let v0 = w.actor(ProcessId(0)).member().view().clone();
         for i in 1..3u16 {
-            assert_eq!(w.actor(ProcessId(i)).member.view(), &v0);
+            assert_eq!(w.actor(ProcessId(i)).member().view(), &v0);
         }
         assert!(v0.is_majority_of(3));
     }
@@ -353,7 +361,7 @@ mod tests {
             w.run_until(SimTime::from_secs(8));
             (
                 w.stats().kind("decision").sends,
-                w.actor(ProcessId(0)).member.views_installed(),
+                w.actor(ProcessId(0)).member().views_installed(),
             )
         };
         assert_eq!(run(7), run(7));

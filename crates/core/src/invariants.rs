@@ -17,7 +17,9 @@
 //!   ascending sequence order;
 //! * **time-order** — each member delivers time-ordered updates in
 //!   non-decreasing send-timestamp order;
-//! * **no duplicates** — no member delivers the same update twice.
+//! * **no duplicates** — no member delivers the same update twice;
+//! * **log alignment** — every logged delivery carries the view it was
+//!   delivered in (the per-view checks above are blind without it).
 //!
 //! Every checker operates on a plain slice of member logs
 //! (`&[&SimMember]`), so any host that can produce logs — the seeded
@@ -50,7 +52,7 @@ pub fn check_all(world: &World<SimMember>) -> Vec<Violation> {
 /// Check every invariant over a slice of member logs (the member at
 /// index `i` must be process `i`; the slice length is the team size).
 pub fn check_all_members(members: &[&SimMember]) -> Vec<Violation> {
-    let mut v = Vec::new();
+    let mut v = check_log_alignment(members);
     v.extend(check_view_agreement(members));
     v.extend(check_majority(members));
     v.extend(check_total_order_agreement(members));
@@ -222,6 +224,24 @@ pub fn check_total_order_agreement(members: &[&SimMember]) -> Vec<Violation> {
         }
     }
     out
+}
+
+/// `deliveries` and `delivery_views` are one log in two columns; a host
+/// that grows one without the other makes
+/// [`check_total_order_agreement`] scope deliveries to the wrong views.
+pub fn check_log_alignment(members: &[&SimMember]) -> Vec<Violation> {
+    members
+        .iter()
+        .enumerate()
+        .filter(|(_, a)| a.deliveries.len() != a.delivery_views.len())
+        .map(|(i, a)| {
+            Violation(format!(
+                "p{i} logged {} deliveries but {} delivery views",
+                a.deliveries.len(),
+                a.delivery_views.len()
+            ))
+        })
+        .collect()
 }
 
 /// Split a member's delivery log into continuous lives (a crash-recovery

@@ -44,9 +44,9 @@
 //!
 //! The protocol core is **sans-I/O**: [`Member`] consumes timestamped
 //! inputs (messages, ticks, client proposals) and returns [`Action`]s.
-//! Adapters host it anywhere; [`harness`] runs whole teams on the
-//! deterministic simulator from [`tw_sim`], which is what the test-suite
-//! and the experiment harness use.
+//! [`driver::Driver`] is the one way hosts feed it; [`harness`] runs
+//! whole teams on the deterministic simulator from [`tw_sim`], which is
+//! what the test-suite and the experiment harness use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,6 +55,7 @@ pub mod buffers;
 pub mod config;
 pub mod delivery;
 pub mod detector;
+pub mod driver;
 pub mod events;
 pub mod explore;
 pub mod harness;
@@ -63,6 +64,7 @@ pub mod member;
 pub mod undeliverable;
 
 pub use config::Config;
+pub use driver::{AppEvent, DeliveryHook, Driver, Input};
 pub use events::{Action, Delivery, LeaveReason, MemberObservation};
 pub use member::{CreatorState, Member, ProposeError};
 

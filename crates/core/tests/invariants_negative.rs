@@ -9,15 +9,19 @@
 
 use bytes::Bytes;
 use timewheel::events::Delivery;
-use timewheel::harness::SimMember;
+use timewheel::harness::{
+    all_in_group, inject_proposals, run_until_pred, team_world, SimMember, TeamParams,
+};
 use timewheel::invariants::{
-    check_all_members, check_fifo, check_majority, check_no_duplicate_deliveries,
-    check_time_order, check_total_order_agreement, check_view_agreement,
+    check_all_members, check_fifo, check_log_alignment, check_majority,
+    check_no_duplicate_deliveries, check_time_order, check_total_order_agreement,
+    check_view_agreement,
 };
 use timewheel::{Config, Member};
 use tw_proto::{
     Duration, HwTime, Ordinal, ProcessId, ProposalId, Semantics, SyncTime, View, ViewId,
 };
+use tw_sim::SimTime;
 
 const N: usize = 3;
 
@@ -46,8 +50,7 @@ fn install(m: &mut SimMember, view: &View, t_us: i64) {
 }
 
 fn deliver(m: &mut SimMember, d: Delivery, vid: ViewId, t_us: i64) {
-    m.deliveries.push((HwTime::from_micros(t_us), d));
-    m.delivery_views.push(vid);
+    m.log_delivery(HwTime::from_micros(t_us), d, vid);
 }
 
 /// A majority view over members 0..k of an N-process team.
@@ -89,6 +92,50 @@ fn duplicate_delivery_is_flagged() {
     assert_eq!(viols.len(), 1, "{viols:?}");
     assert!(viols[0].0.contains("twice"), "{viols:?}");
     assert!(!check_all_members(&refs(&team)).is_empty());
+}
+
+#[test]
+fn delivery_logged_without_its_view_is_flagged() {
+    let v = view(1, 0, [0, 1, 2]);
+    let mut team: Vec<SimMember> = (0..N as u16).map(blank).collect();
+    for m in team.iter_mut() {
+        install(m, &v, 100);
+    }
+    deliver(&mut team[0], delivery(0, 1, Semantics::TOTAL_STRONG, 200), v.id, 300);
+    // What a hand-rolled applier does: grow one column of the log only.
+    // The per-view checkers would silently zip the tail away.
+    team[0].deliveries.push((
+        HwTime::from_micros(310),
+        delivery(0, 2, Semantics::TOTAL_STRONG, 210),
+    ));
+
+    let viols = check_log_alignment(&refs(&team));
+    assert_eq!(viols.len(), 1, "{viols:?}");
+    assert!(viols[0].0.contains("2 deliveries but 1 delivery views"), "{viols:?}");
+    assert!(!check_all_members(&refs(&team)).is_empty());
+}
+
+/// The positive control: the one real effect router never produces such
+/// a log. Every semantics of the 3×3 matrix, proposed through
+/// `SimMember::propose` — a proposer's own weak updates deliver inside the
+/// propose call itself and must carry their view like any other.
+#[test]
+fn proposing_through_the_sim_member_keeps_the_log_aligned() {
+    for sem in Semantics::matrix() {
+        let mut w = team_world(&TeamParams::new(N).seed(11));
+        run_until_pred(&mut w, SimTime::from_secs(10), |w| all_in_group(w, N)).unwrap();
+        let (after, gap) = (Duration::from_millis(100), Duration::from_millis(40));
+        inject_proposals(&mut w, N, 6, sem, after, gap);
+        w.run_for(Duration::from_secs(10));
+        for i in 0..N as u16 {
+            let a = w.actor(ProcessId(i));
+            assert_eq!(a.deliveries.len(), 6, "{sem}: p{i}");
+            let view = a.views.last().expect("formation installed a view").1.id;
+            assert_eq!(a.delivery_views, vec![view; 6], "{sem}: p{i}");
+            assert!(!a.leaves.is_empty(), "start-up is a logged departure");
+        }
+        timewheel::invariants::assert_all(&w);
+    }
 }
 
 #[test]

@@ -40,7 +40,7 @@ fn attach_recorders(
                     .expect("create recording"),
             );
             let tracer = Tracer::new(rec.clone() as Arc<dyn TraceSink>);
-            w.actor_mut(pid).member.set_tracer(tracer);
+            w.actor_mut(pid).member_mut().set_tracer(tracer);
             rec
         })
         .collect()

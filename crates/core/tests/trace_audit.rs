@@ -7,9 +7,7 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
-use timewheel::harness::{all_in_group, run_until_pred, team_world, TeamParams};
-use timewheel::Action;
+use timewheel::harness::{all_in_group, inject_proposals, run_until_pred, team_world, TeamParams};
 use tw_obs::{SharedAuditor, TraceEvent, TraceSink, Tracer, VecSink};
 use tw_proto::{Duration, ProcessId, Semantics};
 use tw_sim::{SimTime, World};
@@ -35,35 +33,7 @@ fn attach_tracers(
 ) {
     for i in 0..n {
         let tracer = Tracer::new(sink.clone() as Arc<dyn TraceSink>);
-        w.actor_mut(ProcessId(i as u16)).member.set_tracer(tracer);
-    }
-}
-
-/// Schedule `count` TOTAL_STRONG proposals from rotating senders.
-fn inject_proposals(
-    w: &mut World<timewheel::harness::SimMember>,
-    n: usize,
-    count: usize,
-    gap: Duration,
-) {
-    for k in 0..count {
-        let sender = ProcessId((k % n) as u16);
-        let t = w.now() + gap * (k + 1) as i64;
-        let payload = Bytes::from(format!("u{k}"));
-        w.call_at(t, sender, move |a, ctx| {
-            let actions = a
-                .member
-                .propose(ctx.now_hw(), payload, Semantics::TOTAL_STRONG)
-                .expect("member in group accepts proposals");
-            for act in actions {
-                match act {
-                    Action::Broadcast(m) => ctx.broadcast(m),
-                    Action::Send(to, m) => ctx.send(to, m),
-                    Action::Deliver(d) => a.deliveries.push((ctx.now_hw(), d)),
-                    _ => {}
-                }
-            }
-        });
+        w.actor_mut(ProcessId(i as u16)).member_mut().set_tracer(tracer);
     }
 }
 
@@ -92,7 +62,14 @@ fn failure_free_run_audits_clean() {
         .expect("group forms");
 
     const PROPOSALS: usize = 8;
-    inject_proposals(&mut w, N, PROPOSALS, cfg.cycle());
+    inject_proposals(
+        &mut w,
+        N,
+        PROPOSALS,
+        Semantics::TOTAL_STRONG,
+        cfg.cycle(),
+        cfg.cycle(),
+    );
     w.run_for(cfg.cycle() * (PROPOSALS as i64 + 6));
 
     let events = sink.events.snapshot();

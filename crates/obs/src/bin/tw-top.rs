@@ -1,9 +1,8 @@
 //! `tw-top` — live cluster telemetry viewer over the per-node ops plane.
 //!
 //! Attaches to N nodes' ops endpoints (`tw_obs::server::OpsServer`,
-//! spawned by `tw-runtime`'s `spawn_cluster_observed` /
-//! `ChaosCluster::spawn_observed`), scrapes `/healthz`, `/status` and
-//! `/metrics`, and renders one row per node: the member's own §6
+//! spawned by `tw-runtime`'s `ClusterBuilder::ops`), scrapes `/healthz`,
+//! `/status` and `/metrics`, and renders one row per node: the member's own §6
 //! fail-awareness verdict next to the runtime's self-observation
 //! signals (tick lag, inbox depth, recorder backlog, mmsg batch fill).
 //!

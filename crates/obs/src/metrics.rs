@@ -480,7 +480,9 @@ impl Snapshot {
     }
 }
 
-fn push_json_str(out: &mut String, s: &str) {
+/// Append `s` as a JSON string literal (the escaping every hand-built
+/// JSON emitter in the workspace shares).
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Duration as StdDuration;
 use timewheel::{Config, ProposeError};
 use tw_proto::{ProposalId, Semantics};
-use tw_runtime::{AppEvent, ExecutorKind, Node, NodeOutput};
+use tw_runtime::{AppEvent, ClusterBuilder, DeliveryHook, ExecutorKind, Node, NodeOutput};
 
 /// Why an [`RsmNode::execute`] call failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,16 +115,14 @@ where
         .map(|_| Arc::new(Mutex::new(MachineHost::new(make()))))
         .collect();
     let hook_machines = machines.clone();
-    let nodes = tw_runtime::spawn_cluster_with_hooks(kind, cfg, move |pid| {
-        let host = hook_machines[pid.rank()].clone();
-        Some(Box::new(move |ev: AppEvent<'_>| match ev {
-            AppEvent::Deliver(d) => Some(host.lock().apply_delivery(d)),
-            AppEvent::InstallSnapshot(b) => {
-                host.lock().install_snapshot(b);
-                Some(b.clone())
-            }
-        }) as tw_runtime::DeliveryHook)
-    });
+    let nodes = ClusterBuilder::new(cfg)
+        .executor(kind)
+        .hooks(move |pid| {
+            let host = hook_machines[pid.rank()].clone();
+            Some(Box::new(move |ev: AppEvent<'_>| host.lock().on_app_event(ev)) as DeliveryHook)
+        })
+        .spawn()
+        .expect("nothing attached that does I/O, spawn cannot fail");
     nodes
         .into_iter()
         .zip(machines)

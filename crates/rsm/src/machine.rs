@@ -6,7 +6,7 @@
 //! the protocol's delivery stream.
 
 use bytes::Bytes;
-use timewheel::Delivery;
+use timewheel::{AppEvent, Delivery};
 
 /// A deterministic service state.
 ///
@@ -82,6 +82,19 @@ impl<S: StateMachine> MachineHost<S> {
     /// Adopt a transferred snapshot (joining replica).
     pub fn install_snapshot(&mut self, snapshot: &[u8]) {
         self.machine = S::restore(snapshot);
+    }
+
+    /// The whole application hook: apply or install, and answer with the
+    /// snapshot the member should ship to joiners from now on. Hosts wrap
+    /// this in whatever sharing their threading model needs.
+    pub fn on_app_event(&mut self, ev: AppEvent<'_>) -> Option<Bytes> {
+        Some(match ev {
+            AppEvent::Deliver(d) => self.apply_delivery(d),
+            AppEvent::InstallSnapshot(b) => {
+                self.install_snapshot(b);
+                b.clone()
+            }
+        })
     }
 }
 

@@ -9,10 +9,9 @@
 use crate::machine::{MachineHost, StateMachine};
 use std::cell::RefCell;
 use std::rc::Rc;
-use timewheel::harness::{team_world, AppEvent, SimMember, TeamParams};
-use timewheel::Member;
+use timewheel::harness::{team_world, SimMember, TeamParams};
 use tw_proto::ProcessId;
-use tw_sim::{ClockConfig, World, WorldConfig};
+use tw_sim::World;
 
 /// Shared handle to one replica's machine (the simulator is
 /// single-threaded, so `Rc<RefCell<…>>` is the right tool).
@@ -26,38 +25,17 @@ where
     S: StateMachine,
     F: FnMut() -> S,
 {
-    // Build the same world team_world() would, but attach hooks.
-    let cfg = params.protocol_config();
-    let mut world = World::new(WorldConfig {
-        seed: params.seed,
-        link: params.link,
-        sched_jitter: tw_proto::Duration::ZERO,
-        trace: false,
-    });
-    let mut handles = Vec::with_capacity(params.n);
-    for i in 0..params.n {
-        let pid = ProcessId(i as u16);
-        let member = Member::new_unchecked(pid, cfg);
-        let host: MachineHandle<S> = Rc::new(RefCell::new(MachineHost::new(make())));
-        handles.push(host.clone());
-        let hook = Box::new(move |ev: AppEvent<'_>| match ev {
-            AppEvent::Deliver(d) => Some(host.borrow_mut().apply_delivery(d)),
-            AppEvent::InstallSnapshot(b) => {
-                host.borrow_mut().install_snapshot(b);
-                Some(b.clone())
-            }
-        });
-        let drift = if i % 2 == 0 {
-            params.drift_ppm
-        } else {
-            -params.drift_ppm
-        };
-        world.add_process(
-            SimMember::new(member).with_hook(hook),
-            ClockConfig::with_drift_ppm(drift),
-        );
-    }
-    let _ = team_world; // (same construction; kept for discoverability)
+    let mut world = team_world(params);
+    let handles = (0..params.n)
+        .map(|i| {
+            let host: MachineHandle<S> = Rc::new(RefCell::new(MachineHost::new(make())));
+            let hooked = host.clone();
+            world
+                .actor_mut(ProcessId(i as u16))
+                .set_hook(move |ev| hooked.borrow_mut().on_app_event(ev));
+            host
+        })
+        .collect();
     (world, handles)
 }
 
@@ -71,16 +49,7 @@ mod tests {
 
     fn propose_cmd(w: &mut World<SimMember>, at: SimTime, who: u16, cmd: bytes::Bytes) {
         w.call_at(at, ProcessId(who), move |a, ctx| {
-            if let Ok(actions) = a.member.propose(ctx.now_hw(), cmd, Semantics::TOTAL_STRONG) {
-                for act in actions {
-                    match act {
-                        timewheel::Action::Broadcast(m) => ctx.broadcast(m),
-                        timewheel::Action::Send(to, m) => ctx.send(to, m),
-                        timewheel::Action::Deliver(d) => a.deliveries.push((ctx.now_hw(), d)),
-                        _ => {}
-                    }
-                }
-            }
+            let _ = a.propose(ctx, cmd, Semantics::TOTAL_STRONG);
         });
     }
 
@@ -89,14 +58,21 @@ mod tests {
         let params = TeamParams::new(3);
         let (mut w, machines) = rsm_team(&params, Counter::default);
         run_until_pred(&mut w, SimTime::from_secs(30), |w| all_in_group(w, 3)).unwrap();
-        for (k, amount) in [(0u16, 5i64), (1, 7), (2, -3)] {
+        // The weak command delivers at its proposer inside the propose
+        // call itself: replica 0's machine must see it like any other.
+        let weak = Semantics::UNORDERED_WEAK;
+        let strong = Semantics::TOTAL_STRONG;
+        for (k, amount, sem) in [(0u16, 5i64, weak), (1, 7, strong), (2, -3, strong)] {
             let at = w.now() + Duration::from_millis(50 * (k as i64 + 1));
-            propose_cmd(&mut w, at, k, CounterCmd::Add(amount).to_bytes());
+            let cmd = CounterCmd::Add(amount).to_bytes();
+            w.call_at(at, ProcessId(k), move |a, ctx| {
+                let _ = a.propose(ctx, cmd, sem);
+            });
         }
         w.run_for(Duration::from_secs(5));
-        for m in &machines {
-            assert_eq!(m.borrow().machine().total(), 9);
-            assert_eq!(m.borrow().applied(), 3);
+        for (i, m) in machines.iter().enumerate() {
+            assert_eq!(m.borrow().machine().total(), 9, "replica {i}");
+            assert_eq!(m.borrow().applied(), 3, "replica {i}");
         }
     }
 

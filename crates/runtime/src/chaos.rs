@@ -1,6 +1,6 @@
 //! Chaos orchestration for real clusters.
 //!
-//! [`ChaosCluster`] spawns an in-process team whose every datagram flows
+//! [`ChaosCluster`] is an in-process team whose every datagram flows
 //! through a [`FaultTransport`] fabric, and whose nodes can be
 //! crash-stopped, restarted (rejoining via the §5 join path in a fresh
 //! incarnation), and paused/resumed to fake slow processing.
@@ -23,17 +23,12 @@
 
 use crate::fault::{ChaosNet, ChaosRng, FaultTransport, LinkPlan};
 use crate::metrics::NodeMetrics;
-use crate::node::{
-    spawn_node, DeliveryHook, ExecutorKind, Node, OpsSetup, OpsWiring, RecorderSetup, SpawnArgs,
-    INBOX_CAPACITY,
-};
-use crate::transport::{Incoming, InboxSender, node_inbox, Transport};
+use crate::node::{ClusterBuilder, Node, Wiring, INBOX_CAPACITY};
+use crate::transport::{node_inbox, InboxSender, Incoming, Transport};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-use timewheel::{Config, Member};
-use tw_obs::{
-    FaultKind, FlightRecorder, RecorderConfig, StreamSink, TeeSink, TraceEvent, TraceSink, Tracer,
-};
+use timewheel::Config;
+use tw_obs::{FaultKind, TraceEvent, Tracer};
 use tw_proto::{Incarnation, Msg, ProcessId};
 
 /// A switch any executor thread checks before dispatching: while
@@ -436,208 +431,76 @@ pub fn recovery_envelope(cfg: &Config) -> tw_proto::Duration {
 
 /// An in-process cluster wired for adversity: every datagram crosses a
 /// [`FaultTransport`] over a switchable mesh, and every node can be
-/// crashed, restarted, paused and resumed at runtime.
+/// crashed, restarted, paused and resumed at runtime. Built by
+/// [`ClusterBuilder::chaos`].
 pub struct ChaosCluster {
-    kind: ExecutorKind,
-    cfg: Config,
+    plan: ClusterBuilder,
     net: Arc<ChaosNet>,
     mesh: Arc<SwitchMesh>,
     wrapped: Vec<Arc<FaultTransport>>,
-    sinks: Vec<Option<Arc<dyn TraceSink>>>,
-    recorders: Vec<Option<Arc<FlightRecorder>>>,
     nodes: Vec<Option<Node>>,
     lives: Vec<u32>,
-    ops: Option<OpsSetup>,
 }
 
-impl ChaosCluster {
-    /// Spawn an untraced chaos cluster of `cfg.n` members.
-    pub fn spawn(kind: ExecutorKind, cfg: Config, seed: u64) -> ChaosCluster {
-        Self::spawn_inner(kind, cfg, seed, None, None, None)
-    }
-
-    /// Spawn a chaos cluster with a live ops endpoint per node (see
-    /// [`crate::spawn_cluster_observed`]): scrape `/metrics`, poll
-    /// `/healthz`, tail `/trace` while the fault fabric does its worst.
-    /// Restarted incarnations re-bind their rank's port; if the old
-    /// port is still in TIME_WAIT the node falls back to an ephemeral
-    /// one (rediscover it through [`ChaosCluster::ops_addr`]).
-    pub fn spawn_observed(
-        kind: ExecutorKind,
-        cfg: Config,
-        seed: u64,
-        ops: &OpsSetup,
-    ) -> ChaosCluster {
-        Self::spawn_inner(kind, cfg, seed, None, None, Some(ops.clone()))
-    }
-
-    /// Spawn a chaos cluster with a flight recorder per node (plus an
-    /// optional shared live sink, e.g. a [`tw_obs::SharedAuditor`]).
-    /// Restarted incarnations append to the same per-node recording.
-    pub fn spawn_recorded(
-        kind: ExecutorKind,
-        cfg: Config,
-        seed: u64,
-        setup: &RecorderSetup,
-        sink: Option<Arc<dyn TraceSink>>,
-    ) -> std::io::Result<ChaosCluster> {
-        Self::spawn_recorded_observed(kind, cfg, seed, setup, sink, None)
-    }
-
-    /// [`ChaosCluster::spawn_recorded`] plus an optional live ops
-    /// endpoint per node — the full telemetry plane under fault
-    /// injection: black-box recordings on disk, live scrape and trace
-    /// streaming on localhost TCP.
-    pub fn spawn_recorded_observed(
-        kind: ExecutorKind,
-        cfg: Config,
-        seed: u64,
-        setup: &RecorderSetup,
-        sink: Option<Arc<dyn TraceSink>>,
-        ops: Option<&OpsSetup>,
-    ) -> std::io::Result<ChaosCluster> {
-        std::fs::create_dir_all(&setup.dir)?;
-        let recorders = (0..cfg.n)
-            .map(|i| {
-                let pid = ProcessId(i as u16);
-                let rc = RecorderConfig::new(pid, cfg.n, cfg.epsilon).capacity(setup.capacity);
-                FlightRecorder::create(setup.path_for(pid), rc).map(Arc::new)
-            })
-            .collect::<std::io::Result<Vec<_>>>()?;
-        Ok(Self::spawn_inner(
-            kind,
-            cfg,
-            seed,
-            Some(recorders),
-            sink,
-            ops.cloned(),
-        ))
-    }
-
-    fn spawn_inner(
-        kind: ExecutorKind,
-        cfg: Config,
-        seed: u64,
-        recorders: Option<Vec<Arc<FlightRecorder>>>,
-        sink: Option<Arc<dyn TraceSink>>,
-        ops: Option<OpsSetup>,
-    ) -> ChaosCluster {
-        let n = cfg.n;
+impl ClusterBuilder {
+    /// Start the team as a [`ChaosCluster`] whose fault fabric is seeded
+    /// with `seed`. Everything else the builder attached applies to
+    /// every incarnation of every node: restarted members append to the
+    /// same recording, re-run `hooks`, and re-bind their rank's ops port
+    /// (falling back to an ephemeral one if the old port is still in
+    /// TIME_WAIT — rediscover it through [`ChaosCluster::ops_addr`]).
+    /// Chaos clusters run on the in-process mesh; [`ClusterBuilder::udp`]
+    /// does not apply.
+    pub fn chaos(mut self, seed: u64) -> std::io::Result<ChaosCluster> {
+        self.resolve()?;
+        let n = self.cfg.n;
         let net = ChaosNet::new(seed);
         let mesh = SwitchMesh::new(n);
         let team: Vec<ProcessId> = (0..n).map(|i| ProcessId(i as u16)).collect();
-        let mut wrapped = Vec::with_capacity(n);
-        let mut sinks = Vec::with_capacity(n);
-        let mut recs = Vec::with_capacity(n);
-        for (i, &pid) in team.iter().enumerate() {
-            let recorder = recorders.as_ref().map(|rs| rs[i].clone());
-            let node_sink: Option<Arc<dyn TraceSink>> = match (&sink, &recorder) {
-                (Some(s), Some(r)) => Some(Arc::new(TeeSink::new(vec![
-                    r.clone() as Arc<dyn TraceSink>,
-                    s.clone(),
-                ]))),
-                (Some(s), None) => Some(s.clone()),
-                (None, Some(r)) => Some(r.clone() as Arc<dyn TraceSink>),
-                (None, None) => None,
-            };
-            let tracer = match &node_sink {
-                Some(s) => Tracer::new(s.clone()),
-                None => Tracer::disabled(),
-            };
-            wrapped.push(FaultTransport::new(
-                pid,
-                team.clone(),
-                mesh.clone() as Arc<dyn Transport>,
-                net.clone(),
-                tracer,
-            ));
-            sinks.push(node_sink);
-            recs.push(recorder);
-        }
+        let wrapped = team
+            .iter()
+            .map(|&pid| {
+                let tracer = match &self.sinks[pid.rank()] {
+                    Some(s) => Tracer::new(s.clone()),
+                    None => Tracer::disabled(),
+                };
+                let below = mesh.clone() as Arc<dyn Transport>;
+                FaultTransport::new(pid, team.clone(), below, net.clone(), tracer)
+            })
+            .collect();
         let mut cluster = ChaosCluster {
-            kind,
-            cfg,
+            plan: self,
             net,
             mesh,
             wrapped,
-            sinks,
-            recorders: recs,
             nodes: (0..n).map(|_| None).collect(),
             lives: vec![0; n],
-            ops,
         };
         for rank in 0..n {
-            cluster.start_node(rank);
+            cluster.start_node(rank)?;
         }
-        cluster
+        Ok(cluster)
     }
+}
 
+impl ChaosCluster {
     /// Spawn (or respawn) the member at `rank` as incarnation
     /// `lives[rank]`, plugging a fresh bounded inbox into the mesh.
-    fn start_node(&mut self, rank: usize) {
-        let pid = ProcessId(rank as u16);
-        // A restarted incarnation re-binds its rank's ops port; if the
-        // old listener's accepted sockets still hold it (TIME_WAIT),
-        // fall back to an ephemeral port rather than failing the
-        // restart — the harness rediscovers addresses via ops_addr().
-        let attempts: Vec<Option<String>> = match &self.ops {
-            Some(o) => vec![Some(o.addr_for(rank)), Some("127.0.0.1:0".to_string())],
-            None => vec![None],
+    fn start_node(&mut self, rank: usize) -> std::io::Result<()> {
+        let metrics = NodeMetrics::new();
+        let (tx, inbox) = node_inbox(INBOX_CAPACITY, Some(metrics.inbox_dropped()));
+        self.mesh.set_slot(rank, Some(tx));
+        let wiring = Wiring {
+            inbox,
+            transport: self.wrapped[rank].clone(),
+            udp: None,
+            extra_handles: Vec::new(),
+            metrics,
+            clock: Arc::new(self.net.clock()),
         };
-        let last = attempts.len() - 1;
-        for (attempt, addr) in attempts.into_iter().enumerate() {
-            let metrics = NodeMetrics::new();
-            let (tx, rx) = node_inbox(INBOX_CAPACITY, Some(metrics.inbox_dropped()));
-            let mut member = Member::new_unchecked(pid, self.cfg);
-            member.force_incarnation(Incarnation(self.lives[rank]));
-            let stream = self.ops.as_ref().map(|o| {
-                Arc::new(StreamSink::new(
-                    pid,
-                    self.cfg.n,
-                    self.cfg.epsilon,
-                    o.stream_capacity,
-                ))
-            });
-            let tracer_sink: Option<Arc<dyn TraceSink>> = match (&self.sinks[rank], &stream) {
-                (Some(s), Some(st)) => Some(Arc::new(TeeSink::new(vec![
-                    s.clone(),
-                    st.clone() as Arc<dyn TraceSink>,
-                ]))),
-                (Some(s), None) => Some(s.clone()),
-                (None, Some(st)) => Some(st.clone() as Arc<dyn TraceSink>),
-                (None, None) => None,
-            };
-            if let Some(s) = tracer_sink {
-                member.set_tracer(Tracer::new(s));
-            }
-            self.mesh.set_slot(rank, Some(tx));
-            let hook: Option<DeliveryHook> = None;
-            match spawn_node(SpawnArgs {
-                kind: self.kind,
-                member,
-                inbox: rx,
-                transport: self.wrapped[rank].clone() as Arc<dyn Transport>,
-                udp: None,
-                extra_handles: Vec::new(),
-                hook,
-                recorder: self.recorders[rank].clone(),
-                metrics,
-                clock: Arc::new(self.net.clock()),
-                ops: addr.map(|a| OpsWiring {
-                    addr: a,
-                    stream: stream.clone(),
-                }),
-            }) {
-                Ok(node) => {
-                    self.nodes[rank] = Some(node);
-                    return;
-                }
-                Err(e) if attempt < last => {
-                    let _ = e; // retry on the ephemeral address
-                }
-                Err(e) => panic!("ops endpoint bind failed for node {rank}: {e}"),
-            }
-        }
+        let life = Incarnation(self.lives[rank]);
+        self.nodes[rank] = Some(self.plan.start(rank, life, wiring, true)?);
+        Ok(())
     }
 
     /// The ops endpoint address of the node at `rank` (`None` while
@@ -653,7 +516,7 @@ impl ChaosCluster {
 
     /// The cluster configuration.
     pub fn config(&self) -> &Config {
-        &self.cfg
+        &self.plan.cfg
     }
 
     /// The live node at `rank`, if not currently crashed.
@@ -676,7 +539,7 @@ impl ChaosCluster {
     /// fabric's ledger.
     fn emit_fault(&self, rank: usize, kind: FaultKind, target: ProcessId, arg: u32) {
         self.net.count(kind);
-        if let Some(s) = self.sinks.get(rank).and_then(|s| s.as_ref()) {
+        if let Some(s) = self.plan.sinks.get(rank).and_then(|s| s.as_ref()) {
             s.record(&TraceEvent::FaultInjected {
                 pid: ProcessId(rank as u16),
                 at: self.net.stamp(),
@@ -704,7 +567,8 @@ impl ChaosCluster {
         let rank = pid.rank();
         if rank < self.nodes.len() && self.nodes[rank].is_none() {
             self.lives[rank] += 1;
-            self.start_node(rank);
+            self.start_node(rank)
+                .unwrap_or_else(|e| panic!("ops endpoint bind failed for node {rank}: {e}"));
             self.emit_fault(rank, FaultKind::Restart, pid, arg);
         }
     }
@@ -766,7 +630,8 @@ impl ChaosCluster {
 
     /// Paths of the per-node recording files, when recording.
     pub fn recording_paths(&self) -> Vec<std::path::PathBuf> {
-        self.recorders
+        self.plan
+            .recorders
             .iter()
             .flatten()
             .map(|r| r.path().to_path_buf())

@@ -12,16 +12,18 @@
 //! outbound traffic leaves through one [`OutBatch`] flush (one datagram
 //! per destination, one vectored syscall on Linux).
 //!
-//! Every dispatch (handler entry through actions applied) is timed into
-//! the node's `dispatch_latency_us` histogram, making the §5 latency
-//! argument measurable: compare this distribution against the
-//! thread-based executor's lock-and-switch overhead.
+//! The loop only schedules: every input goes through the one
+//! [`Dispatcher::dispatch`](crate::node::Dispatcher), which times it
+//! (step through flush) into the node's `dispatch_latency_us` histogram,
+//! making the §5 latency argument measurable: compare this distribution
+//! against the thread-based executor's lock-and-switch overhead.
 
-use crate::node::{apply_actions, NodeCommand, NodeOutput, NodeParts};
-use crate::transport::{Incoming, OutBatch};
+use crate::node::{NodeCommand, NodeParts};
+use crate::transport::Incoming;
 use bytes::Bytes;
 use std::time::Duration as StdDuration;
 use std::time::Instant;
+use timewheel::Input;
 use tw_proto::Semantics;
 
 /// Most propose commands drained into one batch (bounds the latency a
@@ -30,44 +32,25 @@ const MAX_PROPOSE_DRAIN: usize = 256;
 
 pub(crate) fn run(parts: NodeParts) {
     let NodeParts {
-        mut member,
+        mut dispatcher,
         inbox,
         cmds,
-        out,
-        transport,
         clock,
-        mut hook,
-        metrics,
         recorder,
         gate,
-        status,
     } = parts;
     // Held on this stack so the flight recorder's tail is spilled even
     // if a handler panics and unwinds this thread (the Node's own Arc
     // keeps the recorder alive, so Drop alone would not fire here).
     let recorder_watch = recorder.clone();
     let _recorder_guard = tw_obs::FlushGuard::new(recorder);
+    let metrics = dispatcher.metrics.clone();
     let inbox_depth = metrics.inbox_depth();
     let recorder_buffered = metrics.recorder_buffered();
-    let pid = member.pid();
-    let tick = member.config().tick;
-    let resync = member.config().clock.resync_interval;
-    // The executor's long-lived outbound batch: reused across
-    // dispatches so encoder scratch amortizes to zero allocations.
-    let mut batch = OutBatch::new();
+    let tick = dispatcher.driver.member().config().tick;
 
     let now = clock.now_hw();
-    let mut next_clock = now + resync;
-    let actions = member.on_start(now);
-    let (t, snap) = apply_actions(
-        pid, actions, &*transport, &out, now, &mut hook, &metrics, &mut batch,
-    );
-    if let Some(t) = t {
-        next_clock = t;
-    }
-    if let Some(s) = snap {
-        member.set_app_snapshot(s);
-    }
+    dispatcher.dispatch(Instant::now(), now, Input::Start);
     let mut next_tick = now + tick;
     let mut shutdown = false;
 
@@ -77,36 +60,18 @@ pub(crate) fn run(parts: NodeParts) {
         gate.block_while_paused();
 
         let now = clock.now_hw();
-        let deadline = next_tick.min(next_clock);
+        let deadline = next_tick.min(dispatcher.driver.clock_deadline());
         let wait_us = (deadline - now).as_micros().max(0) as u64;
 
-        crossbeam::channel::select! {
+        let input = crossbeam::channel::select! {
             recv(inbox) -> m => match m {
-                Ok(inc) => {
-                    let started = Instant::now();
-                    let now = clock.now_hw();
-                    let actions = match inc {
-                        Incoming::Msg(from, msg) => member.on_message(now, from, msg),
-                        // One coalesced datagram → one dispatch.
-                        Incoming::Batch(from, msgs) => member.on_messages(now, from, msgs),
-                    };
-                    let (t, snap) = apply_actions(
-                        pid, actions, &*transport, &out, now, &mut hook, &metrics, &mut batch,
-                    );
-                    metrics.on_dispatch(started);
-                    if let Some(t) = t {
-                        next_clock = t;
-                    }
-                    if let Some(s) = snap {
-                        member.set_app_snapshot(s);
-                    }
-                }
+                Ok(Incoming::Msg(from, msg)) => Some(Input::Message(from, msg)),
+                // One coalesced datagram → one dispatch.
+                Ok(Incoming::Batch(from, msgs)) => Some(Input::Messages(from, msgs)),
                 Err(_) => break, // transport gone
             },
             recv(cmds) -> c => match c {
                 Ok(NodeCommand::Propose(payload, sem)) => {
-                    let started = Instant::now();
-                    let now = clock.now_hw();
                     // Drain whatever else the client already queued into
                     // the same batch: under load, many updates share one
                     // dispatch and one multi-frame datagram; an idle
@@ -123,59 +88,26 @@ pub(crate) fn run(parts: NodeParts) {
                             Err(_) => break,
                         }
                     }
-                    match member.propose_batch(now, updates) {
-                        Ok(actions) => {
-                            let (t, snap) = apply_actions(
-                                pid, actions, &*transport, &out, now, &mut hook, &metrics,
-                                &mut batch,
-                            );
-                            metrics.on_dispatch(started);
-                            if let Some(t) = t {
-                                next_clock = t;
-                            }
-                            if let Some(s) = snap {
-                                member.set_app_snapshot(s);
-                            }
-                        }
-                        Err(e) => {
-                            let _ = out.send(NodeOutput::ProposeRejected(e));
-                        }
-                    }
+                    Some(Input::Propose(updates))
                 }
                 Ok(NodeCommand::Shutdown) | Err(_) => break,
             },
-            default(StdDuration::from_micros(wait_us)) => {}
+            default(StdDuration::from_micros(wait_us)) => None,
+        };
+        if let Some(input) = input {
+            dispatcher.dispatch(Instant::now(), clock.now_hw(), input);
         }
 
         let now = clock.now_hw();
         if now >= next_tick {
             metrics.on_tick_lag((now - next_tick).as_micros().max(0) as u64);
-            let started = Instant::now();
-            let actions = member.on_tick(now);
-            let (t, snap) = apply_actions(
-                pid, actions, &*transport, &out, now, &mut hook, &metrics, &mut batch,
-            );
-            metrics.on_dispatch(started);
-            if let Some(t) = t {
-                next_clock = t;
-            }
-            if let Some(s) = snap {
-                member.set_app_snapshot(s);
-            }
+            dispatcher.dispatch(Instant::now(), now, Input::Tick);
             next_tick = now + tick;
         }
+        let next_clock = dispatcher.driver.clock_deadline();
         if now >= next_clock {
             metrics.on_deadline_overrun((now - next_clock).as_micros().max(0) as u64);
-            let started = Instant::now();
-            let actions = member.on_clock_tick(now);
-            let (t, _) = apply_actions(
-                pid, actions, &*transport, &out, now, &mut hook, &metrics, &mut batch,
-            );
-            metrics.on_dispatch(started);
-            match t {
-                Some(t) => next_clock = t,
-                None => next_clock = now + resync,
-            }
+            dispatcher.dispatch(Instant::now(), now, Input::ClockTick);
         }
 
         // Standing-backlog gauges: sampled once per loop iteration, not
@@ -187,11 +119,6 @@ pub(crate) fn run(parts: NodeParts) {
 
         // Publish the member's locally observed status (§6
         // fail-awareness) for harness-side checks.
-        let now = clock.now_hw();
-        status.publish(crate::chaos::NodeStatus {
-            up_to_date: member.is_up_to_date(now),
-            view_len: member.view().len(),
-            view_seq: member.view().id.seq,
-        });
+        dispatcher.publish_status(clock.now_hw());
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! The protocol core ([`timewheel::Member`]) is a sans-I/O state machine;
 //! this crate hosts it on real threads, real clocks and real (or
-//! in-memory) datagrams. Two executors are provided, mirroring the
-//! paper's §5 implementation discussion:
+//! in-memory) datagrams. Two executors schedule the one
+//! [`timewheel::Driver`], mirroring the paper's §5 implementation
+//! discussion:
 //!
 //! * [`event_loop`] — the design the paper chose: a **single-threaded
 //!   event handler** per process that demultiplexes message arrivals,
@@ -61,9 +62,8 @@ pub use fault::{ChaosNet, ChaosRng, FaultTransport, LinkPlan};
 pub use metrics::NodeMetrics;
 #[cfg(not(loom))]
 pub use node::{
-    spawn_cluster, spawn_cluster_observed, spawn_cluster_recorded, spawn_cluster_recorded_traced,
-    spawn_cluster_traced, spawn_cluster_with_hooks, spawn_udp_cluster, spawn_udp_cluster_observed,
-    AppEvent, DeliveryHook, ExecutorKind, Node, NodeCommand, NodeOutput, OpsSetup, RecorderSetup,
+    spawn_cluster, spawn_udp_cluster, AppEvent, ClusterBuilder, DeliveryHook, ExecutorKind, Node,
+    NodeCommand, NodeOutput, OpsSetup, RecorderSetup,
 };
 #[cfg(not(loom))]
 pub use mmsg::BatchSocket;
@@ -79,8 +79,8 @@ pub mod prelude {
     pub use crate::fault::{ChaosNet, ChaosRng, FaultTransport, LinkPlan};
     pub use crate::metrics::NodeMetrics;
     pub use crate::node::{
-        spawn_cluster, spawn_cluster_observed, spawn_cluster_recorded, spawn_cluster_traced,
-        spawn_udp_cluster, ExecutorKind, Node, OpsSetup, RecorderSetup,
+        spawn_cluster, spawn_udp_cluster, ClusterBuilder, ExecutorKind, Node, OpsSetup,
+        RecorderSetup,
     };
     pub use crate::transport::{MemTransport, OutBatch, Transport, UdpTransport, WireStats};
 }

@@ -2,9 +2,11 @@
 //!
 //! A [`Node`] owns the threads hosting one protocol member and exposes a
 //! command channel (propose, shutdown) plus an output channel
-//! (deliveries, view installations, departures). [`spawn_cluster`] builds
-//! an in-process team over [`MemTransport`]; [`spawn_udp_cluster`] builds
-//! one over real UDP sockets.
+//! (deliveries, view installations, departures). [`ClusterBuilder`] is
+//! the one way to assemble a team of them — over the in-process
+//! [`MemTransport`] mesh or real UDP sockets, with any combination of
+//! application hooks, trace sinks, flight recorders and ops endpoints,
+//! or as a fault-injected [`ChaosCluster`](crate::ChaosCluster).
 
 use crate::chaos::{NodeStatus, PauseGate, StatusCell};
 use crate::clock::{RealClock, RuntimeClock};
@@ -15,14 +17,16 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 use timewheel::events::LeaveReason;
 use timewheel::member::broadcast::ProposeError;
-use timewheel::{Config, Delivery, Member};
+use timewheel::{Action, Config, Delivery, Driver, Input, Member};
+pub use timewheel::{AppEvent, DeliveryHook};
 use tw_obs::{
     FlightRecorder, OpsServer, OpsSources, RecorderConfig, Snapshot, StreamSink, TeeSink,
     TraceSink, Tracer,
 };
-use tw_proto::{ProcessId, Semantics, View};
+use tw_proto::{HwTime, Incarnation, ProcessId, Semantics, View};
 
 /// Commands a client can send to its node.
 #[derive(Debug)]
@@ -205,61 +209,90 @@ impl Node {
     }
 }
 
-/// What the application hook is called with.
-#[derive(Debug)]
-pub enum AppEvent<'a> {
-    /// An update was delivered (apply it).
-    Deliver(&'a Delivery),
-    /// A join-time snapshot arrived (replace the application state).
-    InstallSnapshot(&'a Bytes),
+/// One member as an executor sees it: the driver plus everything its
+/// effects are routed to. Both executors feed every input through
+/// [`Dispatcher::dispatch`]; they differ only in who calls it when.
+pub(crate) struct Dispatcher {
+    pub driver: Driver,
+    hook: Option<DeliveryHook>,
+    /// Long-lived outbound batch: reused across dispatches so encoder
+    /// scratch amortizes to zero allocations.
+    batch: OutBatch,
+    transport: Arc<dyn Transport>,
+    out: Sender<NodeOutput>,
+    pub metrics: Arc<NodeMetrics>,
+    status: Arc<StatusCell>,
 }
 
-/// Application hook run inside the executor on every delivery and on
-/// join-time snapshot installation; a `Some(snapshot)` return value
-/// becomes the member's fresh application snapshot (shipped to
-/// joiners), keeping application state and protocol state consistent by
-/// construction.
-pub type DeliveryHook = Box<dyn FnMut(AppEvent<'_>) -> Option<Bytes> + Send>;
+impl Dispatcher {
+    /// One dispatch: step the driver at `now`, route its effects —
+    /// messages into the outbound batch, the rest to the client — and put
+    /// the batch on the wire in one [`Transport::flush`] (on UDP: one
+    /// coalesced datagram per destination, one vectored syscall). The span
+    /// from `started` to here lands in `dispatch_latency_us`, for every
+    /// kind of input.
+    pub(crate) fn dispatch(&mut self, started: Instant, now: HwTime, input: Input) {
+        match self.driver.step(now, input, &mut self.hook) {
+            Ok(effects) => {
+                for e in effects {
+                    match e {
+                        Action::Broadcast(m) => {
+                            self.metrics.on_send(m.kind());
+                            self.batch.push_broadcast(m);
+                        }
+                        Action::Send(to, m) => {
+                            self.metrics.on_send(m.kind());
+                            self.batch.push_send(to, m);
+                        }
+                        Action::Deliver(d) => {
+                            self.metrics.on_delivery();
+                            let _ = self.out.send(NodeOutput::Delivery(d));
+                        }
+                        Action::InstallView(v) => {
+                            self.metrics.on_view();
+                            let _ = self.out.send(NodeOutput::View(v));
+                        }
+                        Action::LeftGroup { reason } => {
+                            let _ = self.out.send(NodeOutput::Left(reason));
+                        }
+                        Action::ScheduleClockTick(_) | Action::InstallAppState(_) => {
+                            unreachable!("consumed by Driver::step")
+                        }
+                    }
+                }
+                self.transport
+                    .flush(self.driver.member().pid(), &mut self.batch);
+            }
+            Err(e) => {
+                let _ = self.out.send(NodeOutput::ProposeRejected(e));
+            }
+        }
+        self.metrics.on_dispatch(started);
+    }
 
+    /// Publish the member's locally observed status (§6 fail-awareness)
+    /// for harness-side checks and the ops endpoint.
+    pub(crate) fn publish_status(&self, now: HwTime) {
+        let member = self.driver.member();
+        self.status.publish(NodeStatus {
+            up_to_date: member.is_up_to_date(now),
+            view_len: member.view().len(),
+            view_seq: member.view().id.seq,
+        });
+    }
+}
+
+/// What an executor thread is handed.
 pub(crate) struct NodeParts {
-    pub member: Member,
+    pub dispatcher: Dispatcher,
     pub inbox: Receiver<Incoming>,
     pub cmds: Receiver<NodeCommand>,
-    pub out: Sender<NodeOutput>,
-    pub transport: Arc<dyn Transport>,
     pub clock: Arc<dyn RuntimeClock + Sync>,
-    pub hook: Option<DeliveryHook>,
-    pub metrics: Arc<NodeMetrics>,
     /// The node's black box; the executor holds a flush guard on its
     /// stack so the tail is persisted even on panic unwind.
     pub recorder: Option<Arc<FlightRecorder>>,
     /// Chaos pause switch; executors check it before every dispatch.
     pub gate: Arc<PauseGate>,
-    /// Where the executor publishes the member's observed status.
-    pub status: Arc<StatusCell>,
-}
-
-/// Per-node ops wiring resolved by the cluster spawner: where the ops
-/// server should listen and the live stream (already teed into the
-/// member's tracer) it should serve at `/trace`.
-pub(crate) struct OpsWiring {
-    pub addr: String,
-    pub stream: Option<Arc<StreamSink>>,
-}
-
-/// Everything [`spawn_node`] needs to host one member.
-pub(crate) struct SpawnArgs {
-    pub kind: ExecutorKind,
-    pub member: Member,
-    pub inbox: Receiver<Incoming>,
-    pub transport: Arc<dyn Transport>,
-    pub udp: Option<Arc<UdpTransport>>,
-    pub extra_handles: Vec<std::thread::JoinHandle<()>>,
-    pub hook: Option<DeliveryHook>,
-    pub recorder: Option<Arc<FlightRecorder>>,
-    pub metrics: Arc<NodeMetrics>,
-    pub clock: Arc<dyn RuntimeClock + Sync>,
-    pub ops: Option<OpsWiring>,
 }
 
 /// Render the `/status` payload from the executor-published
@@ -270,81 +303,6 @@ fn status_json(pid: ProcessId, s: NodeStatus) -> String {
         "{{\"pid\":{},\"up_to_date\":{},\"view_len\":{},\"view_seq\":{}}}",
         pid.0, s.up_to_date, s.view_len, s.view_seq
     )
-}
-
-pub(crate) fn spawn_node(args: SpawnArgs) -> std::io::Result<Node> {
-    let SpawnArgs {
-        kind,
-        member,
-        inbox,
-        transport,
-        udp,
-        mut extra_handles,
-        hook,
-        recorder,
-        metrics,
-        clock,
-        ops,
-    } = args;
-    let pid = member.pid();
-    let (cmd_tx, cmd_rx) = unbounded();
-    let (out_tx, out_rx) = unbounded();
-    let gate = Arc::new(PauseGate::new());
-    let status = Arc::new(StatusCell::new());
-    // Bind the ops endpoint before the member threads start so a port
-    // clash surfaces as an error here, not a half-observable node.
-    let (ops_server, stream) = match ops {
-        Some(wiring) => {
-            let status_for_json = status.clone();
-            let status_for_health = status.clone();
-            let sources = OpsSources {
-                registry: metrics.shared_registry(),
-                labels: vec![("pid".to_string(), pid.0.to_string())],
-                status_json: Arc::new(move || status_json(pid, status_for_json.read())),
-                // Health is the §6 fail-awareness verdict: the member's
-                // own judgement of whether it is up to date, not mere
-                // process liveness (liveness is the TCP connect itself).
-                healthy: Arc::new(move || status_for_health.read().up_to_date),
-            };
-            let server = OpsServer::bind(wiring.addr.as_str(), sources, wiring.stream.clone())?;
-            (Some(server), wiring.stream)
-        }
-        None => (None, None),
-    };
-    let parts = NodeParts {
-        member,
-        inbox,
-        cmds: cmd_rx,
-        out: out_tx,
-        transport,
-        clock,
-        hook,
-        metrics: metrics.clone(),
-        recorder: recorder.clone(),
-        gate: gate.clone(),
-        status: status.clone(),
-    };
-    let main = std::thread::Builder::new()
-        .name(format!("tw-node-{pid}"))
-        .spawn(move || match kind {
-            ExecutorKind::EventLoop => crate::event_loop::run(parts),
-            ExecutorKind::Threaded => crate::threaded::run(parts),
-        })
-        .expect("spawn node thread");
-    extra_handles.push(main);
-    Ok(Node {
-        pid,
-        cmds: cmd_tx,
-        outputs: out_rx,
-        handles: extra_handles,
-        udp,
-        metrics,
-        recorder,
-        gate,
-        status,
-        ops: ops_server,
-        stream,
-    })
 }
 
 /// Where a cluster's per-node ops endpoints listen and how their live
@@ -395,49 +353,6 @@ impl OpsSetup {
     }
 }
 
-/// Start an in-process team of `n` members over channel datagrams.
-pub fn spawn_cluster(kind: ExecutorKind, cfg: Config) -> Vec<Node> {
-    spawn_cluster_with_hooks(kind, cfg, |_| None)
-}
-
-/// Start an in-process team, attaching a per-node application hook
-/// (see [`DeliveryHook`]); `make_hook` is called once per node.
-pub fn spawn_cluster_with_hooks(
-    kind: ExecutorKind,
-    cfg: Config,
-    make_hook: impl FnMut(ProcessId) -> Option<DeliveryHook>,
-) -> Vec<Node> {
-    spawn_cluster_inner(kind, cfg, make_hook, None, None, None)
-        .expect("no ops endpoints requested, spawn cannot fail")
-}
-
-/// Start an in-process team with every member's trace stream attached to
-/// `sink` — e.g. a [`tw_obs::SharedAuditor`] checking the protocol's
-/// invariants live, or a [`tw_obs::VecSink`] capturing events for later
-/// analysis. Events from all members interleave on the one sink; each
-/// event carries its emitting process id.
-pub fn spawn_cluster_traced(
-    kind: ExecutorKind,
-    cfg: Config,
-    sink: Arc<dyn TraceSink>,
-) -> Vec<Node> {
-    spawn_cluster_inner(kind, cfg, |_| None, Some(sink), None, None)
-        .expect("no ops endpoints requested, spawn cannot fail")
-}
-
-/// Start an in-process team with a live ops endpoint per node: each
-/// member serves `/metrics` (Prometheus text), `/status` (JSON),
-/// `/healthz` (the member's own §6 fail-awareness verdict) and `/trace`
-/// (a TWFR-framed live stream of its trace events) on localhost TCP.
-/// `tw-top` and any Prometheus scraper attach to these addresses.
-pub fn spawn_cluster_observed(
-    kind: ExecutorKind,
-    cfg: Config,
-    ops: &OpsSetup,
-) -> std::io::Result<Vec<Node>> {
-    spawn_cluster_inner(kind, cfg, |_| None, None, None, Some(ops))
-}
-
 /// Where and how a cluster's flight recorders write their per-node
 /// recording files (`<dir>/node-<pid>.twrec`).
 #[derive(Debug, Clone)]
@@ -471,249 +386,349 @@ impl RecorderSetup {
     }
 }
 
-/// Start an in-process team with a [`FlightRecorder`] attached to every
-/// node: each member's trace stream is spilled crash-safely to
-/// `<dir>/node-<pid>.twrec`, flushed at every view installation and on
-/// shutdown or panic. The recordings are the input to the `tw-trace`
-/// analyzer.
-pub fn spawn_cluster_recorded(
+/// The one way to assemble a cluster: say what the team runs on and what
+/// is attached to every node, then [`spawn`](ClusterBuilder::spawn) it —
+/// or hand it to [`chaos`](ClusterBuilder::chaos) for a fault-injected
+/// one. Defaults: event-loop executor, in-process channel mesh, nothing
+/// attached.
+pub struct ClusterBuilder {
+    pub(crate) cfg: Config,
     kind: ExecutorKind,
-    cfg: Config,
-    setup: &RecorderSetup,
-) -> std::io::Result<Vec<Node>> {
-    spawn_cluster_recorded_traced(kind, cfg, setup, None)
-}
-
-/// [`spawn_cluster_recorded`] plus a shared live sink (e.g. a
-/// [`tw_obs::SharedAuditor`]): every event goes to both the node's
-/// recorder and `sink`.
-pub fn spawn_cluster_recorded_traced(
-    kind: ExecutorKind,
-    cfg: Config,
-    setup: &RecorderSetup,
+    udp: bool,
+    make_hook: Box<dyn FnMut(ProcessId) -> Option<DeliveryHook> + Send>,
     sink: Option<Arc<dyn TraceSink>>,
-) -> std::io::Result<Vec<Node>> {
-    std::fs::create_dir_all(&setup.dir)?;
-    // Create every recording file up front so I/O errors surface here,
-    // not inside node threads.
-    let recorders = (0..cfg.n)
-        .map(|i| {
-            let pid = ProcessId(i as u16);
-            let rc = RecorderConfig::new(pid, cfg.n, cfg.epsilon).capacity(setup.capacity);
-            FlightRecorder::create(setup.path_for(pid), rc).map(Arc::new)
-        })
-        .collect::<std::io::Result<Vec<_>>>()?;
-    spawn_cluster_inner(kind, cfg, |_| None, sink, Some(recorders), None)
+    record: Option<RecorderSetup>,
+    ops: Option<OpsSetup>,
+    /// Per rank, once resolved: the flight recorder, when recording.
+    pub(crate) recorders: Vec<Option<Arc<FlightRecorder>>>,
+    /// Per rank, once resolved: recorder plus shared sink — the part of a
+    /// node's trace plumbing that outlives an incarnation.
+    pub(crate) sinks: Vec<Option<Arc<dyn TraceSink>>>,
 }
 
-/// Combine a node's optional sinks (recorder, shared live sink, ops
-/// stream) into the single [`TraceSink`] its tracer writes to.
-fn combine_sinks(
-    recorder: &Option<Arc<FlightRecorder>>,
-    shared: &Option<Arc<dyn TraceSink>>,
-    stream: &Option<Arc<StreamSink>>,
-) -> Option<Arc<dyn TraceSink>> {
-    let mut sinks: Vec<Arc<dyn TraceSink>> = Vec::new();
-    if let Some(r) = recorder {
-        sinks.push(r.clone());
+impl ClusterBuilder {
+    /// A team of `cfg.n` members.
+    pub fn new(cfg: Config) -> Self {
+        ClusterBuilder {
+            cfg,
+            kind: ExecutorKind::EventLoop,
+            udp: false,
+            make_hook: Box::new(|_| None),
+            sink: None,
+            record: None,
+            ops: None,
+            recorders: Vec::new(),
+            sinks: Vec::new(),
+        }
     }
-    if let Some(s) = shared {
-        sinks.push(s.clone());
+
+    /// Which executor hosts each member.
+    pub fn executor(mut self, kind: ExecutorKind) -> Self {
+        self.kind = kind;
+        self
     }
-    if let Some(s) = stream {
-        sinks.push(s.clone());
+
+    /// Real localhost UDP sockets on ephemeral ports instead of the
+    /// channel mesh: real datagrams below whatever else is attached.
+    pub fn udp(mut self) -> Self {
+        self.udp = true;
+        self
     }
+
+    /// Attach a per-node application hook (see [`DeliveryHook`]);
+    /// `make_hook` is called once per node incarnation.
+    pub fn hooks(
+        mut self,
+        make_hook: impl FnMut(ProcessId) -> Option<DeliveryHook> + Send + 'static,
+    ) -> Self {
+        self.make_hook = Box::new(make_hook);
+        self
+    }
+
+    /// Attach every member's trace stream to `sink` — e.g. a
+    /// [`tw_obs::SharedAuditor`] checking the protocol's invariants live,
+    /// or a [`tw_obs::VecSink`] capturing events for later analysis.
+    /// Events from all members interleave on the one sink; each event
+    /// carries its emitting process id.
+    pub fn trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
+        self.sink = Some(sink);
+        self
+    }
+
+    /// Attach a [`FlightRecorder`] to every node: each member's trace
+    /// stream is spilled crash-safely to `<dir>/node-<pid>.twrec`,
+    /// flushed at every view installation and on shutdown or panic. The
+    /// recordings are the input to the `tw-trace` analyzer.
+    pub fn record(mut self, setup: &RecorderSetup) -> Self {
+        self.record = Some(setup.clone());
+        self
+    }
+
+    /// Give every node a live ops endpoint on localhost TCP: `/metrics`
+    /// (Prometheus text), `/status` (JSON), `/healthz` (the member's own
+    /// §6 fail-awareness verdict) and `/trace` (a TWFR-framed live stream
+    /// of its trace events). `tw-top` and any Prometheus scraper attach to
+    /// these addresses.
+    pub fn ops(mut self, ops: &OpsSetup) -> Self {
+        self.ops = Some(ops.clone());
+        self
+    }
+
+    /// Start the team. Fails only on I/O the attachments need: creating
+    /// recording files, binding sockets and ops ports.
+    pub fn spawn(mut self) -> std::io::Result<Vec<Node>> {
+        self.resolve()?;
+        if self.udp {
+            self.spawn_udp()
+        } else {
+            self.spawn_mem()
+        }
+    }
+
+    /// Fix what outlives any one node, before the first is started:
+    /// create every recording file up front (so I/O errors surface here,
+    /// not inside node threads) and each rank's recorder-plus-shared-sink.
+    pub(crate) fn resolve(&mut self) -> std::io::Result<()> {
+        let cfg = self.cfg;
+        self.recorders = vec![None; cfg.n];
+        if let Some(setup) = &self.record {
+            std::fs::create_dir_all(&setup.dir)?;
+            for (i, slot) in self.recorders.iter_mut().enumerate() {
+                let pid = ProcessId(i as u16);
+                let rc = RecorderConfig::new(pid, cfg.n, cfg.epsilon).capacity(setup.capacity);
+                *slot = Some(Arc::new(FlightRecorder::create(setup.path_for(pid), rc)?));
+            }
+        }
+        let with_shared = |r: &Option<Arc<FlightRecorder>>| {
+            let recorder = r.clone().map(|r| r as Arc<dyn TraceSink>);
+            tee(recorder.into_iter().chain(self.sink.clone()).collect())
+        };
+        self.sinks = self.recorders.iter().map(with_shared).collect();
+        Ok(())
+    }
+
+    /// Start the member of `rank` as `incarnation` over `wiring`. With
+    /// `ops_fallback`, an ops port that cannot be bound (a restarted
+    /// incarnation whose predecessor's sockets linger in TIME_WAIT) falls
+    /// back to an ephemeral one — rediscover it through
+    /// [`Node::ops_addr`].
+    pub(crate) fn start(
+        &mut self,
+        rank: usize,
+        incarnation: Incarnation,
+        mut wiring: Wiring,
+        ops_fallback: bool,
+    ) -> std::io::Result<Node> {
+        let cfg = self.cfg;
+        let pid = ProcessId(rank as u16);
+        let mut member = Member::new_unchecked(pid, cfg);
+        member.force_incarnation(incarnation);
+        let (cmd_tx, cmd_rx) = unbounded();
+        let (out_tx, out_rx) = unbounded();
+        let gate = Arc::new(PauseGate::new());
+        let status = Arc::new(StatusCell::new());
+        // Bind the ops endpoint before the member threads start so a port
+        // clash surfaces as an error here, not a half-observable node.
+        let (ops, stream) = match &self.ops {
+            Some(o) => {
+                let stream = Arc::new(StreamSink::new(pid, cfg.n, cfg.epsilon, o.stream_capacity));
+                let status_for_json = status.clone();
+                let status_for_health = status.clone();
+                let sources = OpsSources {
+                    registry: wiring.metrics.shared_registry(),
+                    labels: vec![("pid".to_string(), pid.0.to_string())],
+                    status_json: Arc::new(move || status_json(pid, status_for_json.read())),
+                    // Health is the §6 fail-awareness verdict: the member's
+                    // own judgement of whether it is up to date, not mere
+                    // process liveness (liveness is the TCP connect itself).
+                    healthy: Arc::new(move || status_for_health.read().up_to_date),
+                };
+                let tail = Some(stream.clone());
+                let bound = OpsServer::bind(o.addr_for(rank), sources.clone(), tail.clone());
+                let server = match bound {
+                    Err(_) if ops_fallback => OpsServer::bind("127.0.0.1:0", sources, tail)?,
+                    bound => bound?,
+                };
+                (Some(server), Some(stream))
+            }
+            None => (None, None),
+        };
+        let live = stream.clone().map(|s| s as Arc<dyn TraceSink>);
+        if let Some(s) = tee(self.sinks[rank].clone().into_iter().chain(live).collect()) {
+            member.set_tracer(Tracer::new(s));
+        }
+        let recorder = self.recorders[rank].clone();
+        let parts = NodeParts {
+            dispatcher: Dispatcher {
+                driver: Driver::new(member),
+                hook: (self.make_hook)(pid),
+                batch: OutBatch::new(),
+                transport: wiring.transport,
+                out: out_tx,
+                metrics: wiring.metrics.clone(),
+                status: status.clone(),
+            },
+            inbox: wiring.inbox,
+            cmds: cmd_rx,
+            clock: wiring.clock,
+            recorder: recorder.clone(),
+            gate: gate.clone(),
+        };
+        let kind = self.kind;
+        let main = std::thread::Builder::new()
+            .name(format!("tw-node-{pid}"))
+            .spawn(move || match kind {
+                ExecutorKind::EventLoop => crate::event_loop::run(parts),
+                ExecutorKind::Threaded => crate::threaded::run(parts),
+            })
+            .expect("spawn node thread");
+        wiring.extra_handles.push(main);
+        Ok(Node {
+            pid,
+            cmds: cmd_tx,
+            outputs: out_rx,
+            handles: wiring.extra_handles,
+            udp: wiring.udp,
+            metrics: wiring.metrics,
+            recorder,
+            gate,
+            status,
+            ops,
+            stream,
+        })
+    }
+
+    /// An in-process team over channel datagrams.
+    fn spawn_mem(mut self) -> std::io::Result<Vec<Node>> {
+        // Metrics exist before the inboxes so each bounded inbox can count
+        // its shed datagrams into its node's `tw_inbox_dropped_total`.
+        let metrics: Vec<Arc<NodeMetrics>> = (0..self.cfg.n).map(|_| NodeMetrics::new()).collect();
+        let (inbox_txs, inbox_rxs): (Vec<_>, Vec<_>) = metrics
+            .iter()
+            .map(|m| node_inbox(INBOX_CAPACITY, Some(m.inbox_dropped())))
+            .unzip();
+        let transport = MemTransport::new(inbox_txs);
+        inbox_rxs
+            .into_iter()
+            .zip(metrics)
+            .enumerate()
+            .map(|(rank, (inbox, metrics))| {
+                let wiring = Wiring {
+                    inbox,
+                    transport: transport.clone(),
+                    udp: None,
+                    extra_handles: Vec::new(),
+                    metrics,
+                    clock: Arc::new(RealClock::new()),
+                };
+                self.start(rank, Incarnation(0), wiring, false)
+            })
+            .collect()
+    }
+
+    /// A team over real localhost UDP sockets on ephemeral ports.
+    fn spawn_udp(mut self) -> std::io::Result<Vec<Node>> {
+        let n = self.cfg.n;
+        // Reserve n ephemeral ports first.
+        let sockets: Vec<std::net::UdpSocket> = (0..n)
+            .map(|_| std::net::UdpSocket::bind("127.0.0.1:0"))
+            .collect::<Result<_, _>>()?;
+        let addrs: Vec<std::net::SocketAddr> = sockets
+            .iter()
+            .map(|s| s.local_addr())
+            .collect::<Result<_, _>>()?;
+        drop(sockets);
+        let peers: HashMap<ProcessId, std::net::SocketAddr> = addrs
+            .iter()
+            .enumerate()
+            .map(|(i, a)| (ProcessId(i as u16), *a))
+            .collect();
+        let mut nodes = Vec::with_capacity(n);
+        for (rank, addr) in addrs.iter().enumerate() {
+            let transport = UdpTransport::bind(ProcessId(rank as u16), *addr, peers.clone())?;
+            let metrics = NodeMetrics::new();
+            transport.set_send_metrics(metrics.send_metrics());
+            let (inbox_tx, inbox) = node_inbox(INBOX_CAPACITY, Some(metrics.inbox_dropped()));
+            let rx_handle = transport.spawn_receiver(inbox_tx, Some(metrics.udp_recv_errors()));
+            let wiring = Wiring {
+                inbox,
+                transport: transport.clone(),
+                udp: Some(transport),
+                extra_handles: vec![rx_handle],
+                metrics,
+                clock: Arc::new(RealClock::new()),
+            };
+            nodes.push(self.start(rank, Incarnation(0), wiring, false)?);
+        }
+        Ok(nodes)
+    }
+}
+
+/// Fan `sinks` into the single [`TraceSink`] a tracer writes to.
+fn tee(mut sinks: Vec<Arc<dyn TraceSink>>) -> Option<Arc<dyn TraceSink>> {
     match sinks.len() {
-        0 => None,
-        1 => sinks.pop(),
+        0 | 1 => sinks.pop(),
         _ => Some(Arc::new(TeeSink::new(sinks))),
     }
 }
 
-fn spawn_cluster_inner(
-    kind: ExecutorKind,
-    cfg: Config,
-    mut make_hook: impl FnMut(ProcessId) -> Option<DeliveryHook>,
-    sink: Option<Arc<dyn TraceSink>>,
-    recorders: Option<Vec<Arc<FlightRecorder>>>,
-    ops: Option<&OpsSetup>,
-) -> std::io::Result<Vec<Node>> {
-    let n = cfg.n;
-    // Metrics exist before the inboxes so each bounded inbox can count
-    // its shed datagrams into its node's `tw_inbox_dropped_total`.
-    let metrics: Vec<Arc<NodeMetrics>> = (0..n).map(|_| NodeMetrics::new()).collect();
-    let mut inbox_txs = Vec::with_capacity(n);
-    let mut inbox_rxs = Vec::with_capacity(n);
-    for m in &metrics {
-        let (tx, rx) = node_inbox(INBOX_CAPACITY, Some(m.inbox_dropped()));
-        inbox_txs.push(tx);
-        inbox_rxs.push(rx);
-    }
-    let transport = MemTransport::new(inbox_txs);
-    inbox_rxs
-        .into_iter()
-        .enumerate()
-        .map(|(i, inbox)| {
-            let pid = ProcessId(i as u16);
-            let mut member = Member::new_unchecked(pid, cfg);
-            let recorder = recorders.as_ref().map(|rs| rs[i].clone());
-            let stream = ops.map(|o| {
-                Arc::new(StreamSink::new(pid, cfg.n, cfg.epsilon, o.stream_capacity))
-            });
-            if let Some(s) = combine_sinks(&recorder, &sink, &stream) {
-                member.set_tracer(Tracer::new(s));
-            }
-            spawn_node(SpawnArgs {
-                kind,
-                member,
-                inbox,
-                transport: transport.clone() as Arc<dyn Transport>,
-                udp: None,
-                extra_handles: Vec::new(),
-                hook: make_hook(pid),
-                recorder,
-                metrics: metrics[i].clone(),
-                clock: Arc::new(RealClock::new()),
-                ops: ops.map(|o| OpsWiring {
-                    addr: o.addr_for(i),
-                    stream: stream.clone(),
-                }),
-            })
-        })
-        .collect()
+/// The environment's half of a node: where its datagrams come from and
+/// go to, and which clock it reads.
+pub(crate) struct Wiring {
+    pub inbox: Receiver<Incoming>,
+    pub transport: Arc<dyn Transport>,
+    pub udp: Option<Arc<UdpTransport>>,
+    pub extra_handles: Vec<std::thread::JoinHandle<()>>,
+    pub metrics: Arc<NodeMetrics>,
+    pub clock: Arc<dyn RuntimeClock + Sync>,
 }
 
-/// Start a team of `n` members over real localhost UDP sockets on
+/// Start an in-process team of `cfg.n` members over channel datagrams.
+pub fn spawn_cluster(kind: ExecutorKind, cfg: Config) -> Vec<Node> {
+    let spawned = ClusterBuilder::new(cfg).executor(kind).spawn();
+    spawned.expect("nothing attached that does I/O, spawn cannot fail")
+}
+
+/// Start a team of `cfg.n` members over real localhost UDP sockets on
 /// ephemeral ports.
 pub fn spawn_udp_cluster(kind: ExecutorKind, cfg: Config) -> std::io::Result<Vec<Node>> {
-    spawn_udp_cluster_inner(kind, cfg, None)
+    ClusterBuilder::new(cfg).executor(kind).udp().spawn()
 }
 
-/// [`spawn_udp_cluster`] plus a live ops endpoint per node (see
-/// [`spawn_cluster_observed`]): the closest thing to the deployed
-/// telemetry topology — real datagrams below, a real scrape plane above.
-pub fn spawn_udp_cluster_observed(
-    kind: ExecutorKind,
-    cfg: Config,
-    ops: &OpsSetup,
-) -> std::io::Result<Vec<Node>> {
-    spawn_udp_cluster_inner(kind, cfg, Some(ops))
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tw_proto::Duration;
 
-fn spawn_udp_cluster_inner(
-    kind: ExecutorKind,
-    cfg: Config,
-    ops: Option<&OpsSetup>,
-) -> std::io::Result<Vec<Node>> {
-    let n = cfg.n;
-    // Reserve n ephemeral ports first.
-    let sockets: Vec<std::net::UdpSocket> = (0..n)
-        .map(|_| std::net::UdpSocket::bind("127.0.0.1:0"))
-        .collect::<Result<_, _>>()?;
-    let addrs: Vec<std::net::SocketAddr> = sockets
-        .iter()
-        .map(|s| s.local_addr())
-        .collect::<Result<_, _>>()?;
-    drop(sockets);
-    let peers: HashMap<ProcessId, std::net::SocketAddr> = addrs
-        .iter()
-        .enumerate()
-        .map(|(i, a)| (ProcessId(i as u16), *a))
-        .collect();
-    let mut nodes = Vec::with_capacity(n);
-    for (i, addr) in addrs.iter().enumerate() {
-        let pid = ProcessId(i as u16);
-        let transport = UdpTransport::bind(pid, *addr, peers.clone())?;
+    /// The dispatch function both executors share: every kind of input
+    /// is one `dispatch_latency_us` sample — the threaded baseline used to
+    /// time message dispatches only, so T7 compared different things.
+    #[test]
+    fn every_input_kind_is_one_timed_dispatch() {
+        let cfg = Config::for_team(3, Duration::from_millis(10));
         let metrics = NodeMetrics::new();
-        transport.set_send_metrics(metrics.send_metrics());
-        let (inbox_tx, inbox_rx) = node_inbox(INBOX_CAPACITY, Some(metrics.inbox_dropped()));
-        let rx_handle = transport.spawn_receiver(inbox_tx, Some(metrics.udp_recv_errors()));
-        let mut member = Member::new_unchecked(pid, cfg);
-        let stream =
-            ops.map(|o| Arc::new(StreamSink::new(pid, cfg.n, cfg.epsilon, o.stream_capacity)));
-        if let Some(s) = combine_sinks(&None, &None, &stream) {
-            member.set_tracer(Tracer::new(s));
-        }
-        nodes.push(spawn_node(SpawnArgs {
-            kind,
-            member,
-            inbox: inbox_rx,
-            transport: transport.clone() as Arc<dyn Transport>,
-            udp: Some(transport),
-            extra_handles: vec![rx_handle],
+        let (out, outputs) = unbounded();
+        let mut dispatcher = Dispatcher {
+            driver: Driver::new(Member::new_unchecked(ProcessId(0), cfg)),
             hook: None,
-            recorder: None,
-            metrics,
-            clock: Arc::new(RealClock::new()),
-            ops: ops.map(|o| OpsWiring {
-                addr: o.addr_for(i),
-                stream: stream.clone(),
-            }),
-        })?);
+            batch: OutBatch::new(),
+            transport: MemTransport::new(Vec::new()),
+            out,
+            metrics: metrics.clone(),
+            status: Arc::new(StatusCell::new()),
+        };
+        let samples = || metrics.snapshot().histograms["dispatch_latency_us"].count;
+        let at = HwTime::from_micros;
+        dispatcher.dispatch(Instant::now(), at(0), Input::Start);
+        assert_eq!(samples(), 1);
+        dispatcher.dispatch(Instant::now(), at(10), Input::Tick);
+        assert_eq!(samples(), 2);
+        let update = (Bytes::from_static(b"u"), Semantics::UNORDERED_WEAK);
+        dispatcher.dispatch(Instant::now(), at(20), Input::Propose(vec![update]));
+        assert_eq!(samples(), 3);
+        // Outside a group the propose is refused — still one dispatch.
+        assert!(outputs
+            .try_iter()
+            .any(|o| matches!(o, NodeOutput::ProposeRejected(_))));
     }
-    Ok(nodes)
-}
-
-/// Apply protocol actions to the runtime environment. Returns the new
-/// clock-tick deadline, if the actions rescheduled it, plus the fresh
-/// application snapshot if the delivery hook produced one (the caller
-/// pushes it into the member).
-///
-/// Outbound messages are collected into `batch` (the executor's
-/// long-lived [`OutBatch`], so encoder scratch is reused across
-/// dispatches) and put on the wire in one [`Transport::flush`] at the
-/// end — on UDP that is one coalesced datagram per destination and one
-/// vectored syscall for the whole dispatch.
-pub(crate) fn apply_actions(
-    pid: ProcessId,
-    actions: Vec<timewheel::Action>,
-    transport: &dyn Transport,
-    out: &Sender<NodeOutput>,
-    now: tw_proto::HwTime,
-    hook: &mut Option<DeliveryHook>,
-    metrics: &NodeMetrics,
-    batch: &mut OutBatch,
-) -> (Option<tw_proto::HwTime>, Option<Bytes>) {
-    let mut next_clock = None;
-    let mut snapshot = None;
-    for a in actions {
-        match a {
-            timewheel::Action::Broadcast(m) => {
-                metrics.on_send(m.kind());
-                batch.push_broadcast(m);
-            }
-            timewheel::Action::Send(to, m) => {
-                metrics.on_send(m.kind());
-                batch.push_send(to, m);
-            }
-            timewheel::Action::Deliver(d) => {
-                metrics.on_delivery();
-                if let Some(h) = hook {
-                    if let Some(s) = h(AppEvent::Deliver(&d)) {
-                        snapshot = Some(s);
-                    }
-                }
-                let _ = out.send(NodeOutput::Delivery(d));
-            }
-            timewheel::Action::InstallAppState(b) => {
-                if let Some(h) = hook {
-                    if let Some(s) = h(AppEvent::InstallSnapshot(&b)) {
-                        snapshot = Some(s);
-                    }
-                }
-            }
-            timewheel::Action::InstallView(v) => {
-                metrics.on_view();
-                let _ = out.send(NodeOutput::View(v));
-            }
-            timewheel::Action::LeftGroup { reason } => {
-                let _ = out.send(NodeOutput::Left(reason));
-            }
-            timewheel::Action::ScheduleClockTick(d) => {
-                next_clock = Some(now + d);
-            }
-        }
-    }
-    transport.flush(pid, batch);
-    (next_clock, snapshot)
 }

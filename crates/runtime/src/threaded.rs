@@ -3,121 +3,76 @@
 //!
 //! One thread per event *type*: a receive thread, a protocol-tick thread,
 //! a clock-tick thread and a command thread, all serializing on a mutex
-//! around the shared [`timewheel::Member`]. Every event pays a lock acquisition and
+//! around the shared [`Dispatcher`]. Every event pays a lock acquisition and
 //! usually a context switch; under load the threads contend. Experiment
 //! T7 quantifies the difference against [`crate::event_loop`].
 
-use crate::node::{apply_actions, NodeCommand, NodeOutput, NodeParts};
-use crate::transport::{Incoming, OutBatch};
+use crate::node::{Dispatcher, NodeCommand, NodeParts};
+use crate::transport::Incoming;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration as StdDuration;
+use std::time::{Duration as StdDuration, Instant};
+use timewheel::Input;
 
 pub(crate) fn run(parts: NodeParts) {
     let NodeParts {
-        mut member,
+        mut dispatcher,
         inbox,
         cmds,
-        out,
-        transport,
         clock,
-        hook,
-        metrics,
         recorder,
         gate,
-        status,
     } = parts;
     // Held on the command-loop stack so the flight recorder's tail is
     // spilled even if this thread panics (the Node's Arc keeps the
     // recorder alive, so Drop alone would not fire here).
     let recorder_watch = recorder.clone();
     let _recorder_guard = tw_obs::FlushGuard::new(recorder);
-    let hook = Arc::new(Mutex::new(hook));
-    let pid = member.pid();
-    let tick = member.config().tick;
-    let resync = member.config().clock.resync_interval;
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let next_clock = Arc::new(AtomicI64::new(0));
-
-    // One outbound batch per thread that applies actions (batches are
-    // not shared — each thread's dispatches flush independently). This
-    // one serves the start-up dispatch and the command loop below.
-    let mut cmd_batch = OutBatch::new();
+    let metrics = dispatcher.metrics.clone();
+    let tick = dispatcher.driver.member().config().tick;
 
     // Start the member before the event threads exist.
-    {
-        let now = clock.now_hw();
-        next_clock.store((now + resync).0, Ordering::Relaxed);
-        let actions = member.on_start(now);
-        let (t, snap) = apply_actions(
-            pid,
-            actions,
-            &*transport,
-            &out,
-            now,
-            &mut hook.lock(),
-            &metrics,
-            &mut cmd_batch,
-        );
-        if let Some(t) = t {
-            next_clock.store(t.0, Ordering::Relaxed);
-        }
-        if let Some(s) = snap {
-            member.set_app_snapshot(s);
-        }
-    }
-    let member = Arc::new(Mutex::new(member));
+    dispatcher.dispatch(Instant::now(), clock.now_hw(), Input::Start);
 
+    // One lock around the whole dispatcher — driver, hook and outbound
+    // batch — so a dispatch is atomic: the snapshot a hook returns
+    // reaches the member before any other thread's input does, and two
+    // threads' effects never interleave in one flush.
+    let shared: Arc<Mutex<Dispatcher>> = Arc::new(Mutex::new(dispatcher));
+    // What every event thread does with its input. The wait for the
+    // lock is inside the timed span: it is the overhead T7 measures.
+    let dispatch = {
+        let shared = shared.clone();
+        let clock = clock.clone();
+        move |input: Input| {
+            let started = Instant::now();
+            let mut dispatcher = shared.lock();
+            dispatcher.dispatch(started, clock.now_hw(), input);
+        }
+    };
+
+    let stop = Arc::new(AtomicBool::new(false));
     let mut handles = Vec::new();
 
     // Faithful to the paper's baseline: "a separate thread is spawned for
     // each event type". A demultiplexer thread classifies datagrams by
     // message kind and hands each kind to its own handler thread; every
-    // handler serializes on the member lock. The per-event context
+    // handler serializes on the dispatcher lock. The per-event context
     // switches and lock hand-offs are exactly the overhead §5 describes.
     {
         let mut kind_txs = std::collections::HashMap::new();
         for kind in tw_proto::MsgKind::ALL {
             let (tx, rx) = crossbeam::channel::unbounded::<(tw_proto::ProcessId, tw_proto::Msg)>();
             kind_txs.insert(kind, tx);
-            let member = member.clone();
-            let transport = transport.clone();
-            let out = out.clone();
-            let clock = clock.clone();
+            let dispatch = dispatch.clone();
             let stop = stop.clone();
-            let next_clock = next_clock.clone();
-            let hook = hook.clone();
-            let metrics = metrics.clone();
             let gate = gate.clone();
             handles.push(std::thread::spawn(move || {
-                let mut batch = OutBatch::new();
                 while !stop.load(Ordering::Relaxed) {
                     gate.block_while_paused();
                     match rx.recv_timeout(StdDuration::from_millis(20)) {
-                        Ok((from, msg)) => {
-                            let started = std::time::Instant::now();
-                            let now = clock.now_hw();
-                            let actions = member.lock().on_message(now, from, msg);
-                            let (t, snap) = apply_actions(
-                                pid,
-                                actions,
-                                &*transport,
-                                &out,
-                                now,
-                                &mut hook.lock(),
-                                &metrics,
-                                &mut batch,
-                            );
-                            metrics.on_dispatch(started);
-                            if let Some(t) = t {
-                                next_clock.store(t.0, Ordering::Relaxed);
-                            }
-                            if let Some(s) = snap {
-                                member.lock().set_app_snapshot(s);
-                            }
-                        }
+                        Ok((from, msg)) => dispatch(Input::Message(from, msg)),
                         Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
                         Err(_) => return,
                     }
@@ -157,99 +112,52 @@ pub(crate) fn run(parts: NodeParts) {
 
     // Protocol-tick thread.
     {
-        let member = member.clone();
-        let transport = transport.clone();
-        let out = out.clone();
+        let dispatch = dispatch.clone();
+        let shared = shared.clone();
         let clock = clock.clone();
         let stop = stop.clone();
-        let next_clock = next_clock.clone();
-        let hook = hook.clone();
         let metrics = metrics.clone();
         let gate = gate.clone();
-        let status = status.clone();
-        let recorder_watch = recorder_watch.clone();
         let recorder_buffered = metrics.recorder_buffered();
         handles.push(std::thread::spawn(move || {
             let period = StdDuration::from_micros(tick.as_micros() as u64);
-            let mut batch = OutBatch::new();
             while !stop.load(Ordering::Relaxed) {
                 gate.block_while_paused();
                 let before = clock.now_hw();
                 std::thread::sleep(period);
-                let now = clock.now_hw();
                 // How late the tick fired versus its intended deadline
                 // (sleep start + period): the scheduler latency this
                 // baseline pays per tick.
-                metrics.on_tick_lag((now - (before + tick)).as_micros().max(0) as u64);
-                let actions = member.lock().on_tick(now);
-                let (t, snap) = apply_actions(
-                    pid,
-                    actions,
-                    &*transport,
-                    &out,
-                    now,
-                    &mut hook.lock(),
-                    &metrics,
-                    &mut batch,
-                );
-                if let Some(t) = t {
-                    next_clock.store(t.0, Ordering::Relaxed);
-                }
-                if let Some(s) = snap {
-                    member.lock().set_app_snapshot(s);
-                }
+                let lag = clock.now_hw() - (before + tick);
+                metrics.on_tick_lag(lag.as_micros().max(0) as u64);
+                dispatch(Input::Tick);
                 if let Some(r) = &recorder_watch {
                     recorder_buffered.set(r.buffered() as i64);
                 }
                 // Publish the member's locally observed status (§6
                 // fail-awareness) for harness-side checks.
-                let now = clock.now_hw();
-                let m = member.lock();
-                status.publish(crate::chaos::NodeStatus {
-                    up_to_date: m.is_up_to_date(now),
-                    view_len: m.view().len(),
-                    view_seq: m.view().id.seq,
-                });
+                shared.lock().publish_status(clock.now_hw());
             }
         }));
     }
 
     // Clock-tick thread.
     {
-        let member = member.clone();
-        let transport = transport.clone();
-        let out = out.clone();
+        let dispatch = dispatch.clone();
+        let shared = shared.clone();
         let clock = clock.clone();
         let stop = stop.clone();
-        let next_clock = next_clock.clone();
-        let hook = hook.clone();
-        let metrics = metrics.clone();
         let gate = gate.clone();
         handles.push(std::thread::spawn(move || {
-            let mut batch = OutBatch::new();
             while !stop.load(Ordering::Relaxed) {
                 gate.block_while_paused();
+                let due = shared.lock().driver.clock_deadline();
                 let now = clock.now_hw();
-                let due = next_clock.load(Ordering::Relaxed);
-                if now.0 >= due {
-                    metrics.on_deadline_overrun((now.0 - due).max(0) as u64);
-                    let actions = member.lock().on_clock_tick(now);
-                    let (t, _) = apply_actions(
-                        pid,
-                        actions,
-                        &*transport,
-                        &out,
-                        now,
-                        &mut hook.lock(),
-                        &metrics,
-                        &mut batch,
-                    );
-                    match t {
-                        Some(t) => next_clock.store(t.0, Ordering::Relaxed),
-                        None => next_clock.store((now + resync).0, Ordering::Relaxed),
-                    }
+                if now >= due {
+                    metrics.on_deadline_overrun((now - due).as_micros().max(0) as u64);
+                    dispatch(Input::ClockTick);
                 } else {
-                    let wait = ((due - now.0) as u64).min(20_000);
+                    let wait = ((due - now).as_micros() as u64).min(20_000);
                     std::thread::sleep(StdDuration::from_micros(wait.max(100)));
                 }
             }
@@ -257,38 +165,8 @@ pub(crate) fn run(parts: NodeParts) {
     }
 
     // Command handling runs on this thread until shutdown.
-    #[allow(clippy::while_let_loop)] // symmetric with the other match arms
-    loop {
-        match cmds.recv() {
-            Ok(NodeCommand::Propose(payload, sem)) => {
-                let now = clock.now_hw();
-                let r = member.lock().propose(now, payload, sem);
-                match r {
-                    Ok(actions) => {
-                        let (t, snap) = apply_actions(
-                            pid,
-                            actions,
-                            &*transport,
-                            &out,
-                            now,
-                            &mut hook.lock(),
-                            &metrics,
-                            &mut cmd_batch,
-                        );
-                        if let Some(t) = t {
-                            next_clock.store(t.0, Ordering::Relaxed);
-                        }
-                        if let Some(s) = snap {
-                            member.lock().set_app_snapshot(s);
-                        }
-                    }
-                    Err(e) => {
-                        let _ = out.send(NodeOutput::ProposeRejected(e));
-                    }
-                }
-            }
-            Ok(NodeCommand::Shutdown) | Err(_) => break,
-        }
+    while let Ok(NodeCommand::Propose(payload, sem)) = cmds.recv() {
+        dispatch(Input::Propose(vec![(payload, sem)]));
     }
     stop.store(true, Ordering::Relaxed);
     for h in handles {

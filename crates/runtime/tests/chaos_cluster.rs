@@ -14,7 +14,7 @@ use timewheel::Config;
 use tw_obs::{analyze, Recording, TraceSet};
 use tw_proto::{Duration, ProcessId, Semantics};
 use tw_runtime::chaos::recovery_envelope;
-use tw_runtime::{ChaosCluster, ChaosOp, ExecutorKind, RecorderSetup};
+use tw_runtime::{ChaosCluster, ChaosOp, ClusterBuilder, ExecutorKind, RecorderSetup};
 
 fn cfg(n: usize) -> Config {
     Config::for_team(n, Duration::from_millis(10))
@@ -60,14 +60,10 @@ fn analysis_of(paths: &[std::path::PathBuf]) -> tw_obs::Analysis {
 fn partitioned_minority_is_fail_aware_and_rejoins_after_heal() {
     let n = 5;
     let dir = scratch_dir("partition");
-    let mut cluster = ChaosCluster::spawn_recorded(
-        ExecutorKind::EventLoop,
-        cfg(n),
-        11,
-        &RecorderSetup::new(&dir),
-        None,
-    )
-    .expect("spawn recorded chaos cluster");
+    let mut cluster = ClusterBuilder::new(cfg(n))
+        .record(&RecorderSetup::new(&dir))
+        .chaos(11)
+        .expect("spawn recorded chaos cluster");
     form(&cluster, n);
 
     let minority = ProcessId(4);
@@ -134,14 +130,11 @@ fn crashed_node_restarts_as_fresh_incarnation_and_rejoins() {
     let n = 5;
     let dir = scratch_dir("crash");
     let config = cfg(n);
-    let mut cluster = ChaosCluster::spawn_recorded(
-        ExecutorKind::Threaded,
-        config,
-        12,
-        &RecorderSetup::new(&dir),
-        None,
-    )
-    .expect("spawn recorded chaos cluster");
+    let mut cluster = ClusterBuilder::new(config)
+        .executor(ExecutorKind::Threaded)
+        .record(&RecorderSetup::new(&dir))
+        .chaos(12)
+        .expect("spawn recorded chaos cluster");
     form(&cluster, n);
 
     let victim = ProcessId(2);

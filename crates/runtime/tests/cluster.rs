@@ -8,8 +8,7 @@ use timewheel::Config;
 use tw_obs::{SharedAuditor, TraceSink};
 use tw_proto::{Duration, Semantics};
 use tw_runtime::{
-    spawn_cluster, spawn_cluster_recorded, spawn_cluster_traced, spawn_udp_cluster, ExecutorKind,
-    Node, NodeOutput, RecorderSetup,
+    spawn_cluster, spawn_udp_cluster, ClusterBuilder, ExecutorKind, Node, NodeOutput, RecorderSetup,
 };
 
 fn cfg(n: usize) -> Config {
@@ -225,8 +224,10 @@ fn recorded_cluster_writes_analyzable_recordings() {
     let n = 3;
     let dir = std::env::temp_dir().join(format!("tw-runtime-rec-{}", std::process::id()));
     let setup = RecorderSetup::new(&dir).capacity(128);
-    let nodes =
-        spawn_cluster_recorded(ExecutorKind::EventLoop, cfg(n), &setup).expect("create recordings");
+    let nodes = ClusterBuilder::new(cfg(n))
+        .record(&setup)
+        .spawn()
+        .expect("create recordings");
     form_group(&nodes, n);
     nodes[0].propose(Bytes::from_static(b"boxed"), Semantics::TOTAL_STRONG);
     for node in &nodes {
@@ -288,11 +289,10 @@ fn live_auditor_sees_a_clean_cluster() {
         auditor: auditor.clone(),
         seen: std::sync::atomic::AtomicU64::new(0),
     });
-    let nodes = spawn_cluster_traced(
-        ExecutorKind::EventLoop,
-        cfg(n),
-        sink.clone() as Arc<dyn TraceSink>,
-    );
+    let nodes = ClusterBuilder::new(cfg(n))
+        .trace(sink.clone() as Arc<dyn TraceSink>)
+        .spawn()
+        .expect("nothing attached that does I/O");
     form_group(&nodes, n);
     let count = 10;
     for k in 0..count {

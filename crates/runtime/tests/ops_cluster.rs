@@ -9,9 +9,7 @@ use std::time::Duration as StdDuration;
 use timewheel::Config;
 use tw_obs::{http_get, LiveTail, TraceEvent};
 use tw_proto::{Duration, Semantics};
-use tw_runtime::{
-    spawn_cluster_observed, ChaosCluster, ExecutorKind, Node, OpsSetup,
-};
+use tw_runtime::{ChaosCluster, ClusterBuilder, Node, OpsSetup};
 
 fn cfg(n: usize) -> Config {
     Config::for_team(n, Duration::from_millis(10))
@@ -37,9 +35,10 @@ const TIMEOUT: StdDuration = StdDuration::from_secs(2);
 #[test]
 fn ops_endpoints_scrape_mid_run() {
     let n = 3;
-    let nodes =
-        spawn_cluster_observed(ExecutorKind::EventLoop, cfg(n), &OpsSetup::ephemeral())
-            .expect("bind ops endpoints");
+    let nodes = ClusterBuilder::new(cfg(n))
+        .ops(&OpsSetup::ephemeral())
+        .spawn()
+        .expect("bind ops endpoints");
     form_group(&nodes, n);
     nodes[0].propose(Bytes::from_static(b"observed"), Semantics::TOTAL_STRONG);
     for node in &nodes {
@@ -88,8 +87,7 @@ fn live_trace_stream_decodes_like_a_recording() {
     // stream_capacity 1: every event ships as its own segment, so the
     // tailer sees traffic without waiting for a 256-event batch.
     let ops = OpsSetup::ephemeral().stream_capacity(1);
-    let nodes = spawn_cluster_observed(ExecutorKind::EventLoop, cfg(n), &ops)
-        .expect("bind ops endpoints");
+    let nodes = ClusterBuilder::new(cfg(n)).ops(&ops).spawn().expect("bind ops endpoints");
     form_group(&nodes, n);
     let addr = nodes[0].ops_addr().expect("ops endpoint attached");
     let mut tail = LiveTail::connect(addr, TIMEOUT).expect("connect /trace");
@@ -118,8 +116,10 @@ fn live_trace_stream_decodes_like_a_recording() {
 #[test]
 fn health_flips_with_fail_awareness_under_chaos() {
     let n = 3;
-    let mut cluster =
-        ChaosCluster::spawn_observed(ExecutorKind::EventLoop, cfg(n), 7, &OpsSetup::ephemeral());
+    let mut cluster = ClusterBuilder::new(cfg(n))
+        .ops(&OpsSetup::ephemeral())
+        .chaos(7)
+        .expect("bind ops endpoints");
     // Wait for the group to form and every endpoint to report healthy.
     let deadline = std::time::Instant::now() + StdDuration::from_secs(20);
     let all_healthy = |cluster: &ChaosCluster| {

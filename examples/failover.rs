@@ -21,7 +21,7 @@ fn narrate(w: &mut TeamWorld, until: SimTime, n: usize) {
             if w.status(ProcessId(i)) != tw_sim::ProcessStatus::Up {
                 continue;
             }
-            let m = &w.actor(ProcessId(i)).member;
+            let m = w.actor(ProcessId(i)).member();
             let s = format!("{:<18} {}", m.state().label(), m.view());
             if s != last[i as usize] {
                 println!("  {}  p{i}: {s}", w.now());
@@ -39,7 +39,7 @@ fn main() {
     run_until_pred(&mut w, SimTime::from_secs(30), |w| all_in_group(w, n)).expect("formation");
     println!(
         "formed {} at {}",
-        w.actor(ProcessId(0)).member.view(),
+        w.actor(ProcessId(0)).member().view(),
         w.now()
     );
 
@@ -83,7 +83,7 @@ fn main() {
 
     println!("\nfinal views:");
     for i in 0..n as u16 {
-        let m = &w.actor(ProcessId(i)).member;
+        let m = w.actor(ProcessId(i)).member();
         println!(
             "  p{i}: {:<18} {}  (views installed: {})",
             m.state().label(),

@@ -12,7 +12,7 @@ fn report(w: &tw_sim::World<timewheel::harness::SimMember>, n: usize) {
     for i in 0..n as u16 {
         let p = ProcessId(i);
         let hw = w.hw_time(p);
-        let m = &w.actor(p).member;
+        let m = w.actor(p).member();
         println!(
             "  p{i}: state={:<18} view={:<24} clock_synced={:<5} up_to_date={}",
             m.state().label(),

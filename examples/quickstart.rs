@@ -7,7 +7,6 @@
 
 use bytes::Bytes;
 use timewheel::harness::{all_in_group, run_until_pred, team_world, TeamParams};
-use timewheel::Action;
 use tw_proto::{Duration, ProcessId, Semantics};
 use tw_sim::SimTime;
 
@@ -24,7 +23,7 @@ fn main() {
     let mut world = team_world(&params);
     let formed = run_until_pred(&mut world, SimTime::from_secs(30), |w| all_in_group(w, n))
         .expect("group formation");
-    let view = world.actor(ProcessId(0)).member.view().clone();
+    let view = world.actor(ProcessId(0)).member().view().clone();
     println!("group formed at {formed}: {view}");
 
     // Broadcast three updates with the three headline semantics.
@@ -41,16 +40,7 @@ fn main() {
             world.now() + Duration::from_millis(50 * (i as i64 + 1)),
             sender,
             move |a, ctx| {
-                if let Ok(actions) = a.member.propose(ctx.now_hw(), payload, sem) {
-                    for act in actions {
-                        match act {
-                            Action::Broadcast(m) => ctx.broadcast(m),
-                            Action::Send(to, m) => ctx.send(to, m),
-                            Action::Deliver(d) => a.deliveries.push((ctx.now_hw(), d)),
-                            _ => {}
-                        }
-                    }
-                }
+                let _ = a.propose(ctx, payload, sem);
             },
         );
     }

@@ -3,7 +3,7 @@
 //! (§4.3 undeliverable handling).
 
 use bytes::Bytes;
-use timewheel::harness::{all_in_group, run_until_pred, team_world, TeamParams};
+use timewheel::harness::{all_in_group, inject_proposals, run_until_pred, team_world, TeamParams};
 use timewheel::invariants;
 use tw_proto::{Atomicity, Duration, Ordering, ProcessId, Semantics};
 use tw_sim::{LinkModel, SimTime};
@@ -17,37 +17,6 @@ fn formed(params: &TeamParams) -> TeamWorld {
     })
     .expect("group formation");
     w
-}
-
-/// Schedule `count` proposals from rotating senders, `gap` apart,
-/// starting `after` from now.
-fn inject_proposals(
-    w: &mut TeamWorld,
-    n: usize,
-    count: usize,
-    sem: Semantics,
-    after: Duration,
-    gap: Duration,
-) {
-    for k in 0..count {
-        let sender = ProcessId((k % n) as u16);
-        let t = w.now() + after + gap * k as i64;
-        let payload = Bytes::from(format!("u{k}"));
-        w.call_at(t, sender, move |a, ctx| {
-            if let Ok(actions) = a.member.propose(ctx.now_hw(), payload, sem) {
-                for act in actions {
-                    match act {
-                        timewheel::Action::Broadcast(m) => ctx.broadcast(m),
-                        timewheel::Action::Send(to, m) => ctx.send(to, m),
-                        timewheel::Action::Deliver(d) => {
-                            a.deliveries.push((ctx.now_hw(), d));
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        });
-    }
 }
 
 fn delivered_count(w: &TeamWorld, pid: u16) -> usize {
@@ -91,16 +60,7 @@ fn mixed_semantics_in_one_run() {
         let payload = Bytes::from(format!("m{k}"));
         let sem = *sem;
         w.call_at(t, sender, move |a, ctx| {
-            if let Ok(actions) = a.member.propose(ctx.now_hw(), payload, sem) {
-                for act in actions {
-                    match act {
-                        timewheel::Action::Broadcast(m) => ctx.broadcast(m),
-                        timewheel::Action::Send(to, m) => ctx.send(to, m),
-                        timewheel::Action::Deliver(d) => a.deliveries.push((ctx.now_hw(), d)),
-                        _ => {}
-                    }
-                }
-            }
+            let _ = a.propose(ctx, payload, sem);
         });
     }
     w.run_for(Duration::from_secs(10));
@@ -121,7 +81,7 @@ fn lost_proposals_are_repaired_by_retransmission() {
     // membership must not change and the NACK/retransmission machinery
     // must repair every hole).
     let views_before: Vec<u64> = (0..3u16)
-        .map(|i| w.actor(ProcessId(i)).member.view().id.seq)
+        .map(|i| w.actor(ProcessId(i)).member().view().id.seq)
         .collect();
     w.add_fault_at(
         w.now(),
@@ -147,7 +107,7 @@ fn lost_proposals_are_repaired_by_retransmission() {
             delivered_count(&w, i)
         );
         assert_eq!(
-            w.actor(ProcessId(i)).member.view().id.seq,
+            w.actor(ProcessId(i)).member().view().id.seq,
             views_before[i as usize],
             "data-path loss must not change membership"
         );
@@ -269,12 +229,21 @@ fn proposals_in_flight_survive_a_decider_crash() {
 fn rejoined_member_receives_state_transfer() {
     let params = TeamParams::new(5).seed(37);
     let mut w = formed(&params);
-    // Give the group an application snapshot to ship.
+    // Give the group an application snapshot to ship: the application
+    // speaks through its hook, so one delivered update makes every
+    // member hold it.
     for i in 0..5u16 {
         w.actor_mut(ProcessId(i))
-            .member
-            .set_app_snapshot(Bytes::from_static(b"snapshot-v1"));
+            .set_hook(|_| Some(Bytes::from_static(b"snapshot-v1")));
     }
+    inject_proposals(
+        &mut w,
+        5,
+        1,
+        Semantics::UNORDERED_WEAK,
+        Duration::from_millis(50),
+        Duration::ZERO,
+    );
     let crash_at = w.now() + Duration::from_millis(500);
     w.crash_at(crash_at, ProcessId(2));
     let recover_at = crash_at + Duration::from_secs(4);
@@ -289,7 +258,7 @@ fn rejoined_member_receives_state_transfer() {
     w.run_for(Duration::from_millis(200));
     let st = w
         .actor_mut(ProcessId(2))
-        .member
+        .member_mut()
         .take_transferred_state()
         .expect("no state transfer received");
     assert_eq!(st, Bytes::from_static(b"snapshot-v1"));
@@ -311,30 +280,9 @@ fn post_rejoin_proposals_flow_to_everyone() {
     .expect("rejoin");
     // Now the recovered member proposes; everyone must deliver.
     let before: Vec<usize> = (0..5u16).map(|i| delivered_count(&w, i)).collect();
-    inject_proposals(
-        &mut w,
-        1, // only p... sender index below
-        0,
-        Semantics::UNORDERED_WEAK,
-        Duration::ZERO,
-        Duration::ZERO,
-    );
     let t = w.now() + Duration::from_millis(100);
     w.call_at(t, ProcessId(2), |a, ctx| {
-        if let Ok(actions) = a.member.propose(
-            ctx.now_hw(),
-            Bytes::from_static(b"back"),
-            Semantics::TOTAL_STRONG,
-        ) {
-            for act in actions {
-                match act {
-                    timewheel::Action::Broadcast(m) => ctx.broadcast(m),
-                    timewheel::Action::Send(to, m) => ctx.send(to, m),
-                    timewheel::Action::Deliver(d) => a.deliveries.push((ctx.now_hw(), d)),
-                    _ => {}
-                }
-            }
-        }
+        let _ = a.propose(ctx, Bytes::from_static(b"back"), Semantics::TOTAL_STRONG);
     });
     w.run_for(Duration::from_secs(10));
     for i in 0..5u16 {

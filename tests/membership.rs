@@ -41,7 +41,7 @@ fn crashed_member_is_removed_within_bounded_time() {
     w.crash_at(crash_at, ProcessId(2));
     let removed = run_until_pred(&mut w, crash_at + Duration::from_secs(20), |w| {
         (0..5u16).filter(|&i| i != 2).all(|i| {
-            let m = &w.actor(ProcessId(i)).member;
+            let m = w.actor(ProcessId(i)).member();
             m.state() == CreatorState::FailureFree
                 && m.view().len() == 4
                 && !m.view().contains(ProcessId(2))
@@ -69,7 +69,7 @@ fn losing_one_decision_message_does_not_change_membership() {
     // the group must recover via the single-failure election or the
     // wrong-suspicion path, with no membership change.
     let views_before: Vec<u64> = (0..5u16)
-        .map(|i| w.actor(ProcessId(i)).member.view().id.seq)
+        .map(|i| w.actor(ProcessId(i)).member().view().id.seq)
         .collect();
     let t = w.now() + Duration::from_millis(50);
     w.add_fault_at(
@@ -81,7 +81,7 @@ fn losing_one_decision_message_does_not_change_membership() {
     );
     w.run_for(Duration::from_secs(15));
     for i in 0..5u16 {
-        let m = &w.actor(ProcessId(i)).member;
+        let m = w.actor(ProcessId(i)).member();
         assert_eq!(m.state(), CreatorState::FailureFree, "p{i} stuck");
         assert_eq!(m.view().len(), 5, "p{i} lost a member on a lost message");
         assert_eq!(
@@ -115,7 +115,7 @@ fn partial_decision_loss_triggers_wrong_suspicion_rescue() {
     }
     w.run_for(Duration::from_secs(15));
     for i in 0..5u16 {
-        let m = &w.actor(ProcessId(i)).member;
+        let m = w.actor(ProcessId(i)).member();
         assert_eq!(m.state(), CreatorState::FailureFree, "p{i} stuck");
         assert_eq!(m.view().len(), 5, "false alarm must not remove members");
     }
@@ -131,7 +131,7 @@ fn two_simultaneous_crashes_resolved_by_reconfiguration() {
     w.crash_at(crash_at, ProcessId(3));
     let formed = run_until_pred(&mut w, crash_at + Duration::from_secs(60), |w| {
         [0u16, 2, 4].iter().all(|&i| {
-            let m = &w.actor(ProcessId(i)).member;
+            let m = w.actor(ProcessId(i)).member();
             m.state() == CreatorState::FailureFree && m.view().len() == 3
         })
     })
@@ -144,7 +144,7 @@ fn two_simultaneous_crashes_resolved_by_reconfiguration() {
         formed - crash_at
     );
     for &i in &[0u16, 2, 4] {
-        let v = w.actor(ProcessId(i)).member.view().clone();
+        let v = w.actor(ProcessId(i)).member().view().clone();
         assert!(!v.contains(ProcessId(1)));
         assert!(!v.contains(ProcessId(3)));
     }
@@ -167,7 +167,7 @@ fn crashed_member_rejoins_after_recovery() {
         all_in_group(w, 5)
     })
     .expect("recovered member never rejoined");
-    let m2 = &w.actor(ProcessId(2)).member;
+    let m2 = w.actor(ProcessId(2)).member();
     assert_eq!(m2.incarnation(), tw_proto::Incarnation(1));
     assert!(m2.view().contains(ProcessId(2)));
     let cfg = params.protocol_config();
@@ -190,7 +190,7 @@ fn minority_partition_knows_it_is_out_of_date() {
     // group (fail-awareness).
     run_until_pred(&mut w, cut + Duration::from_secs(60), |w| {
         [0u16, 1, 2].iter().all(|&i| {
-            let m = &w.actor(ProcessId(i)).member;
+            let m = w.actor(ProcessId(i)).member();
             m.state() == CreatorState::FailureFree && m.view().len() == 3
         })
     })
@@ -199,7 +199,7 @@ fn minority_partition_knows_it_is_out_of_date() {
     w.run_for(Duration::from_secs(5));
     for &i in &[3u16, 4] {
         let hw = w.hw_time(ProcessId(i));
-        let m = &w.actor(ProcessId(i)).member;
+        let m = w.actor(ProcessId(i)).member();
         assert!(
             !m.is_up_to_date(hw),
             "p{i} in a minority partition claims an up-to-date group"
@@ -216,7 +216,7 @@ fn healed_partition_reunites_the_team() {
     w.partition_at(cut, &[&[0, 1, 2], &[3, 4]]);
     run_until_pred(&mut w, cut + Duration::from_secs(60), |w| {
         [0u16, 1, 2].iter().all(|&i| {
-            let m = &w.actor(ProcessId(i)).member;
+            let m = w.actor(ProcessId(i)).member();
             m.state() == CreatorState::FailureFree && m.view().len() == 3
         })
     })
@@ -253,7 +253,7 @@ fn every_process_up_to_date_while_stable() {
         assert_eq!(w.status(p), ProcessStatus::Up);
         let hw = w.hw_time(p);
         assert!(
-            w.actor(p).member.is_up_to_date(hw),
+            w.actor(p).member().is_up_to_date(hw),
             "p{i} not up-to-date during stable period"
         );
     }

@@ -104,18 +104,7 @@ fn run_chaos(
                 let t = base + Duration::from_millis(*at_ms);
                 let payload = Bytes::from(format!("c{at_ms}"));
                 w.call_at(t, ProcessId(*sender), move |a, ctx| {
-                    if let Ok(actions) = a.member.propose(ctx.now_hw(), payload, sem) {
-                        for act in actions {
-                            match act {
-                                timewheel::Action::Broadcast(m) => ctx.broadcast(m),
-                                timewheel::Action::Send(to, m) => ctx.send(to, m),
-                                timewheel::Action::Deliver(d) => {
-                                    a.deliveries.push((ctx.now_hw(), d))
-                                }
-                                _ => {}
-                            }
-                        }
-                    }
+                    let _ = a.propose(ctx, payload, sem);
                 });
             }
         }

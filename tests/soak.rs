@@ -26,16 +26,7 @@ fn two_minute_adversarial_soak_converges_clean() {
         let t = base + Duration::from_millis(100 + 150 * k as i64);
         let payload = Bytes::from(format!("s{k}"));
         w.call_at(t, sender, move |a, ctx| {
-            if let Ok(actions) = a.member.propose(ctx.now_hw(), payload, sem) {
-                for act in actions {
-                    match act {
-                        timewheel::Action::Broadcast(m) => ctx.broadcast(m),
-                        timewheel::Action::Send(to, m) => ctx.send(to, m),
-                        timewheel::Action::Deliver(d) => a.deliveries.push((ctx.now_hw(), d)),
-                        _ => {}
-                    }
-                }
-            }
+            let _ = a.propose(ctx, payload, sem);
         });
     }
 
