@@ -102,24 +102,26 @@ fn main() {
     }
     table.print("OBS: observability layer overhead baseline");
 
-    let json = serde_json::json!({
-        "experiment": "obs_baseline",
-        "iters": ITERS,
-        "counter_inc_ns": counter_inc_ns,
-        "histogram_record_ns": histogram_record_ns,
-        "tracer_disabled_emit_ns": tracer_disabled_emit_ns,
-        "tracer_vecsink_emit_ns": tracer_vecsink_emit_ns,
-        "registry_snapshot_us": snapshot_us,
-        "sim": {
-            "team": 5,
-            "cycles": cycles,
-            "run_ms": sim_run_ms,
-            "total_sends": total_sends,
-            "membership_msgs": membership,
-        },
-    });
+    let json = format!(
+        r#"{{
+  "experiment": "obs_baseline",
+  "iters": {ITERS},
+  "counter_inc_ns": {counter_inc_ns},
+  "histogram_record_ns": {histogram_record_ns},
+  "tracer_disabled_emit_ns": {tracer_disabled_emit_ns},
+  "tracer_vecsink_emit_ns": {tracer_vecsink_emit_ns},
+  "registry_snapshot_us": {snapshot_us},
+  "sim": {{
+    "team": 5,
+    "cycles": {cycles},
+    "run_ms": {sim_run_ms},
+    "total_sends": {total_sends},
+    "membership_msgs": {membership}
+  }}
+}}
+"#
+    );
     let path = "BENCH_obs_baseline.json";
-    std::fs::write(path, serde_json::to_string_pretty(&json).expect("serialize"))
-        .expect("write baseline");
+    std::fs::write(path, json).expect("write baseline");
     println!("\nwrote {path}");
 }

@@ -20,9 +20,6 @@
 //! tail plane is exercised under load; CI's `observability` job runs it
 //! and uploads the JSON, `tools/shadow/check.sh` smoke-runs it.
 //!
-//! Self-contained (no serde_json/rand/criterion) so the shadow harness
-//! can build it offline.
-//!
 //! Usage: `exp_obs_live [--quick] [--updates N] [--out FILE]`
 
 #![forbid(unsafe_code)]

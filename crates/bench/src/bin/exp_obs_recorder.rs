@@ -145,24 +145,26 @@ fn main() {
     println!("\nclaim check: end-to-end overhead < 5% with the T1 shape preserved");
     println!("(zero membership messages asserted in every run, recorded or not).");
 
-    let json = serde_json::json!({
-        "experiment": "obs_recorder",
-        "iters": ITERS,
-        "record_buffered_ns": record_buffered_ns,
-        "record_spilling_ns": record_spilling_ns,
-        "record_plus_flush_ns": flush_ns,
-        "sim": {
-            "team": 5,
-            "cycles": CYCLES,
-            "runs": RUNS,
-            "baseline_ms": baseline_ms,
-            "recorded_ms": recorded_ms,
-            "overhead_pct": overhead_pct,
-        },
-        "baseline_file": "BENCH_obs_baseline.json",
-    });
+    let json = format!(
+        r#"{{
+  "experiment": "obs_recorder",
+  "iters": {ITERS},
+  "record_buffered_ns": {record_buffered_ns},
+  "record_spilling_ns": {record_spilling_ns},
+  "record_plus_flush_ns": {flush_ns},
+  "sim": {{
+    "team": 5,
+    "cycles": {CYCLES},
+    "runs": {RUNS},
+    "baseline_ms": {baseline_ms},
+    "recorded_ms": {recorded_ms},
+    "overhead_pct": {overhead_pct}
+  }},
+  "baseline_file": "BENCH_obs_baseline.json"
+}}
+"#
+    );
     let path = "BENCH_obs_recorder.json";
-    std::fs::write(path, serde_json::to_string_pretty(&json).expect("serialize"))
-        .expect("write results");
+    std::fs::write(path, json).expect("write results");
     println!("\nwrote {path}");
 }

@@ -72,20 +72,24 @@ fn main() {
         + (cfg.big_d + cfg.delta) * (N as i64 - 2)
         + cfg.tick * 4;
 
-    let meta = serde_json::json!({
-        "scenario": "single_failure_crash",
-        "team": N,
-        "seed": 7,
-        "victim": victim.0,
-        "epsilon_us": cfg.epsilon.as_micros(),
-        "recovery_envelope_us": envelope.as_micros(),
-        "recordings": (0..N).map(|i| format!("node-{i}.twrec")).collect::<Vec<_>>(),
-    });
-    std::fs::write(
-        out.join("meta.json"),
-        serde_json::to_string_pretty(&meta).expect("serialize"),
-    )
-    .expect("write meta.json");
+    let recordings: Vec<String> = (0..N).map(|i| format!("\"node-{i}.twrec\"")).collect();
+    let meta = format!(
+        r#"{{
+  "scenario": "single_failure_crash",
+  "team": {N},
+  "seed": 7,
+  "victim": {},
+  "epsilon_us": {},
+  "recovery_envelope_us": {},
+  "recordings": [{}]
+}}
+"#,
+        victim.0,
+        cfg.epsilon.as_micros(),
+        envelope.as_micros(),
+        recordings.join(", ")
+    );
+    std::fs::write(out.join("meta.json"), meta).expect("write meta.json");
 
     for i in 0..N {
         let len = std::fs::metadata(out.join(format!("node-{i}.twrec")))

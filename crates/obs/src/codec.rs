@@ -33,7 +33,7 @@
 //!   and discards the remainder of the frame.
 //!
 //! Decoding is total: arbitrary bytes either decode or return a
-//! [`WireError`], never panic (fuzzed in `tests/prop_codec.rs`).
+//! [`WireError`], never panic (fuzzed in `proptests/tests/prop_obs_codec.rs`).
 
 use crate::trace::{ClockStamp, FaultKind, TraceEvent};
 use tw_proto::frame::{

@@ -1,6 +1,6 @@
 //! Crash-consistency of the flight-recorder file format, checked
 //! exhaustively (satellite of the flight-recorder PR; the proptest
-//! variant lives in `prop_recorder.rs`).
+//! variant lives in `proptests/tests/prop_recorder.rs`).
 //!
 //! The recorder's contract after a torn write or bit rot is:
 //!

@@ -4,9 +4,10 @@
 //! here as one literal — is refused outright as `BadVersion`, never
 //! half-decoded and never guessed at.
 //!
-//! Deliberately proptest-free so the offline shadow harness runs it;
-//! the randomized sweep uses a hand-rolled SplitMix64 with a fixed
-//! seed, making failures reproducible by seed alone.
+//! Deliberately proptest-free so it runs in the registry-free root
+//! workspace (the proptest suites are `proptests/`); the randomized
+//! sweep uses a hand-rolled SplitMix64 with a fixed seed, making
+//! failures reproducible by seed alone.
 
 use bytes::Bytes;
 use tw_proto::frame::{self, FrameBuilder, VERSION_BYTE};

@@ -4,8 +4,9 @@
 //! the decoder-safety sweeps (truncate at every offset, flip every bit,
 //! overflowing arithmetic, the expansion cap).
 //!
-//! Proptest-free so the offline shadow harness runs it; the randomized
-//! windows come from a fixed-seed SplitMix64.
+//! Proptest-free so it runs in the registry-free root workspace (the
+//! proptest suites are `proptests/`); the randomized windows come from a
+//! fixed-seed SplitMix64.
 
 use tw_proto::WireError;
 use tw_proto::frame::{self, FrameBuilder, WireCursor, MAX_OAL_WINDOW, VERSION_BYTE};

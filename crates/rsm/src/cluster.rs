@@ -10,8 +10,7 @@
 
 use crate::machine::{MachineHost, StateMachine};
 use bytes::Bytes;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration as StdDuration;
 use timewheel::{Config, ProposeError};
 use tw_proto::{ProposalId, Semantics};
@@ -51,7 +50,7 @@ pub struct RsmNode<S: StateMachine> {
 impl<S: StateMachine> RsmNode<S> {
     /// Inspect the replica's machine (read-only snapshot access).
     pub fn with_machine<R>(&self, f: impl FnOnce(&MachineHost<S>) -> R) -> R {
-        f(&self.machine.lock())
+        f(&lock(&self.machine))
     }
 
     /// Execute one command through the replicated log: proposes it with
@@ -84,8 +83,7 @@ impl<S: StateMachine> RsmNode<S> {
     }
 
     fn response_for(&self, id: ProposalId) -> Option<Bytes> {
-        self.machine
-            .lock()
+        lock(&self.machine)
             .outcomes()
             .iter()
             .rev()
@@ -104,6 +102,12 @@ impl<S: StateMachine> RsmNode<S> {
     }
 }
 
+fn lock<S: StateMachine>(machine: &Mutex<MachineHost<S>>) -> MutexGuard<'_, MachineHost<S>> {
+    machine
+        .lock()
+        .expect("a machine panicked inside its delivery hook")
+}
+
 /// Start an in-process replicated service of `cfg.n` replicas, each
 /// hosting a machine produced by `make`.
 pub fn spawn_rsm_cluster<S, F>(kind: ExecutorKind, cfg: Config, mut make: F) -> Vec<RsmNode<S>>
@@ -119,7 +123,7 @@ where
         .executor(kind)
         .hooks(move |pid| {
             let host = hook_machines[pid.rank()].clone();
-            Some(Box::new(move |ev: AppEvent<'_>| host.lock().on_app_event(ev)) as DeliveryHook)
+            Some(Box::new(move |ev: AppEvent<'_>| lock(&host).on_app_event(ev)) as DeliveryHook)
         })
         .spawn()
         .expect("nothing attached that does I/O, spawn cannot fail");

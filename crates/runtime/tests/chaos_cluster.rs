@@ -5,8 +5,8 @@
 //! (view overlap, oal-prefix agreement, ε-causality).
 //!
 //! Like `cluster.rs`, these spawn real node threads against wall-clock
-//! deadlines: they are compile-checked offline but executed only by CI
-//! (see tools/shadow/check.sh).
+//! deadlines; `tools/shadow/check.sh` and CI also run them in release
+//! mode.
 
 use bytes::Bytes;
 use std::time::{Duration as StdDuration, Instant};

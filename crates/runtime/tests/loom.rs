@@ -9,9 +9,9 @@
 //! `cargo xtask lint-concurrency` static pass (DESIGN.md §13).
 //!
 //! Run: `RUSTFLAGS="--cfg loom" cargo test -p tw-runtime --test loom`
-//! (CI `concurrency-analysis` job; offline via tools/shadow/check.sh
-//! with the loom stub, which degrades the exhaustive exploration to a
-//! single-schedule smoke run).
+//! With the in-tree `loom` (tools/shadow/stubs/loom) that is a
+//! single-schedule smoke run; CI's `concurrency-analysis` job strips the
+//! `[patch.crates-io]` table first, so the published crate explores.
 #![cfg(loom)]
 
 use loom::sync::Arc;

@@ -377,13 +377,8 @@ pub fn lint_workspace(repo_root: &Path) -> std::io::Result<Vec<Finding>> {
 }
 
 /// The repo root, located from this crate's manifest dir (works both
-/// under `cargo run -p xtask` and in `cargo test -p xtask`). The
-/// `TW_XTASK_ROOT` override exists for harnesses that build `xtask`
-/// outside the repo layout (see `tools/shadow/check.sh`).
+/// under `cargo run -p xtask` and in `cargo test -p xtask`).
 pub fn repo_root() -> PathBuf {
-    if let Ok(root) = std::env::var("TW_XTASK_ROOT") {
-        return PathBuf::from(root);
-    }
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)

@@ -1,6 +1,13 @@
 //! Soak test: a long, adversarial run mixing every fault class and all
 //! nine semantics, ending in a stability window — the team must converge
 //! back to the full group with every invariant intact.
+//!
+//! Known failing (ROADMAP item 1): p1, crashed at 5 s and back at 12 s
+//! while total-order traffic flows, never catches up and delivers 45 of
+//! the 600 offered updates against a floor of 80. This is the in-tree
+//! repro of `benchmark/README.md` finding 1. Fix `Member`; do not
+//! re-seed, `#[ignore]` or loosen this test. `tools/shadow/check.sh` and
+//! CI run it as its own step so it cannot hide the other suites.
 
 use bytes::Bytes;
 use timewheel::harness::{all_in_group, run_until_pred, team_world, TeamParams};

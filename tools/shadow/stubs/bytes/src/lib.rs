@@ -1,9 +1,9 @@
-//! Offline stub of the `bytes` 1.x surface this workspace uses:
+//! The `bytes` 1.x surface this workspace uses, implemented in-tree:
 //! [`Bytes`], [`BytesMut`] and the [`Buf`]/[`BufMut`] traits, backed by a
-//! plain `Arc<Vec<u8>>` window. Semantics match the real crate for the
-//! operations exercised here (little-endian gets/puts, `split_to`,
-//! `advance`, `freeze`); performance characteristics do not matter for
-//! the shadow check.
+//! plain `Arc<Vec<u8>>` window. Semantics match the published crate for
+//! the operations exercised here (little-endian gets/puts, `split_to`,
+//! `advance`, `freeze`). This is the `bytes` every build of the
+//! workspace links, `benchmark/` included.
 
 use std::sync::Arc;
 

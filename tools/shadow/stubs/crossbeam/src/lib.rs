@@ -1,9 +1,10 @@
-//! Offline stub of the `crossbeam` API surface this workspace uses:
+//! The `crossbeam` API surface this workspace uses, implemented in-tree:
 //! `channel::{unbounded, Sender, Receiver}`, the channel error types, and
 //! a polling `select!` limited to the two-receivers-plus-default shape the
 //! runtime's event loop relies on. Semantics match crossbeam where the
 //! workspace can observe them (MPMC, disconnect on last sender/receiver
-//! drop); performance does not need to.
+//! drop). Timing does not: `select!` re-checks its second arm only every
+//! 500 µs, and that is in every number `benchmark/` reports (ROADMAP 4c).
 
 /// Channel types mirroring `crossbeam::channel`.
 pub mod channel {

@@ -1,12 +1,13 @@
-//! Offline stand-in for the `loom` model checker (tools/shadow only).
+//! In-tree stand-in for the `loom` model checker.
 //!
-//! The real crate executes each `loom::model` closure once per possible
+//! The published crate executes each `loom::model` closure once per possible
 //! thread interleaving, using its own `thread`/`sync` shims to enumerate
 //! schedules. This stub degrades that to a *smoke run*: every shim is
 //! the corresponding `std` item and `model` runs its closure exactly
 //! once under whatever schedule the OS picks. That keeps the loom test
-//! suite compiling and asserting offline; the exhaustive exploration
-//! only happens in networked CI with the real crate.
+//! suite compiling and asserting without a registry; the exhaustive
+//! exploration happens in CI's loom job, which strips the root
+//! `[patch.crates-io]` table so the published crate resolves.
 
 /// Run the model body once (the real crate runs it per interleaving).
 pub fn model<F>(f: F)

@@ -1,4 +1,4 @@
-//! Offline stub of the `parking_lot` API surface this workspace uses:
+//! The `parking_lot` API surface this workspace uses, implemented in-tree:
 //! `Mutex` with a non-poisoning, `Result`-free `lock()`. Backed by
 //! `std::sync::Mutex` with poison errors swallowed, which matches
 //! parking_lot's observable behavior for these call sites.

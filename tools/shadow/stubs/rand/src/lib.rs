@@ -1,9 +1,9 @@
-//! Offline stub of the tiny `rand` 0.8 surface this workspace uses.
+//! The tiny `rand` 0.8 surface this workspace uses, implemented in-tree.
 //!
-//! Exists so `tools/shadow/check.sh` can typecheck and unit-test the
-//! protocol crates in a container with no crates.io access. The real
-//! build uses the real `rand`; this stub only mirrors the API shape
-//! (deterministic splitmix64 behind `StdRng`), not its exact streams.
+//! It mirrors the published crate's API shape, not its streams: `StdRng`
+//! is splitmix64. Every seeded expectation in the repo (simulator tests,
+//! `benchmark/` at seed 42, ROADMAP's repro seeds) is a statement about
+//! this stream; tw-sim's `seed_42_stream_is_frozen` pins it.
 
 /// Core randomness source.
 pub trait RngCore {

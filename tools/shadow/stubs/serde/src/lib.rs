@@ -1,4 +1,4 @@
-//! Offline stub of `serde`: re-exports no-op derives. The workspace's
+//! In-tree stand-in for `serde`: re-exports no-op derives. The workspace's
 //! protocol crates only *derive* Serialize/Deserialize; nothing in them
 //! calls serde at runtime, so empty expansions typecheck fine.
 

@@ -1,7 +1,6 @@
-//! Offline stub of `serde_derive`: the derives expand to nothing, which
-//! is enough to typecheck crates that derive but never *call* serde
-//! (serialization is only exercised by the bench/root crates, which the
-//! shadow check excludes).
+//! In-tree stand-in for `serde_derive`: the derives expand to nothing,
+//! which is all the workspace needs — its crates derive but never *call*
+//! serde.
 
 use proc_macro::TokenStream;
 
