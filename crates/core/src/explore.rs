@@ -270,7 +270,10 @@ impl Actor for ExploreMember {
 
 fn check(actors: &[ExploreMember]) -> Vec<String> {
     let refs: Vec<&SimMember> = actors.iter().map(|m| &m.inner).collect();
-    check_all_members(&refs).into_iter().map(|v| v.0).collect()
+    check_all_members(&refs)
+        .iter()
+        .map(|v| v.to_string())
+        .collect()
 }
 
 /// Exhaustively explore one scenario under the given budgets.

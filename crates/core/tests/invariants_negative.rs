@@ -1,22 +1,21 @@
 //! Negative coverage for `timewheel::invariants`: fabricate deliberately
-//! corrupted member logs and prove each checker can actually fail.
+//! corrupted member logs and prove each check can actually fail.
 //!
-//! The checkers gate every integration test and every schedule the
+//! The checks gate every integration test and every schedule the
 //! exhaustive explorer enumerates; a checker that silently accepts
 //! garbage would turn all of that into green noise. Each test here
-//! builds the *minimal* corrupted log for one invariant and asserts both
-//! the targeted checker and the `check_all_members` aggregate flag it.
+//! builds the *minimal* corrupted log for one invariant and asserts
+//! `check_all_members` — the `SimMember` adapter over `tw_obs::audit` —
+//! flags it under that invariant's check label
+//! (`crates/obs/tests/audit_negative.rs` feeds the same checker from
+//! trace streams).
 
 use bytes::Bytes;
 use timewheel::events::Delivery;
 use timewheel::harness::{
     all_in_group, inject_proposals, run_until_pred, team_world, SimMember, TeamParams,
 };
-use timewheel::invariants::{
-    check_all_members, check_fifo, check_log_alignment, check_majority,
-    check_no_duplicate_deliveries, check_time_order, check_total_order_agreement,
-    check_view_agreement,
-};
+use timewheel::invariants::check_all_members;
 use timewheel::{Config, Member};
 use tw_proto::{
     Duration, HwTime, Ordinal, ProcessId, ProposalId, Semantics, SyncTime, View, ViewId,
@@ -43,6 +42,14 @@ fn delivery(proposer: u16, seq: u64, sem: Semantics, send_us: i64) -> Delivery {
     }
 }
 
+/// The total-ordered update `proposer:1`, bound to ordinal `ord`.
+fn total(proposer: u16, ord: u64) -> Delivery {
+    Delivery {
+        ordinal: Some(Ordinal(ord)),
+        ..delivery(proposer, 1, Semantics::TOTAL_STRONG, 200)
+    }
+}
+
 /// Install `view` on the member at local time `t_us` — keeps the views
 /// log and the delivery-view alignment the checkers expect.
 fn install(m: &mut SimMember, view: &View, t_us: i64) {
@@ -65,6 +72,14 @@ fn refs(members: &[SimMember]) -> Vec<&SimMember> {
     members.iter().collect()
 }
 
+/// The check label of every violation `check_all_members` reports.
+fn checks(members: &[SimMember]) -> Vec<&'static str> {
+    check_all_members(&refs(members))
+        .iter()
+        .map(|v| v.check)
+        .collect()
+}
+
 #[test]
 fn clean_fabricated_log_passes() {
     let v = view(1, 0, [0, 1, 2]);
@@ -85,13 +100,22 @@ fn duplicate_delivery_is_flagged() {
         install(m, &v, 100);
     }
     // p1 applies the same proposal twice within one life.
-    deliver(&mut team[1], delivery(0, 1, Semantics::TOTAL_STRONG, 200), v.id, 300);
-    deliver(&mut team[1], delivery(0, 1, Semantics::TOTAL_STRONG, 200), v.id, 310);
+    deliver(
+        &mut team[1],
+        delivery(0, 1, Semantics::TOTAL_STRONG, 200),
+        v.id,
+        300,
+    );
+    deliver(
+        &mut team[1],
+        delivery(0, 1, Semantics::TOTAL_STRONG, 200),
+        v.id,
+        310,
+    );
 
-    let viols = check_no_duplicate_deliveries(&refs(&team));
-    assert_eq!(viols.len(), 1, "{viols:?}");
-    assert!(viols[0].0.contains("twice"), "{viols:?}");
-    assert!(!check_all_members(&refs(&team)).is_empty());
+    let found = checks(&team);
+    let dups = found.iter().filter(|c| **c == "duplicate-delivery").count();
+    assert_eq!(dups, 1, "{found:?}");
 }
 
 #[test]
@@ -101,18 +125,28 @@ fn delivery_logged_without_its_view_is_flagged() {
     for m in team.iter_mut() {
         install(m, &v, 100);
     }
-    deliver(&mut team[0], delivery(0, 1, Semantics::TOTAL_STRONG, 200), v.id, 300);
+    deliver(
+        &mut team[0],
+        delivery(0, 1, Semantics::TOTAL_STRONG, 200),
+        v.id,
+        300,
+    );
     // What a hand-rolled applier does: grow one column of the log only.
-    // The per-view checkers would silently zip the tail away.
+    // The replay into the auditor would silently zip the tail away.
     team[0].deliveries.push((
         HwTime::from_micros(310),
         delivery(0, 2, Semantics::TOTAL_STRONG, 210),
     ));
 
-    let viols = check_log_alignment(&refs(&team));
-    assert_eq!(viols.len(), 1, "{viols:?}");
-    assert!(viols[0].0.contains("2 deliveries but 1 delivery views"), "{viols:?}");
-    assert!(!check_all_members(&refs(&team)).is_empty());
+    // Alignment is the adapter's first check.
+    let viols = check_all_members(&refs(&team));
+    assert_eq!(viols[0].check, "log-alignment", "{viols:?}");
+    assert!(
+        viols[0]
+            .message
+            .contains("2 deliveries but 1 delivery views"),
+        "{viols:?}"
+    );
 }
 
 /// The positive control: the one real effect router never produces such
@@ -146,13 +180,20 @@ fn fifo_inversion_is_flagged() {
         install(m, &v, 100);
     }
     // p2 delivers proposer 0's seq 2 before seq 1.
-    deliver(&mut team[2], delivery(0, 2, Semantics::UNORDERED_WEAK, 210), v.id, 300);
-    deliver(&mut team[2], delivery(0, 1, Semantics::UNORDERED_WEAK, 200), v.id, 310);
+    deliver(
+        &mut team[2],
+        delivery(0, 2, Semantics::UNORDERED_WEAK, 210),
+        v.id,
+        300,
+    );
+    deliver(
+        &mut team[2],
+        delivery(0, 1, Semantics::UNORDERED_WEAK, 200),
+        v.id,
+        310,
+    );
 
-    let viols = check_fifo(&refs(&team));
-    assert_eq!(viols.len(), 1, "{viols:?}");
-    assert!(viols[0].0.contains("after seq"), "{viols:?}");
-    assert!(!check_all_members(&refs(&team)).is_empty());
+    assert_eq!(checks(&team), ["fifo"]);
 }
 
 #[test]
@@ -170,10 +211,7 @@ fn two_completed_views_sharing_a_seq_are_flagged() {
     install(&mut team[1], &vb, 200);
     install(&mut team[2], &vb, 200);
 
-    let viols = check_view_agreement(&refs(&team));
-    assert_eq!(viols.len(), 1, "{viols:?}");
-    assert!(viols[0].0.contains("two completed majority groups"), "{viols:?}");
-    assert!(!check_all_members(&refs(&team)).is_empty());
+    assert_eq!(checks(&team), ["competing-groups"]);
 }
 
 #[test]
@@ -184,11 +222,7 @@ fn same_view_id_with_diverging_member_sets_is_flagged() {
     va.members.insert(ProcessId(2)); // p1 saw a different set under the same id
     install(&mut team[1], &va, 100);
 
-    let viols = check_view_agreement(&refs(&team));
-    assert!(
-        viols.iter().any(|v| v.0.contains("two member sets")),
-        "{viols:?}"
-    );
+    assert_eq!(checks(&team), ["view-agreement"]);
 }
 
 #[test]
@@ -199,10 +233,7 @@ fn minority_view_is_flagged() {
     let mut team: Vec<SimMember> = (0..N as u16).map(blank).collect();
     install(&mut team[0], &v, 100);
 
-    let viols = check_majority(&refs(&team));
-    assert_eq!(viols.len(), 1, "{viols:?}");
-    assert!(viols[0].0.contains("non-majority"), "{viols:?}");
-    assert!(!check_all_members(&refs(&team)).is_empty());
+    assert_eq!(checks(&team), ["minority-view"]);
 }
 
 #[test]
@@ -211,17 +242,19 @@ fn total_order_disagreement_in_a_completed_view_is_flagged() {
     let mut team: Vec<SimMember> = (0..N as u16).map(blank).collect();
     install(&mut team[0], &v, 100);
     install(&mut team[1], &v, 100);
-    let d1 = delivery(0, 1, Semantics::TOTAL_STRONG, 200);
-    let d2 = delivery(1, 1, Semantics::TOTAL_STRONG, 205);
+    // Both bind the same ordinals; p1 applies them the other way round.
+    let (d1, d2) = (total(0, 1), total(1, 2));
     deliver(&mut team[0], d1.clone(), v.id, 300);
     deliver(&mut team[0], d2.clone(), v.id, 310);
     deliver(&mut team[1], d2, v.id, 300);
     deliver(&mut team[1], d1, v.id, 310);
 
-    let viols = check_total_order_agreement(&refs(&team));
-    assert_eq!(viols.len(), 1, "{viols:?}");
-    assert!(viols[0].0.contains("total order disagreement"), "{viols:?}");
-    assert!(!check_all_members(&refs(&team)).is_empty());
+    let viols = check_all_members(&refs(&team));
+    let v = viols
+        .iter()
+        .find(|v| v.check == "total-order")
+        .expect("flagged");
+    assert!(v.message.contains("total order disagreement"), "{v}");
 }
 
 #[test]
@@ -232,14 +265,66 @@ fn total_order_divergence_outside_completed_views_is_not_flagged() {
     let v = view(1, 0, [0, 1]);
     let mut team: Vec<SimMember> = (0..N as u16).map(blank).collect();
     install(&mut team[0], &v, 100); // p1 never installs v
-    let d1 = delivery(0, 1, Semantics::TOTAL_STRONG, 200);
-    let d2 = delivery(1, 1, Semantics::TOTAL_STRONG, 205);
+    let (d1, d2) = (total(0, 1), total(1, 2));
     deliver(&mut team[0], d1.clone(), v.id, 300);
     deliver(&mut team[0], d2.clone(), v.id, 310);
     deliver(&mut team[1], d2, v.id, 300);
     deliver(&mut team[1], d1, v.id, 310);
 
-    assert_eq!(check_total_order_agreement(&refs(&team)), Vec::new());
+    let found = checks(&team);
+    assert!(!found.contains(&"total-order"), "{found:?}");
+}
+
+/// `benchmark/README.md` finding 4, minimal: v1 and v2 both complete; p0
+/// delivers a then b in v1, p1 delivers b in v1 and a only in v2. No
+/// single view holds the disagreement, so a checker that compares
+/// members view by view cannot see it. `complete_v2 = false` leaves v2
+/// installed by p1 alone.
+fn cross_view_inversion(complete_v2: bool) -> Vec<SimMember> {
+    let (v1, v2) = (view(1, 0, [0, 1]), view(2, 1, [0, 1]));
+    let mut team: Vec<SimMember> = (0..N as u16).map(blank).collect();
+    install(&mut team[0], &v1, 100);
+    install(&mut team[1], &v1, 100);
+    install(&mut team[1], &v2, 400);
+    if complete_v2 {
+        install(&mut team[0], &v2, 400);
+    }
+    let (a, b) = (total(0, 1), total(1, 2));
+    deliver(&mut team[0], a.clone(), v1.id, 300);
+    deliver(&mut team[0], b.clone(), v1.id, 310);
+    deliver(&mut team[1], b, v1.id, 300);
+    deliver(
+        &mut team[1],
+        Delivery {
+            ordinal: Some(Ordinal(3)),
+            ..a
+        },
+        v2.id,
+        500,
+    );
+    team
+}
+
+#[test]
+fn total_order_inversion_across_two_completed_views_is_flagged() {
+    let viols = check_all_members(&refs(&cross_view_inversion(true)));
+    let v = viols
+        .iter()
+        .find(|v| v.check == "total-order")
+        .expect("flagged");
+    assert!(
+        v.message
+            .contains("p0 delivered p0:1 before p1:1 (views v1@p0, v1@p0)")
+            && v.message
+                .contains("p1 delivered p1:1 before p0:1 (views v1@p0, v2@p1)"),
+        "{v}"
+    );
+}
+
+#[test]
+fn total_order_inversion_reaching_into_a_never_completed_view_is_not_flagged() {
+    let found = checks(&cross_view_inversion(false));
+    assert!(!found.contains(&"total-order"), "{found:?}");
 }
 
 #[test]
@@ -251,19 +336,26 @@ fn time_order_inversion_is_flagged() {
     }
     // p0 delivers a time-ordered update whose send timestamp precedes
     // the previous one.
-    deliver(&mut team[0], delivery(1, 1, Semantics::TIME_STRICT, 500), v.id, 600);
-    deliver(&mut team[0], delivery(2, 1, Semantics::TIME_STRICT, 400), v.id, 610);
+    deliver(
+        &mut team[0],
+        delivery(1, 1, Semantics::TIME_STRICT, 500),
+        v.id,
+        600,
+    );
+    deliver(
+        &mut team[0],
+        delivery(2, 1, Semantics::TIME_STRICT, 400),
+        v.id,
+        610,
+    );
 
-    let viols = check_time_order(&refs(&team));
-    assert_eq!(viols.len(), 1, "{viols:?}");
-    assert!(viols[0].0.contains("after ts"), "{viols:?}");
-    assert!(!check_all_members(&refs(&team)).is_empty());
+    assert_eq!(checks(&team), ["time-order"]);
 }
 
 #[test]
 fn duplicate_across_crash_lives_is_not_flagged() {
     // A crash-recovery starts a new life; re-applying an update after
-    // the join-time state transfer is legal. The duplicate checker must
+    // the join-time state transfer is legal. The duplicate check must
     // scope itself to one continuous life.
     let v = view(1, 0, [0, 1, 2]);
     let mut team: Vec<SimMember> = (0..N as u16).map(blank).collect();
@@ -282,5 +374,5 @@ fn duplicate_across_crash_lives_is_not_flagged() {
     ));
     deliver(m, delivery(0, 1, Semantics::TOTAL_STRONG, 200), v.id, 500);
 
-    assert_eq!(check_no_duplicate_deliveries(&refs(&team)), Vec::new());
+    assert_eq!(check_all_members(&refs(&team)), []);
 }

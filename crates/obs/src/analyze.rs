@@ -24,11 +24,10 @@
 //! * **reconfiguration** (§4.4) — first `ReconfigSlotFired` through the
 //!   resulting view installations.
 //!
-//! The merged stream is also re-run through the live [`Auditor`] plus
-//! two checks only an *offline, complete* view can make: majority-view
-//! overlap between consecutive views, and oal-prefix agreement (every
-//! member's delivered ordinals form a gapless prefix of the view's
-//! global ordinal chain).
+//! The merged stream is also fed to the history checker — the same
+//! [`Auditor`] and the same [`Auditor::finish`] a live cluster and the
+//! simulator run — plus the one check that needs spans and ε rather than
+//! history: clock alignment of decision receives against their sends.
 //!
 //! Everything here is pure: recordings in, report out. File I/O lives in
 //! [`crate::recording`] and the `tw-trace` binary.
@@ -37,8 +36,8 @@ use crate::audit::{Auditor, Violation};
 use crate::metrics::{Registry, Snapshot, LATENCY_BOUNDS_US};
 use crate::recording::Recording;
 use crate::trace::TraceEvent;
-use std::collections::{BTreeMap, BTreeSet};
-use tw_proto::{AckBits, Duration, Ordinal, ProcessId, SyncTime, ViewId};
+use std::collections::BTreeMap;
+use tw_proto::{Duration, ProcessId, SyncTime, ViewId};
 
 /// A set of per-node recordings, validated for joint analysis.
 #[derive(Debug, Clone)]
@@ -193,11 +192,11 @@ pub struct Analysis {
     pub recoveries: Vec<RecoverySpan>,
     /// Reconfiguration episodes.
     pub reconfigs: Vec<ReconfigSpan>,
-    /// Violations from replaying the merged stream through the live
-    /// [`Auditor`].
+    /// Violations from feeding the merged stream to the [`Auditor`]
+    /// (per-event and whole-history checks alike).
     pub audit: Vec<Violation>,
-    /// Violations from the offline-only cross-node checks
-    /// (majority-view overlap, oal-prefix agreement, ε-causality).
+    /// Violations from the analyzer's own cross-node check
+    /// (ε-causality of decision spans).
     pub cross: Vec<Violation>,
     /// Injected faults found in the stream, counted per kind label —
     /// non-empty exactly when the run was adversarial (self-describing
@@ -209,7 +208,7 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// True when both the replayed audit and the cross-node checks are
+    /// True when both the history audit and the causality check are
     /// clean.
     pub fn audits_clean(&self) -> bool {
         self.audit.is_empty() && self.cross.is_empty()
@@ -261,15 +260,13 @@ pub fn analyze(set: &TraceSet) -> Analysis {
         }
     }
 
-    // Offline audit: the live checker over the merged stream…
+    // Offline audit: the history checker over the merged stream, plus
+    // the analyzer's own ε-causality check.
     let mut auditor = Auditor::new(set.team);
     for ev in &merged {
         auditor.observe(ev);
     }
-    // …plus the checks only a complete offline view can make.
     let mut cross = Vec::new();
-    view_overlap_check(&merged, &mut cross);
-    oal_prefix_check(&merged, &mut cross);
     causality_check(&decisions, set.epsilon, &mut cross);
 
     // Surface injected faults so adversarial runs read as such: the
@@ -289,7 +286,7 @@ pub fn analyze(set: &TraceSet) -> Analysis {
         decisions,
         recoveries,
         reconfigs,
-        audit: auditor.violations().to_vec(),
+        audit: auditor.finish().to_vec(),
         cross,
         faults,
         latencies: registry.snapshot(),
@@ -437,81 +434,6 @@ fn reconfig_spans(merged: &[TraceEvent]) -> Vec<ReconfigSpan> {
     spans
 }
 
-/// Offline check: any two *consecutive* completed views must share at
-/// least one member — the majority-chain property that lets state (and
-/// the oal) survive every reconfiguration.
-fn view_overlap_check(merged: &[TraceEvent], out: &mut Vec<Violation>) {
-    let mut views: BTreeMap<ViewId, AckBits> = BTreeMap::new();
-    for ev in merged {
-        if let TraceEvent::ViewInstalled { view, members, .. } = *ev {
-            views.entry(view).or_insert(members);
-        }
-    }
-    let ordered: Vec<(ViewId, AckBits)> = views.into_iter().collect();
-    for w in ordered.windows(2) {
-        let ((va, ma), (vb, mb)) = (w[0], w[1]);
-        if ma.0 & mb.0 == 0 {
-            out.push(Violation::new(
-                "view-overlap",
-                format!("views {va:?} and {vb:?} share no member — the majority chain is broken"),
-            ));
-        }
-    }
-}
-
-/// Offline check: per view, the ordinals any member delivered must form
-/// a gapless prefix of the view's global ordinal chain — the cross-node
-/// shape of oal-prefix agreement. (The live auditor checks pairwise
-/// binding agreement; only a complete offline view can check *prefix*
-/// completeness.)
-fn oal_prefix_check(merged: &[TraceEvent], out: &mut Vec<Violation>) {
-    // view → all ordinals seen; (pid, view) → that member's ordinals.
-    let mut global: BTreeMap<ViewId, BTreeSet<Ordinal>> = BTreeMap::new();
-    let mut per_member: BTreeMap<(ProcessId, ViewId), BTreeSet<Ordinal>> = BTreeMap::new();
-    for ev in merged {
-        if let TraceEvent::Delivered {
-            pid,
-            ordinal: Some(ord),
-            view,
-            ..
-        } = *ev
-        {
-            global.entry(view).or_default().insert(ord);
-            per_member.entry((pid, view)).or_default().insert(ord);
-        }
-    }
-    for (view, chain) in &global {
-        // The global chain itself must be gapless.
-        let mut expect = *chain.iter().next().expect("non-empty chain");
-        for ord in chain {
-            if *ord != expect {
-                out.push(Violation::new(
-                    "oal-prefix",
-                    format!(
-                        "view {view:?}: global ordinal chain has a gap at {expect:?} (next bound ordinal is {ord:?})"
-                    ),
-                ));
-                break;
-            }
-            expect = expect.next();
-        }
-    }
-    for ((pid, view), ords) in &per_member {
-        let chain = &global[view];
-        // A member's ordinals must be exactly the first |ords| entries
-        // of the global chain.
-        let prefix: BTreeSet<Ordinal> = chain.iter().copied().take(ords.len()).collect();
-        if *ords != prefix {
-            out.push(Violation::new(
-                "oal-prefix",
-                format!(
-                    "{pid} delivered ordinals {ords:?} in view {view:?}, not a prefix of the view's chain"
-                ),
-            ));
-        }
-    }
-}
-
 /// Offline check: a decision may not be received more than ε before it
 /// was sent — the fail-aware clock bound. Within ε is clock noise.
 fn causality_check(decisions: &[DecisionSpan], epsilon: Duration, out: &mut Vec<Violation>) {
@@ -642,7 +564,7 @@ pub fn render_timeline(merged: &[TraceEvent], team: usize, opts: TimelineOptions
 mod tests {
     use super::*;
     use crate::trace::{ClockStamp, FaultKind};
-    use tw_proto::{HwTime, ProposalId, Semantics};
+    use tw_proto::{AckBits, HwTime, Ordinal, ProposalId, Semantics};
 
     fn stamp(t: i64) -> ClockStamp {
         ClockStamp {
@@ -865,7 +787,7 @@ mod tests {
         ];
         let set = TraceSet::new(vec![rec(0, events)]).unwrap();
         let a = analyze(&set);
-        assert!(a.cross.iter().any(|x| x.check == "view-overlap"));
+        assert!(a.audit.iter().any(|x| x.check == "view-overlap"));
     }
 
     #[test]
@@ -886,13 +808,13 @@ mod tests {
         let events = vec![mk(0, 1, 1, 10), mk(0, 2, 2, 20), mk(1, 1, 1, 30), mk(1, 3, 3, 40)];
         let set = TraceSet::new(vec![rec(0, events)]).unwrap();
         let a = analyze(&set);
-        assert!(a.cross.iter().any(|x| x.check == "oal-prefix"));
+        assert!(a.audit.iter().any(|x| x.check == "oal-prefix"));
 
         // Clean prefixes pass.
         let events = vec![mk(0, 1, 1, 10), mk(0, 2, 2, 20), mk(1, 1, 1, 30)];
         let set = TraceSet::new(vec![rec(0, events)]).unwrap();
         let a = analyze(&set);
-        assert!(a.cross.iter().all(|x| x.check != "oal-prefix"));
+        assert!(a.audit.iter().all(|x| x.check != "oal-prefix"));
     }
 
     #[test]

@@ -1,45 +1,71 @@
-//! Live invariant auditor over merged trace streams.
+//! The history checker: every delivery and view property the paper
+//! claims, stated once.
 //!
-//! The deterministic simulator checks the protocol's invariants offline
-//! (`timewheel::invariants` walks complete delivery logs after a run).
-//! A real cluster has no such log — but it *does* have the trace stream.
-//! The [`Auditor`] tails the merged [`TraceEvent`] streams of all members
-//! and re-checks the same family of claims **incrementally**, as events
-//! arrive:
+//! An [`Auditor`] is fed three neutral facts about a run —
+//! [`installed`](Auditor::installed), [`delivered`](Auditor::delivered)
+//! and [`restarted`](Auditor::restarted) — by whoever has them: the trace
+//! stream of a live cluster ([`SharedAuditor`] is a [`TraceSink`]), a
+//! merged set of recordings ([`mod@crate::analyze`]), or the member logs of a
+//! simulation (`timewheel::invariants`, which the schedule explorer runs
+//! at every terminal state). All of them get the same verdicts, and the
+//! auditor's per-member record *is* the history: there is no second
+//! representation to convert through.
 //!
-//! * **No duplicate delivery** — a member never delivers the same
-//!   proposal twice.
-//! * **FIFO per proposer** — a member delivers a proposer's updates in
+//! Checked as each fact arrives, in O(log n):
+//!
+//! * **duplicate-delivery** — a member never delivers the same proposal
+//!   twice within one life.
+//! * **fifo** — within one life a member delivers a proposer's updates in
 //!   ascending proposal-sequence order.
-//! * **Time order** — time-ordered deliveries at one member carry
+//! * **time-order** — within one life, time-ordered deliveries carry
 //!   non-decreasing synchronized send timestamps.
-//! * **Total order** — two members never bind the same `(view, ordinal)`
-//!   to different proposals, and ordinals at one member grow strictly
-//!   within a view (prefix property).
-//! * **Majority views** — every installed view contains a strict
-//!   majority of the team (§3: only majority groups may form).
-//! * **View agreement** — members installing the same view id agree on
-//!   its membership, and at most one majority group completes per view
-//!   sequence number.
+//! * **total-order** (binding) — no two members bind the same
+//!   `(view, ordinal)` to different proposals, and a total-ordered
+//!   delivery carries an ordinal.
+//! * **ordinal-prefix** — within one life and view, the ordinals of a
+//!   member's total-ordered deliveries grow strictly.
+//! * **minority-view** — every installed view holds a strict majority of
+//!   the team (§3: only majority groups may form).
+//! * **view-agreement** — members installing the same view id agree on
+//!   its membership.
+//! * **competing-groups** — at most one *completed* group (installed by
+//!   all its members) per view sequence number, decided at the install
+//!   that completes the second one.
 //!
-//! Scope: the auditor assumes one incarnation per member within the
-//! audited window (recovery resets proposal sequence numbers, which
-//! would trip the FIFO check). Soak tests that crash/recover members
-//! should start a fresh auditor per epoch.
+//! Checked by [`Auditor::finish`], once, over the whole history:
 //!
-//! Violations accumulate; they are never dropped. [`SharedAuditor`]
-//! wraps the auditor for use as a live [`TraceSink`] behind the tracer
-//! of every node in a cluster. Wiring a metrics [`Registry`] into the
-//! auditor additionally exposes each check as a
+//! * **view-overlap** — consecutive installed views share a member (the
+//!   majority chain that carries state across reconfigurations).
+//! * **oal-prefix** — per view, the total-ordered ordinals a member
+//!   delivered are a prefix of those anyone delivered in it.
+//! * **total-order** (agreement) — the union over all members and lives
+//!   of "delivered m before m′", taken over total-ordered updates, is
+//!   acyclic (the atomic-multicast statement of total order). It has no
+//!   view and no life in it, so a disagreement inside one view, across
+//!   two views, or around a rejoin is the same finding, reported as the
+//!   shortest cycle. One filter applies: only deliveries made in
+//!   *completed* views count. That is the paper's own exemption — §3
+//!   promises agreement to the members of completed majority groups and
+//!   allows "limited divergences" for a member delivering inside a group
+//!   the others never joined.
+//!
+//! A *restarted* fact starts a new life for that member: duplicate, FIFO,
+//! time-order and ordinal-prefix state is per life (a fresh incarnation
+//! is rebuilt from the join-time state transfer, so re-applying an update
+//! is legal), and delivery precedence does not run across the restart.
+//!
+//! Violations accumulate; they are never dropped. Wiring a metrics
+//! [`Registry`] into the auditor additionally exposes each check as a
 //! `tw_audit_violations_total.<check>` counter, so live deployments can
 //! alarm on invariant violations instead of only seeing them in test
 //! assertions.
 
 use crate::metrics::Registry;
-use crate::trace::{TraceEvent, TraceSink};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::trace::{FaultKind, TraceEvent, TraceSink};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
-use tw_proto::{AckBits, Ordinal, ProcessId, ProposalId, SyncTime, ViewId};
+use tw_proto::{AckBits, Ordering, Ordinal, ProcessId, ProposalId, Semantics, SyncTime, ViewId};
 
 /// Every check the auditor (and the offline cross-node analyzer) can
 /// flag. Wiring a registry pre-registers one counter per check at zero,
@@ -88,24 +114,56 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Incremental invariant checker over a merged trace stream.
+/// What one member did, as far as the auditor was told.
+#[derive(Debug, Default)]
+struct MemberLog {
+    /// Per-life check state; a restart resets it.
+    life: Life,
+    /// Total-ordered ordinals delivered per view, over all lives
+    /// (oal-prefix).
+    ordinals: BTreeMap<ViewId, BTreeSet<Ordinal>>,
+    /// Total-ordered deliveries in delivery order, one chain per life
+    /// (a restart opens the next), first delivery of each update only
+    /// (total-order agreement).
+    chains: Vec<Chain>,
+}
+
+#[derive(Debug, Default)]
+struct Life {
+    seen: BTreeSet<ProposalId>,
+    /// Per proposer: highest delivered proposal seq.
+    fifo: BTreeMap<ProcessId, u64>,
+    /// Send timestamp of the latest time-ordered delivery.
+    time_order: Option<SyncTime>,
+    /// Per view: highest total-ordered ordinal delivered.
+    last_ordinal: BTreeMap<ViewId, Ordinal>,
+}
+
+/// A view id as first installed, and who has installed it since.
+#[derive(Debug, Clone, Copy)]
+struct ViewRecord {
+    members: AckBits,
+    installed_by: AckBits,
+}
+
+impl ViewRecord {
+    /// Installed by all its members: the scope of the paper's agreement
+    /// guarantees.
+    fn completed(&self) -> bool {
+        self.members.0 & !self.installed_by.0 == 0
+    }
+}
+
+/// The history checker (see the module docs for what it checks when).
 #[derive(Debug)]
 pub struct Auditor {
     team: usize,
-    /// Proposals each member has delivered (duplicate detection).
-    seen: BTreeMap<ProcessId, BTreeSet<ProposalId>>,
-    /// Per observer, per proposer: highest delivered proposal seq.
-    fifo: BTreeMap<ProcessId, BTreeMap<ProcessId, u64>>,
-    /// Per observer: send timestamp of the last time-ordered delivery.
-    time_order: BTreeMap<ProcessId, SyncTime>,
-    /// Membership each view id was first installed with (agreement).
-    installed: BTreeMap<ViewId, AckBits>,
-    /// The view id that completed at each view sequence number.
+    members: BTreeMap<ProcessId, MemberLog>,
+    views: BTreeMap<ViewId, ViewRecord>,
+    /// The view that completed first at each view sequence number.
     completed_by_seq: BTreeMap<u64, ViewId>,
-    /// Global binding of `(view, ordinal)` to a proposal (total order).
+    /// Global binding of `(view, ordinal)` to a proposal.
     order: BTreeMap<(ViewId, Ordinal), ProposalId>,
-    /// Per observer, per view: last delivered ordinal (prefix property).
-    last_ordinal: BTreeMap<(ProcessId, ViewId), Ordinal>,
     violations: Vec<Violation>,
     /// Optional metrics registry; when wired, every flag also bumps
     /// `tw_audit_violations_total.<check>`.
@@ -117,13 +175,10 @@ impl Auditor {
     pub fn new(team: usize) -> Self {
         Auditor {
             team,
-            seen: BTreeMap::new(),
-            fifo: BTreeMap::new(),
-            time_order: BTreeMap::new(),
-            installed: BTreeMap::new(),
+            members: BTreeMap::new(),
+            views: BTreeMap::new(),
             completed_by_seq: BTreeMap::new(),
             order: BTreeMap::new(),
-            last_ordinal: BTreeMap::new(),
             violations: Vec::new(),
             registry: None,
         }
@@ -142,12 +197,14 @@ impl Auditor {
 
     fn flag(&mut self, check: &'static str, msg: String) {
         if let Some(reg) = &self.registry {
-            reg.counter(&format!("{AUDIT_COUNTER_PREFIX}.{check}")).inc();
+            reg.counter(&format!("{AUDIT_COUNTER_PREFIX}.{check}"))
+                .inc();
         }
         self.violations.push(Violation::new(check, msg));
     }
 
-    /// Feed one trace event into the checker.
+    /// Feed one trace event: `ViewInstalled`, `Delivered` and an injected
+    /// `Restart` are the three facts; everything else is ignored.
     pub fn observe(&mut self, ev: &TraceEvent) {
         match *ev {
             TraceEvent::Delivered {
@@ -158,166 +215,348 @@ impl Auditor {
                 send_ts,
                 view,
                 ..
-            } => self.on_delivered(pid, id, ordinal, semantics, send_ts, view),
+            } => self.delivered(pid, view, id, ordinal, semantics, send_ts),
             TraceEvent::ViewInstalled {
                 pid, view, members, ..
-            } => self.on_view_installed(pid, view, members),
+            } => self.installed(pid, view, members),
+            TraceEvent::FaultInjected {
+                kind: FaultKind::Restart,
+                target,
+                ..
+            } => self.restarted(target),
             _ => {}
         }
     }
 
-    fn on_delivered(
+    /// Fact: `pid` came back as a fresh incarnation. Its deliveries from
+    /// here on are a new life.
+    pub fn restarted(&mut self, pid: ProcessId) {
+        let log = self.members.entry(pid).or_default();
+        log.life = Life::default();
+        // Chain `k` is life `k + 1`, whether or not it delivered anything.
+        log.chains
+            .resize_with(log.chains.len().max(1) + 1, Vec::new);
+    }
+
+    /// Fact: `pid` delivered update `id` while in `view`.
+    pub fn delivered(
         &mut self,
         pid: ProcessId,
+        view: ViewId,
         id: ProposalId,
         ordinal: Option<Ordinal>,
-        semantics: tw_proto::Semantics,
+        semantics: Semantics,
         send_ts: SyncTime,
-        view: ViewId,
     ) {
-        if !self.seen.entry(pid).or_default().insert(id) {
-            self.flag("duplicate-delivery", format!("{pid} delivered {id} twice"));
+        let log = self.members.entry(pid).or_default();
+        let mut found: Vec<(&'static str, String)> = Vec::new();
+
+        let first = log.life.seen.insert(id);
+        if !first {
+            found.push(("duplicate-delivery", format!("{pid} delivered {id} twice")));
         }
 
-        let slot = self
-            .fifo
-            .entry(pid)
-            .or_default()
-            .entry(id.proposer)
-            .or_insert(0);
-        let prev_seq = *slot;
-        if id.seq > prev_seq {
-            *slot = id.seq;
-        }
-        if id.seq <= prev_seq {
-            self.flag(
+        let prev_seq = log.life.fifo.entry(id.proposer).or_insert(0);
+        if id.seq <= *prev_seq {
+            found.push((
                 "fifo",
                 format!(
                     "{pid} violated FIFO: delivered {id} after seq {prev_seq} from {}",
                     id.proposer
                 ),
-            );
+            ));
+        }
+        *prev_seq = id.seq.max(*prev_seq);
+
+        if semantics.ordering == Ordering::Time {
+            if let Some(prev) = log.life.time_order.filter(|prev| send_ts < *prev) {
+                found.push((
+                    "time-order",
+                    format!(
+                        "{pid} delivered time-ordered {id} (send_ts {send_ts:?}) after {prev:?}"
+                    ),
+                ));
+            }
+            log.life.time_order = log.life.time_order.max(Some(send_ts));
         }
 
-        if semantics.ordering == tw_proto::Ordering::Time {
-            let prev = self.time_order.get(&pid).copied();
-            if let Some(prev) = prev {
-                if send_ts < prev {
-                    self.flag(
-                        "time-order",
-                        format!(
-                            "{pid} delivered time-ordered {id} (send_ts {send_ts:?}) after {prev:?}"
-                        ),
-                    );
+        if semantics.ordering == Ordering::Total {
+            if first {
+                match log.chains.last_mut() {
+                    Some(chain) => chain.push((id, view)),
+                    None => log.chains.push(vec![(id, view)]),
                 }
             }
-            let e = self.time_order.entry(pid).or_insert(send_ts);
-            if send_ts > *e {
-                *e = send_ts;
-            }
-        }
-
-        if semantics.ordering == tw_proto::Ordering::Total {
             match ordinal {
-                None => self.flag(
+                None => found.push((
                     "total-order",
                     format!("{pid} delivered total-ordered {id} without an ordinal"),
-                ),
+                )),
                 Some(ord) => {
+                    log.ordinals.entry(view).or_default().insert(ord);
                     let bound = *self.order.entry((view, ord)).or_insert(id);
                     if bound != id {
-                        self.flag(
+                        found.push((
                             "total-order",
                             format!(
-                                "total order disagreement at {view:?} ordinal {ord:?}: {bound} vs {id}"
+                                "total order disagreement at {view} ordinal {ord:?}: {bound} vs {id}"
                             ),
-                        );
+                        ));
                     }
-                    let prev = self.last_ordinal.get(&(pid, view)).copied();
-                    if let Some(prev) = prev {
-                        if ord <= prev {
-                            self.flag(
-                                "ordinal-prefix",
-                                format!(
-                                    "{pid} delivered ordinal {ord:?} after {prev:?} in {view:?}"
-                                ),
-                            );
-                        }
+                    // Ordinals start at 1 (`ZERO` is the no-dependency mark).
+                    let last = log.life.last_ordinal.entry(view).or_insert(Ordinal::ZERO);
+                    if ord <= *last {
+                        found.push((
+                            "ordinal-prefix",
+                            format!("{pid} delivered ordinal {ord:?} after {last:?} in {view}"),
+                        ));
                     }
-                    let e = self.last_ordinal.entry((pid, view)).or_insert(ord);
-                    if ord > *e {
-                        *e = ord;
-                    }
+                    *last = ord.max(*last);
                 }
             }
+        }
+        for (check, msg) in found {
+            self.flag(check, msg);
         }
     }
 
-    fn on_view_installed(&mut self, pid: ProcessId, view: ViewId, members: AckBits) {
+    /// Fact: `pid` installed `view` with member set `members`.
+    pub fn installed(&mut self, pid: ProcessId, view: ViewId, members: AckBits) {
         if members.count() * 2 <= self.team {
             self.flag(
                 "minority-view",
                 format!(
-                    "{pid} installed non-majority view {view:?} ({} of {})",
+                    "{pid} installed non-majority view {view} ({} of {})",
                     members.count(),
                     self.team
                 ),
             );
         }
-        match self.installed.get(&view).copied() {
-            None => {
-                self.installed.insert(view, members);
-                let other = self.completed_by_seq.get(&view.seq).copied();
-                match other {
-                    Some(other) if other != view => {
-                        self.flag(
-                            "competing-groups",
-                            format!(
-                                "two completed majority groups at seq {}: {other:?} and {view:?}",
-                                view.seq
-                            ),
-                        );
-                    }
-                    Some(_) => {}
-                    None => {
-                        self.completed_by_seq.insert(view.seq, view);
-                    }
-                }
-            }
-            Some(first) if first != members => {
+        let rec = self.views.entry(view).or_insert(ViewRecord {
+            members,
+            installed_by: AckBits::EMPTY,
+        });
+        let was_completed = rec.completed();
+        rec.installed_by.set(pid);
+        let rec = *rec;
+        if rec.members != members {
+            self.flag(
+                "view-agreement",
+                format!(
+                    "view agreement broken for {view}: {pid} installed members {members}, first installer saw {}",
+                    rec.members
+                ),
+            );
+        }
+        if rec.completed() && !was_completed {
+            let first = *self.completed_by_seq.entry(view.seq).or_insert(view);
+            if first != view {
                 self.flag(
-                    "view-agreement",
+                    "competing-groups",
                     format!(
-                        "view agreement broken for {view:?}: {pid} installed members {members:?}, first installer saw {first:?}"
+                        "two completed majority groups at seq {}: {first} and {view}",
+                        view.seq
                     ),
                 );
             }
-            Some(_) => {}
         }
     }
 
-    /// All violations recorded so far, in observation order.
-    pub fn violations(&self) -> &[Violation] {
+    /// Run the whole-history checks (view-overlap, oal-prefix,
+    /// total-order agreement) over everything observed so far and return
+    /// every violation. Calling it again on a longer history is fine: a
+    /// finding already flagged is not flagged or counted twice.
+    pub fn finish(&mut self) -> &[Violation] {
+        let mut found = Vec::new();
+        self.view_overlap(&mut found);
+        self.oal_prefix(&mut found);
+        found.extend(self.order_cycle());
+        for v in found {
+            if !self.violations.contains(&v) {
+                self.flag(v.check, v.message);
+            }
+        }
         &self.violations
     }
 
-    /// True when no invariant has been violated.
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Panic with a readable report if any invariant was violated.
-    pub fn assert_clean(&self) {
-        if !self.ok() {
+    /// Panic with a readable report if [`finish`](Self::finish) finds
+    /// any invariant violated.
+    pub fn assert_clean(&mut self) {
+        if !self.finish().is_empty() {
             let mut report = String::from("invariant auditor found violations:\n");
             for v in &self.violations {
-                report.push_str("  - ");
-                report.push_str(&v.to_string());
-                report.push('\n');
+                report.push_str(&format!("  - {v}\n"));
             }
             panic!("{report}");
         }
     }
+
+    /// Consecutive installed views (in id order) must share a member —
+    /// the majority chain that lets state, and the oal, survive every
+    /// reconfiguration.
+    fn view_overlap(&self, out: &mut Vec<Violation>) {
+        let mut views = self.views.iter().peekable();
+        while let (Some((va, a)), Some((vb, b))) = (views.next(), views.peek()) {
+            if a.members.0 & b.members.0 == 0 {
+                out.push(Violation::new(
+                    "view-overlap",
+                    format!("views {va} and {vb} share no member — the majority chain is broken"),
+                ));
+            }
+        }
+    }
+
+    /// Per view, the total-ordered ordinals a member delivered must be a
+    /// prefix of those anyone delivered in it (the keys of `order`) — the
+    /// cross-node shape of oal-prefix agreement: nobody skips an update
+    /// a fellow member applied and carries on.
+    fn oal_prefix(&self, out: &mut Vec<Violation>) {
+        for (pid, log) in &self.members {
+            for (view, ords) in &log.ordinals {
+                let chain = self
+                    .order
+                    .range((*view, Ordinal::ZERO)..)
+                    .map(|((_, o), _)| o);
+                if !ords.iter().eq(chain.take(ords.len())) {
+                    out.push(Violation::new(
+                        "oal-prefix",
+                        format!(
+                            "{pid} delivered ordinals {ords:?} in view {view}, not a prefix of the view's chain"
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+
+    /// Total-order agreement: the union over members and lives of
+    /// "delivered m before m′" is acyclic. Returns the shortest cycle as
+    /// a witness, one "who delivered what before what" clause per member
+    /// involved.
+    fn order_cycle(&self) -> Option<Violation> {
+        // The paper's exemption, as one filter: only deliveries made in
+        // completed views are promised agreement.
+        let completed = |v: &ViewId| self.views.get(v).is_some_and(ViewRecord::completed);
+        let mut who: Vec<(ProcessId, usize)> = Vec::new();
+        let mut chains: Vec<Chain> = Vec::new();
+        for (pid, log) in &self.members {
+            for (life, chain) in log.chains.iter().enumerate() {
+                who.push((*pid, life + 1));
+                chains.push(
+                    chain
+                        .iter()
+                        .filter(|(_, v)| completed(v))
+                        .copied()
+                        .collect(),
+                );
+            }
+        }
+        let rest: Vec<&[(ProposalId, ViewId)]> = chains
+            .iter()
+            .zip(peel(&chains))
+            .map(|(chain, head)| &chain[head..])
+            .collect();
+        let clauses: Vec<String> = shortest_cycle(&rest)?
+            .into_iter()
+            .map(|(c, i, j)| {
+                let ((x, vx), (y, vy)) = (rest[c][i], rest[c][j]);
+                let who = match who[c] {
+                    (pid, 1) => pid.to_string(),
+                    (pid, life) => format!("{pid} (life {life})"),
+                };
+                format!("{who} delivered {x} before {y} (views {vx}, {vy})")
+            })
+            .collect();
+        Some(Violation::new(
+            "total-order",
+            format!("total order disagreement: {}", clauses.join("; ")),
+        ))
+    }
+}
+
+/// One life's total-ordered deliveries, in delivery order.
+type Chain = Vec<(ProposalId, ViewId)>;
+
+/// Kahn's algorithm on the chains themselves: peel every update that
+/// heads all the chains holding it, and return how far each chain was
+/// peeled. What is left is in, or downstream of, a precedence cycle;
+/// nothing left means the union of the chains is acyclic. Linear in the
+/// history (times a log).
+fn peel(chains: &[Chain]) -> Vec<usize> {
+    let mut holders: BTreeMap<ProposalId, Vec<usize>> = BTreeMap::new();
+    for (c, chain) in chains.iter().enumerate() {
+        for (id, _) in chain {
+            holders.entry(*id).or_default().push(c);
+        }
+    }
+    let mut head = vec![0usize; chains.len()];
+    let mut at_head: BTreeMap<ProposalId, usize> = BTreeMap::new();
+    let mut work: Vec<usize> = (0..chains.len()).collect();
+    while let Some(c) = work.pop() {
+        let Some(&(id, _)) = chains[c].get(head[c]) else {
+            continue;
+        };
+        let heads = at_head.entry(id).or_insert(0);
+        *heads += 1;
+        if *heads == holders[&id].len() {
+            for &h in &holders[&id] {
+                head[h] += 1;
+                work.push(h);
+            }
+        }
+    }
+    head
+}
+
+/// The shortest precedence cycle through `chains`, as steps
+/// `(chain, index of the earlier update, index of the later)`:
+/// breadth-first search from each update, one step being "some chain
+/// holds x before y". `covered[c]` is the lowest index of chain `c`
+/// whose successors are already queued, so one search walks each chain
+/// once.
+fn shortest_cycle(chains: &[&[(ProposalId, ViewId)]]) -> Option<Vec<(usize, usize, usize)>> {
+    let mut at: BTreeMap<ProposalId, Vec<(usize, usize)>> = BTreeMap::new();
+    for (c, chain) in chains.iter().enumerate() {
+        for (i, (id, _)) in chain.iter().enumerate() {
+            at.entry(*id).or_default().push((c, i));
+        }
+    }
+    let mut best: Option<Vec<(usize, usize, usize)>> = None;
+    for &start in at.keys() {
+        let mut covered: Vec<usize> = chains.iter().map(|chain| chain.len()).collect();
+        let mut via: BTreeMap<ProposalId, (ProposalId, (usize, usize, usize))> = BTreeMap::new();
+        // (update, length of the cycle that closing from it would have)
+        let mut queue = VecDeque::from([(start, 1usize)]);
+        'search: while let Some((x, len)) = queue.pop_front() {
+            if best.as_ref().is_some_and(|b| len >= b.len()) {
+                break;
+            }
+            for &(c, i) in &at[&x] {
+                for (j, &(y, _)) in chains[c].iter().enumerate().take(covered[c]).skip(i + 1) {
+                    if y == start {
+                        let mut cycle = vec![(c, i, j)];
+                        let mut node = x;
+                        while let Some(&(prev, step)) = via.get(&node) {
+                            cycle.push(step);
+                            node = prev;
+                        }
+                        cycle.reverse();
+                        best = Some(cycle);
+                        break 'search;
+                    }
+                    if let Entry::Vacant(slot) = via.entry(y) {
+                        slot.insert((x, (c, i, j)));
+                        queue.push_back((y, len + 1));
+                    }
+                }
+                covered[c] = covered[c].min(i + 1);
+            }
+        }
+        if best.as_ref().is_some_and(|b| b.len() == 2) {
+            break; // no cycle is shorter
+        }
+    }
+    best
 }
 
 /// A thread-safe handle to an [`Auditor`], usable as a live [`TraceSink`].
@@ -343,17 +582,14 @@ impl SharedAuditor {
         self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Snapshot of all violations recorded so far.
-    pub fn violations(&self) -> Vec<Violation> {
-        self.lock().violations().to_vec()
+    /// Run [`Auditor::finish`] on the history so far and snapshot every
+    /// violation.
+    pub fn finish(&self) -> Vec<Violation> {
+        self.lock().finish().to_vec()
     }
 
-    /// True when no invariant has been violated.
-    pub fn ok(&self) -> bool {
-        self.lock().ok()
-    }
-
-    /// Panic with a readable report if any invariant was violated.
+    /// Panic with a readable report if any invariant was violated
+    /// ([`Auditor::assert_clean`]).
     pub fn assert_clean(&self) {
         self.lock().assert_clean();
     }
@@ -369,7 +605,6 @@ impl TraceSink for SharedAuditor {
 mod tests {
     use super::*;
     use crate::trace::ClockStamp;
-    use tw_proto::Semantics;
 
     fn delivered(pid: u16, proposer: u16, seq: u64) -> TraceEvent {
         TraceEvent::Delivered {
@@ -400,7 +635,7 @@ mod tests {
                 a.observe(&delivered(p, 2, seq));
             }
         }
-        assert!(a.ok(), "unexpected: {:?}", a.violations());
+        assert_eq!(a.finish(), []);
     }
 
     #[test]
@@ -408,9 +643,9 @@ mod tests {
         let mut a = Auditor::new(3);
         a.observe(&delivered(0, 1, 1));
         a.observe(&delivered(0, 1, 1));
-        assert_eq!(a.violations().len(), 2); // duplicate + FIFO regression
-        assert_eq!(a.violations()[0].check, "duplicate-delivery");
-        assert!(a.violations()[0].message.contains("twice"));
+        assert_eq!(a.finish().len(), 2); // duplicate + FIFO regression
+        assert_eq!(a.finish()[0].check, "duplicate-delivery");
+        assert!(a.finish()[0].message.contains("twice"));
     }
 
     #[test]
@@ -418,7 +653,7 @@ mod tests {
         let mut a = Auditor::new(3);
         a.observe(&delivered(0, 1, 2));
         a.observe(&delivered(0, 1, 1));
-        assert!(a.violations().iter().any(|v| v.check == "fifo"));
+        assert!(a.finish().iter().any(|v| v.check == "fifo"));
     }
 
     #[test]
@@ -430,8 +665,8 @@ mod tests {
             view: ViewId::new(2, ProcessId(0)),
             members: AckBits(0b11),
         });
-        assert_eq!(a.violations()[0].check, "minority-view");
-        assert!(a.violations()[0].message.contains("non-majority"));
+        assert_eq!(a.finish()[0].check, "minority-view");
+        assert!(a.finish()[0].message.contains("non-majority"));
     }
 
     #[test]
@@ -450,7 +685,7 @@ mod tests {
         a.observe(&mk(0, 1, 1, 1));
         a.observe(&mk(1, 2, 1, 1)); // different proposal, same ordinal
         assert!(a
-            .violations()
+            .finish()
             .iter()
             .any(|v| v.check == "total-order" && v.message.contains("disagreement")));
     }
@@ -478,6 +713,20 @@ mod tests {
             registry.counter_value("tw_audit_violations_total.minority-view"),
             0
         );
+        // A whole-history finding counts once, however often it is asked for.
+        for (p, members) in [(0, 0b011), (2, 0b100)] {
+            a.installed(
+                ProcessId(p),
+                ViewId::new(p as u64 + 1, ProcessId(p)),
+                AckBits(members),
+            );
+        }
+        a.finish();
+        a.finish();
+        assert_eq!(
+            registry.counter_value("tw_audit_violations_total.view-overlap"),
+            1
+        );
     }
 
     #[test]
@@ -486,7 +735,6 @@ mod tests {
         let sink: &dyn TraceSink = &shared;
         sink.record(&delivered(0, 1, 1));
         sink.record(&delivered(0, 1, 1));
-        assert!(!shared.ok());
-        assert!(shared.violations()[0].message.contains("twice"));
+        assert!(shared.finish()[0].message.contains("twice"));
     }
 }

@@ -7,9 +7,9 @@
 //! * an ASCII global timeline of the merged event stream;
 //! * per-phase latency attribution (decision propagation, each hop of a
 //!   single-failure recovery, reconfiguration) with p50/p95/p99;
-//! * an offline audit of the merged stream — the live auditor's checks
-//!   plus the cross-node ones (majority-view overlap, oal-prefix
-//!   agreement, ε-causality).
+//! * an offline audit of the merged stream — the history checker
+//!   (`tw_obs::audit`, the one a live cluster and the simulator run)
+//!   plus ε-causality of decision spans.
 //!
 //! ```text
 //! tw-trace [FLAGS] <recording>...

@@ -20,13 +20,14 @@
 //!   streams can cross process boundaries; unknown event tags decode to
 //!   [`TraceEvent::Unknown`] instead of failing, keeping old consumers
 //!   compatible with newer producers.
-//! * [`audit`] — a live invariant [`Auditor`] that tails the merged trace
-//!   streams of all cluster members and incrementally re-checks the
-//!   membership/broadcast invariants (no duplicate deliveries, FIFO and
-//!   time order, total-order agreement, majority views, view agreement)
-//!   online, so soak and runtime tests can assert correctness from
-//!   telemetry alone. Wiring a [`Registry`] into the auditor exports a
-//!   `tw_audit_violations_total.<check>` counter per invariant.
+//! * [`audit`] — the history checker: one [`Auditor`] owns every
+//!   delivery and view property (no duplicate deliveries, FIFO and time
+//!   order, total-order agreement across views, majority views, view
+//!   agreement, view overlap, oal-prefix). It is fed three facts —
+//!   installed, delivered, restarted — from a live cluster's trace
+//!   streams, from merged recordings, or from simulator logs
+//!   (`timewheel::invariants`). Wiring a [`Registry`] into the auditor
+//!   exports a `tw_audit_violations_total.<check>` counter per check.
 //! * [`recorder`] / [`recording`] — a crash-safe [`FlightRecorder`]
 //!   sink that spills CRC-framed segments of wire-encoded events to a
 //!   per-node file (the node's *black box*), and the loader that reads
@@ -44,8 +45,8 @@
 //!   recordings on the synchronized clock (ε as the fuzz bound),
 //!   reconstructs decision / recovery / reconfiguration spans with
 //!   per-phase latency attribution, renders an ASCII global timeline,
-//!   and re-audits the merged stream with checks (majority-view
-//!   overlap, oal-prefix agreement) a single live stream cannot make.
+//!   and feeds the merged stream to the [`audit`] checker, adding only
+//!   the ε-causality check that needs decision spans.
 //!   The `tw-trace` binary is the CLI over this module.
 //!
 //! The crate depends only on the wire vocabulary ([`tw_proto`]); the

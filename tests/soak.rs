@@ -2,12 +2,20 @@
 //! nine semantics, ending in a stability window — the team must converge
 //! back to the full group with every invariant intact.
 //!
-//! Known failing (ROADMAP item 1): p1, crashed at 5 s and back at 12 s
-//! while total-order traffic flows, never catches up and delivers 45 of
-//! the 600 offered updates against a floor of 80. This is the in-tree
-//! repro of `benchmark/README.md` finding 1. Fix `Member`; do not
-//! re-seed, `#[ignore]` or loosen this test. `tools/shadow/check.sh` and
-//! CI run it as its own step so it cannot hide the other suites.
+//! Known failing (ROADMAP item 1), twice over. `assert_all` reports 156
+//! `ordinal-prefix` findings: on installing v843@p3, 78 s into the run
+//! and inside the second partition, p2 and p3 deliver a backlog of
+//! total-ordered updates in one agreed order that is not the order of
+//! the ordinals they report
+//! (266, 275, 80, 87, …) — `create_group` re-ordered what an earlier
+//! lineage had ordered. (Until the simulator logs were fed to the one
+//! history checker, only trace streams had that check.) Behind it, the
+//! liveness floor: p1, crashed at 5 s and back at 12 s while total-order
+//! traffic flows, never catches up and delivers 45 of the 600 offered
+//! updates against a floor of 80. This is the in-tree repro of
+//! `benchmark/README.md` finding 1. Fix `Member`; do not re-seed,
+//! `#[ignore]` or loosen this test. `tools/shadow/check.sh` and CI run
+//! it as its own step so it cannot hide the other suites.
 
 use bytes::Bytes;
 use timewheel::harness::{all_in_group, run_until_pred, team_world, TeamParams};
@@ -64,17 +72,6 @@ fn two_minute_adversarial_soak_converges_clean() {
     w.run_until(s(120));
     let converged = run_until_pred(&mut w, s(240), |w| all_in_group(w, n));
     assert!(converged.is_some(), "team never reconverged after the soak");
-    if std::env::var("TW_DEBUG").is_ok() {
-        for i in 0..n as u16 {
-            let a = w.actor(ProcessId(i));
-            for ((t, d), vid) in a.deliveries.iter().zip(&a.delivery_views) {
-                let id = format!("{}", d.id);
-                if id == "p2:16" || id == "p4:12" {
-                    eprintln!("DBG p{i} delivered {id} ord={:?} hw={} view={vid}", d.ordinal, t.0);
-                }
-            }
-        }
-    }
     invariants::assert_all(&w);
 
     // Liveness floor. Members that were excluded receive the missed

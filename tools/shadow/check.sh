@@ -61,4 +61,4 @@ cargo run --locked -q --release -p tw-bench --bin exp_t7_event_vs_thread
 # reports; it does not decide this script's exit status. Once it passes,
 # delete this step and the --skip above.
 cargo test --locked -q -p timewheel-repro --test soak ||
-  echo "known failing: ROADMAP 1 — tests/soak.rs, rejoined p1 delivers 45 of 600 (floor 80)" >&2
+  echo "known failing: ROADMAP 1 — tests/soak.rs, 156 ordinal-prefix findings at assert_all; behind them, rejoined p1 delivers 45 of 600 (floor 80)" >&2
