@@ -9,6 +9,7 @@
 //! delivery condition and incarnation-based stale-life rejection.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 use tw_proto::{Incarnation, Ordinal, ProcessId, Proposal, ProposalId, SyncTime};
 
 /// Per-sender FIFO cursor with out-of-order consumption support: purged
@@ -150,6 +151,24 @@ impl ProposalBuffer {
         self.pending.len()
     }
 
+    /// The pending proposal at each proposer's FIFO cursor, in proposer
+    /// order. These are the only proposals [`ProposalBuffer::fifo_ready`]
+    /// can pass, so the first deliverable one among them is the first
+    /// deliverable pending proposal in id order. A proposer whose cursor
+    /// points at a proposal not (or no longer) held has no head.
+    pub fn heads(&self) -> impl Iterator<Item = &Proposal> {
+        let mut after = Bound::Unbounded;
+        std::iter::from_fn(move || loop {
+            let (first, _) = self.pending.range((after, Bound::Unbounded)).next()?;
+            let proposer = first.proposer;
+            after = Bound::Excluded(ProposalId::new(proposer, u64::MAX));
+            let next = self.fifo.get(&proposer).map_or(1, |c| c.next);
+            if let Some(p) = self.pending.get(&ProposalId::new(proposer, next)) {
+                return Some(p);
+            }
+        })
+    }
+
     /// Record an ordinal assignment learned from the oal.
     pub fn learn_ordinal(&mut self, id: ProposalId, o: Ordinal) {
         self.ordinals.insert(id, o);
@@ -264,19 +283,6 @@ impl ProposalBuffer {
         self.local_marks.retain(|_, &mut until| now <= until);
     }
 
-    /// Delivered proposals that still lack an ordinal — the paper's `dpd`
-    /// field content. Requires the original descriptors, which we keep in
-    /// pending → so we reconstruct from delivered set ∩ recorded descs;
-    /// the member records descriptors of delivered-without-ordinal
-    /// updates separately via [`ProposalBuffer::learn_ordinal`] absence.
-    pub fn delivered_without_ordinal(&self) -> Vec<ProposalId> {
-        self.delivered
-            .iter()
-            .filter(|id| !self.ordinals.contains_key(id))
-            .copied()
-            .collect()
-    }
-
     /// Wipe everything (crash).
     pub fn clear(&mut self) {
         *self = Self::default();
@@ -383,12 +389,7 @@ mod tests {
         b.insert(prop(0, 2));
         b.deliver(ProposalId::new(ProcessId(0), 1));
         b.learn_ordinal(ProposalId::new(ProcessId(0), 2), Ordinal(7));
-        assert_eq!(
-            b.delivered_without_ordinal(),
-            vec![ProposalId::new(ProcessId(0), 1)]
-        );
         b.learn_ordinal(ProposalId::new(ProcessId(0), 1), Ordinal(3));
-        assert!(b.delivered_without_ordinal().is_empty());
         assert_eq!(
             b.ordinal_of(ProposalId::new(ProcessId(0), 1)),
             Some(Ordinal(3))
@@ -426,6 +427,69 @@ mod tests {
         assert!(b.fifo_ready(ProposalId::new(ProcessId(3), 42)));
         let cursors = b.fifo_cursors();
         assert!(cursors.contains(&(ProcessId(3), 42)));
+    }
+
+    #[test]
+    fn heads_are_the_fifo_ready_pending_proposals() {
+        let mut b = ProposalBuffer::new();
+        let ids = |b: &ProposalBuffer| b.heads().map(|p| p.id()).collect::<Vec<_>>();
+        assert!(ids(&b).is_empty());
+        // p0 holds 1..=3 (head 1); p1 holds only 2 (blocked behind 1, no
+        // head); p3 was cursored to 42 and holds 42, 43 (head 42).
+        for seq in 1..=3 {
+            b.insert(prop(0, seq));
+        }
+        b.insert(prop(1, 2));
+        b.set_fifo_cursor(ProcessId(3), 42);
+        b.insert(prop(3, 43));
+        b.insert(prop(3, 42));
+        assert_eq!(
+            ids(&b),
+            vec![
+                ProposalId::new(ProcessId(0), 1),
+                ProposalId::new(ProcessId(3), 42)
+            ]
+        );
+        // Exactly the pending proposals `fifo_ready` passes, in id order.
+        let ready: Vec<_> = b
+            .pending()
+            .map(|p| p.id())
+            .filter(|id| b.fifo_ready(*id))
+            .collect();
+        assert_eq!(ids(&b), ready);
+        // Consuming a head moves it; purging a hole opens the next one.
+        b.deliver(ProposalId::new(ProcessId(0), 1));
+        b.purge(ProposalId::new(ProcessId(1), 1));
+        assert_eq!(
+            ids(&b),
+            vec![
+                ProposalId::new(ProcessId(0), 2),
+                ProposalId::new(ProcessId(1), 2),
+                ProposalId::new(ProcessId(3), 42)
+            ]
+        );
+    }
+
+    #[test]
+    fn cursor_in_a_later_incarnation_band_leaves_no_head() {
+        // A proposal that claims the new incarnation but numbers itself
+        // in the old band survives the purge, and sits below the cursor
+        // for good: it must not be offered, and nothing must loop on it.
+        let mut b = ProposalBuffer::new();
+        let mut stray = prop(0, 5);
+        stray.incarnation = Incarnation(1);
+        b.insert(stray);
+        b.note_incarnation(ProcessId(0), Incarnation(1));
+        assert!(b.has_pending(ProposalId::new(ProcessId(0), 5)));
+        assert_eq!(b.heads().count(), 0);
+        let band = (1u64 << 32) + 1;
+        let mut fresh = prop(0, band);
+        fresh.incarnation = Incarnation(1);
+        b.insert(fresh);
+        assert_eq!(
+            b.heads().map(|p| p.id()).collect::<Vec<_>>(),
+            vec![ProposalId::new(ProcessId(0), band)]
+        );
     }
 
     #[test]

@@ -15,172 +15,354 @@
 //!   has passed `send_ts + Δ_deliv` and every known time-ordered update
 //!   with a smaller timestamp has been delivered (or ruled out).
 //!
-//! All functions here are pure predicates over the member's oal, buffers
-//! and clock reading — the `Member` drives them to a fixpoint after every
-//! state change.
+//! The conditions are *stated* once, as pure predicates over the
+//! member's oal, buffers and clock reading (`deliverable` and the
+//! functions it calls), and *evaluated* through a [`Frontier`]: three
+//! cursors that remember how far into the oal window each condition
+//! already holds, so a test is one comparison instead of a walk. The
+//! predicates compile only into test and debug builds, where the member
+//! asserts at every delivery attempt that both name the same proposal.
 
 use crate::buffers::ProposalBuffer;
 use crate::config::Config;
-use tw_proto::{Atomicity, DescriptorBody, Oal, Ordering, Ordinal, Proposal, SyncTime, View};
+use tw_proto::{
+    Atomicity, Descriptor, DescriptorBody, Oal, Ordering, Ordinal, Proposal, SyncTime, View, ViewId,
+};
 
-/// Is every descriptor with ordinal ≤ `through` acknowledged by a
-/// majority of `group` (or already pruned, which implies full stability)?
-pub fn majority_through(oal: &Oal, through: Ordinal, group: &View) -> bool {
-    if through >= oal.next_ordinal() {
-        // Depends on ordinals nobody we know has assigned yet.
+/// How far into the oal window each delivery condition holds.
+///
+/// Every cursor is the first ordinal at which its condition fails (the
+/// oal's next ordinal when it fails nowhere), so everything below it —
+/// pruned descriptors included, which were stable — passes. While the
+/// view and the oal lineage stand, acknowledgements, undeliverable marks
+/// and deliveries only accumulate and the window only moves forward, so
+/// cursors only advance and [`Frontier::advance`] resumes where it
+/// stopped. Whatever can take a passing descriptor back resets them to
+/// the window base: a view change (acknowledgements are counted against
+/// the view — noticed here), a window re-opened below its old base
+/// (noticed here), and a replaced oal or emptied buffer (the owner calls
+/// [`Frontier::reset`]).
+#[derive(Debug, Clone, Default)]
+pub struct Frontier {
+    /// The view the acknowledgement cursors were counted against.
+    view: ViewId,
+    /// The window base at the last advance.
+    base: Ordinal,
+    /// First ordinal neither undeliverable nor acknowledged by a
+    /// majority of the view.
+    majority: Ordinal,
+    /// First ordinal neither undeliverable nor acknowledged by all of
+    /// the view.
+    stable: Ordinal,
+    /// First deliverable total-ordered update not yet delivered.
+    total: Ordinal,
+    /// Window descriptors examined so far.
+    #[cfg(test)]
+    pub(crate) visits: u64,
+}
+
+impl Frontier {
+    /// Forget everything learned: the next advance starts over from the
+    /// window base.
+    pub fn reset(&mut self) {
+        self.base = Ordinal::ZERO;
+        self.majority = Ordinal::ZERO;
+        self.stable = Ordinal::ZERO;
+        self.total = Ordinal::ZERO;
+    }
+
+    /// Move every cursor as far as the current state lets it go. Costs
+    /// the descriptors passed over, each once per lineage and view.
+    pub fn advance(&mut self, oal: &Oal, view: &View, buf: &ProposalBuffer) {
+        if view.id != self.view || oal.base() < self.base {
+            self.reset();
+            self.view = view.id;
+        }
+        self.base = oal.base();
+        self.majority = self.walk(oal, self.majority, |d| {
+            d.undeliverable || d.acks.majority_of(view)
+        });
+        self.stable = self.walk(oal, self.stable, |d| d.undeliverable || d.acks.all_of(view));
+        self.total = self.walk(oal, self.total, |d| !blocks_total_order(d, buf));
+    }
+
+    /// The first ordinal at or after `from` (and the window base) whose
+    /// descriptor fails `passes`.
+    fn walk(&mut self, oal: &Oal, from: Ordinal, passes: impl Fn(&Descriptor) -> bool) -> Ordinal {
+        let mut o = from.max(oal.base());
+        while let Some(d) = oal.get(o) {
+            #[cfg(test)]
+            {
+                self.visits += 1;
+            }
+            if !passes(d) {
+                break;
+            }
+            o = o.next();
+        }
+        o
+    }
+
+    /// Does the atomicity condition hold for `p`?
+    pub fn atomicity_ok(&self, p: &Proposal) -> bool {
+        match p.semantics.atomicity {
+            Atomicity::Weak => true,
+            Atomicity::Strong => p.hdo < self.majority,
+            Atomicity::Strict => p.hdo < self.stable,
+        }
+    }
+
+    /// Does the order condition hold for `p`, whose ordinal (if
+    /// assigned) is `ordinal`?
+    pub fn order_ok(
+        &self,
+        oal: &Oal,
+        buf: &ProposalBuffer,
+        cfg: &Config,
+        now: SyncTime,
+        p: &Proposal,
+        ordinal: Option<Ordinal>,
+    ) -> bool {
+        match p.semantics.ordering {
+            Ordering::Unordered => true,
+            // Nothing below `o` blocks: `o` is at or below the first
+            // blocker, or the window holds none.
+            Ordering::Total => {
+                ordinal.is_some_and(|o| o <= self.total || self.total >= oal.next_ordinal())
+            }
+            Ordering::Time => time_order_ok(oal, buf, cfg, now, p),
+        }
+    }
+
+    /// Full deliverability check for `p`, the pending proposal at its
+    /// proposer's FIFO cursor (see [`ProposalBuffer::heads`]), whose
+    /// ordinal (if assigned) is `ordinal`.
+    pub fn deliverable(
+        &self,
+        oal: &Oal,
+        buf: &ProposalBuffer,
+        cfg: &Config,
+        now: SyncTime,
+        p: &Proposal,
+        ordinal: Option<Ordinal>,
+    ) -> bool {
+        let id = p.id();
+        debug_assert!(buf.fifo_ready(id), "{id} is not a FIFO head");
+        if buf.is_locally_marked(id, now) {
+            return false;
+        }
+        // A descriptor marked undeliverable by a decider is never delivered.
+        if ordinal
+            .and_then(|o| oal.get(o))
+            .is_some_and(|d| d.undeliverable)
+        {
+            return false;
+        }
+        self.atomicity_ok(p) && self.order_ok(oal, buf, cfg, now, p, ordinal)
+    }
+}
+
+/// Does this descriptor hold back every total-ordered update behind it —
+/// a total-ordered update, not ruled out, not yet delivered here?
+fn blocks_total_order(d: &Descriptor, buf: &ProposalBuffer) -> bool {
+    match &d.body {
+        DescriptorBody::Update { id, semantics, .. } => {
+            !d.undeliverable && semantics.ordering == Ordering::Total && !buf.is_delivered(*id)
+        }
+        DescriptorBody::Membership(_) => false,
+    }
+}
+
+/// The order condition for a time-ordered `p`: its release time has come
+/// and no known time-ordered update with a smaller (ts, id) is
+/// outstanding, in the oal window or in the pending buffer (a
+/// received-but-unordered earlier update blocks).
+fn time_order_ok(
+    oal: &Oal,
+    buf: &ProposalBuffer,
+    cfg: &Config,
+    now: SyncTime,
+    p: &Proposal,
+) -> bool {
+    if now < p.send_ts + cfg.time_delivery_latency {
         return false;
     }
-    let mut o = oal.base();
-    while o <= through {
-        match oal.get(o) {
-            Some(d) => {
-                if !d.undeliverable && !d.acks.majority_of(group) {
-                    return false;
-                }
-            }
-            None => return false,
+    let id = p.id();
+    let key = (p.send_ts, id);
+    for (_, d) in oal.iter() {
+        if d.undeliverable {
+            continue;
         }
-        o = o.next();
+        if let DescriptorBody::Update {
+            id: did,
+            semantics,
+            send_ts,
+            ..
+        } = &d.body
+        {
+            if semantics.ordering == Ordering::Time
+                && (*send_ts, *did) < key
+                && !buf.is_delivered(*did)
+            {
+                return false;
+            }
+        }
+    }
+    for q in buf.pending() {
+        if q.semantics.ordering == Ordering::Time && (q.send_ts, q.id()) < key && q.id() != id {
+            return false;
+        }
     }
     true
 }
 
-/// Is every descriptor with ordinal ≤ `through` stable (acknowledged by
-/// all of `group`, or pruned, or undeliverable)?
-pub fn stable_through(oal: &Oal, through: Ordinal, group: &View) -> bool {
-    if through >= oal.next_ordinal() {
-        return false;
-    }
-    oal.stable_through(through, group)
-}
+#[cfg(any(test, debug_assertions))]
+pub use reference::*;
 
-/// Does the atomicity condition hold for `p`?
-pub fn atomicity_ok(oal: &Oal, group: &View, p: &Proposal) -> bool {
-    match p.semantics.atomicity {
-        Atomicity::Weak => true,
-        Atomicity::Strong => majority_through(oal, p.hdo, group),
-        Atomicity::Strict => stable_through(oal, p.hdo, group),
-    }
-}
+/// The delivery conditions as predicates that scan the pending buffer
+/// and the oal window: the statement [`Frontier`] is checked against.
+#[cfg(any(test, debug_assertions))]
+mod reference {
+    use super::*;
+    use tw_proto::ProposalId;
 
-/// Does the order condition hold for `p`?
-///
-/// `buf` supplies delivery/ordinal knowledge; `now` drives time-ordered
-/// release.
-pub fn order_ok(
-    oal: &Oal,
-    buf: &ProposalBuffer,
-    cfg: &Config,
-    now: SyncTime,
-    p: &Proposal,
-) -> bool {
-    let id = p.id();
-    match p.semantics.ordering {
-        Ordering::Unordered => true,
-        Ordering::Total => {
-            let Some(o) = buf.ordinal_of(id).or_else(|| oal.ordinal_of(id)) else {
-                return false; // not ordered yet
-            };
-            // Every ordered update at a smaller ordinal (still in the
-            // window) must be delivered or undeliverable. Pruned entries
-            // were stable, hence delivered everywhere that matters.
-            for (oo, d) in oal.iter() {
-                if oo >= o {
-                    break;
-                }
-                if d.undeliverable {
-                    continue;
-                }
-                if let DescriptorBody::Update {
-                    id: did, semantics, ..
-                } = &d.body
-                {
-                    if semantics.ordering == Ordering::Total && !buf.is_delivered(*did) {
-                        return false;
-                    }
-                }
-            }
-            true
+    #[cfg(test)]
+    thread_local! {
+        /// Window descriptors the reference scans examined on this thread.
+        pub(crate) static VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Count `n` window descriptors examined by a reference scan (tests
+    /// compare it with [`Frontier`]'s own count; free elsewhere).
+    pub(crate) fn visited(_n: usize) {
+        #[cfg(test)]
+        VISITS.with(|v| v.set(v.get() + _n as u64));
+    }
+
+    /// `oal.ordinal_of(id)`, the linear search the reference falls back on.
+    fn search_window(oal: &Oal, id: ProposalId) -> Option<Ordinal> {
+        visited(oal.len());
+        oal.ordinal_of(id)
+    }
+
+    /// Is every descriptor with ordinal ≤ `through` acknowledged by a
+    /// majority of `group` (or already pruned, which implies full stability)?
+    pub fn majority_through(oal: &Oal, through: Ordinal, group: &View) -> bool {
+        if through >= oal.next_ordinal() {
+            // Depends on ordinals nobody we know has assigned yet.
+            return false;
         }
-        Ordering::Time => {
-            if now < p.send_ts + cfg.time_delivery_latency {
-                return false;
-            }
-            // No known time-ordered update with a smaller (ts, id) may be
-            // outstanding: check both the oal window and the pending
-            // buffer (a received-but-unordered earlier update blocks).
-            let key = (p.send_ts, id);
-            for (_, d) in oal.iter() {
-                if d.undeliverable {
-                    continue;
-                }
-                if let DescriptorBody::Update {
-                    id: did,
-                    semantics,
-                    send_ts,
-                    ..
-                } = &d.body
-                {
-                    if semantics.ordering == Ordering::Time
-                        && (*send_ts, *did) < key
-                        && !buf.is_delivered(*did)
-                    {
+        let mut o = oal.base();
+        while o <= through {
+            visited(1);
+            match oal.get(o) {
+                Some(d) => {
+                    if !d.undeliverable && !d.acks.majority_of(group) {
                         return false;
                     }
                 }
+                None => return false,
             }
-            for q in buf.pending() {
-                if q.semantics.ordering == Ordering::Time
-                    && (q.send_ts, q.id()) < key
-                    && q.id() != id
-                {
+            o = o.next();
+        }
+        true
+    }
+
+    /// Is every descriptor with ordinal ≤ `through` stable (acknowledged by
+    /// all of `group`, or pruned, or undeliverable)?
+    pub fn stable_through(oal: &Oal, through: Ordinal, group: &View) -> bool {
+        if through >= oal.next_ordinal() {
+            return false;
+        }
+        oal.stable_through(through, group)
+    }
+
+    /// Does the atomicity condition hold for `p`?
+    pub fn atomicity_ok(oal: &Oal, group: &View, p: &Proposal) -> bool {
+        match p.semantics.atomicity {
+            Atomicity::Weak => true,
+            Atomicity::Strong => majority_through(oal, p.hdo, group),
+            Atomicity::Strict => stable_through(oal, p.hdo, group),
+        }
+    }
+
+    /// Does the order condition hold for `p`?
+    ///
+    /// `buf` supplies delivery/ordinal knowledge; `now` drives time-ordered
+    /// release.
+    pub fn order_ok(
+        oal: &Oal,
+        buf: &ProposalBuffer,
+        cfg: &Config,
+        now: SyncTime,
+        p: &Proposal,
+    ) -> bool {
+        let id = p.id();
+        match p.semantics.ordering {
+            Ordering::Unordered => true,
+            Ordering::Total => {
+                let Some(o) = buf.ordinal_of(id).or_else(|| search_window(oal, id)) else {
+                    return false; // not ordered yet
+                };
+                // Every ordered update at a smaller ordinal (still in the
+                // window) must be delivered or undeliverable. Pruned entries
+                // were stable, hence delivered everywhere that matters.
+                for (oo, d) in oal.iter() {
+                    if oo >= o {
+                        break;
+                    }
+                    visited(1);
+                    if blocks_total_order(d, buf) {
+                        return false;
+                    }
+                }
+                true
+            }
+            Ordering::Time => time_order_ok(oal, buf, cfg, now, p),
+        }
+    }
+
+    /// Full deliverability check for a pending proposal.
+    pub fn deliverable(
+        oal: &Oal,
+        buf: &ProposalBuffer,
+        group: &View,
+        cfg: &Config,
+        now: SyncTime,
+        p: &Proposal,
+    ) -> bool {
+        let id = p.id();
+        if !buf.fifo_ready(id) {
+            return false;
+        }
+        if buf.is_locally_marked(id, now) {
+            return false;
+        }
+        // A descriptor marked undeliverable by a decider is never delivered.
+        if let Some(o) = buf.ordinal_of(id).or_else(|| search_window(oal, id)) {
+            if let Some(d) = oal.get(o) {
+                if d.undeliverable {
                     return false;
                 }
             }
-            true
         }
+        atomicity_ok(oal, group, p) && order_ok(oal, buf, cfg, now, p)
     }
-}
 
-/// Full deliverability check for a pending proposal.
-pub fn deliverable(
-    oal: &Oal,
-    buf: &ProposalBuffer,
-    group: &View,
-    cfg: &Config,
-    now: SyncTime,
-    p: &Proposal,
-) -> bool {
-    let id = p.id();
-    if !buf.fifo_ready(id) {
-        return false;
+    /// The first deliverable pending proposal, if any: what the member must
+    /// deliver next, found by scanning every pending proposal against the
+    /// whole window. The reference the [`Frontier`] path is asserted against.
+    pub fn next_deliverable(
+        oal: &Oal,
+        buf: &ProposalBuffer,
+        group: &View,
+        cfg: &Config,
+        now: SyncTime,
+    ) -> Option<ProposalId> {
+        buf.pending()
+            .find(|p| deliverable(oal, buf, group, cfg, now, p))
+            .map(|p| p.id())
     }
-    if buf.is_locally_marked(id, now) {
-        return false;
-    }
-    // A descriptor marked undeliverable by a decider is never delivered.
-    if let Some(o) = buf.ordinal_of(id).or_else(|| oal.ordinal_of(id)) {
-        if let Some(d) = oal.get(o) {
-            if d.undeliverable {
-                return false;
-            }
-        }
-    }
-    atomicity_ok(oal, group, p) && order_ok(oal, buf, cfg, now, p)
-}
-
-/// The first deliverable pending proposal, if any (the member delivers it
-/// and re-evaluates until a fixpoint).
-pub fn next_deliverable(
-    oal: &Oal,
-    buf: &ProposalBuffer,
-    group: &View,
-    cfg: &Config,
-    now: SyncTime,
-) -> Option<tw_proto::ProposalId> {
-    buf.pending()
-        .find(|p| deliverable(oal, buf, group, cfg, now, p))
-        .map(|p| p.id())
 }
 
 #[cfg(test)]
@@ -466,6 +648,154 @@ mod tests {
             SyncTime(9_999_999),
             &p
         ));
+    }
+
+    /// Every probe the two paths can be asked: each atomicity at each
+    /// `hdo` in and around the window, and a total-ordered proposal at
+    /// each ordinal.
+    fn assert_frontier_matches_reference(
+        f: &Frontier,
+        oal: &Oal,
+        buf: &ProposalBuffer,
+        g: &View,
+        what: &str,
+    ) {
+        let c = cfg();
+        for hdo in 0..=oal.next_ordinal().0 + 1 {
+            for atomicity in Atomicity::ALL {
+                let p = prop(
+                    9,
+                    1,
+                    Semantics::new(Ordering::Unordered, atomicity),
+                    Ordinal(hdo),
+                    0,
+                );
+                assert_eq!(
+                    f.atomicity_ok(&p),
+                    atomicity_ok(oal, g, &p),
+                    "{what}: {atomicity:?} hdo {hdo} over {oal} {f:?}"
+                );
+            }
+            // `hdo` doubles as the probe's own ordinal here.
+            let mut buf = buf.clone();
+            let t = prop(
+                9,
+                1,
+                Semantics::new(Ordering::Total, Atomicity::Weak),
+                Ordinal::ZERO,
+                0,
+            );
+            buf.learn_ordinal(t.id(), Ordinal(hdo));
+            assert_eq!(
+                f.order_ok(oal, &buf, &c, SyncTime(1), &t, Some(Ordinal(hdo))),
+                order_ok(oal, &buf, &c, SyncTime(1), &t),
+                "{what}: total at ordinal {hdo} over {oal} {f:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn frontier_tracks_the_reference_as_state_accumulates() {
+        // A seeded walk over everything that moves a cursor while view
+        // and lineage stand: appends, acknowledgements, undeliverable
+        // marks, deliveries and pruning, in any order.
+        let g = group();
+        for seed in 1..=8u64 {
+            let (mut oal, mut buf, mut f) =
+                (Oal::new(), ProposalBuffer::new(), Frontier::default());
+            let mut x = seed;
+            let mut seq = 0;
+            for step in 0..150 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let r = (x >> 33) as usize;
+                let any = Ordinal(oal.base().0 + (r / 7) as u64 % (oal.len() as u64 + 1));
+                match r % 7 {
+                    0 | 1 => {
+                        seq += 1;
+                        let sem = Semantics::matrix().nth(r / 7 % 9).unwrap();
+                        let p = prop(1, seq, sem, Ordinal::ZERO, 0);
+                        let o = ordered(&mut oal, &p, &[]);
+                        buf.learn_ordinal(p.id(), o);
+                        buf.insert(p);
+                    }
+                    2 | 3 => {
+                        oal.ack(any, ProcessId((r / 11 % 3) as u16));
+                    }
+                    4 => {
+                        oal.mark_undeliverable(any);
+                    }
+                    5 => {
+                        if let Some(id) = oal.get(any).and_then(|d| d.body.proposal_id()) {
+                            if buf.has_pending(id) {
+                                buf.deliver(id);
+                            }
+                        }
+                    }
+                    _ => {
+                        oal.prune_stable(&g);
+                    }
+                }
+                f.advance(&oal, &g, &buf);
+                assert_frontier_matches_reference(
+                    &f,
+                    &oal,
+                    &buf,
+                    &g,
+                    &format!("seed {seed} step {step}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn frontier_recounts_when_the_view_changes() {
+        // {p0, p1} is a majority of three, and all of nothing; in the
+        // next view it is one member of four.
+        let mut oal = Oal::new();
+        let buf = ProposalBuffer::new();
+        let dep = prop(1, 1, Semantics::UNORDERED_WEAK, Ordinal::ZERO, 0);
+        let o = ordered(&mut oal, &dep, &[0]);
+        let strong = prop(
+            0,
+            1,
+            Semantics::new(Ordering::Unordered, Atomicity::Strong),
+            o,
+            1,
+        );
+        let mut f = Frontier::default();
+        f.advance(&oal, &group(), &buf);
+        assert!(f.atomicity_ok(&strong));
+        let next = View::new(
+            ViewId::new(2, ProcessId(0)),
+            [ProcessId(0), ProcessId(2), ProcessId(3), ProcessId(4)],
+        );
+        f.advance(&oal, &next, &buf);
+        assert!(!f.atomicity_ok(&strong), "majority counted in the old view");
+        assert_frontier_matches_reference(&f, &oal, &buf, &next, "after the view change");
+    }
+
+    #[test]
+    fn frontier_restarts_when_the_window_reopens_below_its_base() {
+        // A window pruned to base 3 is replaced by one that still shows
+        // ordinals 1..3, unacknowledged: pruned-hence-stable no longer
+        // covers them.
+        let g = group();
+        let buf = ProposalBuffer::new();
+        let mut pruned = Oal::new();
+        let mut unpruned = Oal::new();
+        for seq in 1..=3 {
+            let p = prop(1, seq, Semantics::UNORDERED_WEAK, Ordinal::ZERO, 0);
+            ordered(&mut pruned, &p, &[0, 2]);
+            ordered(&mut unpruned, &p, &[]);
+        }
+        pruned.prune_stable(&g);
+        assert_eq!(pruned.base(), Ordinal(4));
+        let mut f = Frontier::default();
+        f.advance(&pruned, &g, &buf);
+        f.advance(&unpruned, &g, &buf);
+        assert_frontier_matches_reference(&f, &unpruned, &buf, &g, "reopened window");
     }
 
     #[test]

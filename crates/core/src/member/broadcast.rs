@@ -2,10 +2,13 @@
 //! received proposals, driving deliveries, and join-time state transfer.
 
 use super::{CreatorState, Member};
-use crate::delivery;
 use crate::events::Action;
 use bytes::Bytes;
-use tw_proto::{HwTime, Msg, ProcessId, Proposal, Semantics, StateTransfer, SyncTime};
+use std::collections::{BTreeMap, BTreeSet};
+use tw_proto::{
+    Descriptor, DescriptorBody, HwTime, Msg, Ordinal, ProcessId, Proposal, ProposalId, Semantics,
+    StateTransfer, SyncTime,
+};
 
 /// Why a propose call was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,16 +108,35 @@ impl Member {
         }
     }
 
-    /// Drive deliveries to a fixpoint.
+    /// Drive deliveries to a fixpoint: deliver the first deliverable
+    /// pending proposal in id order, re-evaluate, until none is. Only a
+    /// proposer's FIFO head can be deliverable, so each round tests at
+    /// most one proposal per proposer against the frontier.
     pub(crate) fn try_deliver(&mut self, now: SyncTime, actions: &mut Vec<Action>) {
         if self.view.is_empty() {
             return;
         }
-        while let Some(id) =
-            delivery::next_deliverable(&self.oal, &self.buf, &self.view, &self.cfg, now)
-        {
+        loop {
+            self.frontier.advance(&self.oal, &self.view, &self.buf);
+            let next = self.buf.heads().find_map(|p| {
+                let ordinal = self.ordinal_of(p.id());
+                self.frontier
+                    .deliverable(&self.oal, &self.buf, &self.cfg, now, p, ordinal)
+                    .then_some((p.id(), ordinal))
+            });
+            #[cfg(any(test, debug_assertions))]
+            assert_eq!(
+                next.map(|(id, _)| id),
+                crate::delivery::next_deliverable(&self.oal, &self.buf, &self.view, &self.cfg, now),
+                "frontier and reference scan disagree on the next delivery ({:?})",
+                self.frontier
+            );
+            let Some((id, ordinal)) = next else {
+                break;
+            };
             let p = self.buf.deliver(id);
-            let ordinal = self.buf.ordinal_of(id).or_else(|| self.oal.ordinal_of(id));
+            // Delivered is received for good: never asked for again.
+            self.nack_last.remove(&id);
             if ordinal.is_none() {
                 // Delivered before ordering: remember its descriptor for
                 // the dpd field of control messages (§4.3).
@@ -165,6 +187,7 @@ impl Member {
         for (p, next) in st.fifo {
             self.buf.set_fifo_cursor(p, next);
         }
+        self.nack_gaps = None; // the cursors may have un-received ordered proposals
         for p in st.proposals {
             self.buf.insert(p);
         }
@@ -177,13 +200,68 @@ impl Member {
 
     /// Periodic loss repair: if the oal orders proposals we never
     /// received, ask a member that acknowledged them to retransmit
-    /// (rate-limited to one request per proposal per `2D`).
+    /// (rate-limited to one request per proposal per `2D`). Walks the
+    /// gaps only, not the window.
     pub(crate) fn maybe_nack(&mut self, now: SyncTime, actions: &mut Vec<Action>) {
-        use tw_proto::DescriptorBody;
+        if self.nack_gaps.is_none() {
+            self.nack_gaps = Some(self.unreceived_in_window());
+        }
+        let mut last = std::mem::take(&mut self.nack_last);
+        #[cfg(any(test, debug_assertions))]
+        let reference = {
+            crate::delivery::visited(self.oal.len());
+            let mut last = last.clone();
+            let window = self.oal.iter().map(|(_, d)| d);
+            (self.nack_requests(window, now, &mut last), last)
+        };
+        let gaps = self.nack_gaps.iter().flatten();
+        let requests = self.nack_requests(gaps.filter_map(|o| self.oal.get(*o)), now, &mut last);
+        #[cfg(any(test, debug_assertions))]
+        assert_eq!(
+            (&requests, &last),
+            (&reference.0, &reference.1),
+            "gap set and window scan disagree on what to ask for ({:?})",
+            self.nack_gaps
+        );
+        self.nack_last = last;
+        for (holder, missing) in requests {
+            let send_ts = self.stamp(now);
+            actions.push(Action::Send(
+                holder,
+                Msg::Nack(tw_proto::Nack {
+                    sender: self.pid,
+                    send_ts,
+                    missing,
+                }),
+            ));
+        }
+    }
+
+    /// Ordinals of the window's deliverable updates we have not received.
+    fn unreceived_in_window(&self) -> BTreeSet<Ordinal> {
+        self.oal
+            .iter()
+            .filter(|(_, d)| match &d.body {
+                DescriptorBody::Update { id, .. } => {
+                    !d.undeliverable && !self.buf.has_received(*id)
+                }
+                DescriptorBody::Membership(_) => false,
+            })
+            .map(|(o, _)| o)
+            .collect()
+    }
+
+    /// The NACK rule over `descs`, in order: whom to ask for which missing
+    /// update. Requests made are stamped into `nack_last`.
+    fn nack_requests<'a>(
+        &self,
+        descs: impl Iterator<Item = &'a Descriptor>,
+        now: SyncTime,
+        nack_last: &mut BTreeMap<ProposalId, SyncTime>,
+    ) -> BTreeMap<ProcessId, Vec<ProposalId>> {
         let retry = self.cfg.big_d * 2;
-        let mut requests: std::collections::BTreeMap<ProcessId, Vec<tw_proto::ProposalId>> =
-            std::collections::BTreeMap::new();
-        for (_, desc) in self.oal.iter() {
+        let mut requests: BTreeMap<ProcessId, Vec<ProposalId>> = BTreeMap::new();
+        for desc in descs {
             let DescriptorBody::Update { id, .. } = &desc.body else {
                 continue;
             };
@@ -193,7 +271,7 @@ impl Member {
             {
                 continue;
             }
-            if let Some(&last) = self.nack_last.get(id) {
+            if let Some(&last) = nack_last.get(id) {
                 if now - last < retry {
                     continue;
                 }
@@ -206,21 +284,11 @@ impl Member {
                 .copied()
                 .find(|m| *m != self.pid && desc.acks.contains(*m));
             if let Some(h) = holder {
-                self.nack_last.insert(*id, now);
+                nack_last.insert(*id, now);
                 requests.entry(h).or_default().push(*id);
             }
         }
-        for (holder, missing) in requests {
-            let send_ts = self.stamp(now);
-            actions.push(Action::Send(
-                holder,
-                Msg::Nack(tw_proto::Nack {
-                    sender: self.pid,
-                    send_ts,
-                    missing,
-                }),
-            ));
-        }
+        requests
     }
 
     /// Answer a retransmission request with whatever we still hold.
@@ -255,7 +323,7 @@ impl Member {
 mod tests {
     use super::*;
     use crate::config::Config;
-    use tw_proto::{Duration, View, ViewId};
+    use tw_proto::{Atomicity, Duration, Oal, View, ViewId};
 
     fn synced_member(pid: u16) -> Member {
         let mut m = Member::new(
@@ -407,5 +475,198 @@ mod tests {
         let mut actions = Vec::new();
         m.try_deliver(SyncTime(3), &mut actions);
         assert!(actions.is_empty());
+    }
+
+    const P0: ProcessId = ProcessId(0);
+    const P1: ProcessId = ProcessId(1);
+    const P2: ProcessId = ProcessId(2);
+    const STRONG: Semantics = Semantics::new(tw_proto::Ordering::Unordered, Atomicity::Strong);
+
+    /// Order a (never received) update of `proposer` in `oal`,
+    /// acknowledged by `acks`.
+    fn order(oal: &mut Oal, proposer: ProcessId, seq: u64, sem: Semantics, acks: &[ProcessId]) {
+        let id = ProposalId::new(proposer, seq);
+        let mut d = Descriptor::update(id, Ordinal(1), sem, SyncTime(1), proposer);
+        d.acks = acks.iter().copied().collect();
+        oal.append(d);
+    }
+
+    fn proposal(sender: ProcessId, seq: u64, semantics: Semantics, hdo: Ordinal) -> Proposal {
+        Proposal {
+            sender,
+            incarnation: tw_proto::Incarnation(0),
+            seq,
+            send_ts: SyncTime(1),
+            hdo,
+            semantics,
+            payload: Bytes::new(),
+        }
+    }
+
+    fn decision(sender: ProcessId, ts: i64, view: &View, oal: &Oal) -> Msg {
+        Msg::Decision(tw_proto::Decision {
+            sender,
+            send_ts: SyncTime(ts),
+            view: view.clone(),
+            oal: oal.clone(),
+            alive: tw_proto::AliveList::EMPTY,
+        })
+    }
+
+    /// p0 in {p0, p1, p2} whose window holds one update of p1's that p1
+    /// and p2 acknowledged, with the frontier advanced past it.
+    fn member_past_a_majority_acked_update() -> Member {
+        let mut m = synced_member(0);
+        in_group(&mut m);
+        order(&mut m.oal, P1, 1, Semantics::UNORDERED_WEAK, &[P1, P2]);
+        m.sync_with_oal(SyncTime(1));
+        m.try_deliver(SyncTime(1), &mut Vec::new());
+        m
+    }
+
+    /// Propose a strong update depending on ordinal 1; was it delivered?
+    fn strong_on_first_ordinal_delivers(m: &mut Member) -> bool {
+        let actions = m
+            .propose(HwTime(50), Bytes::from_static(b"s"), STRONG)
+            .unwrap();
+        actions.iter().any(|a| matches!(a, Action::Deliver(_)))
+    }
+
+    #[test]
+    fn majority_acked_dependency_releases_a_strong_update() {
+        let mut m = member_past_a_majority_acked_update();
+        assert!(strong_on_first_ordinal_delivers(&mut m));
+    }
+
+    #[test]
+    fn view_change_that_shrinks_a_majority_holds_strong_updates_back() {
+        let mut m = member_past_a_majority_acked_update();
+        // {p1, p2} was a majority of the old view; neither is in the next.
+        let next = View::new(ViewId::new(2, P1), [P0, ProcessId(3), ProcessId(4)]);
+        let oal = m.oal.clone();
+        m.on_message(HwTime(10), P1, decision(P1, 10, &next, &oal));
+        assert_eq!(m.view.id, next.id);
+        assert!(!strong_on_first_ordinal_delivers(&mut m));
+    }
+
+    #[test]
+    fn oal_replaced_on_prefix_violation_holds_strong_updates_back() {
+        let mut m = member_past_a_majority_acked_update();
+        // The next decider's lineage has a different, barely acknowledged
+        // update at ordinal 1: ours is void, and so is what the frontier
+        // knew about it.
+        let mut other = Oal::new();
+        order(&mut other, P2, 1, Semantics::UNORDERED_WEAK, &[P2]);
+        let view = m.view.clone();
+        m.on_message(HwTime(10), P1, decision(P1, 10, &view, &other));
+        assert_eq!(m.oal, other, "taken wholesale");
+        assert!(!strong_on_first_ordinal_delivers(&mut m));
+    }
+
+    #[test]
+    fn recovery_forgets_the_frontier() {
+        let mut m = member_past_a_majority_acked_update();
+        m.on_recover(HwTime(10));
+        m.force_clock_sync();
+        // Back in a view of the same id (FIFO cursor in the new life's
+        // band, as a state transfer leaves it), over a fresh window whose
+        // first update only its proposer holds.
+        in_group(&mut m);
+        m.buf.note_incarnation(P0, m.incarnation);
+        order(&mut m.oal, P1, 1, Semantics::UNORDERED_WEAK, &[P1]);
+        m.sync_with_oal(SyncTime(11));
+        assert!(!strong_on_first_ordinal_delivers(&mut m));
+        m.oal.ack(Ordinal(1), P2);
+        assert!(
+            strong_on_first_ordinal_delivers(&mut m),
+            "held for want of acks only"
+        );
+    }
+
+    #[test]
+    fn nack_bookkeeping_ends_with_delivery_or_pruning() {
+        let mut m = synced_member(0);
+        in_group(&mut m);
+        // Two ordered updates of p1's that we never received: a weak one,
+        // and a strong one that will wait for a majority once it arrives.
+        order(&mut m.oal, P1, 1, Semantics::UNORDERED_WEAK, &[P1]);
+        order(&mut m.oal, P1, 2, STRONG, &[P1]);
+        m.sync_with_oal(SyncTime(1));
+        let mut actions = Vec::new();
+        m.maybe_nack(SyncTime(2), &mut actions);
+        let asked: Vec<_> = actions
+            .iter()
+            .filter_map(|a| match a {
+                Action::Send(to, Msg::Nack(n)) => Some((*to, n.missing.clone())),
+                _ => None,
+            })
+            .collect();
+        let (weak, strong) = (ProposalId::new(P1, 1), ProposalId::new(P1, 2));
+        assert_eq!(asked, vec![(P1, vec![weak, strong])]);
+        assert_eq!(m.nack_last.len(), 2);
+        // Asked again at once: rate-limited.
+        let mut again = Vec::new();
+        m.maybe_nack(SyncTime(3), &mut again);
+        assert!(again.is_empty());
+        // Both arrive. The weak one delivers and is forgotten; the strong
+        // one stays pending, and so does its entry (a pending proposal
+        // can still be dropped by a state transfer's FIFO cursors).
+        for (seq, sem) in [(1, Semantics::UNORDERED_WEAK), (2, STRONG)] {
+            let p = proposal(P1, seq, sem, Ordinal(2));
+            m.on_message(HwTime(4), P1, Msg::Proposal(p));
+        }
+        assert!(m.buf.is_delivered(weak) && m.buf.has_pending(strong));
+        assert_eq!(m.nack_last.keys().collect::<Vec<_>>(), vec![&strong]);
+        // The next decision has pruned both descriptors.
+        let mut pruned = Oal::new();
+        pruned.restore(Ordinal(3), vec![]);
+        let view = m.view.clone();
+        m.on_message(HwTime(10), P1, decision(P1, 10, &view, &pruned));
+        assert_eq!(m.oal.base(), Ordinal(3));
+        assert!(m.nack_last.is_empty(), "{:?}", m.nack_last);
+    }
+
+    #[test]
+    fn delivery_and_nack_cost_is_flat_in_backlog() {
+        use crate::delivery::VISITS;
+        const WINDOW: u64 = 2_000;
+        let mut m = synced_member(0);
+        in_group(&mut m);
+        // A window of 2 000 updates of p1's, all received and delivered
+        // here and acknowledged by everyone (only a decider prunes)...
+        for seq in 1..=WINDOW {
+            order(&mut m.oal, P1, seq, Semantics::TOTAL_STRONG, &[P0, P1, P2]);
+            m.buf
+                .insert(proposal(P1, seq, Semantics::TOTAL_STRONG, Ordinal::ZERO));
+            m.buf.deliver(ProposalId::new(P1, seq));
+        }
+        m.sync_with_oal(SyncTime(1));
+        // ...and 500 proposals of p2's stuck behind the one that is missing.
+        for seq in 2..=501 {
+            m.buf
+                .insert(proposal(P2, seq, Semantics::TOTAL_STRONG, Ordinal::ZERO));
+        }
+        assert_eq!((m.oal.len() as u64, m.buf.pending_len()), (WINDOW, 500));
+        m.on_tick(HwTime(10)); // walk the window once
+        assert!(m.buf.heads().count() <= m.view.len());
+
+        let count = |m: &mut Member, event: &dyn Fn(&mut Member)| {
+            m.frontier.visits = 0;
+            VISITS.with(|v| v.set(0));
+            event(m);
+            (m.frontier.visits, VISITS.with(|v| v.get()))
+        };
+        let (fast, reference) = count(&mut m, &|m| {
+            m.on_tick(HwTime(20));
+        });
+        assert_eq!(fast, 0, "on_tick walked the window");
+        assert!(reference >= WINDOW, "{reference}");
+        let (fast, reference) = count(&mut m, &|m| {
+            let weak = Semantics::UNORDERED_WEAK;
+            let actions = m.propose(HwTime(30), Bytes::new(), weak).unwrap();
+            assert!(actions.iter().any(|a| matches!(a, Action::Deliver(_))));
+        });
+        assert_eq!(fast, 0, "propose walked the window");
+        assert!(reference >= WINDOW, "{reference}");
     }
 }

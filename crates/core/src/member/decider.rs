@@ -136,7 +136,7 @@ impl Member {
             // decision nobody in the electing majority saw). The decider
             // is authoritative — take its oal wholesale and void every
             // ordinal assignment we learned from the dead lineage.
-            self.oal = d.oal.clone();
+            self.replace_oal(d.oal.clone());
             self.buf.clear_ordinals();
         }
         self.sync_with_oal(d.send_ts);
@@ -144,12 +144,14 @@ impl Member {
     }
 
     /// Reconcile buffers with the current oal: learn ordinal
-    /// assignments, drop proposals a decider ruled undeliverable, and
-    /// mark our own acknowledgement bits for everything we hold.
+    /// assignments, drop proposals a decider ruled undeliverable, mark
+    /// our own acknowledgement bits for everything we hold, and note
+    /// what we do not hold (for `maybe_nack`).
     pub(crate) fn sync_with_oal(&mut self, now: SyncTime) {
         let me = self.pid;
         let mut to_purge = Vec::new();
         let mut to_ack = Vec::new();
+        let mut gaps = BTreeSet::new();
         for (o, desc) in self.oal.iter() {
             match &desc.body {
                 DescriptorBody::Update { id, .. } => {
@@ -157,10 +159,9 @@ impl Member {
                     self.dpd_descs.remove(id);
                     if desc.undeliverable {
                         to_purge.push(*id);
-                    } else if self.buf.has_received(*id)
-                        && !self.buf.is_locally_marked(*id, now)
-                        && !desc.acks.contains(me)
-                    {
+                    } else if !self.buf.has_received(*id) {
+                        gaps.insert(o);
+                    } else if !self.buf.is_locally_marked(*id, now) && !desc.acks.contains(me) {
                         to_ack.push(o);
                     }
                 }
@@ -177,8 +178,14 @@ impl Member {
         for o in to_ack {
             self.oal.ack(o, me);
         }
-        // Everything below the window base is stable: stop archiving it.
-        self.buf.gc_archive(self.oal.base());
+        // Everything below the window base is stable: stop archiving it,
+        // and nobody will be asked for it again.
+        let base = self.oal.base();
+        self.buf.gc_archive(base);
+        let buf = &self.buf;
+        self.nack_last
+            .retain(|id, _| buf.ordinal_of(*id).is_none_or(|o| o >= base));
+        self.nack_gaps = Some(gaps);
     }
 
     /// Emit my decision message (I hold the decider role).
@@ -238,7 +245,7 @@ impl Member {
     }
 
     fn append_update_if_new(&mut self, id: tw_proto::ProposalId, desc: UpdateDesc, now: SyncTime) {
-        if self.buf.ordinal_of(id).is_some() || self.oal.ordinal_of(id).is_some() {
+        if self.ordinal_of(id).is_some() {
             return;
         }
         if self.buf.is_locally_marked(id, now) {
@@ -253,6 +260,7 @@ impl Member {
         ));
         self.buf.learn_ordinal(id, o);
         self.dpd_descs.remove(&id);
+        self.nack_gaps = None;
     }
 
     /// Become the decider of a freshly created group (initial formation,

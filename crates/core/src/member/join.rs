@@ -118,6 +118,7 @@ impl Member {
             return;
         }
         self.buf.note_incarnation(j.sender, j.incarnation);
+        self.nack_gaps = None; // the purge may have un-received an ordered proposal
         let mut set = j.join_set();
         set.insert(j.sender);
         self.join_heard.insert(
@@ -149,7 +150,7 @@ impl Member {
         // Fresh oal adoption: our copy is empty or stale. (Ordinals from
         // a previous membership were voided on leaving; assignments
         // learned from a state transfer for this join are kept.)
-        self.oal = d.oal.clone();
+        self.replace_oal(d.oal.clone());
         self.sync_with_oal(now);
         self.last_decision_ts = d.send_ts;
         self.state = CreatorState::FailureFree;

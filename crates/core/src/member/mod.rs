@@ -33,16 +33,17 @@ pub use broadcast::ProposeError;
 
 use crate::buffers::ProposalBuffer;
 use crate::config::Config;
+use crate::delivery::Frontier;
 use crate::detector::{AliveTracker, ExpectedSender};
 use crate::events::{Action, LeaveReason, MemberObservation};
 use crate::undeliverable::PurgeReport;
 use bytes::Bytes;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use tw_clock::{ClockAction, ClockEvent, FailAwareClock};
 use tw_obs::{ClockStamp, TraceEvent, Tracer};
 use tw_proto::{
-    AliveList, HwTime, Incarnation, Msg, Oal, ProcessId, ProposalId, SyncTime, UpdateDesc, View,
-    ViewId,
+    AliveList, HwTime, Incarnation, Msg, Oal, Ordinal, ProcessId, ProposalId, SyncTime, UpdateDesc,
+    View, ViewId,
 };
 
 /// The six states of the group creator (paper Fig. 2).
@@ -136,8 +137,17 @@ pub struct Member {
     pub(crate) buf: ProposalBuffer,
     /// Descriptors of updates delivered before ordering (the `dpd` pool).
     pub(crate) dpd_descs: BTreeMap<ProposalId, UpdateDesc>,
+    /// How far into the oal window each delivery condition holds
+    /// (derived from `oal`, `view` and `buf`; see [`Frontier`]).
+    pub(crate) frontier: Frontier,
     /// Last retransmission request per missing proposal (rate limiting).
     pub(crate) nack_last: BTreeMap<ProposalId, SyncTime>,
+    /// Ordinals of the window's updates not received when
+    /// [`Member::sync_with_oal`] last looked: a superset of what
+    /// `maybe_nack` may ask for. `None` after anything else that can grow
+    /// the window or un-receive a proposal; rebuilt from the window when
+    /// next needed.
+    pub(crate) nack_gaps: Option<BTreeSet<Ordinal>>,
     /// Application snapshot the host keeps fresh, shipped to joiners.
     pub(crate) app_snapshot: Bytes,
     /// Application state received via state transfer (host consumes it).
@@ -200,7 +210,9 @@ impl Member {
             last_sent_ts: SyncTime(i64::MIN / 2),
             buf: ProposalBuffer::new(),
             dpd_descs: BTreeMap::new(),
+            frontier: Frontier::default(),
             nack_last: BTreeMap::new(),
+            nack_gaps: None,
             app_snapshot: Bytes::new(),
             transferred_state: None,
             join_heard: BTreeMap::new(),
@@ -327,18 +339,21 @@ impl Member {
     /// Debug: explain why each pending proposal is undeliverable.
     #[doc(hidden)]
     pub fn explain_pending_dbg(&self, now: SyncTime) -> Vec<String> {
+        let mut frontier = self.frontier.clone();
+        frontier.advance(&self.oal, &self.view, &self.buf);
         self.buf
             .pending()
             .map(|p| {
                 let id = p.id();
+                let ordinal = self.ordinal_of(id);
                 format!(
                     "{id} sem={} fifo={} marked={} ordinal={:?} atom={} order={}",
                     p.semantics,
                     self.buf.fifo_ready(id),
                     self.buf.is_locally_marked(id, now),
-                    self.buf.ordinal_of(id).or_else(|| self.oal.ordinal_of(id)),
-                    crate::delivery::atomicity_ok(&self.oal, &self.view, p),
-                    crate::delivery::order_ok(&self.oal, &self.buf, &self.cfg, now, p),
+                    ordinal,
+                    frontier.atomicity_ok(p),
+                    frontier.order_ok(&self.oal, &self.buf, &self.cfg, now, p, ordinal),
                 )
             })
             .collect()
@@ -438,11 +453,12 @@ impl Member {
         self.watchdog.disarm();
         self.peer_alive.clear();
         self.view = View::default();
-        self.oal = Oal::new();
+        self.replace_oal(Oal::new());
         self.last_decision_ts = SyncTime(i64::MIN / 2);
         self.decider_due = None;
         self.dpd_descs.clear();
         self.nack_last.clear();
+        self.nack_gaps = None;
         self.join_heard.clear();
         self.last_join_slot = i64::MIN;
         self.suspect = None;
@@ -583,6 +599,29 @@ impl Member {
         ts
     }
 
+    /// The ordinal assigned to `id`, if any: the one id → ordinal lookup.
+    ///
+    /// `buf`'s learned assignments cover the oal window whenever this
+    /// member is in a group — every change to the window ends in
+    /// [`Member::sync_with_oal`] or a `learn_ordinal` — so the window
+    /// itself is never searched. (Outside a group the assignments are
+    /// void and the oal is whatever the last lineage left behind.)
+    pub(crate) fn ordinal_of(&self, id: ProposalId) -> Option<Ordinal> {
+        let o = self.buf.ordinal_of(id);
+        debug_assert!(
+            o.is_some() || self.view.is_empty() || self.oal.ordinal_of(id).is_none(),
+            "{id} is ordered in the window but its assignment was never learned"
+        );
+        o
+    }
+
+    /// Take `oal` in place of ours wholesale. Nothing the frontier
+    /// learned about the old descriptors holds for the new ones.
+    pub(crate) fn replace_oal(&mut self, oal: Oal) {
+        self.oal = oal;
+        self.frontier.reset();
+    }
+
     /// My current alive-list (self + heard within N slots).
     pub(crate) fn my_alive(&self, now: SyncTime) -> AliveList {
         self.alive
@@ -625,6 +664,7 @@ impl Member {
         // Assignments from the lineage we are leaving are void; the
         // rejoin's state transfer supplies fresh ones.
         self.buf.clear_ordinals();
+        self.frontier.reset();
         self.transferred_state = None;
         self.watchdog.disarm();
         self.decider_due = None;

@@ -24,10 +24,17 @@ cargo test --locked --release -p tw-runtime \
 # Determinism and concurrency lints over crates/.
 cargo --locked xtask lint --all
 
+# The schedule explorer is a release build, so on its own it never runs
+# the cursor-vs-scan assertions of try_deliver / maybe_nack. Explore the
+# standard scenarios with them compiled in (same schedule counts as
+# without: 111039 / 28 / 72). RUSTFLAGS differ from the main build, so a
+# target dir of its own keeps both incremental.
+RUSTFLAGS="-C debug-assertions=on" CARGO_TARGET_DIR=target/explore-checked \
+  cargo --locked xtask explore --members 3 --faults 1
+
 # Loom models. The in-tree loom runs each model body once under the OS
 # schedule; CI's concurrency-analysis job swaps in the published crate,
-# which explores every interleaving. RUSTFLAGS differ from the main
-# build, so a target dir of its own keeps both incremental.
+# which explores every interleaving. Own target dir, as above.
 CARGO_TARGET_DIR=target/loom RUSTFLAGS="--cfg loom" \
   cargo test --locked -p tw-runtime --test loom
 
