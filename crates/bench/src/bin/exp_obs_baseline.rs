@@ -8,8 +8,8 @@
 //! and writes `BENCH_obs_baseline.json` so CI can track regressions.
 
 use std::time::Instant;
-use timewheel::harness::TeamParams;
-use tw_bench::{formed_team, Table};
+use timewheel::harness::{formed_team, TeamParams};
+use tw_bench::Table;
 use tw_obs::{ClockStamp, Registry, TraceEvent, Tracer, VecSink, LATENCY_BOUNDS_US};
 use tw_proto::{HwTime, ProcessId, SyncTime, ViewId};
 
@@ -81,7 +81,7 @@ fn main() {
     let membership = w.stats().sends_of(&["no-decision", "join", "reconfig"]);
     assert_eq!(membership, 0, "failure-free run grew membership traffic");
 
-    let mut table = Table::new(&["metric", "value"]);
+    let mut table = Table::new("metric value");
     let rows: &[(&str, String)] = &[
         ("counter_inc_ns", format!("{counter_inc_ns:.1}")),
         ("histogram_record_ns", format!("{histogram_record_ns:.1}")),
@@ -100,7 +100,10 @@ fn main() {
     for (k, val) in rows {
         table.row(&[k.to_string(), val.clone()]);
     }
-    table.print("OBS: observability layer overhead baseline");
+    print!(
+        "{}",
+        table.render("OBS: observability layer overhead baseline")
+    );
 
     let json = format!(
         r#"{{

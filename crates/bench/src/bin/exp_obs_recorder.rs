@@ -16,8 +16,8 @@
 
 use std::sync::Arc;
 use std::time::Instant;
-use timewheel::harness::TeamParams;
-use tw_bench::{formed_team, median, Table};
+use timewheel::harness::{formed_team, TeamParams};
+use tw_bench::{median, Table};
 use tw_obs::{ClockStamp, FlightRecorder, RecorderConfig, TraceEvent, TraceSink, Tracer};
 use tw_proto::{Duration, HwTime, ProcessId, SyncTime, ViewId};
 
@@ -129,7 +129,7 @@ fn main() {
     let recorded_ms = sim_run_ms(RUNS, CYCLES, true);
     let overhead_pct = (recorded_ms - baseline_ms) / baseline_ms * 100.0;
 
-    let mut table = Table::new(&["metric", "value"]);
+    let mut table = Table::new("metric value");
     let rows: &[(&str, String)] = &[
         ("record_buffered_ns", format!("{record_buffered_ns:.1}")),
         ("record_spilling_ns", format!("{record_spilling_ns:.1}")),
@@ -141,7 +141,10 @@ fn main() {
     for (k, val) in rows {
         table.row(&[k.to_string(), val.clone()]);
     }
-    table.print("OBS-REC: flight recorder overhead (vs tracing disabled)");
+    print!(
+        "{}",
+        table.render("OBS-REC: flight recorder overhead (vs tracing disabled)")
+    );
     println!("\nclaim check: end-to-end overhead < 5% with the T1 shape preserved");
     println!("(zero membership messages asserted in every run, recorded or not).");
 

@@ -126,11 +126,7 @@ fn main() {
     // Warm-up.
     let _ = throughput(ExecutorKind::EventLoop, 1_000, 1);
 
-    let mut sweep = Table::new(&[
-        "offered_upd/s",
-        "event-loop_delivered/s",
-        "threaded_delivered/s",
-    ]);
+    let mut sweep = Table::new("offered_upd/s event-loop_delivered/s threaded_delivered/s");
     let mut last_pair = (0.0f64, 0.0f64);
     for rate in [1_000usize, 5_000, 20_000, 60_000] {
         let ev = throughput(ExecutorKind::EventLoop, rate, 3);
@@ -138,14 +134,12 @@ fn main() {
         last_pair = (ev, th);
         sweep.row(&[rate.to_string(), format!("{ev:.0}"), format!("{th:.0}")]);
     }
-    sweep.print("T7a: sustained throughput vs offered load (N = 3, unordered/weak)");
+    print!(
+        "{}",
+        sweep.render("T7a: sustained throughput vs offered load (N = 3, unordered/weak)")
+    );
 
-    let mut lat = Table::new(&[
-        "executor",
-        "mean_latency_us",
-        "p99_latency_us",
-        "dispatch_p50_us",
-    ]);
+    let mut lat = Table::new("executor mean_latency_us p99_latency_us dispatch_p50_us");
     for (label, kind) in [
         ("event-loop (paper §5)", ExecutorKind::EventLoop),
         ("thread-per-event-type", ExecutorKind::Threaded),
@@ -158,7 +152,10 @@ fn main() {
             dispatch_p50.to_string(),
         ]);
     }
-    lat.print("T7b: propose→deliver latency at low load (500 upd/s)");
+    print!(
+        "{}",
+        lat.render("T7b: propose→deliver latency at low load (500 upd/s)")
+    );
 
     println!(
         "\nshape check: at low load both executors keep up; past saturation the\n\

@@ -12,8 +12,7 @@
 //! Usage: `rec_crash_run [out-dir]` (default `trace-out/`).
 
 use std::sync::Arc;
-use timewheel::harness::{run_until_pred, TeamParams};
-use tw_bench::formed_team;
+use timewheel::harness::{formed_team, reformed, run_until_pred, TeamParams};
 use tw_obs::{FlightRecorder, RecorderConfig, TraceSink, Tracer};
 use tw_proto::{Duration, ProcessId};
 
@@ -48,12 +47,7 @@ fn main() {
     let crash_at = w.now() + Duration::from_millis(5);
     w.crash_at(crash_at, victim);
     run_until_pred(&mut w, crash_at + Duration::from_secs(60), |w| {
-        (0..N as u16).filter(|&i| i != victim.0).all(|i| {
-            let m = w.actor(ProcessId(i)).member();
-            m.state() == timewheel::CreatorState::FailureFree
-                && m.view().len() == N - 1
-                && !m.view().contains(victim)
-        })
+        reformed(w, &[victim])
     })
     .expect("survivors never reformed");
     // A few failure-free cycles after the install, so the recordings
@@ -66,11 +60,9 @@ fn main() {
         }
     }
 
-    // §4.2 analytic envelope for the recovery span (suspicion → last
-    // survivor install), same expression experiment T2 asserts.
-    let envelope = cfg.decision_timeout * 2
-        + (cfg.big_d + cfg.delta) * (N as i64 - 2)
-        + cfg.tick * 4;
+    // The §4.2 envelope the analyzer judges the recovery span against,
+    // the bound experiment T2 asserts.
+    let envelope = cfg.recovery_envelope();
 
     let recordings: Vec<String> = (0..N).map(|i| format!("\"node-{i}.twrec\"")).collect();
     let meta = format!(

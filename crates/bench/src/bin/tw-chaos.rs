@@ -50,7 +50,6 @@ use std::time::{Duration as StdDuration, Instant};
 use timewheel::Config;
 use tw_obs::{analyze, Analysis, Recording, TraceSet};
 use tw_proto::{Duration, Semantics};
-use tw_runtime::chaos::recovery_envelope;
 use tw_runtime::{
     ChaosCluster, ChaosOp, ChaosSchedule, ClusterBuilder, ExecutorKind, FaultBudget, LinkPlan,
     OpsSetup, RecorderSetup,
@@ -524,7 +523,7 @@ fn main() {
         .map(|e| e.minority.len().max(1))
         .max()
         .unwrap_or(1);
-    let envelope = recovery_envelope(&cfg);
+    let envelope = cfg.recovery_envelope();
 
     println!(
         "tw-chaos scenario={} seed={} team={} fingerprint={:#018x}",

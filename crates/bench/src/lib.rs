@@ -1,31 +1,27 @@
-//! Shared machinery for the experiment binaries (`src/bin/exp_*`).
-//!
-//! Each binary regenerates one table or figure of EXPERIMENTS.md: it runs
-//! the scenario on the deterministic simulator (or the real runtime, for
-//! T7), aggregates over several seeds, and prints an aligned table plus a
-//! machine-readable JSON line per row (`--json` filterable with grep).
+//! The paper's experiments ([`experiments::ALL`], run by the
+//! `experiments` binary and checked against EXPERIMENTS.md by
+//! `cargo test`) and what they share with the reported-only binaries
+//! (`src/bin/`): an aligned table and a few sample statistics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use timewheel::harness::{all_in_group, run_until_pred, team_world, SimMember, TeamParams};
-use tw_proto::ProcessId;
-use tw_sim::{SimTime, World};
+pub mod experiments;
 
-/// A simulated team world.
-pub type TeamWorld = World<SimMember>;
+use tw_sim::SimTime;
 
-/// Aligned console table with JSON side-channel.
+/// Aligned console table.
 pub struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
-    /// Start a table with the given column headers.
-    pub fn new(headers: &[&str]) -> Self {
+    /// Start a table with the given column headers, separated by
+    /// whitespace.
+    pub fn new(headers: &str) -> Self {
         Table {
-            headers: headers.iter().map(|s| s.to_string()).collect(),
+            headers: headers.split_whitespace().map(String::from).collect(),
             rows: Vec::new(),
         }
     }
@@ -36,9 +32,9 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Print the table, aligned, followed by one JSON object per row.
-    pub fn print(&self, title: &str) {
-        println!("\n== {title} ==");
+    /// The table under its title, each column padded to its widest cell,
+    /// after a blank line.
+    pub fn render(&self, title: &str) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {
@@ -46,42 +42,20 @@ impl Table {
             }
         }
         let line = |cells: &[String]| {
-            cells
+            let padded: Vec<String> = cells
                 .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:<w$}", c, w = widths[i]))
-                .collect::<Vec<_>>()
-                .join("  ")
+                .zip(&widths)
+                .map(|(c, &w)| format!("{c:<w$}"))
+                .collect();
+            padded.join("  ") + "\n"
         };
-        println!("{}", line(&self.headers));
-        println!(
-            "{}",
-            "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1))
-        );
+        let rule = "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1));
+        let mut out = format!("\n== {title} ==\n{}{rule}\n", line(&self.headers));
         for row in &self.rows {
-            println!("{}", line(row));
+            out += &line(row);
         }
-        for row in &self.rows {
-            println!("JSON {}", json_object(&self.headers, row));
-        }
+        out
     }
-}
-
-/// One row as a JSON object of string fields, keys sorted — hand-built,
-/// same discipline as `tw_obs::metrics::Snapshot::to_json` (no serde for
-/// output), so every experiment binary builds offline.
-fn json_object(headers: &[String], row: &[String]) -> String {
-    let fields: std::collections::BTreeMap<&String, &String> = headers.iter().zip(row).collect();
-    let mut out = String::from("{");
-    for (i, (h, c)) in fields.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        tw_obs::metrics::push_json_str(&mut out, h);
-        out.push(':');
-        tw_obs::metrics::push_json_str(&mut out, c);
-    }
-    out + "}"
 }
 
 /// Median of a set of samples (ms, latencies, …).
@@ -116,31 +90,6 @@ pub fn percentile(samples: &mut [f64], p: f64) -> f64 {
     samples[idx]
 }
 
-/// Build a team world and run it until the initial group has formed.
-/// Returns the world and the formation time.
-pub fn formed_team(params: &TeamParams) -> (TeamWorld, SimTime) {
-    let mut w = team_world(params);
-    let t = run_until_pred(&mut w, SimTime::from_secs(240), |w| {
-        all_in_group(w, params.n)
-    })
-    .expect("initial group formation");
-    (w, t)
-}
-
-/// The live members currently in failure-free state with views of the
-/// given size.
-pub fn members_in_group(w: &TeamWorld, size: usize) -> usize {
-    (0..w.len())
-        .filter(|&i| {
-            let p = ProcessId(i as u16);
-            w.status(p) == tw_sim::ProcessStatus::Up && {
-                let m = w.actor(p).member();
-                m.state() == timewheel::CreatorState::FailureFree && m.view().len() == size
-            }
-        })
-        .count()
-}
-
 /// Milliseconds between two simulation instants.
 pub fn ms(later: SimTime, earlier: SimTime) -> f64 {
     (later - earlier).as_micros() as f64 / 1_000.0
@@ -162,26 +111,12 @@ mod tests {
     }
 
     #[test]
-    fn json_rows_are_sorted_and_escaped() {
-        let headers = ["b".to_string(), "a\"q".to_string()];
-        let row = ["x\\y".to_string(), "1\n".to_string()];
+    fn table_pads_every_column_to_its_widest_cell() {
+        let mut t = Table::new("a bb");
+        t.row(&["123".into(), "2".into()]);
         assert_eq!(
-            json_object(&headers, &row),
-            r#"{"a\"q":"1\u000a","b":"x\\y"}"#
+            t.render("smoke"),
+            "\n== smoke ==\na    bb\n-------\n123  2 \n"
         );
-    }
-
-    #[test]
-    fn table_prints_without_panic() {
-        let mut t = Table::new(&["a", "bb"]);
-        t.row(&["1".into(), "2".into()]);
-        t.print("smoke");
-    }
-
-    #[test]
-    fn formed_team_smoke() {
-        let (w, t) = formed_team(&TeamParams::new(3));
-        assert!(t > SimTime::ZERO);
-        assert_eq!(members_in_group(&w, 3), 3);
     }
 }

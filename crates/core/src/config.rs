@@ -157,6 +157,14 @@ impl Config {
         self.slot_len * self.n as i64
     }
 
+    /// The §4.2 single-failure recovery envelope, crash to the last
+    /// survivor's install: a crash right after the victim's decision waits
+    /// out two decision timeouts, then one no-decision hop of at most
+    /// `D + δ` per survivor but the first, plus tick quantization.
+    pub fn recovery_envelope(&self) -> Duration {
+        self.decision_timeout * 2 + (self.big_d + self.delta) * (self.n as i64 - 2) + self.tick * 4
+    }
+
     /// Index of the slot containing synchronized time `t` (global,
     /// monotone).
     #[inline]
@@ -291,6 +299,11 @@ mod tests {
     fn cycle_is_n_slots() {
         let c = cfg(5);
         assert_eq!(c.cycle(), c.slot_len * 5);
+    }
+
+    #[test]
+    fn recovery_envelope_is_t2s_bound() {
+        assert_eq!(cfg(5).recovery_envelope(), Duration::from_millis(330));
     }
 
     #[test]

@@ -3,16 +3,17 @@
 //! [`SimMember`] adapts a [`Member`] to [`tw_sim::Actor`], recording
 //! everything experiments need (deliveries, view installations, leave
 //! events) with hardware timestamps. [`team_world`] builds a whole team
-//! in one call; the integration tests and every experiment binary go
-//! through it.
+//! in one call and [`formed_team`] runs it until the group has formed;
+//! the integration tests, the examples and every experiment go through
+//! them, and wait for a crash to be absorbed with [`reformed`].
 
 use crate::config::Config;
 use crate::driver::{AppEvent, Driver, Input};
 use crate::events::{Action, Delivery, LeaveReason};
-use crate::member::{Member, ProposeError};
+use crate::member::{CreatorState, Member, ProposeError};
 use bytes::Bytes;
 use tw_proto::{Duration, HwTime, Msg, ProcessId, Semantics, View, ViewId};
-use tw_sim::{Actor, ClockConfig, Ctx, LinkModel, World, WorldConfig};
+use tw_sim::{Actor, ClockConfig, Ctx, LinkModel, ProcessStatus, SimTime, World, WorldConfig};
 
 /// Timer token for the fixed-period protocol tick.
 const TICK: u64 = 1;
@@ -216,9 +217,12 @@ impl TeamParams {
     }
 }
 
+/// A simulated team.
+pub type TeamWorld = World<SimMember>;
+
 /// Build a world with `params.n` members, each running the full protocol
 /// stack. Call `world.run_until(..)` to execute.
-pub fn team_world(params: &TeamParams) -> World<SimMember> {
+pub fn team_world(params: &TeamParams) -> TeamWorld {
     let cfg = params.protocol_config();
     let mut world = World::new(WorldConfig {
         seed: params.seed,
@@ -243,7 +247,7 @@ pub fn team_world(params: &TeamParams) -> World<SimMember> {
 /// `after` from now and `gap` apart. A sender that is outside the group
 /// when its turn comes simply skips it.
 pub fn inject_proposals(
-    world: &mut World<SimMember>,
+    world: &mut TeamWorld,
     n: usize,
     count: usize,
     sem: Semantics,
@@ -262,13 +266,9 @@ pub fn inject_proposals(
 
 /// Step the world until `pred` holds or `deadline` passes. Returns the
 /// time the predicate first held.
-pub fn run_until_pred<F>(
-    world: &mut World<SimMember>,
-    deadline: tw_sim::SimTime,
-    mut pred: F,
-) -> Option<tw_sim::SimTime>
+pub fn run_until_pred<F>(world: &mut TeamWorld, deadline: SimTime, mut pred: F) -> Option<SimTime>
 where
-    F: FnMut(&World<SimMember>) -> bool,
+    F: FnMut(&TeamWorld) -> bool,
 {
     loop {
         if pred(world) {
@@ -285,21 +285,48 @@ where
 
 /// Convenience predicate: every live member is in failure-free state with
 /// a view of exactly `members` size.
-pub fn all_in_group(world: &World<SimMember>, expect_members: usize) -> bool {
+pub fn all_in_group(world: &TeamWorld, expect_members: usize) -> bool {
     (0..world.len()).all(|i| {
         let p = ProcessId(i as u16);
-        if world.status(p) != tw_sim::ProcessStatus::Up {
+        if world.status(p) != ProcessStatus::Up {
             return true;
         }
         let m = world.actor(p).member();
-        m.state() == crate::member::CreatorState::FailureFree && m.view().len() == expect_members
+        m.state() == CreatorState::FailureFree && m.view().len() == expect_members
     })
+}
+
+/// Build a team world and run it until the initial group has formed.
+/// Returns the world and the formation time.
+pub fn formed_team(params: &TeamParams) -> (TeamWorld, SimTime) {
+    let mut w = team_world(params);
+    let t = run_until_pred(&mut w, SimTime::from_secs(240), |w| {
+        all_in_group(w, params.n)
+    })
+    .expect("initial group formation");
+    (w, t)
+}
+
+/// The survivors have absorbed the loss of `victims`: every other member
+/// is up, failure-free and in a view of `n − |victims|` members that
+/// contains no victim.
+pub fn reformed(world: &TeamWorld, victims: &[ProcessId]) -> bool {
+    let size = world.len() - victims.len();
+    (0..world.len() as u16)
+        .map(ProcessId)
+        .filter(|p| !victims.contains(p))
+        .all(|p| {
+            let m = world.actor(p).member();
+            world.status(p) == ProcessStatus::Up
+                && m.state() == CreatorState::FailureFree
+                && m.view().len() == size
+                && victims.iter().all(|v| !m.view().contains(*v))
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tw_sim::SimTime;
 
     #[test]
     fn team_world_builds_n_processes() {
@@ -351,6 +378,20 @@ mod tests {
         assert_eq!(s.kind("join").sends, 0);
         // Everyone is still in the same group.
         assert!(all_in_group(&w, 3));
+    }
+
+    #[test]
+    fn reformed_waits_for_a_view_without_the_victim() {
+        let (mut w, t) = formed_team(&TeamParams::new(3));
+        assert!(t > SimTime::ZERO);
+        assert!(reformed(&w, &[]));
+        let victim = ProcessId(1);
+        w.crash_at(w.now() + Duration::from_millis(1), victim);
+        w.run_for(Duration::from_millis(2));
+        assert!(!reformed(&w, &[]), "a crashed member is not up");
+        assert!(!reformed(&w, &[victim]), "survivors still hold the victim");
+        let deadline = w.now() + Duration::from_secs(10);
+        assert!(run_until_pred(&mut w, deadline, |w| reformed(w, &[victim])).is_some());
     }
 
     #[test]

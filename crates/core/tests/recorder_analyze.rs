@@ -119,9 +119,7 @@ fn crash_recovery_reconstructs_from_recordings_alone() {
     let total = rec_span.total().expect("completed recovery has a total");
 
     // §4.2: suspicion → final install within the analytic envelope.
-    let envelope = cfg.decision_timeout * 2
-        + (cfg.big_d + cfg.delta) * (N as i64 - 2)
-        + cfg.tick * 4;
+    let envelope = cfg.recovery_envelope();
     assert!(
         total <= envelope,
         "recovery took {total}, over the envelope {envelope}"

@@ -480,9 +480,8 @@ impl Snapshot {
     }
 }
 
-/// Append `s` as a JSON string literal (the escaping every hand-built
-/// JSON emitter in the workspace shares).
-pub fn push_json_str(out: &mut String, s: &str) {
+/// Append `s` as a JSON string literal.
+fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -422,13 +422,6 @@ impl ChaosSchedule {
     }
 }
 
-/// §4.2 analytic envelope for a single-failure recovery span
-/// (suspicion raised → last view install), same formula the recorded
-/// crash benchmark publishes in its `meta.json`.
-pub fn recovery_envelope(cfg: &Config) -> tw_proto::Duration {
-    cfg.decision_timeout * 2 + (cfg.big_d + cfg.delta) * (cfg.n as i64 - 2) + cfg.tick * 4
-}
-
 /// An in-process cluster wired for adversity: every datagram crosses a
 /// [`FaultTransport`] over a switchable mesh, and every node can be
 /// crashed, restarted, paused and resumed at runtime. Built by
@@ -806,15 +799,6 @@ mod tests {
         c.steps[0].at_ms = 101;
         assert_ne!(a.fingerprint(), b.fingerprint());
         assert_ne!(a.fingerprint(), c.fingerprint());
-    }
-
-    #[test]
-    fn envelope_matches_the_crash_benchmark_formula() {
-        let cfg = Config::for_team(5, tw_proto::Duration::from_millis(10));
-        let env = recovery_envelope(&cfg);
-        let by_hand = cfg.decision_timeout * 2 + (cfg.big_d + cfg.delta) * 3 + cfg.tick * 4;
-        assert_eq!(env, by_hand);
-        assert!(env.as_micros() > 0);
     }
 
     #[test]

@@ -13,7 +13,6 @@ use std::time::{Duration as StdDuration, Instant};
 use timewheel::Config;
 use tw_obs::{analyze, Recording, TraceSet};
 use tw_proto::{Duration, ProcessId, Semantics};
-use tw_runtime::chaos::recovery_envelope;
 use tw_runtime::{ChaosCluster, ChaosOp, ClusterBuilder, ExecutorKind, RecorderSetup};
 
 fn cfg(n: usize) -> Config {
@@ -181,7 +180,7 @@ fn crashed_node_restarts_as_fresh_incarnation_and_rejoins() {
         !completed.is_empty(),
         "the crash must produce a completed recovery span"
     );
-    let allowed = recovery_envelope(&config) * 2;
+    let allowed = config.recovery_envelope() * 2;
     for t in completed {
         assert!(
             t <= allowed,

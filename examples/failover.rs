@@ -4,11 +4,9 @@
 //!
 //! Run with: `cargo run --example failover`
 
-use timewheel::harness::{all_in_group, run_until_pred, team_world, TeamParams};
+use timewheel::harness::{all_in_group, run_until_pred, team_world, TeamParams, TeamWorld};
 use tw_proto::{Duration, Msg, ProcessId};
 use tw_sim::{Fault, MsgMatcher, SimTime};
-
-type TeamWorld = tw_sim::World<timewheel::harness::SimMember>;
 
 /// Step the world, printing every member state change until `until`.
 fn narrate(w: &mut TeamWorld, until: SimTime, n: usize) {

@@ -3,21 +3,12 @@
 //! (§4.3 undeliverable handling).
 
 use bytes::Bytes;
-use timewheel::harness::{all_in_group, inject_proposals, run_until_pred, team_world, TeamParams};
+use timewheel::harness::{
+    all_in_group, formed_team, inject_proposals, run_until_pred, TeamParams, TeamWorld,
+};
 use timewheel::invariants;
 use tw_proto::{Atomicity, Duration, Ordering, ProcessId, Semantics};
-use tw_sim::{LinkModel, SimTime};
-
-type TeamWorld = tw_sim::World<timewheel::harness::SimMember>;
-
-fn formed(params: &TeamParams) -> TeamWorld {
-    let mut w = team_world(params);
-    run_until_pred(&mut w, SimTime::from_secs(60), |w| {
-        all_in_group(w, params.n)
-    })
-    .expect("group formation");
-    w
-}
+use tw_sim::LinkModel;
 
 fn delivered_count(w: &TeamWorld, pid: u16) -> usize {
     w.actor(ProcessId(pid)).deliveries.len()
@@ -27,7 +18,7 @@ fn delivered_count(w: &TeamWorld, pid: u16) -> usize {
 fn all_nine_semantics_deliver_everywhere_failure_free() {
     for sem in Semantics::matrix() {
         let params = TeamParams::new(3).seed(11);
-        let mut w = formed(&params);
+        let (mut w, _) = formed_team(&params);
         inject_proposals(
             &mut w,
             3,
@@ -52,7 +43,7 @@ fn all_nine_semantics_deliver_everywhere_failure_free() {
 #[test]
 fn mixed_semantics_in_one_run() {
     let params = TeamParams::new(5).seed(5);
-    let mut w = formed(&params);
+    let (mut w, _) = formed_team(&params);
     let semantics: Vec<Semantics> = Semantics::matrix().collect();
     for (k, sem) in semantics.iter().enumerate() {
         let sender = ProcessId((k % 5) as u16);
@@ -75,7 +66,7 @@ fn lost_proposals_are_repaired_by_retransmission() {
     use tw_proto::Msg;
     use tw_sim::{Fault, MsgMatcher};
     let params = TeamParams::new(3).seed(17);
-    let mut w = formed(&params);
+    let (mut w, _) = formed_team(&params);
     // Drop the first 12 proposal datagrams outright (a burst of omission
     // failures hitting only the data path — decisions keep flowing, so
     // membership must not change and the NACK/retransmission machinery
@@ -124,7 +115,7 @@ fn uniform_loss_preserves_safety_even_with_churn() {
     let params = TeamParams::new(3)
         .seed(17)
         .link(LinkModel::default().with_drop_prob(0.05));
-    let mut w = formed(&params);
+    let (mut w, _) = formed_team(&params);
     inject_proposals(
         &mut w,
         3,
@@ -143,7 +134,7 @@ fn uniform_loss_preserves_safety_even_with_churn() {
 #[test]
 fn time_ordered_updates_deliver_in_timestamp_order_across_senders() {
     let params = TeamParams::new(5).seed(23);
-    let mut w = formed(&params);
+    let (mut w, _) = formed_team(&params);
     let sem = Semantics::new(Ordering::Time, Atomicity::Weak);
     inject_proposals(
         &mut w,
@@ -171,7 +162,7 @@ fn time_ordered_updates_deliver_in_timestamp_order_across_senders() {
 #[test]
 fn strict_atomicity_waits_for_stability_but_terminates() {
     let params = TeamParams::new(5).seed(29);
-    let mut w = formed(&params);
+    let (mut w, _) = formed_team(&params);
     let sem = Semantics::new(Ordering::Unordered, Atomicity::Strict);
     inject_proposals(
         &mut w,
@@ -193,7 +184,7 @@ fn strict_atomicity_waits_for_stability_but_terminates() {
 #[test]
 fn proposals_in_flight_survive_a_decider_crash() {
     let params = TeamParams::new(5).seed(31);
-    let mut w = formed(&params);
+    let (mut w, _) = formed_team(&params);
     // Fire a burst of total/strong proposals from p0 and p4, then crash
     // p2 in the middle of the burst.
     inject_proposals(
@@ -228,7 +219,7 @@ fn proposals_in_flight_survive_a_decider_crash() {
 #[test]
 fn rejoined_member_receives_state_transfer() {
     let params = TeamParams::new(5).seed(37);
-    let mut w = formed(&params);
+    let (mut w, _) = formed_team(&params);
     // Give the group an application snapshot to ship: the application
     // speaks through its hook, so one delivered update makes every
     // member hold it.
@@ -268,7 +259,7 @@ fn rejoined_member_receives_state_transfer() {
 #[test]
 fn post_rejoin_proposals_flow_to_everyone() {
     let params = TeamParams::new(5).seed(41);
-    let mut w = formed(&params);
+    let (mut w, _) = formed_team(&params);
     let crash_at = w.now() + Duration::from_millis(500);
     w.crash_at(crash_at, ProcessId(2));
     let recover_at = crash_at + Duration::from_secs(4);

@@ -2,27 +2,17 @@
 //! formation, single-failure removal, false alarms, multiple failures,
 //! rejoin and partitions — each checked against the protocol invariants.
 
-use timewheel::harness::{all_in_group, run_until_pred, team_world, TeamParams};
+use timewheel::harness::{all_in_group, formed_team, reformed, run_until_pred, TeamParams};
 use timewheel::invariants;
 use timewheel::CreatorState;
 use tw_proto::{Duration, ProcessId};
-use tw_sim::{ProcessStatus, SimTime};
-
-/// Form the initial group of `n` and return (world, formation time).
-fn formed_world(params: &TeamParams) -> (tw_sim::World<timewheel::harness::SimMember>, SimTime) {
-    let mut w = team_world(params);
-    let t = run_until_pred(&mut w, SimTime::from_secs(60), |w| {
-        all_in_group(w, params.n)
-    })
-    .expect("initial group never formed");
-    (w, t)
-}
+use tw_sim::ProcessStatus;
 
 #[test]
 fn initial_group_forms_for_many_team_sizes() {
     for n in [2, 3, 4, 5, 7, 9] {
         let params = TeamParams::new(n);
-        let (w, t) = formed_world(&params);
+        let (w, t) = formed_team(&params);
         let cfg = params.protocol_config();
         assert!(
             t.as_micros() <= cfg.cycle().as_micros() * 6,
@@ -36,16 +26,11 @@ fn initial_group_forms_for_many_team_sizes() {
 fn crashed_member_is_removed_within_bounded_time() {
     let params = TeamParams::new(5);
     let cfg = params.protocol_config();
-    let (mut w, _) = formed_world(&params);
+    let (mut w, _) = formed_team(&params);
     let crash_at = w.now() + Duration::from_secs(1);
     w.crash_at(crash_at, ProcessId(2));
     let removed = run_until_pred(&mut w, crash_at + Duration::from_secs(20), |w| {
-        (0..5u16).filter(|&i| i != 2).all(|i| {
-            let m = w.actor(ProcessId(i)).member();
-            m.state() == CreatorState::FailureFree
-                && m.view().len() == 4
-                && !m.view().contains(ProcessId(2))
-        })
+        reformed(w, &[ProcessId(2)])
     })
     .expect("crashed member never removed");
     // Single-failure recovery: detection (≤ 2D + tick) plus one ND ring
@@ -64,7 +49,7 @@ fn losing_one_decision_message_does_not_change_membership() {
     use tw_proto::Msg;
     use tw_sim::{Fault, MsgMatcher};
     let params = TeamParams::new(5);
-    let (mut w, _) = formed_world(&params);
+    let (mut w, _) = formed_team(&params);
     // Drop the next decision from whoever sends it, for every receiver:
     // the group must recover via the single-failure election or the
     // wrong-suspicion path, with no membership change.
@@ -98,7 +83,7 @@ fn partial_decision_loss_triggers_wrong_suspicion_rescue() {
     use tw_proto::Msg;
     use tw_sim::{Fault, MsgMatcher};
     let params = TeamParams::new(5);
-    let (mut w, _) = formed_world(&params);
+    let (mut w, _) = formed_team(&params);
     // Drop the next TWO decision datagrams to specific receivers only
     // (p3 and p4 miss it; others have it): classic false-alarm setup.
     let t = w.now() + Duration::from_millis(50);
@@ -125,15 +110,12 @@ fn partial_decision_loss_triggers_wrong_suspicion_rescue() {
 #[test]
 fn two_simultaneous_crashes_resolved_by_reconfiguration() {
     let params = TeamParams::new(5);
-    let (mut w, _) = formed_world(&params);
+    let (mut w, _) = formed_team(&params);
     let crash_at = w.now() + Duration::from_secs(1);
     w.crash_at(crash_at, ProcessId(1));
     w.crash_at(crash_at, ProcessId(3));
     let formed = run_until_pred(&mut w, crash_at + Duration::from_secs(60), |w| {
-        [0u16, 2, 4].iter().all(|&i| {
-            let m = w.actor(ProcessId(i)).member();
-            m.state() == CreatorState::FailureFree && m.view().len() == 3
-        })
+        reformed(w, &[ProcessId(1), ProcessId(3)])
     })
     .expect("survivors never reformed");
     let cfg = params.protocol_config();
@@ -154,7 +136,7 @@ fn two_simultaneous_crashes_resolved_by_reconfiguration() {
 #[test]
 fn crashed_member_rejoins_after_recovery() {
     let params = TeamParams::new(5);
-    let (mut w, _) = formed_world(&params);
+    let (mut w, _) = formed_team(&params);
     let crash_at = w.now() + Duration::from_secs(1);
     w.crash_at(crash_at, ProcessId(2));
     // Let the removal happen, then recover.
@@ -182,17 +164,14 @@ fn crashed_member_rejoins_after_recovery() {
 #[test]
 fn minority_partition_knows_it_is_out_of_date() {
     let params = TeamParams::new(5);
-    let (mut w, _) = formed_world(&params);
+    let (mut w, _) = formed_team(&params);
     let cut = w.now() + Duration::from_secs(1);
     // {0,1,2} majority / {3,4} minority.
     w.partition_at(cut, &[&[0, 1, 2], &[3, 4]]);
     // Majority side reforms; minority must *know* it has no up-to-date
     // group (fail-awareness).
     run_until_pred(&mut w, cut + Duration::from_secs(60), |w| {
-        [0u16, 1, 2].iter().all(|&i| {
-            let m = w.actor(ProcessId(i)).member();
-            m.state() == CreatorState::FailureFree && m.view().len() == 3
-        })
+        reformed(w, &[ProcessId(3), ProcessId(4)])
     })
     .expect("majority never reformed");
     // Give the minority time to notice.
@@ -211,14 +190,11 @@ fn minority_partition_knows_it_is_out_of_date() {
 #[test]
 fn healed_partition_reunites_the_team() {
     let params = TeamParams::new(5);
-    let (mut w, _) = formed_world(&params);
+    let (mut w, _) = formed_team(&params);
     let cut = w.now() + Duration::from_secs(1);
     w.partition_at(cut, &[&[0, 1, 2], &[3, 4]]);
     run_until_pred(&mut w, cut + Duration::from_secs(60), |w| {
-        [0u16, 1, 2].iter().all(|&i| {
-            let m = w.actor(ProcessId(i)).member();
-            m.state() == CreatorState::FailureFree && m.view().len() == 3
-        })
+        reformed(w, &[ProcessId(3), ProcessId(4)])
     })
     .expect("majority never reformed");
     let heal = w.now() + Duration::from_secs(2);
@@ -234,7 +210,7 @@ fn healed_partition_reunites_the_team() {
 fn majority_never_lost_across_all_views() {
     // A longer chaotic run: one crash, one recovery, then steady state.
     let params = TeamParams::new(7).seed(3);
-    let (mut w, _) = formed_world(&params);
+    let (mut w, _) = formed_team(&params);
     w.crash_at(w.now() + Duration::from_secs(1), ProcessId(5));
     w.recover_at(w.now() + Duration::from_secs(6), ProcessId(5));
     w.run_for(Duration::from_secs(30));
@@ -246,7 +222,7 @@ fn majority_never_lost_across_all_views() {
 #[test]
 fn every_process_up_to_date_while_stable() {
     let params = TeamParams::new(5);
-    let (mut w, _) = formed_world(&params);
+    let (mut w, _) = formed_team(&params);
     w.run_for(Duration::from_secs(5));
     for i in 0..5u16 {
         let p = ProcessId(i);

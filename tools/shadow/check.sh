@@ -52,12 +52,21 @@ fi
 
 # The binaries end to end. tw-trace: usage text, exit 2 on unreadable
 # input (core's recorder_analyze test covers the analysis itself).
+# experiments: one row passes its claim, an unknown ID exits 2 (tier-1
+# already ran every row against EXPERIMENTS.md, in debug).
 # exp_obs_live and T7 run live clusters at smoke size: their numbers
 # mean little here and nothing compares them; the point is that flood,
 # ops scrape, live tail, both executors and JSON emission all work.
 cargo run --locked -q -p tw-obs --bin tw-trace -- --help
 if cargo run --locked -q -p tw-obs --bin tw-trace -- /nonexistent.twrec 2>/dev/null; then
   echo "tw-trace: expected exit 2 on unreadable input" >&2
+  exit 1
+fi
+cargo run --locked -q --release -p tw-bench --bin experiments -- FIG2 >/dev/null
+status=0
+cargo run --locked -q --release -p tw-bench --bin experiments -- NOPE 2>/dev/null || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "experiments: expected exit 2 on an unknown ID, got $status" >&2
   exit 1
 fi
 cargo run --locked -q --release -p tw-bench --bin exp_obs_live -- \
