@@ -7,8 +7,16 @@
 //! delivered, whether it is locally marked undeliverable during an
 //! election, §4.3). It also enforces the per-sender FIFO ("general")
 //! delivery condition and incarnation-based stale-life rejection.
+//!
+//! What it keeps is the window's, not the history's: delivered ids are
+//! per-proposer runs of sequence numbers, and once the window base passes
+//! a delivered update's ordinal the update is *settled* — its assignment
+//! and its archived copy are dropped, and only the fact that it was
+//! ordered stays, in a second run set. Test and debug builds also keep
+//! the full history and assert at every query that the compact state
+//! answers the same.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Bound;
 use tw_proto::{Incarnation, Ordinal, ProcessId, Proposal, ProposalId, SyncTime};
 
@@ -48,15 +56,75 @@ impl FifoCursor {
     }
 }
 
+/// A set of proposal ids stored as runs of consecutive sequence numbers
+/// of one proposer. FIFO delivery makes each proposer's delivered ids one
+/// run; only a purge or a cursor jump opens a hole.
+#[derive(Debug, Clone, Default)]
+struct IdRuns {
+    /// First id of each run → the last sequence number in it.
+    runs: BTreeMap<ProposalId, u64>,
+}
+
+impl IdRuns {
+    fn contains(&self, id: ProposalId) -> bool {
+        self.run_at_or_below(id)
+            .is_some_and(|(_, last)| id.seq <= last)
+    }
+
+    /// The run of `id`'s proposer starting at or below `id`.
+    fn run_at_or_below(&self, id: ProposalId) -> Option<(ProposalId, u64)> {
+        let (&start, &last) = self.runs.range(..=id).next_back()?;
+        (start.proposer == id.proposer).then_some((start, last))
+    }
+
+    /// Add `id`, joining the runs that end just below or start just
+    /// above it.
+    fn insert(&mut self, id: ProposalId) {
+        let below = self.run_at_or_below(id);
+        if below.is_some_and(|(_, last)| id.seq <= last) {
+            return;
+        }
+        let last = id
+            .seq
+            .checked_add(1)
+            .and_then(|next| self.runs.remove(&ProposalId::new(id.proposer, next)))
+            .unwrap_or(id.seq);
+        match below {
+            Some((start, prev)) if prev + 1 == id.seq => self.runs.insert(start, last),
+            _ => self.runs.insert(id, last),
+        };
+    }
+
+    /// Number of runs.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.runs.len()
+    }
+}
+
 /// The per-member store of received, delivered and purged proposals.
 #[derive(Debug, Clone, Default)]
 pub struct ProposalBuffer {
     /// Received, not yet delivered, not purged.
     pending: BTreeMap<ProposalId, Proposal>,
     /// Ids delivered to the application.
-    delivered: BTreeSet<ProposalId>,
-    /// Ordinals learned from the oal (kept after the oal prunes them).
+    delivered: IdRuns,
+    /// Learned ordinal assignments not settled: those of the oal window,
+    /// and those of undelivered proposals whose ordinal fell below the
+    /// window base (a pending proposal can sit there).
     ordinals: BTreeMap<ProposalId, Ordinal>,
+    /// The assignments of `ordinals` the next [`ProposalBuffer::settle`]
+    /// must look at, in ascending order: all at or above the last settled
+    /// base, plus those below it learned or delivered since. An
+    /// undelivered assignment leaves it when the base passes it, and
+    /// comes back if the proposal is delivered. Assignments are learned
+    /// in ascending order nearly always, so keeping it sorted is a push.
+    by_ordinal: VecDeque<(Ordinal, ProposalId)>,
+    /// The window base at the last settle.
+    settled_base: Ordinal,
+    /// Delivered ids whose ordinal the window base has passed: ordered in
+    /// this lineage, their assignment no longer kept.
+    settled: IdRuns,
     /// §4.3 local undeliverable marks, with their expiry (one cycle,
     /// unless renewed).
     local_marks: BTreeMap<ProposalId, SyncTime>,
@@ -64,9 +132,26 @@ pub struct ProposalBuffer {
     fifo: BTreeMap<ProcessId, FifoCursor>,
     /// Latest known incarnation per proposer.
     incarnations: BTreeMap<ProcessId, Incarnation>,
-    /// Delivered proposals retained for retransmission until their
-    /// descriptor is stable (pruned from the oal).
+    /// Delivered proposals retained for retransmission until they settle.
     archive: BTreeMap<ProposalId, Proposal>,
+    /// The full history the compact fields stand for.
+    #[cfg(any(test, debug_assertions))]
+    reference: History,
+}
+
+/// What a member that forgets nothing would hold: the statement the
+/// compact fields of [`ProposalBuffer`] are checked against.
+#[cfg(any(test, debug_assertions))]
+#[derive(Debug, Clone, Default)]
+struct History {
+    /// Every id ever delivered.
+    delivered: BTreeSet<ProposalId>,
+    /// Every assignment ever learned (until the lineage is voided).
+    ordinals: BTreeMap<ProposalId, Ordinal>,
+    /// The archive's ids as a sweep of the whole archive at every settle
+    /// leaves them: every delivered id not assigned an ordinal below the
+    /// base of the last sweep.
+    archived: BTreeSet<ProposalId>,
 }
 
 impl ProposalBuffer {
@@ -85,7 +170,7 @@ impl ProposalBuffer {
                 return false;
             }
         }
-        if self.delivered.contains(&id) || self.pending.contains_key(&id) {
+        if self.is_delivered(id) || self.pending.contains_key(&id) {
             return false;
         }
         if let Some(c) = self.fifo.get(&p.sender) {
@@ -133,12 +218,19 @@ impl ProposalBuffer {
     /// Has this proposal been received at some point (pending or
     /// delivered)?
     pub fn has_received(&self, id: ProposalId) -> bool {
-        self.pending.contains_key(&id) || self.delivered.contains(&id)
+        self.pending.contains_key(&id) || self.is_delivered(id)
     }
 
     /// Has it been delivered?
     pub fn is_delivered(&self, id: ProposalId) -> bool {
-        self.delivered.contains(&id)
+        let delivered = self.delivered.contains(id);
+        #[cfg(any(test, debug_assertions))]
+        assert_eq!(
+            delivered,
+            self.reference.delivered.contains(&id),
+            "delivered runs and delivered set disagree on {id}"
+        );
+        delivered
     }
 
     /// Iterate pending proposals in id order.
@@ -171,21 +263,68 @@ impl ProposalBuffer {
 
     /// Record an ordinal assignment learned from the oal.
     pub fn learn_ordinal(&mut self, id: ProposalId, o: Ordinal) {
-        self.ordinals.insert(id, o);
+        #[cfg(any(test, debug_assertions))]
+        self.reference.ordinals.insert(id, o);
+        match self.ordinals.insert(id, o) {
+            Some(old) if old == o => return,
+            Some(old) => {
+                if let Ok(i) = self.by_ordinal.binary_search(&(old, id)) {
+                    self.by_ordinal.remove(i);
+                }
+            }
+            None => {}
+        }
+        self.index(o, id);
     }
 
-    /// The ordinal of `id`, if learned.
+    /// Put `(o, id)` in `by_ordinal`, in order.
+    fn index(&mut self, o: Ordinal, id: ProposalId) {
+        let entry = (o, id);
+        if self.by_ordinal.back().is_none_or(|last| *last < entry) {
+            self.by_ordinal.push_back(entry);
+        } else if let Err(i) = self.by_ordinal.binary_search(&entry) {
+            self.by_ordinal.insert(i, entry);
+        }
+    }
+
+    /// The ordinal of `id`, if learned and not settled.
     pub fn ordinal_of(&self, id: ProposalId) -> Option<Ordinal> {
-        self.ordinals.get(&id).copied()
+        let o = self.ordinals.get(&id).copied();
+        #[cfg(any(test, debug_assertions))]
+        assert!(
+            o == self.reference.ordinals.get(&id).copied()
+                || (o.is_none() && self.settled.contains(id)),
+            "{id}: assignment {o:?}, full history {:?}",
+            self.reference.ordinals.get(&id)
+        );
+        o
     }
 
-    /// Forget every learned ordinal assignment. Called when the member
-    /// adopts an oal from a *diverged* lineage (a new group re-ordered
-    /// in-flight updates): the old assignments are void and must be
-    /// re-learned from the new window, or re-assigned by a future
-    /// decider.
+    /// Was `id` ordered in this lineage — is its assignment learned, or
+    /// settled?
+    pub fn is_ordered(&self, id: ProposalId) -> bool {
+        let ordered = self.ordinals.contains_key(&id) || self.settled.contains(id);
+        #[cfg(any(test, debug_assertions))]
+        assert_eq!(
+            ordered,
+            self.reference.ordinals.contains_key(&id),
+            "assignments and full history disagree on whether {id} is ordered"
+        );
+        ordered
+    }
+
+    /// Forget every learned ordinal assignment, settled ones included.
+    /// Called when the member adopts an oal from a *diverged* lineage (a
+    /// new group re-ordered in-flight updates): the old assignments are
+    /// void and must be re-learned from the new window, or re-assigned by
+    /// a future decider.
     pub fn clear_ordinals(&mut self) {
         self.ordinals.clear();
+        self.by_ordinal.clear();
+        self.settled_base = Ordinal::ZERO;
+        self.settled = IdRuns::default();
+        #[cfg(any(test, debug_assertions))]
+        self.reference.ordinals.clear();
     }
 
     /// Does the sender's FIFO cursor permit delivering `id` now?
@@ -226,12 +365,23 @@ impl ProposalBuffer {
     /// Deliver `id`: move from pending to delivered, consuming its FIFO
     /// slot. Returns the proposal. Panics if not pending (callers check
     /// delivery conditions first). The proposal is archived for
-    /// retransmission until its descriptor becomes stable.
+    /// retransmission until it settles.
     pub fn deliver(&mut self, id: ProposalId) -> Proposal {
         let p = self.pending.remove(&id).expect("deliver of non-pending");
         self.cursor_mut(id.proposer).consume(id.seq);
         self.delivered.insert(id);
+        if let Some(&o) = self.ordinals.get(&id) {
+            if o < self.settled_base {
+                // Ordered below the base already: the next settle takes it.
+                self.index(o, id);
+            }
+        }
         self.archive.insert(id, p.clone());
+        #[cfg(any(test, debug_assertions))]
+        {
+            self.reference.delivered.insert(id);
+            self.reference.archived.insert(id);
+        }
         p
     }
 
@@ -241,14 +391,42 @@ impl ProposalBuffer {
         self.pending.get(&id).or_else(|| self.archive.get(&id))
     }
 
-    /// Drop archived proposals whose ordinals fell below the stable
-    /// frontier `base` — everyone has them, no retransmission possible.
-    pub fn gc_archive(&mut self, base: tw_proto::Ordinal) {
-        let ordinals = &self.ordinals;
-        self.archive.retain(|id, _| match ordinals.get(id) {
-            Some(&o) => o >= base,
-            None => true, // not ordered yet: keep
-        });
+    /// Settle what the oal window's base has passed: every delivered
+    /// proposal ordered below `base` is stable — everyone has it, nobody
+    /// will ask for it again — so its archived copy and its assignment
+    /// go, and it is recorded as settled. Undelivered ones keep their
+    /// assignment. Costs the assignments the base passed since the last
+    /// call, plus, when the window re-opened below that base, one pass
+    /// over the assignments kept.
+    pub fn settle(&mut self, base: Ordinal) {
+        if base < self.settled_base {
+            let mut all: Vec<_> = self.ordinals.iter().map(|(id, o)| (*o, *id)).collect();
+            all.sort_unstable();
+            self.by_ordinal = all.into();
+        }
+        self.settled_base = base;
+        while let Some(&(o, id)) = self.by_ordinal.front() {
+            if o >= base {
+                break;
+            }
+            self.by_ordinal.pop_front();
+            if self.delivered.contains(id) {
+                self.ordinals.remove(&id);
+                self.archive.remove(&id);
+                self.settled.insert(id);
+            }
+        }
+        #[cfg(any(test, debug_assertions))]
+        {
+            let History {
+                ordinals, archived, ..
+            } = &mut self.reference;
+            archived.retain(|id| ordinals.get(id).is_none_or(|&o| o >= base));
+            assert!(
+                self.archive.keys().eq(archived.iter()),
+                "settled archive and full-history collection disagree below {base:?}"
+            );
+        }
     }
 
     /// Purge `id` as undeliverable (decider verdict, §4.3): drop it from
@@ -286,6 +464,18 @@ impl ProposalBuffer {
     /// Wipe everything (crash).
     pub fn clear(&mut self) {
         *self = Self::default();
+    }
+
+    /// Entries kept per ordered update — assignments, their index,
+    /// archived copies — and the runs of delivered and of settled ids.
+    #[cfg(test)]
+    pub(crate) fn footprint(&self) -> ([usize; 3], usize, usize) {
+        let kept = [
+            self.ordinals.len(),
+            self.by_ordinal.len(),
+            self.archive.len(),
+        ];
+        (kept, self.delivered.len(), self.settled.len())
     }
 }
 
@@ -499,6 +689,181 @@ mod tests {
         b.deliver(ProposalId::new(ProcessId(0), 1));
         b.clear();
         assert!(!b.is_delivered(ProposalId::new(ProcessId(0), 1)));
+        assert_eq!(b.footprint().1, 0, "no delivered runs left");
         assert!(b.insert(prop(0, 1)));
+    }
+
+    fn id(sender: u16, seq: u64) -> ProposalId {
+        ProposalId::new(ProcessId(sender), seq)
+    }
+
+    /// Deliver `seqs` of sender 0, each received first.
+    fn deliver_all(b: &mut ProposalBuffer, seqs: impl IntoIterator<Item = u64>) {
+        for seq in seqs {
+            assert!(b.insert(prop(0, seq)), "{seq} refused");
+            b.deliver(id(0, seq));
+        }
+    }
+
+    #[test]
+    fn adjacent_runs_merge() {
+        let mut r = IdRuns::default();
+        for seq in [1, 2, 5, 6] {
+            r.insert(id(0, seq));
+        }
+        r.insert(id(1, 3)); // another proposer's, between them in id order
+        r.insert(id(1, 4));
+        assert_eq!(r.len(), 3);
+        r.insert(id(0, 4)); // joins the run above
+        r.insert(id(0, 3)); // and now the one below
+        assert_eq!(r.len(), 2);
+        assert!((1..=6).all(|seq| r.contains(id(0, seq))));
+        assert!(![id(0, 0), id(0, 7), id(1, 2), id(1, 5)]
+            .into_iter()
+            .any(|i| r.contains(i)));
+        r.insert(id(0, u64::MAX));
+        assert!(r.contains(id(0, u64::MAX)) && !r.contains(id(0, u64::MAX - 1)));
+    }
+
+    #[test]
+    fn out_of_order_purge_leaves_a_hole() {
+        let mut b = ProposalBuffer::new();
+        for seq in 1..=4 {
+            b.insert(prop(0, seq));
+        }
+        b.purge(id(0, 2));
+        for seq in [1, 3, 4] {
+            b.deliver(id(0, seq));
+        }
+        assert_eq!(b.footprint().1, 2);
+        assert!(!b.is_delivered(id(0, 2)) && !b.has_received(id(0, 2)));
+        assert!(b.is_delivered(id(0, 1)) && b.is_delivered(id(0, 3)));
+    }
+
+    #[test]
+    fn cursor_jump_starts_a_run() {
+        let mut b = ProposalBuffer::new();
+        deliver_all(&mut b, 1..=2);
+        b.set_fifo_cursor(ProcessId(0), 10);
+        deliver_all(&mut b, 10..=11);
+        assert_eq!(b.footprint().1, 2);
+        assert!((3..10).all(|seq| !b.is_delivered(id(0, seq))));
+        assert!(b.is_delivered(id(0, 11)) && !b.insert(prop(0, 11)));
+    }
+
+    #[test]
+    fn incarnation_band_starts_a_run() {
+        let mut b = ProposalBuffer::new();
+        deliver_all(&mut b, [1]);
+        b.note_incarnation(ProcessId(0), Incarnation(1));
+        let band = (1u64 << 32) + 1;
+        for seq in band..band + 2 {
+            let mut p = prop(0, seq);
+            p.incarnation = Incarnation(1);
+            b.insert(p);
+            b.deliver(id(0, seq));
+        }
+        assert_eq!(b.footprint().1, 2);
+        assert!(b.is_delivered(id(0, 1)) && b.is_delivered(id(0, band + 1)));
+        assert!(!b.is_delivered(id(0, 2)) && !b.is_delivered(id(0, band - 1)));
+    }
+
+    #[test]
+    fn delivered_runs_answer_what_a_delivered_set_would() {
+        // A seeded walk over everything that touches delivery: receipt,
+        // delivery of a FIFO head, purges (in and out of order), cursor
+        // jumps and crashes. Every answer is checked against a plain set.
+        for seed in 1..=16u64 {
+            let mut b = ProposalBuffer::new();
+            let mut delivered = BTreeSet::new();
+            let mut x = seed;
+            for step in 0..400 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let r = (x >> 33) as usize;
+                let sender = (r / 7 % 3) as u16;
+                let next = b.fifo_cursors().into_iter().find(|(p, _)| p.0 == sender);
+                let near = next.map_or(1, |(_, n)| n) + (r / 21 % 4) as u64;
+                match r % 16 {
+                    0..=5 => {
+                        b.insert(prop(sender, near));
+                    }
+                    6..=10 => {
+                        let head = b.heads().nth(r / 5 % 3).map(|p| p.id());
+                        if let Some(head) = head {
+                            b.deliver(head);
+                            delivered.insert(head);
+                        }
+                    }
+                    11 | 12 => b.purge(id(sender, near)),
+                    13 | 14 => b.set_fifo_cursor(ProcessId(sender), near + (r / 84 % 3) as u64),
+                    _ => {
+                        if (r / 16).is_multiple_of(8) {
+                            b.clear();
+                            delivered.clear();
+                        }
+                    }
+                }
+                for sender in 0..3 {
+                    for seq in 0..48 {
+                        let i = id(sender, seq);
+                        let received = b.has_pending(i) || delivered.contains(&i);
+                        assert_eq!(
+                            (b.is_delivered(i), b.has_received(i)),
+                            (delivered.contains(&i), received),
+                            "seed {seed} step {step}: {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn settling_forgets_the_assignment_but_not_that_it_was_ordered() {
+        let mut b = ProposalBuffer::new();
+        deliver_all(&mut b, 1..=3);
+        b.insert(prop(0, 4)); // pending, ordered below the base to come
+        for seq in 1..=4 {
+            b.learn_ordinal(id(0, seq), Ordinal(seq));
+        }
+        b.settle(Ordinal(5));
+        // The delivered three are settled: no assignment, no archived
+        // copy, still ordered. The pending one keeps its assignment.
+        assert_eq!(b.footprint(), ([1, 0, 0], 1, 1));
+        assert!(b.retrieve(id(0, 3)).is_none() && b.is_ordered(id(0, 3)));
+        assert_eq!(b.ordinal_of(id(0, 3)), None);
+        assert_eq!(b.ordinal_of(id(0, 4)), Some(Ordinal(4)));
+        // Delivered late, it settles at the next call, not before.
+        b.deliver(id(0, 4));
+        assert!(b.retrieve(id(0, 4)).is_some());
+        b.settle(Ordinal(5));
+        assert!(b.retrieve(id(0, 4)).is_none() && b.is_ordered(id(0, 4)));
+        assert_eq!(b.footprint(), ([0, 0, 0], 1, 1));
+        // A diverged lineage voids settled ids too.
+        b.clear_ordinals();
+        assert!(!b.is_ordered(id(0, 1)));
+    }
+
+    #[test]
+    fn a_window_reopened_below_its_base_settles_again() {
+        let mut b = ProposalBuffer::new();
+        deliver_all(&mut b, 1..=2);
+        b.insert(prop(0, 3));
+        b.insert(prop(0, 4)); // neither delivered when the base passes them
+        for seq in 1..=4 {
+            b.learn_ordinal(id(0, seq), Ordinal(seq));
+        }
+        b.settle(Ordinal(5));
+        assert_eq!(b.footprint().0, [2, 0, 0]);
+        // The window re-opens at 4; 3 is delivered meanwhile, then 4.
+        b.settle(Ordinal(4));
+        b.deliver(id(0, 3));
+        b.deliver(id(0, 4));
+        b.settle(Ordinal(4));
+        assert_eq!(b.footprint().0, [1, 1, 1], "4 is in the window again");
+        b.settle(Ordinal(5));
+        assert_eq!(b.footprint(), ([0, 0, 0], 1, 1));
     }
 }

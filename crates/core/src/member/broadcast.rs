@@ -1,7 +1,7 @@
 //! Broadcast-side behaviour of a member: proposing updates, buffering
 //! received proposals, driving deliveries, and join-time state transfer.
 
-use super::{CreatorState, Member};
+use super::{CreatorState, Gaps, Member};
 use crate::events::Action;
 use bytes::Bytes;
 use std::collections::{BTreeMap, BTreeSet};
@@ -204,7 +204,10 @@ impl Member {
     /// gaps only, not the window.
     pub(crate) fn maybe_nack(&mut self, now: SyncTime, actions: &mut Vec<Action>) {
         if self.nack_gaps.is_none() {
-            self.nack_gaps = Some(self.unreceived_in_window());
+            self.nack_gaps = Some(Gaps {
+                ordinals: self.unreceived_in_window(),
+                ..Gaps::default()
+            });
         }
         let mut last = std::mem::take(&mut self.nack_last);
         #[cfg(any(test, debug_assertions))]
@@ -214,7 +217,7 @@ impl Member {
             let window = self.oal.iter().map(|(_, d)| d);
             (self.nack_requests(window, now, &mut last), last)
         };
-        let gaps = self.nack_gaps.iter().flatten();
+        let gaps = self.nack_gaps.iter().flat_map(|g| &g.ordinals);
         let requests = self.nack_requests(gaps.filter_map(|o| self.oal.get(*o)), now, &mut last);
         #[cfg(any(test, debug_assertions))]
         assert_eq!(
@@ -668,5 +671,54 @@ mod tests {
         });
         assert_eq!(fast, 0, "propose walked the window");
         assert!(reference >= WINDOW, "{reference}");
+    }
+
+    #[test]
+    fn member_state_is_flat_in_history() {
+        const UPDATES: u64 = 21_000;
+        const CHUNK: u64 = 1_000;
+        let mut m = synced_member(0);
+        in_group(&mut m);
+        let view = m.view.clone();
+        // 21 000 updates of p1's, received, delivered and acknowledged by
+        // everyone, the window pruned (as a decider would) every thousand
+        // — all but the last thousand...
+        for seq in 1..=UPDATES {
+            order(&mut m.oal, P1, seq, Semantics::TOTAL_STRONG, &[P0, P1, P2]);
+            m.buf
+                .insert(proposal(P1, seq, Semantics::TOTAL_STRONG, Ordinal::ZERO));
+            m.buf.deliver(ProposalId::new(P1, seq));
+            if seq % CHUNK == 0 {
+                m.sync_with_oal(SyncTime(1));
+                if seq < UPDATES {
+                    m.oal.prune_stable(&view);
+                }
+            }
+        }
+        // ...and 100 proposals of p2's stuck behind the missing first one.
+        for seq in 2..=101 {
+            m.buf
+                .insert(proposal(P2, seq, Semantics::TOTAL_STRONG, Ordinal::ZERO));
+        }
+        m.sync_with_oal(SyncTime(2));
+        let bound = m.oal.len() + m.buf.pending_len();
+        assert_eq!(bound, 1_100);
+        let ([ordinals, index, archive], delivered, settled) = m.buf.footprint();
+        assert!(
+            ordinals <= bound && index <= bound && archive <= bound,
+            "{ordinals} assignments, {index} indexed, {archive} archived \
+             for a window of {} and {} pending",
+            m.oal.len(),
+            m.buf.pending_len()
+        );
+        assert_eq!(
+            (delivered, settled),
+            (1, 1),
+            "runs of delivered, settled ids"
+        );
+        // What settled is still known to be ordered: no decider here will
+        // order it again.
+        assert!(m.buf.is_ordered(ProposalId::new(P1, 1)));
+        assert_eq!(m.ordinal_of(ProposalId::new(P1, 1)), None);
     }
 }

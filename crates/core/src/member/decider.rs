@@ -7,15 +7,29 @@
 //! common machinery used by all four group-creation paths (initial join,
 //! join integration, single-failure removal, reconfiguration).
 
-use super::{CreatorState, Member};
+use super::{CreatorState, Gaps, Member};
 use crate::events::{Action, LeaveReason};
 use crate::undeliverable;
 use std::collections::BTreeSet;
 use tw_obs::TraceEvent;
 use tw_proto::{
-    AckBits, Decision, Descriptor, DescriptorBody, Msg, Oal, ProcessId, SyncTime, UpdateDesc,
-    View, ViewId,
+    AckBits, Decision, Descriptor, DescriptorBody, Msg, Oal, Ordinal, ProcessId, ProposalId,
+    SyncTime, UpdateDesc, View, ViewId,
 };
+
+/// The work of one [`Member::sync_with_oal`], gathered before any of it
+/// is done.
+#[derive(Debug, Default)]
+struct SyncPlan {
+    /// Assignments to learn.
+    learn: Vec<(ProposalId, Ordinal)>,
+    /// Proposals a decider ruled undeliverable.
+    purge: Vec<ProposalId>,
+    /// Descriptors to acknowledge.
+    ack: Vec<Ordinal>,
+    /// Updates not received.
+    gaps: BTreeSet<Ordinal>,
+}
 
 /// The view's member set as a bitset (for allocation-free trace events).
 fn member_bits(view: &View) -> AckBits {
@@ -56,7 +70,7 @@ impl Member {
                 // The suspect is alive after all (its decision reached us,
                 // possibly resent): stop concurring (§4.2
                 // 1-failure-receive → wrong-suspicion).
-                self.adopt_decision_payload(&d);
+                self.adopt_decision_payload(d.oal, d.send_ts);
                 self.enter_single_failure(CreatorState::WrongSuspicion, d.sender);
             }
             CreatorState::OneFailureSend if Some(d.sender) == self.suspect => {
@@ -102,7 +116,7 @@ impl Member {
             self.trace_view_installed(now);
             actions.push(Action::InstallView(self.view.clone()));
         }
-        self.adopt_decision_payload(&d);
+        self.adopt_decision_payload(d.oal, d.send_ts);
         self.state = CreatorState::FailureFree;
         self.suspect = None;
         self.election_oals.clear();
@@ -126,66 +140,113 @@ impl Member {
         });
     }
 
-    /// Adopt the oal carried by a decision: merge, learn ordinals, purge
-    /// undeliverables, record own acknowledgements, update the decision
-    /// frontier.
-    pub(crate) fn adopt_decision_payload(&mut self, d: &Decision) {
-        if self.oal.adopt_latest(&d.oal).is_err() {
+    /// Adopt the oal carried by a decision (taken by value: the decision
+    /// is ours): merge, learn ordinals, purge undeliverables, record own
+    /// acknowledgements, update the decision frontier.
+    pub(crate) fn adopt_decision_payload(&mut self, oal: Oal, send_ts: SyncTime) {
+        if let Err((_, oal)) = self.oal.adopt_latest(oal) {
             // Prefix violation: our oal belongs to a lineage the new
             // decider's election did not include (e.g. we held a
             // decision nobody in the electing majority saw). The decider
             // is authoritative — take its oal wholesale and void every
             // ordinal assignment we learned from the dead lineage.
-            self.replace_oal(d.oal.clone());
+            self.replace_oal(oal);
             self.buf.clear_ordinals();
         }
-        self.sync_with_oal(d.send_ts);
-        self.last_decision_ts = self.last_decision_ts.max(d.send_ts);
+        self.sync_with_oal(send_ts);
+        self.last_decision_ts = self.last_decision_ts.max(send_ts);
     }
 
     /// Reconcile buffers with the current oal: learn ordinal
     /// assignments, drop proposals a decider ruled undeliverable, mark
-    /// our own acknowledgement bits for everything we hold, and note
-    /// what we do not hold (for `maybe_nack`).
+    /// our own acknowledgement bits for everything we hold, note what we
+    /// do not hold (for `maybe_nack`), and settle what the base passed.
+    ///
+    /// Walks only what the last sync did not see. While its gap set
+    /// stands, a descriptor below where it stopped that was no gap then,
+    /// carries my acknowledgement and is not undeliverable needs nothing:
+    /// its assignment is learned and there is nothing to ack or purge.
+    /// My ack bit alone would not do — a restarted member inherits its
+    /// rank's bit from its previous life — hence "no gap then".
     pub(crate) fn sync_with_oal(&mut self, now: SyncTime) {
+        let window = self.oal.base()..self.oal.next_ordinal();
+        let last = self.nack_gaps.take().unwrap_or_default();
+        // A window re-opened below the base last walked holds
+        // descriptors that sync never saw.
+        let seen = if window.start >= last.walked.start {
+            last.walked.end
+        } else {
+            Ordinal::ZERO
+        };
         let me = self.pid;
-        let mut to_purge = Vec::new();
-        let mut to_ack = Vec::new();
-        let mut gaps = BTreeSet::new();
-        for (o, desc) in self.oal.iter() {
-            match &desc.body {
-                DescriptorBody::Update { id, .. } => {
-                    self.buf.learn_ordinal(*id, o);
-                    self.dpd_descs.remove(id);
-                    if desc.undeliverable {
-                        to_purge.push(*id);
-                    } else if !self.buf.has_received(*id) {
-                        gaps.insert(o);
-                    } else if !self.buf.is_locally_marked(*id, now) && !desc.acks.contains(me) {
-                        to_ack.push(o);
-                    }
-                }
-                DescriptorBody::Membership(_) => {
-                    if !desc.acks.contains(me) {
-                        to_ack.push(o);
-                    }
-                }
-            }
+        let plan = self.plan_sync(now, |o, d| {
+            o < seen && d.acks.contains(me) && !d.undeliverable && !last.ordinals.contains(&o)
+        });
+        #[cfg(any(test, debug_assertions))]
+        let full = {
+            let full = self.plan_sync(now, |_, _| false);
+            assert_eq!(
+                (&plan.purge, &plan.ack, &plan.gaps),
+                (&full.purge, &full.ack, &full.gaps),
+                "sync of {window:?} past {seen:?} and full-window sync disagree"
+            );
+            full
+        };
+        for (id, o) in plan.learn {
+            self.buf.learn_ordinal(id, o);
+            self.dpd_descs.remove(&id);
         }
-        for id in to_purge {
+        #[cfg(any(test, debug_assertions))]
+        for (id, o) in full.learn {
+            assert!(
+                self.buf.ordinal_of(id) == Some(o) && !self.dpd_descs.contains_key(&id),
+                "sync skipped {id} at {o:?}, which it had not learned"
+            );
+        }
+        for id in plan.purge {
             self.buf.purge(id);
         }
-        for o in to_ack {
+        for o in plan.ack {
             self.oal.ack(o, me);
         }
         // Everything below the window base is stable: stop archiving it,
         // and nobody will be asked for it again.
-        let base = self.oal.base();
-        self.buf.gc_archive(base);
+        let base = window.start;
+        self.buf.settle(base);
         let buf = &self.buf;
         self.nack_last
             .retain(|id, _| buf.ordinal_of(*id).is_none_or(|o| o >= base));
-        self.nack_gaps = Some(gaps);
+        self.nack_gaps = Some(Gaps {
+            ordinals: plan.gaps,
+            walked: window,
+        });
+    }
+
+    /// What syncing with the window takes, leaving out the descriptors
+    /// `skip` passes over.
+    fn plan_sync(&self, now: SyncTime, skip: impl Fn(Ordinal, &Descriptor) -> bool) -> SyncPlan {
+        let me = self.pid;
+        let mut plan = SyncPlan::default();
+        for (o, desc) in self.oal.iter().filter(|(o, d)| !skip(*o, d)) {
+            match &desc.body {
+                DescriptorBody::Update { id, .. } => {
+                    plan.learn.push((*id, o));
+                    if desc.undeliverable {
+                        plan.purge.push(*id);
+                    } else if !self.buf.has_received(*id) {
+                        plan.gaps.insert(o);
+                    } else if !self.buf.is_locally_marked(*id, now) && !desc.acks.contains(me) {
+                        plan.ack.push(o);
+                    }
+                }
+                DescriptorBody::Membership(_) => {
+                    if !desc.acks.contains(me) {
+                        plan.ack.push(o);
+                    }
+                }
+            }
+        }
+        plan
     }
 
     /// Emit my decision message (I hold the decider role).
@@ -210,8 +271,13 @@ impl Member {
         }
         self.sync_with_oal(now);
         // Order every received-but-unordered proposal.
-        let pending_ids: Vec<_> = self.buf.pending().map(|p| (p.id(), p.desc())).collect();
-        for (id, desc) in pending_ids {
+        let unordered: Vec<_> = self
+            .buf
+            .pending()
+            .filter(|p| !self.buf.is_ordered(p.id()))
+            .map(|p| (p.id(), p.desc()))
+            .collect();
+        for (id, desc) in unordered {
             self.append_update_if_new(id, desc, now);
         }
         // And every update delivered before ordering (dpd pool).
@@ -244,9 +310,9 @@ impl Member {
         self.arm_rotation(self.pid, send_ts);
     }
 
-    fn append_update_if_new(&mut self, id: tw_proto::ProposalId, desc: UpdateDesc, now: SyncTime) {
-        if self.ordinal_of(id).is_some() {
-            return;
+    fn append_update_if_new(&mut self, id: ProposalId, desc: UpdateDesc, now: SyncTime) {
+        if self.buf.is_ordered(id) {
+            return; // in the window, or settled below it
         }
         if self.buf.is_locally_marked(id, now) {
             return; // under suspicion: neither delivered nor acknowledged
@@ -260,7 +326,11 @@ impl Member {
         ));
         self.buf.learn_ordinal(id, o);
         self.dpd_descs.remove(&id);
-        self.nack_gaps = None;
+        if !self.buf.has_received(id) {
+            // Another member's dpd: a gap the set does not hold. My own
+            // pending and dpd proposals never are gaps.
+            self.nack_gaps = None;
+        }
     }
 
     /// Become the decider of a freshly created group (initial formation,
@@ -286,12 +356,11 @@ impl Member {
             .collect();
         let new_view = View::new(ViewId::new(self.next_view_seq(now), self.pid), members);
 
-        for v in &merge {
-            if self.oal.adopt_latest(v).is_err() {
-                // Prefix violation between election views: should be
-                // unreachable (the election guarantees prefixes); prefer
-                // the longer history we already adopted.
-            }
+        for v in merge {
+            // A prefix violation between election views should be
+            // unreachable (the election guarantees prefixes); on one,
+            // keep the history we already adopted.
+            let _ = self.oal.adopt_latest(v);
         }
         self.sync_with_oal(now);
         // §4.3: mark undeliverables BEFORE appending anything new, so the

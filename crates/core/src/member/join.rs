@@ -150,7 +150,7 @@ impl Member {
         // Fresh oal adoption: our copy is empty or stale. (Ordinals from
         // a previous membership were voided on leaving; assignments
         // learned from a state transfer for this join are kept.)
-        self.replace_oal(d.oal.clone());
+        self.replace_oal(d.oal);
         self.sync_with_oal(now);
         self.last_decision_ts = d.send_ts;
         self.state = CreatorState::FailureFree;

@@ -110,6 +110,18 @@ pub(crate) struct ReconfigRecord {
     pub dpd: Vec<UpdateDesc>,
 }
 
+/// What [`Member::sync_with_oal`] last saw of the oal window.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Gaps {
+    /// Ordinals of the window's updates not received then: a superset of
+    /// what `maybe_nack` may ask for.
+    pub ordinals: BTreeSet<Ordinal>,
+    /// The window that sync walked. Every update in it outside
+    /// `ordinals` was received and its assignment learned. Empty when
+    /// `maybe_nack` rebuilt the set, which learns nothing.
+    pub walked: std::ops::Range<Ordinal>,
+}
+
 /// One team member's full protocol state.
 #[derive(Debug, Clone)]
 pub struct Member {
@@ -142,12 +154,12 @@ pub struct Member {
     pub(crate) frontier: Frontier,
     /// Last retransmission request per missing proposal (rate limiting).
     pub(crate) nack_last: BTreeMap<ProposalId, SyncTime>,
-    /// Ordinals of the window's updates not received when
-    /// [`Member::sync_with_oal`] last looked: a superset of what
-    /// `maybe_nack` may ask for. `None` after anything else that can grow
-    /// the window or un-receive a proposal; rebuilt from the window when
-    /// next needed.
-    pub(crate) nack_gaps: Option<BTreeSet<Ordinal>>,
+    /// The window's unreceived updates as [`Member::sync_with_oal`] last
+    /// saw them. `None` after anything that can un-receive a proposal,
+    /// order one not received, replace the oal or void the learned
+    /// assignments: `maybe_nack` then rebuilds the set from the window,
+    /// and the next sync walks all of it.
+    pub(crate) nack_gaps: Option<Gaps>,
     /// Application snapshot the host keeps fresh, shipped to joiners.
     pub(crate) app_snapshot: Bytes,
     /// Application state received via state transfer (host consumes it).
@@ -458,7 +470,6 @@ impl Member {
         self.decider_due = None;
         self.dpd_descs.clear();
         self.nack_last.clear();
-        self.nack_gaps = None;
         self.join_heard.clear();
         self.last_join_slot = i64::MIN;
         self.suspect = None;
@@ -599,13 +610,16 @@ impl Member {
         ts
     }
 
-    /// The ordinal assigned to `id`, if any: the one id → ordinal lookup.
+    /// The ordinal assigned to `id`, if any and not settled: the one id →
+    /// ordinal lookup.
     ///
     /// `buf`'s learned assignments cover the oal window whenever this
     /// member is in a group — every change to the window ends in
     /// [`Member::sync_with_oal`] or a `learn_ordinal` — so the window
-    /// itself is never searched. (Outside a group the assignments are
-    /// void and the oal is whatever the last lineage left behind.)
+    /// itself is never searched. Below the window base only undelivered
+    /// updates keep theirs; a delivered one's is settled (see
+    /// `ProposalBuffer::settle`). Outside a group the assignments are
+    /// void and the oal is whatever the last lineage left behind.
     pub(crate) fn ordinal_of(&self, id: ProposalId) -> Option<Ordinal> {
         let o = self.buf.ordinal_of(id);
         debug_assert!(
@@ -620,6 +634,7 @@ impl Member {
     pub(crate) fn replace_oal(&mut self, oal: Oal) {
         self.oal = oal;
         self.frontier.reset();
+        self.nack_gaps = None;
     }
 
     /// My current alive-list (self + heard within N slots).
@@ -665,6 +680,7 @@ impl Member {
         // rejoin's state transfer supplies fresh ones.
         self.buf.clear_ordinals();
         self.frontier.reset();
+        self.nack_gaps = None;
         self.transferred_state = None;
         self.watchdog.disarm();
         self.decider_due = None;

@@ -1,14 +1,17 @@
-//! Delivery by frontier against delivery by scan, over a run that
-//! reaches every reset: all nine ordering × atomicity classes from every
-//! member, 10 % loss, a crash and a rejoin.
+//! Delivery by frontier against delivery by scan, over runs that reach
+//! every reset: all nine ordering × atomicity classes from every member,
+//! message loss, a crash and a rejoin.
 //!
 //! Two checks. Inside the run, this being a debug build, `try_deliver`
 //! and `maybe_nack` assert at every call that the cursors and the
-//! reference scan name the same delivery and the same requests — a
-//! disagreement panics. Across commits, the history digest below was
-//! taken from the scan-only `Member` this change replaced: equal digests
-//! mean every member delivered the same updates, with the same ordinals,
-//! in the same order. Wall-clock-free.
+//! reference scan name the same delivery and the same requests, and the
+//! proposal buffer and `sync_with_oal` assert that their compact state
+//! answers what the full history would — a disagreement panics. Across
+//! commits, the history digests below were taken from an earlier `Member`:
+//! equal digests mean every member delivered the same updates, with the
+//! same ordinals, in the same order. Run in `--release` too, where none
+//! of the reference structures exist: the pins hold for the build that
+//! ships. Wall-clock-free.
 
 use bytes::Bytes;
 use timewheel::harness::{all_in_group, run_until_pred, team_world, TeamParams};
@@ -18,34 +21,67 @@ use tw_sim::{LinkModel, SimTime};
 
 const N: usize = 5;
 
+/// One run's traffic and fault script, timed from formation: `updates`
+/// proposals from rotating proposers, one every `every`, a crash of
+/// member `seed mod N` at `crash`, its restart 500 ms later, and the end
+/// of the run at `end`, over links that drop a `loss` share of datagrams.
+struct Script {
+    updates: usize,
+    every: Duration,
+    crash: Duration,
+    end: Duration,
+    loss: f64,
+}
+
+/// The first five seeds' script: 600 updates over 1.8 s.
+const SHORT: Script = Script {
+    updates: 600,
+    every: Duration::from_millis(3),
+    crash: Duration::from_millis(300),
+    end: Duration::from_secs(2),
+    loss: 0.10,
+};
+
+/// Long enough for the window base to sweep well past 10 000 ordinals,
+/// so that whatever a member keeps per ordinal would show as growth. At
+/// 1 % loss the group keeps ordering between the crash and the rejoin.
+const LONG: Script = Script {
+    updates: 14_000,
+    every: Duration::from_micros(400),
+    crash: Duration::from_millis(2_500),
+    end: Duration::from_secs(6),
+    loss: 0.01,
+};
+
 /// Per-member delivery counts, one FNV-1a hash over every member's
 /// `(proposer, seq, ordinal)` delivery sequence, and the history
-/// checker's findings (runs of one check collapsed).
-fn run(seed: u64) -> (Vec<usize>, u64, String) {
+/// checker's findings (runs of one check collapsed); and, beside the
+/// digest, the highest window base any member reached.
+fn run(seed: u64, script: &Script) -> ((Vec<usize>, u64, String), u64) {
     let params = TeamParams::new(N)
         .seed(seed)
-        .link(LinkModel::default().with_drop_prob(0.10));
+        .link(LinkModel::default().with_drop_prob(script.loss));
     let mut w = team_world(&params);
     run_until_pred(&mut w, SimTime::from_secs(20), |w| all_in_group(w, N)).expect("formation");
     let base = w.now();
     let classes: Vec<Semantics> = Semantics::matrix().collect();
     let mut x = seed;
-    for k in 0..600usize {
+    for k in 0..script.updates {
         x = x
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         let sem = classes[(x >> 33) as usize % classes.len()];
-        let t = base + Duration::from_millis(1 + 3 * k as i64);
+        let t = base + Duration::from_millis(1) + Duration(script.every.0 * k as i64);
         let payload = Bytes::from(format!("u{k}"));
         w.call_at(t, ProcessId((k % N) as u16), move |a, ctx| {
             let _ = a.propose(ctx, payload, sem);
         });
     }
     let victim = ProcessId((seed % N as u64) as u16);
-    let crash = base + Duration::from_millis(300);
+    let crash = base + script.crash;
     w.crash_at(crash, victim);
     w.recover_at(crash + Duration::from_millis(500), victim);
-    w.run_until(base + Duration::from_secs(2));
+    w.run_until(base + script.end);
 
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut mix = |v: u64| {
@@ -54,10 +90,12 @@ fn run(seed: u64) -> (Vec<usize>, u64, String) {
         }
     };
     let mut counts = Vec::new();
+    let mut swept = 0;
     for i in 0..N {
-        let log = &w.actor(ProcessId(i as u16)).deliveries;
-        counts.push(log.len());
-        for (_, d) in log {
+        let actor = w.actor(ProcessId(i as u16));
+        swept = swept.max(actor.member().oal().base().0);
+        counts.push(actor.deliveries.len());
+        for (_, d) in &actor.deliveries {
             mix(d.id.proposer.0 as u64);
             mix(d.id.seq);
             mix(d.ordinal.map_or(u64::MAX, |o| o.0));
@@ -65,7 +103,7 @@ fn run(seed: u64) -> (Vec<usize>, u64, String) {
     }
     let mut findings: Vec<_> = check_all(&w).iter().map(|v| v.check).collect();
     findings.dedup();
-    (counts, hash, findings.join(" "))
+    ((counts, hash, findings.join(" ")), swept)
 }
 
 /// `(seed, deliveries per member, history hash, checker findings)` as the
@@ -81,13 +119,37 @@ const PARENT: [(u64, [usize; N], u64, &str); 5] = [
     (23, [324, 323, 319, 10, 38], 0x732818389314ad75, "ordinal-prefix oal-prefix total-order"),
 ];
 
+/// The same digest over [`LONG`] runs, as the member that kept every
+/// delivered id and learned ordinal for good produced them.
+#[rustfmt::skip]
+const LONG_PARENT: [(u64, [usize; N], u64, &str); 2] = [
+    (4, [13547, 13547, 13547, 13547, 11685], 0x4097e4262ab6c4a9, "ordinal-prefix total-order"),
+    (7, [13665, 13665, 12230, 13665, 13665], 0x56c874745dec040d, "ordinal-prefix total-order"),
+];
+
 #[test]
 fn cursors_and_scan_agree_through_loss_crash_and_rejoin() {
     for (seed, counts, hash, findings) in PARENT {
         assert_eq!(
-            run(seed),
+            run(seed, &SHORT).0,
             (counts.to_vec(), hash, findings.to_string()),
             "seed {seed}: history differs from the scan-only member's"
+        );
+    }
+}
+
+#[test]
+fn compact_state_keeps_the_history_over_a_long_window_sweep() {
+    for (seed, counts, hash, findings) in LONG_PARENT {
+        let (digest, swept) = run(seed, &LONG);
+        assert!(
+            swept >= 10_000,
+            "seed {seed}: the base reached only {swept}"
+        );
+        assert_eq!(
+            digest,
+            (counts.to_vec(), hash, findings.to_string()),
+            "seed {seed}: history differs from the full-history member's"
         );
     }
 }

@@ -336,16 +336,23 @@ impl Oal {
 
     /// Adopt `other` wholesale when it extends further than this copy
     /// (e.g. on receiving a decision message): keeps whichever snapshot
-    /// has assigned more ordinals, merging ack bits from the other.
+    /// has assigned more ordinals, merging ack bits from the other. Takes
+    /// `other` by value, so adopting it copies nothing.
     ///
-    /// Returns `Err` on a prefix violation.
-    pub fn adopt_latest(&mut self, other: &Oal) -> Result<(), Ordinal> {
+    /// On a prefix violation returns the first mismatching ordinal, and
+    /// `other` as it came in, for a caller that falls back on it.
+    pub fn adopt_latest(&mut self, mut other: Oal) -> Result<(), (Ordinal, Oal)> {
         if other.next >= self.next {
-            let mut newer = other.clone();
-            newer.merge_acks(self)?;
-            *self = newer;
-        } else {
-            self.merge_acks(other)?;
+            // Check before merging: a merge that fails half-way would
+            // leave `other` holding some of our bits.
+            if let Some(o) = self.first_disagreement(&other) {
+                return Err((o, other));
+            }
+            let merged = other.merge_acks(self);
+            debug_assert!(merged.is_ok(), "bodies were checked to agree");
+            *self = other;
+        } else if let Err(o) = self.merge_acks(&other) {
+            return Err((o, other));
         }
         Ok(())
     }
@@ -397,10 +404,16 @@ impl Oal {
     /// every descriptor in `self`'s window that also lies in `longer`'s
     /// window must have an identical body. Ack bits are allowed to differ.
     pub fn agrees_with(&self, longer: &Oal) -> bool {
-        self.iter().all(|(o, d)| match longer.get(o) {
-            Some(ld) => ld.body == d.body,
-            None => true, // pruned there or not yet assigned there
-        })
+        self.first_disagreement(longer).is_none()
+    }
+
+    /// The first ordinal of this window whose descriptor `other` holds
+    /// with a different body, if any (one `other` does not hold — pruned
+    /// there or not yet assigned — agrees).
+    fn first_disagreement(&self, other: &Oal) -> Option<Ordinal> {
+        self.iter()
+            .find(|(o, d)| other.get(*o).is_some_and(|od| od.body != d.body))
+            .map(|(o, _)| o)
     }
 
     /// Mark the descriptor at `ordinal` undeliverable. Returns whether the
@@ -563,10 +576,27 @@ mod tests {
         let mut b = a.clone();
         b.append(upd(1, 1));
         a.ack(o1, ProcessId(3));
-        a.adopt_latest(&b).unwrap();
+        a.adopt_latest(b).unwrap();
         assert_eq!(a.len(), 2);
         // a's ack on o1 survived the adoption.
         assert!(a.get(o1).unwrap().acks.contains(ProcessId(3)));
+    }
+
+    #[test]
+    fn adopt_latest_hands_back_a_violating_oal_untouched() {
+        let mut a = Oal::new();
+        let o1 = a.append(upd(0, 1));
+        a.append(upd(0, 2));
+        a.ack(o1, ProcessId(3));
+        // Agrees at o1, differs at o2, and is longer: a merge would have
+        // copied a's ack on o1 before finding o2.
+        let mut b = Oal::new();
+        b.append(upd(0, 1));
+        b.append(upd(5, 9));
+        b.append(upd(5, 10));
+        let before = a.clone();
+        let (at, back) = a.adopt_latest(b.clone()).unwrap_err();
+        assert_eq!((at, &back, &a), (Ordinal(2), &b, &before));
     }
 
     #[test]

@@ -110,7 +110,7 @@ proptest! {
             apply(&mut b, op, &g);
         }
         let mut merged = a.clone();
-        prop_assert!(merged.adopt_latest(&b).is_ok());
+        prop_assert!(merged.adopt_latest(b.clone()).is_ok());
         prop_assert!(merged.next_ordinal() >= a.next_ordinal());
         prop_assert!(merged.next_ordinal() >= b.next_ordinal());
         // Ack bits are unions on the overlap.
