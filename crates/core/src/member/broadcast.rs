@@ -5,6 +5,7 @@ use super::{CreatorState, Gaps, Member};
 use crate::events::Action;
 use bytes::Bytes;
 use std::collections::{BTreeMap, BTreeSet};
+use tw_proto::frame::MAX_OAL_WINDOW;
 use tw_proto::{
     Descriptor, DescriptorBody, HwTime, Msg, Ordinal, ProcessId, Proposal, ProposalId, Semantics,
     StateTransfer, SyncTime,
@@ -89,6 +90,18 @@ impl Member {
             self.try_deliver(now, &mut actions);
         }
         Ok(actions)
+    }
+
+    /// How many more proposals this member may take before the next
+    /// decision risks outgrowing the wire: half of [`MAX_OAL_WINDOW`]
+    /// (the most descriptors a receiver accepts) minus what that decision
+    /// may carry — the window, the updates delivered before ordering, and
+    /// the pending proposals. Zero when full. A host that stops taking
+    /// proposals at zero turns overload into client latency instead of a
+    /// decision every receiver refuses.
+    pub fn proposal_room(&self) -> usize {
+        let carried = self.oal.len() + self.dpd_descs.len() + self.buf.pending_len();
+        (MAX_OAL_WINDOW / 2).saturating_sub(carried)
     }
 
     /// Store a received proposal; §4.3 marks apply if it arrives from a
@@ -422,6 +435,37 @@ mod tests {
         )
         .unwrap();
         assert_eq!(m.dpd_field().len(), 1);
+    }
+
+    #[test]
+    fn proposal_room_counts_what_the_next_decision_carries() {
+        const HALF: usize = MAX_OAL_WINDOW / 2;
+        let mut m = synced_member(0);
+        in_group(&mut m);
+        assert_eq!(m.proposal_room(), HALF);
+        // Delivered before it is ordered: no longer pending, but it rides
+        // in the next decision all the same.
+        m.propose(HwTime(1), Bytes::new(), Semantics::UNORDERED_WEAK)
+            .unwrap();
+        assert_eq!((m.buf.pending_len(), m.dpd_field().len()), (0, 1));
+        assert_eq!(m.proposal_room(), HALF - 1);
+        // Pending, waiting for its ordinal.
+        m.propose(HwTime(2), Bytes::new(), Semantics::TOTAL_STRONG)
+            .unwrap();
+        assert_eq!(m.proposal_room(), HALF - 2);
+        // In the window.
+        order(&mut m.oal, P1, 1, Semantics::UNORDERED_WEAK, &[P1]);
+        assert_eq!(m.proposal_room(), HALF - 3);
+    }
+
+    #[test]
+    fn proposal_room_saturates_at_zero() {
+        let mut m = synced_member(0);
+        in_group(&mut m);
+        for seq in 1..=(MAX_OAL_WINDOW / 2 + 10) as u64 {
+            order(&mut m.oal, P1, seq, Semantics::UNORDERED_WEAK, &[P1]);
+        }
+        assert_eq!(m.proposal_room(), 0);
     }
 
     #[test]

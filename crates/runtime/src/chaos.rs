@@ -482,9 +482,11 @@ impl ChaosCluster {
     fn start_node(&mut self, rank: usize) -> std::io::Result<()> {
         let metrics = NodeMetrics::new();
         let (tx, inbox) = node_inbox(INBOX_CAPACITY, Some(metrics.inbox_dropped()));
+        let bell = tx.doorbell().clone();
         self.mesh.set_slot(rank, Some(tx));
         let wiring = Wiring {
             inbox,
+            bell,
             transport: self.wrapped[rank].clone(),
             udp: None,
             extra_handles: Vec::new(),

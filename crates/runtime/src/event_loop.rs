@@ -6,21 +6,33 @@
 //! inter-thread scheduling — the design the paper adopted after finding
 //! the thread-based version's overhead "significant".
 //!
+//! The loop parks on the node's [`Doorbell`](crate::inbox::Doorbell),
+//! which every datagram and every client command rings, so it wakes for
+//! whichever arrives first; the wait is bounded by the next timer
+//! deadline, `min(next_tick, clock_deadline())`. Commands are looked at
+//! before the inbox.
+//!
 //! Hot-path batching happens here: a coalesced datagram's messages are
 //! applied in one `on_messages` dispatch, a burst of queued propose
 //! commands drains into one `propose_batch` call, and every dispatch's
 //! outbound traffic leaves through one [`OutBatch`] flush (one datagram
-//! per destination, one vectored syscall on Linux).
+//! per destination, one vectored syscall on Linux). The burst is capped
+//! by [`Member::proposal_room`](timewheel::Member::proposal_room): what
+//! would not fit the next decision stays queued, so overload shows up as
+//! client latency rather than as a decision the receivers refuse.
 //!
 //! The loop only schedules: every input goes through the one
 //! [`Dispatcher::dispatch`](crate::node::Dispatcher), which times it
 //! (step through flush) into the node's `dispatch_latency_us` histogram,
 //! making the §5 latency argument measurable: compare this distribution
 //! against the thread-based executor's lock-and-switch overhead.
+//!
+//! [`OutBatch`]: crate::transport::OutBatch
 
 use crate::node::{NodeCommand, NodeParts};
 use crate::transport::Incoming;
 use bytes::Bytes;
+use crossbeam::channel::{Receiver, TryRecvError};
 use std::time::Duration as StdDuration;
 use std::time::Instant;
 use timewheel::Input;
@@ -30,11 +42,28 @@ use tw_proto::Semantics;
 /// later proposer can add to an earlier one's broadcast).
 const MAX_PROPOSE_DRAIN: usize = 256;
 
+/// Command intake: the queued proposals, oldest first, at most
+/// [`MAX_PROPOSE_DRAIN`] and at most `room` of them. The rest stay
+/// queued. An idle queue yields nothing; under load many updates share
+/// one dispatch and one multi-frame datagram.
+pub(crate) fn take_proposals(cmds: &Receiver<NodeCommand>, room: usize) -> Vec<(Bytes, Semantics)> {
+    let limit = room.min(MAX_PROPOSE_DRAIN);
+    let mut updates = Vec::new();
+    while updates.len() < limit {
+        match cmds.try_recv() {
+            Ok(NodeCommand::Propose(payload, sem)) => updates.push((payload, sem)),
+            Err(_) => break,
+        }
+    }
+    updates
+}
+
 pub(crate) fn run(parts: NodeParts) {
     let NodeParts {
         mut dispatcher,
         inbox,
         cmds,
+        bell,
         clock,
         recorder,
         gate,
@@ -52,50 +81,41 @@ pub(crate) fn run(parts: NodeParts) {
     let now = clock.now_hw();
     dispatcher.dispatch(Instant::now(), now, Input::Start);
     let mut next_tick = now + tick;
-    let mut shutdown = false;
 
-    while !shutdown {
+    loop {
         // Chaos pause: freeze before the next dispatch, faking a
         // process that stopped making progress (performance failure).
         gate.block_while_paused();
 
-        let now = clock.now_hw();
-        let deadline = next_tick.min(dispatcher.driver.clock_deadline());
-        let wait_us = (deadline - now).as_micros().max(0) as u64;
-
-        let input = crossbeam::channel::select! {
-            recv(inbox) -> m => match m {
+        // Read the bell before looking at the queues: whatever arrives
+        // after this read rings past it, so the wait below cannot sleep
+        // through it. `None` is the shutdown.
+        let Some(seen) = bell.seen() else {
+            break;
+        };
+        let room = dispatcher.driver.member().proposal_room();
+        let updates = take_proposals(&cmds, room);
+        let input = if !updates.is_empty() {
+            Some(Input::Propose(updates))
+        } else {
+            match inbox.try_recv() {
                 Ok(Incoming::Msg(from, msg)) => Some(Input::Message(from, msg)),
                 // One coalesced datagram → one dispatch.
                 Ok(Incoming::Batch(from, msgs)) => Some(Input::Messages(from, msgs)),
-                Err(_) => break, // transport gone
-            },
-            recv(cmds) -> c => match c {
-                Ok(NodeCommand::Propose(payload, sem)) => {
-                    // Drain whatever else the client already queued into
-                    // the same batch: under load, many updates share one
-                    // dispatch and one multi-frame datagram; an idle
-                    // queue degenerates to the classic single propose
-                    // with no added latency.
-                    let mut updates: Vec<(Bytes, Semantics)> = vec![(payload, sem)];
-                    while updates.len() < MAX_PROPOSE_DRAIN {
-                        match cmds.try_recv() {
-                            Ok(NodeCommand::Propose(p, s)) => updates.push((p, s)),
-                            Ok(NodeCommand::Shutdown) => {
-                                shutdown = true;
-                                break;
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                    Some(Input::Propose(updates))
-                }
-                Ok(NodeCommand::Shutdown) | Err(_) => break,
-            },
-            default(StdDuration::from_micros(wait_us)) => None,
+                Err(TryRecvError::Empty) => None,
+                Err(TryRecvError::Disconnected) => break, // transport gone
+            }
         };
-        if let Some(input) = input {
-            dispatcher.dispatch(Instant::now(), clock.now_hw(), input);
+        match input {
+            Some(input) => dispatcher.dispatch(Instant::now(), clock.now_hw(), input),
+            None => {
+                let now = clock.now_hw();
+                let deadline = next_tick.min(dispatcher.driver.clock_deadline());
+                if now < deadline {
+                    let wait_us = (deadline - now).as_micros() as u64;
+                    bell.wait_past(seen, StdDuration::from_micros(wait_us));
+                }
+            }
         }
 
         let now = clock.now_hw();
@@ -120,5 +140,172 @@ pub(crate) fn run(parts: NodeParts) {
         // Publish the member's locally observed status (§6
         // fail-awareness) for harness-side checks.
         dispatcher.publish_status(clock.now_hw());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clock::RealClock;
+    use crate::metrics::NodeMetrics;
+    use crate::node::{ClusterBuilder, NodeOutput, Wiring};
+    use crate::transport::{node_inbox, MemTransport};
+    use crossbeam::channel::unbounded;
+    use std::sync::Arc;
+    use timewheel::Config;
+    use tw_proto::frame::MAX_OAL_WINDOW;
+    use tw_proto::{ClockSyncMsg, Duration, HwTime, Incarnation, Msg, ProcessId, Proposal};
+
+    /// A command queue holding `n` proposals whose payloads count 0, 1, …
+    fn queue(n: usize) -> Receiver<NodeCommand> {
+        let (tx, rx) = unbounded();
+        for i in 0..n {
+            let payload = Bytes::from((i as u32).to_le_bytes().to_vec());
+            tx.send(NodeCommand::Propose(payload, Semantics::UNORDERED_WEAK))
+                .unwrap();
+        }
+        rx
+    }
+
+    fn counts(updates: &[(Bytes, Semantics)]) -> Vec<u32> {
+        let count = |p: &Bytes| u32::from_le_bytes(p[..4].try_into().unwrap());
+        updates.iter().map(|(p, _)| count(p)).collect()
+    }
+
+    #[test]
+    fn no_room_takes_nothing_and_leaves_the_queue_intact() {
+        let cmds = queue(3);
+        assert!(take_proposals(&cmds, 0).is_empty());
+        assert_eq!(cmds.len(), 3);
+        assert_eq!(counts(&take_proposals(&cmds, 10)), [0, 1, 2]);
+    }
+
+    #[test]
+    fn room_k_takes_at_most_k_oldest_first() {
+        let cmds = queue(5);
+        assert_eq!(counts(&take_proposals(&cmds, 2)), [0, 1]);
+        assert_eq!(counts(&take_proposals(&cmds, 2)), [2, 3]);
+        assert_eq!(counts(&take_proposals(&cmds, 2)), [4]);
+        assert!(take_proposals(&cmds, 2).is_empty());
+    }
+
+    #[test]
+    fn one_intake_takes_at_most_the_drain_cap() {
+        let cmds = queue(MAX_PROPOSE_DRAIN + 10);
+        let first = counts(&take_proposals(&cmds, usize::MAX));
+        assert_eq!(first, (0..MAX_PROPOSE_DRAIN as u32).collect::<Vec<_>>());
+        assert_eq!(take_proposals(&cmds, 1000).len(), 10);
+    }
+
+    /// A member with no room leaves the client's proposals queued — and
+    /// a shutdown still ends the loop at once, because it does not queue
+    /// behind them.
+    #[test]
+    fn a_closed_doorbell_ends_the_loop_with_proposals_queued_at_room_zero() {
+        let (p0, p1) = (ProcessId(0), ProcessId(1));
+        let cfg = Config::for_team(3, Duration::from_millis(10));
+        let (tx0, inbox) = node_inbox(8, None);
+        // p1's inbox: where p0's replies land.
+        let (tx1, p1_inbox) = node_inbox(1024, None);
+        let wiring = Wiring {
+            inbox,
+            bell: tx0.doorbell().clone(),
+            transport: MemTransport::new(vec![tx0.clone(), tx1]),
+            udp: None,
+            extra_handles: Vec::new(),
+            metrics: NodeMetrics::new(),
+            clock: Arc::new(RealClock::new()),
+        };
+        let mut builder = ClusterBuilder::new(cfg);
+        builder.resolve().unwrap();
+        let node = builder.start(0, Incarnation(0), wiring, false).unwrap();
+
+        // The test plays p1: it answers p0's clock probes (the source
+        // counts as synchronized only with a majority in contact) and asks
+        // p0 for the time. p0's reply says whether it is synchronized, and
+        // proves that everything queued before the question was applied.
+        let deadline = Instant::now() + StdDuration::from_secs(60);
+        let ask = |rid: u64| -> bool {
+            let request = ClockSyncMsg::Request {
+                sender: p1,
+                rid,
+                hw_send: HwTime(1),
+            };
+            tx0.deliver(Incoming::Msg(p1, Msg::ClockSync(request)));
+            loop {
+                let left = deadline.saturating_duration_since(Instant::now());
+                let msgs = match p1_inbox.recv_timeout(left) {
+                    Ok(Incoming::Msg(from, m)) if from == p0 => vec![m],
+                    Ok(Incoming::Batch(from, ms)) if from == p0 => ms,
+                    Ok(_) => Vec::new(),
+                    Err(e) => panic!("p0 never answered: {e:?}"),
+                };
+                for m in msgs {
+                    match m {
+                        Msg::ClockSync(ClockSyncMsg::Request { rid, hw_send, .. }) => {
+                            let reply = ClockSyncMsg::Reply {
+                                sender: p1,
+                                rid,
+                                hw_send_echo: hw_send,
+                                sync_at_reply: tw_proto::SyncTime(0),
+                                synced: false,
+                            };
+                            tx0.deliver(Incoming::Msg(p1, Msg::ClockSync(reply)));
+                        }
+                        Msg::ClockSync(ClockSyncMsg::Reply { rid: r, synced, .. }) if r == rid => {
+                            return synced;
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        };
+        // Once synchronized, p0 buffers what p1 sends even outside a group.
+        let mut rid = 1;
+        while !ask(rid) {
+            std::thread::sleep(StdDuration::from_millis(5));
+            rid += 1;
+        }
+
+        // Fill p0's room with p1's proposals.
+        let proposals = (1..=(MAX_OAL_WINDOW / 2) as u64)
+            .map(|seq| {
+                Msg::Proposal(Proposal {
+                    sender: p1,
+                    incarnation: Incarnation(0),
+                    seq,
+                    send_ts: tw_proto::SyncTime(1),
+                    hdo: tw_proto::Ordinal::ZERO,
+                    semantics: Semantics::TOTAL_STRONG,
+                    payload: Bytes::new(),
+                })
+            })
+            .collect();
+        tx0.deliver(Incoming::Batch(p1, proposals));
+        assert!(ask(rid + 1));
+
+        // Outside a group a proposal p0 takes is refused at once; at room
+        // 0 it takes none.
+        for _ in 0..3 {
+            node.propose(Bytes::new(), Semantics::UNORDERED_WEAK);
+        }
+        std::thread::sleep(StdDuration::from_millis(100));
+        let refused = node
+            .outputs
+            .try_iter()
+            .filter(|o| matches!(o, NodeOutput::ProposeRejected(_)))
+            .count();
+        assert_eq!(refused, 0, "proposals taken at room 0");
+
+        let (done_tx, done) = unbounded();
+        let stopper = std::thread::spawn(move || {
+            node.shutdown();
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done.recv_timeout(StdDuration::from_secs(10)).is_ok(),
+            "shutdown waited behind the queued proposals"
+        );
+        stopper.join().unwrap();
     }
 }

@@ -10,6 +10,7 @@
 
 use crate::chaos::{NodeStatus, PauseGate, StatusCell};
 use crate::clock::{RealClock, RuntimeClock};
+use crate::inbox::Doorbell;
 use crate::metrics::NodeMetrics;
 use crate::transport::{node_inbox, Incoming, MemTransport, OutBatch, Transport, UdpTransport};
 use bytes::Bytes;
@@ -28,13 +29,13 @@ use tw_obs::{
 };
 use tw_proto::{HwTime, Incarnation, ProcessId, Semantics, View};
 
-/// Commands a client can send to its node.
+/// Commands a client can send to its node. Stopping is not a command:
+/// [`Node::shutdown`] closes the node's doorbell, so it never waits
+/// behind proposals the executor has no room to take yet.
 #[derive(Debug)]
 pub enum NodeCommand {
     /// Broadcast an update.
     Propose(Bytes, Semantics),
-    /// Stop all node threads.
-    Shutdown,
 }
 
 /// Everything a node reports back to its client.
@@ -72,6 +73,8 @@ pub struct Node {
     /// The member's process id.
     pub pid: ProcessId,
     cmds: Sender<NodeCommand>,
+    /// Rung by every command and every datagram; closed on shutdown.
+    bell: Arc<Doorbell>,
     /// Stream of deliveries/views/departures.
     pub outputs: Receiver<NodeOutput>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -118,6 +121,7 @@ impl Node {
     /// `outputs`).
     pub fn propose(&self, payload: Bytes, semantics: Semantics) {
         let _ = self.cmds.send(NodeCommand::Propose(payload, semantics));
+        self.bell.ring();
     }
 
     /// Freeze this node's executor threads at their next dispatch
@@ -162,7 +166,7 @@ impl Node {
         // A paused node must be released or its threads never observe
         // the shutdown.
         self.gate.resume();
-        let _ = self.cmds.send(NodeCommand::Shutdown);
+        self.bell.close();
         if let Some(udp) = &self.udp {
             udp.shutdown();
         }
@@ -206,6 +210,14 @@ impl Node {
             }
         }
         out
+    }
+}
+
+/// A node dropped without [`Node::shutdown`] still stops its executor;
+/// only the join is skipped.
+impl Drop for Node {
+    fn drop(&mut self) {
+        self.bell.close();
     }
 }
 
@@ -287,6 +299,8 @@ pub(crate) struct NodeParts {
     pub dispatcher: Dispatcher,
     pub inbox: Receiver<Incoming>,
     pub cmds: Receiver<NodeCommand>,
+    /// Rung by every datagram and command; closed on shutdown.
+    pub bell: Arc<Doorbell>,
     pub clock: Arc<dyn RuntimeClock + Sync>,
     /// The node's black box; the executor holds a flush guard on its
     /// stack so the tail is persisted even on panic unwind.
@@ -570,6 +584,7 @@ impl ClusterBuilder {
             },
             inbox: wiring.inbox,
             cmds: cmd_rx,
+            bell: wiring.bell.clone(),
             clock: wiring.clock,
             recorder: recorder.clone(),
             gate: gate.clone(),
@@ -586,6 +601,7 @@ impl ClusterBuilder {
         Ok(Node {
             pid,
             cmds: cmd_tx,
+            bell: wiring.bell,
             outputs: out_rx,
             handles: wiring.extra_handles,
             udp: wiring.udp,
@@ -607,14 +623,17 @@ impl ClusterBuilder {
             .iter()
             .map(|m| node_inbox(INBOX_CAPACITY, Some(m.inbox_dropped())))
             .unzip();
+        let bells: Vec<_> = inbox_txs.iter().map(|tx| tx.doorbell().clone()).collect();
         let transport = MemTransport::new(inbox_txs);
         inbox_rxs
             .into_iter()
             .zip(metrics)
+            .zip(bells)
             .enumerate()
-            .map(|(rank, (inbox, metrics))| {
+            .map(|(rank, ((inbox, metrics), bell))| {
                 let wiring = Wiring {
                     inbox,
+                    bell,
                     transport: transport.clone(),
                     udp: None,
                     extra_handles: Vec::new(),
@@ -649,9 +668,11 @@ impl ClusterBuilder {
             let metrics = NodeMetrics::new();
             transport.set_send_metrics(metrics.send_metrics());
             let (inbox_tx, inbox) = node_inbox(INBOX_CAPACITY, Some(metrics.inbox_dropped()));
+            let bell = inbox_tx.doorbell().clone();
             let rx_handle = transport.spawn_receiver(inbox_tx, Some(metrics.udp_recv_errors()));
             let wiring = Wiring {
                 inbox,
+                bell,
                 transport: transport.clone(),
                 udp: Some(transport),
                 extra_handles: vec![rx_handle],
@@ -676,6 +697,8 @@ fn tee(mut sinks: Vec<Arc<dyn TraceSink>>) -> Option<Arc<dyn TraceSink>> {
 /// go to, and which clock it reads.
 pub(crate) struct Wiring {
     pub inbox: Receiver<Incoming>,
+    /// The inbox's doorbell ([`crate::inbox::InboxSender::doorbell`]).
+    pub bell: Arc<Doorbell>,
     pub transport: Arc<dyn Transport>,
     pub udp: Option<Arc<UdpTransport>>,
     pub extra_handles: Vec<std::thread::JoinHandle<()>>,

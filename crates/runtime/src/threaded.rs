@@ -20,6 +20,7 @@ pub(crate) fn run(parts: NodeParts) {
         mut dispatcher,
         inbox,
         cmds,
+        bell,
         clock,
         recorder,
         gate,
@@ -164,9 +165,24 @@ pub(crate) fn run(parts: NodeParts) {
         }));
     }
 
-    // Command handling runs on this thread until shutdown.
-    while let Ok(NodeCommand::Propose(payload, sem)) = cmds.recv() {
-        dispatch(Input::Propose(vec![(payload, sem)]));
+    // Command handling runs on this thread until shutdown, under the
+    // event loop's admission rule: no proposal while the next decision
+    // has no room for it. Every wait is at most a tick, and a closed
+    // bell ends it at once.
+    let period = StdDuration::from_micros(tick.as_micros() as u64);
+    while let Some(seen) = bell.seen() {
+        let room = shared.lock().driver.member().proposal_room();
+        if room == 0 {
+            bell.wait_past(seen, period);
+            continue;
+        }
+        match cmds.recv_timeout(period) {
+            Ok(NodeCommand::Propose(payload, sem)) => {
+                dispatch(Input::Propose(vec![(payload, sem)]))
+            }
+            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
+            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
+        }
     }
     stop.store(true, Ordering::Relaxed);
     for h in handles {

@@ -1,5 +1,6 @@
 //! Loom model checks for the runtime's hand-rolled concurrency
-//! primitives (`tw_runtime::status`, `tw_runtime::inbox`).
+//! primitives (`tw_runtime::status`, `tw_runtime::inbox` and its
+//! doorbell).
 //!
 //! These tests only exist under `RUSTFLAGS="--cfg loom"`; a normal
 //! `cargo test` compiles this file to nothing. Under loom, each
@@ -16,6 +17,7 @@
 
 use loom::sync::Arc;
 use loom::thread;
+use std::time::Duration;
 use tw_runtime::inbox::{node_inbox, Deliver, Incoming};
 use tw_runtime::status::{NodeStatus, StatusCell};
 use tw_proto::{ClockSyncMsg, HwTime, Msg, ProcessId};
@@ -143,6 +145,54 @@ fn inbox_delivery_racing_receiver_drop_is_delivered_or_closed() {
             "a roomy inbox cannot shed: {outcome:?}"
         );
         assert_eq!(shed.get(), 0);
+        closer.join().unwrap();
+    });
+}
+
+/// The executor's park protocol against a racing delivery: read the
+/// bell, look at the inbox, park only if it was empty. Whatever the
+/// interleaving, the consumer never sleeps through a queued datagram —
+/// a ring lands either before `seen` (the inbox then holds the datagram)
+/// or after it (the wait then returns at once). Loom does not model
+/// timeouts, so a lost wake-up shows up as a deadlock; the in-tree smoke
+/// run reports it as the wait running out.
+#[test]
+fn doorbell_never_sleeps_through_a_queued_datagram() {
+    loom::model(|| {
+        let (tx, rx) = node_inbox(4, None);
+        let bell = tx.doorbell().clone();
+        let producer = thread::spawn(move || tx.deliver(msg(1)));
+        loop {
+            let seen = bell.seen().expect("nobody closes this bell");
+            if rx.try_recv().is_some() {
+                break;
+            }
+            assert!(
+                bell.wait_past(seen, Duration::from_secs(30)),
+                "slept through a queued datagram"
+            );
+        }
+        assert_eq!(producer.join().unwrap(), Deliver::Delivered);
+    });
+}
+
+/// Shutdown races the park: a close before `seen` makes `seen` say so,
+/// a close after it ends the wait.
+#[test]
+fn doorbell_close_is_never_missed() {
+    loom::model(|| {
+        let (tx, _rx) = node_inbox(4, None);
+        let bell = tx.doorbell().clone();
+        let closer = {
+            let bell = bell.clone();
+            thread::spawn(move || bell.close())
+        };
+        while let Some(seen) = bell.seen() {
+            assert!(
+                bell.wait_past(seen, Duration::from_secs(30)),
+                "missed the close"
+            );
+        }
         closer.join().unwrap();
     });
 }

@@ -1,10 +1,10 @@
 //! The `crossbeam` API surface this workspace uses, implemented in-tree:
-//! `channel::{unbounded, Sender, Receiver}`, the channel error types, and
-//! a polling `select!` limited to the two-receivers-plus-default shape the
-//! runtime's event loop relies on. Semantics match crossbeam where the
-//! workspace can observe them (MPMC, disconnect on last sender/receiver
-//! drop). Timing does not: `select!` re-checks its second arm only every
-//! 500 µs, and that is in every number `benchmark/` reports (ROADMAP 4c).
+//! `channel::{unbounded, bounded, Sender, Receiver}` and the channel error
+//! types, over a std mutex plus condvar. Semantics match crossbeam where
+//! the workspace can observe them (MPMC, disconnect on last
+//! sender/receiver drop, `try_send` on a full bounded channel). There is
+//! no `select!`: the runtime's event loop waits on a doorbell of its own
+//! (`tw_runtime::inbox::Doorbell`).
 
 /// Channel types mirroring `crossbeam::channel`.
 pub mod channel {
@@ -226,94 +226,6 @@ pub mod channel {
             self.0.lock().receivers -= 1;
         }
     }
-
-    pub use crate::select;
-}
-
-/// Stand-in for `crossbeam::channel::select!`, restricted to the one
-/// shape this workspace uses: two `recv` arms plus a `default` timeout.
-/// The arm bodies see the same `Result<T, RecvError>` binding the real
-/// macro provides.
-///
-/// Two properties mirror the real macro and were violated by earlier
-/// stub versions — both cost days of "single-vCPU livelock" mystery:
-///
-/// 1. **Arm bodies run *outside* the macro's internal wait loop.** The
-///    wait loop only picks a ready arm; the body executes afterwards in
-///    the caller's own context, so a `break`/`continue` inside an arm
-///    targets the *caller's* loop (how the event loop shuts down), not
-///    an invisible loop inside the macro.
-/// 2. **Waiting blocks instead of sleeping.** The first arm is treated
-///    as the hot channel: when both are empty the macro parks in its
-///    `recv_timeout` (condvar wait, so a send wakes it immediately) in
-///    slices of at most 500µs, re-checking the second arm and the
-///    deadline between slices. The old flat 200µs `thread::sleep`
-///    stretched every message hop to milliseconds under one vCPU and
-///    starved real clusters into never forming a group.
-#[macro_export]
-macro_rules! select {
-    (
-        recv($r1:expr) -> $p1:pat => $b1:expr,
-        recv($r2:expr) -> $p2:pat => $b2:expr,
-        default($d:expr) => $bd:expr $(,)?
-    ) => {{
-        let mut __tw_sel_r1 = ::std::option::Option::None;
-        let mut __tw_sel_r2 = ::std::option::Option::None;
-        let __tw_sel_which: u8 = {
-            let deadline = ::std::time::Instant::now() + $d;
-            loop {
-                match $r2.try_recv() {
-                    ::std::result::Result::Ok(v) => {
-                        __tw_sel_r2 = ::std::option::Option::Some(
-                            ::std::result::Result::Ok(v),
-                        );
-                        break 2;
-                    }
-                    ::std::result::Result::Err($crate::channel::TryRecvError::Disconnected) => {
-                        __tw_sel_r2 = ::std::option::Option::Some(
-                            ::std::result::Result::Err($crate::channel::RecvError),
-                        );
-                        break 2;
-                    }
-                    ::std::result::Result::Err($crate::channel::TryRecvError::Empty) => {}
-                }
-                let now = ::std::time::Instant::now();
-                if now >= deadline {
-                    break 0;
-                }
-                let slice =
-                    ::std::cmp::min(deadline - now, ::std::time::Duration::from_micros(500));
-                match $r1.recv_timeout(slice) {
-                    ::std::result::Result::Ok(v) => {
-                        __tw_sel_r1 = ::std::option::Option::Some(
-                            ::std::result::Result::Ok(v),
-                        );
-                        break 1;
-                    }
-                    ::std::result::Result::Err($crate::channel::RecvTimeoutError::Disconnected) => {
-                        __tw_sel_r1 = ::std::option::Option::Some(
-                            ::std::result::Result::Err($crate::channel::RecvError),
-                        );
-                        break 1;
-                    }
-                    ::std::result::Result::Err($crate::channel::RecvTimeoutError::Timeout) => {}
-                }
-            }
-        };
-        match __tw_sel_which {
-            1 => {
-                let $p1: ::std::result::Result<_, $crate::channel::RecvError> =
-                    __tw_sel_r1.take().expect("select: arm 1 chosen without a value");
-                $b1
-            }
-            2 => {
-                let $p2: ::std::result::Result<_, $crate::channel::RecvError> =
-                    __tw_sel_r2.take().expect("select: arm 2 chosen without a value");
-                $b2
-            }
-            _ => $bd,
-        }
-    }};
 }
 
 #[cfg(test)]
@@ -371,26 +283,5 @@ mod tests {
         let h = std::thread::spawn(move || tx.send(42).unwrap());
         assert_eq!(rx.recv_timeout(Duration::from_secs(2)), Ok(42));
         h.join().unwrap();
-    }
-
-    #[test]
-    fn select_macro_drains_and_times_out() {
-        let (tx1, rx1) = unbounded::<i32>();
-        let (_tx2, rx2) = unbounded::<i32>();
-        tx1.send(5).unwrap();
-        let mut got = None;
-        crate::select! {
-            recv(rx1) -> m => got = m.ok(),
-            recv(rx2) -> m => got = m.ok(),
-            default(Duration::from_millis(5)) => {}
-        }
-        assert_eq!(got, Some(5));
-        let mut timed_out = false;
-        crate::select! {
-            recv(rx1) -> m => { let _: Result<i32, _> = m; },
-            recv(rx2) -> m => { let _: Result<i32, _> = m; },
-            default(Duration::from_millis(5)) => timed_out = true,
-        }
-        assert!(timed_out);
     }
 }
