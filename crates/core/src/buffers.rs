@@ -8,6 +8,16 @@
 //! election, §4.3). It also enforces the per-sender FIFO ("general")
 //! delivery condition and incarnation-based stale-life rejection.
 //!
+//! Each proposal the member knows something about has one slot: the
+//! proposal itself while pending, or its archived copy once delivered,
+//! its ordinal once learned, and its descriptor while it is delivered
+//! but not ordered (the `dpd` pool, §4.3). A proposer's slots sit in
+//! dense rings indexed by sequence number, beside its FIFO cursor and
+//! incarnation, so a lookup is an index, not a search. Nearly always
+//! there is one ring per proposer; an incarnation's band jump or a
+//! state transfer's cursor jump starts another rather than a run of
+//! empty slots.
+//!
 //! What it keeps is the window's, not the history's: delivered ids are
 //! per-proposer runs of sequence numbers, and once the window base passes
 //! a delivered update's ordinal the update is *settled* — its assignment
@@ -17,8 +27,12 @@
 //! answers the same.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::ops::Bound;
-use tw_proto::{Incarnation, Ordinal, ProcessId, Proposal, ProposalId, SyncTime};
+use tw_proto::{Incarnation, Ordinal, ProcessId, Proposal, ProposalId, SyncTime, UpdateDesc};
+
+/// How far beyond a ring a new slot may land and still join it, the
+/// sequence numbers between becoming empty slots. A slot further away
+/// starts a ring of its own.
+pub(crate) const RING_GAP: u64 = 256;
 
 /// Per-sender FIFO cursor with out-of-order consumption support: purged
 /// (undeliverable) proposals consume their sequence number without being
@@ -102,23 +116,257 @@ impl IdRuns {
     }
 }
 
+/// The proposal a slot holds. Delivery moves it from pending to
+/// archived, so it is never both.
+#[derive(Debug, Clone, Default)]
+enum Held {
+    #[default]
+    Nothing,
+    /// Received, not yet delivered, not purged.
+    Pending(Proposal),
+    /// Delivered, retained for retransmission until it settles.
+    Archived(Proposal),
+}
+
+/// What a member knows of one proposal.
+#[derive(Debug, Clone, Default)]
+struct Slot {
+    held: Held,
+    /// Its learned assignment, unless settled: in the oal window, or
+    /// below the window base while undelivered.
+    ordinal: Option<Ordinal>,
+    /// Its descriptor while it is delivered but not ordered. Stored, not
+    /// derived from the archived copy: a state transfer can teach the
+    /// ordinal without ending the entry, and a settle can then drop the
+    /// copy.
+    dpd: Option<UpdateDesc>,
+}
+
+impl Slot {
+    fn is_empty(&self) -> bool {
+        matches!(self.held, Held::Nothing) && self.ordinal.is_none() && self.dpd.is_none()
+    }
+
+    fn pending(&self) -> Option<&Proposal> {
+        match &self.held {
+            Held::Pending(p) => Some(p),
+            _ => None,
+        }
+    }
+}
+
+/// The slots of sequence numbers `lo..=last()`, neither end empty.
+#[derive(Debug, Clone)]
+struct Ring {
+    lo: u64,
+    slots: VecDeque<Slot>,
+}
+
+impl Ring {
+    /// The highest sequence number in the ring (which is never empty).
+    fn last(&self) -> u64 {
+        self.lo + (self.slots.len() as u64 - 1)
+    }
+
+    fn index(&self, seq: u64) -> Option<usize> {
+        let i = seq.checked_sub(self.lo)?;
+        (i < self.slots.len() as u64).then_some(i as usize)
+    }
+
+    /// Drop empty slots from both ends.
+    fn trim(&mut self) {
+        while self.slots.front().is_some_and(Slot::is_empty) {
+            self.slots.pop_front();
+            self.lo += 1;
+        }
+        while self.slots.back().is_some_and(Slot::is_empty) {
+            self.slots.pop_back();
+        }
+    }
+}
+
+/// What a member keeps per proposer: its FIFO cursor, the latest
+/// incarnation known of it, and its slots as disjoint rings in sequence
+/// order.
+#[derive(Debug, Clone)]
+struct Proposer {
+    pid: ProcessId,
+    fifo: Option<FifoCursor>,
+    incarnation: Option<Incarnation>,
+    rings: Vec<Ring>,
+}
+
+impl Proposer {
+    fn new(pid: ProcessId) -> Self {
+        Proposer {
+            pid,
+            fifo: None,
+            incarnation: None,
+            rings: Vec::new(),
+        }
+    }
+
+    /// Next sequence number eligible for delivery.
+    fn next(&self) -> u64 {
+        self.fifo.as_ref().map_or(1, |c| c.next)
+    }
+
+    fn cursor_mut(&mut self) -> &mut FifoCursor {
+        self.fifo.get_or_insert_with(|| FifoCursor::start_at(1))
+    }
+
+    fn slot(&self, seq: u64) -> Option<&Slot> {
+        self.rings
+            .iter()
+            .find_map(|r| r.index(seq).map(|i| &r.slots[i]))
+    }
+
+    fn slots(&self) -> impl Iterator<Item = &Slot> + Clone {
+        self.rings.iter().flat_map(|r| &r.slots)
+    }
+
+    /// The slot of `seq`, made empty if there is none: in the ring that
+    /// holds `seq`, else in one within [`RING_GAP`] of it, else in a new
+    /// ring. The caller fills it.
+    fn slot_or_new(&mut self, seq: u64) -> &mut Slot {
+        // Rings wholly below `seq` come first.
+        let at = self.rings.partition_point(|r| r.last() < seq);
+        let i = if at < self.rings.len() && self.rings[at].lo <= seq {
+            at
+        } else if at > 0 && seq - self.rings[at - 1].last() <= RING_GAP {
+            let ring = &mut self.rings[at - 1];
+            let grow = seq - ring.last();
+            ring.slots.extend((0..grow).map(|_| Slot::default()));
+            at - 1
+        } else if at < self.rings.len() && self.rings[at].lo - seq <= RING_GAP {
+            let ring = &mut self.rings[at];
+            for _ in seq..ring.lo {
+                ring.slots.push_front(Slot::default());
+            }
+            ring.lo = seq;
+            at
+        } else {
+            let slots = VecDeque::from([Slot::default()]);
+            self.rings.insert(at, Ring { lo: seq, slots });
+            at
+        };
+        let ring = &mut self.rings[i];
+        &mut ring.slots[(seq - ring.lo) as usize]
+    }
+
+    /// Apply `f` to the slot of `seq`, if there is one, and trim what
+    /// that left empty.
+    fn update<R>(&mut self, seq: u64, f: impl FnOnce(&mut Slot) -> R) -> Option<R> {
+        let i = self.rings.iter().position(|r| r.index(seq).is_some())?;
+        let ring = &mut self.rings[i];
+        let out = f(&mut ring.slots[(seq - ring.lo) as usize]);
+        ring.trim();
+        if ring.slots.is_empty() {
+            self.rings.remove(i);
+        }
+        Some(out)
+    }
+
+    /// Apply `f` to every slot, and trim what that left empty.
+    fn update_all(&mut self, mut f: impl FnMut(&mut Slot)) {
+        for ring in &mut self.rings {
+            ring.slots.iter_mut().for_each(&mut f);
+            ring.trim();
+        }
+        self.rings.retain(|r| !r.slots.is_empty());
+    }
+
+    /// Drop the pending proposals `doomed` picks; returns their ids.
+    fn drop_pending(&mut self, doomed: impl Fn(&Proposal) -> bool) -> Vec<ProposalId> {
+        let mut dropped = Vec::new();
+        self.update_all(|s| {
+            if s.pending().is_some_and(&doomed) {
+                if let Held::Pending(p) = std::mem::take(&mut s.held) {
+                    dropped.push(p.id());
+                }
+            }
+        });
+        dropped
+    }
+}
+
+/// Every proposer's state, in proposer order.
+#[derive(Debug, Clone, Default)]
+struct Proposers(Vec<Proposer>);
+
+impl Proposers {
+    /// Where `p` is, or would go.
+    fn position(&self, p: ProcessId) -> Result<usize, usize> {
+        // Ranks are usually dense from 0, so the rank is usually the index.
+        if self.0.get(p.rank()).is_some_and(|e| e.pid == p) {
+            return Ok(p.rank());
+        }
+        self.0.binary_search_by_key(&p, |e| e.pid)
+    }
+
+    fn get(&self, p: ProcessId) -> Option<&Proposer> {
+        self.position(p).ok().map(|i| &self.0[i])
+    }
+
+    fn get_mut(&mut self, p: ProcessId) -> Option<&mut Proposer> {
+        self.position(p).ok().map(|i| &mut self.0[i])
+    }
+
+    fn entry(&mut self, p: ProcessId) -> &mut Proposer {
+        let i = self.position(p).unwrap_or_else(|i| {
+            self.0.insert(i, Proposer::new(p));
+            i
+        });
+        &mut self.0[i]
+    }
+
+    fn slot(&self, id: ProposalId) -> Option<&Slot> {
+        self.get(id.proposer)?.slot(id.seq)
+    }
+
+    fn slot_or_new(&mut self, id: ProposalId) -> &mut Slot {
+        self.entry(id.proposer).slot_or_new(id.seq)
+    }
+
+    fn update<R>(&mut self, id: ProposalId, f: impl FnOnce(&mut Slot) -> R) -> Option<R> {
+        self.get_mut(id.proposer)?.update(id.seq, f)
+    }
+
+    /// Every slot, in id order.
+    fn slots(&self) -> impl Iterator<Item = &Slot> + Clone {
+        self.0.iter().flat_map(Proposer::slots)
+    }
+
+    /// Every assignment kept, with its id.
+    fn ordinals(&self) -> impl Iterator<Item = (Ordinal, ProposalId)> + '_ {
+        self.0.iter().flat_map(|e| {
+            e.rings.iter().flat_map(move |r| {
+                r.slots.iter().enumerate().filter_map(move |(k, s)| {
+                    let id = ProposalId::new(e.pid, r.lo + k as u64);
+                    s.ordinal.map(|o| (o, id))
+                })
+            })
+        })
+    }
+}
+
 /// The per-member store of received, delivered and purged proposals.
 #[derive(Debug, Clone, Default)]
 pub struct ProposalBuffer {
-    /// Received, not yet delivered, not purged.
-    pending: BTreeMap<ProposalId, Proposal>,
+    /// Per proposer: FIFO cursor, incarnation, and a slot per proposal.
+    proposers: Proposers,
+    /// Slots holding a pending proposal.
+    pending: usize,
+    /// Slots holding a dpd descriptor.
+    dpds: usize,
     /// Ids delivered to the application.
     delivered: IdRuns,
-    /// Learned ordinal assignments not settled: those of the oal window,
-    /// and those of undelivered proposals whose ordinal fell below the
-    /// window base (a pending proposal can sit there).
-    ordinals: BTreeMap<ProposalId, Ordinal>,
-    /// The assignments of `ordinals` the next [`ProposalBuffer::settle`]
-    /// must look at, in ascending order: all at or above the last settled
-    /// base, plus those below it learned or delivered since. An
-    /// undelivered assignment leaves it when the base passes it, and
-    /// comes back if the proposal is delivered. Assignments are learned
-    /// in ascending order nearly always, so keeping it sorted is a push.
+    /// The assignments the next [`ProposalBuffer::settle`] must look at,
+    /// in ascending order: all at or above the last settled base, plus
+    /// those below it learned or delivered since. An undelivered
+    /// assignment leaves it when the base passes it, and comes back if
+    /// the proposal is delivered. Assignments are learned in ascending
+    /// order nearly always, so keeping it sorted is a push.
     by_ordinal: VecDeque<(Ordinal, ProposalId)>,
     /// The window base at the last settle.
     settled_base: Ordinal,
@@ -128,12 +376,6 @@ pub struct ProposalBuffer {
     /// §4.3 local undeliverable marks, with their expiry (one cycle,
     /// unless renewed).
     local_marks: BTreeMap<ProposalId, SyncTime>,
-    /// FIFO cursors per proposer.
-    fifo: BTreeMap<ProcessId, FifoCursor>,
-    /// Latest known incarnation per proposer.
-    incarnations: BTreeMap<ProcessId, Incarnation>,
-    /// Delivered proposals retained for retransmission until they settle.
-    archive: BTreeMap<ProposalId, Proposal>,
     /// The full history the compact fields stand for.
     #[cfg(any(test, debug_assertions))]
     reference: History,
@@ -152,6 +394,10 @@ struct History {
     /// leaves them: every delivered id not assigned an ordinal below the
     /// base of the last sweep.
     archived: BTreeSet<ProposalId>,
+    /// The pending ids.
+    pending: BTreeSet<ProposalId>,
+    /// The dpd pool, keyed by id.
+    dpd: BTreeMap<ProposalId, UpdateDesc>,
 }
 
 impl ProposalBuffer {
@@ -165,20 +411,23 @@ impl ProposalBuffer {
     /// below the sender's FIFO cursor (already consumed).
     pub fn insert(&mut self, p: Proposal) -> bool {
         let id = p.id();
-        if let Some(&known) = self.incarnations.get(&p.sender) {
-            if p.incarnation < known {
+        if let Some(e) = self.proposers.get(p.sender) {
+            let stale = e.incarnation.is_some_and(|known| p.incarnation < known);
+            let consumed = e
+                .fifo
+                .as_ref()
+                .is_some_and(|c| p.seq < c.next || c.consumed_ahead.contains(&p.seq));
+            if stale || consumed {
                 return false;
             }
         }
-        if self.is_delivered(id) || self.pending.contains_key(&id) {
+        if self.is_delivered(id) || self.has_pending(id) {
             return false;
         }
-        if let Some(c) = self.fifo.get(&p.sender) {
-            if p.seq < c.next || c.consumed_ahead.contains(&p.seq) {
-                return false;
-            }
-        }
-        self.pending.insert(id, p);
+        self.proposers.slot_or_new(id).held = Held::Pending(p);
+        self.pending += 1;
+        #[cfg(any(test, debug_assertions))]
+        self.reference.pending.insert(id);
         true
     }
 
@@ -189,36 +438,49 @@ impl ProposalBuffer {
     /// so the recovered process's fresh proposals are not blocked behind
     /// its dead incarnation's stream.
     pub fn note_incarnation(&mut self, p: ProcessId, inc: Incarnation) {
-        let prev = self.incarnations.get(&p).copied();
-        self.incarnations.insert(p, inc);
+        let e = self.proposers.entry(p);
+        let prev = e.incarnation.replace(inc);
         if prev.map_or(inc.0 > 0, |old| inc > old) {
-            self.pending
-                .retain(|id, pr| id.proposer != p || pr.incarnation >= inc);
+            let dropped = e.drop_pending(|pr| pr.incarnation < inc);
             let band_start = ((inc.0 as u64) << 32) + 1;
-            let cur = self
-                .fifo
-                .entry(p)
-                .or_insert_with(|| FifoCursor::start_at(1));
+            let cur = e.cursor_mut();
             if cur.next < band_start {
                 *cur = FifoCursor::start_at(band_start);
             }
+            self.forget_pending(&dropped);
+        }
+    }
+
+    /// Account for pending proposals dropped without delivery.
+    fn forget_pending(&mut self, dropped: &[ProposalId]) {
+        self.pending -= dropped.len();
+        #[cfg(any(test, debug_assertions))]
+        for id in dropped {
+            self.reference.pending.remove(id);
         }
     }
 
     /// The pending proposal with this id, if any.
     pub fn get(&self, id: ProposalId) -> Option<&Proposal> {
-        self.pending.get(&id)
+        self.proposers.slot(id).and_then(Slot::pending)
     }
 
     /// Is this proposal in the pending buffer?
     pub fn has_pending(&self, id: ProposalId) -> bool {
-        self.pending.contains_key(&id)
+        let pending = self.get(id).is_some();
+        #[cfg(any(test, debug_assertions))]
+        assert_eq!(
+            pending,
+            self.reference.pending.contains(&id),
+            "pending slots and pending set disagree on {id}"
+        );
+        pending
     }
 
     /// Has this proposal been received at some point (pending or
     /// delivered)?
     pub fn has_received(&self, id: ProposalId) -> bool {
-        self.pending.contains_key(&id) || self.is_delivered(id)
+        self.has_pending(id) || self.is_delivered(id)
     }
 
     /// Has it been delivered?
@@ -235,12 +497,15 @@ impl ProposalBuffer {
 
     /// Iterate pending proposals in id order.
     pub fn pending(&self) -> impl Iterator<Item = &Proposal> {
-        self.pending.values()
+        let pending = self.proposers.slots().filter_map(Slot::pending);
+        pending.take(self.pending)
     }
 
     /// Number of pending proposals.
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        #[cfg(any(test, debug_assertions))]
+        assert_eq!(self.pending, self.reference.pending.len());
+        self.pending
     }
 
     /// The pending proposal at each proposer's FIFO cursor, in proposer
@@ -249,23 +514,17 @@ impl ProposalBuffer {
     /// deliverable pending proposal in id order. A proposer whose cursor
     /// points at a proposal not (or no longer) held has no head.
     pub fn heads(&self) -> impl Iterator<Item = &Proposal> {
-        let mut after = Bound::Unbounded;
-        std::iter::from_fn(move || loop {
-            let (first, _) = self.pending.range((after, Bound::Unbounded)).next()?;
-            let proposer = first.proposer;
-            after = Bound::Excluded(ProposalId::new(proposer, u64::MAX));
-            let next = self.fifo.get(&proposer).map_or(1, |c| c.next);
-            if let Some(p) = self.pending.get(&ProposalId::new(proposer, next)) {
-                return Some(p);
-            }
-        })
+        self.proposers
+            .0
+            .iter()
+            .filter_map(|e| e.slot(e.next()).and_then(Slot::pending))
     }
 
     /// Record an ordinal assignment learned from the oal.
     pub fn learn_ordinal(&mut self, id: ProposalId, o: Ordinal) {
         #[cfg(any(test, debug_assertions))]
         self.reference.ordinals.insert(id, o);
-        match self.ordinals.insert(id, o) {
+        match self.proposers.slot_or_new(id).ordinal.replace(o) {
             Some(old) if old == o => return,
             Some(old) => {
                 if let Ok(i) = self.by_ordinal.binary_search(&(old, id)) {
@@ -289,7 +548,7 @@ impl ProposalBuffer {
 
     /// The ordinal of `id`, if learned and not settled.
     pub fn ordinal_of(&self, id: ProposalId) -> Option<Ordinal> {
-        let o = self.ordinals.get(&id).copied();
+        let o = self.proposers.slot(id).and_then(|s| s.ordinal);
         #[cfg(any(test, debug_assertions))]
         assert!(
             o == self.reference.ordinals.get(&id).copied()
@@ -303,7 +562,8 @@ impl ProposalBuffer {
     /// Was `id` ordered in this lineage — is its assignment learned, or
     /// settled?
     pub fn is_ordered(&self, id: ProposalId) -> bool {
-        let ordered = self.ordinals.contains_key(&id) || self.settled.contains(id);
+        let learned = self.proposers.slot(id).is_some_and(|s| s.ordinal.is_some());
+        let ordered = learned || self.settled.contains(id);
         #[cfg(any(test, debug_assertions))]
         assert_eq!(
             ordered,
@@ -319,7 +579,9 @@ impl ProposalBuffer {
     /// void and must be re-learned from the new window, or re-assigned by
     /// a future decider.
     pub fn clear_ordinals(&mut self) {
-        self.ordinals.clear();
+        for e in &mut self.proposers.0 {
+            e.update_all(|s| s.ordinal = None);
+        }
         self.by_ordinal.clear();
         self.settled_base = Ordinal::ZERO;
         self.settled = IdRuns::default();
@@ -329,7 +591,11 @@ impl ProposalBuffer {
 
     /// Does the sender's FIFO cursor permit delivering `id` now?
     pub fn fifo_ready(&self, id: ProposalId) -> bool {
-        match self.fifo.get(&id.proposer) {
+        match self
+            .proposers
+            .get(id.proposer)
+            .and_then(|e| e.fifo.as_ref())
+        {
             Some(c) => c.ready(id.seq),
             None => id.seq == 1,
         }
@@ -341,25 +607,22 @@ impl ProposalBuffer {
     /// backwards — a late or duplicate transfer must not rewind FIFO.
     pub fn set_fifo_cursor(&mut self, p: ProcessId, next: u64) {
         let next = next.max(1);
-        if let Some(cur) = self.fifo.get(&p) {
-            if cur.next >= next {
-                return;
-            }
+        let e = self.proposers.entry(p);
+        if e.fifo.as_ref().is_some_and(|cur| cur.next >= next) {
+            return;
         }
-        self.fifo.insert(p, FifoCursor::start_at(next));
-        self.pending
-            .retain(|id, _| id.proposer != p || id.seq >= next);
+        e.fifo = Some(FifoCursor::start_at(next));
+        let dropped = e.drop_pending(|pr| pr.seq < next);
+        self.forget_pending(&dropped);
     }
 
     /// Current FIFO cursors (for state transfer to a joiner).
     pub fn fifo_cursors(&self) -> Vec<(ProcessId, u64)> {
-        self.fifo.iter().map(|(p, c)| (*p, c.next)).collect()
-    }
-
-    fn cursor_mut(&mut self, p: ProcessId) -> &mut FifoCursor {
-        self.fifo
-            .entry(p)
-            .or_insert_with(|| FifoCursor::start_at(1))
+        self.proposers
+            .0
+            .iter()
+            .filter_map(|e| e.fifo.as_ref().map(|c| (e.pid, c.next)))
+            .collect()
     }
 
     /// Deliver `id`: move from pending to delivered, consuming its FIFO
@@ -367,18 +630,28 @@ impl ProposalBuffer {
     /// delivery conditions first). The proposal is archived for
     /// retransmission until it settles.
     pub fn deliver(&mut self, id: ProposalId) -> Proposal {
-        let p = self.pending.remove(&id).expect("deliver of non-pending");
-        self.cursor_mut(id.proposer).consume(id.seq);
+        let e = self
+            .proposers
+            .get_mut(id.proposer)
+            .expect("deliver of non-pending");
+        e.cursor_mut().consume(id.seq);
+        let slot = e.slot_or_new(id.seq);
+        let Held::Pending(p) = std::mem::take(&mut slot.held) else {
+            panic!("deliver of non-pending");
+        };
+        slot.held = Held::Archived(p.clone());
+        let ordinal = slot.ordinal;
+        self.pending -= 1;
         self.delivered.insert(id);
-        if let Some(&o) = self.ordinals.get(&id) {
+        if let Some(o) = ordinal {
             if o < self.settled_base {
                 // Ordered below the base already: the next settle takes it.
                 self.index(o, id);
             }
         }
-        self.archive.insert(id, p.clone());
         #[cfg(any(test, debug_assertions))]
         {
+            self.reference.pending.remove(&id);
             self.reference.delivered.insert(id);
             self.reference.archived.insert(id);
         }
@@ -388,7 +661,10 @@ impl ProposalBuffer {
     /// Retrieve a proposal we still hold (pending or archived) for
     /// retransmission.
     pub fn retrieve(&self, id: ProposalId) -> Option<&Proposal> {
-        self.pending.get(&id).or_else(|| self.archive.get(&id))
+        match &self.proposers.slot(id)?.held {
+            Held::Pending(p) | Held::Archived(p) => Some(p),
+            Held::Nothing => None,
+        }
     }
 
     /// Settle what the oal window's base has passed: every delivered
@@ -400,7 +676,7 @@ impl ProposalBuffer {
     /// over the assignments kept.
     pub fn settle(&mut self, base: Ordinal) {
         if base < self.settled_base {
-            let mut all: Vec<_> = self.ordinals.iter().map(|(id, o)| (*o, *id)).collect();
+            let mut all: Vec<_> = self.proposers.ordinals().collect();
             all.sort_unstable();
             self.by_ordinal = all.into();
         }
@@ -410,9 +686,18 @@ impl ProposalBuffer {
                 break;
             }
             self.by_ordinal.pop_front();
-            if self.delivered.contains(id) {
-                self.ordinals.remove(&id);
-                self.archive.remove(&id);
+            let delivered = &self.delivered;
+            let settles = self.proposers.update(id, |s| {
+                // An archived copy is delivered; without one, ask the runs.
+                let settles = matches!(s.held, Held::Archived(_)) || delivered.contains(id);
+                if settles {
+                    debug_assert!(s.pending().is_none(), "{id} is delivered and pending");
+                    s.ordinal = None;
+                    s.held = Held::Nothing;
+                }
+                settles
+            });
+            if settles.expect("an indexed assignment has a slot") {
                 self.settled.insert(id);
             }
         }
@@ -422,8 +707,12 @@ impl ProposalBuffer {
                 ordinals, archived, ..
             } = &mut self.reference;
             archived.retain(|id| ordinals.get(id).is_none_or(|&o| o >= base));
+            let archive = self.proposers.slots().filter_map(|s| match &s.held {
+                Held::Archived(p) => Some(p.id()),
+                _ => None,
+            });
             assert!(
-                self.archive.keys().eq(archived.iter()),
+                archive.eq(archived.iter().copied()),
                 "settled archive and full-history collection disagree below {base:?}"
             );
         }
@@ -433,9 +722,88 @@ impl ProposalBuffer {
     /// pending and consume its FIFO slot so successors can proceed
     /// (unless they are orphaned — the decider marks those too).
     pub fn purge(&mut self, id: ProposalId) {
-        self.pending.remove(&id);
+        let was_pending = self.proposers.update(id, |s| {
+            let pending = s.pending().is_some();
+            if pending {
+                s.held = Held::Nothing;
+            }
+            pending
+        });
+        if was_pending == Some(true) {
+            self.forget_pending(&[id]);
+        }
         self.local_marks.remove(&id);
-        self.cursor_mut(id.proposer).consume(id.seq);
+        self.proposers
+            .entry(id.proposer)
+            .cursor_mut()
+            .consume(id.seq);
+    }
+
+    /// Remember `desc` as delivered before ordering: it rides in the
+    /// `dpd` field of control messages until an ordinal is learned for it
+    /// (§4.3).
+    pub fn dpd_insert(&mut self, desc: UpdateDesc) {
+        #[cfg(any(test, debug_assertions))]
+        self.reference.dpd.insert(desc.id, desc);
+        if self
+            .proposers
+            .slot_or_new(desc.id)
+            .dpd
+            .replace(desc)
+            .is_none()
+        {
+            self.dpds += 1;
+        }
+    }
+
+    /// End `id`'s dpd entry, if it has one: it is ordered now.
+    pub fn dpd_remove(&mut self, id: ProposalId) {
+        #[cfg(any(test, debug_assertions))]
+        self.reference.dpd.remove(&id);
+        if self.dpds == 0 {
+            return;
+        }
+        if let Some(Some(_)) = self.proposers.update(id, |s| s.dpd.take()) {
+            self.dpds -= 1;
+        }
+    }
+
+    /// Does `id` have a dpd entry?
+    #[cfg(any(test, debug_assertions))]
+    pub fn has_dpd(&self, id: ProposalId) -> bool {
+        let has = self.proposers.slot(id).is_some_and(|s| s.dpd.is_some());
+        assert_eq!(has, self.reference.dpd.contains_key(&id), "dpd of {id}");
+        has
+    }
+
+    /// The dpd pool in id order.
+    pub fn dpd_descs(&self) -> impl Iterator<Item = &UpdateDesc> {
+        let descs = self.proposers.slots().filter_map(|s| s.dpd.as_ref());
+        #[cfg(any(test, debug_assertions))]
+        assert!(
+            descs.clone().eq(self.reference.dpd.values()),
+            "dpd slots and dpd map disagree"
+        );
+        descs.take(self.dpds)
+    }
+
+    /// Number of dpd entries.
+    pub fn dpd_len(&self) -> usize {
+        #[cfg(any(test, debug_assertions))]
+        assert_eq!(self.dpds, self.reference.dpd.len());
+        self.dpds
+    }
+
+    /// Empty the dpd pool.
+    pub fn dpd_clear(&mut self) {
+        #[cfg(any(test, debug_assertions))]
+        self.reference.dpd.clear();
+        if self.dpds > 0 {
+            for e in &mut self.proposers.0 {
+                e.update_all(|s| s.dpd = None);
+            }
+            self.dpds = 0;
+        }
     }
 
     /// §4.3: locally mark `id` undeliverable until `until` (one cycle).
@@ -470,12 +838,25 @@ impl ProposalBuffer {
     /// archived copies — and the runs of delivered and of settled ids.
     #[cfg(test)]
     pub(crate) fn footprint(&self) -> ([usize; 3], usize, usize) {
+        let slots = || self.proposers.slots();
         let kept = [
-            self.ordinals.len(),
+            slots().filter(|s| s.ordinal.is_some()).count(),
             self.by_ordinal.len(),
-            self.archive.len(),
+            slots()
+                .filter(|s| matches!(s.held, Held::Archived(_)))
+                .count(),
         ];
         (kept, self.delivered.len(), self.settled.len())
+    }
+
+    /// The sequence numbers each of `p`'s rings spans, in order.
+    #[cfg(test)]
+    pub(crate) fn rings(&self, p: ProcessId) -> Vec<std::ops::RangeInclusive<u64>> {
+        let rings = self
+            .proposers
+            .get(p)
+            .map_or(&[][..], |e| e.rings.as_slice());
+        rings.iter().map(|r| r.lo..=r.last()).collect()
     }
 }
 
@@ -865,5 +1246,264 @@ mod tests {
         assert_eq!(b.footprint().0, [1, 1, 1], "4 is in the window again");
         b.settle(Ordinal(5));
         assert_eq!(b.footprint(), ([0, 0, 0], 1, 1));
+    }
+
+    /// What the slots stand for, kept the plain way: one map per kind of
+    /// entry, settled by a sweep over every assignment.
+    #[derive(Default)]
+    struct Model {
+        pending: BTreeMap<ProposalId, Proposal>,
+        archive: BTreeMap<ProposalId, Proposal>,
+        ordinals: BTreeMap<ProposalId, Ordinal>,
+        settled: BTreeSet<ProposalId>,
+        delivered: BTreeSet<ProposalId>,
+        dpd: BTreeMap<ProposalId, UpdateDesc>,
+        incarnations: BTreeMap<ProcessId, Incarnation>,
+    }
+
+    impl Model {
+        fn settle(&mut self, base: Ordinal) {
+            let stable: Vec<_> = self
+                .ordinals
+                .iter()
+                .filter(|(id, o)| **o < base && self.delivered.contains(id))
+                .map(|(id, _)| *id)
+                .collect();
+            for id in stable {
+                self.ordinals.remove(&id);
+                self.archive.remove(&id);
+                self.settled.insert(id);
+            }
+        }
+
+        /// Each proposer's pending proposal at `b`'s cursor, in order.
+        fn heads(&self, b: &ProposalBuffer) -> Vec<ProposalId> {
+            let cursors: BTreeMap<_, _> = b.fifo_cursors().into_iter().collect();
+            let proposers: BTreeSet<_> = self.pending.keys().map(|id| id.proposer).collect();
+            proposers
+                .into_iter()
+                .map(|p| ProposalId::new(p, cursors.get(&p).copied().unwrap_or(1)))
+                .filter(|id| self.pending.contains_key(id))
+                .collect()
+        }
+    }
+
+    /// Proposers in order; each one's rings in order, apart, and filled
+    /// at both ends.
+    fn assert_rings_tidy(b: &ProposalBuffer, at: &str) {
+        assert!(
+            b.proposers.0.windows(2).all(|w| w[0].pid < w[1].pid),
+            "{at}"
+        );
+        for e in &b.proposers.0 {
+            for r in &e.rings {
+                let ends = [r.slots.front(), r.slots.back()];
+                assert!(
+                    ends.iter().all(|s| s.is_some_and(|s| !s.is_empty())),
+                    "{at}: {}",
+                    e.pid
+                );
+            }
+            assert!(
+                e.rings.windows(2).all(|w| w[0].last() < w[1].lo),
+                "{at}: {}",
+                e.pid
+            );
+        }
+    }
+
+    #[test]
+    fn slots_answer_what_plain_maps_would() {
+        // A seeded walk over every operation on the buffer, with sequence
+        // numbers at the cursor, within and beyond the ring gap above it,
+        // below it, and a million past it; every answer is compared with
+        // the plain maps after every step.
+        const JUMP: u64 = 1_000_000;
+        let mut most_rings = 0;
+        for seed in 1..=12u64 {
+            let mut b = ProposalBuffer::new();
+            let mut m = Model::default();
+            let mut touched = BTreeSet::new();
+            let mut ordinal = 1u64;
+            let mut x = seed;
+            let mut draw = |n: u64| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 33) % n
+            };
+            for step in 0..300 {
+                let at = format!("seed {seed} step {step}");
+                let sender = ProcessId(draw(3) as u16);
+                let inc = m.incarnations.get(&sender).copied().unwrap_or_default();
+                let next = b
+                    .fifo_cursors()
+                    .into_iter()
+                    .find(|(p, _)| *p == sender)
+                    .map_or(1, |(_, n)| n);
+                let seq = match draw(8) {
+                    0..=3 => next + draw(4),
+                    4 => next + 100 + draw(150),
+                    5 => next + RING_GAP + 50 + draw(20),
+                    6 => next.saturating_sub(1 + draw(600)).max(1),
+                    _ => next + JUMP + draw(4),
+                };
+                let i = ProposalId::new(sender, seq);
+                touched.insert(i);
+                match draw(40) {
+                    0..=11 => {
+                        let mut p = prop(sender.0, seq);
+                        p.incarnation = Incarnation(inc.0.saturating_sub((draw(4) / 3) as u32));
+                        let refused = m.pending.contains_key(&i)
+                            || m.delivered.contains(&i)
+                            || p.incarnation < inc
+                            || seq < next;
+                        if b.insert(p.clone()) {
+                            assert!(!refused, "{at}: took {i}");
+                            m.pending.insert(i, p);
+                        }
+                    }
+                    12..=17 => {
+                        let head = b.heads().nth(draw(3) as usize).map(Proposal::id);
+                        if let Some(h) = head {
+                            b.deliver(h);
+                            let p = m.pending.remove(&h).expect("a head is pending");
+                            m.archive.insert(h, p);
+                            m.delivered.insert(h);
+                        }
+                    }
+                    18 | 19 => {
+                        b.purge(i);
+                        m.pending.remove(&i);
+                    }
+                    20 | 21 => {
+                        if next < seq {
+                            m.pending
+                                .retain(|id, _| id.proposer != sender || id.seq >= seq);
+                        }
+                        b.set_fifo_cursor(sender, seq);
+                    }
+                    22 => {
+                        let raised = Incarnation(inc.0 + 1);
+                        b.note_incarnation(sender, raised);
+                        m.incarnations.insert(sender, raised);
+                        m.pending
+                            .retain(|id, p| id.proposer != sender || p.incarnation >= raised);
+                    }
+                    23..=28 => {
+                        b.learn_ordinal(i, Ordinal(ordinal));
+                        m.ordinals.insert(i, Ordinal(ordinal));
+                        ordinal += 1;
+                    }
+                    29..=31 => {
+                        let base = Ordinal(ordinal.saturating_sub(draw(12)));
+                        b.settle(base);
+                        m.settle(base);
+                    }
+                    32 => {
+                        b.clear_ordinals();
+                        m.ordinals.clear();
+                        m.settled.clear();
+                    }
+                    33..=35 => {
+                        let desc = m
+                            .archive
+                            .get(&i)
+                            .map_or(prop(sender.0, seq).desc(), Proposal::desc);
+                        b.dpd_insert(desc);
+                        m.dpd.insert(i, desc);
+                    }
+                    36 | 37 => {
+                        b.dpd_remove(i);
+                        m.dpd.remove(&i);
+                    }
+                    38 => {
+                        b.dpd_clear();
+                        m.dpd.clear();
+                    }
+                    _ => {
+                        if draw(4) == 0 {
+                            b.clear();
+                            m = Model::default();
+                        }
+                    }
+                }
+                assert!(
+                    b.pending().map(Proposal::id).eq(m.pending.keys().copied()),
+                    "{at}"
+                );
+                assert_eq!(b.pending_len(), m.pending.len(), "{at}");
+                let heads: Vec<_> = b.heads().map(Proposal::id).collect();
+                assert_eq!(heads, m.heads(&b), "{at}");
+                assert!(b.dpd_descs().eq(m.dpd.values()), "{at}");
+                assert_eq!(b.dpd_len(), m.dpd.len(), "{at}");
+                let ([ordinals, _, archived], ..) = b.footprint();
+                assert_eq!(
+                    (ordinals, archived),
+                    (m.ordinals.len(), m.archive.len()),
+                    "{at}"
+                );
+                for &i in &touched {
+                    let held = m.pending.get(&i).or_else(|| m.archive.get(&i));
+                    assert_eq!(b.retrieve(i), held, "{at}: {i}");
+                    assert_eq!(b.ordinal_of(i), m.ordinals.get(&i).copied(), "{at}: {i}");
+                    let ordered = m.ordinals.contains_key(&i) || m.settled.contains(&i);
+                    assert_eq!(b.is_ordered(i), ordered, "{at}: {i}");
+                }
+                assert_rings_tidy(&b, &at);
+                let rings = b.proposers.0.iter().map(|e| e.rings.len()).max();
+                most_rings = most_rings.max(rings.unwrap_or(0));
+            }
+        }
+        assert!(most_rings >= 3, "the walk never split a proposer's slots");
+    }
+
+    #[test]
+    fn a_restart_or_a_cursor_jump_costs_one_ring() {
+        let p0 = ProcessId(0);
+        let slots = |b: &ProposalBuffer| -> u64 {
+            b.rings(p0).iter().map(|r| r.end() - r.start() + 1).sum()
+        };
+        let mut b = ProposalBuffer::new();
+        // A first life of 100 updates, the last 20 still in the window.
+        deliver_all(&mut b, 1..=100);
+        for seq in 1..=100 {
+            b.learn_ordinal(id(0, seq), Ordinal(seq));
+        }
+        b.settle(Ordinal(81));
+        assert_eq!(b.rings(p0), vec![81..=100]);
+        // A restart: the new life's slots sit in a ring of their own.
+        let second_life = |b: &mut ProposalBuffer, seqs: std::ops::Range<u64>| {
+            for seq in seqs {
+                let mut p = prop(0, seq);
+                p.incarnation = Incarnation(1);
+                assert!(b.insert(p));
+                b.deliver(id(0, seq));
+            }
+        };
+        b.note_incarnation(p0, Incarnation(1));
+        let band = (1u64 << 32) + 1;
+        second_life(&mut b, band..band + 10);
+        assert_eq!(b.rings(p0), vec![81..=100, band..=band + 9]);
+        // A state transfer's cursor jump: one more ring, still no empty slot.
+        let far = band + 1_000_000;
+        b.set_fifo_cursor(p0, far);
+        second_life(&mut b, far..far + 10);
+        assert_eq!(b.rings(p0), vec![81..=100, band..=band + 9, far..=far + 9]);
+        assert_eq!(slots(&b), 40);
+        // Something landing within the gap of a ring joins it, the way
+        // between made of empty slots — at most a gap's worth.
+        b.learn_ordinal(id(0, far + 9 + RING_GAP), Ordinal(200));
+        b.learn_ordinal(id(0, band - RING_GAP), Ordinal(201));
+        assert_eq!(b.rings(p0).len(), 3);
+        assert_eq!(slots(&b), 42 + 2 * (RING_GAP - 1));
+        // One step further is a ring of its own.
+        b.learn_ordinal(id(0, far + 10 + 2 * RING_GAP), Ordinal(202));
+        assert_eq!(b.rings(p0).len(), 4);
+        // Settled, the first life's ring goes; and voided, so do the
+        // assignment-only slots.
+        b.settle(Ordinal(101));
+        b.clear_ordinals();
+        assert_eq!(b.rings(p0), vec![band..=band + 9, far..=far + 9]);
     }
 }

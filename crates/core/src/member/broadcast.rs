@@ -100,7 +100,7 @@ impl Member {
     /// proposals at zero turns overload into client latency instead of a
     /// decision every receiver refuses.
     pub fn proposal_room(&self) -> usize {
-        let carried = self.oal.len() + self.dpd_descs.len() + self.buf.pending_len();
+        let carried = self.oal.len() + self.buf.dpd_len() + self.buf.pending_len();
         (MAX_OAL_WINDOW / 2).saturating_sub(carried)
     }
 
@@ -153,7 +153,7 @@ impl Member {
             if ordinal.is_none() {
                 // Delivered before ordering: remember its descriptor for
                 // the dpd field of control messages (§4.3).
-                self.dpd_descs.insert(id, p.desc());
+                self.buf.dpd_insert(p.desc());
             }
             self.delivered_count += 1;
             let (semantics, send_ts, view) = (p.semantics, p.send_ts, self.view.id);
@@ -179,7 +179,7 @@ impl Member {
     /// Current `dpd` field content: descriptors of updates delivered
     /// before any decider ordered them.
     pub(crate) fn dpd_field(&self) -> Vec<tw_proto::UpdateDesc> {
-        self.dpd_descs.values().copied().collect()
+        self.buf.dpd_descs().copied().collect()
     }
 
     /// Join-time state transfer from the integrating decider. Accepted in
@@ -338,6 +338,7 @@ impl Member {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffers::RING_GAP;
     use crate::config::Config;
     use tw_proto::{Atomicity, Duration, Oal, View, ViewId};
 
@@ -759,6 +760,16 @@ mod tests {
             (delivered, settled),
             (1, 1),
             "runs of delivered, settled ids"
+        );
+        let rings: Vec<_> = [P0, P1, P2].iter().map(|p| m.buf.rings(*p)).collect();
+        let slots: u64 = rings
+            .iter()
+            .flatten()
+            .map(|r| r.end() - r.start() + 1)
+            .sum();
+        assert!(
+            rings.iter().all(|r| r.len() <= 2) && slots <= bound as u64 + RING_GAP,
+            "{slots} slots in rings {rings:?}"
         );
         // What settled is still known to be ordered: no decider here will
         // order it again.

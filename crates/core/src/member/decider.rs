@@ -194,12 +194,12 @@ impl Member {
         };
         for (id, o) in plan.learn {
             self.buf.learn_ordinal(id, o);
-            self.dpd_descs.remove(&id);
+            self.buf.dpd_remove(id);
         }
         #[cfg(any(test, debug_assertions))]
         for (id, o) in full.learn {
             assert!(
-                self.buf.ordinal_of(id) == Some(o) && !self.dpd_descs.contains_key(&id),
+                self.buf.ordinal_of(id) == Some(o) && !self.buf.has_dpd(id),
                 "sync skipped {id} at {o:?}, which it had not learned"
             );
         }
@@ -281,7 +281,7 @@ impl Member {
             self.append_update_if_new(id, desc, now);
         }
         // And every update delivered before ordering (dpd pool).
-        let dpd: Vec<_> = self.dpd_descs.values().copied().collect();
+        let dpd: Vec<_> = self.buf.dpd_descs().copied().collect();
         for desc in dpd {
             self.append_update_if_new(desc.id, desc, now);
         }
@@ -325,7 +325,7 @@ impl Member {
             self.pid,
         ));
         self.buf.learn_ordinal(id, o);
-        self.dpd_descs.remove(&id);
+        self.buf.dpd_remove(id);
         if !self.buf.has_received(id) {
             // Another member's dpd: a gap the set does not hold. My own
             // pending and dpd proposals never are gaps.
@@ -377,7 +377,7 @@ impl Member {
         self.last_purge = Some(report);
         // Append updates delivered by some member but never ordered.
         let mut all_dpds = dpds;
-        all_dpds.extend(self.dpd_descs.values().copied());
+        all_dpds.extend(self.buf.dpd_descs().copied());
         for desc in all_dpds {
             self.append_update_if_new(desc.id, desc, now);
         }

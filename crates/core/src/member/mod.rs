@@ -146,9 +146,8 @@ pub struct Member {
     /// timestamps are forced strictly increasing (receivers reject
     /// non-increasing control timestamps as duplicates).
     pub(crate) last_sent_ts: SyncTime,
+    /// Received, delivered and ordered proposals, and the `dpd` pool.
     pub(crate) buf: ProposalBuffer,
-    /// Descriptors of updates delivered before ordering (the `dpd` pool).
-    pub(crate) dpd_descs: BTreeMap<ProposalId, UpdateDesc>,
     /// How far into the oal window each delivery condition holds
     /// (derived from `oal`, `view` and `buf`; see [`Frontier`]).
     pub(crate) frontier: Frontier,
@@ -221,7 +220,6 @@ impl Member {
             my_seq: 0,
             last_sent_ts: SyncTime(i64::MIN / 2),
             buf: ProposalBuffer::new(),
-            dpd_descs: BTreeMap::new(),
             frontier: Frontier::default(),
             nack_last: BTreeMap::new(),
             nack_gaps: None,
@@ -468,7 +466,7 @@ impl Member {
         self.replace_oal(Oal::new());
         self.last_decision_ts = SyncTime(i64::MIN / 2);
         self.decider_due = None;
-        self.dpd_descs.clear();
+        self.buf.dpd_clear();
         self.nack_last.clear();
         self.join_heard.clear();
         self.last_join_slot = i64::MIN;

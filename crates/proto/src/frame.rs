@@ -498,14 +498,28 @@ impl FrameBuilder {
     }
 
     /// Append one message as a frame. Starts the datagram if needed.
-    pub fn push_msg(&mut self, msg: &Msg) {
+    /// Returns the frame as encoded, length prefix included, for
+    /// [`FrameBuilder::push_frame`] to copy into other datagrams.
+    pub fn push_msg(&mut self, msg: &Msg) -> &[u8] {
         if self.buf.is_empty() {
             self.reset();
         }
+        let start = self.buf.len();
         let mut w = WireCursor::new(&mut self.buf);
         let token = w.begin_frame();
         encode_msg(msg, &mut w);
         w.end_frame(token);
+        self.frames += 1;
+        &self.buf[start..]
+    }
+
+    /// Append a frame [`FrameBuilder::push_msg`] returned, byte for
+    /// byte. Starts the datagram if needed.
+    pub fn push_frame(&mut self, frame: &[u8]) {
+        if self.buf.is_empty() {
+            self.reset();
+        }
+        self.buf.extend_from_slice(frame);
         self.frames += 1;
     }
 

@@ -14,12 +14,12 @@
 //! Hot-path batching: executors collect a dispatch's outbound messages
 //! into an [`OutBatch`] and hand the whole thing to [`Transport::flush`]
 //! at once. [`UdpTransport`] coalesces the batch into one multi-frame
-//! datagram per destination (a broadcast-only batch is encoded once and
-//! fanned out) and submits the fan-out through a single vectored
-//! syscall where the platform has one ([`crate::mmsg`]). The default
-//! `flush` decomposes into per-message `send`/`broadcast`, so
-//! fault-injecting transports keep their per-message fault fates and
-//! deterministic chaos verdicts.
+//! datagram per destination (each broadcast is encoded once and its
+//! bytes copied into every destination's datagram) and submits the
+//! fan-out through a single vectored syscall where the platform has one
+//! ([`crate::mmsg`]). The default `flush` decomposes into per-message
+//! `send`/`broadcast`, so fault-injecting transports keep their
+//! per-message fault fates and deterministic chaos verdicts.
 //!
 //! Node inboxes are **bounded**: when a node cannot keep up, excess
 //! datagrams are shed (the datagram model permits omission) and counted
@@ -475,8 +475,9 @@ impl Transport for UdpTransport {
     }
 
     /// The coalesced hot path: one multi-frame datagram per destination
-    /// (encoded into reusable scratch, broadcast frames encoded once
-    /// per destination set), the whole fan-out submitted through
+    /// (encoded into reusable scratch; each broadcast frame encoded once,
+    /// into the first destination's datagram, and copied into the
+    /// others), the whole fan-out submitted through
     /// [`crate::mmsg::BatchSocket::send_batch`].
     fn flush(&self, from: ProcessId, batch: &mut OutBatch) {
         if batch.items.is_empty() {
@@ -502,8 +503,12 @@ impl Transport for UdpTransport {
         for item in &batch.items {
             match item {
                 OutItem::Broadcast(m) => {
-                    for b in &mut batch.builders[..dests.len()] {
-                        b.push_msg(m);
+                    let (first, rest) = batch.builders[..dests.len()]
+                        .split_first_mut()
+                        .expect("dests is not empty");
+                    let frame = first.push_msg(m);
+                    for b in rest {
+                        b.push_frame(frame);
                     }
                 }
                 OutItem::Send(to, m) => {
@@ -836,6 +841,51 @@ mod tests {
         let stats = t.wire_stats();
         assert_eq!((stats.send_errors, stats.datagrams_sent), (2, 2));
         assert_eq!(registry.counter_value("tw_send_errors_total.emsgsize"), 2);
+    }
+
+    #[test]
+    fn udp_flush_copies_each_broadcast_frame_as_encoding_per_destination_would() {
+        // Node 0 and three peers that are plain sockets; a batch that
+        // mixes broadcasts with sends to two of them.
+        let any: SocketAddr = "127.0.0.1:0".parse().unwrap();
+        let socks: Vec<UdpSocket> = (0..3).map(|_| UdpSocket::bind(any).unwrap()).collect();
+        let mut peers: HashMap<ProcessId, SocketAddr> = socks
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (ProcessId(i as u16 + 1), s.local_addr().unwrap()))
+            .collect();
+        peers.insert(ProcessId(0), any);
+        let t = UdpTransport::bind(ProcessId(0), any, peers).unwrap();
+        let items = [
+            OutItem::Broadcast(proposal(0, 1)),
+            OutItem::Send(ProcessId(2), sample(0)),
+            OutItem::Broadcast(proposal(0, 2)),
+            OutItem::Send(ProcessId(1), proposal(0, 9)),
+            OutItem::Broadcast(sample(0)),
+        ];
+        let mut batch = OutBatch::new();
+        batch.items.extend(items.iter().cloned());
+        t.flush(ProcessId(0), &mut batch);
+
+        let mut expected_msgs = 0;
+        let mut buf = vec![0u8; 64 * 1024];
+        for (i, s) in socks.iter().enumerate() {
+            let to = ProcessId(i as u16 + 1);
+            let mut expected = FrameBuilder::new();
+            for item in &items {
+                match item {
+                    OutItem::Send(dest, m) if *dest != to => continue,
+                    OutItem::Broadcast(m) | OutItem::Send(_, m) => expected.push_msg(m),
+                };
+            }
+            expected_msgs += expected.frames() as u64;
+            s.set_read_timeout(Some(std::time::Duration::from_secs(2)))
+                .unwrap();
+            let (len, _) = s.recv_from(&mut buf).unwrap();
+            assert_eq!(&buf[..len], expected.bytes(), "datagram to {to}");
+        }
+        let stats = t.wire_stats();
+        assert_eq!((stats.datagrams_sent, stats.msgs_sent), (3, expected_msgs));
     }
 
     #[test]

@@ -16,11 +16,13 @@ cargo test --locked -q -- --skip two_minute_adversarial_soak_converges_clean
 
 # The pinned delivery histories again, optimised. Debug builds assert
 # core's compact state against the full-history structures it replaced
-# (delivered set, never-pruned ordinals, full-window sync); release
-# builds carry none of them, so this is where the build that ships has
-# to reproduce the pins on its own.
+# (delivered set, never-pruned ordinals, full-window sync, pending set,
+# dpd map); release builds carry none of them, so this is where the
+# build that ships has to reproduce the pins on its own. The buffer's
+# unit tests (the slot rings against plain maps) run optimised too.
 cargo test --locked --release -q -p timewheel \
   --test frontier_differential --test rejoin_total_order
+cargo test --locked --release -q -p timewheel --lib buffers
 
 # The real-time cluster suites again, optimised: their deadlines are
 # wall-clock, and release is what the experiments and CI's chaos job run.
