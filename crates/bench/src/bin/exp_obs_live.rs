@@ -148,8 +148,7 @@ fn on_throughput(count: usize) -> (f64, u64, usize) {
             scrapes
         })
     };
-    let mut tail =
-        LiveTail::connect(addrs[0], StdDuration::from_secs(5)).expect("connect /trace");
+    let mut tail = LiveTail::connect(addrs[0], StdDuration::from_secs(5)).expect("connect /trace");
     let tailer = {
         let stop = stop.clone();
         std::thread::spawn(move || {
@@ -205,9 +204,7 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => updates = 8_000,
-            "--updates" => {
-                updates = args.next().expect("--updates N").parse().expect("number")
-            }
+            "--updates" => updates = args.next().expect("--updates N").parse().expect("number"),
             "--out" => out = Some(args.next().expect("--out FILE")),
             other => {
                 eprintln!(
@@ -239,9 +236,21 @@ fn main() {
     let overhead_pct = (1.0 - ratio) * 100.0;
 
     let metrics = [
-        Metric { name: "obs_off_delivered_per_s", value: off, better: "higher" },
-        Metric { name: "obs_on_delivered_per_s", value: on, better: "higher" },
-        Metric { name: "obs_on_off_ratio", value: ratio, better: "higher" },
+        Metric {
+            name: "obs_off_delivered_per_s",
+            value: off,
+            better: "higher",
+        },
+        Metric {
+            name: "obs_on_delivered_per_s",
+            value: on,
+            better: "higher",
+        },
+        Metric {
+            name: "obs_on_off_ratio",
+            value: ratio,
+            better: "higher",
+        },
     ];
 
     println!("== live-telemetry overhead probe ({updates} weak updates per arm) ==");

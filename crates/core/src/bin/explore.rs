@@ -92,15 +92,17 @@ fn run() -> Result<bool, String> {
         return if rep.clean() {
             Err("broken fixture explored clean — the checking pipeline is not catching bugs".into())
         } else {
-            println!("broken fixture correctly caught — pipeline can fail, green runs mean something");
+            println!(
+                "broken fixture correctly caught — pipeline can fail, green runs mean something"
+            );
             Ok(true)
         };
     }
 
     let selected: Vec<Scenario> = match &only {
         Some(name) => {
-            let sc = scenario(name)
-                .ok_or_else(|| format!("unknown scenario `{name}` (see --help)"))?;
+            let sc =
+                scenario(name).ok_or_else(|| format!("unknown scenario `{name}` (see --help)"))?;
             vec![sc.clone()]
         }
         None => SCENARIOS.to_vec(),

@@ -19,10 +19,7 @@ use tw_proto::{
 const N: usize = 3;
 
 fn team_view() -> View {
-    View::new(
-        ViewId::new(1, ProcessId(0)),
-        (0..N as u16).map(ProcessId),
-    )
+    View::new(ViewId::new(1, ProcessId(0)), (0..N as u16).map(ProcessId))
 }
 
 fn member(pid: u16) -> Member {
@@ -114,9 +111,7 @@ fn capture_traffic() -> Vec<Msg> {
     let mut decider = member(0);
     let mut msgs = Vec::new();
 
-    let actions = proposer
-        .propose_batch(HwTime(1_000), payloads())
-        .unwrap();
+    let actions = proposer.propose_batch(HwTime(1_000), payloads()).unwrap();
     let proposals = broadcasts(&actions);
     msgs.extend(proposals.clone());
 

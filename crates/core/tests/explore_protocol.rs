@@ -81,7 +81,13 @@ fn exploration_is_not_vacuous() {
 fn dpor_and_full_enumeration_agree() {
     for name in ["single-failure", "false-alarm"] {
         let sc = scenario(name).expect("standard scenario");
-        let full = run_scenario(sc, &Budgets { dpor: false, ..quick() });
+        let full = run_scenario(
+            sc,
+            &Budgets {
+                dpor: false,
+                ..quick()
+            },
+        );
         let dpor = run_scenario(sc, &quick());
         assert_eq!(full.clean(), dpor.clean(), "{name}");
         assert!(dpor.schedules <= full.schedules, "{name}");
@@ -94,8 +100,14 @@ fn dpor_and_full_enumeration_agree() {
 #[test]
 fn crash_budget_enlarges_the_space() {
     let sc = scenario("single-failure").expect("standard scenario");
-    let no_crash = Scenario { crashes: 0, ..sc.clone() };
-    let b = Budgets { dpor: false, ..quick() };
+    let no_crash = Scenario {
+        crashes: 0,
+        ..sc.clone()
+    };
+    let b = Budgets {
+        dpor: false,
+        ..quick()
+    };
     let with_crash = run_scenario(sc, &b);
     let without = run_scenario(&no_crash, &b);
     assert!(

@@ -26,14 +26,12 @@ impl TraceSink for Tee {
     }
 }
 
-fn attach_tracers(
-    w: &mut World<timewheel::harness::SimMember>,
-    n: usize,
-    sink: &Arc<Tee>,
-) {
+fn attach_tracers(w: &mut World<timewheel::harness::SimMember>, n: usize, sink: &Arc<Tee>) {
     for i in 0..n {
         let tracer = Tracer::new(sink.clone() as Arc<dyn TraceSink>);
-        w.actor_mut(ProcessId(i as u16)).member_mut().set_tracer(tracer);
+        w.actor_mut(ProcessId(i as u16))
+            .member_mut()
+            .set_tracer(tracer);
     }
 }
 
@@ -78,7 +76,10 @@ fn failure_free_run_audits_clean() {
         "rotation emitted no decisions"
     );
     assert!(
-        count_events(&events, |e| matches!(e, TraceEvent::DecisionReceived { .. })) > 0,
+        count_events(&events, |e| matches!(
+            e,
+            TraceEvent::DecisionReceived { .. }
+        )) > 0,
         "no member traced accepting a decision"
     );
     assert!(
@@ -137,7 +138,10 @@ fn crash_reconfiguration_audits_clean() {
     assert!(
         count_events(&events, |e| matches!(
             e,
-            TraceEvent::SuspicionRaised { suspect: ProcessId(2), .. }
+            TraceEvent::SuspicionRaised {
+                suspect: ProcessId(2),
+                ..
+            }
         )) > 0,
         "no survivor traced suspecting the crashed member"
     );

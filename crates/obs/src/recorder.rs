@@ -110,7 +110,11 @@ const fn crc32_table() -> [u32; 256] {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 {
+                0xedb8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
             k += 1;
         }
         table[i] = c;
@@ -272,9 +276,7 @@ impl TraceSink for FlightRecorder {
         // Spill when full — and at every view installation, so the
         // on-disk recording is always current through the last
         // membership change even if the host dies without unwinding.
-        if inner.buf.len() >= self.cfg.capacity
-            || matches!(ev, TraceEvent::ViewInstalled { .. })
-        {
+        if inner.buf.len() >= self.cfg.capacity || matches!(ev, TraceEvent::ViewInstalled { .. }) {
             // tw-lint: allow(blocking-under-lock) -- segment spill is the recorder's contract; contention is bounded by capacity and sinks are per-node
             Self::spill(&mut inner);
         }

@@ -256,7 +256,9 @@ impl Drop for OpsServer {
 
 impl std::fmt::Debug for OpsServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OpsServer").field("addr", &self.addr).finish()
+        f.debug_struct("OpsServer")
+            .field("addr", &self.addr)
+            .finish()
     }
 }
 
@@ -366,7 +368,12 @@ fn handle_conn(
             if (sources.healthy)() {
                 respond(&mut sock, "200 OK", "text/plain", b"ok\n")
             } else {
-                respond(&mut sock, "503 Service Unavailable", "text/plain", b"unhealthy\n")
+                respond(
+                    &mut sock,
+                    "503 Service Unavailable",
+                    "text/plain",
+                    b"unhealthy\n",
+                )
             }
         }
         "/trace" => match stream {
@@ -519,7 +526,9 @@ impl LiveTail {
 
 /// Offset of the first byte after the HTTP `\r\n\r\n` terminator.
 fn find_blank_line(head: &[u8]) -> Option<usize> {
-    head.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
+    head.windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .map(|i| i + 4)
 }
 
 /// One-shot HTTP GET against an ops endpoint: returns the status code

@@ -58,7 +58,11 @@ fn recorded(n: i64, capacity: usize, name: &str) -> (Vec<u8>, Vec<usize>) {
         let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
         off += SEGMENT_OVERHEAD + len;
     }
-    assert_eq!(off, bytes.len(), "clean file must end on a segment boundary");
+    assert_eq!(
+        off,
+        bytes.len(),
+        "clean file must end on a segment boundary"
+    );
     (bytes, starts)
 }
 
@@ -90,7 +94,11 @@ fn every_prefix_truncation_keeps_all_complete_segments() {
             .count();
         assert_eq!(r.intact_segments as usize, complete, "cut at {cut}");
         let kept = (complete as i64) * (CAPACITY as i64);
-        assert_eq!(r.events, (0..kept).map(ev).collect::<Vec<_>>(), "cut at {cut}");
+        assert_eq!(
+            r.events,
+            (0..kept).map(ev).collect::<Vec<_>>(),
+            "cut at {cut}"
+        );
         // A cut inside a segment is reported as a torn tail; a cut on a
         // boundary is indistinguishable from a shorter clean file.
         let on_boundary = cut == bytes.len() || starts.contains(&cut);

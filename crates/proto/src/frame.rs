@@ -334,7 +334,10 @@ impl<'a> WireCursor<'a> {
     /// be a datagram and indicates a logic error in the caller.
     pub fn end_frame(&mut self, token: FrameToken) {
         let body_len = self.buf.len() - token.len_at - 4;
-        assert!(body_len <= MAX_FRAME_LEN, "frame body exceeds MAX_FRAME_LEN");
+        assert!(
+            body_len <= MAX_FRAME_LEN,
+            "frame body exceeds MAX_FRAME_LEN"
+        );
         let len = body_len as u32;
         self.buf[token.len_at] = (len & 0x7F) as u8 | 0x80;
         self.buf[token.len_at + 1] = ((len >> 7) & 0x7F) as u8 | 0x80;

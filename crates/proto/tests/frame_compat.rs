@@ -12,9 +12,9 @@
 use bytes::Bytes;
 use tw_proto::frame::{self, FrameBuilder, VERSION_BYTE};
 use tw_proto::{
-    AckBits, ClockSyncMsg, Decision, Descriptor, HwTime, Incarnation, Join, Msg, Nack,
-    NoDecision, Oal, Ordinal, ProcessId, Proposal, ProposalId, Reconfig, Semantics, StateTransfer,
-    SyncTime, View, ViewId, WireError,
+    AckBits, ClockSyncMsg, Decision, Descriptor, HwTime, Incarnation, Join, Msg, Nack, NoDecision,
+    Oal, Ordinal, ProcessId, Proposal, ProposalId, Reconfig, Semantics, StateTransfer, SyncTime,
+    View, ViewId, WireError,
 };
 
 struct SplitMix64(u64);
@@ -110,14 +110,21 @@ fn sample(rng: &mut SplitMix64, kind: usize) -> Msg {
             incarnation: Incarnation(rng.below(8) as u32),
             send_ts: SyncTime(rng.below(1 << 40) as i64),
             join_list: (0..rng.below(5))
-                .map(|_| (ProcessId(rng.below(8) as u16), Incarnation(rng.below(8) as u32)))
+                .map(|_| {
+                    (
+                        ProcessId(rng.below(8) as u16),
+                        Incarnation(rng.below(8) as u32),
+                    )
+                })
                 .collect(),
             alive: alive(rng),
         }),
         4 => Msg::Reconfig(Reconfig {
             sender: ProcessId(rng.below(8) as u16),
             send_ts: SyncTime(rng.below(1 << 40) as i64),
-            reconfig_list: (0..rng.below(5)).map(|_| ProcessId(rng.below(8) as u16)).collect(),
+            reconfig_list: (0..rng.below(5))
+                .map(|_| ProcessId(rng.below(8) as u16))
+                .collect(),
             last_decision_ts: SyncTime(rng.below(1 << 40) as i64),
             last_view: ViewId::new(rng.below(100), ProcessId(0)),
             oal_view: oal(rng),

@@ -8,8 +8,8 @@
 //! proptest suites are `proptests/`); the randomized windows come from a
 //! fixed-seed SplitMix64.
 
-use tw_proto::WireError;
 use tw_proto::frame::{self, FrameBuilder, WireCursor, MAX_OAL_WINDOW, VERSION_BYTE};
+use tw_proto::WireError;
 use tw_proto::{
     AckBits, Decision, Descriptor, Msg, NoDecision, Oal, Ordinal, ProcessId, ProposalId, Reconfig,
     Semantics, SyncTime, View, ViewId,

@@ -414,7 +414,12 @@ impl ChaosSchedule {
     pub fn describe(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(out, "schedule seed={} steps={}", self.seed, self.steps.len());
+        let _ = writeln!(
+            out,
+            "schedule seed={} steps={}",
+            self.seed,
+            self.steps.len()
+        );
         for s in &self.steps {
             let _ = writeln!(out, "  +{:>6}ms {}", s.at_ms, s.op);
         }

@@ -206,7 +206,11 @@ impl Pump {
                 }
                 Some(Reverse(head)) => {
                     let wait = head.due - now;
-                    st = self.cv.wait_timeout(st, wait).map(|(g, _)| g).unwrap_or_else(|e| e.into_inner().0);
+                    st = self
+                        .cv
+                        .wait_timeout(st, wait)
+                        .map(|(g, _)| g)
+                        .unwrap_or_else(|e| e.into_inner().0);
                 }
                 None => {
                     st = self
@@ -386,7 +390,11 @@ impl Drop for ChaosNet {
         // Take the handle in its own statement: as an `if let` scrutinee
         // the guard temporary would live across the join, and the pump
         // thread's own drop path could then deadlock against us.
-        let handle = self.pump_thread.lock().unwrap_or_else(|e| e.into_inner()).take();
+        let handle = self
+            .pump_thread
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take();
         if let Some(h) = handle {
             let _ = h.join();
         }
@@ -564,13 +572,7 @@ mod tests {
         let mem = MemTransport::new(vec![tx0.into(), tx1.into()]);
         let net = ChaosNet::new(seed);
         let team = vec![ProcessId(0), ProcessId(1)];
-        let t = FaultTransport::new(
-            ProcessId(0),
-            team,
-            mem,
-            net.clone(),
-            Tracer::new(sink),
-        );
+        let t = FaultTransport::new(ProcessId(0), team, mem, net.clone(), Tracer::new(sink));
         (t, rx1, net)
     }
 
@@ -764,13 +766,7 @@ mod tests {
         let mem = MemTransport::new(vec![tx0.into(), tx1.into(), tx2.into()]);
         let net = ChaosNet::new(21);
         let team = vec![ProcessId(0), ProcessId(1), ProcessId(2)];
-        let t = FaultTransport::new(
-            ProcessId(0),
-            team,
-            mem,
-            net.clone(),
-            Tracer::disabled(),
-        );
+        let t = FaultTransport::new(ProcessId(0), team, mem, net.clone(), Tracer::disabled());
         net.cut(ProcessId(0), ProcessId(1));
         t.broadcast(ProcessId(0), &sample(0, 5));
         assert!(rx1.try_recv().is_err(), "cut leg of the broadcast vanishes");

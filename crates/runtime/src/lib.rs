@@ -61,12 +61,12 @@ pub use fault::{ChaosNet, ChaosRng, FaultTransport, LinkPlan};
 #[cfg(not(loom))]
 pub use metrics::NodeMetrics;
 #[cfg(not(loom))]
+pub use mmsg::BatchSocket;
+#[cfg(not(loom))]
 pub use node::{
     spawn_cluster, spawn_udp_cluster, AppEvent, ClusterBuilder, DeliveryHook, ExecutorKind, Node,
     NodeCommand, NodeOutput, OpsSetup, RecorderSetup,
 };
-#[cfg(not(loom))]
-pub use mmsg::BatchSocket;
 pub use status::{NodeStatus, StatusCell};
 #[cfg(not(loom))]
 pub use transport::{MemTransport, OutBatch, Transport, UdpTransport, WireStats};

@@ -202,8 +202,8 @@ mod imp {
     #[derive(Clone, Copy)]
     struct SockAddrIn {
         sin_family: u16,
-        sin_port: u16,     // network byte order
-        sin_addr: u32,     // network byte order
+        sin_port: u16, // network byte order
+        sin_addr: u32, // network byte order
         sin_zero: [u8; 8],
     }
 

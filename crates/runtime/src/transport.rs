@@ -342,7 +342,9 @@ impl UdpTransport {
     }
 
     fn note_sent(&self, syscalls: u64, datagrams: u64, msgs: u64) {
-        self.wire.send_syscalls.fetch_add(syscalls, Ordering::Relaxed);
+        self.wire
+            .send_syscalls
+            .fetch_add(syscalls, Ordering::Relaxed);
         self.wire
             .datagrams_sent
             .fetch_add(datagrams, Ordering::Relaxed);
@@ -370,8 +372,7 @@ impl UdpTransport {
             .spawn(move || {
                 // 16 max-size slots: enough to drain a heavy burst per
                 // syscall without a multi-MB standing buffer.
-                let mut slots: Vec<RecvSlot> =
-                    (0..16).map(|_| RecvSlot::new(64 * 1024)).collect();
+                let mut slots: Vec<RecvSlot> = (0..16).map(|_| RecvSlot::new(64 * 1024)).collect();
                 // A read timeout lets the thread notice inbox closure.
                 let _ = me
                     .socket
@@ -545,8 +546,8 @@ impl Transport for UdpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
     use bytes::Bytes;
+    use crossbeam::channel::unbounded;
     use tw_proto::{ClockSyncMsg, HwTime, Incarnation, Ordinal, Proposal, Semantics, SyncTime};
 
     fn sample(from: u16) -> Msg {

@@ -67,10 +67,7 @@ fn partitioned_minority_is_fail_aware_and_rejoins_after_heal() {
 
     let minority = ProcessId(4);
     cluster.apply(
-        &ChaosOp::Partition(vec![
-            (0..4).map(ProcessId).collect(),
-            vec![minority],
-        ]),
+        &ChaosOp::Partition(vec![(0..4).map(ProcessId).collect(), vec![minority]]),
         0,
     );
 

@@ -18,9 +18,9 @@
 use loom::sync::Arc;
 use loom::thread;
 use std::time::Duration;
+use tw_proto::{ClockSyncMsg, HwTime, Msg, ProcessId};
 use tw_runtime::inbox::{node_inbox, Deliver, Incoming};
 use tw_runtime::status::{NodeStatus, StatusCell};
-use tw_proto::{ClockSyncMsg, HwTime, Msg, ProcessId};
 
 fn msg(n: u16) -> Incoming {
     Incoming::Msg(
@@ -112,15 +112,14 @@ fn inbox_at_capacity_sheds_and_counts_every_loss() {
         let r2 = tx.deliver(msg(2));
         let r1 = t1.join().unwrap();
         let outcomes = [r1, r2];
-        let delivered = outcomes.iter().filter(|d| **d == Deliver::Delivered).count();
+        let delivered = outcomes
+            .iter()
+            .filter(|d| **d == Deliver::Delivered)
+            .count();
         let shed_n = outcomes.iter().filter(|d| **d == Deliver::Shed).count();
         assert_eq!(delivered + shed_n, 2, "no datagram silently vanished");
         assert!(delivered >= 1, "capacity-1 inbox accepted nothing");
-        assert_eq!(
-            shed.get(),
-            shed_n as u64,
-            "every shed datagram is counted"
-        );
+        assert_eq!(shed.get(), shed_n as u64, "every shed datagram is counted");
         // End-state accounting: queued + shed == offered.
         let mut queued = 0;
         while rx.try_recv().is_some() {

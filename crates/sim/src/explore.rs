@@ -345,7 +345,9 @@ where
     }
 
     fn deliver_time(&self, st: &ExpState<A>, k: MsgKey, m: &PendingMsg<A::Msg>) -> HwTime {
-        st.procs[k.to.rank()].local_hw.max(m.send_hw + self.cfg.min_latency)
+        st.procs[k.to.rank()]
+            .local_hw
+            .max(m.send_hw + self.cfg.min_latency)
     }
 
     /// Clock-skew gate: would executing a step at `at` race its process
@@ -370,7 +372,9 @@ where
         match step {
             Step::Deliver(k) => {
                 let m = st.pending.remove(&k).expect("enabled deliver exists");
-                let at = st.procs[k.to.rank()].local_hw.max(m.send_hw + self.cfg.min_latency);
+                let at = st.procs[k.to.rank()]
+                    .local_hw
+                    .max(m.send_hw + self.cfg.min_latency);
                 st.procs[k.to.rank()].local_hw = at;
                 st.deliveries += 1;
                 self.invoke(
@@ -457,16 +461,21 @@ where
         }
     }
 
-    fn route(&mut self, st: &mut ExpState<A>, from: ProcessId, to: ProcessId, at: HwTime, msg: A::Msg) {
+    fn route(
+        &mut self,
+        st: &mut ExpState<A>,
+        from: ProcessId,
+        to: ProcessId,
+        at: HwTime,
+        msg: A::Msg,
+    ) {
         if !st.procs[to.rank()].up {
             return; // sends to crashed processes vanish, like the engine
         }
         let seq = st.next_msg_seq[from.rank()];
         st.next_msg_seq[from.rank()] = seq + 1;
-        st.pending.insert(
-            MsgKey { to, from, seq },
-            PendingMsg { msg, send_hw: at },
-        );
+        st.pending
+            .insert(MsgKey { to, from, seq }, PendingMsg { msg, send_hw: at });
     }
 
     // ---- search --------------------------------------------------------
@@ -479,7 +488,11 @@ where
         }
         let enabled = self.enabled(st);
         let explorable: Vec<Step> = if self.cfg.dpor {
-            enabled.iter().copied().filter(|s| !sleep.contains(s)).collect()
+            enabled
+                .iter()
+                .copied()
+                .filter(|s| !sleep.contains(s))
+                .collect()
         } else {
             enabled.clone()
         };
@@ -607,10 +620,13 @@ mod tests {
 
     #[test]
     fn explores_all_schedules_without_violations() {
-        let rep = Explorer::new(cfg(), |_: &[Echo]| Vec::new())
-            .run(vec![Echo::default(); 3]);
+        let rep = Explorer::new(cfg(), |_: &[Echo]| Vec::new()).run(vec![Echo::default(); 3]);
         assert!(rep.clean());
-        assert!(rep.schedules > 1, "expected branching, got {}", rep.schedules);
+        assert!(
+            rep.schedules > 1,
+            "expected branching, got {}",
+            rep.schedules
+        );
         assert!(!rep.truncated);
     }
 

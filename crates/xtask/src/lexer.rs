@@ -64,9 +64,7 @@ pub fn tokenize(src: &str) -> Vec<Token> {
             }
             // Raw strings: r"…", r#"…"#, br#"…"# — find the opening
             // quote, count the #s, skip to the matching close.
-            'r' | 'b'
-                if is_raw_string_start(&b, i) =>
-            {
+            'r' | 'b' if is_raw_string_start(&b, i) => {
                 let mut j = i;
                 while b[j] != 'r' {
                     j += 1; // skip the leading b of br
@@ -133,9 +131,7 @@ pub fn tokenize(src: &str) -> Vec<Token> {
                         i += 1;
                     }
                     i += 1;
-                } else if b.get(i + 2) == Some(&'\'')
-                    && b.get(i + 1).is_some_and(|c| *c != '\'')
-                {
+                } else if b.get(i + 2) == Some(&'\'') && b.get(i + 1).is_some_and(|c| *c != '\'') {
                     i += 3;
                 } else {
                     // lifetime: skip the quote, let the ident lex as a
@@ -158,11 +154,7 @@ pub fn tokenize(src: &str) -> Vec<Token> {
             }
             _ if c.is_ascii_digit() => {
                 // Number (incl. suffixed like 10u64, 1.0f64, 0x_ff).
-                while i < b.len()
-                    && (b[i] == '_'
-                        || b[i] == '.'
-                        || b[i].is_ascii_alphanumeric())
-                {
+                while i < b.len() && (b[i] == '_' || b[i] == '.' || b[i].is_ascii_alphanumeric()) {
                     // Don't swallow a second `.` (range `0..n`).
                     if b[i] == '.' && b.get(i + 1) == Some(&'.') {
                         break;

@@ -163,7 +163,11 @@ impl fmt::Display for Finding {
 /// doesn't read as a typo to the other.
 pub fn all_rule_names() -> Vec<&'static str> {
     let mut names: Vec<&'static str> = RULES.iter().map(|r| r.name).collect();
-    names.extend(crate::concurrency::CONCURRENCY_RULES.iter().map(|(n, _)| *n));
+    names.extend(
+        crate::concurrency::CONCURRENCY_RULES
+            .iter()
+            .map(|(n, _)| *n),
+    );
     names
 }
 
@@ -290,9 +294,7 @@ fn match_needle(tokens: &[Token], needle: &Needle) -> Vec<usize> {
         }
         Needle::MacroCall(name) => {
             for (i, t) in tokens.iter().enumerate() {
-                if t.is_ident
-                    && t.text == *name
-                    && tokens.get(i + 1).is_some_and(|n| n.text == "!")
+                if t.is_ident && t.text == *name && tokens.get(i + 1).is_some_and(|n| n.text == "!")
                 {
                     lines.push(t.line);
                 }

@@ -106,7 +106,15 @@ fn report(pass: &str, rules: usize, scope: &str, findings: &[lint::Finding]) -> 
 fn run_explore(args: &[String]) -> ExitCode {
     let status = std::process::Command::new(env!("CARGO"))
         .current_dir(lint::repo_root())
-        .args(["run", "--release", "-p", "timewheel", "--bin", "explore", "--"])
+        .args([
+            "run",
+            "--release",
+            "-p",
+            "timewheel",
+            "--bin",
+            "explore",
+            "--",
+        ])
         .args(args)
         .status();
     match status {

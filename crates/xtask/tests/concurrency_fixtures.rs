@@ -473,7 +473,10 @@ fn unjustified_allow_is_a_finding_and_does_not_suppress() {
         }
     "#;
     let rules = rules_hit(src);
-    assert!(rules.contains(&"blocking-under-lock".to_string()), "{rules:?}");
+    assert!(
+        rules.contains(&"blocking-under-lock".to_string()),
+        "{rules:?}"
+    );
     assert!(rules.contains(&"lint-annotation".to_string()), "{rules:?}");
 }
 

@@ -24,17 +24,29 @@ fn wall_clock_fixture_is_flagged() {
     let f = lint(src);
     assert!(f.iter().all(|f| f.rule == "wall-clock"), "{f:?}");
     assert_eq!(f.len(), 2, "both the use and the call site: {f:?}");
-    assert_eq!(rules_hit("let x = std::time::SystemTime::now();"), ["wall-clock"]);
+    assert_eq!(
+        rules_hit("let x = std::time::SystemTime::now();"),
+        ["wall-clock"]
+    );
 }
 
 #[test]
 fn ambient_rng_fixture_is_flagged() {
-    assert_eq!(rules_hit("let mut r = rand::thread_rng();"), ["ambient-rng"]);
-    assert_eq!(rules_hit("let r = StdRng::from_entropy();"), ["ambient-rng"]);
+    assert_eq!(
+        rules_hit("let mut r = rand::thread_rng();"),
+        ["ambient-rng"]
+    );
+    assert_eq!(
+        rules_hit("let r = StdRng::from_entropy();"),
+        ["ambient-rng"]
+    );
     assert_eq!(rules_hit("use rand::rngs::OsRng;"), ["ambient-rng"]);
     assert_eq!(rules_hit("let x: u8 = rand::random();"), ["ambient-rng"]);
     // Seeded construction is the sanctioned path.
-    assert_eq!(rules_hit("let r = StdRng::seed_from_u64(42);"), Vec::<String>::new());
+    assert_eq!(
+        rules_hit("let r = StdRng::seed_from_u64(42);"),
+        Vec::<String>::new()
+    );
 }
 
 #[test]
@@ -44,7 +56,10 @@ fn hash_container_fixture_is_flagged() {
     assert_eq!(rules, ["hash-container"]);
     assert_eq!(lint(src).len(), 3);
     // The deterministic alternatives stay silent.
-    assert_eq!(rules_hit("use std::collections::{BTreeMap, BTreeSet};"), Vec::<String>::new());
+    assert_eq!(
+        rules_hit("use std::collections::{BTreeMap, BTreeSet};"),
+        Vec::<String>::new()
+    );
 }
 
 #[test]
@@ -52,7 +67,10 @@ fn float_state_fixture_is_flagged() {
     assert_eq!(rules_hit("pub struct S { pub skew: f64 }"), ["float-state"]);
     assert_eq!(rules_hit("fn f(x: f32) -> f32 { x }"), ["float-state"]);
     // Numeric literals with suffixes are not type mentions.
-    assert_eq!(rules_hit("let micros = 1_000_000u64;"), Vec::<String>::new());
+    assert_eq!(
+        rules_hit("let micros = 1_000_000u64;"),
+        Vec::<String>::new()
+    );
 }
 
 #[test]
@@ -63,7 +81,10 @@ fn actor_io_fixture_is_flagged() {
     assert_eq!(rules_hit(r#"let v = std::env::var("SEED");"#), ["actor-io"]);
     assert_eq!(rules_hit("let x = dbg!(1 + 1);"), ["actor-io"]);
     // `print` as a plain identifier (no `!`) is someone's function name.
-    assert_eq!(rules_hit("fn print(x: u8) {} fn g() { print(1); }"), Vec::<String>::new());
+    assert_eq!(
+        rules_hit("fn print(x: u8) {} fn g() { print(1); }"),
+        Vec::<String>::new()
+    );
 }
 
 #[test]

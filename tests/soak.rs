@@ -51,7 +51,7 @@ fn two_minute_adversarial_soak_converges_clean() {
     w.crash_at(s(5), ProcessId(1));
     w.recover_at(s(12), ProcessId(1));
     w.partition_at(s(20), &[&[0, 1, 2], &[3, 4]]);
-    w.heal_at(s(28), );
+    w.heal_at(s(28));
     w.crash_at(s(38), ProcessId(0));
     w.crash_at(s(38), ProcessId(2));
     w.recover_at(s(46), ProcessId(0));
