@@ -10,8 +10,10 @@
 //!
 //! Each proposal the member knows something about has one slot: the
 //! proposal itself while pending, or its archived copy once delivered,
-//! its ordinal once learned, and its descriptor while it is delivered
-//! but not ordered (the `dpd` pool, §4.3). A proposer's slots sit in
+//! its ordinal once learned, its descriptor while it is delivered but
+//! not ordered (the `dpd` pool, §4.3), and when it was last asked for.
+//! Those ordered but neither held nor delivered are the *gap set*, what
+//! loss repair asks for. A proposer's slots sit in
 //! dense rings indexed by sequence number, beside its FIFO cursor and
 //! incarnation, so a lookup is an index, not a search. Nearly always
 //! there is one ring per proposer; an incarnation's band jump or a
@@ -140,11 +142,15 @@ struct Slot {
     /// ordinal without ending the entry, and a settle can then drop the
     /// copy.
     dpd: Option<UpdateDesc>,
+    /// When a retransmission was last asked for (rate limiting), until it
+    /// is delivered or the window base passes its assignment.
+    nacked: Option<SyncTime>,
 }
 
 impl Slot {
     fn is_empty(&self) -> bool {
-        matches!(self.held, Held::Nothing) && self.ordinal.is_none() && self.dpd.is_none()
+        let unheld = matches!(self.held, Held::Nothing);
+        unheld && self.ordinal.is_none() && self.dpd.is_none() && self.nacked.is_none()
     }
 
     fn pending(&self) -> Option<&Proposal> {
@@ -373,6 +379,9 @@ pub struct ProposalBuffer {
     /// Delivered ids whose ordinal the window base has passed: ordered in
     /// this lineage, their assignment no longer kept.
     settled: IdRuns,
+    /// The gap set: every kept assignment of a proposal neither held nor
+    /// delivered, below the window base too (it may re-open there).
+    gaps: BTreeSet<(Ordinal, ProposalId)>,
     /// §4.3 local undeliverable marks, with their expiry (one cycle,
     /// unless renewed).
     local_marks: BTreeMap<ProposalId, SyncTime>,
@@ -390,6 +399,8 @@ struct History {
     delivered: BTreeSet<ProposalId>,
     /// Every assignment ever learned (until the lineage is voided).
     ordinals: BTreeMap<ProposalId, Ordinal>,
+    /// `ordinals` less the delivered ids.
+    undelivered: BTreeMap<ProposalId, Ordinal>,
     /// The archive's ids as a sweep of the whole archive at every settle
     /// leaves them: every delivered id not assigned an ordinal below the
     /// base of the last sweep.
@@ -424,7 +435,11 @@ impl ProposalBuffer {
         if self.is_delivered(id) || self.has_pending(id) {
             return false;
         }
-        self.proposers.slot_or_new(id).held = Held::Pending(p);
+        let slot = self.proposers.slot_or_new(id);
+        if let Some(o) = slot.ordinal {
+            self.gaps.remove(&(o, id));
+        }
+        slot.held = Held::Pending(p);
         self.pending += 1;
         #[cfg(any(test, debug_assertions))]
         self.reference.pending.insert(id);
@@ -451,12 +466,16 @@ impl ProposalBuffer {
         }
     }
 
-    /// Account for pending proposals dropped without delivery.
+    /// Account for pending proposals dropped without delivery: an
+    /// ordered one is a gap now.
     fn forget_pending(&mut self, dropped: &[ProposalId]) {
         self.pending -= dropped.len();
-        #[cfg(any(test, debug_assertions))]
-        for id in dropped {
-            self.reference.pending.remove(id);
+        for &id in dropped {
+            if let Some(o) = self.proposers.slot(id).and_then(|s| s.ordinal) {
+                self.gaps.insert((o, id));
+            }
+            #[cfg(any(test, debug_assertions))]
+            self.reference.pending.remove(&id);
         }
     }
 
@@ -523,15 +542,25 @@ impl ProposalBuffer {
     /// Record an ordinal assignment learned from the oal.
     pub fn learn_ordinal(&mut self, id: ProposalId, o: Ordinal) {
         #[cfg(any(test, debug_assertions))]
+        if !self.reference.delivered.contains(&id) {
+            self.reference.undelivered.insert(id, o);
+        }
+        #[cfg(any(test, debug_assertions))]
         self.reference.ordinals.insert(id, o);
-        match self.proposers.slot_or_new(id).ordinal.replace(o) {
+        let slot = self.proposers.slot_or_new(id);
+        let held = !matches!(slot.held, Held::Nothing);
+        match slot.ordinal.replace(o) {
             Some(old) if old == o => return,
             Some(old) => {
                 if let Ok(i) = self.by_ordinal.binary_search(&(old, id)) {
                     self.by_ordinal.remove(i);
                 }
+                self.gaps.remove(&(old, id));
             }
             None => {}
+        }
+        if !held && !self.delivered.contains(id) {
+            self.gaps.insert((o, id));
         }
         self.index(o, id);
     }
@@ -585,8 +614,11 @@ impl ProposalBuffer {
         self.by_ordinal.clear();
         self.settled_base = Ordinal::ZERO;
         self.settled = IdRuns::default();
+        self.gaps.clear();
         #[cfg(any(test, debug_assertions))]
         self.reference.ordinals.clear();
+        #[cfg(any(test, debug_assertions))]
+        self.reference.undelivered.clear();
     }
 
     /// Does the sender's FIFO cursor permit delivering `id` now?
@@ -640,6 +672,7 @@ impl ProposalBuffer {
             panic!("deliver of non-pending");
         };
         slot.held = Held::Archived(p.clone());
+        slot.nacked = None;
         let ordinal = slot.ordinal;
         self.pending -= 1;
         self.delivered.insert(id);
@@ -653,9 +686,38 @@ impl ProposalBuffer {
         {
             self.reference.pending.remove(&id);
             self.reference.delivered.insert(id);
+            self.reference.undelivered.remove(&id);
             self.reference.archived.insert(id);
         }
         p
+    }
+
+    /// The gap set from ordinal `from` on, in ordinal order: the ordered
+    /// proposals this member has not received.
+    pub fn gaps(&self, from: Ordinal) -> impl Iterator<Item = (Ordinal, ProposalId)> + '_ {
+        #[cfg(any(test, debug_assertions))]
+        self.check_gaps();
+        self.gaps.range((from, ProposalId::default())..).copied()
+    }
+
+    /// Assert the gap set is the assignments minus delivered minus pending.
+    #[cfg(any(test, debug_assertions))]
+    fn check_gaps(&self) {
+        let (undelivered, pending) = (&self.reference.undelivered, &self.reference.pending);
+        let lacked = undelivered.iter().filter(|(id, _)| !pending.contains(id));
+        let lacked: BTreeSet<_> = lacked.map(|(id, o)| (*o, *id)).collect();
+        assert_eq!(self.gaps, lacked, "gap set and full history disagree");
+    }
+
+    /// When `id` was last asked for, unless it was delivered or passed by
+    /// the window base since.
+    pub fn nacked(&self, id: ProposalId) -> Option<SyncTime> {
+        self.proposers.slot(id).and_then(|s| s.nacked)
+    }
+
+    /// Record that `id` was asked for at `at`.
+    pub fn note_nack(&mut self, id: ProposalId, at: SyncTime) {
+        self.proposers.slot_or_new(id).nacked = Some(at);
     }
 
     /// Retrieve a proposal we still hold (pending or archived) for
@@ -671,9 +733,10 @@ impl ProposalBuffer {
     /// proposal ordered below `base` is stable — everyone has it, nobody
     /// will ask for it again — so its archived copy and its assignment
     /// go, and it is recorded as settled. Undelivered ones keep their
-    /// assignment. Costs the assignments the base passed since the last
-    /// call, plus, when the window re-opened below that base, one pass
-    /// over the assignments kept.
+    /// assignment, and forget when they were last asked for. Costs the
+    /// assignments the base passed since the last call, plus, when the
+    /// window re-opened below that base, one pass over the assignments
+    /// kept.
     pub fn settle(&mut self, base: Ordinal) {
         if base < self.settled_base {
             let mut all: Vec<_> = self.proposers.ordinals().collect();
@@ -695,6 +758,7 @@ impl ProposalBuffer {
                     s.ordinal = None;
                     s.held = Held::Nothing;
                 }
+                s.nacked = None;
                 settles
             });
             if settles.expect("an indexed assignment has a slot") {
@@ -715,6 +779,7 @@ impl ProposalBuffer {
                 archive.eq(archived.iter().copied()),
                 "settled archive and full-history collection disagree below {base:?}"
             );
+            self.check_gaps();
         }
     }
 
@@ -1259,6 +1324,7 @@ mod tests {
         delivered: BTreeSet<ProposalId>,
         dpd: BTreeMap<ProposalId, UpdateDesc>,
         incarnations: BTreeMap<ProcessId, Incarnation>,
+        nacked: BTreeMap<ProposalId, SyncTime>,
     }
 
     impl Model {
@@ -1274,6 +1340,17 @@ mod tests {
                 self.archive.remove(&id);
                 self.settled.insert(id);
             }
+            let ordinals = &self.ordinals;
+            self.nacked
+                .retain(|id, _| ordinals.get(id).is_none_or(|o| *o >= base));
+        }
+
+        /// Assigned ids neither pending nor delivered, by ordinal.
+        fn gaps(&self) -> Vec<(Ordinal, ProposalId)> {
+            let lacked = |id| !self.pending.contains_key(id) && !self.delivered.contains(id);
+            let gaps = self.ordinals.iter().filter(|(id, _)| lacked(*id));
+            let gaps: BTreeSet<_> = gaps.map(|(id, o)| (*o, *id)).collect();
+            gaps.into_iter().collect()
         }
 
         /// Each proposer's pending proposal at `b`'s cursor, in order.
@@ -1317,14 +1394,16 @@ mod tests {
         // A seeded walk over every operation on the buffer, with sequence
         // numbers at the cursor, within and beyond the ring gap above it,
         // below it, and a million past it; every answer is compared with
-        // the plain maps after every step.
+        // the plain maps after every step. NACKs are stamped on gaps at or
+        // above the last settled base, as a member's window holds them.
         const JUMP: u64 = 1_000_000;
-        let mut most_rings = 0;
+        let (mut most_rings, mut nacks_passed) = (0, 0);
         for seed in 1..=12u64 {
             let mut b = ProposalBuffer::new();
             let mut m = Model::default();
             let mut touched = BTreeSet::new();
             let mut ordinal = 1u64;
+            let mut base = Ordinal::ZERO;
             let mut x = seed;
             let mut draw = |n: u64| {
                 x = x
@@ -1350,7 +1429,7 @@ mod tests {
                 };
                 let i = ProposalId::new(sender, seq);
                 touched.insert(i);
-                match draw(40) {
+                match draw(44) {
                     0..=11 => {
                         let mut p = prop(sender.0, seq);
                         p.incarnation = Incarnation(inc.0.saturating_sub((draw(4) / 3) as u32));
@@ -1370,6 +1449,7 @@ mod tests {
                             let p = m.pending.remove(&h).expect("a head is pending");
                             m.archive.insert(h, p);
                             m.delivered.insert(h);
+                            m.nacked.remove(&h);
                         }
                     }
                     18 | 19 => {
@@ -1396,14 +1476,17 @@ mod tests {
                         ordinal += 1;
                     }
                     29..=31 => {
-                        let base = Ordinal(ordinal.saturating_sub(draw(12)));
+                        base = Ordinal(ordinal.saturating_sub(draw(12)));
                         b.settle(base);
+                        let nacked = m.nacked.len();
                         m.settle(base);
+                        nacks_passed += nacked - m.nacked.len();
                     }
                     32 => {
                         b.clear_ordinals();
                         m.ordinals.clear();
                         m.settled.clear();
+                        base = Ordinal::ZERO;
                     }
                     33..=35 => {
                         let desc = m
@@ -1421,10 +1504,19 @@ mod tests {
                         b.dpd_clear();
                         m.dpd.clear();
                     }
+                    39..=42 => {
+                        let gap = b.gaps(base).nth(draw(3) as usize);
+                        if let Some((_, g)) = gap {
+                            let now = SyncTime(step);
+                            b.note_nack(g, now);
+                            m.nacked.insert(g, now);
+                        }
+                    }
                     _ => {
                         if draw(4) == 0 {
                             b.clear();
                             m = Model::default();
+                            base = Ordinal::ZERO;
                         }
                     }
                 }
@@ -1443,12 +1535,14 @@ mod tests {
                     (m.ordinals.len(), m.archive.len()),
                     "{at}"
                 );
+                assert_eq!(b.gaps(Ordinal::ZERO).collect::<Vec<_>>(), m.gaps(), "{at}");
                 for &i in &touched {
                     let held = m.pending.get(&i).or_else(|| m.archive.get(&i));
                     assert_eq!(b.retrieve(i), held, "{at}: {i}");
                     assert_eq!(b.ordinal_of(i), m.ordinals.get(&i).copied(), "{at}: {i}");
                     let ordered = m.ordinals.contains_key(&i) || m.settled.contains(&i);
                     assert_eq!(b.is_ordered(i), ordered, "{at}: {i}");
+                    assert_eq!(b.nacked(i), m.nacked.get(&i).copied(), "{at}: {i}");
                 }
                 assert_rings_tidy(&b, &at);
                 let rings = b.proposers.0.iter().map(|e| e.rings.len()).max();
@@ -1456,6 +1550,7 @@ mod tests {
             }
         }
         assert!(most_rings >= 3, "the walk never split a proposer's slots");
+        assert!(nacks_passed > 0, "the base never passed a NACKed gap");
     }
 
     #[test]

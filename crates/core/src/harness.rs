@@ -20,6 +20,11 @@ const TICK: u64 = 1;
 /// Timer token for the clock-synchronization resync tick.
 const CLOCK_TICK: u64 = 2;
 
+/// An application layered on the delivery stream (see
+/// [`crate::driver::DeliveryHook`]; the simulator is single-threaded, so
+/// its hooks need not be `Send`).
+type SimHook = Box<dyn FnMut(AppEvent<'_>) -> Option<Bytes>>;
+
 /// A [`Member`] wired to the simulator, with an experiment log.
 pub struct SimMember {
     driver: Driver,
@@ -33,10 +38,8 @@ pub struct SimMember {
     pub views: Vec<(HwTime, View)>,
     /// Every departure to join state.
     pub leaves: Vec<(HwTime, LeaveReason)>,
-    /// Optional application layered on the delivery stream (see
-    /// [`crate::driver::DeliveryHook`]; the simulator is single-threaded,
-    /// so its hooks need not be `Send`).
-    on_deliver: Option<Box<dyn FnMut(AppEvent<'_>) -> Option<Bytes>>>,
+    /// Optional application hook.
+    on_deliver: Option<SimHook>,
 }
 
 /// Manual impl: the exhaustive schedule explorer (`tw_sim::explore`)

@@ -1,13 +1,13 @@
 //! Broadcast-side behaviour of a member: proposing updates, buffering
 //! received proposals, driving deliveries, and join-time state transfer.
 
-use super::{CreatorState, Gaps, Member};
+use super::{CreatorState, Member};
 use crate::events::Action;
 use bytes::Bytes;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use tw_proto::frame::MAX_OAL_WINDOW;
 use tw_proto::{
-    Descriptor, DescriptorBody, HwTime, Msg, Ordinal, ProcessId, Proposal, ProposalId, Semantics,
+    Descriptor, DescriptorBody, HwTime, Msg, ProcessId, Proposal, ProposalId, Semantics,
     StateTransfer, SyncTime,
 };
 
@@ -148,8 +148,6 @@ impl Member {
                 break;
             };
             let p = self.buf.deliver(id);
-            // Delivered is received for good: never asked for again.
-            self.nack_last.remove(&id);
             if ordinal.is_none() {
                 // Delivered before ordering: remember its descriptor for
                 // the dpd field of control messages (§4.3).
@@ -200,7 +198,6 @@ impl Member {
         for (p, next) in st.fifo {
             self.buf.set_fifo_cursor(p, next);
         }
-        self.nack_gaps = None; // the cursors may have un-received ordered proposals
         for p in st.proposals {
             self.buf.insert(p);
         }
@@ -216,31 +213,21 @@ impl Member {
     /// (rate-limited to one request per proposal per `2D`). Walks the
     /// gaps only, not the window.
     pub(crate) fn maybe_nack(&mut self, now: SyncTime, actions: &mut Vec<Action>) {
-        if self.nack_gaps.is_none() {
-            self.nack_gaps = Some(Gaps {
-                ordinals: self.unreceived_in_window(),
-                ..Gaps::default()
-            });
-        }
-        let mut last = std::mem::take(&mut self.nack_last);
         #[cfg(any(test, debug_assertions))]
         let reference = {
             crate::delivery::visited(self.oal.len());
-            let mut last = last.clone();
-            let window = self.oal.iter().map(|(_, d)| d);
-            (self.nack_requests(window, now, &mut last), last)
+            self.nack_requests(self.oal.iter().map(|(_, d)| d), now)
         };
-        let gaps = self.nack_gaps.iter().flat_map(|g| &g.ordinals);
-        let requests = self.nack_requests(gaps.filter_map(|o| self.oal.get(*o)), now, &mut last);
+        let requests = self.nack_requests(self.window_gaps().map(|(_, d)| d), now);
         #[cfg(any(test, debug_assertions))]
         assert_eq!(
-            (&requests, &last),
-            (&reference.0, &reference.1),
-            "gap set and window scan disagree on what to ask for ({:?})",
-            self.nack_gaps
+            requests, reference,
+            "gap set and window scan disagree on what to ask for"
         );
-        self.nack_last = last;
         for (holder, missing) in requests {
+            for id in &missing {
+                self.buf.note_nack(*id, now);
+            }
             let send_ts = self.stamp(now);
             actions.push(Action::Send(
                 holder,
@@ -253,27 +240,22 @@ impl Member {
         }
     }
 
-    /// Ordinals of the window's deliverable updates we have not received.
-    fn unreceived_in_window(&self) -> BTreeSet<Ordinal> {
-        self.oal
-            .iter()
-            .filter(|(_, d)| match &d.body {
-                DescriptorBody::Update { id, .. } => {
-                    !d.undeliverable && !self.buf.has_received(*id)
-                }
-                DescriptorBody::Membership(_) => false,
-            })
-            .map(|(o, _)| o)
-            .collect()
+    /// The window's updates this member has not received, in ordinal
+    /// order: the buffer's gaps from the window base on, as the window
+    /// holds them.
+    pub(crate) fn window_gaps(&self) -> impl Iterator<Item = (ProposalId, &Descriptor)> {
+        self.buf.gaps(self.oal.base()).filter_map(|(o, id)| {
+            let d = self.oal.get(o)?;
+            (d.body.proposal_id() == Some(id)).then_some((id, d))
+        })
     }
 
     /// The NACK rule over `descs`, in order: whom to ask for which missing
-    /// update. Requests made are stamped into `nack_last`.
+    /// update. The caller records what it sends.
     fn nack_requests<'a>(
         &self,
         descs: impl Iterator<Item = &'a Descriptor>,
         now: SyncTime,
-        nack_last: &mut BTreeMap<ProposalId, SyncTime>,
     ) -> BTreeMap<ProcessId, Vec<ProposalId>> {
         let retry = self.cfg.big_d * 2;
         let mut requests: BTreeMap<ProcessId, Vec<ProposalId>> = BTreeMap::new();
@@ -287,10 +269,8 @@ impl Member {
             {
                 continue;
             }
-            if let Some(&last) = nack_last.get(id) {
-                if now - last < retry {
-                    continue;
-                }
+            if self.buf.nacked(*id).is_some_and(|last| now - last < retry) {
+                continue;
             }
             // Ask the lowest-ranked acknowledged holder (≠ me).
             let holder = self
@@ -300,7 +280,6 @@ impl Member {
                 .copied()
                 .find(|m| *m != self.pid && desc.acks.contains(*m));
             if let Some(h) = holder {
-                nack_last.insert(*id, now);
                 requests.entry(h).or_default().push(*id);
             }
         }
@@ -340,7 +319,7 @@ mod tests {
     use super::*;
     use crate::buffers::RING_GAP;
     use crate::config::Config;
-    use tw_proto::{Atomicity, Duration, Oal, View, ViewId};
+    use tw_proto::{Atomicity, Duration, Oal, Ordinal, View, ViewId};
 
     fn synced_member(pid: u16) -> Member {
         let mut m = Member::new(
@@ -631,47 +610,116 @@ mod tests {
         );
     }
 
+    /// What `maybe_nack` asks for at `now`: whom, for which ids.
+    fn nacks(m: &mut Member, now: i64) -> Vec<(ProcessId, Vec<ProposalId>)> {
+        let mut actions = Vec::new();
+        m.maybe_nack(SyncTime(now), &mut actions);
+        let nacks = actions.into_iter().filter_map(|a| match a {
+            Action::Send(to, Msg::Nack(n)) => Some((to, n.missing)),
+            _ => None,
+        });
+        nacks.collect()
+    }
+
+    /// The buffer's gap set, ids only.
+    fn gaps(m: &Member) -> Vec<ProposalId> {
+        m.buf.gaps(Ordinal::ZERO).map(|(_, id)| id).collect()
+    }
+
     #[test]
     fn nack_bookkeeping_ends_with_delivery_or_pruning() {
         let mut m = synced_member(0);
         in_group(&mut m);
         // Two ordered updates of p1's that we never received: a weak one,
-        // and a strong one that will wait for a majority once it arrives.
+        // and a strong one that depends on an ordinal not yet assigned.
         order(&mut m.oal, P1, 1, Semantics::UNORDERED_WEAK, &[P1]);
         order(&mut m.oal, P1, 2, STRONG, &[P1]);
         m.sync_with_oal(SyncTime(1));
-        let mut actions = Vec::new();
-        m.maybe_nack(SyncTime(2), &mut actions);
-        let asked: Vec<_> = actions
-            .iter()
-            .filter_map(|a| match a {
-                Action::Send(to, Msg::Nack(n)) => Some((*to, n.missing.clone())),
-                _ => None,
-            })
-            .collect();
         let (weak, strong) = (ProposalId::new(P1, 1), ProposalId::new(P1, 2));
-        assert_eq!(asked, vec![(P1, vec![weak, strong])]);
-        assert_eq!(m.nack_last.len(), 2);
+        assert_eq!(gaps(&m), vec![weak, strong]);
+        assert_eq!(nacks(&mut m, 2), vec![(P1, vec![weak, strong])]);
+        let nacked = |m: &Member| [weak, strong].map(|id| m.buf.nacked(id));
+        assert_eq!(nacked(&m), [Some(SyncTime(2)); 2]);
         // Asked again at once: rate-limited.
-        let mut again = Vec::new();
-        m.maybe_nack(SyncTime(3), &mut again);
-        assert!(again.is_empty());
-        // Both arrive. The weak one delivers and is forgotten; the strong
-        // one stays pending, and so does its entry (a pending proposal
-        // can still be dropped by a state transfer's FIFO cursors).
-        for (seq, sem) in [(1, Semantics::UNORDERED_WEAK), (2, STRONG)] {
-            let p = proposal(P1, seq, sem, Ordinal(2));
+        assert!(nacks(&mut m, 3).is_empty());
+        // Both arrive: no gap is left. The weak one delivers and its NACK
+        // time goes; the strong one stays pending, and so does its time (a
+        // pending proposal can still be dropped by a state transfer's FIFO
+        // cursors).
+        for (seq, sem, hdo) in [(1, Semantics::UNORDERED_WEAK, 0), (2, STRONG, 9)] {
+            let p = proposal(P1, seq, sem, Ordinal(hdo));
             m.on_message(HwTime(4), P1, Msg::Proposal(p));
         }
         assert!(m.buf.is_delivered(weak) && m.buf.has_pending(strong));
-        assert_eq!(m.nack_last.keys().collect::<Vec<_>>(), vec![&strong]);
-        // The next decision has pruned both descriptors.
+        assert!(gaps(&m).is_empty());
+        assert_eq!(nacked(&m), [None, Some(SyncTime(2))]);
+        // The next decision has pruned both descriptors: the base passing
+        // the strong one's assignment ends its time, pending or not.
         let mut pruned = Oal::new();
         pruned.restore(Ordinal(3), vec![]);
         let view = m.view.clone();
         m.on_message(HwTime(10), P1, decision(P1, 10, &view, &pruned));
         assert_eq!(m.oal.base(), Ordinal(3));
-        assert!(m.nack_last.is_empty(), "{:?}", m.nack_last);
+        assert!(m.buf.has_pending(strong));
+        assert_eq!(nacked(&m), [None, None]);
+    }
+
+    #[test]
+    fn every_way_to_lose_an_ordered_update_is_asked_for() {
+        let mut m = synced_member(0);
+        in_group(&mut m);
+        // Three proposals received here and ordered, p1 holding them too:
+        // p1's first, and p2's first two, the second depending on an
+        // ordinal nobody knows.
+        let [a, b, c] = [(P1, 1), (P2, 1), (P2, 2)].map(|(p, seq)| ProposalId::new(p, seq));
+        for (id, hdo) in [(a, 0), (b, 0), (c, 99)] {
+            m.buf
+                .insert(proposal(id.proposer, id.seq, STRONG, Ordinal(hdo)));
+            let mut d = Descriptor::update(id, Ordinal(hdo), STRONG, SyncTime(1), P1);
+            d.acks = [P1].into_iter().collect();
+            m.oal.append(d);
+        }
+        m.sync_with_oal(SyncTime(1));
+        assert!(gaps(&m).is_empty() && nacks(&mut m, 2).is_empty());
+        // p1 restarts: its join drops its old life's pending proposal.
+        let join = tw_proto::Join {
+            sender: P1,
+            incarnation: tw_proto::Incarnation(1),
+            send_ts: SyncTime(3),
+            join_list: vec![],
+            alive: tw_proto::AliveList::EMPTY,
+        };
+        m.handle_join(SyncTime(3), join, &mut Vec::new());
+        assert_eq!(nacks(&mut m, 4), vec![(P1, vec![a])]);
+        // A state transfer's FIFO cursor passes p2's first.
+        let st = StateTransfer {
+            sender: P1,
+            to: P0,
+            view_id: m.view.id,
+            app_state: Bytes::new(),
+            proposals: vec![],
+            fifo: vec![(P2, 2)],
+            ordinals: vec![],
+        };
+        m.handle_state_transfer(SyncTime(5), st, &mut Vec::new());
+        assert_eq!(nacks(&mut m, 6), vec![(P1, vec![b])]);
+        // A new group: its decider purges p2's second (unknown dependency)
+        // and orders p1's next update, which only an election told it of.
+        let d = ProposalId::new(P1, (1 << 32) + 1);
+        let dpd = proposal(P1, d.seq, STRONG, Ordinal::ZERO).desc();
+        m.create_group(
+            SyncTime(7),
+            [P0, P1, P2].into(),
+            vec![],
+            vec![dpd],
+            &mut Vec::new(),
+        );
+        assert!(m.buf.is_ordered(d) && !m.buf.has_pending(c));
+        assert_eq!(gaps(&m), vec![a, b, c, d]);
+        // An undeliverable gap is never asked for, the others once per
+        // 2D: once p1 acknowledges d, d alone.
+        m.oal.ack(m.ordinal_of(d).unwrap(), P1);
+        assert_eq!(nacks(&mut m, 8), vec![(P1, vec![d])]);
     }
 
     #[test]

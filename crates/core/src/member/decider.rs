@@ -7,7 +7,7 @@
 //! common machinery used by all four group-creation paths (initial join,
 //! join integration, single-failure removal, reconfiguration).
 
-use super::{CreatorState, Gaps, Member};
+use super::{CreatorState, Member};
 use crate::events::{Action, LeaveReason};
 use crate::undeliverable;
 use std::collections::BTreeSet;
@@ -27,8 +27,6 @@ struct SyncPlan {
     purge: Vec<ProposalId>,
     /// Descriptors to acknowledge.
     ack: Vec<Ordinal>,
-    /// Updates not received.
-    gaps: BTreeSet<Ordinal>,
 }
 
 /// The view's member set as a bitset (for allocation-free trace events).
@@ -159,35 +157,32 @@ impl Member {
 
     /// Reconcile buffers with the current oal: learn ordinal
     /// assignments, drop proposals a decider ruled undeliverable, mark
-    /// our own acknowledgement bits for everything we hold, note what we
-    /// do not hold (for `maybe_nack`), and settle what the base passed.
+    /// our own acknowledgement bits for everything we hold, and settle
+    /// what the base passed.
     ///
-    /// Walks only what the last sync did not see. While its gap set
-    /// stands, a descriptor below where it stopped that was no gap then,
-    /// carries my acknowledgement and is not undeliverable needs nothing:
-    /// its assignment is learned and there is nothing to ack or purge.
-    /// My ack bit alone would not do — a restarted member inherits its
-    /// rank's bit from its previous life — hence "no gap then".
+    /// Walks only what the last sync did not see. While the window it
+    /// walked stands, a descriptor below where it stopped that carries my
+    /// acknowledgement and is not undeliverable needs nothing: its
+    /// assignment is learned and there is nothing to ack or purge.
     pub(crate) fn sync_with_oal(&mut self, now: SyncTime) {
         let window = self.oal.base()..self.oal.next_ordinal();
-        let last = self.nack_gaps.take().unwrap_or_default();
         // A window re-opened below the base last walked holds
         // descriptors that sync never saw.
-        let seen = if window.start >= last.walked.start {
-            last.walked.end
+        let seen = if window.start >= self.synced.start {
+            self.synced.end
         } else {
             Ordinal::ZERO
         };
         let me = self.pid;
         let plan = self.plan_sync(now, |o, d| {
-            o < seen && d.acks.contains(me) && !d.undeliverable && !last.ordinals.contains(&o)
+            o < seen && d.acks.contains(me) && !d.undeliverable
         });
         #[cfg(any(test, debug_assertions))]
         let full = {
             let full = self.plan_sync(now, |_, _| false);
             assert_eq!(
-                (&plan.purge, &plan.ack, &plan.gaps),
-                (&full.purge, &full.ack, &full.gaps),
+                (&plan.purge, &plan.ack),
+                (&full.purge, &full.ack),
                 "sync of {window:?} past {seen:?} and full-window sync disagree"
             );
             full
@@ -211,15 +206,8 @@ impl Member {
         }
         // Everything below the window base is stable: stop archiving it,
         // and nobody will be asked for it again.
-        let base = window.start;
-        self.buf.settle(base);
-        let buf = &self.buf;
-        self.nack_last
-            .retain(|id, _| buf.ordinal_of(*id).is_none_or(|o| o >= base));
-        self.nack_gaps = Some(Gaps {
-            ordinals: plan.gaps,
-            walked: window,
-        });
+        self.buf.settle(window.start);
+        self.synced = window;
     }
 
     /// What syncing with the window takes, leaving out the descriptors
@@ -231,11 +219,10 @@ impl Member {
             match &desc.body {
                 DescriptorBody::Update { id, .. } => {
                     plan.learn.push((*id, o));
+                    let holds = self.buf.has_received(*id) && !self.buf.is_locally_marked(*id, now);
                     if desc.undeliverable {
                         plan.purge.push(*id);
-                    } else if !self.buf.has_received(*id) {
-                        plan.gaps.insert(o);
-                    } else if !self.buf.is_locally_marked(*id, now) && !desc.acks.contains(me) {
+                    } else if holds && !desc.acks.contains(me) {
                         plan.ack.push(o);
                     }
                 }
@@ -326,11 +313,6 @@ impl Member {
         ));
         self.buf.learn_ordinal(id, o);
         self.buf.dpd_remove(id);
-        if !self.buf.has_received(id) {
-            // Another member's dpd: a gap the set does not hold. My own
-            // pending and dpd proposals never are gaps.
-            self.nack_gaps = None;
-        }
     }
 
     /// Become the decider of a freshly created group (initial formation,

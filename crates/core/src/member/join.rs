@@ -56,12 +56,6 @@ impl Member {
         actions.push(Action::Broadcast(msg));
     }
 
-    /// Debug/experiment access to the current join set.
-    #[doc(hidden)]
-    pub fn my_join_set_dbg(&self, now: SyncTime) -> Vec<u16> {
-        self.my_join_set(now).into_iter().map(|p| p.0).collect()
-    }
-
     /// My current join-list: self plus every process whose join message
     /// arrived within the last cycle. (The paper says "the last N−1
     /// slots"; since each process sends exactly once per cycle in its own
@@ -118,7 +112,6 @@ impl Member {
             return;
         }
         self.buf.note_incarnation(j.sender, j.incarnation);
-        self.nack_gaps = None; // the purge may have un-received an ordered proposal
         let mut set = j.join_set();
         set.insert(j.sender);
         self.join_heard.insert(

@@ -170,7 +170,6 @@ impl Member {
                 ts: r.send_ts,
                 list: r.reconfig_set(),
                 last_decision_ts: r.last_decision_ts,
-                last_view: r.last_view,
                 oal: r.oal_view,
                 dpd: r.dpd,
             },

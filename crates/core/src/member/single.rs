@@ -15,7 +15,7 @@
 use super::{CreatorState, Member};
 use crate::events::Action;
 use tw_obs::TraceEvent;
-use tw_proto::{DescriptorBody, Msg, NoDecision, ProcessId, SyncTime};
+use tw_proto::{Msg, NoDecision, ProcessId, SyncTime};
 
 impl Member {
     /// The failure detector reported a timeout failure of `suspect`.
@@ -111,18 +111,8 @@ impl Member {
         // but that I never received; they may be lost with it. The mark
         // expires after one cycle unless renewed.
         let until = now + self.cfg.cycle();
-        let unreceived: Vec<_> = self
-            .oal
-            .iter()
-            .filter_map(|(_, d)| match &d.body {
-                DescriptorBody::Update { id, .. }
-                    if id.proposer == suspect && !self.buf.has_received(*id) =>
-                {
-                    Some(*id)
-                }
-                _ => None,
-            })
-            .collect();
+        let lacked = self.window_gaps().map(|(id, _)| id);
+        let unreceived: Vec<_> = lacked.filter(|id| id.proposer == suspect).collect();
         for id in unreceived {
             self.buf.mark_local(id, until);
         }

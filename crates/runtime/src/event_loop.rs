@@ -22,7 +22,7 @@
 //! client latency rather than as a decision the receivers refuse.
 //!
 //! The loop only schedules: every input goes through the one
-//! [`Dispatcher::dispatch`](crate::node::Dispatcher), which times it
+//! `Dispatcher::dispatch`, which times it
 //! (step through flush) into the node's `dispatch_latency_us` histogram,
 //! making the §5 latency argument measurable: compare this distribution
 //! against the thread-based executor's lock-and-switch overhead.

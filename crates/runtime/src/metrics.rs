@@ -54,9 +54,9 @@ impl NodeMetrics {
             .collect();
         let deliveries = registry.counter("deliveries");
         let views = registry.counter("views_installed");
-        let dispatch_latency = registry.histogram("dispatch_latency_us", &LATENCY_BOUNDS_US);
-        let tick_lag = registry.histogram("tick_lag_us", &LATENCY_BOUNDS_US);
-        let deadline_overrun = registry.histogram("deadline_overrun_us", &LATENCY_BOUNDS_US);
+        let dispatch_latency = registry.histogram("dispatch_latency_us", LATENCY_BOUNDS_US);
+        let tick_lag = registry.histogram("tick_lag_us", LATENCY_BOUNDS_US);
+        let deadline_overrun = registry.histogram("deadline_overrun_us", LATENCY_BOUNDS_US);
         let inbox_depth = registry.gauge("tw_inbox_depth");
         let recorder_buffered = registry.gauge("tw_recorder_buffered");
         let batch_fill = registry.gauge("tw_mmsg_batch_fill");

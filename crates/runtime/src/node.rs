@@ -500,10 +500,20 @@ impl ClusterBuilder {
     }
 
     /// Fix what outlives any one node, before the first is started:
-    /// create every recording file up front (so I/O errors surface here,
-    /// not inside node threads) and each rank's recorder-plus-shared-sink.
+    /// check that every rank's ops port exists, create every recording
+    /// file up front (so I/O errors surface here, not inside node
+    /// threads) and each rank's recorder-plus-shared-sink.
     pub(crate) fn resolve(&mut self) -> std::io::Result<()> {
         let cfg = self.cfg;
+        if let Some(ops) = &self.ops {
+            let last = ops.base_port as usize + cfg.n.saturating_sub(1);
+            if last > u16::MAX as usize {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!("ops ports {}..={last} run past {}", ops.base_port, u16::MAX),
+                ));
+            }
+        }
         self.recorders = vec![None; cfg.n];
         if let Some(setup) = &self.record {
             std::fs::create_dir_all(&setup.dir)?;

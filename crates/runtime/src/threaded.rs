@@ -3,7 +3,7 @@
 //!
 //! One thread per event *type*: a receive thread, a protocol-tick thread,
 //! a clock-tick thread and a command thread, all serializing on a mutex
-//! around the shared [`Dispatcher`]. Every event pays a lock acquisition and
+//! around the shared `Dispatcher`. Every event pays a lock acquisition and
 //! usually a context switch; under load the threads contend. Experiment
 //! T7 quantifies the difference against [`crate::event_loop`].
 

@@ -582,10 +582,10 @@ impl<A: Actor> World<A> {
                 }
                 Effect::Broadcast { msg } => {
                     self.stats.record_send(msg.kind_label(), pid);
-                    for rank in 0..self.procs.len() {
+                    for (rank, dest) in wire_dest.iter_mut().enumerate() {
                         let to = ProcessId(rank as u16);
                         if to != pid {
-                            wire_dest[rank] = true;
+                            *dest = true;
                             self.route(pid, to, msg.clone());
                         }
                     }
