@@ -1,17 +1,19 @@
-//! The wire format (wire version 3), and the cursor vocabulary every
+//! The wire format (wire version 4), and the cursor vocabulary every
 //! encoder and decoder in the workspace is written in.
 //!
 //! A datagram is a **version byte** followed by one or more
-//! **length-prefixed LEB128 frames**, each frame holding exactly one
-//! [`Msg`] encoded with variable-length integers. Batching many messages
-//! into one datagram is what lets the runtime amortize one syscall over a
-//! whole tick's traffic; varints are what keep the common small ordinals,
-//! ranks and sequence numbers at one byte each.
+//! **length-prefixed LEB128 frames**, each frame holding one [`Msg`]
+//! encoded with variable-length integers — or, for proposals, a **run**
+//! of them. Batching many messages into one datagram is what lets the
+//! runtime amortize one syscall over a whole tick's traffic; varints are
+//! what keep the common small ordinals, ranks and sequence numbers at
+//! one byte each; runs are what keep a `propose_batch` from repeating
+//! its header once per update.
 //!
 //! ```text
 //! datagram    := version-byte frame*
-//! frame       := len:uvarint body              (len = |body| in bytes)
-//! body        := 0x00 proposal
+//! frame       := len:uvarint body              (len = |body| in bytes, fewest bytes)
+//! body        := 0x00 proposal (ts-delta:ivarint payload:bytes)*                     (proposal run)
 //!              | 0x01 sender:pid send_ts:ivarint view oal alive:uvarint              (decision)
 //!              | 0x02 sender:pid send_ts:ivarint suspect:pid view-id oal dpd
 //!                     alive:uvarint                                                  (no-decision)
@@ -64,6 +66,17 @@
 //! `count` further descriptors that differ from the entry's first only
 //! in `seq + 1` and `ts + stride` each.
 //!
+//! A proposal frame is a run too: each continuation `(ts-delta,
+//! payload)` after the first proposal is one more proposal with the
+//! previous one's sender, incarnation, hdo and semantics, sequence
+//! number `seq + 1` and send timestamp `send_ts + ts-delta`; the frame
+//! length says where the run ends. [`FrameBuilder::push_msg`] extends
+//! the open run with every proposal that continues it, and only when
+//! the continuation is no longer than the frame of its own it replaces,
+//! so a datagram is never longer than its messages framed one each.
+//! Every continuation takes at least two bytes, so a frame expands to at
+//! most half its length in proposals.
+//!
 //! Encoding goes through a [`WireCursor`] writing into a **caller-owned
 //! `Vec<u8>` scratch** that is reused across sends — steady-state sending
 //! allocates nothing. Decoding goes through a [`FrameRef`], a borrowed
@@ -77,11 +90,14 @@
 //! (`tw-obs`), replicated-state-machine commands (`tw-rsm`) — so there
 //! is one set of primitives, one error type and one set of bounds.
 //!
-//! The encoder emits frame length prefixes as **padded 4-byte LEB128**
-//! (continuation bits set on the first three bytes) so a frame can be
-//! length-patched in place after its body is written, keeping the whole
-//! datagram in one buffer. LEB128 tolerates such non-canonical encodings;
-//! the decoder accepts any valid LEB128 length.
+//! [`FrameBuilder`] writes each frame's length prefix in the fewest
+//! LEB128 bytes: it reserves one byte and, when the body outgrows what
+//! the prefix can say (127 bytes, then 16 383, …), moves the body right
+//! to make room — at most once per length class, however many
+//! continuations a run takes. [`WireCursor::begin_frame`]/[`WireCursor::end_frame`],
+//! which the recording format frames its events with, keep a padded
+//! 4-byte prefix patched in place. LEB128 tolerates such non-canonical
+//! encodings; the decoder accepts any valid LEB128 length.
 //!
 //! Version policy: a datagram's first byte is [`VERSION_BYTE`]
 //! (`0xD0 | version`). Receivers reject any other leading byte — other
@@ -155,14 +171,14 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// Current wire format version.
-pub const WIRE_VERSION: u8 = 3;
+pub const WIRE_VERSION: u8 = 4;
 
 /// First byte of every framed datagram: `0xD0 | WIRE_VERSION`. The high
 /// nibble keeps it out of the message-tag space (`0..=7`).
 pub const VERSION_BYTE: u8 = 0xD0 | WIRE_VERSION;
 
 /// Sanity cap on a single frame's body length (bytes). Also the largest
-/// value the padded 4-byte length prefix can carry.
+/// value [`WireCursor::begin_frame`]'s padded 4-byte prefix can carry.
 pub const MAX_FRAME_LEN: usize = (1 << 28) - 1;
 
 /// Sanity cap on any decoded sequence length (items, not bytes).
@@ -477,11 +493,102 @@ impl<'a> FrameRef<'a> {
 /// Builds multi-frame datagrams into a reusable scratch buffer.
 ///
 /// One builder lives per sender; [`FrameBuilder::reset`] rewinds it
-/// without freeing, so steady-state encoding allocates nothing.
+/// without freeing, so steady-state encoding allocates nothing. A
+/// proposal that continues the one pushed just before it joins that
+/// proposal's frame as a continuation (module docs give the rule).
 #[derive(Debug, Default)]
 pub struct FrameBuilder {
     buf: Vec<u8>,
-    frames: usize,
+    msgs: usize,
+    /// The last frame, while it is a proposal run the next push may
+    /// extend.
+    run: Option<OpenRun>,
+}
+
+/// The proposal frame a [`FrameBuilder`] closed last.
+#[derive(Debug, Clone, Copy)]
+struct OpenRun {
+    /// Offset of the frame's length prefix.
+    at: usize,
+    /// Bytes the length prefix takes.
+    width: usize,
+    /// The last proposal of the run.
+    last: RunHead,
+}
+
+/// The fields a continuation is checked against.
+#[derive(Debug, Clone, Copy)]
+struct RunHead {
+    sender: ProcessId,
+    incarnation: Incarnation,
+    seq: u64,
+    send_ts: i64,
+    hdo: Ordinal,
+    semantics: Semantics,
+}
+
+impl RunHead {
+    fn of(p: &Proposal) -> Self {
+        RunHead {
+            sender: p.sender,
+            incarnation: p.incarnation,
+            seq: p.seq,
+            send_ts: p.send_ts.0,
+            hdo: p.hdo,
+            semantics: p.semantics,
+        }
+    }
+
+    /// The timestamp delta that appends `p` to a run ending in `self`,
+    /// if `p` continues it. The delta takes at most 8 bytes, never more
+    /// than the eight-plus header bytes a frame of its own would spend,
+    /// so a continuation is never longer than that frame.
+    fn continued_by(&self, p: &Proposal) -> Option<i64> {
+        if p.sender != self.sender
+            || p.incarnation != self.incarnation
+            || p.hdo != self.hdo
+            || p.semantics != self.semantics
+            || self.seq.checked_add(1) != Some(p.seq)
+        {
+            return None;
+        }
+        let delta = p.send_ts.0.checked_sub(self.send_ts)?;
+        (zigzag(delta) < 1 << 56).then_some(delta)
+    }
+}
+
+/// Bytes of the unsigned LEB128 encoding of `v`.
+#[inline]
+fn uvarint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Write the length of the frame whose prefix starts at `at` and takes
+/// `width` bytes, in the fewest LEB128 bytes, moving the body right when
+/// the length outgrew `width`. Returns the prefix's new width.
+///
+/// # Panics
+/// If the body exceeds [`MAX_FRAME_LEN`] — a frame that large cannot
+/// be a datagram and indicates a logic error in the caller.
+#[inline]
+fn close_frame(buf: &mut Vec<u8>, at: usize, width: usize) -> usize {
+    let end = buf.len();
+    let body = end - at - width;
+    assert!(body <= MAX_FRAME_LEN, "frame body exceeds MAX_FRAME_LEN");
+    let need = uvarint_len(body as u64);
+    // A frame only grows, so its prefix never has to shrink.
+    debug_assert!(need >= width);
+    if need > width {
+        buf.resize(end + need - width, 0);
+        buf.copy_within(at + width..end, at + need);
+    }
+    let mut v = body;
+    for b in &mut buf[at..at + need - 1] {
+        *b = (v & 0x7F) as u8 | 0x80;
+        v >>= 7;
+    }
+    buf[at + need - 1] = v as u8;
+    need
 }
 
 impl FrameBuilder {
@@ -489,7 +596,8 @@ impl FrameBuilder {
     pub fn new() -> Self {
         FrameBuilder {
             buf: Vec::with_capacity(1500),
-            frames: 0,
+            msgs: 0,
+            run: None,
         }
     }
 
@@ -497,48 +605,75 @@ impl FrameBuilder {
     pub fn reset(&mut self) {
         self.buf.clear();
         self.buf.push(VERSION_BYTE);
-        self.frames = 0;
+        self.msgs = 0;
+        self.run = None;
     }
 
-    /// Append one message as a frame. Starts the datagram if needed.
-    /// Returns the frame as encoded, length prefix included, for
-    /// [`FrameBuilder::push_frame`] to copy into other datagrams.
-    pub fn push_msg(&mut self, msg: &Msg) -> &[u8] {
+    /// Append one message: as a continuation of the open proposal run
+    /// when it continues it, as a frame of its own otherwise. Starts the
+    /// datagram if needed.
+    pub fn push_msg(&mut self, msg: &Msg) {
         if self.buf.is_empty() {
             self.reset();
         }
-        let start = self.buf.len();
-        let mut w = WireCursor::new(&mut self.buf);
-        let token = w.begin_frame();
-        encode_msg(msg, &mut w);
-        w.end_frame(token);
-        self.frames += 1;
-        &self.buf[start..]
-    }
-
-    /// Append a frame [`FrameBuilder::push_msg`] returned, byte for
-    /// byte. Starts the datagram if needed.
-    pub fn push_frame(&mut self, frame: &[u8]) {
-        if self.buf.is_empty() {
-            self.reset();
+        self.msgs += 1;
+        if let (Msg::Proposal(p), Some(run)) = (msg, &mut self.run) {
+            if let Some(delta) = run.last.continued_by(p) {
+                let mut w = WireCursor::new(&mut self.buf);
+                w.put_ivarint(delta);
+                w.put_bytes(&p.payload);
+                run.width = close_frame(&mut self.buf, run.at, run.width);
+                run.last = RunHead::of(p);
+                return;
+            }
         }
-        self.buf.extend_from_slice(frame);
-        self.frames += 1;
+        let at = self.buf.len();
+        self.buf.push(0);
+        encode_msg(msg, &mut WireCursor::new(&mut self.buf));
+        let width = close_frame(&mut self.buf, at, 1);
+        self.run = match msg {
+            Msg::Proposal(p) => Some(OpenRun {
+                at,
+                width,
+                last: RunHead::of(p),
+            }),
+            _ => None,
+        };
     }
 
-    /// Frames in the current datagram.
-    pub fn frames(&self) -> usize {
-        self.frames
+    /// Messages in the current datagram (a proposal run counts each of
+    /// its proposals).
+    pub fn msgs(&self) -> usize {
+        self.msgs
     }
 
-    /// True when no frame has been pushed since the last reset.
+    /// True when nothing has been pushed since the last reset.
     pub fn is_empty(&self) -> bool {
-        self.frames == 0
+        self.msgs == 0
     }
 
     /// The encoded datagram (version byte + frames).
     pub fn bytes(&self) -> &[u8] {
         &self.buf
+    }
+}
+
+impl Clone for FrameBuilder {
+    fn clone(&self) -> Self {
+        FrameBuilder {
+            buf: self.buf.clone(),
+            msgs: self.msgs,
+            run: self.run,
+        }
+    }
+
+    /// Copy `source`'s datagram and open run into this builder's
+    /// allocation: pushing the same messages into both afterwards gives
+    /// the same bytes.
+    fn clone_from(&mut self, source: &Self) {
+        self.buf.clone_from(&source.buf);
+        self.msgs = source.msgs;
+        self.run = source.run;
     }
 }
 
@@ -596,20 +731,20 @@ pub fn open_datagram(dgram: &[u8]) -> Result<FrameIter<'_>, WireError> {
     })
 }
 
-/// Decode every message of a framed datagram. The returned messages own
-/// their payloads (copied per field); everything else decodes straight
-/// off the borrowed input. A datagram with zero frames is an error —
-/// senders never emit one, so it can only be truncation.
+/// Decode every message of a framed datagram, a proposal run expanded
+/// into its proposals. The returned messages own their payloads (copied
+/// per field); everything else decodes straight off the borrowed input.
+/// A datagram with zero frames is an error — senders never emit one, so
+/// it can only be truncation.
 pub fn decode_datagram(dgram: &[u8]) -> Result<Vec<Msg>, WireError> {
     let mut out = Vec::new();
     let mut oal_budget = MAX_OAL_WINDOW;
     for frame in open_datagram(dgram)? {
         let mut f = frame?;
         f.oal_budget = oal_budget;
-        let msg = decode_msg(&mut f)?;
+        decode_msg(&mut f, &mut out)?;
         oal_budget = f.oal_budget;
         f.finish()?;
-        out.push(msg);
     }
     if out.is_empty() {
         return Err(WireError::UnexpectedEof { what: "datagram" });
@@ -1082,9 +1217,32 @@ fn get_proposal(f: &mut FrameRef<'_>) -> Result<Proposal, WireError> {
     })
 }
 
-/// Encode `msg` (tag byte + body) through the cursor. Framing is the
-/// caller's concern ([`FrameBuilder::push_msg`] brackets this with a
-/// length prefix).
+/// Consume a proposal and every continuation after it, up to the end
+/// of the frame.
+fn get_proposal_run(f: &mut FrameRef<'_>, out: &mut Vec<Msg>) -> Result<(), WireError> {
+    let mut p = get_proposal(f)?;
+    while !f.is_exhausted() {
+        let delta = f.ivarint("send-ts delta")?;
+        let next = Proposal {
+            seq: p.seq.checked_add(1).ok_or(out_of_range("seq"))?,
+            send_ts: SyncTime(
+                p.send_ts
+                    .0
+                    .checked_add(delta)
+                    .ok_or(out_of_range("send-ts"))?,
+            ),
+            payload: Bytes::copy_from_slice(f.bytes("payload")?),
+            ..p
+        };
+        out.push(Msg::Proposal(std::mem::replace(&mut p, next)));
+    }
+    out.push(Msg::Proposal(p));
+    Ok(())
+}
+
+/// Encode `msg` (tag byte + body) through the cursor. Framing, and
+/// folding proposals into runs, is the caller's concern
+/// ([`FrameBuilder::push_msg`] does both).
 pub fn encode_msg(msg: &Msg, w: &mut WireCursor) {
     match msg {
         Msg::Proposal(p) => {
@@ -1203,19 +1361,20 @@ pub fn encode_msg(msg: &Msg, w: &mut WireCursor) {
     }
 }
 
-/// Decode one message body (tag byte + fields) from a frame cursor.
-/// The caller checks [`FrameRef::is_exhausted`] afterwards if trailing
-/// bytes must be rejected.
-pub fn decode_msg(f: &mut FrameRef<'_>) -> Result<Msg, WireError> {
-    match f.u8("msg")? {
-        0 => Ok(Msg::Proposal(get_proposal(f)?)),
-        1 => Ok(Msg::Decision(Decision {
+/// Decode one frame body (tag byte + fields) from a frame cursor into
+/// `out`: one message, or every proposal of a run. The caller checks
+/// [`FrameRef::is_exhausted`] afterwards if trailing bytes must be
+/// rejected (a proposal run consumes the whole frame).
+fn decode_msg(f: &mut FrameRef<'_>, out: &mut Vec<Msg>) -> Result<(), WireError> {
+    let msg = match f.u8("msg")? {
+        0 => return get_proposal_run(f, out),
+        1 => Msg::Decision(Decision {
             sender: get_pid(f)?,
             send_ts: SyncTime(f.ivarint("send-ts")?),
             view: get_view(f)?,
             oal: get_oal(f)?,
             alive: AckBits(f.uvarint("alive")?),
-        })),
+        }),
         2 => {
             let sender = get_pid(f)?;
             let send_ts = SyncTime(f.ivarint("send-ts")?);
@@ -1227,7 +1386,7 @@ pub fn decode_msg(f: &mut FrameRef<'_>) -> Result<Msg, WireError> {
             for _ in 0..len {
                 dpd.push(get_update_desc(f)?);
             }
-            Ok(Msg::NoDecision(NoDecision {
+            Msg::NoDecision(NoDecision {
                 sender,
                 send_ts,
                 suspect,
@@ -1235,7 +1394,7 @@ pub fn decode_msg(f: &mut FrameRef<'_>) -> Result<Msg, WireError> {
                 oal_view,
                 dpd,
                 alive: AckBits(f.uvarint("alive")?),
-            }))
+            })
         }
         3 => {
             let sender = get_pid(f)?;
@@ -1248,13 +1407,13 @@ pub fn decode_msg(f: &mut FrameRef<'_>) -> Result<Msg, WireError> {
                 let inc = Incarnation(f.narrow::<u32>("incarnation")?);
                 join_list.push((p, inc));
             }
-            Ok(Msg::Join(Join {
+            Msg::Join(Join {
                 sender,
                 incarnation,
                 send_ts,
                 join_list,
                 alive: AckBits(f.uvarint("alive")?),
-            }))
+            })
         }
         4 => {
             let sender = get_pid(f)?;
@@ -1272,7 +1431,7 @@ pub fn decode_msg(f: &mut FrameRef<'_>) -> Result<Msg, WireError> {
             for _ in 0..dlen {
                 dpd.push(get_update_desc(f)?);
             }
-            Ok(Msg::Reconfig(Reconfig {
+            Msg::Reconfig(Reconfig {
                 sender,
                 send_ts,
                 reconfig_list,
@@ -1281,25 +1440,27 @@ pub fn decode_msg(f: &mut FrameRef<'_>) -> Result<Msg, WireError> {
                 oal_view,
                 dpd,
                 alive: AckBits(f.uvarint("alive")?),
-            }))
+            })
         }
         5 => match f.u8("clock-sync")? {
-            0 => Ok(Msg::ClockSync(ClockSyncMsg::Request {
+            0 => Msg::ClockSync(ClockSyncMsg::Request {
                 sender: get_pid(f)?,
                 rid: f.uvarint("rid")?,
                 hw_send: HwTime(f.ivarint("hw-send")?),
-            })),
-            1 => Ok(Msg::ClockSync(ClockSyncMsg::Reply {
+            }),
+            1 => Msg::ClockSync(ClockSyncMsg::Reply {
                 sender: get_pid(f)?,
                 rid: f.uvarint("rid")?,
                 hw_send_echo: HwTime(f.ivarint("hw-send-echo")?),
                 sync_at_reply: SyncTime(f.ivarint("sync-at-reply")?),
                 synced: f.bool("synced")?,
-            })),
-            tag => Err(WireError::BadTag {
-                what: "clock-sync",
-                tag,
             }),
+            tag => {
+                return Err(WireError::BadTag {
+                    what: "clock-sync",
+                    tag,
+                })
+            }
         },
         6 => {
             let sender = get_pid(f)?;
@@ -1325,7 +1486,7 @@ pub fn decode_msg(f: &mut FrameRef<'_>) -> Result<Msg, WireError> {
                 let o = Ordinal(f.uvarint("ordinal")?);
                 ordinals.push((id, o));
             }
-            Ok(Msg::StateTransfer(StateTransfer {
+            Msg::StateTransfer(StateTransfer {
                 sender,
                 to,
                 view_id,
@@ -1333,7 +1494,7 @@ pub fn decode_msg(f: &mut FrameRef<'_>) -> Result<Msg, WireError> {
                 proposals,
                 fifo,
                 ordinals,
-            }))
+            })
         }
         7 => {
             let sender = get_pid(f)?;
@@ -1343,14 +1504,16 @@ pub fn decode_msg(f: &mut FrameRef<'_>) -> Result<Msg, WireError> {
             for _ in 0..len {
                 missing.push(get_proposal_id(f)?);
             }
-            Ok(Msg::Nack(Nack {
+            Msg::Nack(Nack {
                 sender,
                 send_ts,
                 missing,
-            }))
+            })
         }
-        tag => Err(WireError::BadTag { what: "msg", tag }),
-    }
+        tag => return Err(WireError::BadTag { what: "msg", tag }),
+    };
+    out.push(msg);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1553,7 +1716,7 @@ mod tests {
         for seq in 1..=5 {
             b.push_msg(&Msg::Proposal(sample_proposal(seq)));
         }
-        assert_eq!(b.frames(), 5);
+        assert_eq!(b.msgs(), 5);
         let msgs = decode_datagram(b.bytes()).unwrap();
         assert_eq!(msgs.len(), 5);
         for (i, m) in msgs.iter().enumerate() {
@@ -1582,7 +1745,7 @@ mod tests {
     fn unknown_version_rejected() {
         // A bare message tag (0..=7) is rejected, as are the framed
         // versions before and after this one.
-        for first in [0u8, 1, 7, 0xD0 | 1, 0xD2, 0xD0 | 4, 0xFF] {
+        for first in [0u8, 1, 7, 0xD0 | 1, 0xD2, 0xD3, 0xD0 | 5, 0xFF] {
             let dgram = [first, 0x00];
             assert!(
                 matches!(
@@ -1604,17 +1767,182 @@ mod tests {
     }
 
     #[test]
-    fn truncated_length_prefix_is_an_error_not_a_panic() {
+    fn truncation_anywhere_is_an_error_not_a_panic() {
         let mut b = FrameBuilder::new();
-        b.push_msg(&Msg::Proposal(sample_proposal(1)));
+        for seq in 1..=3 {
+            b.push_msg(&Msg::Proposal(sample_proposal(seq)));
+        }
         let bytes = b.bytes();
-        // Cut inside the padded length prefix (bytes 1..=4).
-        for cut in 2..5.min(bytes.len()) {
+        assert_eq!(frames_of(bytes), 1, "one run frame");
+        for cut in 0..bytes.len() {
             assert!(decode_datagram(&bytes[..cut]).is_err(), "cut {cut}");
         }
-        // Cut anywhere: error, never panic, never an extra message.
-        for cut in 0..bytes.len() {
-            let _ = decode_datagram(&bytes[..cut]);
+    }
+
+    fn frames_of(dgram: &[u8]) -> usize {
+        open_datagram(dgram).unwrap().count()
+    }
+
+    /// The bytes of `msgs` framed one per frame.
+    fn framed_one_each(msgs: &[Msg]) -> usize {
+        1 + msgs
+            .iter()
+            .map(|m| encode_single(m).len() - 1)
+            .sum::<usize>()
+    }
+
+    #[test]
+    fn a_batch_of_proposals_is_one_frame() {
+        let msgs: Vec<Msg> = (1..=64)
+            .map(|seq| Msg::Proposal(sample_proposal(seq)))
+            .collect();
+        let mut b = FrameBuilder::new();
+        for m in &msgs {
+            b.push_msg(m);
+        }
+        assert_eq!((b.msgs(), frames_of(b.bytes())), (64, 1));
+        assert_eq!(decode_datagram(b.bytes()).unwrap(), msgs);
+        // Each continuation is a 1-byte delta and its payload (1 + 5).
+        let head = encode_single(&msgs[0]).len();
+        assert_eq!(b.bytes().len(), head + 1 + 63 * 7);
+        assert!(b.bytes().len() < framed_one_each(&msgs));
+    }
+
+    #[test]
+    fn a_run_breaks_exactly_where_a_field_changes() {
+        let base = sample_proposal(10);
+        let next = |f: &dyn Fn(&mut Proposal)| {
+            let mut p = sample_proposal(11);
+            f(&mut p);
+            Msg::Proposal(p)
+        };
+        let cases: [(&str, Msg, usize); 9] = [
+            ("continues", next(&|_| {}), 1),
+            ("negative ts delta", next(&|p| p.send_ts = SyncTime(-5)), 1),
+            ("empty payload", next(&|p| p.payload = Bytes::new()), 1),
+            ("sender", next(&|p| p.sender = ProcessId(3)), 2),
+            ("incarnation", next(&|p| p.incarnation = Incarnation(2)), 2),
+            ("seq gap", next(&|p| p.seq = 12), 2),
+            ("hdo", next(&|p| p.hdo = Ordinal(4)), 2),
+            (
+                "semantics",
+                next(&|p| p.semantics = Semantics::UNORDERED_WEAK),
+                2,
+            ),
+            (
+                "ts delta over 8 bytes",
+                next(&|p| p.send_ts = SyncTime(1 << 56)),
+                2,
+            ),
+        ];
+        for (name, second, frames) in cases {
+            let msgs = [Msg::Proposal(base.clone()), second];
+            let mut b = FrameBuilder::new();
+            for m in &msgs {
+                b.push_msg(m);
+            }
+            assert_eq!(frames_of(b.bytes()), frames, "{name}");
+            assert_eq!(decode_datagram(b.bytes()).unwrap(), msgs, "{name}");
+            assert!(b.bytes().len() <= framed_one_each(&msgs), "{name}");
+        }
+        // Any other message closes the run.
+        let clock = Msg::ClockSync(ClockSyncMsg::Request {
+            sender: ProcessId(2),
+            rid: 1,
+            hw_send: HwTime(0),
+        });
+        let msgs = [
+            Msg::Proposal(sample_proposal(1)),
+            clock,
+            Msg::Proposal(sample_proposal(2)),
+        ];
+        let mut b = FrameBuilder::new();
+        for m in &msgs {
+            b.push_msg(m);
+        }
+        assert_eq!(frames_of(b.bytes()), 3);
+        assert_eq!(decode_datagram(b.bytes()).unwrap(), msgs);
+    }
+
+    #[test]
+    fn length_prefix_is_the_shortest_as_a_run_crosses_length_classes() {
+        let mut b = FrameBuilder::new();
+        let mut msgs = Vec::new();
+        for seq in 1..=400u64 {
+            let mut p = sample_proposal(seq);
+            p.payload = Bytes::from(vec![seq as u8; 60]);
+            let m = Msg::Proposal(p);
+            b.push_msg(&m);
+            msgs.push(m);
+            let dgram = b.bytes();
+            let (len, n) = read_uvarint(&dgram[1..], "t").unwrap();
+            assert_eq!(n, uvarint_len(len), "prefix of a {len}-byte body");
+            assert_eq!(1 + n + len as usize, dgram.len(), "one frame");
+        }
+        assert!(b.bytes().len() > 16_384 + 3, "crossed two length classes");
+        assert_eq!(decode_datagram(b.bytes()).unwrap(), msgs);
+    }
+
+    #[test]
+    fn a_cloned_builder_continues_the_same_run() {
+        let mut a = FrameBuilder::new();
+        a.push_msg(&Msg::Proposal(sample_proposal(1)));
+        let mut b = FrameBuilder::new();
+        b.push_msg(&Msg::Proposal(sample_proposal(9)));
+        b.clone_from(&a);
+        for builder in [&mut a, &mut b] {
+            builder.push_msg(&Msg::Proposal(sample_proposal(2)));
+        }
+        assert_eq!(a.bytes(), b.bytes());
+        assert_eq!((b.msgs(), frames_of(b.bytes())), (2, 1));
+    }
+
+    #[test]
+    fn a_broken_continuation_is_an_error() {
+        let frame_after = |seq: u64, send_ts: i64, tail: &[u8]| {
+            let mut body = Vec::new();
+            encode_msg(
+                &Msg::Proposal(Proposal {
+                    seq,
+                    send_ts: SyncTime(send_ts),
+                    ..sample_proposal(1)
+                }),
+                &mut WireCursor::new(&mut body),
+            );
+            body.extend_from_slice(tail);
+            let mut dgram = vec![VERSION_BYTE];
+            put_uvarint(&mut dgram, body.len() as u64);
+            dgram.extend(body);
+            decode_datagram(&dgram)
+        };
+        let frame = |tail: &[u8]| frame_after(1, 0, tail);
+        assert_eq!(frame(&[0x00, 0x00]).map(|m| m.len()), Ok(2));
+        // A delta without its payload, and a payload cut short.
+        assert!(matches!(
+            frame(&[0x00]),
+            Err(WireError::UnexpectedEof { .. })
+        ));
+        assert!(matches!(
+            frame(&[0x00, 0x02, 0xAA]),
+            Err(WireError::UnexpectedEof { .. })
+        ));
+        // A continuation after seq u64::MAX, or a delta past i64::MAX.
+        assert!(matches!(
+            frame_after(u64::MAX, 0, &[0x00, 0x00]),
+            Err(WireError::TooLong { .. })
+        ));
+        assert!(matches!(
+            frame_after(1, i64::MAX, &[0x02, 0x00]),
+            Err(WireError::TooLong { .. })
+        ));
+    }
+
+    #[test]
+    fn uvarint_len_matches_the_encoder() {
+        for v in [0u64, 1, 127, 128, 16_383, 16_384, 1 << 56, u64::MAX] {
+            let mut buf = Vec::new();
+            put_uvarint(&mut buf, v);
+            assert_eq!(uvarint_len(v), buf.len(), "{v}");
         }
     }
 

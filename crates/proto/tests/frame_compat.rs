@@ -1,5 +1,6 @@
-//! What a receiver accepts and what it refuses: mixed-kind batches come
-//! back identical and in order, and every leading byte other than the
+//! What a receiver accepts and what it refuses: mixed-kind batches and
+//! proposal runs come back identical and in order, and every leading
+//! byte other than the
 //! current version byte — the retired unframed format included, frozen
 //! here as one literal — is refused outright as `BadVersion`, never
 //! half-decoded and never guessed at.
@@ -193,9 +194,86 @@ fn batches_preserve_order_across_mixed_kinds() {
         for m in &batch {
             builder.push_msg(m);
         }
-        assert_eq!(builder.frames(), batch.len());
+        assert_eq!(builder.msgs(), batch.len());
         let decoded = frame::decode_datagram(builder.bytes()).expect("batch decode");
         assert_eq!(decoded, batch);
+    }
+}
+
+/// A sender's proposals as `propose_batch` emits them, broken now and
+/// then by a change of one field (the proptest suite's
+/// `arb_proposal_stream`, on a fixed seed).
+fn proposal_stream(rng: &mut SplitMix64) -> Vec<Proposal> {
+    let mut p = proposal(rng);
+    if rng.below(4) == 0 {
+        p.seq = u64::MAX - rng.below(4);
+    }
+    let mut out = vec![p.clone()];
+    for _ in 0..rng.below(48) {
+        p.seq = p.seq.wrapping_add(1);
+        p.send_ts = SyncTime(p.send_ts.0.wrapping_add(rng.below(6_000) as i64 - 3_000));
+        p.payload = Bytes::from(vec![rng.next() as u8; rng.below(8) as usize]);
+        let r = rng.next();
+        match rng.below(12) {
+            0 => p.sender = ProcessId((r % 4) as u16),
+            1 => p.incarnation = Incarnation((r % 3) as u32),
+            2 => p.seq = p.seq.saturating_sub(2).saturating_add(r % 4),
+            3 => p.hdo = Ordinal(r % 4),
+            4 => {
+                p.semantics = [
+                    Semantics::TOTAL_STRONG,
+                    Semantics::TIME_STRICT,
+                    Semantics::UNORDERED_WEAK,
+                ][(r % 3) as usize]
+            }
+            5 => p.send_ts = SyncTime(r as i64),
+            _ => {}
+        }
+        out.push(p.clone());
+    }
+    out
+}
+
+/// Whether `next` continues a run ending in `prev`, stated from the
+/// format's definition rather than taken from the encoder.
+fn continues(prev: &Proposal, next: &Proposal) -> bool {
+    let delta_fits = next
+        .send_ts
+        .0
+        .checked_sub(prev.send_ts.0)
+        .is_some_and(|d| (-(1i64 << 55)..1i64 << 55).contains(&d));
+    prev.sender == next.sender
+        && prev.incarnation == next.incarnation
+        && prev.hdo == next.hdo
+        && prev.semantics == next.semantics
+        && prev.seq.checked_add(1) == Some(next.seq)
+        && delta_fits
+}
+
+#[test]
+fn proposal_runs_round_trip_and_break_where_a_field_changes() {
+    let mut rng = SplitMix64(0x5EED);
+    let mut builder = FrameBuilder::new();
+    for _ in 0..500 {
+        let stream = proposal_stream(&mut rng);
+        let msgs: Vec<Msg> = stream.iter().cloned().map(Msg::Proposal).collect();
+        builder.reset();
+        for m in &msgs {
+            builder.push_msg(m);
+        }
+        assert_eq!(builder.msgs(), msgs.len());
+        let dgram = builder.bytes();
+        assert_eq!(frame::decode_datagram(dgram).expect("runs decode"), msgs);
+        let one_each: usize = 1 + msgs
+            .iter()
+            .map(|m| frame::encode_single(m).len() - 1)
+            .sum::<usize>();
+        assert!(dgram.len() <= one_each, "{} > {one_each}", dgram.len());
+        let runs = 1 + stream
+            .windows(2)
+            .filter(|w| !continues(&w[0], &w[1]))
+            .count();
+        assert_eq!(frame::open_datagram(dgram).unwrap().count(), runs);
     }
 }
 
@@ -227,9 +305,9 @@ fn the_frozen_v1_datagram_is_rejected_with_bad_version() {
 #[test]
 fn other_version_bytes_are_rejected_not_guessed() {
     // Every message tag (what led an unframed datagram), the previous
-    // framed version (0xD2), a hypothetical next one and arbitrary junk
-    // must all surface as BadVersion — the decoder guesses nothing.
-    for b in (0..=7u8).chain([0xD0, 0xD1, 0xD2, 0xD4, 0xD7, 0xFF]) {
+    // framed versions (0xD2, 0xD3), a hypothetical next one and arbitrary
+    // junk must all surface as BadVersion — the decoder guesses nothing.
+    for b in (0..=7u8).chain([0xD0, 0xD1, 0xD2, 0xD3, 0xD5, 0xD7, 0xFF]) {
         assert_ne!(b, VERSION_BYTE);
         assert_bad_version(&[b, 0x01, 0x00]);
     }

@@ -1,18 +1,21 @@
-//! The oal block of wire v3 — delta-coded runs — from the outside:
-//! round trips over adversarial windows for every oal-bearing message
-//! kind, size regressions pinned as tests, one frozen byte fixture, and
-//! the decoder-safety sweeps (truncate at every offset, flip every bit,
-//! overflowing arithmetic, the expansion cap).
+//! The run-coded parts of wire v4 from the outside — the oal block's
+//! delta-coded descriptor runs and the proposal frame's runs: round
+//! trips over adversarial windows for every oal-bearing message kind,
+//! size regressions pinned as tests, frozen byte fixtures (and the v3
+//! bytes that must now be refused), and the decoder-safety sweeps
+//! (truncate at every offset, flip every bit, overflowing arithmetic,
+//! the expansion cap).
 //!
 //! Proptest-free so it runs in the registry-free root workspace (the
 //! proptest suites are `proptests/`); the randomized windows come from a
 //! fixed-seed SplitMix64.
 
+use bytes::Bytes;
 use tw_proto::frame::{self, FrameBuilder, WireCursor, MAX_OAL_WINDOW, VERSION_BYTE};
 use tw_proto::WireError;
 use tw_proto::{
-    AckBits, Decision, Descriptor, Msg, NoDecision, Oal, Ordinal, ProcessId, ProposalId, Reconfig,
-    Semantics, SyncTime, View, ViewId,
+    AckBits, Decision, Descriptor, Incarnation, Msg, NoDecision, Oal, Ordinal, ProcessId, Proposal,
+    ProposalId, Reconfig, Semantics, SyncTime, View, ViewId,
 };
 
 struct SplitMix64(u64);
@@ -361,8 +364,8 @@ fn fixture_decision() -> Msg {
 /// a wire-format change: bump `WIRE_VERSION`.
 #[rustfmt::skip]
 const FIXTURE: &[u8] = &[
-    0xD3, // version
-    0xA8, 0x80, 0x80, 0x00, // frame length 40, padded
+    0xD4, // version
+    0x28, // frame length 40
     0x01, // decision
     0x01, // sender p1
     0xA0, 0x1F, // send_ts 2000
@@ -379,13 +382,36 @@ const FIXTURE: &[u8] = &[
     0x07, // alive
 ];
 
+/// The same decision as wire v3 wrote it: the v4 body behind the old
+/// version byte and a padded 4-byte length prefix. Must be refused.
+#[rustfmt::skip]
+const V3_FIXTURE: &[u8] = &[
+    0xD3, // version
+    0xA8, 0x80, 0x80, 0x00, // frame length 40, padded
+    0x01, 0x01, 0xA0, 0x1F, 0x01, 0x00, 0x03, 0x00, 0x01, 0x02, 0x1C, 0x07,
+    0xAC, 0x0A, 0x0E, 0x03, 0xD0, 0x0F, 0x03, 0x02,
+    0x3E, 0x01, 0x07, 0x0A, 0x05, 0x01, 0x0E,
+    0x01, 0x02, 0x00, 0x03, 0x00, 0x01, 0x02, 0x01, 0x00,
+    0x10, 0x15, 0x14,
+    0x07,
+];
+
 #[test]
-fn frozen_v3_decision_fixture() {
+fn frozen_v4_decision_fixture() {
     let msg = fixture_decision();
     assert_eq!(frame::encode_single(&msg), FIXTURE, "encoder drifted");
     assert_eq!(
         frame::decode_datagram(FIXTURE).expect("fixture decodes"),
         vec![msg]
+    );
+}
+
+#[test]
+fn the_v3_fixture_is_bad_version() {
+    assert_eq!(&V3_FIXTURE[5..], &FIXTURE[2..], "same body");
+    assert_eq!(
+        frame::decode_datagram(V3_FIXTURE),
+        Err(WireError::BadVersion { found: 0xD3 })
     );
 }
 
@@ -397,6 +423,94 @@ fn the_same_fixture_labelled_v2_is_bad_version() {
         frame::decode_datagram(&dgram),
         Err(WireError::BadVersion { found: 0xD2 })
     );
+}
+
+/// Three proposals of p1 in one batch: seq 7, 8, 9 at 1000, 1003 and
+/// 1002 µs (a negative delta), with an empty payload in the middle.
+fn fixture_run() -> Vec<Msg> {
+    [(1_000, &b"ab"[..]), (1_003, b""), (1_002, b"xyz")]
+        .into_iter()
+        .zip(7..)
+        .map(|((ts, payload), seq)| {
+            Msg::Proposal(Proposal {
+                sender: ProcessId(1),
+                incarnation: Incarnation(2),
+                seq,
+                send_ts: SyncTime(ts),
+                hdo: Ordinal(5),
+                semantics: Semantics::TOTAL_STRONG,
+                payload: Bytes::copy_from_slice(payload),
+            })
+        })
+        .collect()
+}
+
+/// `fixture_run()` pushed through one `FrameBuilder`, frozen: one frame.
+#[rustfmt::skip]
+const RUN_FIXTURE: &[u8] = &[
+    0xD4, // version
+    0x13, // frame length 19
+    0x00, // proposal
+    0x01, 0x02, 0x07, // sender p1, incarnation 2, seq 7
+    0xD0, 0x0F, // send_ts 1000
+    0x05, 0x01, 0x01, // hdo 5, total/strong
+    0x02, b'a', b'b', // payload
+    0x06, 0x00, // seq 8: ts +3, empty payload
+    0x01, 0x03, b'x', b'y', b'z', // seq 9: ts -1
+];
+
+#[test]
+fn frozen_v4_proposal_run_fixture() {
+    let msgs = fixture_run();
+    let mut b = FrameBuilder::new();
+    for m in &msgs {
+        b.push_msg(m);
+    }
+    assert_eq!(b.bytes(), RUN_FIXTURE, "encoder drifted");
+    assert_eq!(b.msgs(), 3);
+    assert_eq!(
+        frame::decode_datagram(RUN_FIXTURE).expect("fixture decodes"),
+        msgs
+    );
+}
+
+#[test]
+fn a_run_frame_cut_or_flipped_is_an_error_or_a_bounded_batch() {
+    let dgram = RUN_FIXTURE;
+    for cut in 0..dgram.len() {
+        assert!(frame::decode_datagram(&dgram[..cut]).is_err(), "cut {cut}");
+    }
+    for bit in 0..dgram.len() * 8 {
+        let mut flipped = dgram.to_vec();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        match frame::decode_datagram(&flipped) {
+            Err(WireError::BadVersion { .. }) => assert!(bit < 8),
+            Err(_) => {}
+            // Every continuation takes at least two bytes.
+            Ok(msgs) => assert!(msgs.len() <= 1 + flipped.len() / 2, "bit {bit}"),
+        }
+    }
+}
+
+#[test]
+fn a_64_update_batch_costs_at_most_66_bytes_an_update() {
+    // The ladder's `propose_batch`: 64 weak updates of 64 bytes from one
+    // proposer, 1 µs apart, one hdo. One frame: a header, then a 1-byte
+    // timestamp delta and the payload with its length per update.
+    let mut b = FrameBuilder::new();
+    for i in 0..64u64 {
+        b.push_msg(&Msg::Proposal(Proposal {
+            sender: ProcessId(0),
+            incarnation: Incarnation(1),
+            seq: 5_000 + i,
+            send_ts: SyncTime(3_000_000_000 + i as i64),
+            hdo: Ordinal(40_000),
+            semantics: Semantics::UNORDERED_WEAK,
+            payload: Bytes::from(vec![i as u8; 64]),
+        }));
+    }
+    let bytes = b.bytes().len();
+    assert!(bytes <= 64 * 66 + 32, "64-update batch took {bytes} B");
 }
 
 /// Everything a decoded datagram may hold is inside the expansion cap.

@@ -154,8 +154,8 @@ mod imp {
     //!
     //! Safety argument, in one place: every pointer handed to the kernel
     //! (`iovec` bases, the `msgvec` array, `sockaddr_in` names) points
-    //! into stack-owned `Vec`s that outlive the syscall and are never
-    //! reallocated between pointer capture and the call; lengths are the
+    //! into stack arrays or stack-owned `Vec`s that outlive the syscall
+    //! and are never reallocated between pointer capture and the call; lengths are the
     //! owning buffers' lengths; `msg_control`/`msg_name` are null where
     //! unused, with zero lengths. The kernel writes only into
     //! `iov_base[0..iov_len]` and the `msg_len` fields.
@@ -178,6 +178,13 @@ mod imp {
         iov_len: usize,
     }
 
+    impl IoVec {
+        const EMPTY: IoVec = IoVec {
+            iov_base: std::ptr::null_mut(),
+            iov_len: 0,
+        };
+    }
+
     /// glibc layout: `msg_iovlen`/`msg_controllen` are `size_t` (the
     /// kernel ABI's are not — this is why the gate is `gnu`, not
     /// `linux`).
@@ -198,6 +205,21 @@ mod imp {
         msg_len: c_uint,
     }
 
+    impl MMsgHdr {
+        const EMPTY: MMsgHdr = MMsgHdr {
+            msg_hdr: MsgHdr {
+                msg_name: std::ptr::null_mut(),
+                msg_namelen: 0,
+                msg_iov: std::ptr::null_mut(),
+                msg_iovlen: 0,
+                msg_control: std::ptr::null_mut(),
+                msg_controllen: 0,
+                msg_flags: 0,
+            },
+            msg_len: 0,
+        };
+    }
+
     #[repr(C)]
     #[derive(Clone, Copy)]
     struct SockAddrIn {
@@ -205,6 +227,15 @@ mod imp {
         sin_port: u16, // network byte order
         sin_addr: u32, // network byte order
         sin_zero: [u8; 8],
+    }
+
+    impl SockAddrIn {
+        const UNSPECIFIED: SockAddrIn = SockAddrIn {
+            sin_family: 0,
+            sin_port: 0,
+            sin_addr: 0,
+            sin_zero: [0; 8],
+        };
     }
 
     extern "C" {
@@ -238,29 +269,29 @@ mod imp {
         // Any non-IPv4 destination: take the portable path for the whole
         // batch (mixed-family batches are not worth the complexity; the
         // runtime's clusters are single-family).
-        let Some(names) = items
-            .iter()
-            .map(|(_, a)| v4_name(a))
-            .collect::<Option<Vec<_>>>()
-        else {
+        if !items.iter().all(|(_, addr)| addr.is_ipv4()) {
             return seq::send_batch(sock, items, on_error);
-        };
+        }
         let fd = sock.as_raw_fd();
         let mut syscalls = 0;
-        let mut names = names;
+        // One chunk's kernel structures live on the stack, so a send
+        // allocates nothing.
+        let mut names = [SockAddrIn::UNSPECIFIED; MAX_BATCH];
+        let mut iovs = [IoVec::EMPTY; MAX_BATCH];
+        let mut hdrs = [MMsgHdr::EMPTY; MAX_BATCH];
         for (chunk_at, chunk) in items.chunks(MAX_BATCH).enumerate() {
-            let names = &mut names[chunk_at * MAX_BATCH..];
             // iovecs and headers are rebuilt per chunk; all referenced
             // storage (payloads, `names`) outlives the syscall below.
-            let mut iovs: Vec<IoVec> = chunk
-                .iter()
-                .map(|(payload, _)| IoVec {
+            for (i, (payload, addr)) in chunk.iter().enumerate() {
+                names[i] = v4_name(addr).expect("every destination is IPv4");
+                iovs[i] = IoVec {
                     iov_base: payload.as_ptr() as *mut c_void,
                     iov_len: payload.len(),
-                })
-                .collect();
-            let mut hdrs: Vec<MMsgHdr> = (0..chunk.len())
-                .map(|i| MMsgHdr {
+                };
+            }
+            let hdrs = &mut hdrs[..chunk.len()];
+            for (i, hdr) in hdrs.iter_mut().enumerate() {
+                *hdr = MMsgHdr {
                     msg_hdr: MsgHdr {
                         msg_name: (&mut names[i]) as *mut SockAddrIn as *mut c_void,
                         msg_namelen: std::mem::size_of::<SockAddrIn>() as u32,
@@ -271,8 +302,8 @@ mod imp {
                         msg_flags: 0,
                     },
                     msg_len: 0,
-                })
-                .collect();
+                };
+            }
             let mut sent = 0usize;
             while sent < hdrs.len() {
                 syscalls += 1;

@@ -14,9 +14,10 @@
 //! Hot-path batching: executors collect a dispatch's outbound messages
 //! into an [`OutBatch`] and hand the whole thing to [`Transport::flush`]
 //! at once. [`UdpTransport`] coalesces the batch into one multi-frame
-//! datagram per destination (each broadcast is encoded once and its
-//! bytes copied into every destination's datagram) and submits the
-//! fan-out through a single vectored syscall where the platform has one
+//! datagram per destination (broadcasts are encoded once wherever the
+//! destinations' datagrams agree, and a sender's consecutive proposals
+//! share one run frame) and submits the fan-out through a single
+//! vectored syscall where the platform has one
 //! ([`crate::mmsg`]). The default `flush` decomposes into per-message
 //! `send`/`broadcast`, so fault-injecting transports keep their
 //! per-message fault fates and deterministic chaos verdicts.
@@ -26,7 +27,7 @@
 //! in `tw_inbox_dropped_total`, so overload degrades gracefully and
 //! observably instead of growing an unbounded queue.
 
-use crate::mmsg::{is_emsgsize, BatchSocket, RecvSlot};
+use crate::mmsg::{is_emsgsize, BatchSocket, OutDatagram, RecvSlot};
 use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -74,14 +75,19 @@ pub enum OutItem {
 /// to [`Transport::flush`] in one call.
 ///
 /// Owned by the executor loop and reused across dispatches, so the item
-/// vector and the per-destination encoder scratch inside amortize to
-/// zero allocations in steady state.
+/// vector and the encoder and send scratch inside amortize to zero
+/// allocations in steady state.
 #[derive(Default)]
 pub struct OutBatch {
     pub(crate) items: Vec<OutItem>,
-    /// Reusable framed-datagram builders (one per destination touched
-    /// by the coalescing transports; index is destination rank).
-    pub(crate) builders: Vec<FrameBuilder>,
+    /// Reusable framed-datagram builders, one per destination of
+    /// [`UdpTransport::flush`] (index into `dests`).
+    builders: Vec<FrameBuilder>,
+    /// The flush's destinations, in rank order.
+    dests: Vec<(ProcessId, SocketAddr)>,
+    /// The datagrams handed to the socket; empty between flushes, kept
+    /// for its allocation.
+    sends: Vec<OutDatagram<'static>>,
 }
 
 impl OutBatch {
@@ -475,72 +481,101 @@ impl Transport for UdpTransport {
         self.note_batch_fill(items.len());
     }
 
-    /// The coalesced hot path: one multi-frame datagram per destination
-    /// (encoded into reusable scratch; each broadcast frame encoded once,
-    /// into the first destination's datagram, and copied into the
-    /// others), the whole fan-out submitted through
+    /// The coalesced hot path: one multi-frame datagram per destination,
+    /// byte for byte what pushing that destination's messages through
+    /// one [`FrameBuilder`] gives, the whole fan-out submitted through
     /// [`crate::mmsg::BatchSocket::send_batch`].
+    ///
+    /// The broadcasts before the first point-to-point send open every
+    /// destination's datagram alike, so they are encoded once, into the
+    /// first builder. When nothing follows them, every destination is
+    /// sent that one buffer; otherwise every builder starts from a copy
+    /// of it and takes the rest of its destination's messages.
     fn flush(&self, from: ProcessId, batch: &mut OutBatch) {
-        if batch.items.is_empty() {
+        let OutBatch {
+            items,
+            builders,
+            dests,
+            sends,
+        } = batch;
+        if items.is_empty() {
             return;
         }
-        let dests: Vec<(ProcessId, SocketAddr)> = self
-            .peer_list
-            .iter()
-            .filter(|(pid, _)| *pid != from)
-            .copied()
-            .collect();
+        dests.clear();
+        dests.extend(self.peer_list.iter().filter(|(pid, _)| *pid != from));
         if dests.is_empty() {
-            batch.items.clear();
+            items.clear();
             return;
         }
-        // One reusable builder per destination.
-        while batch.builders.len() < dests.len() {
-            batch.builders.push(FrameBuilder::new());
+        if builders.len() < dests.len() {
+            builders.resize_with(dests.len(), FrameBuilder::new);
         }
-        for b in &mut batch.builders[..dests.len()] {
-            b.reset();
+        let builders = &mut builders[..dests.len()];
+        let shared = items
+            .iter()
+            .position(|item| matches!(item, OutItem::Send(..)))
+            .unwrap_or(items.len());
+        let (head, rest) = builders.split_first_mut().expect("dests is not empty");
+        head.reset();
+        for item in &items[..shared] {
+            if let OutItem::Broadcast(m) = item {
+                head.push_msg(m);
+            }
         }
-        for item in &batch.items {
-            match item {
-                OutItem::Broadcast(m) => {
-                    let (first, rest) = batch.builders[..dests.len()]
-                        .split_first_mut()
-                        .expect("dests is not empty");
-                    let frame = first.push_msg(m);
-                    for b in rest {
-                        b.push_frame(frame);
-                    }
-                }
-                OutItem::Send(to, m) => {
-                    if let Some(i) = dests.iter().position(|(pid, _)| pid == to) {
-                        batch.builders[i].push_msg(m);
+        let alike = shared == items.len();
+        if !alike {
+            for b in rest {
+                b.clone_from(head);
+            }
+            for item in &items[shared..] {
+                match item {
+                    OutItem::Broadcast(m) => builders.iter_mut().for_each(|b| b.push_msg(m)),
+                    OutItem::Send(to, m) => {
+                        if let Some(i) = dests.iter().position(|(pid, _)| pid == to) {
+                            builders[i].push_msg(m);
+                        }
                     }
                 }
             }
         }
-        let builders = &batch.builders[..dests.len()];
-        let items: Vec<(&[u8], SocketAddr)> = builders
-            .iter()
-            .zip(&dests)
-            .filter(|(b, _)| !b.is_empty())
-            .map(|(b, (_, addr))| (b.bytes(), *addr))
-            .collect();
-        if !items.is_empty() {
-            let mut datagrams = items.len() as u64;
-            let mut msgs: u64 = builders.iter().map(|b| b.frames() as u64).sum();
-            let syscalls = self.socket.send_batch(&items, &mut |i, e| {
+        let builder = |i: usize| if alike { &builders[0] } else { &builders[i] };
+        let mut out = recycle(std::mem::take(sends));
+        let mut msgs = 0;
+        for (i, (_, addr)) in dests.iter().enumerate() {
+            let b = builder(i);
+            if !b.is_empty() {
+                out.push((b.bytes(), *addr));
+                msgs += b.msgs() as u64;
+            }
+        }
+        if !out.is_empty() {
+            let mut datagrams = out.len() as u64;
+            let syscalls = self.socket.send_batch(&out, &mut |i, e| {
                 self.note_send_error(e);
                 datagrams -= 1;
-                // `items[i]` came from the i-th non-empty builder.
-                let lost = builders.iter().filter(|b| !b.is_empty()).nth(i);
-                msgs -= lost.map_or(0, |b| b.frames() as u64);
+                // `out[i]` came from the i-th non-empty builder.
+                let lost = (0..dests.len())
+                    .map(builder)
+                    .filter(|b| !b.is_empty())
+                    .nth(i);
+                msgs -= lost.map_or(0, |b| b.msgs() as u64);
             });
             self.note_sent(syscalls as u64, datagrams, msgs);
-            self.note_batch_fill(items.len());
+            self.note_batch_fill(out.len());
         }
-        batch.items.clear();
+        *sends = recycle(out);
+        items.clear();
     }
+}
+
+/// Empty `v` and hand its allocation to a vector of another lifetime.
+/// The element layouts are equal, so the standard library collects in
+/// place: nothing is allocated or freed.
+fn recycle<'a>(mut v: Vec<OutDatagram<'_>>) -> Vec<OutDatagram<'a>> {
+    v.clear();
+    v.into_iter()
+        .map(|_| unreachable!("the vector is empty"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -784,20 +819,29 @@ mod tests {
         assert_eq!(rstats.msgs_recv, 5);
     }
 
-    #[test]
-    fn udp_flush_skips_an_oversize_datagram_and_counts_it() {
-        // Node 0 with three peers that are plain sockets. One flush:
-        // a small broadcast to all, plus a state transfer to the middle
-        // peer that pushes *its* datagram past what UDP carries.
+    /// Node 0 of a team whose `n` other members are plain sockets.
+    fn node_and_sockets(n: usize) -> (Arc<UdpTransport>, Vec<UdpSocket>) {
         let any: SocketAddr = "127.0.0.1:0".parse().unwrap();
-        let socks: Vec<UdpSocket> = (0..3).map(|_| UdpSocket::bind(any).unwrap()).collect();
+        let socks: Vec<UdpSocket> = (0..n).map(|_| UdpSocket::bind(any).unwrap()).collect();
         let mut peers: HashMap<ProcessId, SocketAddr> = socks
             .iter()
             .enumerate()
             .map(|(i, s)| (ProcessId(i as u16 + 1), s.local_addr().unwrap()))
             .collect();
         peers.insert(ProcessId(0), any);
-        let t = UdpTransport::bind(ProcessId(0), any, peers).unwrap();
+        for s in &socks {
+            s.set_read_timeout(Some(std::time::Duration::from_secs(2)))
+                .unwrap();
+        }
+        (UdpTransport::bind(ProcessId(0), any, peers).unwrap(), socks)
+    }
+
+    #[test]
+    fn udp_flush_skips_an_oversize_datagram_and_counts_it() {
+        // Node 0 with three peers that are plain sockets. One flush:
+        // a small broadcast to all, plus a state transfer to the middle
+        // peer that pushes *its* datagram past what UDP carries.
+        let (t, socks) = node_and_sockets(3);
         let registry = tw_obs::Registry::new();
         t.set_send_metrics(SendMetrics {
             batch_fill: registry.gauge("tw_mmsg_batch_fill"),
@@ -846,47 +890,77 @@ mod tests {
 
     #[test]
     fn udp_flush_copies_each_broadcast_frame_as_encoding_per_destination_would() {
-        // Node 0 and three peers that are plain sockets; a batch that
-        // mixes broadcasts with sends to two of them.
-        let any: SocketAddr = "127.0.0.1:0".parse().unwrap();
-        let socks: Vec<UdpSocket> = (0..3).map(|_| UdpSocket::bind(any).unwrap()).collect();
-        let mut peers: HashMap<ProcessId, SocketAddr> = socks
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (ProcessId(i as u16 + 1), s.local_addr().unwrap()))
+        let (t, socks) = node_and_sockets(3);
+        let batch_of_64: Vec<OutItem> = (1..=64)
+            .map(|seq| OutItem::Broadcast(proposal(0, seq)))
             .collect();
-        peers.insert(ProcessId(0), any);
-        let t = UdpTransport::bind(ProcessId(0), any, peers).unwrap();
-        let items = [
-            OutItem::Broadcast(proposal(0, 1)),
-            OutItem::Send(ProcessId(2), sample(0)),
-            OutItem::Broadcast(proposal(0, 2)),
-            OutItem::Send(ProcessId(1), proposal(0, 9)),
-            OutItem::Broadcast(sample(0)),
+        // A batch that mixes broadcasts with sends to two of the peers,
+        // a 64-proposal batch, and the same with a send in the middle of
+        // its run.
+        let mut interrupted = batch_of_64.clone();
+        interrupted.insert(32, OutItem::Send(ProcessId(3), sample(0)));
+        let cases = [
+            vec![
+                OutItem::Broadcast(proposal(0, 1)),
+                OutItem::Send(ProcessId(2), sample(0)),
+                OutItem::Broadcast(proposal(0, 2)),
+                OutItem::Send(ProcessId(1), proposal(0, 9)),
+                OutItem::Broadcast(sample(0)),
+            ],
+            batch_of_64,
+            interrupted,
         ];
         let mut batch = OutBatch::new();
-        batch.items.extend(items.iter().cloned());
-        t.flush(ProcessId(0), &mut batch);
-
-        let mut expected_msgs = 0;
         let mut buf = vec![0u8; 64 * 1024];
-        for (i, s) in socks.iter().enumerate() {
-            let to = ProcessId(i as u16 + 1);
-            let mut expected = FrameBuilder::new();
-            for item in &items {
-                match item {
-                    OutItem::Send(dest, m) if *dest != to => continue,
-                    OutItem::Broadcast(m) | OutItem::Send(_, m) => expected.push_msg(m),
-                };
+        for items in cases {
+            let before = t.wire_stats();
+            batch.items.extend(items.iter().cloned());
+            t.flush(ProcessId(0), &mut batch);
+            let mut expected_msgs = 0;
+            for (i, s) in socks.iter().enumerate() {
+                let to = ProcessId(i as u16 + 1);
+                let mut expected = FrameBuilder::new();
+                for item in &items {
+                    match item {
+                        OutItem::Send(dest, _) if *dest != to => {}
+                        OutItem::Broadcast(m) | OutItem::Send(_, m) => expected.push_msg(m),
+                    }
+                }
+                expected_msgs += expected.msgs() as u64;
+                let (len, _) = s.recv_from(&mut buf).unwrap();
+                assert_eq!(&buf[..len], expected.bytes(), "datagram to {to}");
             }
-            expected_msgs += expected.frames() as u64;
-            s.set_read_timeout(Some(std::time::Duration::from_secs(2)))
-                .unwrap();
+            let stats = t.wire_stats();
+            assert_eq!(
+                (
+                    stats.datagrams_sent - before.datagrams_sent,
+                    stats.msgs_sent - before.msgs_sent
+                ),
+                (3, expected_msgs)
+            );
+        }
+    }
+
+    #[test]
+    fn udp_flush_counts_messages_not_frames() {
+        let (t, socks) = node_and_sockets(2);
+        let mut batch = OutBatch::new();
+        for seq in 1..=64 {
+            batch.push_broadcast(proposal(0, seq));
+        }
+        t.flush(ProcessId(0), &mut batch);
+        let mut buf = vec![0u8; 64 * 1024];
+        for s in &socks {
             let (len, _) = s.recv_from(&mut buf).unwrap();
-            assert_eq!(&buf[..len], expected.bytes(), "datagram to {to}");
+            let mut frames = frame::open_datagram(&buf[..len]).unwrap();
+            assert!(
+                frames.next().is_some() && frames.next().is_none(),
+                "one run frame"
+            );
+            assert_eq!(frame::decode_datagram(&buf[..len]).unwrap().len(), 64);
         }
         let stats = t.wire_stats();
-        assert_eq!((stats.datagrams_sent, stats.msgs_sent), (3, expected_msgs));
+        assert_eq!((stats.datagrams_sent, stats.msgs_sent), (2, 128));
     }
 
     #[test]
@@ -905,13 +979,26 @@ mod tests {
         ];
         let addr = tb.socket.local_addr().unwrap();
         ta.socket.send_to(V1_DECISION, addr).unwrap();
+        // And the previous framed version's datagram: the frozen v3
+        // decision of proto/tests/oal_wire.rs.
+        #[rustfmt::skip]
+        const V3_DECISION: &[u8] = &[
+            0xD3, 0xA8, 0x80, 0x80, 0x00,
+            0x01, 0x01, 0xA0, 0x1F, 0x01, 0x00, 0x03, 0x00, 0x01, 0x02, 0x1C, 0x07,
+            0xAC, 0x0A, 0x0E, 0x03, 0xD0, 0x0F, 0x03, 0x02,
+            0x3E, 0x01, 0x07, 0x0A, 0x05, 0x01, 0x0E,
+            0x01, 0x02, 0x00, 0x03, 0x00, 0x01, 0x02, 0x01, 0x00,
+            0x10, 0x15, 0x14,
+            0x07,
+        ];
+        ta.socket.send_to(V3_DECISION, addr).unwrap();
         // Then a valid datagram to prove the loop survived.
         ta.send(ProcessId(1), &sample(0));
         match rx.recv_timeout(std::time::Duration::from_secs(2)).unwrap() {
             Incoming::Msg(_, msg) => assert_eq!(msg, sample(0)),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(tb.wire_stats().decode_errors, 1);
+        assert_eq!(tb.wire_stats().decode_errors, 2);
         assert_eq!(tb.wire_stats().datagrams_recv, 1);
     }
 }

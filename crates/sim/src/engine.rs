@@ -291,7 +291,12 @@ pub struct World<A: Actor> {
     stats: Stats,
     trace: Vec<(SimTime, ProcessId, String)>,
     next_timer_id: u64,
+    /// The current invocation's effects; drained by `flush_effects` and
+    /// kept for its capacity.
     effects: Vec<Effect<A::Msg>>,
+    /// Per rank: whether the current flush sends to it (see
+    /// `flush_effects`), kept across flushes like `effects`.
+    wire_dest: Vec<bool>,
 }
 
 impl<A: Actor> World<A> {
@@ -311,6 +316,7 @@ impl<A: Actor> World<A> {
             trace: Vec::new(),
             next_timer_id: 1,
             effects: Vec::new(),
+            wire_dest: Vec::new(),
         }
     }
 
@@ -564,14 +570,19 @@ impl<A: Actor> World<A> {
     }
 
     fn flush_effects(&mut self, pid: ProcessId) {
-        let effects = std::mem::take(&mut self.effects);
+        // Both buffers are taken out for the walk (routing needs `self`)
+        // and handed back emptied, so their capacity serves every
+        // invocation.
+        let mut effects = std::mem::take(&mut self.effects);
         // Coalesced wire model alongside the per-message ledger: a
         // batching runtime packs everything one dispatch emits for a
         // given destination into a single framed datagram, so the wire
         // cost of this flush is the number of distinct destinations —
         // tracked here per rank, recorded once at the end.
-        let mut wire_dest = vec![false; self.procs.len()];
-        for e in effects {
+        let mut wire_dest = std::mem::take(&mut self.wire_dest);
+        wire_dest.clear();
+        wire_dest.resize(self.procs.len(), false);
+        for e in effects.drain(..) {
             match e {
                 Effect::Send { to, msg } => {
                     self.stats.record_send(msg.kind_label(), pid);
@@ -628,6 +639,8 @@ impl<A: Actor> World<A> {
         }
         let coalesced = wire_dest.iter().filter(|d| **d).count() as u64;
         self.stats.record_wire_flush(coalesced);
+        self.effects = effects;
+        self.wire_dest = wire_dest;
     }
 
     fn partition_blocks(&self, from: ProcessId, to: ProcessId) -> bool {

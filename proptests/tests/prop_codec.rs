@@ -1,6 +1,9 @@
 //! Property tests for the wire format: arbitrary messages round-trip
 //! through a datagram, encode deterministically, fail on every
-//! truncation, and arbitrary byte soup never panics the decoder.
+//! truncation, and arbitrary byte soup never panics the decoder; any
+//! sequence of proposals comes back through a `FrameBuilder`'s runs
+//! unchanged, never longer than framed one each, and broken into frames
+//! exactly where a field changes.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -243,6 +246,83 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
     ]
 }
 
+/// A sender's proposals as `propose_batch` emits them, with every kind
+/// of break: each step continues the previous proposal (next sequence
+/// number, a timestamp delta of either sign, any payload, empty ones
+/// included) and then may change one field — sender, incarnation,
+/// sequence number (a gap, or a wrap past `u64::MAX`), hdo, semantics,
+/// or a timestamp jump.
+fn arb_proposal_stream() -> impl Strategy<Value = Vec<Proposal>> {
+    let first = (
+        arb_pid(),
+        0u32..3,
+        prop_oneof![0u64..1 << 20, u64::MAX - 4..=u64::MAX],
+        any::<i64>(),
+        0u64..4,
+        arb_sem(),
+    );
+    let step = (
+        0u8..12,
+        -3_000i64..3_000,
+        proptest::collection::vec(any::<u8>(), 0..8),
+        any::<u64>(),
+    );
+    (first, proptest::collection::vec(step, 0..48)).prop_map(
+        |((sender, inc, seq, ts, hdo, semantics), steps)| {
+            let mut p = Proposal {
+                sender,
+                incarnation: Incarnation(inc),
+                seq,
+                send_ts: SyncTime(ts),
+                hdo: Ordinal(hdo),
+                semantics,
+                payload: Bytes::new(),
+            };
+            let mut out = vec![p.clone()];
+            for (change, delta, payload, r) in steps {
+                p.seq = p.seq.wrapping_add(1);
+                p.send_ts = SyncTime(p.send_ts.0.wrapping_add(delta));
+                p.payload = Bytes::from(payload);
+                match change {
+                    0 => p.sender = ProcessId((r % 4) as u16),
+                    1 => p.incarnation = Incarnation((r % 3) as u32),
+                    2 => p.seq = p.seq.saturating_sub(2).saturating_add(r % 4),
+                    3 => p.hdo = Ordinal(r % 4),
+                    4 => {
+                        p.semantics = [
+                            Semantics::TOTAL_STRONG,
+                            Semantics::TIME_STRICT,
+                            Semantics::UNORDERED_WEAK,
+                        ][(r % 3) as usize]
+                    }
+                    5 => p.send_ts = SyncTime(r as i64),
+                    _ => {}
+                }
+                out.push(p.clone());
+            }
+            out
+        },
+    )
+}
+
+/// Whether `next` continues a run ending in `prev` — the rule stated
+/// from the format's definition, not taken from the encoder: same
+/// sender, incarnation, hdo and semantics, the next sequence number, and
+/// a timestamp delta whose zigzag varint takes at most 8 bytes.
+fn continues(prev: &Proposal, next: &Proposal) -> bool {
+    let delta_fits = next
+        .send_ts
+        .0
+        .checked_sub(prev.send_ts.0)
+        .is_some_and(|d| (-(1i64 << 55)..1i64 << 55).contains(&d));
+    prev.sender == next.sender
+        && prev.incarnation == next.incarnation
+        && prev.hdo == next.hdo
+        && prev.semantics == next.semantics
+        && prev.seq.checked_add(1) == Some(next.seq)
+        && delta_fits
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -279,5 +359,28 @@ proptest! {
     #[test]
     fn encoding_is_deterministic(msg in arb_msg()) {
         prop_assert_eq!(frame::encode_single(&msg), frame::encode_single(&msg));
+    }
+
+    #[test]
+    fn proposal_runs_round_trip_and_break_where_a_field_changes(
+        stream in arb_proposal_stream(),
+    ) {
+        let msgs: Vec<Msg> = stream.iter().cloned().map(Msg::Proposal).collect();
+        let mut b = frame::FrameBuilder::new();
+        for m in &msgs {
+            b.push_msg(m);
+        }
+        prop_assert_eq!(b.msgs(), msgs.len());
+        prop_assert_eq!(frame::decode_datagram(b.bytes()), Ok(msgs.clone()));
+        // Never longer than the same proposals framed one per frame.
+        let one_each: usize = 1 + msgs
+            .iter()
+            .map(|m| frame::encode_single(m).len() - 1)
+            .sum::<usize>();
+        prop_assert!(b.bytes().len() <= one_each, "{} > {}", b.bytes().len(), one_each);
+        // One frame per run, a run broken exactly where a field changes.
+        let runs = 1 + stream.windows(2).filter(|w| !continues(&w[0], &w[1])).count();
+        let frames = frame::open_datagram(b.bytes()).unwrap().count();
+        prop_assert_eq!(frames, runs);
     }
 }

@@ -95,7 +95,7 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
 
 /// An oal window made of run-shaped segments (same proposer, seq + 1,
 /// constant timestamp stride) with breaks of every kind between and
-/// inside them — what the wire v3 run coding folds and must unfold.
+/// inside them — what the oal block's run coding folds and must unfold.
 fn arb_oal() -> impl Strategy<Value = Oal> {
     let segment = (
         arb_pid(),
@@ -167,6 +167,41 @@ fn arb_oal_msg() -> impl Strategy<Value = Msg> {
             alive: AckBits(1),
         }),
     })
+}
+
+/// A `propose_batch`-shaped datagram: `len` proposals of one sender that
+/// a `FrameBuilder` folds into one run frame (timestamp deltas of either
+/// sign, empty payloads included), then any other message.
+fn arb_run_datagram() -> impl Strategy<Value = Vec<u8>> {
+    (
+        arb_pid(),
+        any::<u32>(),
+        any::<u64>(),
+        any::<i64>(),
+        proptest::collection::vec(
+            (-300i64..300, proptest::collection::vec(any::<u8>(), 0..6)),
+            1..40,
+        ),
+        arb_msg(),
+    )
+        .prop_map(|(p, inc, seq, ts, steps, tail)| {
+            let mut b = tw_proto::frame::FrameBuilder::new();
+            let mut send_ts = ts;
+            for (k, (delta, payload)) in steps.into_iter().enumerate() {
+                send_ts = send_ts.wrapping_add(delta);
+                b.push_msg(&Msg::Proposal(Proposal {
+                    sender: p,
+                    incarnation: Incarnation(inc),
+                    seq: seq.wrapping_add(k as u64),
+                    send_ts: SyncTime(send_ts),
+                    hdo: Ordinal(7),
+                    semantics: Semantics::UNORDERED_WEAK,
+                    payload: Bytes::from(payload),
+                }));
+            }
+            b.push_msg(&tail);
+            b.bytes().to_vec()
+        })
 }
 
 /// Descriptors materialized by the oal blocks of one decoded datagram.
@@ -281,10 +316,39 @@ proptest! {
             b.push_msg(m);
         }
         let mut flipped = b.bytes().to_vec();
-        // Byte 0 is the version; the first frame's padded 4-byte LEB128
-        // length prefix sits at bytes 1..5. Attacking it directly
-        // exercises the framing bounds checks, not the message codec.
+        // Byte 0 is the version; the first frame's LEB128 length prefix
+        // starts at byte 1 and takes one or two bytes here, so bytes 1..5
+        // hit the prefix and the start of the body. Attacking them
+        // directly exercises the framing bounds checks, not the message
+        // codec.
         flipped[1 + prefix_byte] ^= 1 << bit;
         let _ = tw_proto::frame::decode_datagram(&flipped);
+    }
+
+    // ----- proposal runs: corruption inside a run frame -----
+
+    #[test]
+    fn run_frame_flipped_or_cut_is_an_error_or_a_bounded_batch(
+        dgram in arb_run_datagram(),
+        byte_pick in any::<u64>(),
+        bit in 0u8..8,
+        cut_frac in 0.0f64..1.0,
+    ) {
+        // Every continuation takes at least two bytes and every frame
+        // more, so no datagram decodes to more than half its length in
+        // messages.
+        let mut flipped = dgram.clone();
+        let idx = (byte_pick % flipped.len() as u64) as usize;
+        flipped[idx] ^= 1 << bit;
+        match tw_proto::frame::decode_datagram(&flipped) {
+            Err(tw_proto::WireError::BadVersion { .. }) => prop_assert_eq!(idx, 0),
+            Err(_) => {}
+            Ok(decoded) => prop_assert!(decoded.len() <= flipped.len() / 2),
+        }
+        let cut = ((dgram.len() as f64) * cut_frac) as usize;
+        match tw_proto::frame::decode_datagram(&dgram[..cut]) {
+            Err(_) => {}
+            Ok(decoded) => prop_assert!(decoded.len() <= cut / 2),
+        }
     }
 }
