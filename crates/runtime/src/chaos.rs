@@ -1,9 +1,9 @@
 //! Chaos orchestration for real clusters.
 //!
-//! [`ChaosCluster`] is an in-process team whose every datagram flows
-//! through a [`FaultTransport`] fabric, and whose nodes can be
-//! crash-stopped, restarted (rejoining via the §5 join path in a fresh
-//! incarnation), and paused/resumed to fake slow processing.
+//! [`ChaosCluster`] is an in-process team whose every datagram crosses
+//! the [`MemTransport`] mesh through a [`FaultTransport`], and whose
+//! nodes can be crash-stopped, restarted (rejoining via the §5 join path
+//! in a fresh incarnation), and paused/resumed to fake slow processing.
 //! [`ChaosController`] executes a time-scripted [`ChaosSchedule`]
 //! against such a cluster; schedules are either written by hand or
 //! generated deterministically from a seed within a [`FaultBudget`].
@@ -22,14 +22,13 @@
 //! (guarantees held / violated) is identical, not the interleaving.
 
 use crate::fault::{ChaosNet, ChaosRng, FaultTransport, LinkPlan};
-use crate::metrics::NodeMetrics;
-use crate::node::{ClusterBuilder, Node, Wiring, INBOX_CAPACITY};
-use crate::transport::{node_inbox, InboxSender, Incoming, Transport};
+use crate::node::{ClusterBuilder, Node, Wiring};
+use crate::transport::MemTransport;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use timewheel::Config;
 use tw_obs::{FaultKind, TraceEvent, Tracer};
-use tw_proto::{Incarnation, Msg, ProcessId};
+use tw_proto::{Incarnation, ProcessId};
 
 /// A switch any executor thread checks before dispatching: while
 /// paused, the node's threads block, faking arbitrarily slow
@@ -83,51 +82,6 @@ impl PauseGate {
 // here because the chaos harness is where harness code historically
 // found it.
 pub use crate::status::{NodeStatus, StatusCell};
-
-/// A channel mesh like [`crate::transport::MemTransport`], but with
-/// switchable slots: a crashed node's slot is unplugged (datagrams to
-/// it vanish, as to any dead process) and a restarted node's fresh
-/// inbox is plugged back in.
-pub struct SwitchMesh {
-    slots: Mutex<Vec<Option<InboxSender>>>,
-}
-
-impl SwitchMesh {
-    /// A mesh of `n` unplugged slots.
-    pub fn new(n: usize) -> Arc<Self> {
-        Arc::new(SwitchMesh {
-            slots: Mutex::new((0..n).map(|_| None).collect()),
-        })
-    }
-
-    /// Plug (or unplug, with `None`) the inbox for `rank`.
-    pub fn set_slot(&self, rank: usize, tx: Option<InboxSender>) {
-        let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(slot) = slots.get_mut(rank) {
-            *slot = tx;
-        }
-    }
-}
-
-impl Transport for SwitchMesh {
-    fn send(&self, to: ProcessId, msg: &Msg) {
-        let slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(Some(tx)) = slots.get(to.rank()) {
-            let _ = tx.deliver(Incoming::Msg(msg.sender(), msg.clone()));
-        }
-    }
-
-    fn broadcast(&self, from: ProcessId, msg: &Msg) {
-        let slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        for (rank, slot) in slots.iter().enumerate() {
-            if rank != from.rank() {
-                if let Some(tx) = slot {
-                    let _ = tx.deliver(Incoming::Msg(from, msg.clone()));
-                }
-            }
-        }
-    }
-}
 
 /// One scripted chaos action.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -427,14 +381,14 @@ impl ChaosSchedule {
     }
 }
 
-/// An in-process cluster wired for adversity: every datagram crosses a
-/// [`FaultTransport`] over a switchable mesh, and every node can be
-/// crashed, restarted, paused and resumed at runtime. Built by
-/// [`ClusterBuilder::chaos`].
+/// An in-process cluster wired for adversity: every datagram crosses
+/// the [`MemTransport`] mesh through a [`FaultTransport`], and every
+/// node can be crashed, restarted, paused and resumed at runtime. Built
+/// by [`ClusterBuilder::chaos`].
 pub struct ChaosCluster {
     plan: ClusterBuilder,
     net: Arc<ChaosNet>,
-    mesh: Arc<SwitchMesh>,
+    mesh: Arc<MemTransport>,
     wrapped: Vec<Arc<FaultTransport>>,
     nodes: Vec<Option<Node>>,
     lives: Vec<u32>,
@@ -453,17 +407,15 @@ impl ClusterBuilder {
         self.resolve()?;
         let n = self.cfg.n;
         let net = ChaosNet::new(seed);
-        let mesh = SwitchMesh::new(n);
-        let team: Vec<ProcessId> = (0..n).map(|i| ProcessId(i as u16)).collect();
-        let wrapped = team
-            .iter()
-            .map(|&pid| {
-                let tracer = match &self.sinks[pid.rank()] {
+        let mesh = MemTransport::unplugged(n);
+        let wrapped = (0..n)
+            .map(|rank| {
+                let tracer = match &self.sinks[rank] {
                     Some(s) => Tracer::new(s.clone()),
                     None => Tracer::disabled(),
                 };
-                let below = mesh.clone() as Arc<dyn Transport>;
-                FaultTransport::new(pid, team.clone(), below, net.clone(), tracer)
+                let pid = ProcessId(rank as u16);
+                FaultTransport::new(pid, mesh.clone(), net.clone(), tracer)
             })
             .collect();
         let mut cluster = ChaosCluster {
@@ -485,19 +437,8 @@ impl ChaosCluster {
     /// Spawn (or respawn) the member at `rank` as incarnation
     /// `lives[rank]`, plugging a fresh bounded inbox into the mesh.
     fn start_node(&mut self, rank: usize) -> std::io::Result<()> {
-        let metrics = NodeMetrics::new();
-        let (tx, inbox) = node_inbox(INBOX_CAPACITY, Some(metrics.inbox_dropped()));
-        let bell = tx.doorbell().clone();
-        self.mesh.set_slot(rank, Some(tx));
-        let wiring = Wiring {
-            inbox,
-            bell,
-            transport: self.wrapped[rank].clone(),
-            udp: None,
-            extra_handles: Vec::new(),
-            metrics,
-            clock: Arc::new(self.net.clock()),
-        };
+        let transport = self.wrapped[rank].clone();
+        let wiring = Wiring::on_mesh(&self.mesh, rank, transport, Arc::new(self.net.clock()));
         let life = Incarnation(self.lives[rank]);
         self.nodes[rank] = Some(self.plan.start(rank, life, wiring, true)?);
         Ok(())
@@ -690,7 +631,6 @@ impl ChaosController {
 mod tests {
     use super::*;
     use std::sync::atomic::Ordering;
-    use tw_proto::{ClockSyncMsg, HwTime};
 
     fn p(n: u16) -> ProcessId {
         ProcessId(n)
@@ -713,25 +653,6 @@ mod tests {
         gate.resume();
         h.join().unwrap();
         assert!(done.load(Ordering::SeqCst));
-    }
-
-    #[test]
-    fn switch_mesh_unplugs_and_replugs() {
-        let mesh = SwitchMesh::new(2);
-        let msg = Msg::ClockSync(ClockSyncMsg::Request {
-            sender: p(0),
-            rid: 1,
-            hw_send: HwTime(1),
-        });
-        // Unplugged: datagrams vanish (dead process).
-        mesh.send(p(1), &msg);
-        let (tx, rx) = node_inbox(8, None);
-        mesh.set_slot(1, Some(tx));
-        mesh.send(p(1), &msg);
-        assert!(rx.try_recv().is_ok());
-        mesh.set_slot(1, None);
-        mesh.send(p(1), &msg);
-        assert!(rx.try_recv().is_err());
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! Deterministic fault injection for real-cluster transports.
+//! Deterministic fault injection for in-process clusters.
 //!
-//! [`FaultTransport`] wraps any [`Transport`] (the in-process mesh or
-//! real UDP) and subjects every datagram to a seeded, per-link fault
-//! plan: drop probability, duplication, bounded reorder, added delay,
-//! byte corruption, and directional link cuts. Every injected fault maps
-//! onto the paper's timed-asynchronous failure model:
+//! [`FaultTransport`] is a node's way onto the in-process
+//! [`MemTransport`] mesh that subjects every message to a seeded,
+//! per-link fault plan: drop probability, duplication, bounded reorder,
+//! added delay, byte corruption, and directional link cuts. Each
+//! destination's surviving share of a flush reaches it as one datagram,
+//! as on UDP. Every injected fault maps onto the paper's
+//! timed-asynchronous failure model:
 //!
 //! * drop / corrupt / cut — **omission** failures (a corrupted datagram
 //!   is exercised through [`frame::decode_datagram`] like a real
@@ -17,16 +19,17 @@
 //! Determinism contract: the fate of message *n* on link *(from, to)* is
 //! a pure function of `(seed, from, to, n)` — a private SplitMix64 lane
 //! per message, so toggling one fault knob never shifts another knob's
-//! draws, and a re-run with the same seed and same send pattern injects
-//! the identical fault sequence. All knobs are switchable at runtime
-//! through the shared [`ChaosNet`].
+//! draws, how messages are grouped into flushes never shifts any fate,
+//! and a re-run with the same seed and same send pattern injects the
+//! identical fault sequence. All knobs are switchable at runtime through
+//! the shared [`ChaosNet`].
 //!
 //! Injected faults are emitted as [`TraceEvent::FaultInjected`] into the
 //! sending node's trace sink, so flight recordings of adversarial runs
 //! are self-describing.
 
 use crate::clock::{RealClock, RuntimeClock};
-use crate::transport::Transport;
+use crate::transport::{MemTransport, OutBatch, Transport};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,9 +70,6 @@ impl ChaosRng {
     }
 }
 
-/// The per-message fate lane: a fresh SplitMix64 stream keyed by
-/// `(seed, from, to, seq)`, so every message's draws are independent of
-/// every other message's.
 /// Flip one `rng`-chosen bit of `msg`'s datagram and hand the result to
 /// the decoder every receiver runs. Returns the byte hit and what the
 /// decoder made of it. Two draws, byte then bit, whatever the message.
@@ -81,6 +81,9 @@ fn corrupt_on_the_wire(msg: &Msg, rng: &mut ChaosRng) -> (usize, Result<Vec<Msg>
     (at_byte, frame::decode_datagram(&dgram))
 }
 
+/// The per-message fate lane: a fresh SplitMix64 stream keyed by
+/// `(seed, from, to, seq)`, so every message's draws are independent of
+/// every other message's.
 fn lane(seed: u64, from: ProcessId, to: ProcessId, seq: u64) -> ChaosRng {
     let mut s = seed;
     for v in [from.0 as u64 + 1, to.0 as u64 + 1, seq + 1] {
@@ -145,9 +148,10 @@ struct NetState {
 struct Held {
     due: Instant,
     order: u64,
+    from: ProcessId,
     to: ProcessId,
     msg: Msg,
-    inner: Arc<dyn Transport>,
+    mesh: Arc<MemTransport>,
 }
 
 impl PartialEq for Held {
@@ -201,7 +205,7 @@ impl Pump {
                 Some(Reverse(head)) if head.due <= now => {
                     let Reverse(held) = st.heap.pop().expect("peeked");
                     drop(st);
-                    held.inner.send(held.to, &held.msg);
+                    held.mesh.deliver(held.from, held.to, vec![held.msg]);
                     st = self.lock();
                 }
                 Some(Reverse(head)) => {
@@ -401,38 +405,33 @@ impl Drop for ChaosNet {
     }
 }
 
-/// A [`Transport`] wrapper that routes every datagram through the
-/// shared [`ChaosNet`] fault fabric before handing it to the inner
-/// transport. One wrapper per node; broadcasts are decomposed into
-/// per-link sends so each link rolls its own fate.
+/// A node's [`Transport`] onto the in-process mesh through the shared
+/// [`ChaosNet`] fault fabric. One per node.
 pub struct FaultTransport {
     me: ProcessId,
-    team: Vec<ProcessId>,
-    inner: Arc<dyn Transport>,
+    mesh: Arc<MemTransport>,
     net: Arc<ChaosNet>,
     tracer: Tracer,
 }
 
 impl FaultTransport {
-    /// Wrap `inner` for node `me` of `team`, injecting faults from
-    /// `net` and emitting [`TraceEvent::FaultInjected`] into `tracer`.
+    /// Node `me`'s way onto `mesh`, injecting faults from `net` and
+    /// emitting [`TraceEvent::FaultInjected`] into `tracer`.
     pub fn new(
         me: ProcessId,
-        team: Vec<ProcessId>,
-        inner: Arc<dyn Transport>,
+        mesh: Arc<MemTransport>,
         net: Arc<ChaosNet>,
         tracer: Tracer,
     ) -> Arc<Self> {
         Arc::new(FaultTransport {
             me,
-            team,
-            inner,
+            mesh,
             net,
             tracer,
         })
     }
 
-    /// The shared fabric behind this wrapper.
+    /// The shared fabric behind this transport.
     pub fn net(&self) -> &Arc<ChaosNet> {
         &self.net
     }
@@ -450,36 +449,31 @@ impl FaultTransport {
         });
     }
 
-    fn hold(&self, to: ProcessId, msg: Msg, ms: u32) {
+    fn hold(&self, from: ProcessId, to: ProcessId, msg: Msg, ms: u32) {
         let order = self.net.held_order.fetch_add(1, Ordering::Relaxed);
         self.net.pump.push(Held {
             due: Instant::now() + Duration::from_millis(ms as u64),
             order,
+            from,
             to,
             msg,
-            inner: self.inner.clone(),
+            mesh: self.mesh.clone(),
         });
     }
 
-    /// Route one datagram `from → to` through the fault plan.
-    fn send_on_link(&self, from: ProcessId, to: ProcessId, msg: &Msg) {
-        let (plan, seq, cut) = {
-            let mut st = self.net.lock();
-            let cut = st.cut.contains(&(from, to));
-            let plan = *st.overrides.get(&(from, to)).unwrap_or(&st.default_plan);
-            let seq = st.seqs.entry((from, to)).or_insert(0);
-            let n = *seq;
-            *seq += 1;
-            (plan, n, cut)
-        };
-        if cut {
-            self.net.cut_swallowed.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        if plan.is_clean() {
-            self.inner.send(to, msg);
-            return;
-        }
+    /// Roll the fate of message `seq` on link `from → to` under `plan`.
+    /// What arrives with this flush's datagram is pushed onto `out`, a
+    /// duplicate right after its original; a reordered or delayed
+    /// message goes to the pump on its own.
+    fn roll(
+        &self,
+        plan: &LinkPlan,
+        from: ProcessId,
+        to: ProcessId,
+        seq: u64,
+        msg: &Msg,
+        out: &mut Vec<Msg>,
+    ) {
         // Fixed draw order, one draw per knob, so enabling one fault
         // never changes another fault's pattern.
         let mut rng = lane(self.net.seed, from, to, seq);
@@ -504,37 +498,57 @@ impl FaultTransport {
         }
         if reorder && plan.hold_ms > 0 {
             self.emit(FaultKind::Reorder, to, plan.hold_ms);
-            self.hold(to, msg.clone(), plan.hold_ms);
+            self.hold(from, to, msg.clone(), plan.hold_ms);
             return;
         }
         if delay && plan.delay_ms > 0 {
             self.emit(FaultKind::Delay, to, plan.delay_ms);
-            self.hold(to, msg.clone(), plan.delay_ms);
+            self.hold(from, to, msg.clone(), plan.delay_ms);
             if dup {
                 self.emit(FaultKind::Duplicate, to, 0);
-                self.hold(to, msg.clone(), plan.delay_ms);
+                self.hold(from, to, msg.clone(), plan.delay_ms);
             }
             return;
         }
-        self.inner.send(to, msg);
+        out.push(msg.clone());
         if dup {
             self.emit(FaultKind::Duplicate, to, 0);
-            self.inner.send(to, msg);
+            out.push(msg.clone());
         }
     }
 }
 
 impl Transport for FaultTransport {
-    fn send(&self, to: ProcessId, msg: &Msg) {
-        self.send_on_link(self.me, to, msg);
-    }
-
-    fn broadcast(&self, from: ProcessId, msg: &Msg) {
-        for &p in &self.team {
-            if p != from {
-                self.send_on_link(from, p, msg);
-            }
+    /// Per destination: take the link's plan and cut state once, roll
+    /// each message of its share on the link's next sequence numbers in
+    /// action order, and hand the mesh the survivors as one datagram.
+    fn flush(&self, from: ProcessId, batch: &mut OutBatch) {
+        if batch.is_empty() {
+            return;
         }
+        for rank in (0..self.mesh.len()).filter(|&rank| rank != from.rank()) {
+            let to = ProcessId(rank as u16);
+            let n = batch.share(to).count() as u64;
+            let (plan, first, cut) = {
+                let mut st = self.net.lock();
+                let cut = st.cut.contains(&(from, to));
+                let plan = *st.overrides.get(&(from, to)).unwrap_or(&st.default_plan);
+                let seq = st.seqs.entry((from, to)).or_insert(0);
+                let first = *seq;
+                *seq += n;
+                (plan, first, cut)
+            };
+            if cut {
+                self.net.cut_swallowed.fetch_add(n, Ordering::Relaxed);
+                continue;
+            }
+            let mut survivors = Vec::new();
+            for (seq, msg) in (first..).zip(batch.share(to)) {
+                self.roll(&plan, from, to, seq, msg, &mut survivors);
+            }
+            self.mesh.deliver(from, to, survivors);
+        }
+        batch.items.clear();
     }
 }
 
@@ -555,35 +569,69 @@ mod tests {
         })
     }
 
+    fn rid(msg: &Msg) -> u64 {
+        match msg {
+            Msg::ClockSync(ClockSyncMsg::Request { rid, .. }) => *rid,
+            other => panic!("unexpected message {other:?}"),
+        }
+    }
+
     fn rid_of(inc: &Incoming) -> u64 {
         match inc {
-            Incoming::Msg(_, Msg::ClockSync(ClockSyncMsg::Request { rid, .. })) => *rid,
+            Incoming::Msg(_, msg) => rid(msg),
             other => panic!("unexpected incoming {other:?}"),
         }
     }
 
-    /// A 2-node fabric: node 0's wrapped transport plus node 1's inbox.
+    /// The rids of everything queued in `rx`, batches flattened.
+    fn rids(rx: &Receiver<Incoming>) -> Vec<u64> {
+        rx.try_iter()
+            .flat_map(|inc| match inc {
+                Incoming::Msg(_, msg) => vec![msg],
+                Incoming::Batch(_, msgs) => msgs,
+            })
+            .map(|msg| rid(&msg))
+            .collect()
+    }
+
+    /// Flush one batch from node 0: a send to node 1 of each rid.
+    fn send(t: &FaultTransport, rids: impl IntoIterator<Item = u64>) {
+        let mut batch = OutBatch::new();
+        for rid in rids {
+            batch.push_send(ProcessId(1), sample(0, rid));
+        }
+        t.flush(ProcessId(0), &mut batch);
+    }
+
+    /// An `n`-node fabric: node 0's transport plus every node's inbox.
+    fn team(
+        n: usize,
+        seed: u64,
+        tracer: Tracer,
+    ) -> (Arc<FaultTransport>, Vec<Receiver<Incoming>>, Arc<ChaosNet>) {
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
+        let mesh = MemTransport::new(txs.into_iter().map(Into::into).collect());
+        let net = ChaosNet::new(seed);
+        let t = FaultTransport::new(ProcessId(0), mesh, net.clone(), tracer);
+        (t, rxs, net)
+    }
+
+    /// A 2-node fabric: node 0's transport plus node 1's inbox.
     fn pair(
         seed: u64,
         sink: Arc<VecSink>,
     ) -> (Arc<FaultTransport>, Receiver<Incoming>, Arc<ChaosNet>) {
-        let (tx0, _rx0) = unbounded();
-        let (tx1, rx1) = unbounded();
-        let mem = MemTransport::new(vec![tx0.into(), tx1.into()]);
-        let net = ChaosNet::new(seed);
-        let team = vec![ProcessId(0), ProcessId(1)];
-        let t = FaultTransport::new(ProcessId(0), team, mem, net.clone(), Tracer::new(sink));
-        (t, rx1, net)
+        let (t, mut rxs, net) = team(2, seed, Tracer::new(sink));
+        (t, rxs.pop().expect("two inboxes"), net)
     }
 
     #[test]
     fn clean_plan_is_transparent() {
         let (t, rx, net) = pair(1, Arc::new(VecSink::new()));
         for rid in 0..50 {
-            t.send(ProcessId(1), &sample(0, rid));
+            send(&t, [rid]);
         }
-        let got: Vec<u64> = rx.try_iter().map(|m| rid_of(&m)).collect();
-        assert_eq!(got, (0..50).collect::<Vec<_>>());
+        assert_eq!(rids(&rx), (0..50).collect::<Vec<_>>());
         assert_eq!(net.injected_counts(), [0; FaultKind::ALL.len()]);
     }
 
@@ -593,9 +641,9 @@ mod tests {
             let (t, rx, net) = pair(seed, Arc::new(VecSink::new()));
             net.set_default_plan(LinkPlan::lossy(300_000));
             for rid in 0..200 {
-                t.send(ProcessId(1), &sample(0, rid));
+                send(&t, [rid]);
             }
-            rx.try_iter().map(|m| rid_of(&m)).collect()
+            rids(&rx)
         };
         let a = run(42);
         let b = run(42);
@@ -618,9 +666,9 @@ mod tests {
                 ..LinkPlan::default()
             });
             for rid in 0..200 {
-                t.send(ProcessId(1), &sample(0, rid));
+                send(&t, [rid]);
             }
-            rx.try_iter().map(|m| rid_of(&m)).collect()
+            rids(&rx).into_iter().collect()
         };
         let without_dup = run(0);
         let with_dup = run(500_000);
@@ -634,11 +682,11 @@ mod tests {
     fn cut_links_swallow_directionally_and_heal() {
         let (t, rx, net) = pair(3, Arc::new(VecSink::new()));
         net.cut(ProcessId(0), ProcessId(1));
-        t.send(ProcessId(1), &sample(0, 1));
+        send(&t, [1]);
         assert!(rx.try_recv().is_err(), "cut link must swallow");
         assert_eq!(net.cut_swallowed(), 1);
         net.heal(ProcessId(0), ProcessId(1));
-        t.send(ProcessId(1), &sample(0, 2));
+        send(&t, [2]);
         assert_eq!(rid_of(&rx.try_recv().unwrap()), 2);
     }
 
@@ -663,7 +711,7 @@ mod tests {
             ..LinkPlan::default()
         });
         for rid in 0..64 {
-            t.send(ProcessId(1), &sample(0, rid));
+            send(&t, [rid]);
         }
         assert!(rx.try_recv().is_err(), "corrupted datagrams never arrive");
         assert_eq!(net.injected(FaultKind::Corrupt), 64);
@@ -713,9 +761,9 @@ mod tests {
             ..LinkPlan::default()
         });
         for rid in 0..10 {
-            t.send(ProcessId(1), &sample(0, rid));
+            send(&t, [rid]);
         }
-        let got: Vec<u64> = rx.try_iter().map(|m| rid_of(&m)).collect();
+        let got = rids(&rx);
         let expect: Vec<u64> = (0..10).flat_map(|r| [r, r]).collect();
         assert_eq!(got, expect);
         assert_eq!(net.injected(FaultKind::Duplicate), 10);
@@ -729,7 +777,7 @@ mod tests {
             delay_ms: 40,
             ..LinkPlan::default()
         });
-        t.send(ProcessId(1), &sample(0, 77));
+        send(&t, [77]);
         assert!(rx.try_recv().is_err(), "must not arrive synchronously");
         let got = rx
             .recv_timeout(Duration::from_secs(5))
@@ -748,9 +796,9 @@ mod tests {
             hold_ms: 60,
             ..LinkPlan::default()
         });
-        t.send(ProcessId(1), &sample(0, 1));
+        send(&t, [1]);
         net.set_default_plan(LinkPlan::clean());
-        t.send(ProcessId(1), &sample(0, 2));
+        send(&t, [2]);
         let first = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         let second = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(rid_of(&first), 2, "later traffic overtakes the held one");
@@ -759,18 +807,106 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_decomposes_per_link() {
-        let (tx0, _rx0) = unbounded();
-        let (tx1, rx1) = unbounded();
-        let (tx2, rx2) = unbounded();
-        let mem = MemTransport::new(vec![tx0.into(), tx1.into(), tx2.into()]);
-        let net = ChaosNet::new(21);
-        let team = vec![ProcessId(0), ProcessId(1), ProcessId(2)];
-        let t = FaultTransport::new(ProcessId(0), team, mem, net.clone(), Tracer::disabled());
+    fn a_flushed_broadcast_rolls_per_link() {
+        let (t, rxs, net) = team(3, 21, Tracer::disabled());
         net.cut(ProcessId(0), ProcessId(1));
-        t.broadcast(ProcessId(0), &sample(0, 5));
-        assert!(rx1.try_recv().is_err(), "cut leg of the broadcast vanishes");
-        assert_eq!(rid_of(&rx2.try_recv().unwrap()), 5);
+        let mut batch = OutBatch::new();
+        batch.push_broadcast(sample(0, 5));
+        t.flush(ProcessId(0), &mut batch);
+        assert!(
+            rxs[1].try_recv().is_err(),
+            "cut leg of the broadcast vanishes"
+        );
+        assert_eq!(rid_of(&rxs[2].try_recv().unwrap()), 5);
+    }
+
+    /// The survivors of rids 0..40 from node 0 to node 1 on a 30 % lossy
+    /// link of `ChaosNet::new(42)`, pinned: how the messages are grouped
+    /// into flushes must not move a single fate.
+    const SEED_42_SURVIVORS: [u64; 27] = [
+        1, 2, 5, 6, 9, 10, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 24, 26, 27, 28, 32, 33, 35, 36,
+        37, 38, 39,
+    ];
+
+    #[test]
+    fn fates_do_not_depend_on_batching() {
+        let run = |flushes: &[Vec<u64>]| {
+            let (t, rx, net) = pair(42, Arc::new(VecSink::new()));
+            net.set_default_plan(LinkPlan::lossy(300_000));
+            for flush in flushes {
+                send(&t, flush.iter().copied());
+            }
+            (rids(&rx), net.injected(FaultKind::Drop))
+        };
+        let one_each: Vec<Vec<u64>> = (0..40).map(|rid| vec![rid]).collect();
+        for flushes in [one_each, vec![(0..40).collect()]] {
+            let (got, dropped) = run(&flushes);
+            assert_eq!(got, SEED_42_SURVIVORS, "{} flushes", flushes.len());
+            assert_eq!(dropped, 40 - SEED_42_SURVIVORS.len() as u64);
+        }
+    }
+
+    #[test]
+    fn a_flush_reaches_each_destination_as_one_datagram() {
+        let (t, rxs, net) = team(3, 23, Tracer::disabled());
+        // To node 1: every message doubled. To node 2: the first
+        // message held back, the rest clean.
+        net.set_link_plan(
+            ProcessId(0),
+            ProcessId(1),
+            LinkPlan {
+                dup_ppm: 1_000_000,
+                ..LinkPlan::default()
+            },
+        );
+        net.set_link_plan(
+            ProcessId(0),
+            ProcessId(2),
+            LinkPlan {
+                reorder_ppm: 1_000_000,
+                hold_ms: 300,
+                ..LinkPlan::default()
+            },
+        );
+        let mut batch = OutBatch::new();
+        batch.push_broadcast(sample(0, 1));
+        batch.push_send(ProcessId(2), sample(0, 2));
+        batch.push_send(ProcessId(1), sample(0, 3));
+        batch.push_broadcast(sample(0, 4));
+        t.flush(ProcessId(0), &mut batch);
+        assert!(batch.is_empty());
+
+        let one = |rx: &Receiver<Incoming>| match rx.try_recv() {
+            Ok(Incoming::Batch(from, msgs)) => {
+                assert_eq!(from, ProcessId(0));
+                assert!(rx.try_recv().is_err(), "one datagram per destination");
+                msgs.iter().map(rid).collect::<Vec<_>>()
+            }
+            other => panic!("expected one batch, got {other:?}"),
+        };
+        assert_eq!(
+            one(&rxs[1]),
+            [1, 1, 3, 3, 4, 4],
+            "a duplicate follows its original"
+        );
+        // Every message to node 2 is held: the pump delivers each on
+        // its own once its hold is over.
+        assert!(
+            rxs[2].try_recv().is_err(),
+            "held messages are not in the datagram"
+        );
+        net.clear_link_plans();
+        let mut batch = OutBatch::new();
+        batch.push_send(ProcessId(2), sample(0, 5));
+        batch.push_send(ProcessId(2), sample(0, 6));
+        t.flush(ProcessId(0), &mut batch);
+        assert_eq!(one(&rxs[2]), [5, 6]);
+        let late: Vec<u64> = (0..3)
+            .map(|_| rid_of(&rxs[2].recv_timeout(Duration::from_secs(5)).unwrap()))
+            .collect();
+        assert_eq!(late, [1, 2, 4], "held messages arrive later, one each");
+        assert_eq!(net.injected(FaultKind::Reorder), 3);
+        assert_eq!(net.injected(FaultKind::Duplicate), 3);
     }
 
     #[test]

@@ -130,6 +130,19 @@ pub enum Incoming {
     Batch(ProcessId, Vec<Msg>),
 }
 
+impl Incoming {
+    /// One datagram's messages from `from` as the inbox carries them: a
+    /// lone message as [`Incoming::Msg`], more as one [`Incoming::Batch`]
+    /// (one channel operation, one dispatch). `None` when there are none.
+    pub fn of(from: ProcessId, mut msgs: Vec<Msg>) -> Option<Incoming> {
+        match msgs.len() {
+            0 => None,
+            1 => msgs.pop().map(|msg| Incoming::Msg(from, msg)),
+            _ => Some(Incoming::Batch(from, msgs)),
+        }
+    }
+}
+
 /// What became of a datagram handed to an inbox.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Deliver {

@@ -15,9 +15,13 @@
 //!   synchronizing on a shared lock around the protocol state. It exists
 //!   so the §5 comparison (experiment T7) can be reproduced.
 //!
-//! Transports: [`transport::MemTransport`] (an in-process crossbeam
-//! channel mesh) and [`transport::UdpTransport`] (real UDP datagrams with
-//! the [`tw_proto::frame`] wire format — the paper's deployment style).
+//! A node puts each dispatch's messages on the wire with one
+//! [`Transport::flush`], and every transport hands each destination its
+//! share as one datagram: [`transport::UdpTransport`] (real UDP
+//! datagrams with the [`tw_proto::frame`] wire format — the paper's
+//! deployment style), [`transport::MemTransport`] (the in-process mesh
+//! of switchable inbox slots) and [`fault::FaultTransport`] (the same
+//! mesh behind a seeded fault plan, for chaos clusters).
 
 // `deny`, not `forbid`: the one exception is the vectored-I/O FFI in
 // [`mmsg`], which carries a module-local `#[allow(unsafe_code)]` and a

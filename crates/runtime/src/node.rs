@@ -3,10 +3,12 @@
 //! A [`Node`] owns the threads hosting one protocol member and exposes a
 //! command channel (propose, shutdown) plus an output channel
 //! (deliveries, view installations, departures). [`ClusterBuilder`] is
-//! the one way to assemble a team of them — over the in-process
-//! [`MemTransport`] mesh or real UDP sockets, with any combination of
-//! application hooks, trace sinks, flight recorders and ops endpoints,
-//! or as a fault-injected [`ChaosCluster`](crate::ChaosCluster).
+//! the one way to assemble a team of them — over real UDP sockets or
+//! the in-process [`MemTransport`] mesh, with any combination of
+//! application hooks, trace sinks, flight recorders and ops endpoints.
+//! A fault-injected [`ChaosCluster`](crate::ChaosCluster) runs on the
+//! same mesh, each node sending through a
+//! [`FaultTransport`](crate::FaultTransport).
 
 use crate::chaos::{NodeStatus, PauseGate, StatusCell};
 use crate::clock::{RealClock, RuntimeClock};
@@ -624,34 +626,17 @@ impl ClusterBuilder {
         })
     }
 
-    /// An in-process team over channel datagrams.
+    /// An in-process team over channel datagrams. Every inbox is plugged
+    /// into the mesh before the first member starts.
     fn spawn_mem(mut self) -> std::io::Result<Vec<Node>> {
-        // Metrics exist before the inboxes so each bounded inbox can count
-        // its shed datagrams into its node's `tw_inbox_dropped_total`.
-        let metrics: Vec<Arc<NodeMetrics>> = (0..self.cfg.n).map(|_| NodeMetrics::new()).collect();
-        let (inbox_txs, inbox_rxs): (Vec<_>, Vec<_>) = metrics
-            .iter()
-            .map(|m| node_inbox(INBOX_CAPACITY, Some(m.inbox_dropped())))
-            .unzip();
-        let bells: Vec<_> = inbox_txs.iter().map(|tx| tx.doorbell().clone()).collect();
-        let transport = MemTransport::new(inbox_txs);
-        inbox_rxs
+        let mesh = MemTransport::unplugged(self.cfg.n);
+        let wirings: Vec<Wiring> = (0..self.cfg.n)
+            .map(|rank| Wiring::on_mesh(&mesh, rank, mesh.clone(), Arc::new(RealClock::new())))
+            .collect();
+        wirings
             .into_iter()
-            .zip(metrics)
-            .zip(bells)
             .enumerate()
-            .map(|(rank, ((inbox, metrics), bell))| {
-                let wiring = Wiring {
-                    inbox,
-                    bell,
-                    transport: transport.clone(),
-                    udp: None,
-                    extra_handles: Vec::new(),
-                    metrics,
-                    clock: Arc::new(RealClock::new()),
-                };
-                self.start(rank, Incarnation(0), wiring, false)
-            })
+            .map(|(rank, wiring)| self.start(rank, Incarnation(0), wiring, false))
             .collect()
     }
 
@@ -714,6 +699,33 @@ pub(crate) struct Wiring {
     pub extra_handles: Vec<std::thread::JoinHandle<()>>,
     pub metrics: Arc<NodeMetrics>,
     pub clock: Arc<dyn RuntimeClock + Sync>,
+}
+
+impl Wiring {
+    /// Rank `rank` of an in-process team: a fresh bounded inbox, plugged
+    /// into `mesh`'s slot for the rank, that counts its shed datagrams
+    /// into the node's `tw_inbox_dropped_total`. The node sends through
+    /// `transport` — the mesh itself, or a fault-injecting way onto it.
+    pub(crate) fn on_mesh(
+        mesh: &MemTransport,
+        rank: usize,
+        transport: Arc<dyn Transport>,
+        clock: Arc<dyn RuntimeClock + Sync>,
+    ) -> Wiring {
+        let metrics = NodeMetrics::new();
+        let (tx, inbox) = node_inbox(INBOX_CAPACITY, Some(metrics.inbox_dropped()));
+        let bell = tx.doorbell().clone();
+        mesh.set_slot(rank, Some(tx));
+        Wiring {
+            inbox,
+            bell,
+            transport,
+            udp: None,
+            extra_handles: Vec::new(),
+            metrics,
+            clock,
+        }
+    }
 }
 
 /// Start an in-process team of `cfg.n` members over channel datagrams.
