@@ -6,11 +6,28 @@
 //! inter-thread scheduling — the design the paper adopted after finding
 //! the thread-based version's overhead "significant".
 //!
-//! The loop parks on the node's [`Doorbell`](crate::inbox::Doorbell),
-//! which every datagram and every client command rings, so it wakes for
-//! whichever arrives first; the wait is bounded by the next timer
-//! deadline, `min(next_tick, clock_deadline())`. Commands are looked at
-//! before the inbox.
+//! When nothing is queued the loop parks until the next timer deadline,
+//! `min(next_tick, clock_deadline())`, and wakes for whichever arrives
+//! first: a datagram, a client command or the shutdown. How it parks
+//! depends on where its datagrams come from:
+//!
+//! * **Its own UDP socket** (linux-gnu). The loop is the socket's only
+//!   reader and the node's only thread. It parks in one `ppoll` over the
+//!   socket and an eventfd, with a nanosecond timeout, and drains a
+//!   readable socket with a non-blocking `recvmmsg`; each datagram goes
+//!   straight to one `Input::Messages` dispatch, with no channel in
+//!   between. Commands and the shutdown ring the node's
+//!   [`Doorbell`]; the loop brackets its `ppoll` with
+//!   [`Doorbell::park`] and [`Doorbell::unpark`], and a ring while it is
+//!   parked writes the eventfd (the bell's wake hook). The kernel's
+//!   socket buffer bounds what waits; a failed receive is counted in
+//!   `tw_udp_recv_errors_total` and never slept on.
+//! * **A bounded inbox** — the in-process mesh's, or on UDP elsewhere a
+//!   receive thread's ([`UdpTransport::spawn_receiver`]). The loop parks
+//!   on the inbox's doorbell, which every queued datagram and every
+//!   client command rings.
+//!
+//! Either way commands are looked at before datagrams.
 //!
 //! Hot-path batching happens here: a coalesced datagram's messages are
 //! applied in one `on_messages` dispatch, a burst of queued propose
@@ -28,11 +45,15 @@
 //! against the thread-based executor's lock-and-switch overhead.
 //!
 //! [`OutBatch`]: crate::transport::OutBatch
+//! [`UdpTransport::spawn_receiver`]: crate::transport::UdpTransport::spawn_receiver
 
-use crate::node::{NodeCommand, NodeParts};
+use crate::inbox::Doorbell;
+use crate::node::{Datagrams, NodeCommand, NodeParts};
 use crate::transport::Incoming;
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, TryRecvError};
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+pub(crate) use own_socket::OwnSocket;
 use std::time::Duration as StdDuration;
 use std::time::Instant;
 use timewheel::Input;
@@ -58,10 +79,52 @@ pub(crate) fn take_proposals(cmds: &Receiver<NodeCommand>, room: usize) -> Vec<(
     updates
 }
 
+/// The transport is gone: no datagram will ever come again.
+struct Gone;
+
+impl Datagrams {
+    /// The next datagram as one dispatch's input, `None` when none is
+    /// waiting.
+    fn next(&mut self) -> Result<Option<Input>, Gone> {
+        match self {
+            Datagrams::Inbox(inbox) => match inbox.try_recv() {
+                Ok(Incoming::Msg(from, msg)) => Ok(Some(Input::Message(from, msg))),
+                // One coalesced datagram → one dispatch.
+                Ok(Incoming::Batch(from, msgs)) => Ok(Some(Input::Messages(from, msgs))),
+                Err(TryRecvError::Empty) => Ok(None),
+                Err(TryRecvError::Disconnected) => Err(Gone),
+            },
+            #[cfg(all(target_os = "linux", target_env = "gnu"))]
+            Datagrams::Socket(socket) => Ok(socket.next()),
+        }
+    }
+
+    /// Park until a datagram arrives, the bell rings past `seen` or is
+    /// closed, or `timeout` passes.
+    fn park(&mut self, bell: &Doorbell, seen: u64, timeout: StdDuration) {
+        match self {
+            Datagrams::Inbox(_) => {
+                bell.wait_past(seen, timeout);
+            }
+            #[cfg(all(target_os = "linux", target_env = "gnu"))]
+            Datagrams::Socket(socket) => socket.park(bell, seen, timeout),
+        }
+    }
+
+    /// Datagrams queued in the inbox; 0 for a node that has none.
+    fn queued(&self) -> usize {
+        match self {
+            Datagrams::Inbox(inbox) => inbox.len(),
+            #[cfg(all(target_os = "linux", target_env = "gnu"))]
+            Datagrams::Socket(_) => 0,
+        }
+    }
+}
+
 pub(crate) fn run(parts: NodeParts) {
     let NodeParts {
         mut dispatcher,
-        inbox,
+        mut datagrams,
         cmds,
         bell,
         clock,
@@ -98,12 +161,9 @@ pub(crate) fn run(parts: NodeParts) {
         let input = if !updates.is_empty() {
             Some(Input::Propose(updates))
         } else {
-            match inbox.try_recv() {
-                Ok(Incoming::Msg(from, msg)) => Some(Input::Message(from, msg)),
-                // One coalesced datagram → one dispatch.
-                Ok(Incoming::Batch(from, msgs)) => Some(Input::Messages(from, msgs)),
-                Err(TryRecvError::Empty) => None,
-                Err(TryRecvError::Disconnected) => break, // transport gone
+            match datagrams.next() {
+                Ok(input) => input,
+                Err(Gone) => break,
             }
         };
         match input {
@@ -113,7 +173,7 @@ pub(crate) fn run(parts: NodeParts) {
                 let deadline = next_tick.min(dispatcher.driver.clock_deadline());
                 if now < deadline {
                     let wait_us = (deadline - now).as_micros() as u64;
-                    bell.wait_past(seen, StdDuration::from_micros(wait_us));
+                    datagrams.park(&bell, seen, StdDuration::from_micros(wait_us));
                 }
             }
         }
@@ -132,7 +192,7 @@ pub(crate) fn run(parts: NodeParts) {
 
         // Standing-backlog gauges: sampled once per loop iteration, not
         // per dispatch — gauges report levels, so the latest look wins.
-        inbox_depth.set(inbox.len() as i64);
+        inbox_depth.set(datagrams.queued() as i64);
         if let Some(r) = &recorder_watch {
             recorder_buffered.set(r.buffered() as i64);
         }
@@ -140,6 +200,113 @@ pub(crate) fn run(parts: NodeParts) {
         // Publish the member's locally observed status (§6
         // fail-awareness) for harness-side checks.
         dispatcher.publish_status(clock.now_hw());
+    }
+}
+
+/// The loop's own socket (linux-gnu): the only reader of a UDP node's
+/// socket, inside the node's only thread.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+mod own_socket {
+    use crate::inbox::Doorbell;
+    use crate::mmsg::{try_recv_batch, wait_readable, EventFd, RecvSlot};
+    use crate::transport::{classify_recv_error, recv_slots, RecvErrorAction, UdpTransport};
+    use std::sync::Arc;
+    use std::time::Duration as StdDuration;
+    use timewheel::Input;
+    use tw_obs::Counter;
+
+    /// A UDP node's socket as its event loop reads it: what was received
+    /// and not dispatched yet, and the eventfd the node's doorbell hook
+    /// writes.
+    pub(crate) struct OwnSocket {
+        udp: Arc<UdpTransport>,
+        wake: Arc<EventFd>,
+        /// `tw_udp_recv_errors_total`.
+        recv_errors: Counter,
+        slots: Vec<RecvSlot>,
+        /// `slots[next..filled]` are received and not dispatched yet.
+        next: usize,
+        filled: usize,
+        /// The socket may hold more: the last park saw it readable, or
+        /// the last read filled every slot.
+        readable: bool,
+    }
+
+    impl OwnSocket {
+        /// Read `udp`'s socket from the loop. The node's doorbell must
+        /// wake `wake` from its hook.
+        pub(crate) fn new(
+            udp: Arc<UdpTransport>,
+            wake: Arc<EventFd>,
+            recv_errors: Counter,
+        ) -> Self {
+            OwnSocket {
+                udp,
+                wake,
+                recv_errors,
+                slots: recv_slots(),
+                next: 0,
+                filled: 0,
+                readable: true,
+            }
+        }
+
+        /// The next decodable datagram, read with a non-blocking
+        /// `recvmmsg` once the ones already received are dispatched.
+        pub(super) fn next(&mut self) -> Option<Input> {
+            loop {
+                if let Some(slot) = self.slots[..self.filled].get(self.next) {
+                    self.next += 1;
+                    match self.udp.take_datagram(slot.datagram()) {
+                        Some((from, msgs)) => return Some(Input::Messages(from, msgs)),
+                        None => continue,
+                    }
+                }
+                if !self.readable {
+                    return None;
+                }
+                (self.next, self.filled) = (0, 0);
+                match try_recv_batch(self.udp.socket(), &mut self.slots) {
+                    Ok(filled) => {
+                        self.filled = filled;
+                        self.readable = filled == self.slots.len();
+                    }
+                    Err(e) => {
+                        self.readable = false;
+                        if classify_recv_error(e.kind()) == RecvErrorAction::Retry {
+                            self.recv_errors.inc();
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Park in `ppoll` until the socket is readable, `bell` rings or
+        /// closes, or `timeout` passes.
+        pub(super) fn park(&mut self, bell: &Doorbell, seen: u64, timeout: StdDuration) {
+            if !bell.park(seen) {
+                // A command or the shutdown came in since `seen`. Look at
+                // the socket on the way back as well, so that a stream
+                // of rings cannot leave it unread.
+                self.readable = true;
+                return;
+            }
+            let ready = wait_readable(self.udp.socket(), &self.wake, timeout);
+            bell.unpark();
+            match ready {
+                Ok(ready) => {
+                    if ready.woken {
+                        self.wake.drain();
+                    }
+                    self.readable = ready.socket;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    self.recv_errors.inc();
+                    self.readable = true;
+                }
+            }
+        }
     }
 }
 
@@ -197,6 +364,84 @@ mod tests {
         assert_eq!(take_proposals(&cmds, 1000).len(), 10);
     }
 
+    /// The loop's own socket hands each decodable datagram to one
+    /// `Input::Messages` and never dispatches an undecodable one: it is
+    /// counted in `decode_errors`, through the receive body the receive
+    /// thread shares.
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    #[test]
+    fn own_socket_dispatches_each_decodable_datagram_and_counts_the_rest() {
+        use crate::inbox::Doorbell;
+        use crate::mmsg::EventFd;
+        use crate::transport::UdpTransport;
+        use std::net::UdpSocket;
+        use tw_proto::frame::FrameBuilder;
+
+        let p0 = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let me = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let addr = me.local_addr().unwrap();
+        drop(me);
+        let peers = [
+            (ProcessId(0), p0.local_addr().unwrap()),
+            (ProcessId(1), addr),
+        ]
+        .into();
+        let udp = UdpTransport::bind(ProcessId(1), addr, peers).unwrap();
+        let wake = Arc::new(EventFd::new().unwrap());
+        let hook = wake.clone();
+        let bell = Doorbell::with_hook(move || hook.wake());
+        let recv_errors = tw_obs::Counter::default();
+        let mut socket = OwnSocket::new(udp.clone(), wake, recv_errors.clone());
+
+        let from = ProcessId(0);
+        let request = |rid| {
+            Msg::ClockSync(ClockSyncMsg::Request {
+                sender: from,
+                rid,
+                hw_send: HwTime(1),
+            })
+        };
+        let datagram = |msgs: &[Msg]| {
+            let mut b = FrameBuilder::new();
+            msgs.iter().for_each(|m| b.push_msg(m));
+            b.bytes().to_vec()
+        };
+        // A retired version byte, then a valid two-message datagram, then
+        // a truncated one, then a valid single message.
+        let two = datagram(&[request(1), request(2)]);
+        let valid = datagram(&[request(3)]);
+        for bytes in [&[0x01, 0x01, 0x00][..], &two, &two[..two.len() - 1], &valid] {
+            p0.send_to(bytes, addr).unwrap();
+        }
+        let mut inputs = Vec::new();
+        let deadline = Instant::now() + StdDuration::from_secs(10);
+        while inputs.len() < 2 && Instant::now() < deadline {
+            match socket.next() {
+                Some(input) => inputs.push(input),
+                None => socket.park(&bell, bell.seen().unwrap(), StdDuration::from_secs(1)),
+            }
+        }
+        let got: Vec<(ProcessId, Vec<Msg>)> = inputs
+            .into_iter()
+            .map(|input| match input {
+                Input::Messages(from, msgs) => (from, msgs),
+                other => panic!("not one datagram's messages: {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (from, vec![request(1), request(2)]),
+                (from, vec![request(3)])
+            ]
+        );
+        assert!(socket.next().is_none());
+        let stats = udp.wire_stats();
+        assert_eq!((stats.decode_errors, stats.datagrams_recv), (2, 2));
+        assert_eq!(stats.msgs_recv, 3);
+        assert_eq!(recv_errors.get(), 0);
+    }
+
     /// A member with no room leaves the client's proposals queued — and
     /// a shutdown still ends the loop at once, because it does not queue
     /// behind them.
@@ -208,7 +453,7 @@ mod tests {
         // p1's inbox: where p0's replies land.
         let (tx1, p1_inbox) = node_inbox(1024, None);
         let wiring = Wiring {
-            inbox,
+            datagrams: Datagrams::Inbox(inbox),
             bell: tx0.doorbell().clone(),
             transport: MemTransport::new(vec![tx0.clone(), tx1]),
             udp: None,

@@ -19,6 +19,15 @@
 //! Every inbox comes with a [`Doorbell`]: a successful delivery rings
 //! it, and so does a client command, so the executor parks on one thing
 //! and wakes for whichever arrives first.
+//!
+//! A UDP event-loop node on linux-gnu has no inbox: its loop reads its
+//! own socket, and the kernel's socket buffer is the bound. Its doorbell
+//! carries only commands and the shutdown, and the loop parks on it in
+//! two halves: [`Doorbell::park`] before it waits outside the bell (in
+//! `ppoll`, over the socket and an eventfd), [`Doorbell::unpark`] after.
+//! A ring or a close while a waiter is parked outside calls the bell's
+//! wake hook, which writes the eventfd. This module stays free of FFI,
+//! so loom and Miri cover the split park as they cover the condvar one.
 
 #[cfg(not(loom))]
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
@@ -40,9 +49,19 @@ use tw_proto::{Msg, ProcessId};
 /// interleaving (`tests/loom.rs`). Every wait is bounded by the caller's
 /// timer deadline. [`close`](Doorbell::close) is the shutdown signal: it
 /// wakes the waiter and makes `seen` report `None` from then on.
+///
+/// A waiter that sleeps somewhere else — the UDP event loop in `ppoll` —
+/// uses the split park instead of `wait_past`: [`park`](Doorbell::park)
+/// with the same `seen`, its own wait, then [`unpark`](Doorbell::unpark).
+/// While it is parked, `ring` and `close` call the bell's wake hook
+/// ([`with_hook`](Doorbell::with_hook)) instead of the condvar, so the
+/// same no-lost-wake-up argument holds.
 pub struct Doorbell {
     state: Mutex<Bell>,
     cv: Condvar,
+    /// Ends a wait outside the condvar; called by `ring` and `close`
+    /// only while a waiter is parked.
+    hook: Option<Box<dyn Fn() + Send + Sync>>,
 }
 
 #[derive(Default)]
@@ -54,6 +73,9 @@ struct Bell {
     /// executor busy, and a receiver that is never parked (the
     /// benchmark's single-threaded ladder) would pay it per datagram.
     waiters: u32,
+    /// Threads between `park` and `unpark`: a ring with none skips the
+    /// hook, for the same reason.
+    parked: u32,
 }
 
 impl Default for Doorbell {
@@ -61,6 +83,7 @@ impl Default for Doorbell {
         Doorbell {
             state: Mutex::new(Bell::default()),
             cv: Condvar::new(),
+            hook: None,
         }
     }
 }
@@ -71,18 +94,36 @@ impl Doorbell {
         Self::default()
     }
 
+    /// An open bell at generation 0 whose rings and close reach a waiter
+    /// parked outside it ([`park`](Doorbell::park)) through `hook`.
+    pub fn with_hook(hook: impl Fn() + Send + Sync + 'static) -> Self {
+        Doorbell {
+            hook: Some(Box::new(hook)),
+            ..Self::default()
+        }
+    }
+
     fn lock(&self) -> MutexGuard<'_, Bell> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Count one arrival and wake a parked waiter.
+    /// Count one arrival and wake a waiting or parked waiter.
     pub fn ring(&self) {
         let mut bell = self.lock();
         bell.generation += 1;
-        let parked = bell.waiters > 0;
+        let (waiting, parked) = (bell.waiters > 0, bell.parked > 0);
         drop(bell);
-        if parked {
+        if waiting {
             self.cv.notify_all();
+        }
+        if parked {
+            self.call_hook();
+        }
+    }
+
+    fn call_hook(&self) {
+        if let Some(hook) = &self.hook {
+            hook();
         }
     }
 
@@ -112,11 +153,39 @@ impl Doorbell {
         true
     }
 
+    /// The first half of a wait outside the bell: unless the bell rang
+    /// past `seen` or was closed (false: look at the queues again), count
+    /// the caller as parked and return true. From then on, until
+    /// [`unpark`](Doorbell::unpark), every ring and the close call the
+    /// wake hook, so the caller's own wait returns. A bell without a hook
+    /// never ends such a wait; park only on one built
+    /// [`with_hook`](Doorbell::with_hook).
+    pub fn park(&self, seen: u64) -> bool {
+        debug_assert!(self.hook.is_some(), "park on a bell without a wake hook");
+        let mut bell = self.lock();
+        let quiet = bell.generation == seen && !bell.closed;
+        if quiet {
+            bell.parked += 1;
+        }
+        quiet
+    }
+
+    /// The second half: the caller's outside wait is over.
+    pub fn unpark(&self) {
+        self.lock().parked -= 1;
+    }
+
     /// Close the bell for good: wakes the waiter, and every later `seen`
     /// reports `None`.
     pub fn close(&self) {
-        self.lock().closed = true;
+        let mut bell = self.lock();
+        bell.closed = true;
+        let parked = bell.parked > 0;
+        drop(bell);
         self.cv.notify_all();
+        if parked {
+            self.call_hook();
+        }
     }
 }
 
@@ -389,5 +458,48 @@ mod tests {
         assert_eq!(bell.seen(), None);
         // A closed bell never parks anyone again.
         assert!(bell.wait_past(seen, LONG));
+    }
+
+    /// A bell whose hook counts its calls.
+    fn hooked() -> (Doorbell, Arc<std::sync::atomic::AtomicU32>) {
+        let calls = Arc::new(std::sync::atomic::AtomicU32::new(0));
+        let counter = calls.clone();
+        let bell = Doorbell::with_hook(move || {
+            counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        });
+        (bell, calls)
+    }
+
+    #[test]
+    fn the_hook_fires_only_while_a_waiter_is_parked() {
+        use std::sync::atomic::Ordering::SeqCst;
+        let (bell, calls) = hooked();
+        bell.ring();
+        assert_eq!(calls.load(SeqCst), 0, "nobody parked");
+        let seen = bell.seen().unwrap();
+        assert!(bell.park(seen));
+        bell.ring();
+        bell.ring();
+        assert_eq!(calls.load(SeqCst), 2);
+        bell.unpark();
+        bell.ring();
+        assert_eq!(calls.load(SeqCst), 2, "unparked again");
+        let seen = bell.seen().unwrap();
+        assert!(bell.park(seen));
+        bell.close();
+        assert_eq!(calls.load(SeqCst), 3, "the close reaches a parked waiter");
+        bell.unpark();
+    }
+
+    #[test]
+    fn park_refuses_after_a_ring_or_the_close() {
+        let (bell, calls) = hooked();
+        let seen = bell.seen().unwrap();
+        bell.ring(); // lands between the look at the queues and the park
+        assert!(!bell.park(seen));
+        let seen = bell.seen().unwrap();
+        bell.close();
+        assert!(!bell.park(seen));
+        assert_eq!(calls.load(std::sync::atomic::Ordering::SeqCst), 0);
     }
 }

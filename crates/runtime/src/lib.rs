@@ -9,7 +9,9 @@
 //! * [`event_loop`] — the design the paper chose: a **single-threaded
 //!   event handler** per process that demultiplexes message arrivals,
 //!   protocol ticks and clock-synchronization ticks, dispatching each to
-//!   its handler with no locking and no cross-thread scheduling.
+//!   its handler with no locking and no cross-thread scheduling. On UDP
+//!   on linux-gnu it reads its own socket, so the node is that one
+//!   thread.
 //! * [`threaded`] — the design the paper measured and rejected: one
 //!   thread per event *type* (receive, protocol tick, clock tick),
 //!   synchronizing on a shared lock around the protocol state. It exists
@@ -23,9 +25,10 @@
 //! of switchable inbox slots) and [`fault::FaultTransport`] (the same
 //! mesh behind a seeded fault plan, for chaos clusters).
 
-// `deny`, not `forbid`: the one exception is the vectored-I/O FFI in
-// [`mmsg`], which carries a module-local `#[allow(unsafe_code)]` and a
-// written safety argument. Everything else stays unsafe-free.
+// `deny`, not `forbid`: the one exception is the glibc FFI in [`mmsg`]
+// (vectored I/O and the event loop's `ppoll` park), which carries a
+// module-local `#[allow(unsafe_code)]` and a written safety argument.
+// Everything else stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

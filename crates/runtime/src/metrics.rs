@@ -26,6 +26,11 @@ use tw_proto::MsgKind;
 /// past their deadline clock resyncs run (`deadline_overrun_us`), and
 /// the standing backlogs (inbox depth, recorder buffer occupancy, mmsg
 /// batch fill) as gauges.
+///
+/// A UDP event-loop node on linux-gnu has no inbox: its loop reads its
+/// own socket, and the kernel's socket buffer is its bound. Its
+/// `tw_inbox_depth` reads 0 and its `tw_inbox_dropped_total` never
+/// moves; what it fails to read counts in `tw_udp_recv_errors_total`.
 #[derive(Debug)]
 pub struct NodeMetrics {
     registry: Arc<Registry>,
@@ -83,13 +88,15 @@ impl NodeMetrics {
     }
 
     /// Handle on the `tw_inbox_dropped_total` counter: datagrams shed
-    /// because the node's bounded inbox was full.
+    /// because the node's bounded inbox was full (never, for a node
+    /// without one).
     pub fn inbox_dropped(&self) -> Counter {
         self.inbox_dropped.clone()
     }
 
-    /// Handle on the `tw_udp_recv_errors_total` counter: transient UDP
-    /// socket errors absorbed as omissions by the receive loop.
+    /// Handle on the `tw_udp_recv_errors_total` counter: UDP socket
+    /// errors absorbed as omissions by whoever reads the socket — the
+    /// event loop or a receive thread.
     pub fn udp_recv_errors(&self) -> Counter {
         self.udp_recv_errors.clone()
     }
@@ -131,7 +138,8 @@ impl NodeMetrics {
     }
 
     /// Handle on the `tw_inbox_depth` gauge: messages queued in the
-    /// node's bounded inbox at the executor's last look.
+    /// node's bounded inbox at the executor's last look (0 for a node
+    /// without one).
     pub fn inbox_depth(&self) -> Gauge {
         self.inbox_depth.clone()
     }

@@ -1,4 +1,5 @@
-//! Vectored datagram I/O behind one [`BatchSocket`] trait.
+//! Vectored datagram I/O behind one [`BatchSocket`] trait, and the one
+//! place a node parks on its socket.
 //!
 //! The hot path sends one coalesced datagram per destination per
 //! dispatch; without vectoring that is still n−1 `sendto` syscalls per
@@ -9,12 +10,20 @@
 //! fallback issues the classic one-syscall-per-datagram loop with the
 //! same observable behavior.
 //!
+//! On Linux/glibc the module also lets the event loop read its own
+//! socket: `wait_readable` parks in one `ppoll(2)` over the socket and
+//! an `EventFd` (the doorbell's wake hook writes it) until the next
+//! timer deadline, at nanosecond precision, and `try_recv_batch` drains
+//! what arrived with a non-blocking `recvmmsg`. Other targets have
+//! neither; there a receive thread reads the socket with
+//! [`BatchSocket::recv_batch`].
+//!
 //! The FFI is hand-declared (this workspace takes no new dependencies):
 //! `repr(C)` layouts match glibc on `x86_64`/`aarch64` — note glibc's
 //! `msghdr` uses `size_t` for `msg_iovlen`, unlike the raw kernel ABI —
-//! and the whole unsafe surface is confined to this module behind the
-//! safe [`BatchSocket`] methods. Gated on `target_env = "gnu"` so musl
-//! or other libcs get the portable fallback instead of a layout gamble.
+//! and the whole unsafe surface is confined to this module behind safe
+//! functions. Gated on `target_env = "gnu"` so musl or other libcs get
+//! the portable fallback instead of a layout gamble.
 
 use std::net::UdpSocket;
 
@@ -95,6 +104,9 @@ pub fn backend() -> &'static str {
     imp::BACKEND
 }
 
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+pub(crate) use imp::{try_recv_batch, wait_readable, EventFd};
+
 /// True when `err` is the platform's `EMSGSIZE`: the datagram is larger
 /// than the transport can carry (65 507 payload bytes over UDP/IPv4), so
 /// retrying it can never help. No `std::io::ErrorKind` names it.
@@ -150,27 +162,41 @@ mod imp {
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
 #[allow(unsafe_code)]
 mod imp {
-    //! The one unsafe region of the crate: glibc `sendmmsg`/`recvmmsg`.
+    //! The one unsafe region of the crate: glibc `sendmmsg`/`recvmmsg`,
+    //! and the event loop's park — `ppoll`, `eventfd`, `read`, `write`.
     //!
     //! Safety argument, in one place: every pointer handed to the kernel
-    //! (`iovec` bases, the `msgvec` array, `sockaddr_in` names) points
-    //! into stack arrays or stack-owned `Vec`s that outlive the syscall
-    //! and are never reallocated between pointer capture and the call; lengths are the
-    //! owning buffers' lengths; `msg_control`/`msg_name` are null where
+    //! (`iovec` bases, the `msgvec` array, `sockaddr_in` names, the
+    //! `pollfd` array, the `timespec`, the eventfd's 8-byte counter)
+    //! points into stack arrays, stack values or caller-owned buffers
+    //! that outlive the syscall and are never reallocated between pointer
+    //! capture and the call; lengths are the owning buffers' lengths;
+    //! `msg_control`/`msg_name` and `ppoll`'s signal mask are null where
     //! unused, with zero lengths. The kernel writes only into
-    //! `iov_base[0..iov_len]` and the `msg_len` fields.
+    //! `iov_base[0..iov_len]`, the `msg_len` and `revents` fields and the
+    //! counter handed to `read`. Every descriptor is owned by a live
+    //! `UdpSocket` or [`EventFd`].
 
     use super::{seq, OutDatagram, RecvSlot, MAX_BATCH};
     use std::net::{SocketAddr, UdpSocket};
-    use std::os::fd::AsRawFd;
-    use std::os::raw::{c_int, c_uint, c_void};
+    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
+    use std::os::raw::{c_int, c_long, c_short, c_uint, c_ulong, c_void};
+    use std::time::Duration;
 
     pub const BACKEND: &str = "sendmmsg";
 
     /// `MSG_WAITFORONE`: block (per the socket timeout) for the first
     /// datagram only, then return whatever else is already queued.
     const MSG_WAITFORONE: c_int = 0x10000;
+    /// `MSG_DONTWAIT`: return whatever is queued, `EAGAIN` when nothing
+    /// is, whatever the socket's blocking mode.
+    const MSG_DONTWAIT: c_int = 0x40;
     const AF_INET: u16 = 2;
+    const POLLIN: c_short = 0x1;
+    /// `O_NONBLOCK` and `O_CLOEXEC`, as `eventfd` takes them (the same
+    /// values on `x86_64` and `aarch64`).
+    const EFD_NONBLOCK: c_int = 0o4000;
+    const EFD_CLOEXEC: c_int = 0o2_000_000;
 
     #[repr(C)]
     struct IoVec {
@@ -238,6 +264,20 @@ mod imp {
         };
     }
 
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+
+    /// glibc's `struct timespec`: `time_t` and `long` are both `long`.
+    #[repr(C)]
+    struct TimeSpec {
+        tv_sec: c_long,
+        tv_nsec: c_long,
+    }
+
     extern "C" {
         fn sendmmsg(sockfd: c_int, msgvec: *mut MMsgHdr, vlen: c_uint, flags: c_int) -> c_int;
         fn recvmmsg(
@@ -247,6 +287,15 @@ mod imp {
             flags: c_int,
             timeout: *mut c_void, // struct timespec*; always null here
         ) -> c_int;
+        fn ppoll(
+            fds: *mut PollFd,
+            nfds: c_ulong,
+            timeout: *const TimeSpec,
+            sigmask: *const c_void, // sigset_t*; always null here
+        ) -> c_int;
+        fn eventfd(initval: c_uint, flags: c_int) -> c_int;
+        fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
+        fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     }
 
     fn v4_name(addr: &SocketAddr) -> Option<SockAddrIn> {
@@ -335,43 +384,47 @@ mod imp {
     }
 
     pub fn recv_batch(sock: &UdpSocket, slots: &mut [RecvSlot]) -> std::io::Result<usize> {
+        recv_with(sock, slots, MSG_WAITFORONE)
+    }
+
+    /// Drain up to `slots.len()` queued datagrams with one non-blocking
+    /// `recvmmsg`: how many slots were filled, or the socket error —
+    /// `WouldBlock` when nothing is queued.
+    pub fn try_recv_batch(sock: &UdpSocket, slots: &mut [RecvSlot]) -> std::io::Result<usize> {
+        recv_with(sock, slots, MSG_DONTWAIT)
+    }
+
+    fn recv_with(sock: &UdpSocket, slots: &mut [RecvSlot], flags: c_int) -> std::io::Result<usize> {
         if slots.is_empty() {
             return Ok(0);
         }
         let fd = sock.as_raw_fd();
         let n = slots.len().min(MAX_BATCH);
-        let mut iovs: Vec<IoVec> = slots[..n]
-            .iter_mut()
-            .map(|s| IoVec {
-                iov_base: s.buf.as_mut_ptr() as *mut c_void,
-                iov_len: s.buf.len(),
-            })
-            .collect();
-        let mut hdrs: Vec<MMsgHdr> = (0..n)
-            .map(|i| MMsgHdr {
-                msg_hdr: MsgHdr {
-                    msg_name: std::ptr::null_mut(), // sender unused
-                    msg_namelen: 0,
-                    msg_iov: (&mut iovs[i]) as *mut IoVec,
-                    msg_iovlen: 1,
-                    msg_control: std::ptr::null_mut(),
-                    msg_controllen: 0,
-                    msg_flags: 0,
-                },
-                msg_len: 0,
-            })
-            .collect();
+        // On the stack, as in send_batch: a receive allocates nothing.
+        let mut iovs = [IoVec::EMPTY; MAX_BATCH];
+        let mut hdrs = [MMsgHdr::EMPTY; MAX_BATCH];
+        for (iov, slot) in iovs.iter_mut().zip(&mut slots[..n]) {
+            *iov = IoVec {
+                iov_base: slot.buf.as_mut_ptr() as *mut c_void,
+                iov_len: slot.buf.len(),
+            };
+        }
+        for (hdr, iov) in hdrs.iter_mut().zip(&mut iovs[..n]) {
+            // No msg_name: the sender's address is unused.
+            hdr.msg_hdr.msg_iov = iov as *mut IoVec;
+            hdr.msg_hdr.msg_iovlen = 1;
+        }
         // SAFETY: as in send_batch; additionally each iov_base points at
         // `slots[i].buf`, which the kernel fills up to iov_len bytes and
-        // which outlives the call. Null timeout: blocking behavior comes
-        // from the socket's SO_RCVTIMEO, so timeouts surface as EAGAIN
-        // exactly like `recv_from`.
+        // which outlives the call. Null timeout: with MSG_WAITFORONE the
+        // socket's SO_RCVTIMEO bounds the wait, so timeouts surface as
+        // EAGAIN exactly like `recv_from`; with MSG_DONTWAIT nothing waits.
         let rc = unsafe {
             recvmmsg(
                 fd,
                 hdrs.as_mut_ptr(),
                 n as c_uint,
-                MSG_WAITFORONE,
+                flags,
                 std::ptr::null_mut(),
             )
         };
@@ -383,6 +436,93 @@ mod imp {
             slot.len = (hdr.msg_len as usize).min(slot.buf.len());
         }
         Ok(filled)
+    }
+
+    /// A Linux `eventfd`: a counter that keeps [`wait_readable`] from
+    /// sleeping while it is non-zero. Another thread bumps it with
+    /// [`wake`](EventFd::wake) (the event loop's doorbell hook); the
+    /// waiter resets it with [`drain`](EventFd::drain).
+    #[derive(Debug)]
+    pub struct EventFd(OwnedFd);
+
+    impl EventFd {
+        /// A fresh non-blocking, close-on-exec eventfd at zero.
+        pub fn new() -> std::io::Result<EventFd> {
+            // SAFETY: eventfd takes no pointers; a negative result is an
+            // error and creates nothing.
+            let fd = unsafe { eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC) };
+            if fd < 0 {
+                return Err(std::io::Error::last_os_error());
+            }
+            // SAFETY: `fd` is a fresh descriptor nothing else owns; the
+            // OwnedFd closes it exactly once.
+            Ok(EventFd(unsafe { OwnedFd::from_raw_fd(fd) }))
+        }
+
+        /// Bump the counter: a [`wait_readable`] in progress returns, and
+        /// so does every later one until the counter is drained.
+        pub fn wake(&self) {
+            let one: u64 = 1;
+            // SAFETY: writes the 8 bytes of a live stack u64 to a
+            // descriptor `self` owns. It fails only with EAGAIN, when the
+            // counter is already near u64::MAX — readable either way.
+            let _ = unsafe { write(self.0.as_raw_fd(), (&one as *const u64).cast(), 8) };
+        }
+
+        /// Reset the counter to zero. Non-blocking: a counter already at
+        /// zero leaves nothing to do.
+        pub fn drain(&self) {
+            let mut count: u64 = 0;
+            // SAFETY: reads at most 8 bytes into a live stack u64 from a
+            // descriptor `self` owns.
+            let _ = unsafe { read(self.0.as_raw_fd(), (&mut count as *mut u64).cast(), 8) };
+        }
+    }
+
+    /// What ended a [`wait_readable`]; both false when the timeout did.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct Ready {
+        /// The socket has a datagram, or an error, to read.
+        pub socket: bool,
+        /// The eventfd was woken.
+        pub woken: bool,
+    }
+
+    /// Park in one `ppoll` until `sock` is readable, `wake` is woken or
+    /// `timeout` passes, at nanosecond precision. A signal ends the wait
+    /// early as `ErrorKind::Interrupted`.
+    pub fn wait_readable(
+        sock: &UdpSocket,
+        wake: &EventFd,
+        timeout: Duration,
+    ) -> std::io::Result<Ready> {
+        let mut fds = [sock.as_raw_fd(), wake.0.as_raw_fd()].map(|fd| PollFd {
+            fd,
+            events: POLLIN,
+            revents: 0,
+        });
+        let ts = TimeSpec {
+            tv_sec: timeout.as_secs().min(c_long::MAX as u64) as c_long,
+            tv_nsec: timeout.subsec_nanos() as c_long,
+        };
+        // SAFETY: `fds` and `ts` are stack values that outlive the call;
+        // nfds is `fds`' length; the kernel writes only the `revents`
+        // fields; a null mask leaves the signal mask as it is.
+        let rc = unsafe {
+            ppoll(
+                fds.as_mut_ptr(),
+                fds.len() as c_ulong,
+                &ts,
+                std::ptr::null(),
+            )
+        };
+        if rc < 0 {
+            return Err(std::io::Error::last_os_error());
+        }
+        Ok(Ready {
+            socket: fds[0].revents != 0,
+            woken: fds[1].revents != 0,
+        })
     }
 }
 
@@ -478,6 +618,61 @@ mod tests {
             ),
             "got {err:?}"
         );
+    }
+
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    #[test]
+    fn try_recv_batch_never_blocks() {
+        let (a, b, to_b) = pair();
+        let mut slots: Vec<RecvSlot> = (0..8).map(|_| RecvSlot::new(2048)).collect();
+        let err = try_recv_batch(&b, &mut slots).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock, "{err:?}");
+        for i in 0u8..3 {
+            a.send_to(&[i; 8], to_b).unwrap();
+        }
+        let ready = EventFd::new().unwrap();
+        let mut got = 0;
+        while got < 3 {
+            assert!(
+                wait_readable(&b, &ready, std::time::Duration::from_secs(2))
+                    .unwrap()
+                    .socket
+            );
+            got += try_recv_batch(&b, &mut slots[got..]).unwrap();
+        }
+        assert!(slots[..got].iter().all(|s| s.len == 8));
+        assert!(try_recv_batch(&b, &mut slots).is_err(), "drained");
+    }
+
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    #[test]
+    fn wait_readable_ends_on_a_wake_a_datagram_or_the_timeout() {
+        use std::time::{Duration, Instant};
+        let (a, b, to_b) = pair();
+        let wake = std::sync::Arc::new(EventFd::new().unwrap());
+        // The timeout, at sub-millisecond precision.
+        let t0 = Instant::now();
+        let ready = wait_readable(&b, &wake, Duration::from_micros(300)).unwrap();
+        assert_eq!(ready, imp::Ready::default());
+        assert!(t0.elapsed() >= Duration::from_micros(300));
+        // A wake from another thread, and it stays readable until drained.
+        let waker = {
+            let wake = wake.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                wake.wake();
+            })
+        };
+        let ready = wait_readable(&b, &wake, Duration::from_secs(10)).unwrap();
+        assert_eq!((ready.socket, ready.woken), (false, true));
+        waker.join().unwrap();
+        assert!(wait_readable(&b, &wake, Duration::ZERO).unwrap().woken);
+        wake.drain();
+        assert!(!wait_readable(&b, &wake, Duration::ZERO).unwrap().woken);
+        // A datagram.
+        a.send_to(&[1; 8], to_b).unwrap();
+        let ready = wait_readable(&b, &wake, Duration::from_secs(10)).unwrap();
+        assert_eq!((ready.socket, ready.woken), (true, false));
     }
 
     #[test]

@@ -12,6 +12,8 @@
 
 use crate::chaos::{NodeStatus, PauseGate, StatusCell};
 use crate::clock::{RealClock, RuntimeClock};
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+use crate::event_loop::OwnSocket;
 use crate::inbox::Doorbell;
 use crate::metrics::NodeMetrics;
 use crate::transport::{node_inbox, Incoming, MemTransport, OutBatch, Transport, UdpTransport};
@@ -67,7 +69,8 @@ pub enum ExecutorKind {
 /// excess datagrams are shed (counted in `tw_inbox_dropped_total`)
 /// instead of growing an unbounded queue — the datagram model permits
 /// the omission, and overload stays observable instead of becoming an
-/// OOM.
+/// OOM. A UDP event-loop node on linux-gnu has no inbox: it reads its
+/// own socket, and the kernel's socket buffer is its bound.
 pub const INBOX_CAPACITY: usize = 4096;
 
 /// A running protocol node.
@@ -75,7 +78,8 @@ pub struct Node {
     /// The member's process id.
     pub pid: ProcessId,
     cmds: Sender<NodeCommand>,
-    /// Rung by every command and every datagram; closed on shutdown.
+    /// Rung by every command (and every datagram queued in an inbox);
+    /// closed on shutdown.
     bell: Arc<Doorbell>,
     /// Stream of deliveries/views/departures.
     pub outputs: Receiver<NodeOutput>,
@@ -296,12 +300,34 @@ impl Dispatcher {
     }
 }
 
+/// Where an executor's datagrams come from.
+pub(crate) enum Datagrams {
+    /// A bounded inbox: the in-process mesh's, or a UDP receive thread's.
+    Inbox(Receiver<Incoming>),
+    /// The node's own UDP socket, read by the event loop itself.
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    Socket(OwnSocket),
+}
+
+impl Datagrams {
+    /// The inbox of a node that has one: every node but an event-loop
+    /// node on its own socket.
+    pub(crate) fn into_inbox(self) -> Receiver<Incoming> {
+        match self {
+            Datagrams::Inbox(inbox) => inbox,
+            #[cfg(all(target_os = "linux", target_env = "gnu"))]
+            Datagrams::Socket(_) => unreachable!("only the event loop reads its own socket"),
+        }
+    }
+}
+
 /// What an executor thread is handed.
 pub(crate) struct NodeParts {
     pub dispatcher: Dispatcher,
-    pub inbox: Receiver<Incoming>,
+    pub datagrams: Datagrams,
     pub cmds: Receiver<NodeCommand>,
-    /// Rung by every datagram and command; closed on shutdown.
+    /// Rung by every command (and every datagram queued in an inbox);
+    /// closed on shutdown.
     pub bell: Arc<Doorbell>,
     pub clock: Arc<dyn RuntimeClock + Sync>,
     /// The node's black box; the executor holds a flush guard on its
@@ -594,7 +620,7 @@ impl ClusterBuilder {
                 metrics: wiring.metrics.clone(),
                 status: status.clone(),
             },
-            inbox: wiring.inbox,
+            datagrams: wiring.datagrams,
             cmds: cmd_rx,
             bell: wiring.bell.clone(),
             clock: wiring.clock,
@@ -659,20 +685,17 @@ impl ClusterBuilder {
             .collect();
         let mut nodes = Vec::with_capacity(n);
         for (rank, addr) in addrs.iter().enumerate() {
-            let transport = UdpTransport::bind(ProcessId(rank as u16), *addr, peers.clone())?;
+            let udp = UdpTransport::bind(ProcessId(rank as u16), *addr, peers.clone())?;
             let metrics = NodeMetrics::new();
-            transport.set_send_metrics(metrics.send_metrics());
-            let (inbox_tx, inbox) = node_inbox(INBOX_CAPACITY, Some(metrics.inbox_dropped()));
-            let bell = inbox_tx.doorbell().clone();
-            let rx_handle = transport.spawn_receiver(inbox_tx, Some(metrics.udp_recv_errors()));
-            let wiring = Wiring {
-                inbox,
-                bell,
-                transport: transport.clone(),
-                udp: Some(transport),
-                extra_handles: vec![rx_handle],
-                metrics,
-                clock: Arc::new(RealClock::new()),
+            udp.set_send_metrics(metrics.send_metrics());
+            // Who reads the socket: the event loop itself where it can
+            // park in `ppoll`, a receive thread otherwise.
+            let wiring = match self.kind {
+                #[cfg(all(target_os = "linux", target_env = "gnu"))]
+                ExecutorKind::EventLoop => Wiring::own_socket(udp, metrics)?,
+                ExecutorKind::Threaded => Wiring::receive_thread(udp, metrics),
+                #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+                ExecutorKind::EventLoop => Wiring::receive_thread(udp, metrics),
             };
             nodes.push(self.start(rank, Incarnation(0), wiring, false)?);
         }
@@ -691,8 +714,10 @@ fn tee(mut sinks: Vec<Arc<dyn TraceSink>>) -> Option<Arc<dyn TraceSink>> {
 /// The environment's half of a node: where its datagrams come from and
 /// go to, and which clock it reads.
 pub(crate) struct Wiring {
-    pub inbox: Receiver<Incoming>,
-    /// The inbox's doorbell ([`crate::inbox::InboxSender::doorbell`]).
+    pub datagrams: Datagrams,
+    /// The node's doorbell: its inbox's
+    /// ([`crate::inbox::InboxSender::doorbell`]), or for a node on its
+    /// own socket one whose hook wakes the socket's park.
     pub bell: Arc<Doorbell>,
     pub transport: Arc<dyn Transport>,
     pub udp: Option<Arc<UdpTransport>>,
@@ -717,13 +742,54 @@ impl Wiring {
         let bell = tx.doorbell().clone();
         mesh.set_slot(rank, Some(tx));
         Wiring {
-            inbox,
+            datagrams: Datagrams::Inbox(inbox),
             bell,
             transport,
             udp: None,
             extra_handles: Vec::new(),
             metrics,
             clock,
+        }
+    }
+
+    /// An event-loop node on `udp` that reads the socket itself: no
+    /// inbox and no second thread. Its doorbell's hook wakes the loop's
+    /// `ppoll`; failed receives count into `tw_udp_recv_errors_total`.
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    fn own_socket(udp: Arc<UdpTransport>, metrics: Arc<NodeMetrics>) -> std::io::Result<Wiring> {
+        let wake = Arc::new(crate::mmsg::EventFd::new()?);
+        let hook = wake.clone();
+        Ok(Wiring {
+            datagrams: Datagrams::Socket(OwnSocket::new(
+                udp.clone(),
+                wake,
+                metrics.udp_recv_errors(),
+            )),
+            bell: Arc::new(Doorbell::with_hook(move || hook.wake())),
+            transport: udp.clone(),
+            udp: Some(udp),
+            extra_handles: Vec::new(),
+            metrics,
+            clock: Arc::new(RealClock::new()),
+        })
+    }
+
+    /// A node on `udp` whose socket a receive thread reads into a
+    /// bounded inbox: the threaded baseline, whose receive thread is part
+    /// of the §5 design it reproduces, and the event loop on targets
+    /// without `ppoll`.
+    fn receive_thread(udp: Arc<UdpTransport>, metrics: Arc<NodeMetrics>) -> Wiring {
+        let (tx, inbox) = node_inbox(INBOX_CAPACITY, Some(metrics.inbox_dropped()));
+        let bell = tx.doorbell().clone();
+        let receiver = udp.spawn_receiver(tx, Some(metrics.udp_recv_errors()));
+        Wiring {
+            datagrams: Datagrams::Inbox(inbox),
+            bell,
+            transport: udp.clone(),
+            udp: Some(udp),
+            extra_handles: vec![receiver],
+            metrics,
+            clock: Arc::new(RealClock::new()),
         }
     }
 }

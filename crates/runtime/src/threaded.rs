@@ -18,7 +18,7 @@ use timewheel::Input;
 pub(crate) fn run(parts: NodeParts) {
     let NodeParts {
         mut dispatcher,
-        inbox,
+        datagrams,
         cmds,
         bell,
         clock,
@@ -32,6 +32,7 @@ pub(crate) fn run(parts: NodeParts) {
     let _recorder_guard = tw_obs::FlushGuard::new(recorder);
     let metrics = dispatcher.metrics.clone();
     let tick = dispatcher.driver.member().config().tick;
+    let inbox = datagrams.into_inbox();
 
     // Start the member before the event threads exist.
     dispatcher.dispatch(Instant::now(), clock.now_hw(), Input::Start);

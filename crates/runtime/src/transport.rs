@@ -17,12 +17,18 @@
 //!   datagrams agree, and a sender's consecutive proposals share one
 //!   run frame), and the fan-out goes through a single vectored syscall
 //!   where the platform has one ([`crate::mmsg`]). Genuinely lossy
-//!   under load, exactly the substrate the paper deployed on.
+//!   under load, exactly the substrate the paper deployed on. Its
+//!   socket has one reader: on linux-gnu an event-loop node reads it
+//!   from its own loop; the threaded baseline, and the event loop on
+//!   other targets, read it on a receive thread
+//!   ([`UdpTransport::spawn_receiver`]). Both decode and count every
+//!   datagram through one method, `UdpTransport::take_datagram`.
 //!
 //! Node inboxes are **bounded**: when a node cannot keep up, excess
 //! datagrams are shed (the datagram model permits omission) and counted
 //! in `tw_inbox_dropped_total`, so overload degrades gracefully and
-//! observably instead of growing an unbounded queue.
+//! observably instead of growing an unbounded queue. A node that reads
+//! its own socket has no inbox; the kernel's socket buffer bounds it.
 
 use crate::mmsg::{is_emsgsize, BatchSocket, OutDatagram, RecvSlot};
 use std::collections::HashMap;
@@ -201,6 +207,12 @@ pub(crate) fn classify_recv_error(kind: std::io::ErrorKind) -> RecvErrorAction {
     }
 }
 
+/// A socket reader's receive buffers: 16 max-size slots, enough to
+/// drain a heavy burst per syscall without a multi-MB standing buffer.
+pub(crate) fn recv_slots() -> Vec<RecvSlot> {
+    (0..16).map(|_| RecvSlot::new(64 * 1024)).collect()
+}
+
 /// Wire-level counters of one [`UdpTransport`] (plain atomics — these
 /// sit on the hot path; the registry-backed metrics stay at the node
 /// level). `send_syscalls` vs. `msgs_sent` is the quantity the batching
@@ -287,7 +299,7 @@ impl UdpTransport {
         }))
     }
 
-    /// Ask the receive loop to exit at its next poll.
+    /// Ask the receive thread, if any, to exit at its next poll.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Relaxed);
     }
@@ -330,6 +342,30 @@ impl UdpTransport {
         }
     }
 
+    /// The node's socket, for the event loop that reads it itself.
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    pub(crate) fn socket(&self) -> &UdpSocket {
+        &self.socket
+    }
+
+    /// Decode one received datagram and count it: its sender and
+    /// messages, in order, or `None` when it carries none. An undecodable
+    /// datagram (unknown wire version, truncation, corruption) is dropped
+    /// and counted in `decode_errors`: the model's omission failure. The
+    /// one receive body of both readers of the socket, the event loop and
+    /// the receive thread.
+    pub(crate) fn take_datagram(&self, datagram: &[u8]) -> Option<(ProcessId, Vec<Msg>)> {
+        let Ok(msgs) = frame::decode_datagram(datagram) else {
+            self.wire.decode_errors.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        self.wire.datagrams_recv.fetch_add(1, Ordering::Relaxed);
+        self.wire
+            .msgs_recv
+            .fetch_add(msgs.len() as u64, Ordering::Relaxed);
+        Some((msgs.first()?.sender(), msgs))
+    }
+
     fn note_sent(&self, syscalls: u64, datagrams: u64, msgs: u64) {
         self.wire
             .send_syscalls
@@ -340,16 +376,19 @@ impl UdpTransport {
         self.wire.msgs_sent.fetch_add(msgs, Ordering::Relaxed);
     }
 
-    /// Spawn the receive loop: decodes framed datagrams and forwards
-    /// their messages into `inbox` until shutdown is requested or the
-    /// inbox closes. The receive side drains the socket queue in batches
-    /// ([`crate::mmsg::BatchSocket::recv_batch`]) so a burst of
-    /// datagrams costs one syscall, not one each. Socket errors are
+    /// Spawn a receive thread: it reads the socket, decodes each datagram
+    /// with `take_datagram` and forwards its messages into `inbox` as one
+    /// item, until shutdown is requested or the inbox closes. Two kinds
+    /// of node have one: the threaded baseline, whose receive thread is
+    /// part of the §5 design it reproduces, and an event-loop node on a
+    /// target without `ppoll` (anything but linux-gnu). The thread
+    /// drains the socket queue in batches
+    /// ([`crate::mmsg::BatchSocket::recv_batch`]) so a burst of datagrams
+    /// costs one syscall, not one each, and notices a shutdown within its
+    /// 200 ms read timeout. Socket errors are
     /// treated as omissions — counted into `recv_errors` (wire it to
     /// `tw_udp_recv_errors_total`) and retried with a bounded backoff —
-    /// never as a reason to abandon the socket. Undecodable datagrams
-    /// (unknown wire version, truncation, corruption) are dropped and
-    /// counted: the model's omission failure.
+    /// never as a reason to abandon the socket.
     pub fn spawn_receiver(
         self: &Arc<Self>,
         inbox: InboxSender,
@@ -359,9 +398,7 @@ impl UdpTransport {
         std::thread::Builder::new()
             .name(format!("udp-rx-{}", me.me))
             .spawn(move || {
-                // 16 max-size slots: enough to drain a heavy burst per
-                // syscall without a multi-MB standing buffer.
-                let mut slots: Vec<RecvSlot> = (0..16).map(|_| RecvSlot::new(64 * 1024)).collect();
+                let mut slots = recv_slots();
                 // A read timeout lets the thread notice inbox closure.
                 let _ = me
                     .socket
@@ -377,25 +414,14 @@ impl UdpTransport {
                         Ok(filled) => {
                             backoff = min_backoff;
                             for slot in &slots[..filled] {
-                                match frame::decode_datagram(slot.datagram()) {
-                                    Ok(msgs) => {
-                                        me.wire.datagrams_recv.fetch_add(1, Ordering::Relaxed);
-                                        me.wire
-                                            .msgs_recv
-                                            .fetch_add(msgs.len() as u64, Ordering::Relaxed);
-                                        // One datagram, one inbox item, one dispatch.
-                                        let from = msgs.first().map(Msg::sender);
-                                        let delivered = from
-                                            .and_then(|from| Incoming::of(from, msgs))
-                                            .map(|inc| inbox.deliver(inc));
-                                        if delivered == Some(Deliver::Closed) {
-                                            return;
-                                        }
-                                        // Shed reads as datagram loss.
-                                    }
-                                    Err(_) => {
-                                        me.wire.decode_errors.fetch_add(1, Ordering::Relaxed);
-                                    }
+                                // One datagram, one inbox item, one
+                                // dispatch; shed reads as datagram loss.
+                                let delivered = me
+                                    .take_datagram(slot.datagram())
+                                    .and_then(|(from, msgs)| Incoming::of(from, msgs))
+                                    .map(|inc| inbox.deliver(inc));
+                                if delivered == Some(Deliver::Closed) {
+                                    return;
                                 }
                             }
                         }

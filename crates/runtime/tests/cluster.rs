@@ -67,6 +67,21 @@ fn udp_cluster_forms_and_delivers() {
     shutdown(nodes);
 }
 
+/// The threaded baseline reads its socket on a receive thread, into a
+/// bounded inbox.
+#[test]
+fn threaded_udp_cluster_forms_and_delivers() {
+    let n = 3;
+    let nodes = spawn_udp_cluster(ExecutorKind::Threaded, cfg(n)).expect("bind sockets");
+    form_group(&nodes, n);
+    nodes[2].propose(Bytes::from_static(b"over-udp"), Semantics::UNORDERED_WEAK);
+    for node in &nodes {
+        let ds = node.wait_for_deliveries(1, StdDuration::from_secs(10));
+        assert_eq!(ds.len(), 1, "{} missed the delivery", node.pid);
+    }
+    shutdown(nodes);
+}
+
 #[test]
 fn both_executors_deliver_a_burst_identically() {
     let n = 3;

@@ -1,6 +1,7 @@
 //! Loom model checks for the runtime's hand-rolled concurrency
 //! primitives (`tw_runtime::status`, `tw_runtime::inbox` and its
-//! doorbell).
+//! doorbell, both its condvar wait and its split park around a wait
+//! outside the bell).
 //!
 //! These tests only exist under `RUSTFLAGS="--cfg loom"`; a normal
 //! `cargo test` compiles this file to nothing. Under loom, each
@@ -15,11 +16,11 @@
 //! `[patch.crates-io]` table first, so the published crate explores.
 #![cfg(loom)]
 
-use loom::sync::Arc;
+use loom::sync::{Arc, Condvar, Mutex};
 use loom::thread;
 use std::time::Duration;
 use tw_proto::{ClockSyncMsg, HwTime, Msg, ProcessId};
-use tw_runtime::inbox::{node_inbox, Deliver, Incoming};
+use tw_runtime::inbox::{node_inbox, Deliver, Doorbell, Incoming};
 use tw_runtime::status::{NodeStatus, StatusCell};
 
 fn msg(n: u16) -> Incoming {
@@ -191,6 +192,109 @@ fn doorbell_close_is_never_missed() {
                 bell.wait_past(seen, Duration::from_secs(30)),
                 "missed the close"
             );
+        }
+        closer.join().unwrap();
+    });
+}
+
+/// Stand-in for the event loop's eventfd: a counter the bell's hook
+/// bumps and the outside wait (`ppoll` in the real loop) sleeps on until
+/// it is non-zero, then resets.
+struct EventFdModel {
+    count: Mutex<u64>,
+    cv: Condvar,
+}
+
+impl EventFdModel {
+    fn new() -> Self {
+        EventFdModel {
+            count: Mutex::new(0),
+            cv: Condvar::new(),
+        }
+    }
+
+    fn wake(&self) {
+        *self.count.lock().unwrap() += 1;
+        self.cv.notify_all();
+    }
+
+    /// The outside wait: true once woken, false when the bound ran out
+    /// first (loom does not model timeouts, so there a lost wake-up is
+    /// a deadlock instead).
+    fn wait(&self) -> bool {
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        let mut count = self.count.lock().unwrap();
+        while *count == 0 {
+            let Some(left) = deadline.checked_duration_since(std::time::Instant::now()) else {
+                return false;
+            };
+            count = self.cv.wait_timeout(count, left).unwrap().0;
+        }
+        *count = 0;
+        true
+    }
+}
+
+/// A bell whose hook wakes a modeled eventfd, as the UDP event loop's
+/// does.
+fn hooked_bell() -> (Arc<Doorbell>, Arc<EventFdModel>) {
+    let efd = Arc::new(EventFdModel::new());
+    let hook = efd.clone();
+    (Arc::new(Doorbell::with_hook(move || hook.wake())), efd)
+}
+
+/// The split park against a racing command: read the bell, look at the
+/// queue, `park`, wait outside the bell, `unpark`. Whatever the
+/// interleaving, the consumer never sleeps through a queued command — a
+/// ring lands before `seen` (the queue then holds it), between `seen`
+/// and `park` (`park` then refuses), or after `park` (the hook then
+/// wakes the outside wait).
+#[test]
+fn doorbell_park_never_sleeps_through_a_queued_command() {
+    loom::model(|| {
+        let (bell, efd) = hooked_bell();
+        let (tx, rx) = node_inbox(4, None);
+        let producer = {
+            let bell = bell.clone();
+            thread::spawn(move || {
+                // As `Node::propose`: queue, then ring the node's bell.
+                let queued = tx.deliver(msg(1));
+                bell.ring();
+                queued
+            })
+        };
+        loop {
+            let seen = bell.seen().expect("nobody closes this bell");
+            if rx.try_recv().is_some() {
+                break;
+            }
+            if bell.park(seen) {
+                let woken = efd.wait();
+                bell.unpark();
+                assert!(woken, "slept through a queued command");
+            }
+        }
+        assert_eq!(producer.join().unwrap(), Deliver::Delivered);
+    });
+}
+
+/// Shutdown races the split park: a close before `seen` makes `seen`
+/// say so, one before `park` makes `park` refuse, one after `park`
+/// wakes the outside wait through the hook.
+#[test]
+fn doorbell_close_is_never_missed_by_a_parked_waiter() {
+    loom::model(|| {
+        let (bell, efd) = hooked_bell();
+        let closer = {
+            let bell = bell.clone();
+            thread::spawn(move || bell.close())
+        };
+        while let Some(seen) = bell.seen() {
+            if bell.park(seen) {
+                let woken = efd.wait();
+                bell.unpark();
+                assert!(woken, "missed the close");
+            }
         }
         closer.join().unwrap();
     });

@@ -5,6 +5,10 @@
 //! sender/receiver drop, `try_send` on a full bounded channel). There is
 //! no `select!`: the runtime's event loop waits on a doorbell of its own
 //! (`tw_runtime::inbox::Doorbell`).
+//!
+//! A send wakes a receiver only when one is parked, as crossbeam does:
+//! the notify is a `futex` syscall even when nobody waits, and most sends
+//! (commands, outputs, in-process datagrams) find their receiver busy.
 
 /// Channel types mirroring `crossbeam::channel`.
 pub mod channel {
@@ -18,6 +22,9 @@ pub mod channel {
         receivers: usize,
         /// `None` for unbounded channels, `Some(cap)` for bounded ones.
         cap: Option<usize>,
+        /// Receivers blocked in `recv` or `recv_timeout`; a send with
+        /// none skips the notify.
+        parked: usize,
     }
 
     struct Shared<T> {
@@ -28,6 +35,37 @@ pub mod channel {
     impl<T> Shared<T> {
         fn lock(&self) -> std::sync::MutexGuard<'_, State<T>> {
             self.state.lock().unwrap_or_else(|e| e.into_inner())
+        }
+
+        /// Queue `value` and wake one parked receiver, if any.
+        fn push(&self, mut st: std::sync::MutexGuard<'_, State<T>>, value: T) {
+            st.q.push_back(value);
+            let parked = st.parked > 0;
+            drop(st);
+            if parked {
+                self.cv.notify_one();
+            }
+        }
+
+        /// Park on the condvar for at most `timeout` (forever with
+        /// `None`), counted in `parked` meanwhile.
+        fn park<'a>(
+            &self,
+            mut st: std::sync::MutexGuard<'a, State<T>>,
+            timeout: Option<Duration>,
+        ) -> std::sync::MutexGuard<'a, State<T>> {
+            st.parked += 1;
+            let mut st = match timeout {
+                None => self.cv.wait(st).unwrap_or_else(|e| e.into_inner()),
+                Some(t) => {
+                    self.cv
+                        .wait_timeout(st, t)
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0
+                }
+            };
+            st.parked -= 1;
+            st
         }
     }
 
@@ -79,6 +117,7 @@ pub mod channel {
                 senders: 1,
                 receivers: 1,
                 cap,
+                parked: 0,
             }),
             cv: Condvar::new(),
         });
@@ -98,20 +137,18 @@ pub mod channel {
     impl<T> Sender<T> {
         /// Queue a value; fails if every receiver is gone.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let mut st = self.0.lock();
+            let st = self.0.lock();
             if st.receivers == 0 {
                 return Err(SendError(value));
             }
-            st.q.push_back(value);
-            drop(st);
-            self.0.cv.notify_one();
+            self.0.push(st, value);
             Ok(())
         }
 
         /// Queue a value without blocking; fails when the channel is at
         /// capacity or every receiver is gone.
         pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-            let mut st = self.0.lock();
+            let st = self.0.lock();
             if st.receivers == 0 {
                 return Err(TrySendError::Disconnected(value));
             }
@@ -120,9 +157,7 @@ pub mod channel {
                     return Err(TrySendError::Full(value));
                 }
             }
-            st.q.push_back(value);
-            drop(st);
-            self.0.cv.notify_one();
+            self.0.push(st, value);
             Ok(())
         }
     }
@@ -156,11 +191,7 @@ pub mod channel {
                 if st.senders == 0 {
                     return Err(RecvError);
                 }
-                st = self
-                    .0
-                    .cv
-                    .wait(st)
-                    .unwrap_or_else(|e| e.into_inner());
+                st = self.0.park(st, None);
             }
         }
 
@@ -204,13 +235,16 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
-                let (guard, _) = self
-                    .0
-                    .cv
-                    .wait_timeout(st, deadline - now)
-                    .unwrap_or_else(|e| e.into_inner());
-                st = guard;
+                st = self.0.park(st, Some(deadline - now));
             }
+        }
+    }
+
+    #[cfg(test)]
+    impl<T> Receiver<T> {
+        /// Receivers parked on this channel right now.
+        pub(crate) fn parked(&self) -> usize {
+            self.0.lock().parked
         }
     }
 
@@ -275,6 +309,32 @@ mod tests {
         assert_eq!(tx.try_send(3), Ok(()));
         drop(rx);
         assert_eq!(tx.try_send(4), Err(TrySendError::Disconnected(4)));
+    }
+
+    /// Two receivers parked on one channel each get one of two sends:
+    /// a send wakes a parked receiver, and a second parked one is not
+    /// left asleep.
+    #[test]
+    fn two_parked_receivers_each_get_one_of_two_sends() {
+        let (tx, rx) = unbounded();
+        let receivers: Vec<_> = (0..2)
+            .map(|_| {
+                let rx = rx.clone();
+                std::thread::spawn(move || rx.recv_timeout(Duration::from_secs(10)))
+            })
+            .collect();
+        // Wait until both are parked.
+        while rx.parked() < 2 {
+            std::thread::yield_now();
+        }
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        let mut got: Vec<i32> = receivers
+            .into_iter()
+            .map(|h| h.join().unwrap().expect("each receiver gets a value"))
+            .collect();
+        got.sort();
+        assert_eq!(got, [1, 2]);
     }
 
     #[test]
