@@ -8,7 +8,8 @@
 //! * per-operation costs — `record()` into a large buffer, `record()`
 //!   with spills amortized in, and a forced `flush()`;
 //! * end-to-end — the T1 failure-free workload (5 members, 200 cycles)
-//!   with a recorder attached to every member, vs. tracing disabled,
+//!   with a recorder attached to every member, vs. none (each simulated
+//!   member keeps its own trace for the auditor in both),
 //!   median of 3 runs each; the claim in EXPERIMENTS.md is < 5%
 //!   overhead, with the T1 shape (zero membership messages) preserved.
 //!
@@ -18,7 +19,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use timewheel::harness::{formed_team, TeamParams};
 use tw_bench::{median, Table};
-use tw_obs::{ClockStamp, FlightRecorder, RecorderConfig, TraceEvent, TraceSink, Tracer};
+use tw_obs::{ClockStamp, FlightRecorder, RecorderConfig, TraceEvent, TraceSink};
 use tw_proto::{Duration, HwTime, ProcessId, SyncTime, ViewId};
 
 fn sample_event() -> TraceEvent {
@@ -66,9 +67,7 @@ fn sim_run_ms(runs: usize, cycles: i64, recorded: bool) -> f64 {
                     FlightRecorder::create(tmp(&format!("e2e-{r}-{i}.twrec")), rc)
                         .expect("create recording"),
                 );
-                w.actor_mut(pid)
-                    .member_mut()
-                    .set_tracer(Tracer::new(rec.clone() as Arc<dyn TraceSink>));
+                w.actor_mut(pid).attach_sink(rec.clone());
                 recorders.push(rec);
             }
         }
@@ -143,7 +142,7 @@ fn main() {
     }
     print!(
         "{}",
-        table.render("OBS-REC: flight recorder overhead (vs tracing disabled)")
+        table.render("OBS-REC: flight recorder overhead (vs no recorder)")
     );
     println!("\nclaim check: end-to-end overhead < 5% with the T1 shape preserved");
     println!("(zero membership messages asserted in every run, recorded or not).");

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 use timewheel::harness::{formed_team, reformed, run_until_pred, TeamParams};
-use tw_obs::{FlightRecorder, RecorderConfig, TraceSink, Tracer};
+use tw_obs::{FlightRecorder, RecorderConfig};
 use tw_proto::{Duration, ProcessId};
 
 fn main() {
@@ -36,9 +36,7 @@ fn main() {
                 FlightRecorder::create(out.join(format!("node-{i}.twrec")), rc)
                     .expect("create recording"),
             );
-            w.actor_mut(pid)
-                .member_mut()
-                .set_tracer(Tracer::new(rec.clone() as Arc<dyn TraceSink>));
+            w.actor_mut(pid).attach_sink(rec.clone());
             rec
         })
         .collect();

@@ -15,6 +15,7 @@ use timewheel::harness::{
     TeamWorld,
 };
 use timewheel::{invariants, CreatorState};
+use tw_obs::TraceEvent;
 use tw_proto::{Atomicity, Duration, Msg, Ordering, ProcessId, ProposalId, Semantics};
 use tw_sim::{Fault, LinkModel, MsgMatcher, ProcessStatus, SimTime};
 
@@ -274,9 +275,8 @@ fn t3() -> Outcome {
         // "Interrupted" means a live member was actually excluded: some
         // installed view has fewer than n members.
         let members = (0..n as u16).map(|i| w.actor(ProcessId(i)));
-        let removed = members
-            .clone()
-            .any(|a| a.views.iter().any(|(_, v)| v.len() < n));
+        let smaller = |ev: &TraceEvent| matches!(ev, TraceEvent::ViewInstalled { members, .. } if members.count() < n);
+        let removed = members.clone().any(|a| a.trace().iter().any(smaller));
         let reformed = members
             .clone()
             .any(|a| a.member().view().id.seq != seq_before);

@@ -31,6 +31,7 @@ use crate::invariants::check_all_members;
 use crate::member::Member;
 use crate::Config;
 use bytes::Bytes;
+use tw_obs::{ClockStamp, TraceEvent};
 use tw_proto::{Duration, Msg, ProcessId, Semantics, View, ViewId};
 use tw_sim::explore::{ExploreConfig, ExploreReport, Explorer};
 use tw_sim::{Actor, Ctx};
@@ -122,10 +123,6 @@ impl Default for Budgets {
 /// The [`ExploreConfig`] a scenario runs under — exposed so tests can
 /// drive [`Explorer`] directly with instrumented checkers.
 pub fn config_for(sc: &Scenario, b: &Budgets) -> ExploreConfig {
-    explore_config(sc, b)
-}
-
-fn explore_config(sc: &Scenario, b: &Budgets) -> ExploreConfig {
     ExploreConfig {
         max_deliveries: b.deliveries,
         max_timer_fires_per_proc: b.timer_fires,
@@ -164,10 +161,16 @@ pub fn team(sc: &Scenario) -> Vec<ExploreMember> {
                     ViewId::new(1, ProcessId(0)),
                     (0..n).map(|r| ProcessId(r as u16)),
                 );
-                let mut sm = SimMember::new(Member::new_in_view(pid, cfg, view.clone()));
-                // The installed view is part of the log the invariant
-                // checkers read.
-                sm.views.push((tw_proto::HwTime::ZERO, view));
+                let (id, members) = (view.id, view.members.iter().copied().collect());
+                let mut sm = SimMember::new(Member::new_in_view(pid, cfg, view));
+                // The installed view is part of the history the checkers
+                // read.
+                sm.record(TraceEvent::ViewInstalled {
+                    pid,
+                    at: ClockStamp::default(),
+                    view: id,
+                    members,
+                });
                 sm
             };
             ExploreMember {
@@ -183,11 +186,11 @@ pub fn team(sc: &Scenario) -> Vec<ExploreMember> {
 
 /// Explorer-side wrapper around [`SimMember`]: optionally proposes
 /// updates (so the ordering/atomicity invariants are exercised, not
-/// vacuous) and optionally sabotages its own delivery log (the
+/// vacuous) and optionally sabotages its own trace (the
 /// known-broken fixture that proves the pipeline can fail).
 #[derive(Clone)]
 pub struct ExploreMember {
-    /// The adapted member with its logs.
+    /// The adapted member with its trace.
     pub inner: SimMember,
     /// Born into a view ([`Member::new_in_view`]): skip the protocol's
     /// start-up on the first event, which would reset to the join phase.
@@ -196,7 +199,7 @@ pub struct ExploreMember {
     /// member sits in a view (proposing is a client call, so it rides
     /// on the member's own events rather than being a schedule step).
     proposals_left: usize,
-    /// If set, duplicate the first delivery in the log (a "bug").
+    /// If set, duplicate the first delivery in the trace (a "bug").
     sabotage: bool,
     sabotaged: bool,
 }
@@ -228,9 +231,9 @@ impl ExploreMember {
             }
         }
         if self.sabotage && !self.sabotaged {
-            if let Some((at, first)) = self.inner.deliveries.first().cloned() {
-                let view = self.inner.delivery_views[0];
-                self.inner.log_delivery(at, first, view);
+            let delivered = |ev: &&TraceEvent| matches!(ev, TraceEvent::Delivered { .. });
+            if let Some(&first) = self.inner.trace().iter().find(delivered) {
+                self.inner.record(first);
                 self.sabotaged = true;
             }
         }
@@ -268,7 +271,10 @@ impl Actor for ExploreMember {
     }
 }
 
-fn check(actors: &[ExploreMember]) -> Vec<String> {
+/// The invariant checker over a team of [`ExploreMember`]s — exposed so
+/// tests can wrap it (e.g. to count deliveries across terminal states
+/// and prove a scenario is not vacuous).
+pub fn check_team(actors: &[ExploreMember]) -> Vec<String> {
     let refs: Vec<&SimMember> = actors.iter().map(|m| &m.inner).collect();
     check_all_members(&refs)
         .iter()
@@ -282,12 +288,12 @@ pub fn run_scenario(sc: &Scenario, budgets: &Budgets) -> ExploreReport {
     if let Some(p0) = actors.first_mut() {
         p0.proposals_left = budgets.proposals;
     }
-    Explorer::new(explore_config(sc, budgets), |a: &[ExploreMember]| check(a)).run(actors)
+    Explorer::new(config_for(sc, budgets), check_team).run(actors)
 }
 
 /// Explore the known-broken fixture: a formed 3-member group whose p1
 /// duplicates its first delivery. The explorer must report a violation —
-/// if it comes back clean, the *pipeline* (explorer → logs → checkers)
+/// if it comes back clean, the *pipeline* (explorer → traces → checkers)
 /// is broken, and trusting its green runs would be unfounded.
 pub fn run_broken_fixture(budgets: &Budgets) -> ExploreReport {
     let sc = Scenario {
@@ -301,17 +307,10 @@ pub fn run_broken_fixture(budgets: &Budgets) -> ExploreReport {
     let mut actors = team(&sc);
     actors[0].proposals_left = budgets.proposals.max(1);
     actors[1].sabotage = true;
-    Explorer::new(explore_config(&sc, budgets), |a: &[ExploreMember]| check(a)).run(actors)
+    Explorer::new(config_for(&sc, budgets), check_team).run(actors)
 }
 
-/// The invariant checker over a team of [`ExploreMember`]s — exposed so
-/// tests can wrap it (e.g. to count deliveries across terminal states
-/// and prove a scenario is not vacuous).
-pub fn check_team(actors: &[ExploreMember]) -> Vec<String> {
-    check(actors)
-}
-
-/// Sum of deliveries currently in the team's logs.
+/// Sum of deliveries currently in the team's delivery streams.
 pub fn deliveries_in(actors: &[ExploreMember]) -> usize {
     actors.iter().map(|m| m.inner.deliveries.len()).sum()
 }

@@ -1,18 +1,21 @@
 //! Hosting the protocol on the deterministic simulator.
 //!
-//! [`SimMember`] adapts a [`Member`] to [`tw_sim::Actor`], recording
-//! everything experiments need (deliveries, view installations, leave
-//! events) with hardware timestamps. [`team_world`] builds a whole team
+//! [`SimMember`] adapts a [`Member`] to [`tw_sim::Actor`]. It keeps the
+//! application's delivery stream and the member's own trace — the
+//! [`TraceEvent`]s its `Member` emits, the history
+//! [`crate::invariants`] audits. [`team_world`] builds a whole team
 //! in one call and [`formed_team`] runs it until the group has formed;
 //! the integration tests, the examples and every experiment go through
 //! them, and wait for a crash to be absorbed with [`reformed`].
 
 use crate::config::Config;
 use crate::driver::{AppEvent, Driver, Input};
-use crate::events::{Action, Delivery, LeaveReason};
+use crate::events::{Action, Delivery};
 use crate::member::{CreatorState, Member, ProposeError};
 use bytes::Bytes;
-use tw_proto::{Duration, HwTime, Msg, ProcessId, Semantics, View, ViewId};
+use std::sync::Arc;
+use tw_obs::{ClockStamp, FaultKind, TraceEvent, TraceSink, Tracer, VecSink};
+use tw_proto::{Duration, HwTime, Msg, ProcessId, Semantics, SyncTime};
 use tw_sim::{Actor, ClockConfig, Ctx, LinkModel, ProcessStatus, SimTime, World, WorldConfig};
 
 /// Timer token for the fixed-period protocol tick.
@@ -25,50 +28,58 @@ const CLOCK_TICK: u64 = 2;
 /// its hooks need not be `Send`).
 type SimHook = Box<dyn FnMut(AppEvent<'_>) -> Option<Bytes>>;
 
-/// A [`Member`] wired to the simulator, with an experiment log.
+/// A [`Member`] wired to the simulator, with its delivery stream and its
+/// trace.
 pub struct SimMember {
     driver: Driver,
     /// Every delivered update, with the local hardware receive time.
     pub deliveries: Vec<(HwTime, Delivery)>,
-    /// The view this member was in at each delivery (aligned with
-    /// `deliveries`) — lets checkers scope agreement to *completed*
-    /// majority groups, the paper's §3 guarantee.
-    pub delivery_views: Vec<ViewId>,
-    /// Every installed view, with the local hardware time.
-    pub views: Vec<(HwTime, View)>,
-    /// Every departure to join state.
-    pub leaves: Vec<(HwTime, LeaveReason)>,
+    /// Everything the member traced, in order, plus the facts the host
+    /// recorded ([`SimMember::record`]).
+    trace: Vec<TraceEvent>,
+    /// The member's tracer sink, emptied into `trace` after each step.
+    /// Each `SimMember` has its own, so explorer forks never mix events.
+    sink: Arc<VecSink>,
+    /// Fed each event as `trace` takes it ([`SimMember::attach_sink`]).
+    attached: Option<Arc<dyn TraceSink>>,
     /// Optional application hook.
     on_deliver: Option<SimHook>,
 }
 
 /// Manual impl: the exhaustive schedule explorer (`tw_sim::explore`)
-/// forks member state at every branch point, but the application hook is
-/// an arbitrary `FnMut` and not clonable — forks carry the full protocol
-/// state and logs with the hook reset to `None`. Explored scenarios
-/// therefore exercise the protocol layer, not application hooks.
+/// forks member state at every branch point. A fork gets a sink of its
+/// own and a copy of the trace so far; the application hook is an
+/// arbitrary `FnMut` and not clonable, so forks run with it reset to
+/// `None`. Explored scenarios therefore exercise the protocol layer, not
+/// application hooks.
 impl Clone for SimMember {
     fn clone(&self) -> Self {
         SimMember {
-            driver: self.driver.clone(),
             deliveries: self.deliveries.clone(),
-            delivery_views: self.delivery_views.clone(),
-            views: self.views.clone(),
-            leaves: self.leaves.clone(),
-            on_deliver: None,
+            trace: self.trace.clone(),
+            attached: self.attached.clone(),
+            ..SimMember::hosting(self.driver.clone())
         }
     }
 }
 
 impl SimMember {
-    /// Wrap a member.
+    /// Wrap a member. A tracer set on `member` beforehand is replaced:
+    /// attach sinks with [`SimMember::attach_sink`].
     pub fn new(member: Member) -> Self {
+        SimMember::hosting(Driver::new(member))
+    }
+
+    /// Point the driven member's tracer at a fresh sink of this host's.
+    fn hosting(mut driver: Driver) -> Self {
+        let sink = Arc::new(VecSink::new());
+        driver.member_mut().set_tracer(Tracer::new(sink.clone()));
         SimMember {
-            driver: Driver::new(member),
+            driver,
             deliveries: Vec::new(),
-            delivery_views: Vec::new(),
-            views: Vec::new(),
-            leaves: Vec::new(),
+            trace: Vec::new(),
+            sink,
+            attached: None,
             on_deliver: None,
         }
     }
@@ -78,10 +89,24 @@ impl SimMember {
         self.driver.member()
     }
 
-    /// Set-up access to the member (attach a tracer, take transferred
-    /// state); events reach it through the simulator only.
-    pub fn member_mut(&mut self) -> &mut Member {
-        self.driver.member_mut()
+    /// The member's trace so far, with the host's recorded facts: what
+    /// [`crate::invariants`] feeds to the `tw_obs` auditor.
+    pub fn trace(&self) -> &[TraceEvent] {
+        &self.trace
+    }
+
+    /// Append a fact the member did not trace itself: a fault the host
+    /// injected (a restart, see [`Actor::on_recover`]), or a fabricated
+    /// event in a checker's negative test.
+    pub fn record(&mut self, ev: TraceEvent) {
+        self.sink.record(&ev);
+        self.take_trace();
+    }
+
+    /// Feed everything the trace takes from here on to `sink` as well (a
+    /// flight recorder, a live auditor).
+    pub fn attach_sink(&mut self, sink: Arc<dyn TraceSink>) {
+        self.attached = Some(sink);
     }
 
     /// Attach an application hook.
@@ -100,16 +125,18 @@ impl SimMember {
         self.dispatch(ctx, Input::Propose(vec![(payload, semantics)]))
     }
 
-    /// The one place the delivery log grows, so `deliveries` and
-    /// `delivery_views` cannot drift apart.
-    pub fn log_delivery(&mut self, at: HwTime, d: Delivery, view: ViewId) {
-        self.deliveries.push((at, d));
-        self.delivery_views.push(view);
+    fn take_trace(&mut self) {
+        let from = self.trace.len();
+        self.sink.drain_into(&mut self.trace);
+        if let Some(other) = &self.attached {
+            self.trace[from..].iter().for_each(|ev| other.record(ev));
+        }
     }
 
     /// Step the driver and route its effects: messages to the simulated
-    /// network, everything else to the experiment log. Timers are the
-    /// host's: re-armed after the inputs that consumed them.
+    /// network, deliveries to the delivery stream; the trace takes what
+    /// the member emitted. Timers are the host's: re-armed after the
+    /// inputs that consumed them.
     fn dispatch(&mut self, ctx: &mut Ctx<'_, Msg>, input: Input) -> Result<(), ProposeError> {
         let now = ctx.now_hw();
         let (arm_clock, arm_tick) = match input {
@@ -118,15 +145,14 @@ impl SimMember {
             Input::Tick => (false, true),
             _ => (false, false),
         };
-        let effects = self.driver.step(now, input, &mut self.on_deliver)?;
-        let view = self.member().view().id;
-        for e in effects {
+        let effects = self.driver.step(now, input, &mut self.on_deliver);
+        self.take_trace();
+        for e in effects? {
             match e {
                 Action::Broadcast(m) => ctx.broadcast(m),
                 Action::Send(to, m) => ctx.send(to, m),
-                Action::Deliver(d) => self.log_delivery(now, d, view),
-                Action::InstallView(v) => self.views.push((now, v)),
-                Action::LeftGroup { reason } => self.leaves.push((now, reason)),
+                Action::Deliver(d) => self.deliveries.push((now, d)),
+                Action::InstallView(_) | Action::LeftGroup { .. } => {}
                 Action::ScheduleClockTick(_) | Action::InstallAppState(_) => {
                     unreachable!("consumed by Driver::step")
                 }
@@ -153,7 +179,21 @@ impl Actor for SimMember {
         let _ = self.dispatch(ctx, Input::Start);
     }
 
+    /// A recovery starts a fresh incarnation: the trace records it as
+    /// an injected restart, as the runtime's chaos controller does, so
+    /// the auditor opens a new life for this member.
     fn on_recover(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        let (pid, hw) = (self.member().pid(), ctx.now_hw());
+        self.record(TraceEvent::FaultInjected {
+            pid,
+            at: ClockStamp {
+                hw,
+                sync: SyncTime(hw.0),
+            },
+            kind: FaultKind::Restart,
+            target: pid,
+            arg: 0,
+        });
         let _ = self.dispatch(ctx, Input::Recover);
     }
 
@@ -395,6 +435,46 @@ mod tests {
         assert!(!reformed(&w, &[victim]), "survivors still hold the victim");
         let deadline = w.now() + Duration::from_secs(10);
         assert!(run_until_pred(&mut w, deadline, |w| reformed(w, &[victim])).is_some());
+    }
+
+    /// The explorer forks members mid-run; each copy's trace must hold
+    /// the history it shares with its sibling and then only its own
+    /// steps.
+    #[test]
+    fn a_fork_traces_only_its_own_events() {
+        let params = TeamParams::new(3);
+        let (mut a, _) = formed_team(&params);
+        // Same seed, same schedule: b reaches the same state, and its
+        // members are then replaced by forks of a's.
+        let (mut b, _) = formed_team(&params);
+        assert_eq!(a.now(), b.now());
+        let team = || (0..3u16).map(ProcessId);
+        for p in team() {
+            *b.actor_mut(p) = a.actor(p).clone();
+        }
+        let shared: Vec<Vec<TraceEvent>> = team().map(|p| a.actor(p).trace().to_vec()).collect();
+        // Different inputs: p0 proposes in a, p1 in b.
+        for (w, proposer) in [(&mut a, ProcessId(0)), (&mut b, ProcessId(1))] {
+            w.call_at(w.now() + Duration::from_millis(5), proposer, |m, ctx| {
+                let _ = m.propose(ctx, Bytes::from_static(b"x"), Semantics::UNORDERED_WEAK);
+            });
+            w.run_for(Duration::from_secs(1));
+        }
+        let delivered = |w: &TeamWorld, p: ProcessId| -> Vec<ProcessId> {
+            let tail = &w.actor(p).trace()[shared[p.rank()].len()..];
+            (tail.iter())
+                .filter_map(|ev| match ev {
+                    TraceEvent::Delivered { id, .. } => Some(id.proposer),
+                    _ => None,
+                })
+                .collect()
+        };
+        for p in team() {
+            assert!(a.actor(p).trace().starts_with(&shared[p.rank()]));
+            assert!(b.actor(p).trace().starts_with(&shared[p.rank()]));
+            assert_eq!(delivered(&a, p), [ProcessId(0)], "a's {p}");
+            assert_eq!(delivered(&b, p), [ProcessId(1)], "b's {p}");
+        }
     }
 
     #[test]

@@ -1,20 +1,16 @@
-//! The paper's correctness properties over the logs a
-//! [`crate::harness::SimMember`] records.
+//! The paper's correctness properties over the traces a
+//! [`crate::harness::SimMember`] keeps.
 //!
 //! No property is defined here. [`tw_obs::audit`] owns every delivery and
 //! view property (view agreement, majority, one completed group per seq,
 //! total order, FIFO, time order, no duplicates, oal-prefix, view
-//! overlap); this module replays a member's `views`, `deliveries` +
-//! `delivery_views` and `Startup` departures into that
-//! [`Auditor`] as its three facts — *installed*, *delivered*,
-//! *restarted* — so the seeded [`World`], the exhaustive explorer
-//! (`cargo xtask explore`, at every terminal state) and a test
-//! fabricating corrupted logs get the verdicts a live cluster's trace
-//! stream and `tw-trace` get. The one check made here is about the log
-//! itself: **log alignment** — every logged delivery carries the view it
-//! was delivered in (the auditor is blind to a delivery without one).
+//! overlap); this module feeds each member's trace — the `TraceEvent`s
+//! its `Member` emitted, with the host's injected restarts — to that
+//! [`Auditor`] through [`Auditor::observe`], the one adapter a live
+//! cluster's trace stream and `tw-trace` use too. So the seeded
+//! [`World`] and the exhaustive explorer (`cargo xtask explore`, at
+//! every terminal state) get the verdicts a live cluster gets.
 
-use crate::events::LeaveReason;
 use crate::harness::SimMember;
 use tw_obs::Auditor;
 use tw_proto::ProcessId;
@@ -28,35 +24,14 @@ pub fn check_all(world: &World<SimMember>) -> Vec<Violation> {
     check_all_members(&members_of(world))
 }
 
-/// Check every invariant over a slice of member logs (the member at
-/// index `i` must be process `i`; the slice length is the team size).
+/// Check every invariant over a slice of members (the member at index
+/// `i` must be process `i`; the slice length is the team size).
 pub fn check_all_members(members: &[&SimMember]) -> Vec<Violation> {
-    let mut out = check_log_alignment(members);
     let mut auditor = Auditor::new(members.len());
-    for (i, m) in members.iter().enumerate() {
-        let pid = ProcessId(i as u16);
-        for (_, v) in &m.views {
-            auditor.installed(pid, v.id, v.members.iter().copied().collect());
-        }
-        // Every start logs a `Startup` departure; each one after the
-        // first is a crash-recovery, and the deliveries logged from then
-        // on belong to the fresh incarnation.
-        let mut restarts = m
-            .leaves
-            .iter()
-            .filter(|(_, r)| matches!(r, LeaveReason::Startup))
-            .map(|(t, _)| *t)
-            .skip(1)
-            .peekable();
-        for ((t, d), view) in m.deliveries.iter().zip(&m.delivery_views) {
-            while restarts.next_if(|r| r <= t).is_some() {
-                auditor.restarted(pid);
-            }
-            auditor.delivered(pid, *view, d.id, d.ordinal, d.semantics, d.send_ts);
-        }
+    for ev in members.iter().flat_map(|m| m.trace()) {
+        auditor.observe(ev);
     }
-    out.extend_from_slice(auditor.finish());
-    out
+    auditor.finish().to_vec()
 }
 
 /// Assert-style wrapper for tests: panics with the violations.
@@ -65,31 +40,10 @@ pub fn assert_all(world: &World<SimMember>) {
     assert!(v.is_empty(), "protocol invariants violated: {v:#?}");
 }
 
-/// Collect the per-process member logs of a finished simulation.
+/// Collect the per-process members of a finished simulation.
 pub fn members_of(world: &World<SimMember>) -> Vec<&SimMember> {
     (0..world.len())
         .map(|i| world.actor(ProcessId(i as u16)))
-        .collect()
-}
-
-/// `deliveries` and `delivery_views` are one log in two columns; a host
-/// that grows one without the other would have its tail deliveries
-/// replayed into no view at all.
-fn check_log_alignment(members: &[&SimMember]) -> Vec<Violation> {
-    members
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| a.deliveries.len() != a.delivery_views.len())
-        .map(|(i, a)| {
-            Violation::new(
-                "log-alignment",
-                format!(
-                    "p{i} logged {} deliveries but {} delivery views",
-                    a.deliveries.len(),
-                    a.delivery_views.len()
-                ),
-            )
-        })
         .collect()
 }
 

@@ -1,24 +1,23 @@
 //! Negative coverage for `timewheel::invariants`: fabricate deliberately
-//! corrupted member logs and prove each check can actually fail.
+//! corrupted member traces and prove each check can actually fail.
 //!
 //! The checks gate every integration test and every schedule the
 //! exhaustive explorer enumerates; a checker that silently accepts
-//! garbage would turn all of that into green noise. Each test here
-//! builds the *minimal* corrupted log for one invariant and asserts
-//! `check_all_members` — the `SimMember` adapter over `tw_obs::audit` —
-//! flags it under that invariant's check label
-//! (`crates/obs/tests/audit_negative.rs` feeds the same checker from
-//! trace streams).
+//! garbage would turn all of that into green noise. Each test records
+//! the *minimal* corrupted history for one invariant into `SimMember`
+//! traces and asserts `check_all_members` — the simulator's feed into
+//! `tw_obs::audit` — flags it under that invariant's check label
+//! (`crates/obs/tests/audit_negative.rs` feeds the auditor the same
+//! kind of stream directly).
 
-use bytes::Bytes;
-use timewheel::events::Delivery;
 use timewheel::harness::{
     all_in_group, inject_proposals, run_until_pred, team_world, SimMember, TeamParams,
 };
 use timewheel::invariants::check_all_members;
 use timewheel::{Config, Member};
+use tw_obs::{ClockStamp, FaultKind, TraceEvent};
 use tw_proto::{
-    Duration, HwTime, Ordinal, ProcessId, ProposalId, Semantics, SyncTime, View, ViewId,
+    AckBits, Duration, HwTime, Ordinal, ProcessId, ProposalId, Semantics, SyncTime, ViewId,
 };
 use tw_sim::SimTime;
 
@@ -29,43 +28,59 @@ fn blank(pid: u16) -> SimMember {
     SimMember::new(Member::new_unchecked(ProcessId(pid), cfg))
 }
 
-fn delivery(proposer: u16, seq: u64, sem: Semantics, send_us: i64) -> Delivery {
-    Delivery {
-        id: ProposalId {
-            proposer: ProcessId(proposer),
-            seq,
-        },
-        ordinal: Some(Ordinal(seq)),
-        semantics: sem,
-        send_ts: SyncTime(send_us),
-        payload: Bytes::from_static(b"x"),
+fn team() -> Vec<SimMember> {
+    (0..N as u16).map(blank).collect()
+}
+
+fn stamp(t_us: i64) -> ClockStamp {
+    ClockStamp {
+        hw: HwTime::from_micros(t_us),
+        sync: SyncTime(t_us),
     }
 }
 
-/// The total-ordered update `proposer:1`, bound to ordinal `ord`.
-fn total(proposer: u16, ord: u64) -> Delivery {
-    Delivery {
+/// The view `seq@creator` over `members` of the N-process team.
+fn view(seq: u64, creator: u16, members: &[u16]) -> (ViewId, AckBits) {
+    let bits = members.iter().map(|&p| ProcessId(p)).collect();
+    (ViewId::new(seq, ProcessId(creator)), bits)
+}
+
+/// Member `i` of `team` installs `view` at local time `t_us`.
+fn install(team: &mut [SimMember], i: u16, (view, members): (ViewId, AckBits), t_us: i64) {
+    team[i as usize].record(TraceEvent::ViewInstalled {
+        pid: ProcessId(i),
+        at: stamp(t_us),
+        view,
+        members,
+    });
+}
+
+/// Member `i` of `team` delivers `proposer:seq` bound to ordinal `ord`,
+/// sent at `send_us`, in `view`.
+fn deliver(
+    team: &mut [SimMember],
+    i: u16,
+    (proposer, seq, ord): (u16, u64, u64),
+    semantics: Semantics,
+    send_us: i64,
+    view: ViewId,
+) {
+    team[i as usize].record(TraceEvent::Delivered {
+        pid: ProcessId(i),
+        at: stamp(send_us + 100),
+        id: ProposalId::new(ProcessId(proposer), seq),
         ordinal: Some(Ordinal(ord)),
-        ..delivery(proposer, 1, Semantics::TOTAL_STRONG, 200)
-    }
+        semantics,
+        send_ts: SyncTime(send_us),
+        view,
+    });
 }
 
-/// Install `view` on the member at local time `t_us` — keeps the views
-/// log and the delivery-view alignment the checkers expect.
-fn install(m: &mut SimMember, view: &View, t_us: i64) {
-    m.views.push((HwTime::from_micros(t_us), view.clone()));
-}
-
-fn deliver(m: &mut SimMember, d: Delivery, vid: ViewId, t_us: i64) {
-    m.log_delivery(HwTime::from_micros(t_us), d, vid);
-}
-
-/// A majority view over members 0..k of an N-process team.
-fn view(seq: u64, creator: u16, members: impl IntoIterator<Item = u16>) -> View {
-    View::new(
-        ViewId::new(seq, ProcessId(creator)),
-        members.into_iter().map(ProcessId),
-    )
+/// Member `i` delivers the total-ordered update `proposer:1`, bound to
+/// ordinal `ord`.
+fn total(team: &mut [SimMember], i: u16, proposer: u16, ord: u64, view: ViewId) {
+    let sem = Semantics::TOTAL_STRONG;
+    deliver(team, i, (proposer, 1, ord), sem, 200, view);
 }
 
 fn refs(members: &[SimMember]) -> Vec<&SimMember> {
@@ -82,77 +97,37 @@ fn checks(members: &[SimMember]) -> Vec<&'static str> {
 
 #[test]
 fn clean_fabricated_log_passes() {
-    let v = view(1, 0, [0, 1, 2]);
-    let mut team: Vec<SimMember> = (0..N as u16).map(blank).collect();
-    for (i, m) in team.iter_mut().enumerate() {
-        install(m, &v, 100 + i as i64);
-        deliver(m, delivery(0, 1, Semantics::TOTAL_STRONG, 200), v.id, 300);
-        deliver(m, delivery(0, 2, Semantics::TOTAL_STRONG, 210), v.id, 310);
+    let v = view(1, 0, &[0, 1, 2]);
+    let mut team = team();
+    for i in 0..N as u16 {
+        install(&mut team, i, v, 100 + i as i64);
+        deliver(&mut team, i, (0, 1, 1), Semantics::TOTAL_STRONG, 200, v.0);
+        deliver(&mut team, i, (0, 2, 2), Semantics::TOTAL_STRONG, 210, v.0);
     }
     assert_eq!(check_all_members(&refs(&team)), Vec::new());
 }
 
 #[test]
 fn duplicate_delivery_is_flagged() {
-    let v = view(1, 0, [0, 1, 2]);
-    let mut team: Vec<SimMember> = (0..N as u16).map(blank).collect();
-    for m in team.iter_mut() {
-        install(m, &v, 100);
+    let v = view(1, 0, &[0, 1, 2]);
+    let mut team = team();
+    for i in 0..N as u16 {
+        install(&mut team, i, v, 100);
     }
     // p1 applies the same proposal twice within one life.
-    deliver(
-        &mut team[1],
-        delivery(0, 1, Semantics::TOTAL_STRONG, 200),
-        v.id,
-        300,
-    );
-    deliver(
-        &mut team[1],
-        delivery(0, 1, Semantics::TOTAL_STRONG, 200),
-        v.id,
-        310,
-    );
+    deliver(&mut team, 1, (0, 1, 1), Semantics::TOTAL_STRONG, 200, v.0);
+    deliver(&mut team, 1, (0, 1, 1), Semantics::TOTAL_STRONG, 200, v.0);
 
     let found = checks(&team);
     let dups = found.iter().filter(|c| **c == "duplicate-delivery").count();
     assert_eq!(dups, 1, "{found:?}");
 }
 
-#[test]
-fn delivery_logged_without_its_view_is_flagged() {
-    let v = view(1, 0, [0, 1, 2]);
-    let mut team: Vec<SimMember> = (0..N as u16).map(blank).collect();
-    for m in team.iter_mut() {
-        install(m, &v, 100);
-    }
-    deliver(
-        &mut team[0],
-        delivery(0, 1, Semantics::TOTAL_STRONG, 200),
-        v.id,
-        300,
-    );
-    // What a hand-rolled applier does: grow one column of the log only.
-    // The replay into the auditor would silently zip the tail away.
-    team[0].deliveries.push((
-        HwTime::from_micros(310),
-        delivery(0, 2, Semantics::TOTAL_STRONG, 210),
-    ));
-
-    // Alignment is the adapter's first check.
-    let viols = check_all_members(&refs(&team));
-    assert_eq!(viols[0].check, "log-alignment", "{viols:?}");
-    assert!(
-        viols[0]
-            .message
-            .contains("2 deliveries but 1 delivery views"),
-        "{viols:?}"
-    );
-}
-
-/// The positive control: the one real effect router never produces such
-/// a log. Every semantics of the 3×3 matrix, proposed through
-/// `SimMember::propose` — a proposer's own weak updates deliver inside the
-/// propose call itself and must carry their view like any other.
+/// The positive control: the member's own trace carries, on every
+/// `Delivered`, the view it had installed when it delivered. Every
+/// semantics of the 3×3 matrix, proposed through `SimMember::propose` — a
+/// proposer's own weak updates deliver inside the propose call itself
+/// and must carry their view like any other.
 #[test]
 fn proposing_through_the_sim_member_keeps_the_log_aligned() {
     for sem in Semantics::matrix() {
@@ -163,10 +138,20 @@ fn proposing_through_the_sim_member_keeps_the_log_aligned() {
         w.run_for(Duration::from_secs(10));
         for i in 0..N as u16 {
             let a = w.actor(ProcessId(i));
+            let mut installed = None;
+            let mut delivered = 0;
+            for ev in a.trace() {
+                match *ev {
+                    TraceEvent::ViewInstalled { view, .. } => installed = Some(view),
+                    TraceEvent::Delivered { view, .. } => {
+                        assert_eq!(Some(view), installed, "{sem}: p{i}");
+                        delivered += 1;
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!(delivered, 6, "{sem}: p{i}");
             assert_eq!(a.deliveries.len(), 6, "{sem}: p{i}");
-            let view = a.views.last().expect("formation installed a view").1.id;
-            assert_eq!(a.delivery_views, vec![view; 6], "{sem}: p{i}");
-            assert!(!a.leaves.is_empty(), "start-up is a logged departure");
         }
         timewheel::invariants::assert_all(&w);
     }
@@ -174,24 +159,14 @@ fn proposing_through_the_sim_member_keeps_the_log_aligned() {
 
 #[test]
 fn fifo_inversion_is_flagged() {
-    let v = view(1, 0, [0, 1, 2]);
-    let mut team: Vec<SimMember> = (0..N as u16).map(blank).collect();
-    for m in team.iter_mut() {
-        install(m, &v, 100);
+    let v = view(1, 0, &[0, 1, 2]);
+    let mut team = team();
+    for i in 0..N as u16 {
+        install(&mut team, i, v, 100);
     }
     // p2 delivers proposer 0's seq 2 before seq 1.
-    deliver(
-        &mut team[2],
-        delivery(0, 2, Semantics::UNORDERED_WEAK, 210),
-        v.id,
-        300,
-    );
-    deliver(
-        &mut team[2],
-        delivery(0, 1, Semantics::UNORDERED_WEAK, 200),
-        v.id,
-        310,
-    );
+    deliver(&mut team, 2, (0, 2, 2), Semantics::UNORDERED_WEAK, 210, v.0);
+    deliver(&mut team, 2, (0, 1, 1), Semantics::UNORDERED_WEAK, 200, v.0);
 
     assert_eq!(checks(&team), ["fifo"]);
 }
@@ -203,24 +178,22 @@ fn two_completed_views_sharing_a_seq_are_flagged() {
     // both). A correct run can never produce this — two majorities of
     // the same team intersect, and the intersection member's decider
     // hands the seq to exactly one lineage.
-    let va = view(1, 0, [0, 1]);
-    let vb = view(1, 2, [1, 2]);
-    let mut team: Vec<SimMember> = (0..N as u16).map(blank).collect();
-    install(&mut team[0], &va, 100);
-    install(&mut team[1], &va, 100);
-    install(&mut team[1], &vb, 200);
-    install(&mut team[2], &vb, 200);
+    let (va, vb) = (view(1, 0, &[0, 1]), view(1, 2, &[1, 2]));
+    let mut team = team();
+    install(&mut team, 0, va, 100);
+    install(&mut team, 1, va, 100);
+    install(&mut team, 1, vb, 200);
+    install(&mut team, 2, vb, 200);
 
     assert_eq!(checks(&team), ["competing-groups"]);
 }
 
 #[test]
 fn same_view_id_with_diverging_member_sets_is_flagged() {
-    let mut va = view(1, 0, [0, 1]);
-    let mut team: Vec<SimMember> = (0..N as u16).map(blank).collect();
-    install(&mut team[0], &va, 100);
-    va.members.insert(ProcessId(2)); // p1 saw a different set under the same id
-    install(&mut team[1], &va, 100);
+    let mut team = team();
+    install(&mut team, 0, view(1, 0, &[0, 1]), 100);
+    // p1 saw a different set under the same id.
+    install(&mut team, 1, view(1, 0, &[0, 1, 2]), 100);
 
     assert_eq!(checks(&team), ["view-agreement"]);
 }
@@ -229,50 +202,10 @@ fn same_view_id_with_diverging_member_sets_is_flagged() {
 fn minority_view_is_flagged() {
     // A singleton view in a 3-process team: the paper's majority rule
     // (|view| > n/2) exists precisely to forbid this split-brain shape.
-    let v = view(1, 0, [0]);
-    let mut team: Vec<SimMember> = (0..N as u16).map(blank).collect();
-    install(&mut team[0], &v, 100);
+    let mut team = team();
+    install(&mut team, 0, view(1, 0, &[0]), 100);
 
     assert_eq!(checks(&team), ["minority-view"]);
-}
-
-#[test]
-fn total_order_disagreement_in_a_completed_view_is_flagged() {
-    let v = view(1, 0, [0, 1]);
-    let mut team: Vec<SimMember> = (0..N as u16).map(blank).collect();
-    install(&mut team[0], &v, 100);
-    install(&mut team[1], &v, 100);
-    // Both bind the same ordinals; p1 applies them the other way round.
-    let (d1, d2) = (total(0, 1), total(1, 2));
-    deliver(&mut team[0], d1.clone(), v.id, 300);
-    deliver(&mut team[0], d2.clone(), v.id, 310);
-    deliver(&mut team[1], d2, v.id, 300);
-    deliver(&mut team[1], d1, v.id, 310);
-
-    let viols = check_all_members(&refs(&team));
-    let v = viols
-        .iter()
-        .find(|v| v.check == "total-order")
-        .expect("flagged");
-    assert!(v.message.contains("total order disagreement"), "{v}");
-}
-
-#[test]
-fn total_order_divergence_outside_completed_views_is_not_flagged() {
-    // Same inversion, but the view never completes (p1 never installs
-    // it) — the paper scopes agreement to completed majority groups, so
-    // the checker must stay quiet.
-    let v = view(1, 0, [0, 1]);
-    let mut team: Vec<SimMember> = (0..N as u16).map(blank).collect();
-    install(&mut team[0], &v, 100); // p1 never installs v
-    let (d1, d2) = (total(0, 1), total(1, 2));
-    deliver(&mut team[0], d1.clone(), v.id, 300);
-    deliver(&mut team[0], d2.clone(), v.id, 310);
-    deliver(&mut team[1], d2, v.id, 300);
-    deliver(&mut team[1], d1, v.id, 310);
-
-    let found = checks(&team);
-    assert!(!found.contains(&"total-order"), "{found:?}");
 }
 
 /// `benchmark/README.md` finding 4, minimal: v1 and v2 both complete; p0
@@ -281,27 +214,19 @@ fn total_order_divergence_outside_completed_views_is_not_flagged() {
 /// members view by view cannot see it. `complete_v2 = false` leaves v2
 /// installed by p1 alone.
 fn cross_view_inversion(complete_v2: bool) -> Vec<SimMember> {
-    let (v1, v2) = (view(1, 0, [0, 1]), view(2, 1, [0, 1]));
-    let mut team: Vec<SimMember> = (0..N as u16).map(blank).collect();
-    install(&mut team[0], &v1, 100);
-    install(&mut team[1], &v1, 100);
-    install(&mut team[1], &v2, 400);
+    let (v1, v2) = (view(1, 0, &[0, 1]), view(2, 1, &[0, 1]));
+    let mut team = team();
+    install(&mut team, 0, v1, 100);
+    install(&mut team, 1, v1, 100);
+    install(&mut team, 1, v2, 400);
     if complete_v2 {
-        install(&mut team[0], &v2, 400);
+        install(&mut team, 0, v2, 400);
     }
-    let (a, b) = (total(0, 1), total(1, 2));
-    deliver(&mut team[0], a.clone(), v1.id, 300);
-    deliver(&mut team[0], b.clone(), v1.id, 310);
-    deliver(&mut team[1], b, v1.id, 300);
-    deliver(
-        &mut team[1],
-        Delivery {
-            ordinal: Some(Ordinal(3)),
-            ..a
-        },
-        v2.id,
-        500,
-    );
+    // a = p0:1, b = p1:1
+    total(&mut team, 0, 0, 1, v1.0);
+    total(&mut team, 0, 1, 2, v1.0);
+    total(&mut team, 1, 1, 2, v1.0);
+    total(&mut team, 1, 0, 3, v2.0);
     team
 }
 
@@ -329,25 +254,15 @@ fn total_order_inversion_reaching_into_a_never_completed_view_is_not_flagged() {
 
 #[test]
 fn time_order_inversion_is_flagged() {
-    let v = view(1, 0, [0, 1, 2]);
-    let mut team: Vec<SimMember> = (0..N as u16).map(blank).collect();
-    for m in team.iter_mut() {
-        install(m, &v, 100);
+    let v = view(1, 0, &[0, 1, 2]);
+    let mut team = team();
+    for i in 0..N as u16 {
+        install(&mut team, i, v, 100);
     }
     // p0 delivers a time-ordered update whose send timestamp precedes
     // the previous one.
-    deliver(
-        &mut team[0],
-        delivery(1, 1, Semantics::TIME_STRICT, 500),
-        v.id,
-        600,
-    );
-    deliver(
-        &mut team[0],
-        delivery(2, 1, Semantics::TIME_STRICT, 400),
-        v.id,
-        610,
-    );
+    deliver(&mut team, 0, (1, 1, 1), Semantics::TIME_STRICT, 500, v.0);
+    deliver(&mut team, 0, (2, 1, 1), Semantics::TIME_STRICT, 400, v.0);
 
     assert_eq!(checks(&team), ["time-order"]);
 }
@@ -356,23 +271,22 @@ fn time_order_inversion_is_flagged() {
 fn duplicate_across_crash_lives_is_not_flagged() {
     // A crash-recovery starts a new life; re-applying an update after
     // the join-time state transfer is legal. The duplicate check must
-    // scope itself to one continuous life.
-    let v = view(1, 0, [0, 1, 2]);
-    let mut team: Vec<SimMember> = (0..N as u16).map(blank).collect();
-    for m in team.iter_mut() {
-        install(m, &v, 100);
+    // scope itself to one continuous life. The restart is the fact
+    // `SimMember::on_recover` records.
+    let v = view(1, 0, &[0, 1, 2]);
+    let mut team = team();
+    for i in 0..N as u16 {
+        install(&mut team, i, v, 100);
     }
-    let m = &mut team[1];
-    m.leaves.push((
-        HwTime::from_micros(0),
-        timewheel::events::LeaveReason::Startup,
-    ));
-    deliver(m, delivery(0, 1, Semantics::TOTAL_STRONG, 200), v.id, 300);
-    m.leaves.push((
-        HwTime::from_micros(400),
-        timewheel::events::LeaveReason::Startup,
-    ));
-    deliver(m, delivery(0, 1, Semantics::TOTAL_STRONG, 200), v.id, 500);
+    deliver(&mut team, 1, (0, 1, 1), Semantics::TOTAL_STRONG, 200, v.0);
+    team[1].record(TraceEvent::FaultInjected {
+        pid: ProcessId(1),
+        at: stamp(400),
+        kind: FaultKind::Restart,
+        target: ProcessId(1),
+        arg: 0,
+    });
+    deliver(&mut team, 1, (0, 1, 1), Semantics::TOTAL_STRONG, 200, v.0);
 
     assert_eq!(check_all_members(&refs(&team)), []);
 }

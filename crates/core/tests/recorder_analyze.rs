@@ -13,7 +13,7 @@ use std::sync::Arc;
 use timewheel::harness::{all_in_group, run_until_pred, team_world, TeamParams};
 use tw_obs::{
     analyze, render_timeline, FlightRecorder, RecorderConfig, Recording, TimelineOptions,
-    TraceEvent, TraceSet, TraceSink, Tracer,
+    TraceEvent, TraceSet,
 };
 use tw_proto::{Duration, ProcessId};
 use tw_sim::SimTime;
@@ -39,8 +39,7 @@ fn attach_recorders(
                 FlightRecorder::create(dir.join(format!("node-{i}.twrec")), rc)
                     .expect("create recording"),
             );
-            let tracer = Tracer::new(rec.clone() as Arc<dyn TraceSink>);
-            w.actor_mut(pid).member_mut().set_tracer(tracer);
+            w.actor_mut(pid).attach_sink(rec.clone());
             rec
         })
         .collect()

@@ -4,11 +4,17 @@
 //! Known failing protocol, passing test (ROADMAP item 1): today's
 //! `Member` lets the survivors of a crash disagree on the order of
 //! total-ordered updates *across two completed views* — one delivers
-//! an update in the old view, another only in the new one, where
-//! `create_group` re-ordered it. This test pins that the history checker
-//! sees it (a checker that compares members view by view reports this
-//! seed clean). When item 1 fixes `Member`, flip the assertion to
-//! "clean": the same contract `tests/soak.rs` has. Wall-clock-free.
+//! an update in the old view, another only in the new one. Nothing is
+//! re-ordered: every member binds the same ordinals. The cause is
+//! delivery below the oal window's base. p0 and p1 still hold updates
+//! the others delivered in v9@p4 when v13@p1's merged acks let
+//! `prune_stable` prune them as stable (received by all); the delivery
+//! cursors treat everything below the new base as delivered, so p0 and
+//! p1 deliver them proposer by proposer, out of ordinal order. This test
+//! pins that the history checker sees it (a checker that compares
+//! members view by view reports this seed clean). When item 1 fixes
+//! `Member`, flip the assertion to "clean": the same contract
+//! `tests/soak.rs` has. Wall-clock-free.
 
 use bytes::Bytes;
 use std::collections::BTreeSet;
@@ -51,10 +57,10 @@ fn survivors_disagree_on_total_order_across_two_completed_views() {
         .find(|v| v.check == "total-order")
         .expect("total-order");
     assert!(order.message.contains("(views v9@p4, v13@p1)"), "{order}");
-    // The same re-ordering has two more faces, and nothing else fires:
-    // inside v13@p1 the survivors deliver ordinals out of order
-    // (ordinal-prefix), and whoever applied an update in v9@p4 skips its
-    // new ordinal in v13@p1 (oal-prefix).
+    // The same out-of-order delivery has two more faces, and nothing
+    // else fires: inside v13@p1 the survivors deliver ordinals out of
+    // order (ordinal-prefix), and whoever applied an update in v9@p4
+    // skips its ordinal in v13@p1 (oal-prefix).
     let checks: BTreeSet<&str> = found.iter().map(|v| v.check).collect();
     assert_eq!(
         checks,

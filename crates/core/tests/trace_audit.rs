@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use timewheel::harness::{all_in_group, inject_proposals, run_until_pred, team_world, TeamParams};
-use tw_obs::{SharedAuditor, TraceEvent, TraceSink, Tracer, VecSink};
+use tw_obs::{SharedAuditor, TraceEvent, TraceSink, VecSink};
 use tw_proto::{Duration, ProcessId, Semantics};
 use tw_sim::{SimTime, World};
 
@@ -28,10 +28,7 @@ impl TraceSink for Tee {
 
 fn attach_tracers(w: &mut World<timewheel::harness::SimMember>, n: usize, sink: &Arc<Tee>) {
     for i in 0..n {
-        let tracer = Tracer::new(sink.clone() as Arc<dyn TraceSink>);
-        w.actor_mut(ProcessId(i as u16))
-            .member_mut()
-            .set_tracer(tracer);
+        w.actor_mut(ProcessId(i as u16)).attach_sink(sink.clone());
     }
 }
 
@@ -71,6 +68,11 @@ fn failure_free_run_audits_clean() {
     w.run_for(cfg.cycle() * (PROPOSALS as i64 + 6));
 
     let events = sink.events.snapshot();
+    // The attached sink saw what the members' own traces hold.
+    let traced: usize = (0..N)
+        .map(|i| w.actor(ProcessId(i as u16)).trace().len())
+        .sum();
+    assert_eq!(events.len(), traced);
     assert!(
         count_events(&events, |e| matches!(e, TraceEvent::DecisionSent { .. })) > 0,
         "rotation emitted no decisions"

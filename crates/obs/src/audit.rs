@@ -1,15 +1,14 @@
 //! The history checker: every delivery and view property the paper
 //! claims, stated once.
 //!
-//! An [`Auditor`] is fed three neutral facts about a run —
-//! [`installed`](Auditor::installed), [`delivered`](Auditor::delivered)
-//! and [`restarted`](Auditor::restarted) — by whoever has them: the trace
-//! stream of a live cluster ([`SharedAuditor`] is a [`TraceSink`]), a
-//! merged set of recordings ([`mod@crate::analyze`]), or the member logs of a
-//! simulation (`timewheel::invariants`, which the schedule explorer runs
-//! at every terminal state). All of them get the same verdicts, and the
-//! auditor's per-member record *is* the history: there is no second
-//! representation to convert through.
+//! An [`Auditor`] is fed [`TraceEvent`]s through
+//! [`observe`](Auditor::observe), its one adapter: `ViewInstalled`,
+//! `Delivered` and an injected `Restart` are the three facts it reads.
+//! Every feeder hands it the members' own trace: a live cluster
+//! ([`SharedAuditor`] is a [`TraceSink`]), a merged set of recordings
+//! ([`mod@crate::analyze`]), and the simulator (`timewheel::invariants`,
+//! which the schedule explorer runs at every terminal state). The
+//! auditor's per-member record *is* the history.
 //!
 //! Checked as each fact arrives, in O(log n):
 //!
@@ -230,7 +229,7 @@ impl Auditor {
 
     /// Fact: `pid` came back as a fresh incarnation. Its deliveries from
     /// here on are a new life.
-    pub fn restarted(&mut self, pid: ProcessId) {
+    fn restarted(&mut self, pid: ProcessId) {
         let log = self.members.entry(pid).or_default();
         log.life = Life::default();
         // Chain `k` is life `k + 1`, whether or not it delivered anything.
@@ -239,7 +238,7 @@ impl Auditor {
     }
 
     /// Fact: `pid` delivered update `id` while in `view`.
-    pub fn delivered(
+    fn delivered(
         &mut self,
         pid: ProcessId,
         view: ViewId,
@@ -321,7 +320,7 @@ impl Auditor {
     }
 
     /// Fact: `pid` installed `view` with member set `members`.
-    pub fn installed(&mut self, pid: ProcessId, view: ViewId, members: AckBits) {
+    fn installed(&mut self, pid: ProcessId, view: ViewId, members: AckBits) {
         if members.count() * 2 <= self.team {
             self.flag(
                 "minority-view",

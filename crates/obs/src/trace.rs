@@ -380,9 +380,9 @@ impl VecSink {
         self.lock().clone()
     }
 
-    /// Take (and clear) everything recorded so far.
-    pub fn take(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.lock())
+    /// Move everything recorded so far to the end of `out`.
+    pub fn drain_into(&self, out: &mut Vec<TraceEvent>) {
+        out.append(&mut self.lock());
     }
 
     /// How many events were recorded so far.
@@ -472,7 +472,9 @@ mod tests {
         assert_eq!(evs[0].label(), "decision-sent");
         assert_eq!(evs[0].pid(), Some(ProcessId(1)));
         assert_eq!(evs[1].pid(), None);
-        assert_eq!(sink.take().len(), 2);
+        let mut out = vec![sample()];
+        sink.drain_into(&mut out);
+        assert_eq!(out.len(), 3);
         assert!(sink.is_empty());
     }
 

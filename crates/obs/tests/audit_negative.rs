@@ -3,7 +3,7 @@
 //! actually fire.
 //!
 //! `crates/core/tests/invariants_negative.rs` feeds the same checker
-//! from fabricated `SimMember` logs. An auditor that silently accepts
+//! through fabricated `SimMember` traces. An auditor that silently accepts
 //! garbage would turn every runtime/soak assertion built on it into
 //! green noise. Each test doctors the *minimal* broken stream for one
 //! invariant and asserts the auditor flags it under the expected check —
@@ -197,6 +197,39 @@ fn competing_groups_that_never_complete_are_not_flagged() {
         installed(4, ViewId::new(2, ProcessId(4)), 0b1_1100, 110),
     ];
     assert_eq!(audit(&evs), []);
+}
+
+/// p0 delivers a then b, p1 b then a, both in view {0,1,2} and with the
+/// same ordinal bindings — no binding conflicts, only the order differs.
+/// `complete = false` leaves the view uninstalled at p2.
+fn inversion_in_one_view(complete: bool) -> Vec<TraceEvent> {
+    let v = view1();
+    let installers = if complete { 0..3 } else { 0..2 };
+    let mut evs: Vec<TraceEvent> = installers.map(|p| installed(p, v, 0b0_0111, 100)).collect();
+    evs.extend([
+        total(0, v, 1, 1), // a = p1:1
+        total(0, v, 2, 2), // b = p2:1
+        total(1, v, 2, 2),
+        total(1, v, 1, 1),
+    ]);
+    evs
+}
+
+#[test]
+fn total_order_disagreement_in_a_completed_view_is_flagged() {
+    let found = audit(&inversion_in_one_view(true));
+    let v = found
+        .iter()
+        .find(|v| v.check == "total-order")
+        .expect("flagged");
+    assert!(v.message.contains("total order disagreement"), "{v}");
+}
+
+#[test]
+fn total_order_divergence_outside_completed_views_is_not_flagged() {
+    // The paper scopes agreement to completed majority groups.
+    let found = checks(&inversion_in_one_view(false));
+    assert!(!found.contains(&"total-order"), "{found:?}");
 }
 
 /// `benchmark/README.md` finding 4, minimal: v1 and v2 both complete;

@@ -21,7 +21,7 @@ use tw_proto::MsgKind;
 ///
 /// Beyond the protocol counters, this carries the runtime's
 /// *self-observation* signals — the raw inputs a Lifeguard-style
-/// adaptive failure detector (ROADMAP item 3) needs to judge its own
+/// local-health multiplier (ROADMAP item 6(c)) needs to judge its own
 /// node's health: how late protocol ticks fire (`tick_lag_us`), how far
 /// past their deadline clock resyncs run (`deadline_overrun_us`), and
 /// the standing backlogs (inbox depth, recorder buffer occupancy, mmsg

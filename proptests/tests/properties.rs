@@ -146,16 +146,10 @@ fn simulation_replay_is_bit_identical() {
         w.crash_at(w.now() + Duration::from_secs(1), ProcessId(3));
         w.recover_at(w.now() + Duration::from_secs(5), ProcessId(3));
         w.run_for(Duration::from_secs(20));
-        let views: Vec<_> = (0..5u16)
-            .flat_map(|i| {
-                w.actor(ProcessId(i))
-                    .views
-                    .iter()
-                    .map(|(t, v)| (i, *t, v.id))
-                    .collect::<Vec<_>>()
-            })
+        let traces: Vec<_> = (0..5u16)
+            .map(|i| w.actor(ProcessId(i)).trace().to_vec())
             .collect();
-        (w.stats().total_sends(), views)
+        (w.stats().total_sends(), traces)
     };
     assert_eq!(run(99), run(99));
 }

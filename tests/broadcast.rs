@@ -3,10 +3,13 @@
 //! (§4.3 undeliverable handling).
 
 use bytes::Bytes;
+use std::cell::RefCell;
+use std::rc::Rc;
 use timewheel::harness::{
     all_in_group, formed_team, inject_proposals, run_until_pred, TeamParams, TeamWorld,
 };
 use timewheel::invariants;
+use timewheel::AppEvent;
 use tw_proto::{Atomicity, Duration, Ordering, ProcessId, Semantics};
 use tw_sim::LinkModel;
 
@@ -227,6 +230,15 @@ fn rejoined_member_receives_state_transfer() {
         w.actor_mut(ProcessId(i))
             .set_hook(|_| Some(Bytes::from_static(b"snapshot-v1")));
     }
+    // p2's application keeps the snapshot its rejoin installs.
+    let installed = Rc::new(RefCell::new(None));
+    let seen = installed.clone();
+    w.actor_mut(ProcessId(2)).set_hook(move |ev| {
+        if let AppEvent::InstallSnapshot(s) = ev {
+            *seen.borrow_mut() = Some(s.clone());
+        }
+        Some(Bytes::from_static(b"snapshot-v1"))
+    });
     inject_proposals(
         &mut w,
         5,
@@ -247,10 +259,9 @@ fn rejoined_member_receives_state_transfer() {
     // The transfer datagram may still be in flight when the predicate
     // first holds.
     w.run_for(Duration::from_millis(200));
-    let st = w
-        .actor_mut(ProcessId(2))
-        .member_mut()
-        .take_transferred_state()
+    let st = installed
+        .borrow()
+        .clone()
         .expect("no state transfer received");
     assert_eq!(st, Bytes::from_static(b"snapshot-v1"));
     invariants::assert_all(&w);

@@ -5,11 +5,13 @@
 //! Known failing (ROADMAP item 1), twice over. `assert_all` reports 156
 //! `ordinal-prefix` findings: on installing v843@p3, 78 s into the run
 //! and inside the second partition, p2 and p3 deliver a backlog of
-//! total-ordered updates in one agreed order that is not the order of
-//! the ordinals they report
-//! (266, 275, 80, 87, …) — `create_group` re-ordered what an earlier
-//! lineage had ordered. (Until the simulator logs were fed to the one
-//! history checker, only trace streams had that check.) Behind it, the
+//! total-ordered updates out of the order of their ordinals
+//! (266, 275, 80, 87, …). Nothing re-ordered them: this is delivery below
+//! the oal window's base. The view change's merged acks let
+//! `prune_stable` prune descriptors that are stable (received by all)
+//! but not yet delivered here, the delivery cursors treat everything
+//! below the new base as delivered, and the backlog goes out proposer by
+//! proposer. Behind it, the
 //! liveness floor: p1, crashed at 5 s and back at 12 s while total-order
 //! traffic flows, never catches up and delivers 45 of the 600 offered
 //! updates against a floor of 80. This is the in-tree repro of
@@ -94,8 +96,8 @@ fn two_minute_adversarial_soak_converges_clean() {
     // occasional no-decision repair — but the membership must not churn:
     // no view changes, and only a handful of repair messages.
     w.run_for(Duration::from_secs(15));
-    let views_before: Vec<usize> = (0..n as u16)
-        .map(|i| w.actor(ProcessId(i)).views.len())
+    let views_before: Vec<u64> = (0..n as u16)
+        .map(|i| w.actor(ProcessId(i)).member().views_installed())
         .collect();
     w.reset_stats();
     w.run_for(Duration::from_secs(10));
@@ -106,7 +108,7 @@ fn two_minute_adversarial_soak_converges_clean() {
     );
     for i in 0..n as u16 {
         assert_eq!(
-            w.actor(ProcessId(i)).views.len(),
+            w.actor(ProcessId(i)).member().views_installed(),
             views_before[i as usize],
             "membership churned during the final stable window"
         );
