@@ -87,8 +87,8 @@
 //!
 //! The two cursors are also how everything else that leaves a process
 //! is written — trace events in recordings and `/trace` streams
-//! (`tw-obs`), replicated-state-machine commands (`tw-rsm`) — so there
-//! is one set of primitives, one error type and one set of bounds.
+//! (`tw-obs`) — so there is one set of primitives, one error type and
+//! one set of bounds.
 //!
 //! [`FrameBuilder`] writes each frame's length prefix in the fewest
 //! LEB128 bytes: it reserves one byte and, when the body outgrows what

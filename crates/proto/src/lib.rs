@@ -7,7 +7,7 @@
 //! [`frame`] — a version byte, then length-prefixed LEB128 frames — and
 //! its two cursors, [`WireCursor`] (write into a caller-owned `Vec<u8>`)
 //! and [`FrameRef`] (read a borrowed `&[u8]`), which are also what trace
-//! events and state-machine commands are encoded with. Decoding failures
+//! events are encoded with. Decoding failures
 //! are a [`WireError`], never a panic.
 //!
 //! The types here are deliberately *dumb data*: all protocol logic lives in

@@ -359,11 +359,6 @@ impl ChaosSchedule {
         acc
     }
 
-    /// Milliseconds from start until the last step fires.
-    pub fn last_step_ms(&self) -> u64 {
-        self.steps.last().map(|s| s.at_ms).unwrap_or(0)
-    }
-
     /// Human-readable script, one step per line.
     pub fn describe(&self) -> String {
         use std::fmt::Write as _;

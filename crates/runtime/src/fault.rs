@@ -323,13 +323,6 @@ impl ChaosNet {
         self.lock().cut.remove(&(from, to))
     }
 
-    /// Cut both directions between `a` and `b`.
-    pub fn cut_both(&self, a: ProcessId, b: ProcessId) {
-        let mut st = self.lock();
-        st.cut.insert((a, b));
-        st.cut.insert((b, a));
-    }
-
     /// Partition the team into disjoint sides: every link crossing a
     /// side boundary is cut (both directions), links inside a side are
     /// healed. Returns the newly cut directed links, sorted.

@@ -154,12 +154,6 @@ impl Node {
         self.ops.as_ref().map(|s| s.addr())
     }
 
-    /// This node's live trace stream, when an ops endpoint was attached
-    /// at spawn (subscribers get TWFR-framed segments as they flush).
-    pub fn trace_stream(&self) -> Option<&Arc<StreamSink>> {
-        self.stream.as_ref()
-    }
-
     /// Wire-level counters of this node's UDP transport — syscalls,
     /// datagrams and messages sent/received (`None` on channel-mesh
     /// clusters). The quantity behind the syscalls-per-decision claim.

@@ -2,13 +2,14 @@
 //! a group and deliver updates on actual threads and sockets.
 
 use bytes::Bytes;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration as StdDuration;
 use timewheel::Config;
 use tw_obs::{SharedAuditor, TraceSink};
 use tw_proto::{Duration, Semantics};
 use tw_runtime::{
-    spawn_cluster, spawn_udp_cluster, ClusterBuilder, ExecutorKind, Node, NodeOutput, RecorderSetup,
+    spawn_cluster, spawn_udp_cluster, AppEvent, ClusterBuilder, ExecutorKind, Node, NodeOutput,
+    RecorderSetup,
 };
 
 fn cfg(n: usize) -> Config {
@@ -30,17 +31,50 @@ fn shutdown(nodes: Vec<Node>) {
     }
 }
 
+/// Every node delivers a proposal from each member in one total order,
+/// and its application hook sees exactly the payloads the node outputs,
+/// in the same order.
 fn cluster_forms_and_delivers(kind: ExecutorKind) {
     let n = 3;
-    let nodes = spawn_cluster(kind, cfg(n));
+    let hooked: Arc<Vec<Mutex<Vec<Bytes>>>> = Arc::new((0..n).map(|_| Mutex::default()).collect());
+    let logs = hooked.clone();
+    let nodes = ClusterBuilder::new(cfg(n))
+        .executor(kind)
+        .hooks(move |pid| {
+            let logs = logs.clone();
+            Some(Box::new(move |ev| {
+                if let AppEvent::Deliver(d) = ev {
+                    logs[pid.rank()].lock().unwrap().push(d.payload.clone());
+                }
+                None
+            }))
+        })
+        .spawn()
+        .expect("spawn");
     form_group(&nodes, n);
-    // Propose from node 0; every node must deliver.
-    nodes[0].propose(Bytes::from_static(b"hello"), Semantics::TOTAL_STRONG);
-    for node in &nodes {
-        let ds = node.wait_for_deliveries(1, StdDuration::from_secs(10));
-        assert_eq!(ds.len(), 1, "{} missed the delivery", node.pid);
-        assert_eq!(ds[0].payload, Bytes::from_static(b"hello"));
+    let sent: Vec<Bytes> = (0..n).map(|i| Bytes::from(format!("hello-{i}"))).collect();
+    for (node, payload) in nodes.iter().zip(&sent) {
+        node.propose(payload.clone(), Semantics::TOTAL_STRONG);
     }
+    let mut orders = Vec::new();
+    for node in &nodes {
+        let ds = node.wait_for_deliveries(n, StdDuration::from_secs(10));
+        let payloads: Vec<Bytes> = ds.into_iter().map(|d| d.payload).collect();
+        let mut sorted = payloads.clone();
+        sorted.sort();
+        assert_eq!(sorted, sent, "{} missed or changed an update", node.pid);
+        assert_eq!(
+            *hooked[node.pid.rank()].lock().unwrap(),
+            payloads,
+            "{}'s hook and its delivery stream differ",
+            node.pid
+        );
+        orders.push(payloads);
+    }
+    assert!(
+        orders.windows(2).all(|w| w[0] == w[1]),
+        "total order broken: {orders:?}"
+    );
     shutdown(nodes);
 }
 

@@ -112,7 +112,7 @@ impl<'a, M> Ctx<'a, M> {
     }
 
     /// Arm a one-shot timer that fires after `after_hw` *hardware* time.
-    /// The returned id can cancel it.
+    /// The returned id names the timer in the explorer's schedules.
     pub fn set_timer(&mut self, after_hw: Duration, token: u64) -> TimerId {
         let id = TimerId(*self.next_timer_id);
         *self.next_timer_id += 1;
@@ -122,11 +122,6 @@ impl<'a, M> Ctx<'a, M> {
             token,
         });
         id
-    }
-
-    /// Cancel a pending timer (no-op if it already fired).
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.effects.push(Effect::CancelTimer(id));
     }
 
     /// Emit a trace line (recorded with real time and pid when tracing is
@@ -176,7 +171,6 @@ pub(crate) enum Effect<M> {
         after_hw: Duration,
         token: u64,
     },
-    CancelTimer(TimerId),
     Trace(String),
 }
 
@@ -187,7 +181,6 @@ enum ScriptKind<A: Actor> {
     Partition(Vec<BTreeSet<ProcessId>>),
     Heal,
     AddFault(Fault<A::Msg>),
-    ClearFaults,
     #[allow(clippy::type_complexity)]
     Call(ProcessId, Box<dyn FnOnce(&mut A, &mut Ctx<'_, A::Msg>)>),
 }
@@ -202,7 +195,6 @@ enum EventKind<A: Actor> {
     },
     Timer {
         pid: ProcessId,
-        id: TimerId,
         token: u64,
         epoch: u32,
     },
@@ -246,10 +238,6 @@ struct Process<A> {
     status: ProcessStatus,
     clock: HardwareClock,
     epoch: u32,
-    // Ordered set: the engine promises bit-for-bit determinism, so even
-    // bookkeeping containers stay iteration-order-stable (tw-lint's
-    // hash-container rule enforces this workspace-wide).
-    cancelled: BTreeSet<TimerId>,
 }
 
 /// Static world parameters.
@@ -329,7 +317,6 @@ impl<A: Actor> World<A> {
             status: ProcessStatus::Up,
             clock: HardwareClock::new(clock),
             epoch: 0,
-            cancelled: BTreeSet::new(),
         });
         self.push_event(SimTime::ZERO, EventKind::Start(pid));
         pid
@@ -420,11 +407,6 @@ impl<A: Actor> World<A> {
         self.push_event(t, EventKind::Script(ScriptKind::AddFault(fault)));
     }
 
-    /// Remove all targeted faults at time `t`.
-    pub fn clear_faults_at(&mut self, t: SimTime) {
-        self.push_event(t, EventKind::Script(ScriptKind::ClearFaults));
-    }
-
     /// Invoke a closure on `p`'s actor at time `t`, with a full effect
     /// context (the way experiments inject "client" operations such as
     /// proposing an update). Skipped if `p` is crashed at `t`.
@@ -462,16 +444,9 @@ impl<A: Actor> World<A> {
                     self.invoke(to, Invoke::Message { from, msg });
                 }
             }
-            EventKind::Timer {
-                pid,
-                id,
-                token,
-                epoch,
-            } => {
-                let proc = &mut self.procs[pid.rank()];
-                let stale = proc.epoch != epoch
-                    || proc.status == ProcessStatus::Crashed
-                    || proc.cancelled.remove(&id);
+            EventKind::Timer { pid, token, epoch } => {
+                let proc = &self.procs[pid.rank()];
+                let stale = proc.epoch != epoch || proc.status == ProcessStatus::Crashed;
                 if !stale {
                     self.invoke(pid, Invoke::Timer { token });
                 }
@@ -524,7 +499,6 @@ impl<A: Actor> World<A> {
                 let proc = &mut self.procs[p.rank()];
                 proc.status = ProcessStatus::Crashed;
                 proc.epoch += 1;
-                proc.cancelled.clear();
             }
             ScriptKind::Recover(p) => {
                 if self.procs[p.rank()].status == ProcessStatus::Crashed {
@@ -535,7 +509,6 @@ impl<A: Actor> World<A> {
             ScriptKind::Partition(groups) => self.partition = Some(groups),
             ScriptKind::Heal => self.partition = None,
             ScriptKind::AddFault(f) => self.faults.push(f),
-            ScriptKind::ClearFaults => self.faults.clear(),
             ScriptKind::Call(p, f) => {
                 if self.procs[p.rank()].status == ProcessStatus::Up {
                     self.invoke(p, Invoke::Call(f));
@@ -602,9 +575,7 @@ impl<A: Actor> World<A> {
                     }
                 }
                 Effect::Timer {
-                    id,
-                    after_hw,
-                    token,
+                    after_hw, token, ..
                 } => {
                     let proc = &self.procs[pid.rank()];
                     let mut real = proc.clock.hw_to_real(after_hw);
@@ -617,18 +588,7 @@ impl<A: Actor> World<A> {
                     }
                     let epoch = proc.epoch;
                     let at = self.now + real.max(Duration::ZERO);
-                    self.push_event(
-                        at,
-                        EventKind::Timer {
-                            pid,
-                            id,
-                            token,
-                            epoch,
-                        },
-                    );
-                }
-                Effect::CancelTimer(id) => {
-                    self.procs[pid.rank()].cancelled.insert(id);
+                    self.push_event(at, EventKind::Timer { pid, token, epoch });
                 }
                 Effect::Trace(text) => {
                     if self.cfg.trace {

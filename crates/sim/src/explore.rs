@@ -451,11 +451,6 @@ where
                         .timers
                         .insert(id, (now_hw + after_hw, token));
                 }
-                Effect::CancelTimer(id) => {
-                    // Not pending ⇒ it already fired; cancel is a no-op,
-                    // exactly like the engine.
-                    st.procs[pid.rank()].timers.remove(&id);
-                }
                 Effect::Trace(_) => {}
             }
         }

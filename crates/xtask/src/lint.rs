@@ -121,7 +121,7 @@ pub const RULES: &[Rule] = &[
 ];
 
 /// Crate source roots the lint applies to, relative to the repo root.
-/// `tw-runtime`, `tw-rsm` and the bench/examples trees intentionally sit
+/// `tw-runtime` and the bench/examples trees intentionally sit
 /// outside: they bridge to real time and real sockets by design.
 pub const SCOPED_DIRS: &[&str] = &[
     "crates/proto/src",
