@@ -25,7 +25,7 @@ use std::time::Instant;
 use timewheel::harness::{formed_team, TeamParams};
 use tw_bench::{median, percentile, Table};
 use tw_obs::{ClockStamp, FlightRecorder, RecorderConfig, TraceEvent, TraceSink};
-use tw_proto::{Duration, HwTime, ProcessId, SyncTime, ViewId};
+use tw_proto::{HwTime, ProcessId, SyncTime, ViewId};
 
 fn sample_event() -> TraceEvent {
     TraceEvent::DecisionSent {
@@ -69,7 +69,7 @@ fn sim_run_ms(run: usize, cycles: i64, recorded: bool) -> f64 {
     if recorded {
         for i in 0..5u16 {
             let pid = ProcessId(i);
-            let rc = RecorderConfig::new(pid, 5, cfg.epsilon);
+            let rc = RecorderConfig::new(cfg.stream_header(pid));
             let rec = Arc::new(
                 FlightRecorder::create(tmp(&format!("e2e-{run}-{i}.twrec")), rc)
                     .expect("create recording"),
@@ -108,30 +108,26 @@ fn quartiles(samples: &mut [f64]) -> [f64; 3] {
 
 fn main() {
     const ITERS: u64 = 500_000;
+    let header = TeamParams::new(5)
+        .protocol_config()
+        .stream_header(ProcessId(1));
 
     // record() into a buffer that never spills during the measurement.
     let rec = FlightRecorder::create(
         tmp("perop-nospill.twrec"),
-        RecorderConfig::new(ProcessId(1), 5, Duration::from_micros(100))
-            .capacity(ITERS as usize + 1),
+        RecorderConfig::new(header).capacity(ITERS as usize + 1),
     )
     .expect("create recording");
     let record_buffered_ns = per_op_ns(ITERS, || rec.record(&sample_event()));
 
     // record() with segment spills amortized in (capacity 1024).
-    let rec = FlightRecorder::create(
-        tmp("perop-spill.twrec"),
-        RecorderConfig::new(ProcessId(1), 5, Duration::from_micros(100)),
-    )
-    .expect("create recording");
+    let rec = FlightRecorder::create(tmp("perop-spill.twrec"), RecorderConfig::new(header))
+        .expect("create recording");
     let record_spilling_ns = per_op_ns(ITERS, || rec.record(&sample_event()));
 
     // One-event flush (spill + write of a minimal segment).
-    let rec = FlightRecorder::create(
-        tmp("perop-flush.twrec"),
-        RecorderConfig::new(ProcessId(1), 5, Duration::from_micros(100)),
-    )
-    .expect("create recording");
+    let rec = FlightRecorder::create(tmp("perop-flush.twrec"), RecorderConfig::new(header))
+        .expect("create recording");
     let flush_ns = per_op_ns(ITERS / 10, || {
         rec.record(&sample_event());
         rec.flush();

@@ -43,8 +43,3 @@
 mod sync;
 
 pub use sync::{ClockAction, ClockEvent, ClockSyncConfig, FailAwareClock, SyncStatus};
-
-/// Commonly used items.
-pub mod prelude {
-    pub use crate::{ClockAction, ClockEvent, ClockSyncConfig, FailAwareClock, SyncStatus};
-}

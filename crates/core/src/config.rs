@@ -13,6 +13,7 @@
 //! and observe the consequences.
 
 use tw_clock::ClockSyncConfig;
+use tw_obs::StreamHeader;
 use tw_proto::{Duration, ProcessId, SyncTime};
 
 /// Static protocol parameters shared by every team member.
@@ -163,6 +164,17 @@ impl Config {
     /// `D + δ` per survivor but the first, plus tick quantization.
     pub fn recovery_envelope(&self) -> Duration {
         self.decision_timeout * 2 + (self.big_d + self.delta) * (self.n as i64 - 2) + self.tick * 4
+    }
+
+    /// The TWFR header of `pid`'s recorded or streamed trace under this
+    /// configuration: what an offline analyzer needs to judge it.
+    pub fn stream_header(&self, pid: ProcessId) -> StreamHeader {
+        StreamHeader {
+            pid,
+            team: self.n,
+            epsilon: self.epsilon,
+            recovery_envelope: self.recovery_envelope(),
+        }
     }
 
     /// Index of the slot containing synchronized time `t` (global,

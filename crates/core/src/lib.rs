@@ -67,12 +67,3 @@ pub use config::Config;
 pub use driver::{AppEvent, DeliveryHook, Driver, Input};
 pub use events::{Action, Delivery, LeaveReason, MemberObservation};
 pub use member::{CreatorState, Member, ProposeError};
-
-/// Commonly used items.
-pub mod prelude {
-    pub use crate::config::Config;
-    pub use crate::events::{Action, Delivery};
-    pub use crate::harness::{team_world, SimMember, TeamParams};
-    pub use crate::member::{CreatorState, Member};
-    pub use tw_proto::prelude::*;
-}

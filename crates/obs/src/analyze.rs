@@ -20,7 +20,8 @@
 //! * **single-failure recovery** (§4.2) — first `SuspicionRaised` for a
 //!   suspect, every `NoDecisionHop` of the ring, and the survivors'
 //!   installations of the suspect-free view, with the latency of each
-//!   hop attributed.
+//!   hop attributed, and judged against the recovery envelope the
+//!   recordings' headers carry ([`Analysis::over_envelope`]).
 //! * **reconfiguration** (§4.4) — first `ReconfigSlotFired` through the
 //!   resulting view installations.
 //!
@@ -49,6 +50,8 @@ pub struct TraceSet {
     pub team: usize,
     /// The alignment fuzz bound ε: the maximum over the headers.
     pub epsilon: Duration,
+    /// The §4.2 recovery envelope: the maximum over the headers.
+    pub recovery_envelope: Duration,
 }
 
 impl TraceSet {
@@ -58,23 +61,25 @@ impl TraceSet {
         if recordings.is_empty() {
             return Err("no recordings to analyze".into());
         }
-        recordings.sort_by_key(|r| r.pid);
+        recordings.sort_by_key(|r| r.header.pid);
         for w in recordings.windows(2) {
-            if w[0].pid == w[1].pid {
-                return Err(format!("two recordings claim node {}", w[0].pid));
+            if w[0].header.pid == w[1].header.pid {
+                return Err(format!("two recordings claim node {}", w[0].header.pid));
             }
         }
-        let team = recordings.iter().map(|r| r.team).max().unwrap_or(0);
-        let team = if team == 0 { recordings.len() } else { team };
-        let epsilon = recordings
-            .iter()
-            .map(|r| r.epsilon)
+        let headers = || recordings.iter().map(|r| &r.header);
+        let epsilon = headers().map(|h| h.epsilon).max().unwrap_or(Duration::ZERO);
+        let recovery_envelope = headers()
+            .map(|h| h.recovery_envelope)
             .max()
             .unwrap_or(Duration::ZERO);
+        let team = headers().map(|h| h.team).max().unwrap_or(0);
+        let team = if team == 0 { recordings.len() } else { team };
         Ok(TraceSet {
             recordings,
             team,
             epsilon,
+            recovery_envelope,
         })
     }
 
@@ -88,7 +93,7 @@ impl TraceSet {
         for r in &self.recordings {
             for (i, ev) in r.events.iter().enumerate() {
                 match ev.stamp() {
-                    Some(at) => keyed.push((at.sync, r.pid.0, i, *ev)),
+                    Some(at) => keyed.push((at.sync, r.header.pid.0, i, *ev)),
                     None => dropped += 1,
                 }
             }
@@ -151,6 +156,17 @@ impl RecoverySpan {
     pub fn total(&self) -> Option<Duration> {
         self.completed_at().map(|t| t - self.first_suspicion.1)
     }
+
+    /// Do the two completed spans' [first suspicion, last install]
+    /// intervals overlap?
+    fn overlaps(&self, other: &RecoverySpan) -> bool {
+        match (self.completed_at(), other.completed_at()) {
+            (Some(end), Some(other_end)) => {
+                self.first_suspicion.1 <= other_end && other.first_suspicion.1 <= end
+            }
+            _ => false,
+        }
+    }
 }
 
 /// A reconfiguration episode: first slot fired → view installs.
@@ -182,6 +198,9 @@ pub struct Analysis {
     pub team: usize,
     /// Alignment fuzz bound used for causality checks.
     pub epsilon: Duration,
+    /// The recorded §4.2 recovery envelope recovery spans are judged
+    /// against ([`Analysis::over_envelope`]).
+    pub recovery_envelope: Duration,
     /// The merged, globally ordered stream.
     pub merged: Vec<TraceEvent>,
     /// Events dropped from the merge (unknown tags carry no stamp).
@@ -212,6 +231,24 @@ impl Analysis {
     /// clean.
     pub fn audits_clean(&self) -> bool {
         self.audit.is_empty() && self.cross.is_empty()
+    }
+
+    /// The completed recovery spans that took longer than the recorded
+    /// envelope allows. Concurrent failures share the ring, so a span
+    /// may take the envelope once per completed span whose [first
+    /// suspicion, last install] interval overlaps its own, itself
+    /// included: a lone crash gets exactly one envelope, as T2 judges it.
+    /// Not part of [`Analysis::audits_clean`].
+    pub fn over_envelope(&self) -> Vec<&RecoverySpan> {
+        let spans = &self.recoveries;
+        spans
+            .iter()
+            .filter(|r| {
+                let concurrent = spans.iter().filter(|o| r.overlaps(o)).count() as i64;
+                r.total()
+                    .is_some_and(|t| t > self.recovery_envelope * concurrent)
+            })
+            .collect()
     }
 }
 
@@ -281,6 +318,7 @@ pub fn analyze(set: &TraceSet) -> Analysis {
     Analysis {
         team: set.team,
         epsilon: set.epsilon,
+        recovery_envelope: set.recovery_envelope,
         merged,
         dropped,
         decisions,
@@ -596,8 +634,12 @@ pub fn render_timeline(merged: &[TraceEvent], team: usize, opts: TimelineOptions
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recording::StreamHeader;
     use crate::trace::{ClockStamp, FaultKind};
     use tw_proto::{AckBits, HwTime, Ordinal, ProposalId, Semantics};
+
+    /// The recovery envelope of [`rec`]'s headers.
+    const ENVELOPE: Duration = Duration::from_micros(1_000);
 
     fn stamp(t: i64) -> ClockStamp {
         ClockStamp {
@@ -608,9 +650,12 @@ mod tests {
 
     fn rec(pid: u16, events: Vec<TraceEvent>) -> Recording {
         Recording {
-            pid: ProcessId(pid),
-            team: 3,
-            epsilon: Duration::from_micros(10),
+            header: StreamHeader {
+                pid: ProcessId(pid),
+                team: 3,
+                epsilon: Duration::from_micros(10),
+                recovery_envelope: ENVELOPE,
+            },
             events,
             intact_segments: 1,
             damage: None,
@@ -723,6 +768,81 @@ mod tests {
         assert_eq!(a.recoveries.len(), 1);
         assert_eq!(a.recoveries[0].rescue, Some((ProcessId(2), SyncTime(40))));
         assert!(a.recoveries[0].installs.is_empty());
+    }
+
+    /// A recovery of `suspect` in a 4-member team: suspected at `from`,
+    /// the three survivors installing at `to`.
+    fn recovery(suspect: u16, from: i64, to: i64) -> Vec<TraceEvent> {
+        let survivors = (0..4u16).filter(|p| *p != suspect);
+        let members = AckBits(survivors.clone().fold(0, |m, p| m | 1 << p));
+        let suspicion = TraceEvent::SuspicionRaised {
+            pid: survivors.clone().next().map(ProcessId).unwrap(),
+            at: stamp(from),
+            suspect: ProcessId(suspect),
+            view: view(1),
+        };
+        let installs = survivors.map(|p| TraceEvent::ViewInstalled {
+            pid: ProcessId(p),
+            at: stamp(to),
+            view: view(2 + suspect as u64),
+            members,
+        });
+        std::iter::once(suspicion).chain(installs).collect()
+    }
+
+    fn analyzed(events: Vec<TraceEvent>) -> Analysis {
+        analyze(&TraceSet::new(vec![rec(0, events)]).unwrap())
+    }
+
+    #[test]
+    fn a_lone_recovery_gets_one_envelope() {
+        let e = ENVELOPE.as_micros();
+        let a = analyzed(recovery(2, 100, 100 + e));
+        assert_eq!(a.recovery_envelope, ENVELOPE);
+        assert_eq!(a.recoveries[0].total(), Some(ENVELOPE));
+        assert!(a.over_envelope().is_empty(), "at the envelope is within it");
+
+        let a = analyzed(recovery(2, 100, 100 + e + 1));
+        let over = a.over_envelope();
+        assert_eq!(over.len(), 1);
+        assert_eq!(over[0].suspect, ProcessId(2));
+        assert!(a.audits_clean(), "the envelope verdict is not an audit");
+    }
+
+    #[test]
+    fn overlapping_recoveries_share_the_envelope() {
+        // Two suspects disturbed at once, each taking 1.5 envelopes: the
+        // ring recovers them one after the other, so two envelopes bound
+        // each span.
+        let span = ENVELOPE.as_micros() * 3 / 2;
+        let mut events = recovery(2, 100, 100 + span);
+        events.extend(recovery(3, 200, 200 + span));
+        let a = analyzed(events);
+        assert_eq!(a.recoveries.len(), 2);
+        assert!(a.over_envelope().is_empty());
+
+        // The same two spans one after the other are two lone recoveries.
+        let mut events = recovery(2, 100, 100 + span);
+        events.extend(recovery(3, 200 + span, 200 + 2 * span));
+        let a = analyzed(events);
+        assert_eq!(a.over_envelope().len(), 2);
+    }
+
+    #[test]
+    fn the_envelope_is_the_headers_maximum() {
+        let with_envelope = |pid: u16, micros: i64| {
+            let mut r = rec(pid, vec![]);
+            r.header.recovery_envelope = Duration::from_micros(micros);
+            r
+        };
+        let set = TraceSet::new(vec![
+            with_envelope(0, 300),
+            with_envelope(1, 900),
+            with_envelope(2, 600),
+        ])
+        .unwrap();
+        assert_eq!(set.recovery_envelope, Duration::from_micros(900));
+        assert_eq!(analyze(&set).recovery_envelope, Duration::from_micros(900));
     }
 
     #[test]

@@ -9,21 +9,20 @@
 //!   single-failure recovery, reconfiguration) with p50/p95/p99;
 //! * an offline audit of the merged stream — the history checker
 //!   (`tw_obs::audit`, the one a live cluster and the simulator run)
-//!   plus ε-causality of decision spans.
+//!   plus ε-causality of decision spans;
+//! * every completed recovery span over the §4.2 envelope the
+//!   recordings' headers carry (`Analysis::over_envelope`).
 //!
 //! ```text
 //! tw-trace [FLAGS] <recording>...
 //!   --no-timeline          skip the ASCII timeline
 //!   --deliveries           include Delivered events in the timeline
 //!   --max-rows N           timeline row cap (default 200)
-//!   --epsilon-us N         override the ε fuzz bound from the headers
-//!   --expect-recovery      fail unless a completed recovery span exists
-//!   --max-recovery-us N    fail if any recovery span exceeds N µs
 //!   --json PATH            also write a machine-readable report
 //! ```
 //!
-//! Exit status: 0 clean, 1 violations or unmet expectations, 2 usage /
-//! unreadable input.
+//! Exit status: 0 clean, 1 violations or a recovery over its envelope,
+//! 2 usage / unreadable input.
 
 // tw-lint: allow-file(actor-io) -- tw-trace is the offline analyzer CLI: it
 // exists to read recording files and print a report; it never runs inside an
@@ -33,18 +32,14 @@ use std::process::ExitCode;
 use tw_obs::analyze::{analyze, render_timeline, Analysis, TimelineOptions};
 use tw_obs::recording::Recording;
 use tw_obs::TraceSet;
-use tw_proto::Duration;
 
-const USAGE: &str = "usage: tw-trace [--no-timeline] [--deliveries] [--max-rows N] \
-[--epsilon-us N] [--expect-recovery] [--max-recovery-us N] [--json PATH] <recording>...";
+const USAGE: &str =
+    "usage: tw-trace [--no-timeline] [--deliveries] [--max-rows N] [--json PATH] <recording>...";
 
 struct Options {
     timeline: bool,
     deliveries: bool,
     max_rows: usize,
-    epsilon_us: Option<i64>,
-    expect_recovery: bool,
-    max_recovery_us: Option<i64>,
     json: Option<String>,
     files: Vec<String>,
 }
@@ -54,9 +49,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         timeline: true,
         deliveries: false,
         max_rows: 200,
-        epsilon_us: None,
-        expect_recovery: false,
-        max_recovery_us: None,
         json: None,
         files: Vec::new(),
     };
@@ -76,21 +68,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.max_rows = value("--max-rows")?
                     .parse()
                     .map_err(|_| "--max-rows needs an integer".to_string())?;
-            }
-            "--epsilon-us" => {
-                opts.epsilon_us = Some(
-                    value("--epsilon-us")?
-                        .parse()
-                        .map_err(|_| "--epsilon-us needs an integer".to_string())?,
-                );
-            }
-            "--expect-recovery" => opts.expect_recovery = true,
-            "--max-recovery-us" => {
-                opts.max_recovery_us = Some(
-                    value("--max-recovery-us")?
-                        .parse()
-                        .map_err(|_| "--max-recovery-us needs an integer".to_string())?,
-                );
             }
             "--json" => opts.json = Some(value("--json")?),
             other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
@@ -119,9 +96,10 @@ fn json_escape(s: &str) -> String {
 fn report_json(analysis: &Analysis, recordings: &[Recording], failures: &[String]) -> String {
     let mut out = String::from("{");
     out.push_str(&format!(
-        "\"team\":{},\"epsilon_us\":{},\"events\":{},\"dropped\":{},",
+        "\"team\":{},\"epsilon_us\":{},\"recovery_envelope_us\":{},\"events\":{},\"dropped\":{},",
         analysis.team,
         analysis.epsilon.as_micros(),
+        analysis.recovery_envelope.as_micros(),
         analysis.merged.len(),
         analysis.dropped
     ));
@@ -132,7 +110,7 @@ fn report_json(analysis: &Analysis, recordings: &[Recording], failures: &[String
         }
         out.push_str(&format!(
             "{{\"pid\":{},\"events\":{},\"intact_segments\":{},\"damage\":{}}}",
-            r.pid.0,
+            r.header.pid.0,
             r.events.len(),
             r.intact_segments,
             match &r.damage {
@@ -229,24 +207,22 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut set = match TraceSet::new(recordings) {
+    let set = match TraceSet::new(recordings) {
         Ok(set) => set,
         Err(e) => {
             eprintln!("tw-trace: {e}");
             return ExitCode::from(2);
         }
     };
-    if let Some(eps) = opts.epsilon_us {
-        set.epsilon = Duration::from_micros(eps);
-    }
 
     let analysis = analyze(&set);
 
     println!(
-        "tw-trace: {} recordings · team {} · ε {} · {} events merged ({} dropped)",
+        "tw-trace: {} recordings · team {} · ε {} · recovery envelope {} · {} events merged ({} dropped)",
         set.recordings.len(),
         analysis.team,
         analysis.epsilon,
+        analysis.recovery_envelope,
         analysis.merged.len(),
         analysis.dropped
     );
@@ -339,25 +315,13 @@ fn main() -> ExitCode {
     for v in analysis.audit.iter().chain(&analysis.cross) {
         failures.push(v.to_string());
     }
-    if opts.expect_recovery
-        && !analysis
-            .recoveries
-            .iter()
-            .any(|r| r.total().is_some() && !r.installs.is_empty())
-    {
-        failures.push("expected a completed recovery span, found none".into());
-    }
-    if let Some(cap) = opts.max_recovery_us {
-        for r in &analysis.recoveries {
-            if let Some(total) = r.total() {
-                if total.as_micros() > cap {
-                    failures.push(format!(
-                        "recovery of {} took {} — over the {}us envelope",
-                        r.suspect, total, cap
-                    ));
-                }
-            }
-        }
+    for r in analysis.over_envelope() {
+        failures.push(format!(
+            "recovery of {} took {} — over the recorded {} envelope",
+            r.suspect,
+            r.total().expect("only completed spans are judged"),
+            analysis.recovery_envelope
+        ));
     }
 
     if let Some(path) = &opts.json {

@@ -46,7 +46,8 @@
 //!   reconstructs decision / recovery / reconfiguration spans with
 //!   per-phase latency attribution, renders an ASCII global timeline,
 //!   and feeds the merged stream to the [`audit`] checker, adding only
-//!   the ε-causality check that needs decision spans.
+//!   the ε-causality check that needs decision spans; recovery spans
+//!   are judged against the §4.2 envelope the [`StreamHeader`]s carry.
 //!   The `tw-trace` binary is the CLI over this module.
 //!
 //! The crate depends only on the wire vocabulary ([`tw_proto`]); the
@@ -82,15 +83,3 @@ pub use recorder::{encode_header, encode_segment, FlightRecorder, FlushGuard, Re
 pub use recording::{Damage, LoadError, Recording, StreamHeader, StreamReader};
 pub use server::{http_get, LiveTail, OpsServer, OpsSources, StreamSink};
 pub use trace::{ClockStamp, FaultKind, TeeSink, TraceEvent, TraceSink, Tracer, VecSink};
-
-/// Commonly used items.
-pub mod prelude {
-    pub use crate::analyze::{analyze, Analysis, TraceSet};
-    pub use crate::audit::{Auditor, SharedAuditor, Violation};
-    pub use crate::metrics::{Counter, Gauge, Histogram, Registry, Snapshot};
-    pub use crate::recorder::{FlightRecorder, RecorderConfig};
-    pub use crate::recording::Recording;
-    pub use crate::trace::{
-        ClockStamp, FaultKind, TeeSink, TraceEvent, TraceSink, Tracer, VecSink,
-    };
-}

@@ -241,11 +241,6 @@ impl Registry {
         g
     }
 
-    /// Current level of the gauge named `name` (zero if absent).
-    pub fn gauge_value(&self, name: &str) -> i64 {
-        self.lock().gauges.get(name).map(Gauge::get).unwrap_or(0)
-    }
-
     /// The histogram named `name`, registering it over `bounds` on first
     /// use (later calls reuse the original bounds).
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
@@ -641,10 +636,9 @@ mod tests {
         a.set(10);
         b.add(5);
         a.sub(20);
-        assert_eq!(r.gauge_value("inbox.depth"), -5);
         assert_eq!(b.get(), -5);
-        assert_eq!(r.gauge_value("absent"), 0);
         assert_eq!(r.snapshot().gauge("inbox.depth"), -5);
+        assert_eq!(r.snapshot().gauge("absent"), 0);
     }
 
     #[test]
@@ -667,7 +661,7 @@ mod tests {
         r.reset();
         assert_eq!(g.get(), 0);
         g.add(3);
-        assert_eq!(r.gauge_value("depth"), 3);
+        assert_eq!(r.snapshot().gauge("depth"), 3);
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //! ([`crate::recording`]) detects by CRC and skips, never losing the
 //! frames before it.
 //!
-//! ## File format (`TWFR` version 2)
+//! ## File format (`TWFR` version 3)
 //!
 //! ```text
-//! header  : magic b"TWFR0002" · pid u16 LE · team u16 LE · epsilon_us i64 LE
+//! header  : magic b"TWFR0003" · pid u16 LE · team u16 LE · epsilon_us i64 LE
+//!           · recovery_envelope_us i64 LE
 //! segment*: len u32 LE · crc32 u32 LE · payload[len]      (len ≤ MAX_SEGMENT_LEN)
 //! ```
 //!
@@ -26,27 +27,29 @@
 //! vocabulary. `crc32` is CRC-32/ISO-HDLC over the payload bytes. A
 //! file with any other version digits is refused at the header, naming
 //! the version it carries; there is no reader for older formats. The
-//! header carries the emitting process, the team size and the clock-sync
-//! deviation bound ε at recording time, so the offline analyzer can
-//! align recordings from different nodes without out-of-band
-//! configuration.
+//! header is a [`StreamHeader`]: the emitting process, the team size,
+//! the clock-sync deviation bound ε and the §4.2 single-failure recovery
+//! envelope at recording time, so the offline analyzer can align
+//! recordings from different nodes and judge their recovery spans
+//! without out-of-band configuration.
 
 // tw-lint: allow-file(actor-io) -- the flight recorder IS the module that owns
 // file I/O: it runs host-side (behind a TraceSink), never inside a simulated
 // actor, and persistence is its entire purpose.
 
 use crate::codec::MAX_EVENT_LEN;
+use crate::recording::StreamHeader;
 use crate::trace::{TraceEvent, TraceSink};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
-use tw_proto::{Duration, ProcessId, WireCursor};
+use tw_proto::WireCursor;
 
 /// File magic + format version, the first 8 bytes of every recording.
-pub const FILE_MAGIC: &[u8; 8] = b"TWFR0002";
-/// Total header length: magic, pid, team, epsilon.
-pub const HEADER_LEN: usize = 8 + 2 + 2 + 8;
+pub const FILE_MAGIC: &[u8; 8] = b"TWFR0003";
+/// Total header length: magic, pid, team, epsilon, recovery envelope.
+pub const HEADER_LEN: usize = 8 + 2 + 2 + 8 + 8;
 /// Per-segment framing overhead: length and CRC words.
 pub const SEGMENT_OVERHEAD: usize = 4 + 4;
 /// Largest segment payload a writer produces and a reader accepts. A
@@ -61,12 +64,13 @@ pub const MAX_SEGMENT_EVENTS: usize = MAX_SEGMENT_LEN / MAX_EVENT_LEN;
 /// Encode a TWFR header: the exact bytes [`FlightRecorder::create`]
 /// writes at the start of a file, and the first bytes a live stream
 /// server sends to a subscriber — one format, two carriers.
-pub fn encode_header(pid: ProcessId, team: usize, epsilon: Duration) -> [u8; HEADER_LEN] {
+pub fn encode_header(header: &StreamHeader) -> [u8; HEADER_LEN] {
     let mut out = [0u8; HEADER_LEN];
     out[..8].copy_from_slice(FILE_MAGIC);
-    out[8..10].copy_from_slice(&pid.0.to_le_bytes());
-    out[10..12].copy_from_slice(&(team.min(u16::MAX as usize) as u16).to_le_bytes());
-    out[12..20].copy_from_slice(&epsilon.as_micros().to_le_bytes());
+    out[8..10].copy_from_slice(&header.pid.0.to_le_bytes());
+    out[10..12].copy_from_slice(&(header.team.min(u16::MAX as usize) as u16).to_le_bytes());
+    out[12..20].copy_from_slice(&header.epsilon.as_micros().to_le_bytes());
+    out[20..28].copy_from_slice(&header.recovery_envelope.as_micros().to_le_bytes());
     out
 }
 
@@ -123,17 +127,11 @@ const fn crc32_table() -> [u32; 256] {
     table
 }
 
-/// Static parameters of one recording, written into its header.
+/// Static parameters of one recording.
 #[derive(Debug, Clone, Copy)]
 pub struct RecorderConfig {
-    /// The recorded member's process id.
-    pub pid: ProcessId,
-    /// Team size N (so the analyzer can audit majorities offline).
-    pub team: usize,
-    /// The clock-sync deviation bound ε the team ran with — the fuzz
-    /// bound the analyzer uses when aligning recordings on synchronized
-    /// time.
-    pub epsilon: Duration,
+    /// What the file's header says about the recorded stream.
+    pub header: StreamHeader,
     /// Events buffered in memory before a segment is spilled. Bounds
     /// both memory use and the worst-case loss window on a hard crash.
     /// Clamped to `1..=`[`MAX_SEGMENT_EVENTS`] when the recorder is
@@ -142,13 +140,11 @@ pub struct RecorderConfig {
 }
 
 impl RecorderConfig {
-    /// A recorder for `pid` in a team of `team` with deviation bound
-    /// `epsilon`, using the default buffer capacity (1024 events).
-    pub fn new(pid: ProcessId, team: usize, epsilon: Duration) -> Self {
+    /// A recorder writing `header`, using the default buffer capacity
+    /// (1024 events).
+    pub fn new(header: StreamHeader) -> Self {
         RecorderConfig {
-            pid,
-            team,
-            epsilon,
+            header,
             capacity: 1024,
         }
     }
@@ -188,7 +184,7 @@ impl FlightRecorder {
         let path = path.as_ref().to_path_buf();
         let file = File::create(&path)?;
         let mut writer = BufWriter::new(file);
-        writer.write_all(&encode_header(cfg.pid, cfg.team, cfg.epsilon))?;
+        writer.write_all(&encode_header(&cfg.header))?;
         writer.flush()?;
         Ok(FlightRecorder {
             cfg,
@@ -206,11 +202,6 @@ impl FlightRecorder {
     /// The recording file this recorder appends to.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// The recorder's static parameters.
-    pub fn config(&self) -> &RecorderConfig {
-        &self.cfg
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
@@ -320,7 +311,7 @@ impl std::fmt::Debug for FlightRecorder {
         let inner = self.lock();
         f.debug_struct("FlightRecorder")
             .field("path", &self.path)
-            .field("pid", &self.cfg.pid)
+            .field("pid", &self.cfg.header.pid)
             .field("buffered", &inner.buf.len())
             .field("spilled_events", &inner.spilled_events)
             .field("segments", &inner.segments)
@@ -334,7 +325,16 @@ mod tests {
     use super::*;
     use crate::recording::Recording;
     use crate::trace::ClockStamp;
-    use tw_proto::{HwTime, SyncTime, ViewId};
+    use tw_proto::{Duration, HwTime, ProcessId, SyncTime, ViewId};
+
+    fn header(pid: u16) -> StreamHeader {
+        StreamHeader {
+            pid: ProcessId(pid),
+            team: 3,
+            epsilon: Duration::ZERO,
+            recovery_envelope: Duration::ZERO,
+        }
+    }
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("tw-obs-rec-{}", std::process::id()));
@@ -364,7 +364,13 @@ mod tests {
     #[test]
     fn events_roundtrip_through_a_recording_file() {
         let path = tmp("roundtrip.twrec");
-        let cfg = RecorderConfig::new(ProcessId(1), 5, Duration::from_micros(250)).capacity(4);
+        let header = StreamHeader {
+            pid: ProcessId(1),
+            team: 5,
+            epsilon: Duration::from_micros(250),
+            recovery_envelope: Duration::from_millis(330),
+        };
+        let cfg = RecorderConfig::new(header).capacity(4);
         let rec = FlightRecorder::create(&path, cfg).unwrap();
         for i in 0..10 {
             rec.record(&ev(i));
@@ -375,9 +381,7 @@ mod tests {
         assert_eq!(rec.spilled_events(), 10);
 
         let loaded = Recording::load(&path).unwrap();
-        assert_eq!(loaded.pid, ProcessId(1));
-        assert_eq!(loaded.team, 5);
-        assert_eq!(loaded.epsilon, Duration::from_micros(250));
+        assert_eq!(loaded.header, header);
         assert_eq!(loaded.events, (0..10).map(ev).collect::<Vec<_>>());
         assert!(loaded.damage.is_none());
     }
@@ -385,7 +389,7 @@ mod tests {
     #[test]
     fn view_install_forces_a_spill() {
         let path = tmp("viewspill.twrec");
-        let cfg = RecorderConfig::new(ProcessId(0), 3, Duration::ZERO).capacity(1000);
+        let cfg = RecorderConfig::new(header(0)).capacity(1000);
         let rec = FlightRecorder::create(&path, cfg).unwrap();
         rec.record(&ev(1));
         assert_eq!(rec.segments(), 0, "plain events buffer");
@@ -405,7 +409,7 @@ mod tests {
     #[test]
     fn flush_guard_flushes_while_other_arcs_live() {
         let path = tmp("guard.twrec");
-        let cfg = RecorderConfig::new(ProcessId(0), 3, Duration::ZERO).capacity(100);
+        let cfg = RecorderConfig::new(header(0)).capacity(100);
         let rec = Arc::new(FlightRecorder::create(&path, cfg).unwrap());
         let keepalive = rec.clone(); // the "node handle"
         {
@@ -420,7 +424,7 @@ mod tests {
     #[test]
     fn drop_flushes_the_tail() {
         let path = tmp("dropflush.twrec");
-        let cfg = RecorderConfig::new(ProcessId(0), 3, Duration::ZERO).capacity(100);
+        let cfg = RecorderConfig::new(header(0)).capacity(100);
         {
             let rec = FlightRecorder::create(&path, cfg).unwrap();
             rec.record(&ev(7));
@@ -432,7 +436,7 @@ mod tests {
     #[test]
     fn empty_flush_writes_no_segment() {
         let path = tmp("empty.twrec");
-        let cfg = RecorderConfig::new(ProcessId(0), 3, Duration::ZERO);
+        let cfg = RecorderConfig::new(header(0));
         let rec = FlightRecorder::create(&path, cfg).unwrap();
         rec.flush();
         rec.flush();

@@ -103,16 +103,39 @@ impl From<std::io::Error> for LoadError {
     }
 }
 
-/// The TWFR stream header: who recorded, at what team size, under what
-/// clock-sync bound.
+/// The TWFR stream header: the one description of a recorded stream,
+/// written by [`crate::recorder::encode_header`] and read back by
+/// [`StreamReader`] — who recorded, at what team size, and the timing
+/// bounds the recording is judged against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamHeader {
     /// The emitting member's process id.
     pub pid: ProcessId,
     /// Team size N at stream start (0 if unknown).
     pub team: usize,
-    /// The clock-sync deviation bound ε.
+    /// The clock-sync deviation bound ε: the fuzz bound the analyzer
+    /// aligns recordings on synchronized time with.
     pub epsilon: Duration,
+    /// The §4.2 single-failure recovery envelope, first suspicion to the
+    /// last survivor's install: the bound the analyzer judges recovery
+    /// spans against.
+    pub recovery_envelope: Duration,
+}
+
+impl StreamHeader {
+    fn decode(b: &[u8; HEADER_LEN]) -> StreamHeader {
+        let micros = |at: usize| {
+            Duration::from_micros(i64::from_le_bytes(
+                b[at..at + 8].try_into().expect("8 header bytes"),
+            ))
+        };
+        StreamHeader {
+            pid: ProcessId(u16::from_le_bytes([b[8], b[9]])),
+            team: u16::from_le_bytes([b[10], b[11]]) as usize,
+            epsilon: micros(12),
+            recovery_envelope: micros(20),
+        }
+    }
 }
 
 /// Incremental TWFR decoder — the one reader behind both the file
@@ -142,7 +165,7 @@ impl StreamReader {
         Self::default()
     }
 
-    /// The stream header, once its 20 bytes have arrived.
+    /// The stream header, once all of its bytes have arrived.
     pub fn header(&self) -> Option<&StreamHeader> {
         self.header.as_ref()
     }
@@ -174,21 +197,17 @@ impl StreamReader {
         self.buf.extend_from_slice(bytes);
 
         if self.header.is_none() {
-            if self.buf.len() < HEADER_LEN {
-                return Ok(Vec::new());
-            }
-            if &self.buf[..8] != FILE_MAGIC {
+            // The magic is judged as soon as it is complete: a shorter
+            // header of another version is refused by name, not waited on.
+            let magic = &self.buf[..self.buf.len().min(8)];
+            if magic.len() == 8 && magic != FILE_MAGIC {
                 self.dead = true;
-                return Err(LoadError::BadHeader(foreign_magic(&self.buf[..8])));
+                return Err(LoadError::BadHeader(foreign_magic(magic)));
             }
-            let b = &self.buf;
-            self.header = Some(StreamHeader {
-                pid: ProcessId(u16::from_le_bytes([b[8], b[9]])),
-                team: u16::from_le_bytes([b[10], b[11]]) as usize,
-                epsilon: Duration::from_micros(i64::from_le_bytes(
-                    b[12..20].try_into().expect("8 header bytes"),
-                )),
-            });
+            let Some(head) = self.buf.first_chunk::<HEADER_LEN>() else {
+                return Ok(Vec::new());
+            };
+            self.header = Some(StreamHeader::decode(head));
             self.buf.drain(..HEADER_LEN);
         }
 
@@ -252,12 +271,8 @@ impl StreamReader {
 /// One node's recording, loaded back into memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Recording {
-    /// The recorded member's process id (from the header).
-    pub pid: ProcessId,
-    /// Team size N at recording time (from the header; 0 if unknown).
-    pub team: usize,
-    /// The clock-sync deviation bound ε at recording time.
-    pub epsilon: Duration,
+    /// The file's header.
+    pub header: StreamHeader,
     /// Every event from every intact segment, in write order.
     pub events: Vec<TraceEvent>,
     /// Segments that loaded completely.
@@ -290,9 +305,7 @@ impl Recording {
             }
         };
         Ok(Recording {
-            pid: header.pid,
-            team: header.team,
-            epsilon: header.epsilon,
+            header,
             events,
             intact_segments: reader.intact_segments(),
             damage: reader.finish(),
@@ -358,9 +371,18 @@ mod tests {
         }
     }
 
+    fn header(pid: u16) -> StreamHeader {
+        StreamHeader {
+            pid: ProcessId(pid),
+            team: 3,
+            epsilon: Duration::from_micros(9),
+            recovery_envelope: Duration::from_millis(250),
+        }
+    }
+
     fn written(n: i64, capacity: usize, name: &str) -> Vec<u8> {
         let path = tmp(name);
-        let cfg = RecorderConfig::new(ProcessId(2), 3, Duration::from_micros(9)).capacity(capacity);
+        let cfg = RecorderConfig::new(header(2)).capacity(capacity);
         let rec = FlightRecorder::create(&path, cfg).unwrap();
         for i in 0..n {
             rec.record(&ev(i));
@@ -390,10 +412,15 @@ mod tests {
             other => panic!("expected BadHeader, got {other:?}"),
         };
         let mut bytes = written(2, 10, "version.twrec");
-        bytes[..8].copy_from_slice(b"TWFR0001");
-        let old = why(&bytes);
-        assert!(old.contains("format version 1"), "{old}");
-        assert!(old.contains("reads version 2"), "{old}");
+        for (magic, version) in [(b"TWFR0001", 1), (b"TWFR0002", 2)] {
+            bytes[..8].copy_from_slice(magic);
+            let old = why(&bytes);
+            assert!(old.contains(&format!("format version {version};")), "{old}");
+            assert!(old.contains("reads version 3"), "{old}");
+        }
+        // A version 2 file whose whole 20-byte header is shorter than
+        // this version's is still refused by its version, not its length.
+        assert!(why(&bytes[..20]).contains("format version 2;"));
         bytes[..8].copy_from_slice(b"TWFR0013");
         assert!(why(&bytes).contains("format version 13"));
         for not_twfr in [b"XWFR0002", b"TWFRv002", b"TWFR+002", b"\x7fELF\0\0\0\0"] {
@@ -433,7 +460,7 @@ mod tests {
     #[test]
     fn sinks_spill_inside_max_segment_len_whatever_capacity_says() {
         let path = tmp("hugecap.twrec");
-        let mut cfg = RecorderConfig::new(ProcessId(2), 3, Duration::ZERO);
+        let mut cfg = RecorderConfig::new(header(2));
         cfg.capacity = usize::MAX;
         let rec = FlightRecorder::create(&path, cfg).unwrap();
         for i in 0..MAX_SEGMENT_EVENTS as i64 + 1 {
@@ -446,7 +473,7 @@ mod tests {
         assert_eq!((r.intact_segments, r.damage), (2, None));
         assert_eq!(r.events.len(), MAX_SEGMENT_EVENTS + 1);
 
-        let sink = crate::server::StreamSink::new(ProcessId(2), 3, Duration::ZERO, usize::MAX);
+        let sink = crate::server::StreamSink::new(header(2), usize::MAX);
         for i in 0..MAX_SEGMENT_EVENTS as i64 {
             sink.record(&ev(i));
         }
@@ -454,16 +481,17 @@ mod tests {
     }
 
     #[test]
-    fn frozen_twfr0002_recording_loads_every_variant() {
+    fn frozen_twfr0003_recording_loads_every_variant() {
         // Header plus one segment holding every variant, captured when
         // the format was fixed: a change to the header, the segment
         // framing or any event's field encoding fails here first, so the
         // next format change is a deliberate one (and a magic bump).
         #[rustfmt::skip]
         const FIXTURE: &[u8] = &[
-            // header: magic · pid 3 · team 5 · epsilon 250 µs
-            0x54, 0x57, 0x46, 0x52, 0x30, 0x30, 0x30, 0x32,
+            // header: magic · pid 3 · team 5 · epsilon 250 µs · envelope 330 000 µs
+            0x54, 0x57, 0x46, 0x52, 0x30, 0x30, 0x30, 0x33,
             0x03, 0x00, 0x05, 0x00, 0xfa, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x10, 0x09, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00,
             // segment: len 158 · crc32
             0x9e, 0x00, 0x00, 0x00, 0xf4, 0x4e, 0x74, 0x1b,
             // one frame per variant, `all_variants()` order: tag · padded len · payload
@@ -482,12 +510,17 @@ mod tests {
             0x09, 0x88, 0x80, 0x80, 0x00, 0x03, 0xd0, 0x0f, 0xd4, 0x0f, 0x04, 0x01, 0x11,
         ];
         let events = crate::codec::tests::all_variants();
-        let mut fresh = encode_header(ProcessId(3), 5, Duration::from_micros(250)).to_vec();
+        let header = StreamHeader {
+            pid: ProcessId(3),
+            team: 5,
+            epsilon: Duration::from_micros(250),
+            recovery_envelope: Duration::from_millis(330),
+        };
+        let mut fresh = encode_header(&header).to_vec();
         fresh.extend(encode_segment(&events));
         assert_eq!(fresh, FIXTURE, "the writer still produces the frozen bytes");
         let rec = Recording::parse(FIXTURE).unwrap();
-        assert_eq!((rec.pid, rec.team), (ProcessId(3), 5));
-        assert_eq!(rec.epsilon, Duration::from_micros(250));
+        assert_eq!(rec.header, header);
         assert_eq!(rec.events, events);
         assert_eq!((rec.intact_segments, rec.damage), (1, None));
     }
@@ -513,8 +546,8 @@ mod tests {
         let mut bytes = bytes;
         // Flip a byte inside the second segment's payload. Segment
         // layout after the header: [len 4][crc 4][payload ...].
-        let seg0_len = u32::from_le_bytes(bytes[20..24].try_into().unwrap()) as usize;
-        let seg1_payload_start = 20 + 8 + seg0_len + 8;
+        let seg0_len = u32::from_le_bytes(bytes[HEADER_LEN..][..4].try_into().unwrap()) as usize;
+        let seg1_payload_start = HEADER_LEN + 8 + seg0_len + 8;
         bytes[seg1_payload_start + 1] ^= 0xff;
         let r = Recording::parse(&bytes).unwrap();
         assert_eq!(r.intact_segments, 1);
@@ -540,10 +573,7 @@ mod tests {
             for part in bytes.chunks(chunk) {
                 events.extend(r.feed(part).unwrap());
             }
-            let h = *r.header().expect("header after full feed");
-            assert_eq!(h.pid, whole.pid);
-            assert_eq!(h.team, whole.team);
-            assert_eq!(h.epsilon, whole.epsilon);
+            assert_eq!(r.header(), Some(&whole.header));
             assert_eq!(events, whole.events, "chunk size {chunk}");
             assert_eq!(r.intact_segments(), whole.intact_segments);
             assert_eq!(r.finish(), whole.damage);
@@ -572,8 +602,8 @@ mod tests {
     #[test]
     fn stream_reader_discards_everything_after_damage() {
         let mut bytes = written(6, 2, "streamcorrupt.twrec");
-        let seg0_len = u32::from_le_bytes(bytes[20..24].try_into().unwrap()) as usize;
-        let seg1_payload_start = 20 + 8 + seg0_len + 8;
+        let seg0_len = u32::from_le_bytes(bytes[HEADER_LEN..][..4].try_into().unwrap()) as usize;
+        let seg1_payload_start = HEADER_LEN + 8 + seg0_len + 8;
         bytes[seg1_payload_start] ^= 0xff;
         let mut r = StreamReader::new();
         let events = r.feed(&bytes).unwrap();
@@ -581,14 +611,14 @@ mod tests {
         assert_eq!(r.damage(), Some(&Damage::CorruptSegment { index: 1 }));
         // Later feeds are swallowed: no resync past damage.
         let more = written(2, 2, "streamcorrupt2.twrec");
-        assert!(r.feed(&more[20..]).unwrap().is_empty());
+        assert!(r.feed(&more[HEADER_LEN..]).unwrap().is_empty());
         assert_eq!(r.finish(), Some(Damage::CorruptSegment { index: 1 }));
     }
 
     #[test]
     fn stream_reader_rejects_bad_magic_permanently() {
         let mut r = StreamReader::new();
-        // Header split across feeds: no verdict until 20 bytes exist.
+        // Magic split across feeds: no verdict until its 8 bytes exist.
         assert!(r.feed(b"TWFR").unwrap().is_empty());
         assert!(r.header().is_none());
         assert!(matches!(

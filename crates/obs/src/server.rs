@@ -42,7 +42,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration as StdDuration;
-use tw_proto::{Duration, ProcessId};
 
 /// Segments a subscriber may have queued before it is declared slow
 /// and cut off (each segment is at most `capacity` events).
@@ -82,12 +81,11 @@ pub struct StreamSink {
 }
 
 impl StreamSink {
-    /// A sink streaming for `pid` in a team of `team` under deviation
-    /// bound `epsilon` (the TWFR header every subscriber receives
-    /// first), spilling every `capacity` events.
-    pub fn new(pid: ProcessId, team: usize, epsilon: Duration, capacity: usize) -> Self {
+    /// A sink streaming under `header` (the TWFR header every
+    /// subscriber receives first), spilling every `capacity` events.
+    pub fn new(header: StreamHeader, capacity: usize) -> Self {
         StreamSink {
-            header: encode_header(pid, team, epsilon),
+            header: encode_header(&header),
             capacity: capacity.clamp(1, MAX_SEGMENT_EVENTS),
             inner: Mutex::new(SinkInner {
                 buf: Vec::new(),
@@ -110,11 +108,6 @@ impl StreamSink {
             .expect("fresh subscriber queue cannot be full");
         self.lock().subs.push(tx);
         rx
-    }
-
-    /// Currently attached subscribers.
-    pub fn subscriber_count(&self) -> usize {
-        self.lock().subs.len()
     }
 
     /// Subscribers disconnected for falling behind since creation.
@@ -567,7 +560,16 @@ pub fn http_get(
 mod tests {
     use super::*;
     use crate::trace::ClockStamp;
-    use tw_proto::{HwTime, SyncTime, ViewId};
+    use tw_proto::{Duration, HwTime, ProcessId, SyncTime, ViewId};
+
+    fn header(pid: u16) -> StreamHeader {
+        StreamHeader {
+            pid: ProcessId(pid),
+            team: 3,
+            epsilon: Duration::ZERO,
+            recovery_envelope: Duration::ZERO,
+        }
+    }
 
     fn ev(i: i64) -> TraceEvent {
         TraceEvent::DecisionSent {
@@ -630,12 +632,13 @@ mod tests {
     #[test]
     fn live_tail_decodes_streamed_segments_with_the_shared_reader() {
         let reg = Arc::new(Registry::new());
-        let sink = Arc::new(StreamSink::new(
-            ProcessId(4),
-            3,
-            Duration::from_micros(11),
-            4,
-        ));
+        let sent = StreamHeader {
+            pid: ProcessId(4),
+            team: 3,
+            epsilon: Duration::from_micros(11),
+            recovery_envelope: Duration::from_millis(270),
+        };
+        let sink = Arc::new(StreamSink::new(sent, 4));
         let srv = OpsServer::bind("127.0.0.1:0", sources(reg), Some(sink.clone())).unwrap();
         let mut tail = LiveTail::connect(srv.addr(), StdDuration::from_secs(2)).unwrap();
 
@@ -652,17 +655,14 @@ mod tests {
             }
         }
         assert_eq!(got, (0..8).map(ev).collect::<Vec<_>>());
-        let h = *tail.header().expect("header arrives first");
-        assert_eq!(h.pid, ProcessId(4));
-        assert_eq!(h.team, 3);
-        assert_eq!(h.epsilon, Duration::from_micros(11));
+        assert_eq!(tail.header(), Some(&sent), "the header arrives first");
         assert_eq!(tail.finish(), None, "clean at a segment boundary");
     }
 
     #[test]
     fn killing_the_server_mid_segment_reads_as_a_torn_tail() {
         let reg = Arc::new(Registry::new());
-        let sink = Arc::new(StreamSink::new(ProcessId(1), 3, Duration::ZERO, 4));
+        let sink = Arc::new(StreamSink::new(header(1), 4));
         let srv = OpsServer::bind("127.0.0.1:0", sources(reg), Some(sink.clone())).unwrap();
         let mut tail = LiveTail::connect(srv.addr(), StdDuration::from_secs(2)).unwrap();
         std::thread::sleep(StdDuration::from_millis(50));
@@ -701,8 +701,7 @@ mod tests {
             let mut discard = [0u8; 256];
             let _ = sock.read(&mut discard); // the GET line
             sock.write_all(b"HTTP/1.0 200 OK\r\n\r\n").unwrap();
-            sock.write_all(&encode_header(ProcessId(9), 3, Duration::ZERO))
-                .unwrap();
+            sock.write_all(&encode_header(&header(9))).unwrap();
             let seg = encode_segment(&[ev(0), ev(1)]);
             sock.write_all(&seg).unwrap();
             let torn = encode_segment(&[ev(2), ev(3)]);
@@ -737,17 +736,18 @@ mod tests {
     #[test]
     fn a_stream_of_another_format_version_is_refused_by_name() {
         // A node built before the format bump serving /trace: the
-        // tailer must say which version it met, not "not a recording".
+        // tailer must say which version it met, not "not a recording",
+        // though the version 2 header is shorter than this version's.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (mut sock, _) = listener.accept().unwrap();
             let mut discard = [0u8; 256];
             let _ = sock.read(&mut discard);
-            let mut header = encode_header(ProcessId(9), 3, Duration::ZERO);
-            header[..8].copy_from_slice(b"TWFR0001");
+            let mut header = encode_header(&header(9));
+            header[..8].copy_from_slice(b"TWFR0002");
             sock.write_all(b"HTTP/1.0 200 OK\r\n\r\n").unwrap();
-            sock.write_all(&header).unwrap();
+            sock.write_all(&header[..20]).unwrap();
             sock.flush().unwrap();
         });
         let mut tail = LiveTail::connect(addr, StdDuration::from_secs(2)).unwrap();
@@ -759,30 +759,34 @@ mod tests {
             }
         };
         server.join().unwrap();
-        assert!(matches!(&verdict, LoadError::BadHeader(why) if why.contains("format version 1")));
+        assert!(matches!(&verdict, LoadError::BadHeader(why) if why.contains("format version 2;")));
         assert!(tail.header().is_none());
     }
 
     #[test]
     fn slow_subscribers_are_shed_not_waited_for() {
-        let sink = StreamSink::new(ProcessId(0), 3, Duration::ZERO, 1);
+        let sink = StreamSink::new(header(0), 1);
         let rx = sink.subscribe();
-        assert_eq!(sink.subscriber_count(), 1);
         // Never drain rx: the queue fills (header took one slot), then
         // the subscriber is cut. capacity 1 → every record is a segment.
         for i in 0..(SUBSCRIBER_QUEUE as i64 + 8) {
             sink.record(&ev(i));
         }
-        assert_eq!(sink.subscriber_count(), 0);
         assert_eq!(sink.shed_subscribers(), 1);
-        drop(rx);
+        // Cut means the sink let go of the channel: the queue holds what
+        // fitted, then the subscriber sees the end of the stream.
+        assert_eq!(rx.try_iter().count(), SUBSCRIBER_QUEUE);
+        assert_eq!(
+            rx.try_recv(),
+            Err(std::sync::mpsc::TryRecvError::Disconnected)
+        );
         // Recording with no subscribers stays cheap and panic-free.
         sink.record(&ev(99));
     }
 
     #[test]
     fn subscriber_joining_mid_stream_gets_a_valid_stream_start() {
-        let sink = StreamSink::new(ProcessId(2), 5, Duration::from_micros(3), 2);
+        let sink = StreamSink::new(header(2), 2);
         // History before the join is not replayed…
         sink.record(&ev(0));
         sink.record(&ev(1));

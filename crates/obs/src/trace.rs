@@ -338,11 +338,6 @@ impl Tracer {
         Tracer(Some(sink))
     }
 
-    /// Is a sink attached?
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// Record the event produced by `make` — if and only if a sink is
     /// attached. The closure keeps the disabled path free of even the
     /// event construction.
@@ -457,14 +452,12 @@ mod tests {
             sample()
         });
         assert!(!built);
-        assert!(!t.is_enabled());
     }
 
     #[test]
     fn vec_sink_records_in_order() {
         let sink = Arc::new(VecSink::new());
         let t = Tracer::new(sink.clone());
-        assert!(t.is_enabled());
         t.emit(sample);
         t.emit(|| TraceEvent::Unknown { tag: 200 });
         let evs = sink.snapshot();

@@ -16,7 +16,7 @@
 //! exhaustive check is cheap and leaves no cut point to luck.
 
 use tw_obs::recorder::{FlightRecorder, RecorderConfig, HEADER_LEN, SEGMENT_OVERHEAD};
-use tw_obs::recording::{Damage, LoadError, Recording};
+use tw_obs::recording::{Damage, LoadError, Recording, StreamHeader};
 use tw_obs::trace::TraceSink;
 use tw_obs::{ClockStamp, TraceEvent};
 use tw_proto::{Duration, HwTime, ProcessId, SyncTime, ViewId};
@@ -42,7 +42,13 @@ fn recorded(n: i64, capacity: usize, name: &str) -> (Vec<u8>, Vec<usize>) {
     let dir = std::env::temp_dir().join(format!("tw-obs-crash-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(name);
-    let cfg = RecorderConfig::new(ProcessId(1), 3, Duration::from_micros(5)).capacity(capacity);
+    let header = StreamHeader {
+        pid: ProcessId(1),
+        team: 3,
+        epsilon: Duration::from_micros(5),
+        recovery_envelope: Duration::from_millis(270),
+    };
+    let cfg = RecorderConfig::new(header).capacity(capacity);
     let rec = FlightRecorder::create(&path, cfg).unwrap();
     for i in 0..n {
         rec.record(&ev(i));
@@ -160,7 +166,7 @@ fn header_corruption_in_the_magic_is_fatal_metadata_is_not() {
             "magic flip at {pos}"
         );
     }
-    // Flips in pid/team/ε change metadata, not loadability.
+    // Flips in pid/team/ε/envelope change metadata, not loadability.
     for pos in 8..HEADER_LEN {
         let mut corrupt = bytes.clone();
         corrupt[pos] ^= 0xff;

@@ -23,6 +23,7 @@
 
 use crate::fault::{ChaosNet, ChaosRng, FaultTransport, LinkPlan};
 use crate::node::{ClusterBuilder, Node, Wiring};
+use crate::status::NodeStatus;
 use crate::transport::MemTransport;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -60,11 +61,6 @@ impl PauseGate {
         self.cv.notify_all();
     }
 
-    /// Is the gate currently closed?
-    pub fn is_paused(&self) -> bool {
-        *self.lock()
-    }
-
     /// Block the calling thread until the gate is open.
     pub fn block_while_paused(&self) {
         let mut paused = self.lock();
@@ -77,11 +73,6 @@ impl PauseGate {
         }
     }
 }
-
-// The status cell lives in its own loom-checkable module; re-exported
-// here because the chaos harness is where harness code historically
-// found it.
-pub use crate::status::{NodeStatus, StatusCell};
 
 /// One scripted chaos action.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -635,7 +626,6 @@ mod tests {
     fn pause_gate_blocks_until_resumed() {
         let gate = Arc::new(PauseGate::new());
         gate.pause();
-        assert!(gate.is_paused());
         let g = gate.clone();
         let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let d = done.clone();

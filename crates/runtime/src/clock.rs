@@ -20,8 +20,6 @@ pub trait RuntimeClock: Send + 'static {
 #[derive(Debug, Clone)]
 pub struct RealClock {
     start: Instant,
-    /// Artificial offset, letting tests model arbitrary clock skew.
-    offset_us: i64,
 }
 
 impl RealClock {
@@ -29,15 +27,6 @@ impl RealClock {
     pub fn new() -> Self {
         RealClock {
             start: Instant::now(),
-            offset_us: 0,
-        }
-    }
-
-    /// A clock with an artificial initial offset (model skew).
-    pub fn with_offset_us(offset_us: i64) -> Self {
-        RealClock {
-            start: Instant::now(),
-            offset_us,
         }
     }
 }
@@ -50,7 +39,7 @@ impl Default for RealClock {
 
 impl RuntimeClock for RealClock {
     fn now_hw(&self) -> HwTime {
-        HwTime(self.start.elapsed().as_micros() as i64 + self.offset_us)
+        HwTime(self.start.elapsed().as_micros() as i64)
     }
 }
 
@@ -64,12 +53,6 @@ mod tests {
         let a = c.now_hw();
         let b = c.now_hw();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn offset_applies() {
-        let c = RealClock::with_offset_us(1_000_000);
-        assert!(c.now_hw() >= HwTime(1_000_000));
     }
 
     #[test]

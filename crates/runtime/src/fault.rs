@@ -139,7 +139,6 @@ impl LinkPlan {
 #[derive(Debug, Default)]
 struct NetState {
     default_plan: LinkPlan,
-    overrides: HashMap<(ProcessId, ProcessId), LinkPlan>,
     cut: HashSet<(ProcessId, ProcessId)>,
     seqs: HashMap<(ProcessId, ProcessId), u64>,
 }
@@ -296,19 +295,9 @@ impl ChaosNet {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Replace the plan applied to every link without an override.
+    /// Replace the plan applied to every link.
     pub fn set_default_plan(&self, plan: LinkPlan) {
         self.lock().default_plan = plan;
-    }
-
-    /// Override the plan for one directed link.
-    pub fn set_link_plan(&self, from: ProcessId, to: ProcessId, plan: LinkPlan) {
-        self.lock().overrides.insert((from, to), plan);
-    }
-
-    /// Drop all per-link overrides (the default plan remains).
-    pub fn clear_link_plans(&self) {
-        self.lock().overrides.clear();
     }
 
     /// Cut the directed link `from → to`: datagrams vanish silently.
@@ -349,11 +338,6 @@ impl ChaosNet {
         let mut healed: Vec<_> = std::mem::take(&mut self.lock().cut).into_iter().collect();
         healed.sort();
         healed
-    }
-
-    /// True when the directed link `from → to` is currently cut.
-    pub fn is_cut(&self, from: ProcessId, to: ProcessId) -> bool {
-        self.lock().cut.contains(&(from, to))
     }
 
     /// How many faults of `kind` the fabric has injected so far.
@@ -525,7 +509,7 @@ impl Transport for FaultTransport {
             let (plan, first, cut) = {
                 let mut st = self.net.lock();
                 let cut = st.cut.contains(&(from, to));
-                let plan = *st.overrides.get(&(from, to)).unwrap_or(&st.default_plan);
+                let plan = st.default_plan;
                 let seq = st.seqs.entry((from, to)).or_insert(0);
                 let first = *seq;
                 *seq += n;
@@ -687,12 +671,11 @@ mod tests {
     fn partition_cuts_cross_side_links_only() {
         let net = ChaosNet::new(9);
         let p = |n: u16| ProcessId(n);
-        net.partition(&[vec![p(0), p(1)], vec![p(2)]]);
-        assert!(net.is_cut(p(0), p(2)));
-        assert!(net.is_cut(p(2), p(1)));
-        assert!(!net.is_cut(p(0), p(1)));
-        net.heal_all();
-        assert!(!net.is_cut(p(0), p(2)));
+        let crossing = vec![(p(0), p(2)), (p(1), p(2)), (p(2), p(0)), (p(2), p(1))];
+        assert_eq!(net.partition(&[vec![p(0), p(1)], vec![p(2)]]), crossing);
+        assert!(!net.heal(p(0), p(1)), "links inside a side stay up");
+        assert_eq!(net.heal_all(), crossing);
+        assert!(!net.heal(p(0), p(2)), "healed");
     }
 
     #[test]
@@ -842,33 +825,6 @@ mod tests {
     #[test]
     fn a_flush_reaches_each_destination_as_one_datagram() {
         let (t, rxs, net) = team(3, 23, Tracer::disabled());
-        // To node 1: every message doubled. To node 2: the first
-        // message held back, the rest clean.
-        net.set_link_plan(
-            ProcessId(0),
-            ProcessId(1),
-            LinkPlan {
-                dup_ppm: 1_000_000,
-                ..LinkPlan::default()
-            },
-        );
-        net.set_link_plan(
-            ProcessId(0),
-            ProcessId(2),
-            LinkPlan {
-                reorder_ppm: 1_000_000,
-                hold_ms: 300,
-                ..LinkPlan::default()
-            },
-        );
-        let mut batch = OutBatch::new();
-        batch.push_broadcast(sample(0, 1));
-        batch.push_send(ProcessId(2), sample(0, 2));
-        batch.push_send(ProcessId(1), sample(0, 3));
-        batch.push_broadcast(sample(0, 4));
-        t.flush(ProcessId(0), &mut batch);
-        assert!(batch.is_empty());
-
         let one = |rx: &Receiver<Incoming>| match rx.try_recv() {
             Ok(Incoming::Batch(from, msgs)) => {
                 assert_eq!(from, ProcessId(0));
@@ -877,27 +833,55 @@ mod tests {
             }
             other => panic!("expected one batch, got {other:?}"),
         };
+        let flush = |msgs: &[(Option<u16>, u64)]| {
+            let mut batch = OutBatch::new();
+            for &(to, rid) in msgs {
+                match to {
+                    Some(to) => batch.push_send(ProcessId(to), sample(0, rid)),
+                    None => batch.push_broadcast(sample(0, rid)),
+                }
+            }
+            t.flush(ProcessId(0), &mut batch);
+            assert!(batch.is_empty());
+        };
+        let first_flush = [(None, 1), (Some(2), 2), (Some(1), 3), (None, 4)];
+
+        // Every message doubled, node 2 cut off: node 1 hears its share.
+        net.set_default_plan(LinkPlan {
+            dup_ppm: 1_000_000,
+            ..LinkPlan::default()
+        });
+        net.cut(ProcessId(0), ProcessId(2));
+        flush(&first_flush);
         assert_eq!(
             one(&rxs[1]),
             [1, 1, 3, 3, 4, 4],
             "a duplicate follows its original"
         );
-        // Every message to node 2 is held: the pump delivers each on
-        // its own once its hold is over.
+        assert!(rxs[2].try_recv().is_err(), "a cut link carries nothing");
+
+        // Every message held, node 1 cut off: the pump delivers each of
+        // node 2's on its own once its hold is over.
+        net.heal(ProcessId(0), ProcessId(2));
+        net.cut(ProcessId(0), ProcessId(1));
+        net.set_default_plan(LinkPlan {
+            reorder_ppm: 1_000_000,
+            hold_ms: 300,
+            ..LinkPlan::default()
+        });
+        flush(&first_flush);
         assert!(
             rxs[2].try_recv().is_err(),
             "held messages are not in the datagram"
         );
-        net.clear_link_plans();
-        let mut batch = OutBatch::new();
-        batch.push_send(ProcessId(2), sample(0, 5));
-        batch.push_send(ProcessId(2), sample(0, 6));
-        t.flush(ProcessId(0), &mut batch);
+        net.set_default_plan(LinkPlan::clean());
+        flush(&[(Some(2), 5), (Some(2), 6)]);
         assert_eq!(one(&rxs[2]), [5, 6]);
         let late: Vec<u64> = (0..3)
             .map(|_| rid_of(&rxs[2].recv_timeout(Duration::from_secs(5)).unwrap()))
             .collect();
         assert_eq!(late, [1, 2, 4], "held messages arrive later, one each");
+        assert!(rxs[1].try_recv().is_err(), "node 1 stayed cut off");
         assert_eq!(net.injected(FaultKind::Reorder), 3);
         assert_eq!(net.injected(FaultKind::Duplicate), 3);
     }

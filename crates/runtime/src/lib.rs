@@ -77,17 +77,3 @@ pub use node::{
 pub use status::{NodeStatus, StatusCell};
 #[cfg(not(loom))]
 pub use transport::{MemTransport, OutBatch, Transport, UdpTransport, WireStats};
-
-/// Commonly used items.
-#[cfg(not(loom))]
-pub mod prelude {
-    pub use crate::chaos::{ChaosCluster, ChaosController, ChaosOp, ChaosSchedule};
-    pub use crate::clock::{RealClock, RuntimeClock};
-    pub use crate::fault::{ChaosNet, ChaosRng, FaultTransport, LinkPlan};
-    pub use crate::metrics::NodeMetrics;
-    pub use crate::node::{
-        spawn_cluster, spawn_udp_cluster, ClusterBuilder, ExecutorKind, Node, OpsSetup,
-        RecorderSetup,
-    };
-    pub use crate::transport::{MemTransport, OutBatch, Transport, UdpTransport, WireStats};
-}

@@ -98,12 +98,6 @@ impl BatchSocket for UdpSocket {
     }
 }
 
-/// Which backend [`BatchSocket`] compiled to (benchmarks tag their
-/// output with this).
-pub fn backend() -> &'static str {
-    imp::BACKEND
-}
-
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
 pub(crate) use imp::{try_recv_batch, wait_readable, EventFd};
 
@@ -155,7 +149,6 @@ mod seq {
 
 #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
 mod imp {
-    pub const BACKEND: &str = "sequential";
     pub use super::seq::{recv_batch, send_batch};
 }
 
@@ -182,8 +175,6 @@ mod imp {
     use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
     use std::os::raw::{c_int, c_long, c_short, c_uint, c_ulong, c_void};
     use std::time::Duration;
-
-    pub const BACKEND: &str = "sendmmsg";
 
     /// `MSG_WAITFORONE`: block (per the socket timeout) for the first
     /// datagram only, then return whatever else is already queued.
@@ -673,11 +664,5 @@ mod tests {
         a.send_to(&[1; 8], to_b).unwrap();
         let ready = wait_readable(&b, &wake, Duration::from_secs(10)).unwrap();
         assert_eq!((ready.socket, ready.woken), (true, false));
-    }
-
-    #[test]
-    fn backend_is_reported() {
-        let be = backend();
-        assert!(be == "sendmmsg" || be == "sequential");
     }
 }

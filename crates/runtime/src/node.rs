@@ -10,12 +10,13 @@
 //! same mesh, each node sending through a
 //! [`FaultTransport`](crate::FaultTransport).
 
-use crate::chaos::{NodeStatus, PauseGate, StatusCell};
+use crate::chaos::PauseGate;
 use crate::clock::{RealClock, RuntimeClock};
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
 use crate::event_loop::OwnSocket;
 use crate::inbox::Doorbell;
 use crate::metrics::NodeMetrics;
+use crate::status::{NodeStatus, StatusCell};
 use crate::transport::{node_inbox, Incoming, MemTransport, OutBatch, Transport, UdpTransport};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -541,7 +542,7 @@ impl ClusterBuilder {
             std::fs::create_dir_all(&setup.dir)?;
             for (i, slot) in self.recorders.iter_mut().enumerate() {
                 let pid = ProcessId(i as u16);
-                let rc = RecorderConfig::new(pid, cfg.n, cfg.epsilon).capacity(setup.capacity);
+                let rc = RecorderConfig::new(cfg.stream_header(pid)).capacity(setup.capacity);
                 *slot = Some(Arc::new(FlightRecorder::create(setup.path_for(pid), rc)?));
             }
         }
@@ -577,7 +578,7 @@ impl ClusterBuilder {
         // clash surfaces as an error here, not a half-observable node.
         let (ops, stream) = match &self.ops {
             Some(o) => {
-                let stream = Arc::new(StreamSink::new(pid, cfg.n, cfg.epsilon, o.stream_capacity));
+                let stream = Arc::new(StreamSink::new(cfg.stream_header(pid), o.stream_capacity));
                 let status_for_json = status.clone();
                 let status_for_health = status.clone();
                 let sources = OpsSources {

@@ -8,7 +8,7 @@
 //! `loom::model` closure is executed once per *possible interleaving*
 //! of the threads it spawns, so the assertions quantify over every
 //! schedule the memory model admits — the dynamic complement to the
-//! `cargo xtask lint-concurrency` static pass (DESIGN.md §13).
+//! concurrency pass of `cargo xtask lint` (DESIGN.md §13).
 //!
 //! Run: `RUSTFLAGS="--cfg loom" cargo test -p tw-runtime --test loom`
 //! With the in-tree `loom` (tools/shadow/stubs/loom) that is a

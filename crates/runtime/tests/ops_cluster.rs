@@ -8,7 +8,7 @@ use bytes::Bytes;
 use std::time::Duration as StdDuration;
 use timewheel::Config;
 use tw_obs::{http_get, LiveTail, TraceEvent};
-use tw_proto::{Duration, Semantics};
+use tw_proto::{Duration, ProcessId, Semantics};
 use tw_runtime::{ChaosCluster, ClusterBuilder, Node, OpsSetup};
 
 fn cfg(n: usize) -> Config {
@@ -122,8 +122,7 @@ fn live_trace_stream_decodes_like_a_recording() {
     }
     assert!(saw_delivery, "delivery never appeared on /trace");
     let header = tail.header().expect("TWFR header arrives first");
-    assert_eq!(header.pid.0, 0);
-    assert_eq!(header.team, n);
+    assert_eq!(*header, cfg(n).stream_header(ProcessId(0)));
     shutdown(nodes);
 }
 

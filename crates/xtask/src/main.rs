@@ -7,11 +7,10 @@ const USAGE: &str = "\
 cargo xtask <command>
 
 Commands:
-  lint [--all]      run the determinism lint over the protocol crates
-                    (tw-proto, timewheel, tw-clock, tw-sim); exit 1 on findings.
-                    --all also runs the concurrency lint
-  lint-concurrency  run the lock-order / blocking-call / unsafe-surface
-                    analysis over tw-runtime and tw-obs; exit 1 on findings
+  lint              run the determinism lint over the protocol crates
+                    (tw-proto, timewheel, tw-clock, tw-sim) and the
+                    lock-order / blocking-call / unsafe-surface analysis
+                    over tw-runtime and tw-obs; exit 1 on findings
   explore [args..]  build and run the exhaustive schedule explorer
                     (forwards args to `cargo run --release -p timewheel --bin explore`)
   help              show this message
@@ -22,8 +21,7 @@ line of (or above) a finding; `allow-file(<rule>)` for a whole file.";
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => run_lint(args.iter().any(|a| a == "--all")),
-        Some("lint-concurrency") => run_lint_concurrency(),
+        Some("lint") => run_lint(),
         Some("explore") => run_explore(&args[1..]),
         Some("help") => {
             println!("{USAGE}");
@@ -40,9 +38,13 @@ fn main() -> ExitCode {
     }
 }
 
-fn run_lint(all: bool) -> ExitCode {
+fn run_lint() -> ExitCode {
     let root = lint::repo_root();
-    let mut findings = match lint::lint_workspace(&root) {
+    let findings = lint::lint_workspace(&root).and_then(|mut findings| {
+        findings.extend(concurrency::lint_workspace(&root)?);
+        Ok(findings)
+    });
+    let mut findings = match findings {
         Ok(f) => f,
         Err(e) => {
             eprintln!("tw-lint: I/O error: {e}");
@@ -50,55 +52,24 @@ fn run_lint(all: bool) -> ExitCode {
         }
     };
     let mut dirs: Vec<&str> = lint::SCOPED_DIRS.to_vec();
-    let mut rules = lint::RULES.len();
-    if all {
-        match concurrency::lint_workspace(&root) {
-            Ok(f) => findings.extend(f),
-            Err(e) => {
-                eprintln!("tw-lint: I/O error: {e}");
-                return ExitCode::FAILURE;
-            }
+    for d in concurrency::SCOPED_DIRS {
+        if !dirs.contains(d) {
+            dirs.push(d);
         }
-        for d in concurrency::SCOPED_DIRS {
-            if !dirs.contains(d) {
-                dirs.push(d);
-            }
-        }
-        rules += concurrency::CONCURRENCY_RULES.len();
     }
-    let scope = dirs.join(", ");
+    let rules = lint::RULES.len() + concurrency::CONCURRENCY_RULES.len();
     findings.sort_by(|a, b| {
         (&a.file, a.line, &a.rule, &a.message).cmp(&(&b.file, b.line, &b.rule, &b.message))
     });
     findings.dedup();
-    report("tw-lint", rules, &scope, &findings)
-}
-
-fn run_lint_concurrency() -> ExitCode {
-    let root = lint::repo_root();
-    match concurrency::lint_workspace(&root) {
-        Ok(findings) => report(
-            "tw-lint-concurrency",
-            concurrency::CONCURRENCY_RULES.len(),
-            &concurrency::SCOPED_DIRS.join(", "),
-            &findings,
-        ),
-        Err(e) => {
-            eprintln!("tw-lint-concurrency: I/O error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn report(pass: &str, rules: usize, scope: &str, findings: &[lint::Finding]) -> ExitCode {
     if findings.is_empty() {
-        println!("{pass}: clean ({rules} rules over {scope})");
+        println!("tw-lint: clean ({rules} rules over {})", dirs.join(", "));
         ExitCode::SUCCESS
     } else {
-        for f in findings {
+        for f in &findings {
             println!("{f}");
         }
-        println!("\n{pass}: {} finding(s)", findings.len());
+        println!("\ntw-lint: {} finding(s)", findings.len());
         ExitCode::FAILURE
     }
 }

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use tw_obs::recorder::{FlightRecorder, RecorderConfig, HEADER_LEN};
-use tw_obs::recording::Recording;
+use tw_obs::recording::{Recording, StreamHeader};
 use tw_obs::trace::TraceSink;
 use tw_obs::{ClockStamp, TraceEvent};
 use tw_proto::{AckBits, Duration, HwTime, ProcessId, SyncTime, ViewId};
@@ -62,7 +62,13 @@ fn recorded(events: &[TraceEvent], capacity: usize, name: &str) -> Vec<u8> {
     let dir = std::env::temp_dir().join(format!("tw-obs-proprec-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(name);
-    let cfg = RecorderConfig::new(ProcessId(0), 4, Duration::from_micros(7)).capacity(capacity);
+    let header = StreamHeader {
+        pid: ProcessId(0),
+        team: 4,
+        epsilon: Duration::from_micros(7),
+        recovery_envelope: Duration::from_millis(300),
+    };
+    let cfg = RecorderConfig::new(header).capacity(capacity);
     let rec = FlightRecorder::create(&path, cfg).unwrap();
     for ev in events {
         rec.record(ev);

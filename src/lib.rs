@@ -4,10 +4,3 @@ pub use tw_clock as clock;
 pub use tw_proto as proto;
 pub use tw_runtime as runtime;
 pub use tw_sim as sim;
-
-/// Commonly used items for examples and tests.
-pub mod prelude {
-    pub use timewheel::prelude::*;
-
-    pub use tw_sim::prelude::*;
-}

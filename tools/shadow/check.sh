@@ -35,7 +35,7 @@ cargo test --locked --release -p tw-runtime \
   --test cluster --test chaos_cluster --test ops_cluster --test backpressure
 
 # Determinism and concurrency lints over crates/.
-cargo --locked xtask lint --all
+cargo --locked xtask lint
 
 # The schedule explorer is a release build, so on its own it never runs
 # the cursor-vs-scan assertions of try_deliver / maybe_nack. Explore the
@@ -64,7 +64,9 @@ if ! git diff --quiet -- benchmark; then
 fi
 
 # The binaries end to end. tw-trace: usage text, exit 2 on unreadable
-# input (core's recorder_analyze test covers the analysis itself).
+# input, and a clean verdict on the 5-node crash run that tier-1's
+# recorder_analyze test left under target/tmp (the recordings carry the
+# recovery envelope it is judged against).
 # experiments: one row passes its claim, an unknown ID exits 2 (tier-1
 # already ran every row against EXPERIMENTS.md, in debug).
 # exp_obs_live and T7 run live clusters at smoke size: their numbers
@@ -75,6 +77,8 @@ if cargo run --locked -q -p tw-obs --bin tw-trace -- /nonexistent.twrec 2>/dev/n
   echo "tw-trace: expected exit 2 on unreadable input" >&2
   exit 1
 fi
+cargo run --locked -q -p tw-obs --bin tw-trace -- --no-timeline \
+  target/tmp/recorder_analyze/crash/node-*.twrec >/dev/null
 cargo run --locked -q --release -p tw-bench --bin experiments -- FIG2 >/dev/null
 status=0
 cargo run --locked -q --release -p tw-bench --bin experiments -- NOPE 2>/dev/null || status=$?
