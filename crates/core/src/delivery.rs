@@ -19,15 +19,16 @@
 //! member's oal, buffers and clock reading (`deliverable` and the
 //! functions it calls), and *evaluated* through a [`Frontier`]: three
 //! cursors that remember how far into the oal window each condition
-//! already holds, so a test is one comparison instead of a walk. The
+//! already holds, so a test is one comparison instead of a walk, and a
+//! cursor steps over a whole run of the oal at once. The
 //! predicates compile only into test and debug builds, where the member
 //! asserts at every delivery attempt that both name the same proposal.
 
 use crate::buffers::ProposalBuffer;
 use crate::config::Config;
-use tw_proto::{
-    Atomicity, Descriptor, DescriptorBody, Oal, Ordering, Ordinal, Proposal, SyncTime, View, ViewId,
-};
+use tw_proto::{Atomicity, Entry, Oal, Ordering, Ordinal, Proposal, SyncTime, View, ViewId};
+#[cfg(any(test, debug_assertions))]
+use tw_proto::{Descriptor, DescriptorBody};
 
 /// How far into the oal window each delivery condition holds.
 ///
@@ -56,7 +57,10 @@ pub struct Frontier {
     stable: Ordinal,
     /// First deliverable total-ordered update not yet delivered.
     total: Ordinal,
-    /// Window descriptors examined so far.
+    /// The index among the oal's entries where each cursor stopped
+    /// (majority, stable, total): where the next advance looks first.
+    hints: [usize; 3],
+    /// Window entries examined so far.
     #[cfg(test)]
     pub(crate) visits: u64,
 }
@@ -72,34 +76,58 @@ impl Frontier {
     }
 
     /// Move every cursor as far as the current state lets it go. Costs
-    /// the descriptors passed over, each once per lineage and view.
+    /// the oal entries passed over, each once per lineage and view.
     pub fn advance(&mut self, oal: &Oal, view: &View, buf: &ProposalBuffer) {
         if view.id != self.view || oal.base() < self.base {
             self.reset();
             self.view = view.id;
         }
         self.base = oal.base();
-        self.majority = self.walk(oal, self.majority, |d| {
-            d.undeliverable || d.acks.majority_of(view)
+        let all_or_none = |passes: bool, e: &Entry, i: u64| if passes { e.count() - i } else { 0 };
+        self.majority = self.walk(0, oal, self.majority, |e, i| {
+            all_or_none(e.undeliverable() || e.acks().majority_of(view), e, i)
         });
-        self.stable = self.walk(oal, self.stable, |d| d.undeliverable || d.acks.all_of(view));
-        self.total = self.walk(oal, self.total, |d| !blocks_total_order(d, buf));
+        self.stable = self.walk(1, oal, self.stable, |e, i| {
+            all_or_none(e.is_stable_in(view), e, i)
+        });
+        self.total = self.walk(2, oal, self.total, |e, i| match e {
+            Entry::Updates(r) if !r.undeliverable && r.semantics.ordering == Ordering::Total => {
+                // Delivered total-ordered updates pass; the first
+                // undelivered one blocks.
+                buf.delivered_from(r.id(i), r.count - i)
+            }
+            _ => e.count() - i,
+        });
     }
 
     /// The first ordinal at or after `from` (and the window base) whose
-    /// descriptor fails `passes`.
-    fn walk(&mut self, oal: &Oal, from: Ordinal, passes: impl Fn(&Descriptor) -> bool) -> Ordinal {
+    /// descriptor fails, for cursor `k`: `passing(entry, i)` says how many
+    /// descriptors of `entry` from its `i`-th on pass.
+    fn walk(
+        &mut self,
+        k: usize,
+        oal: &Oal,
+        from: Ordinal,
+        passing: impl Fn(&Entry, u64) -> u64,
+    ) -> Ordinal {
         let mut o = from.max(oal.base());
-        while let Some(d) = oal.get(o) {
+        let Some(mut i) = oal.run_index(o, self.hints[k]) else {
+            return o;
+        };
+        while let Some((at, e)) = oal.run(i) {
             #[cfg(test)]
             {
                 self.visits += 1;
             }
-            if !passes(d) {
+            let skip = o.0 - at.0;
+            let passed = passing(e, skip);
+            o = Ordinal(o.0 + passed);
+            if skip + passed < e.count() {
                 break;
             }
-            o = o.next();
+            i += 1;
         }
+        self.hints[k] = i;
         o
     }
 
@@ -151,19 +179,17 @@ impl Frontier {
         if buf.is_locally_marked(id, now) {
             return false;
         }
-        // A descriptor marked undeliverable by a decider is never delivered.
-        if ordinal
-            .and_then(|o| oal.get(o))
-            .is_some_and(|d| d.undeliverable)
-        {
-            return false;
-        }
-        self.atomicity_ok(p) && self.order_ok(oal, buf, cfg, now, p, ordinal)
+        // A descriptor marked undeliverable by a decider is never
+        // delivered; the one lookup in the window comes last.
+        self.atomicity_ok(p)
+            && self.order_ok(oal, buf, cfg, now, p, ordinal)
+            && !ordinal.is_some_and(|o| oal.is_undeliverable(o))
     }
 }
 
 /// Does this descriptor hold back every total-ordered update behind it —
 /// a total-ordered update, not ruled out, not yet delivered here?
+#[cfg(any(test, debug_assertions))]
 fn blocks_total_order(d: &Descriptor, buf: &ProposalBuffer) -> bool {
     match &d.body {
         DescriptorBody::Update { id, semantics, .. } => {
@@ -189,21 +215,15 @@ fn time_order_ok(
     }
     let id = p.id();
     let key = (p.send_ts, id);
-    for (_, d) in oal.iter() {
-        if d.undeliverable {
+    for (_, e) in oal.runs() {
+        let Entry::Updates(r) = e else {
+            continue;
+        };
+        if r.undeliverable || r.semantics.ordering != Ordering::Time {
             continue;
         }
-        if let DescriptorBody::Update {
-            id: did,
-            semantics,
-            send_ts,
-            ..
-        } = &d.body
-        {
-            if semantics.ordering == Ordering::Time
-                && (*send_ts, *did) < key
-                && !buf.is_delivered(*did)
-            {
+        for i in 0..r.count {
+            if (r.ts(i), r.id(i)) < key && !buf.is_delivered(r.id(i)) {
                 return false;
             }
         }
@@ -312,7 +332,7 @@ mod reference {
                         break;
                     }
                     visited(1);
-                    if blocks_total_order(d, buf) {
+                    if blocks_total_order(&d, buf) {
                         return false;
                     }
                 }

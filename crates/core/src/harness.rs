@@ -15,7 +15,7 @@ use crate::member::{CreatorState, Member, ProposeError};
 use bytes::Bytes;
 use std::sync::Arc;
 use tw_obs::{ClockStamp, FaultKind, TraceEvent, TraceSink, Tracer, VecSink};
-use tw_proto::{Duration, HwTime, Msg, ProcessId, Semantics, SyncTime};
+use tw_proto::{DescriptorBody, Duration, HwTime, Msg, ProcessId, ProposalId, Semantics, SyncTime};
 use tw_sim::{Actor, ClockConfig, Ctx, LinkModel, ProcessStatus, SimTime, World, WorldConfig};
 
 /// Timer token for the fixed-period protocol tick.
@@ -107,6 +107,61 @@ impl SimMember {
     /// flight recorder, a live auditor).
     pub fn attach_sink(&mut self, sink: Arc<dyn TraceSink>) {
         self.attached = Some(sink);
+    }
+
+    /// Where this member's delivery stream stands, for a test's failure
+    /// message: the first oal window descriptor the member has neither
+    /// delivered nor seen marked undeliverable; whether it received and
+    /// acknowledged that update; the state of the update's FIFO
+    /// predecessor; and the member's FIFO cursor for its proposer.
+    pub fn stall_report(&self) -> String {
+        let m = self.member();
+        let (pid, oal, buf) = (m.pid(), m.oal(), &m.buf);
+        let head = format!("{pid} ({:?} in {}, {oal})", m.state(), m.view().id);
+        let first = oal.iter().find_map(|(o, d)| match d.body {
+            DescriptorBody::Update { id, semantics, .. }
+                if !d.undeliverable && !buf.is_delivered(id) =>
+            {
+                Some((o, id, semantics, d.acks.contains(pid)))
+            }
+            _ => None,
+        });
+        let Some((o, id, semantics, acked)) = first else {
+            return format!("{head}: no window update undelivered");
+        };
+        let cursor = buf
+            .fifo_cursors()
+            .into_iter()
+            .find_map(|(p, next)| (p == id.proposer).then_some(next))
+            .unwrap_or(1);
+        let received = if buf.has_pending(id) {
+            "received (pending)"
+        } else {
+            "not received"
+        };
+        let acked = if acked { "acked" } else { "not acked" };
+        let before = ProposalId::new(id.proposer, id.seq.saturating_sub(1));
+        let predecessor = if before.seq == 0 {
+            "none".to_string()
+        } else if buf.is_delivered(before) {
+            format!("{before} delivered")
+        } else if cursor > before.seq {
+            format!("{before} consumed undelivered")
+        } else {
+            let at = buf.ordinal_of(before).or_else(|| oal.ordinal_of(before));
+            let held = if buf.has_pending(before) {
+                "pending"
+            } else {
+                "not received"
+            };
+            let marked = at.is_some_and(|o| oal.is_undeliverable(o));
+            format!("{before} {held}, ordinal {at:?}, undeliverable {marked}")
+        };
+        let fifo = format!(
+            "FIFO predecessor {predecessor}; FIFO cursor of {}: {cursor}",
+            id.proposer
+        );
+        format!("{head}: first undelivered {id} at {o} ({semantics}), {received}, {acked}; {fifo}")
     }
 
     /// Attach an application hook.

@@ -135,6 +135,9 @@ pub struct Member {
     pub(crate) last_sent_ts: SyncTime,
     /// Received, delivered and ordered proposals, and the `dpd` pool.
     pub(crate) buf: ProposalBuffer,
+    /// What the decision being emitted must order; empty between
+    /// decisions, kept for its allocation.
+    pub(crate) to_order: Vec<UpdateDesc>,
     /// How far into the oal window each delivery condition holds
     /// (derived from `oal`, `view` and `buf`; see [`Frontier`]).
     pub(crate) frontier: Frontier,
@@ -202,6 +205,7 @@ impl Member {
             my_seq: 0,
             last_sent_ts: SyncTime(i64::MIN / 2),
             buf: ProposalBuffer::new(),
+            to_order: Vec::new(),
             frontier: Frontier::default(),
             synced: Range::default(),
             app_snapshot: Bytes::new(),
@@ -529,7 +533,8 @@ impl Member {
     /// coalesced outbound flush for the whole datagram.
     pub fn on_messages(&mut self, now_hw: HwTime, from: ProcessId, msgs: Vec<Msg>) -> Vec<Action> {
         self.trace_hw = now_hw;
-        let mut actions = Vec::new();
+        // A batch of proposals delivers about one update each.
+        let mut actions = Vec::with_capacity(msgs.len());
         if from == self.pid {
             return actions; // own broadcast echo (possible on UDP runtimes)
         }

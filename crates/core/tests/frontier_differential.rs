@@ -56,8 +56,9 @@ const LONG: Script = Script {
 /// Per-member delivery counts, one FNV-1a hash over every member's
 /// `(proposer, seq, ordinal)` delivery sequence, and the history
 /// checker's findings (runs of one check collapsed); and, beside the
-/// digest, the highest window base any member reached.
-fn run(seed: u64, script: &Script) -> ((Vec<usize>, u64, String), u64) {
+/// digest, the highest window base any member reached and every
+/// member's stall report, for failure messages.
+fn run(seed: u64, script: &Script) -> ((Vec<usize>, u64, String), u64, String) {
     let params = TeamParams::new(N)
         .seed(seed)
         .link(LinkModel::default().with_drop_prob(script.loss));
@@ -103,7 +104,10 @@ fn run(seed: u64, script: &Script) -> ((Vec<usize>, u64, String), u64) {
     }
     let mut findings: Vec<_> = check_all(&w).iter().map(|v| v.check).collect();
     findings.dedup();
-    ((counts, hash, findings.join(" ")), swept)
+    let stalls = (0..N)
+        .map(|i| w.actor(ProcessId(i as u16)).stall_report() + "\n")
+        .collect();
+    ((counts, hash, findings.join(" ")), swept, stalls)
 }
 
 /// `(seed, deliveries per member, history hash, checker findings)` as the
@@ -130,10 +134,11 @@ const LONG_PARENT: [(u64, [usize; N], u64, &str); 2] = [
 #[test]
 fn cursors_and_scan_agree_through_loss_crash_and_rejoin() {
     for (seed, counts, hash, findings) in PARENT {
+        let (digest, _, stalls) = run(seed, &SHORT);
         assert_eq!(
-            run(seed, &SHORT).0,
+            digest,
             (counts.to_vec(), hash, findings.to_string()),
-            "seed {seed}: history differs from the scan-only member's"
+            "seed {seed}: history differs from the scan-only member's\n{stalls}"
         );
     }
 }
@@ -141,15 +146,15 @@ fn cursors_and_scan_agree_through_loss_crash_and_rejoin() {
 #[test]
 fn compact_state_keeps_the_history_over_a_long_window_sweep() {
     for (seed, counts, hash, findings) in LONG_PARENT {
-        let (digest, swept) = run(seed, &LONG);
+        let (digest, swept, stalls) = run(seed, &LONG);
         assert!(
             swept >= 10_000,
-            "seed {seed}: the base reached only {swept}"
+            "seed {seed}: the base reached only {swept}\n{stalls}"
         );
         assert_eq!(
             digest,
             (counts.to_vec(), hash, findings.to_string()),
-            "seed {seed}: history differs from the full-history member's"
+            "seed {seed}: history differs from the full-history member's\n{stalls}"
         );
     }
 }

@@ -66,6 +66,14 @@
 //! `count` further descriptors that differ from the entry's first only
 //! in `seq + 1` and `ts + stride` each.
 //!
+//! An [`Oal`] is held in memory as these entries
+//! ([`crate::oal::Entry`]: an [`UpdateRun`] or a verbatim membership
+//! descriptor), so both directions cost the runs, not the window:
+//! decoding builds the entries without expanding a run, and encoding
+//! folds the held runs greedily, as if each were expanded descriptor by
+//! descriptor — the bytes are those of the descriptors, whatever cuts
+//! acknowledgements left in the held runs.
+//!
 //! A proposal frame is a run too: each continuation `(ts-delta,
 //! payload)` after the first proposal is one more proposal with the
 //! previous one's sender, incarnation, hdo and semantics, sequence
@@ -110,7 +118,7 @@ use crate::messages::{
     ClockSyncMsg, Decision, Join, Msg, Nack, NoDecision, Proposal, Reconfig, StateTransfer,
     UpdateDesc,
 };
-use crate::oal::{AckBits, Descriptor, DescriptorBody, Oal};
+use crate::oal::{AckBits, Entry, Oal, UpdateRun};
 use crate::semantics::{Atomicity, Ordering, Semantics};
 use crate::time::{HwTime, SyncTime};
 use crate::view::{View, ViewId};
@@ -188,9 +196,10 @@ const MAX_SEQ: usize = 1 << 20;
 ///
 /// A run count is a decompression step: a few bytes can stand for any
 /// number of descriptors, so unlike every other sequence the expanded
-/// size is not bounded by the datagram's. This cap is that bound — at
-/// most this many [`Descriptor`]s (under 2 MiB) are ever materialized
-/// from one datagram, whatever it claims. Senders must keep the window
+/// size is not bounded by the datagram's. This cap is that bound — the
+/// oal blocks of one datagram stand for at most this many descriptors
+/// (under 2 MiB if a receiver expanded them all; decoding keeps them as
+/// runs), whatever it claims. Senders must keep the window
 /// under it: a larger one is rejected by every receiver as
 /// [`WireError::TooLong`] and counted, like any undecodable datagram.
 pub const MAX_OAL_WINDOW: usize = 1 << 15;
@@ -916,40 +925,16 @@ struct UpdateEntry {
 }
 
 impl UpdateEntry {
-    /// The update fields of `d`, or the view of a membership descriptor.
-    fn of(d: &Descriptor) -> Result<UpdateEntry, &View> {
-        match &d.body {
-            DescriptorBody::Update {
-                id,
-                hdo,
-                semantics,
-                send_ts,
-            } => Ok(UpdateEntry {
-                proposer: id.proposer,
-                seq: id.seq,
-                hdo: hdo.0,
-                semantics: *semantics,
-                undeliverable: d.undeliverable,
-                acks: d.acks,
-                ts: send_ts.0,
-            }),
-            DescriptorBody::Membership(view) => Err(view),
-        }
-    }
-
-    fn descriptor(&self) -> Descriptor {
-        Descriptor {
-            body: DescriptorBody::Update {
-                id: ProposalId {
-                    proposer: self.proposer,
-                    seq: self.seq,
-                },
-                hdo: Ordinal(self.hdo),
-                semantics: self.semantics,
-                send_ts: SyncTime(self.ts),
-            },
-            acks: self.acks,
-            undeliverable: self.undeliverable,
+    /// The `i`-th update of `r`.
+    fn of(r: &UpdateRun, i: u64) -> UpdateEntry {
+        UpdateEntry {
+            proposer: r.first.proposer,
+            seq: r.first.seq + i,
+            hdo: r.hdo.0,
+            semantics: r.semantics,
+            undeliverable: r.undeliverable,
+            acks: r.acks,
+            ts: r.ts(i).0,
         }
     }
 
@@ -973,18 +958,6 @@ impl UpdateEntry {
         };
         self.undeliverable = mode & 0x10 != 0;
         Ok(())
-    }
-
-    /// Whether `next` can follow `self` inside a run of stride `stride`.
-    fn continued_by(&self, next: &UpdateEntry, stride: i64) -> bool {
-        let step = UpdateEntry {
-            seq: next.seq,
-            ts: next.ts,
-            ..*self
-        };
-        step == *next
-            && self.seq.checked_add(1) == Some(next.seq)
-            && self.ts.checked_add(stride) == Some(next.ts)
     }
 }
 
@@ -1018,93 +991,136 @@ impl OalContext {
     }
 }
 
+/// Write the oal block. The window is held as runs already; the block
+/// folds them again, greedily, descriptor after descriptor — as if every
+/// run were expanded — so the bytes depend on the descriptors alone,
+/// never on where the held runs happen to be cut. Costs the held runs.
 fn put_oal(w: &mut WireCursor, oal: &Oal) {
     debug_assert!(oal.len() <= MAX_OAL_WINDOW, "oal window over the wire cap");
     w.put_uvarint(oal.next_ordinal().0);
     w.put_uvarint(oal.len() as u64);
     let mut ctx = OalContext::new();
-    let mut window = oal.iter().map(|(_, d)| d).peekable();
-    while let Some(d) = window.next() {
-        let first = match UpdateEntry::of(d) {
-            Ok(e) => e,
-            Err(view) => {
+    // The run being folded: started at one descriptor, it takes every
+    // follower that continues it at the stride of the first follower.
+    let mut open: Option<UpdateRun> = None;
+    for (_, e) in oal.runs() {
+        let mut rest = match e {
+            Entry::Updates(r) => *r,
+            Entry::Membership {
+                view,
+                acks,
+                undeliverable,
+            } => {
+                if let Some(r) = open.take() {
+                    put_update_run(w, &mut ctx, &r);
+                }
                 w.put_u8(oal_flag::MEMBERSHIP);
                 put_view(w, view);
-                w.put_uvarint(d.acks.0);
-                w.put_bool(d.undeliverable);
+                w.put_uvarint(acks.0);
+                w.put_bool(*undeliverable);
                 continue;
             }
         };
-        // Fold the followers that continue `first` at a constant stride.
-        let mut last = first;
-        let mut count = 0u64;
-        let mut stride = 0i64;
-        while let Some(next) = window.peek().and_then(|d| UpdateEntry::of(d).ok()) {
-            if count == 0 {
-                let Some(s) = next.ts.checked_sub(last.ts) else {
+        loop {
+            if let Some(cur) = &mut open {
+                if let Some(stride) = cur.continued_by(&rest) {
+                    cur.extend(&rest, stride);
                     break;
-                };
-                stride = s;
+                }
+                // Its first descriptor alone may still continue the
+                // open run (at a stride the rest does not keep).
+                let head = rest.slice(0, 1);
+                let stride = (rest.count > 1).then(|| cur.continued_by(&head));
+                if let Some(Some(stride)) = stride {
+                    cur.extend(&head, stride);
+                    rest = rest.slice(1, rest.count - 1);
+                    continue;
+                }
+                put_update_run(w, &mut ctx, cur);
             }
-            if !last.continued_by(&next, stride) {
-                break;
-            }
-            last = next;
-            count += 1;
-            window.next();
+            // A held run continues itself: from its first descriptor on,
+            // the fold takes all of it.
+            open = Some(rest);
+            break;
         }
+    }
+    if let Some(r) = open {
+        put_update_run(w, &mut ctx, &r);
+    }
+}
 
-        let prev = ctx.prev;
-        let hdo_delta = i64::try_from(first.hdo as i128 - prev.hdo as i128).ok();
-        let (abs, hdo, ts) = match (hdo_delta, first.ts.checked_sub(prev.ts)) {
-            (Some(hdo), Some(ts)) => (false, zigzag(hdo), ts),
-            _ => (true, first.hdo, first.ts),
-        };
-        let mut flags = 0u8;
-        if first.proposer != prev.proposer {
-            flags |= oal_flag::PROPOSER;
-        }
-        if ctx.last_seq(first.proposer).checked_add(1) != Some(first.seq) {
-            flags |= oal_flag::SEQ;
-        }
-        if first.hdo != prev.hdo {
-            flags |= oal_flag::HDO;
-        }
-        if first.mode() != prev.mode() {
-            flags |= oal_flag::MODE;
-        }
-        if first.acks != prev.acks {
-            flags |= oal_flag::ACKS;
-        }
-        if abs {
-            flags |= oal_flag::ABS;
-        }
-        if count > 0 {
-            flags |= oal_flag::RUN;
-        }
-        w.put_u8(flags);
-        if flags & oal_flag::PROPOSER != 0 {
-            put_pid(w, first.proposer);
-        }
-        if flags & oal_flag::SEQ != 0 {
-            w.put_uvarint(first.seq);
-        }
-        if flags & oal_flag::HDO != 0 {
-            w.put_uvarint(hdo);
-        }
-        if flags & oal_flag::MODE != 0 {
-            w.put_u8(first.mode());
-        }
-        if flags & oal_flag::ACKS != 0 {
-            w.put_uvarint(first.acks.0);
-        }
-        w.put_ivarint(ts);
-        if count > 0 {
-            w.put_uvarint(count);
-            w.put_ivarint(stride);
-        }
-        *ctx.last_seq(last.proposer) = last.seq;
-        ctx.prev = last;
+/// Write one update entry: the run's first descriptor against the
+/// context, then the run's length and stride if it has followers.
+fn put_update_run(w: &mut WireCursor, ctx: &mut OalContext, r: &UpdateRun) {
+    let (first, last) = (UpdateEntry::of(r, 0), UpdateEntry::of(r, r.count - 1));
+    let count = r.count - 1;
+    let prev = ctx.prev;
+    let hdo_delta = i64::try_from(first.hdo as i128 - prev.hdo as i128).ok();
+    let (abs, hdo, ts) = match (hdo_delta, first.ts.checked_sub(prev.ts)) {
+        (Some(hdo), Some(ts)) => (false, zigzag(hdo), ts),
+        _ => (true, first.hdo, first.ts),
+    };
+    let mut flags = 0u8;
+    if first.proposer != prev.proposer {
+        flags |= oal_flag::PROPOSER;
+    }
+    if ctx.last_seq(first.proposer).checked_add(1) != Some(first.seq) {
+        flags |= oal_flag::SEQ;
+    }
+    if first.hdo != prev.hdo {
+        flags |= oal_flag::HDO;
+    }
+    if first.mode() != prev.mode() {
+        flags |= oal_flag::MODE;
+    }
+    if first.acks != prev.acks {
+        flags |= oal_flag::ACKS;
+    }
+    if abs {
+        flags |= oal_flag::ABS;
+    }
+    if count > 0 {
+        flags |= oal_flag::RUN;
+    }
+    w.put_u8(flags);
+    if flags & oal_flag::PROPOSER != 0 {
+        put_pid(w, first.proposer);
+    }
+    if flags & oal_flag::SEQ != 0 {
+        w.put_uvarint(first.seq);
+    }
+    if flags & oal_flag::HDO != 0 {
+        w.put_uvarint(hdo);
+    }
+    if flags & oal_flag::MODE != 0 {
+        w.put_u8(first.mode());
+    }
+    if flags & oal_flag::ACKS != 0 {
+        w.put_uvarint(first.acks.0);
+    }
+    w.put_ivarint(ts);
+    if count > 0 {
+        w.put_uvarint(count);
+        w.put_ivarint(r.stride);
+    }
+    *ctx.last_seq(last.proposer) = last.seq;
+    ctx.prev = last;
+}
+
+/// The first of `count` steps from `e` by `+1` in sequence number and
+/// `+stride` in time that leaves the integers they are held in, as the
+/// error that step raises (the sequence number is checked first).
+fn run_overflow(e: &UpdateEntry, count: u64, stride: i64) -> Option<WireError> {
+    let seq_room = u64::MAX - e.seq;
+    let ts_room = match stride {
+        0 => u64::MAX,
+        s if s > 0 => ((i64::MAX as i128 - e.ts as i128) / s as i128) as u64,
+        s => ((e.ts as i128 - i64::MIN as i128) / -(s as i128)) as u64,
+    };
+    match (count > seq_room, count > ts_room) {
+        (true, ts) if !ts || seq_room <= ts_room => Some(out_of_range("proposal-seq")),
+        (_, true) => Some(out_of_range("send-ts")),
+        _ => None,
     }
 }
 
@@ -1117,10 +1133,9 @@ fn get_oal(f: &mut FrameRef<'_>) -> Result<Oal, WireError> {
         return Err(WireError::TooLong { what: "oal", len });
     }
     f.oal_budget -= len;
-    // `len` is inside the cap, so the exact allocation is bounded too.
-    let mut entries = Vec::with_capacity(len);
+    let mut oal = Oal::starting_at(Ordinal(next.0 - len as u64));
     let mut ctx = OalContext::new();
-    while entries.len() < len {
+    while oal.next_ordinal() < next {
         let flags = f.u8("oal entry")?;
         if flags & oal_flag::MEMBERSHIP != 0 {
             if flags != oal_flag::MEMBERSHIP {
@@ -1129,8 +1144,8 @@ fn get_oal(f: &mut FrameRef<'_>) -> Result<Oal, WireError> {
                     tag: flags,
                 });
             }
-            entries.push(Descriptor {
-                body: DescriptorBody::Membership(get_view(f)?),
+            oal.push(Entry::Membership {
+                view: get_view(f)?,
                 acks: AckBits(f.uvarint("acks")?),
                 undeliverable: f.bool("undeliverable")?,
             });
@@ -1169,27 +1184,37 @@ fn get_oal(f: &mut FrameRef<'_>) -> Result<Oal, WireError> {
             e.ts.checked_add(f.ivarint("send-ts")?)
                 .ok_or(out_of_range("send-ts"))?
         };
-        entries.push(e.descriptor());
+        let (mut count, mut stride) = (0, 0);
         if flags & oal_flag::RUN != 0 {
-            let count = f.uvarint("oal run")?;
-            if count > (len - entries.len()) as u64 {
+            count = f.uvarint("oal run")?;
+            let room = next.0 - oal.next_ordinal().0 - 1;
+            if count > room {
                 return Err(WireError::TooLong {
                     what: "oal run",
                     len: usize::try_from(count).unwrap_or(usize::MAX),
                 });
             }
-            let stride = f.ivarint("oal stride")?;
-            for _ in 0..count {
-                e.seq = e.seq.checked_add(1).ok_or(out_of_range("proposal-seq"))?;
-                e.ts = e.ts.checked_add(stride).ok_or(out_of_range("send-ts"))?;
-                entries.push(e.descriptor());
+            stride = f.ivarint("oal stride")?;
+            if let Some(err) = run_overflow(&e, count, stride) {
+                return Err(err);
             }
         }
+        oal.push(Entry::Updates(UpdateRun {
+            first: ProposalId::new(e.proposer, e.seq),
+            count: count + 1,
+            hdo: Ordinal(e.hdo),
+            semantics: e.semantics,
+            send_ts: SyncTime(e.ts),
+            stride: if count > 0 { stride } else { 0 },
+            acks: e.acks,
+            undeliverable: e.undeliverable,
+        }));
+        e.seq += count;
+        e.ts = (e.ts as i128 + count as i128 * stride as i128) as i64;
         *ctx.last_seq(e.proposer) = e.seq;
         ctx.prev = e;
     }
-    let mut oal = Oal::new();
-    oal.restore(next, entries);
+    oal.check();
     Ok(oal)
 }
 
@@ -1519,6 +1544,7 @@ fn decode_msg(f: &mut FrameRef<'_>, out: &mut Vec<Msg>) -> Result<(), WireError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oal::Descriptor;
 
     fn roundtrip(msg: &Msg) -> Msg {
         let dgram = encode_single(msg);
@@ -1679,6 +1705,92 @@ mod tests {
         ];
         for m in msgs {
             assert_eq!(roundtrip(&m), m);
+        }
+    }
+
+    /// The oal block as the encoder wrote it while the window was a list
+    /// of descriptors: fold them one by one. What [`put_oal`] must write
+    /// whatever runs the window is held as.
+    fn put_oal_by_descriptor(w: &mut WireCursor, oal: &Oal) {
+        w.put_uvarint(oal.next_ordinal().0);
+        w.put_uvarint(oal.len() as u64);
+        let mut ctx = OalContext::new();
+        let mut window = oal.iter().map(|(_, d)| Entry::from(d)).peekable();
+        while let Some(e) = window.next() {
+            let Entry::Updates(mut run) = e else {
+                let Entry::Membership {
+                    view,
+                    acks,
+                    undeliverable,
+                } = e
+                else {
+                    unreachable!()
+                };
+                w.put_u8(oal_flag::MEMBERSHIP);
+                put_view(w, &view);
+                w.put_uvarint(acks.0);
+                w.put_bool(undeliverable);
+                continue;
+            };
+            while let Some(Entry::Updates(next)) = window.peek() {
+                let Some(stride) = run.continued_by(next) else {
+                    break;
+                };
+                run.extend(next, stride);
+                window.next();
+            }
+            put_update_run(w, &mut ctx, &run);
+        }
+    }
+
+    #[test]
+    fn held_runs_encode_as_their_descriptors_fold() {
+        let g = View::new(
+            ViewId::new(1, ProcessId(0)),
+            [ProcessId(0), ProcessId(1), ProcessId(2)],
+        );
+        let mut state = 7u64;
+        let mut below = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        for _ in 0..300 {
+            let mut oal = Oal::new();
+            let mut seq = [0u64; 3];
+            for _ in 0..below(12) {
+                if below(9) == 0 {
+                    oal.append(Descriptor::membership(sample_view(), ProcessId(0)));
+                    continue;
+                }
+                let p = below(3) as usize;
+                let (ts, stride) = (below(40) as i64, below(3) as i64);
+                for k in 0..1 + below(5) {
+                    seq[p] += 1;
+                    oal.append(Descriptor::update(
+                        ProposalId::new(ProcessId(p as u16), seq[p]),
+                        Ordinal(below(2)),
+                        Semantics::UNORDERED_WEAK,
+                        SyncTime(ts + stride * k as i64),
+                        ProcessId(0),
+                    ));
+                }
+            }
+            for _ in 0..below(6) {
+                let lo = oal.base().0 + below(oal.len() as u64 + 1);
+                let hi = lo + below(6);
+                oal.ack_range(Ordinal(lo)..Ordinal(hi), ProcessId(below(3) as u16));
+            }
+            if below(3) == 0 {
+                oal.prune_stable(&g);
+            }
+            let (mut held, mut folded) = (Vec::new(), Vec::new());
+            put_oal(&mut WireCursor::new(&mut held), &oal);
+            put_oal_by_descriptor(&mut WireCursor::new(&mut folded), &oal);
+            assert_eq!(held, folded, "{oal:?}");
+            let back = get_oal(&mut FrameRef::new(&held)).unwrap();
+            assert_eq!(back, oal);
         }
     }
 

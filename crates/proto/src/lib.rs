@@ -35,7 +35,7 @@ pub mod prelude {
     pub use crate::messages::{
         ClockSyncMsg, Decision, Join, Msg, NoDecision, Proposal, Reconfig, StateTransfer,
     };
-    pub use crate::oal::{AckBits, Descriptor, DescriptorBody, Oal};
+    pub use crate::oal::{AckBits, Descriptor, DescriptorBody, Entry, Oal, UpdateRun};
     pub use crate::semantics::{Atomicity, Ordering as DeliveryOrdering, Semantics};
     pub use crate::time::{Duration, HwTime, SyncTime};
     pub use crate::view::{View, ViewId};

@@ -128,13 +128,14 @@ proptest! {
         for op in &ops {
             apply(&mut oal, op, &g);
         }
-        let base_before = oal.base();
+        let before = oal.clone();
         let pruned = oal.prune_stable(&g);
-        for (i, (o, d)) in pruned.iter().enumerate() {
-            prop_assert_eq!(o.0, base_before.0 + i as u64, "pruned out of order");
+        prop_assert_eq!(pruned.start, before.base(), "pruned past the head");
+        prop_assert_eq!(pruned.end, oal.base(), "pruned what is still held");
+        for (o, d) in before.iter().take_while(|(o, _)| *o < pruned.end) {
             prop_assert!(
                 d.undeliverable || d.acks.all_of(&g),
-                "pruned unstable descriptor"
+                "pruned unstable descriptor at {}", o
             );
         }
         // Head of the remainder is not stable (or the window is empty).

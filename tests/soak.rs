@@ -73,8 +73,18 @@ fn two_minute_adversarial_soak_converges_clean() {
     // Run through the chaos plus a long stability tail.
     w.run_until(s(120));
     let converged = run_until_pred(&mut w, s(240), |w| all_in_group(w, n));
-    assert!(converged.is_some(), "team never reconverged after the soak");
-    invariants::assert_all(&w);
+    let stalls: String = (0..n as u16)
+        .map(|i| w.actor(ProcessId(i)).stall_report() + "\n")
+        .collect();
+    assert!(
+        converged.is_some(),
+        "team never reconverged after the soak\n{stalls}"
+    );
+    let violations = invariants::check_all(&w);
+    assert!(
+        violations.is_empty(),
+        "protocol invariants violated: {violations:#?}\n{stalls}"
+    );
 
     // Liveness floor. Members that were excluded receive the missed
     // prefix as application snapshots, not deliveries — so the floor for
@@ -83,12 +93,15 @@ fn two_minute_adversarial_soak_converges_clean() {
     // (proposals scheduled while their sender was down are skipped).
     for i in 0..n as u16 {
         let got = w.actor(ProcessId(i)).deliveries.len();
-        assert!(got >= 80, "p{i} delivered only {got} of 600 offered");
+        assert!(
+            got >= 80,
+            "p{i} delivered only {got} of 600 offered\n{stalls}"
+        );
     }
     let p3_got = w.actor(ProcessId(3)).deliveries.len();
     assert!(
         p3_got >= 450,
-        "the always-up member delivered only {p3_got} of 600 offered"
+        "the always-up member delivered only {p3_got} of 600 offered\n{stalls}"
     );
 
     // And the protocol is (almost) quiet again. With the permanent 1%
