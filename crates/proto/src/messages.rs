@@ -80,7 +80,7 @@ impl Proposal {
 /// ordinals via the carried oal, establishes stability, detects losses —
 /// and, for the membership protocol, is the heartbeat that keeps the
 /// failure detector quiet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Decision {
     /// The decider sending this message.
     pub sender: ProcessId,
@@ -98,7 +98,7 @@ pub struct Decision {
 /// Single-failure election message: the sender suspects `suspect` and asks
 /// that it be removed from the membership. Travels around the ring (each
 /// member sends its own after hearing its predecessor's).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NoDecision {
     /// The suspecting member.
     pub sender: ProcessId,
@@ -142,7 +142,7 @@ impl Join {
 
 /// Multiple-failure election message, sent once per own time slot while in
 /// n-failure state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Reconfig {
     /// The sender.
     pub sender: ProcessId,
@@ -326,7 +326,7 @@ impl fmt::Display for MsgKind {
 }
 
 /// Any message of the service.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 #[allow(clippy::large_enum_variant)]
 pub enum Msg {
     /// A client update broadcast.
