@@ -61,22 +61,6 @@ pub struct Delivery {
     pub payload: Bytes,
 }
 
-/// A point-in-time observation of a member, used by experiments, traces
-/// and invariant checkers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MemberObservation {
-    /// The member.
-    pub pid: ProcessId,
-    /// Synchronized time of the observation (`None` if unsynchronized).
-    pub now: Option<SyncTime>,
-    /// Its current creator state, as a static label.
-    pub state: &'static str,
-    /// Its current view.
-    pub view: View,
-    /// Whether it currently holds the decider role.
-    pub is_decider: bool,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

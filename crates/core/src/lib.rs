@@ -65,5 +65,5 @@ pub mod undeliverable;
 
 pub use config::Config;
 pub use driver::{AppEvent, DeliveryHook, Driver, Input};
-pub use events::{Action, Delivery, LeaveReason, MemberObservation};
+pub use events::{Action, Delivery, LeaveReason};
 pub use member::{CreatorState, Member, ProposeError};

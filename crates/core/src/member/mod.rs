@@ -35,7 +35,7 @@ use crate::buffers::ProposalBuffer;
 use crate::config::Config;
 use crate::delivery::Frontier;
 use crate::detector::{AliveTracker, ExpectedSender};
-use crate::events::{Action, LeaveReason, MemberObservation};
+use crate::events::{Action, LeaveReason};
 use crate::undeliverable::PurgeReport;
 use bytes::Bytes;
 use std::collections::BTreeMap;
@@ -331,29 +331,6 @@ impl Member {
         self.buf.pending_len()
     }
 
-    /// Debug: explain why each pending proposal is undeliverable.
-    #[doc(hidden)]
-    pub fn explain_pending_dbg(&self, now: SyncTime) -> Vec<String> {
-        let mut frontier = self.frontier.clone();
-        frontier.advance(&self.oal, &self.view, &self.buf);
-        self.buf
-            .pending()
-            .map(|p| {
-                let id = p.id();
-                let ordinal = self.ordinal_of(id);
-                format!(
-                    "{id} sem={} fifo={} marked={} ordinal={:?} atom={} order={}",
-                    p.semantics,
-                    self.buf.fifo_ready(id),
-                    self.buf.is_locally_marked(id, now),
-                    ordinal,
-                    frontier.atomicity_ok(p),
-                    frontier.order_ok(&self.oal, &self.buf, &self.cfg, now, p, ordinal),
-                )
-            })
-            .collect()
-    }
-
     /// Test/bench support: force the fail-aware clock into a
     /// permanently synchronized state (sync == hardware time).
     #[doc(hidden)]
@@ -394,17 +371,6 @@ impl Member {
     /// Take the application state received in a state transfer, if any.
     pub fn take_transferred_state(&mut self) -> Option<Bytes> {
         self.transferred_state.take()
-    }
-
-    /// A point-in-time observation for experiments.
-    pub fn observe(&self, now_hw: HwTime) -> MemberObservation {
-        MemberObservation {
-            pid: self.pid,
-            now: self.clock.read(now_hw),
-            state: self.state.label(),
-            view: self.view.clone(),
-            is_decider: self.is_decider(),
-        }
     }
 
     // ---- lifecycle -------------------------------------------------------
@@ -797,16 +763,6 @@ mod tests {
         assert_eq!(m.ring_succ(ProcessId(1), ProcessId(0)), ProcessId(2));
         assert_eq!(m.ring_succ(ProcessId(2), ProcessId(1)), ProcessId(0));
         assert_eq!(m.ring_succ(ProcessId(0), ProcessId(2)), ProcessId(1));
-    }
-
-    #[test]
-    fn observation_reports_state() {
-        let mut m = member(0, 3);
-        m.on_start(HwTime(0));
-        let obs = m.observe(HwTime(10));
-        assert_eq!(obs.pid, ProcessId(0));
-        assert_eq!(obs.state, "join");
-        assert!(!obs.is_decider);
     }
 
     #[test]

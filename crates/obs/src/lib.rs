@@ -28,19 +28,20 @@
 //!   streams, from merged recordings, or from simulator logs
 //!   (`timewheel::invariants`). Wiring a [`Registry`] into the auditor
 //!   exports a `tw_audit_violations_total.<check>` counter per check.
-//! * [`recorder`] / [`recording`] — a crash-safe [`FlightRecorder`]
-//!   sink that spills CRC-framed segments of wire-encoded events to a
-//!   per-node file (the node's *black box*), and the loader that reads
-//!   them back tolerating torn tails: everything before the damage
-//!   loads, damage is reported, never fatal.
+//! * [`recorder`] / [`recording`] — the node's one TWFR writer, the
+//!   crash-safe [`FlightRecorder`] sink: it spills CRC-framed segments
+//!   of wire-encoded events, each encoded once, to a per-node file (the
+//!   node's *black box*) and to live subscribers; and the loader that
+//!   reads them back tolerating torn tails: everything before the
+//!   damage loads, damage is reported, never fatal.
 //! * [`export`] — Prometheus text exposition of a metrics snapshot, the
 //!   payload behind the ops server's `/metrics` endpoint.
 //! * [`server`] — the live telemetry plane: a per-node zero-dependency
-//!   ops endpoint (`/metrics`, `/status`, `/healthz`), a [`StreamSink`]
-//!   that ships TWFR-framed trace segments to subscribers, and the
-//!   [`LiveTail`] client that decodes them with the same
-//!   [`StreamReader`] the file loader uses — one reader, one
-//!   torn-stream contract for disk and wire alike.
+//!   ops endpoint (`/metrics`, `/status`, `/healthz`, and `/trace`,
+//!   which subscribes to the node's [`FlightRecorder`] and ships the
+//!   segments it spills), and the [`LiveTail`] client that decodes them
+//!   with the same [`StreamReader`] the file loader uses — one writer,
+//!   one reader, one torn-stream contract for disk and wire alike.
 //! * [`analyze`](mod@analyze) — offline cross-node correlation: merges per-node
 //!   recordings on the synchronized clock (ε as the fuzz bound),
 //!   reconstructs decision / recovery / reconfiguration spans with
@@ -81,5 +82,5 @@ pub use metrics::{
 };
 pub use recorder::{encode_header, encode_segment, FlightRecorder, FlushGuard, RecorderConfig};
 pub use recording::{Damage, LoadError, Recording, StreamHeader, StreamReader};
-pub use server::{http_get, LiveTail, OpsServer, OpsSources, StreamSink};
+pub use server::{http_get, LiveTail, OpsServer, OpsSources};
 pub use trace::{ClockStamp, FaultKind, TeeSink, TraceEvent, TraceSink, Tracer, VecSink};

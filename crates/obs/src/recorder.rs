@@ -1,17 +1,21 @@
-//! Crash-safe flight recorder: a bounded in-memory event buffer that
-//! spills CRC-framed segments of wire-encoded trace events to a per-node
-//! recording file.
+//! Crash-safe flight recorder — the node's one TWFR writer: a bounded
+//! in-memory event buffer that spills CRC-framed segments of
+//! wire-encoded trace events, each encoded once and handed to up to two
+//! outlets: a per-node recording file and live subscribers (the ops
+//! server's `/trace`, [`crate::server`]).
 //!
 //! The recorder is the durable counterpart of [`crate::trace::VecSink`]:
 //! it implements [`TraceSink`], so a member's tracer can feed it
 //! directly, but instead of growing without bound it buffers at most
-//! `capacity` events and appends them to disk as one *segment* whenever
-//! the buffer fills (or on an explicit [`FlightRecorder::flush`], which
-//! hosts call at view installations and on shutdown/panic via a drop
-//! guard). A node that dies mid-run therefore leaves a black box whose
-//! only possible damage is a torn final segment — which the reader
-//! ([`crate::recording`]) detects by CRC and skips, never losing the
-//! frames before it.
+//! `capacity` events and spills them as one *segment* whenever the
+//! buffer fills, at every view installation, or on an explicit
+//! [`FlightRecorder::flush`] (which hosts call on shutdown/panic via a
+//! drop guard). A node that dies mid-run therefore leaves a black box
+//! whose only possible damage is a torn final segment — which the
+//! reader ([`crate::recording`]) detects by CRC and skips, never losing
+//! the frames before it. A subscriber reads the same bytes: the header
+//! first, then every segment spilled after it attached; one whose
+//! bounded queue is full is shed and counted, never waited for.
 //!
 //! ## File format (`TWFR` version 3)
 //!
@@ -43,6 +47,7 @@ use crate::trace::{TraceEvent, TraceSink};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use tw_proto::WireCursor;
 
@@ -60,10 +65,14 @@ pub const MAX_SEGMENT_LEN: usize = 1 << 20;
 /// Most events a sink buffers before it spills, whatever its configured
 /// capacity: that many always encode inside [`MAX_SEGMENT_LEN`].
 pub const MAX_SEGMENT_EVENTS: usize = MAX_SEGMENT_LEN / MAX_EVENT_LEN;
+/// Segments a live subscriber may have queued before it is declared
+/// slow and shed (each segment is at most `capacity` events).
+pub(crate) const SUBSCRIBER_QUEUE: usize = 64;
 
 /// Encode a TWFR header: the exact bytes [`FlightRecorder::create`]
-/// writes at the start of a file, and the first bytes a live stream
-/// server sends to a subscriber — one format, two carriers.
+/// writes at the start of a file, and the first bytes
+/// [`FlightRecorder::subscribe`] hands a live subscriber — one format,
+/// two carriers.
 pub fn encode_header(header: &StreamHeader) -> [u8; HEADER_LEN] {
     let mut out = [0u8; HEADER_LEN];
     out[..8].copy_from_slice(FILE_MAGIC);
@@ -127,10 +136,10 @@ const fn crc32_table() -> [u32; 256] {
     table
 }
 
-/// Static parameters of one recording.
+/// Static parameters of one TWFR writer.
 #[derive(Debug, Clone, Copy)]
 pub struct RecorderConfig {
-    /// What the file's header says about the recorded stream.
+    /// What the stream's header says about the recorded events.
     pub header: StreamHeader,
     /// Events buffered in memory before a segment is spilled. Bounds
     /// both memory use and the worst-case loss window on a hard crash.
@@ -158,87 +167,138 @@ impl RecorderConfig {
 
 struct Inner {
     buf: Vec<TraceEvent>,
-    writer: BufWriter<File>,
-    /// Events persisted to disk so far.
+    /// The recording file: `None` for a recorder created without one,
+    /// and from the first I/O error on (the file alone goes inert — a
+    /// sink must never panic the protocol thread).
+    file: Option<BufWriter<File>>,
+    /// Live subscribers' bounded queues.
+    subs: Vec<SyncSender<Vec<u8>>>,
+    /// Events persisted to the file so far.
     spilled_events: u64,
-    /// Segments written so far.
+    /// Segments written to the file so far.
     segments: u64,
-    /// First I/O error encountered; once set, the recorder goes inert
-    /// (a sink must never panic the protocol thread).
+    /// Subscribers shed for falling behind.
+    shed: u64,
+    /// The I/O error that made the file inert.
     error: Option<std::io::Error>,
 }
 
-/// A crash-safe, file-backed [`TraceSink`]. See the module docs for the
-/// format and the durability contract.
+/// A node's one TWFR writer: a [`TraceSink`] that buffers events and
+/// spills them as segments, each encoded once and handed to two
+/// optional outlets — a crash-safe recording file and live subscribers
+/// (the ops server's `/trace`). See the module docs for the format and
+/// the durability contract.
 pub struct FlightRecorder {
     cfg: RecorderConfig,
-    path: PathBuf,
+    path: Option<PathBuf>,
     inner: Mutex<Inner>,
 }
 
 impl FlightRecorder {
     /// Create (truncating) the recording file at `path` and write its
     /// header. The returned recorder is ready to use as a sink.
-    pub fn create(path: impl AsRef<Path>, mut cfg: RecorderConfig) -> std::io::Result<Self> {
-        cfg.capacity = cfg.capacity.clamp(1, MAX_SEGMENT_EVENTS);
+    pub fn create(path: impl AsRef<Path>, cfg: RecorderConfig) -> std::io::Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let file = File::create(&path)?;
-        let mut writer = BufWriter::new(file);
-        writer.write_all(&encode_header(&cfg.header))?;
-        writer.flush()?;
-        Ok(FlightRecorder {
-            cfg,
-            path,
-            inner: Mutex::new(Inner {
-                buf: Vec::with_capacity(cfg.capacity),
-                writer,
-                spilled_events: 0,
-                segments: 0,
-                error: None,
-            }),
-        })
+        let mut file = BufWriter::new(File::create(&path)?);
+        file.write_all(&encode_header(&cfg.header))?;
+        file.flush()?;
+        let mut recorder = Self::new(cfg);
+        recorder.path = Some(path);
+        recorder.lock().file = Some(file);
+        Ok(recorder)
     }
 
-    /// The recording file this recorder appends to.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// A recorder with no file: its segments reach live subscribers only.
+    pub fn new(mut cfg: RecorderConfig) -> Self {
+        cfg.capacity = cfg.capacity.clamp(1, MAX_SEGMENT_EVENTS);
+        FlightRecorder {
+            cfg,
+            path: None,
+            inner: Mutex::new(Inner {
+                buf: Vec::with_capacity(cfg.capacity),
+                file: None,
+                subs: Vec::new(),
+                spilled_events: 0,
+                segments: 0,
+                shed: 0,
+                error: None,
+            }),
+        }
+    }
+
+    /// The recording file this recorder appends to, if it has one.
+    pub fn path(&self) -> Option<&Path> {
+        self.path.as_deref()
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Encode the buffer as one segment and hand it to both outlets:
+    /// written to the file (under the caller's lock, so segments land in
+    /// spill order) and offered to every subscriber without blocking. A
+    /// subscriber whose queue is full is shed, never waited for. With
+    /// neither outlet attached the events are dropped unencoded.
     fn spill(inner: &mut Inner) {
-        if inner.buf.is_empty() || inner.error.is_some() {
-            inner.buf.clear();
+        if inner.buf.is_empty() {
             return;
         }
-        let segment = encode_segment(&inner.buf);
-        let write = (|| -> std::io::Result<()> {
-            let w = &mut inner.writer;
-            w.write_all(&segment)?;
-            w.flush()
-        })();
-        match write {
-            Ok(()) => {
-                inner.spilled_events += inner.buf.len() as u64;
-                inner.segments += 1;
+        if inner.file.is_some() || !inner.subs.is_empty() {
+            let segment = encode_segment(&inner.buf);
+            if let Some(file) = &mut inner.file {
+                match file.write_all(&segment).and_then(|()| file.flush()) {
+                    Ok(()) => {
+                        inner.spilled_events += inner.buf.len() as u64;
+                        inner.segments += 1;
+                    }
+                    Err(e) => {
+                        inner.error = Some(e);
+                        inner.file = None;
+                    }
+                }
             }
-            Err(e) => inner.error = Some(e),
+            let mut shed = 0;
+            inner.subs.retain(|tx| match tx.try_send(segment.clone()) {
+                Ok(()) => true,
+                Err(TrySendError::Full(_)) => {
+                    shed += 1;
+                    false
+                }
+                Err(TrySendError::Disconnected(_)) => false,
+            });
+            inner.shed += shed;
         }
         inner.buf.clear();
     }
 
-    /// Persist everything buffered so far as one segment and flush the
-    /// file. Called by hosts at view installations and from the shutdown
-    /// / panic drop guard; cheap when the buffer is empty.
+    /// Spill everything buffered so far as one segment now. Called by
+    /// hosts on demand and from the shutdown / panic drop guard; cheap
+    /// when the buffer is empty.
     pub fn flush(&self) {
         let mut inner = self.lock();
         // tw-lint: allow(blocking-under-lock) -- crash-safe spill must write under the lock: the buffer and writer are one atomic unit
         Self::spill(&mut inner);
     }
 
-    /// Events persisted to disk so far (excludes the in-memory buffer).
+    /// Attach a live subscriber. The first bytes on the channel are the
+    /// TWFR header; after that, every segment spilled from now on —
+    /// joining mid-run is always a valid stream start.
+    pub fn subscribe(&self) -> Receiver<Vec<u8>> {
+        let (tx, rx) = std::sync::mpsc::sync_channel(SUBSCRIBER_QUEUE);
+        tx.try_send(encode_header(&self.cfg.header).to_vec())
+            .expect("fresh subscriber queue cannot be full");
+        self.lock().subs.push(tx);
+        rx
+    }
+
+    /// Subscribers disconnected for falling behind since creation.
+    pub fn shed_subscribers(&self) -> u64 {
+        self.lock().shed
+    }
+
+    /// Events persisted to the file so far (excludes the in-memory
+    /// buffer).
     pub fn spilled_events(&self) -> u64 {
         self.lock().spilled_events
     }
@@ -249,12 +309,12 @@ impl FlightRecorder {
         self.lock().buf.len()
     }
 
-    /// Segments written so far.
+    /// Segments written to the file so far.
     pub fn segments(&self) -> u64 {
         self.lock().segments
     }
 
-    /// The first I/O error encountered, if the recorder went inert.
+    /// The I/O error that made the file inert, if one did.
     pub fn take_error(&self) -> Option<std::io::Error> {
         self.lock().error.take()
     }
@@ -265,8 +325,8 @@ impl TraceSink for FlightRecorder {
         let mut inner = self.lock();
         inner.buf.push(*ev);
         // Spill when full — and at every view installation, so the
-        // on-disk recording is always current through the last
-        // membership change even if the host dies without unwinding.
+        // recording and the live stream are always current through the
+        // last membership change even if the host dies without unwinding.
         if inner.buf.len() >= self.cfg.capacity || matches!(ev, TraceEvent::ViewInstalled { .. }) {
             // tw-lint: allow(blocking-under-lock) -- segment spill is the recorder's contract; contention is bounded by capacity and sinks are per-node
             Self::spill(&mut inner);
@@ -281,7 +341,7 @@ impl Drop for FlightRecorder {
 }
 
 /// Flushes a recorder when dropped — a guard a host thread holds so the
-/// recording survives panics.
+/// buffered tail survives panics.
 ///
 /// The recorder's own `Drop` only runs when the *last* `Arc` goes away;
 /// a node handle usually keeps one alive, so a panicking executor thread
@@ -316,6 +376,8 @@ impl std::fmt::Debug for FlightRecorder {
             .field("spilled_events", &inner.spilled_events)
             .field("segments", &inner.segments)
             .field("errored", &inner.error.is_some())
+            .field("subscribers", &inner.subs.len())
+            .field("shed", &inner.shed)
             .finish()
     }
 }

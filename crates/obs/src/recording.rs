@@ -473,11 +473,19 @@ mod tests {
         assert_eq!((r.intact_segments, r.damage), (2, None));
         assert_eq!(r.events.len(), MAX_SEGMENT_EVENTS + 1);
 
-        let sink = crate::server::StreamSink::new(header(2), usize::MAX);
+        let live = FlightRecorder::new(cfg);
+        let rx = live.subscribe();
         for i in 0..MAX_SEGMENT_EVENTS as i64 {
-            sink.record(&ev(i));
+            live.record(&ev(i));
         }
-        assert_eq!(sink.buffered(), 0, "the live sink spilled at the cap too");
+        assert_eq!(
+            live.buffered(),
+            0,
+            "a file-less writer spills at the cap too"
+        );
+        let mut reader = StreamReader::new();
+        let streamed: usize = rx.try_iter().map(|b| reader.feed(&b).unwrap().len()).sum();
+        assert_eq!((streamed, reader.finish()), (MAX_SEGMENT_EVENTS, None));
     }
 
     #[test]

@@ -16,16 +16,15 @@
 //! | `/healthz` | `200 ok` / `503 unhealthy` (host-provided callback)    |
 //! | `/trace`   | endless `application/octet-stream` of TWFR bytes       |
 //!
-//! `/trace` ships the *same* framing the flight recorder writes to
-//! disk — header then CRC'd segments ([`crate::recorder`]) — so the
-//! live tailer decodes it with the *same* [`StreamReader`] the file
-//! loader uses: one reader, one torn-stream contract, proven by test.
+//! `/trace` subscribes to the node's [`FlightRecorder`] and ships the
+//! very segments it spills — header then CRC'd segments
+//! ([`crate::recorder`]) — so the live tailer decodes it with the
+//! *same* [`StreamReader`] the file loader uses: one writer, one
+//! reader, one torn-stream contract, proven by test.
 //!
-//! The hot path never blocks on an operator: the protocol thread's
-//! [`TraceSink::record`] pushes into a bounded in-memory buffer; whole
-//! segments are encoded and fanned out outside the lock, and a
-//! subscriber that cannot keep up is disconnected (and counted) rather
-//! than waited for.
+//! The hot path never blocks on an operator: a subscriber that cannot
+//! keep up is disconnected (and counted) by the recorder rather than
+//! waited for.
 
 // tw-lint: allow-file(actor-io) -- the ops server IS the module that owns the
 // node's observability sockets: it runs host-side on its own threads, never
@@ -33,19 +32,15 @@
 
 use crate::export::render_labeled;
 use crate::metrics::Registry;
-use crate::recorder::{encode_header, encode_segment, HEADER_LEN, MAX_SEGMENT_EVENTS};
+use crate::recorder::FlightRecorder;
 use crate::recording::{Damage, LoadError, StreamHeader, StreamReader};
-use crate::trace::{TraceEvent, TraceSink};
+use crate::trace::TraceEvent;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
-/// Segments a subscriber may have queued before it is declared slow
-/// and cut off (each segment is at most `capacity` events).
-const SUBSCRIBER_QUEUE: usize = 64;
 /// Largest HTTP request head the server will buffer before giving up.
 const MAX_REQUEST_HEAD: usize = 4096;
 /// Largest HTTP response head the tailer will buffer before giving up.
@@ -54,129 +49,6 @@ const MAX_RESPONSE_HEAD: usize = 8192;
 const ACCEPT_IDLE: StdDuration = StdDuration::from_millis(5);
 /// How often a `/trace` connection wakes to check for shutdown.
 const TRACE_IDLE: StdDuration = StdDuration::from_millis(100);
-
-// ---------------------------------------------------------------------------
-// StreamSink — the live counterpart of the flight recorder
-// ---------------------------------------------------------------------------
-
-struct SinkInner {
-    buf: Vec<TraceEvent>,
-    subs: Vec<SyncSender<Vec<u8>>>,
-}
-
-/// A [`TraceSink`] that fans TWFR-framed segments out to live
-/// subscribers — the wire twin of [`crate::recorder::FlightRecorder`].
-///
-/// Buffers up to `capacity` events, then encodes them as one segment
-/// (outside the lock) and offers the bytes to every subscriber without
-/// blocking. A subscriber whose queue is full is dropped and counted in
-/// [`StreamSink::shed_subscribers`]; the protocol thread never waits.
-/// View installations force a spill, mirroring the recorder, so a
-/// subscriber's picture is current through the last membership change.
-pub struct StreamSink {
-    header: [u8; HEADER_LEN],
-    capacity: usize,
-    inner: Mutex<SinkInner>,
-    shed: AtomicU64,
-}
-
-impl StreamSink {
-    /// A sink streaming under `header` (the TWFR header every
-    /// subscriber receives first), spilling every `capacity` events.
-    pub fn new(header: StreamHeader, capacity: usize) -> Self {
-        StreamSink {
-            header: encode_header(&header),
-            capacity: capacity.clamp(1, MAX_SEGMENT_EVENTS),
-            inner: Mutex::new(SinkInner {
-                buf: Vec::new(),
-                subs: Vec::new(),
-            }),
-            shed: AtomicU64::new(0),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, SinkInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Attach a subscriber. The first bytes on the channel are the TWFR
-    /// header; after that, whole segments from the subscription point
-    /// on — joining mid-run is always a valid stream start.
-    pub fn subscribe(&self) -> Receiver<Vec<u8>> {
-        let (tx, rx) = std::sync::mpsc::sync_channel(SUBSCRIBER_QUEUE);
-        tx.try_send(self.header.to_vec())
-            .expect("fresh subscriber queue cannot be full");
-        self.lock().subs.push(tx);
-        rx
-    }
-
-    /// Subscribers disconnected for falling behind since creation.
-    pub fn shed_subscribers(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
-    /// Events buffered toward the next segment.
-    pub fn buffered(&self) -> usize {
-        self.lock().buf.len()
-    }
-
-    /// Encode and fan out whatever is buffered as one segment now.
-    pub fn flush(&self) {
-        let events = std::mem::take(&mut self.lock().buf);
-        self.broadcast(&events);
-    }
-
-    fn broadcast(&self, events: &[TraceEvent]) {
-        if events.is_empty() {
-            return;
-        }
-        // Encoding happens outside the lock; only the non-blocking
-        // try_send runs under it.
-        let bytes = encode_segment(events);
-        let mut shed = 0u64;
-        {
-            let mut inner = self.lock();
-            inner.subs.retain(|tx| match tx.try_send(bytes.clone()) {
-                Ok(()) => true,
-                Err(TrySendError::Full(_)) => {
-                    shed += 1;
-                    false
-                }
-                Err(TrySendError::Disconnected(_)) => false,
-            });
-        }
-        if shed > 0 {
-            self.shed.fetch_add(shed, Ordering::Relaxed);
-        }
-    }
-}
-
-impl TraceSink for StreamSink {
-    fn record(&self, ev: &TraceEvent) {
-        let full = {
-            let mut inner = self.lock();
-            // No subscribers: keep the buffer bounded but warm, so a
-            // late joiner still starts at a segment boundary.
-            inner.buf.push(*ev);
-            inner.buf.len() >= self.capacity
-        };
-        if full || matches!(ev, TraceEvent::ViewInstalled { .. }) {
-            self.flush();
-        }
-    }
-}
-
-impl std::fmt::Debug for StreamSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.lock();
-        f.debug_struct("StreamSink")
-            .field("capacity", &self.capacity)
-            .field("buffered", &inner.buf.len())
-            .field("subscribers", &inner.subs.len())
-            .field("shed", &self.shed.load(Ordering::Relaxed))
-            .finish()
-    }
-}
 
 // ---------------------------------------------------------------------------
 // OpsServer
@@ -209,11 +81,12 @@ pub struct OpsServer {
 impl OpsServer {
     /// Bind `addr` (port 0 picks a free port — see [`OpsServer::addr`])
     /// and start serving. `stream`, when given, backs the `/trace`
-    /// endpoint; without it `/trace` is a 404.
+    /// endpoint: each connection subscribes to the node's writer.
+    /// Without it `/trace` is a 404.
     pub fn bind(
         addr: impl ToSocketAddrs,
         sources: OpsSources,
-        stream: Option<Arc<StreamSink>>,
+        stream: Option<Arc<FlightRecorder>>,
     ) -> std::io::Result<OpsServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -258,7 +131,7 @@ impl std::fmt::Debug for OpsServer {
 fn accept_loop(
     listener: TcpListener,
     sources: OpsSources,
-    stream: Option<Arc<StreamSink>>,
+    stream: Option<Arc<FlightRecorder>>,
     stop: Arc<AtomicBool>,
 ) {
     while !stop.load(Ordering::Relaxed) {
@@ -332,7 +205,7 @@ fn respond(
 fn handle_conn(
     mut sock: TcpStream,
     sources: &OpsSources,
-    stream: Option<&StreamSink>,
+    stream: Option<&FlightRecorder>,
     stop: &AtomicBool,
 ) -> std::io::Result<()> {
     let _ = sock.set_nodelay(true);
@@ -382,7 +255,11 @@ fn handle_conn(
     }
 }
 
-fn serve_trace(mut sock: TcpStream, sink: &StreamSink, stop: &AtomicBool) -> std::io::Result<()> {
+fn serve_trace(
+    mut sock: TcpStream,
+    sink: &FlightRecorder,
+    stop: &AtomicBool,
+) -> std::io::Result<()> {
     sock.write_all(
         b"HTTP/1.0 200 OK\r\nContent-Type: application/octet-stream\r\nConnection: close\r\n\r\n",
     )?;
@@ -392,7 +269,7 @@ fn serve_trace(mut sock: TcpStream, sink: &StreamSink, stop: &AtomicBool) -> std
         match rx.recv_timeout(TRACE_IDLE) {
             Ok(bytes) => {
                 // A stalled peer times out here and the subscriber
-                // drops; the sink then sheds it on its next broadcast.
+                // drops; the writer lets go of it at its next spill.
                 sock.write_all(&bytes)?;
                 sock.flush()?;
             }
@@ -559,7 +436,8 @@ pub fn http_get(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::ClockStamp;
+    use crate::recorder::{encode_header, encode_segment, RecorderConfig, SUBSCRIBER_QUEUE};
+    use crate::trace::{ClockStamp, TraceSink};
     use tw_proto::{Duration, HwTime, ProcessId, SyncTime, ViewId};
 
     fn header(pid: u16) -> StreamHeader {
@@ -569,6 +447,11 @@ mod tests {
             epsilon: Duration::ZERO,
             recovery_envelope: Duration::ZERO,
         }
+    }
+
+    /// A file-less writer: its segments reach subscribers only.
+    fn writer(header: StreamHeader, capacity: usize) -> FlightRecorder {
+        FlightRecorder::new(RecorderConfig::new(header).capacity(capacity))
     }
 
     fn ev(i: i64) -> TraceEvent {
@@ -613,7 +496,7 @@ mod tests {
 
         let (code, _) = http_get(srv.addr(), "/nope", t).unwrap();
         assert_eq!(code, 404);
-        // No stream sink attached → /trace is a 404, not a hang.
+        // No writer attached → /trace is a 404, not a hang.
         let (code, _) = http_get(srv.addr(), "/trace", t).unwrap();
         assert_eq!(code, 404);
     }
@@ -638,7 +521,7 @@ mod tests {
             epsilon: Duration::from_micros(11),
             recovery_envelope: Duration::from_millis(270),
         };
-        let sink = Arc::new(StreamSink::new(sent, 4));
+        let sink = Arc::new(writer(sent, 4));
         let srv = OpsServer::bind("127.0.0.1:0", sources(reg), Some(sink.clone())).unwrap();
         let mut tail = LiveTail::connect(srv.addr(), StdDuration::from_secs(2)).unwrap();
 
@@ -662,7 +545,7 @@ mod tests {
     #[test]
     fn killing_the_server_mid_segment_reads_as_a_torn_tail() {
         let reg = Arc::new(Registry::new());
-        let sink = Arc::new(StreamSink::new(header(1), 4));
+        let sink = Arc::new(writer(header(1), 4));
         let srv = OpsServer::bind("127.0.0.1:0", sources(reg), Some(sink.clone())).unwrap();
         let mut tail = LiveTail::connect(srv.addr(), StdDuration::from_secs(2)).unwrap();
         std::thread::sleep(StdDuration::from_millis(50));
@@ -765,7 +648,7 @@ mod tests {
 
     #[test]
     fn slow_subscribers_are_shed_not_waited_for() {
-        let sink = StreamSink::new(header(0), 1);
+        let sink = writer(header(0), 1);
         let rx = sink.subscribe();
         // Never drain rx: the queue fills (header took one slot), then
         // the subscriber is cut. capacity 1 → every record is a segment.
@@ -773,7 +656,7 @@ mod tests {
             sink.record(&ev(i));
         }
         assert_eq!(sink.shed_subscribers(), 1);
-        // Cut means the sink let go of the channel: the queue holds what
+        // Cut means the writer let go of the channel: the queue holds what
         // fitted, then the subscriber sees the end of the stream.
         assert_eq!(rx.try_iter().count(), SUBSCRIBER_QUEUE);
         assert_eq!(
@@ -786,7 +669,7 @@ mod tests {
 
     #[test]
     fn subscriber_joining_mid_stream_gets_a_valid_stream_start() {
-        let sink = StreamSink::new(header(2), 2);
+        let sink = writer(header(2), 2);
         // History before the join is not replayed…
         sink.record(&ev(0));
         sink.record(&ev(1));

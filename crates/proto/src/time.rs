@@ -195,12 +195,6 @@ impl Duration {
         self.0 as f64 / 1_000_000.0
     }
 
-    /// True when the span is negative.
-    #[inline]
-    pub const fn is_negative(self) -> bool {
-        self.0 < 0
-    }
-
     /// The smaller of two spans.
     #[inline]
     pub fn min(self, other: Self) -> Self {

@@ -548,7 +548,7 @@ impl ChaosCluster {
         }
     }
 
-    /// Flush every live node's flight recorder.
+    /// Flush every live node's TWFR writer.
     pub fn flush_recorders(&self) {
         for node in self.nodes.iter().flatten() {
             node.flush_recorder();
@@ -558,10 +558,10 @@ impl ChaosCluster {
     /// Paths of the per-node recording files, when recording.
     pub fn recording_paths(&self) -> Vec<std::path::PathBuf> {
         self.plan
-            .recorders
+            .writers
             .iter()
             .flatten()
-            .map(|r| r.path().to_path_buf())
+            .filter_map(|w| w.path().map(std::path::Path::to_path_buf))
             .collect()
     }
 

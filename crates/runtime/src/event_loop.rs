@@ -128,17 +128,11 @@ pub(crate) fn run(parts: NodeParts) {
         cmds,
         bell,
         clock,
-        recorder,
+        flush: _flush,
         gate,
     } = parts;
-    // Held on this stack so the flight recorder's tail is spilled even
-    // if a handler panics and unwinds this thread (the Node's own Arc
-    // keeps the recorder alive, so Drop alone would not fire here).
-    let recorder_watch = recorder.clone();
-    let _recorder_guard = tw_obs::FlushGuard::new(recorder);
     let metrics = dispatcher.metrics.clone();
     let inbox_depth = metrics.inbox_depth();
-    let recorder_buffered = metrics.recorder_buffered();
     let tick = dispatcher.driver.member().config().tick;
 
     let now = clock.now_hw();
@@ -190,15 +184,10 @@ pub(crate) fn run(parts: NodeParts) {
             dispatcher.dispatch(Instant::now(), now, Input::ClockTick);
         }
 
-        // Standing-backlog gauges: sampled once per loop iteration, not
-        // per dispatch — gauges report levels, so the latest look wins.
+        // Standing backlogs and the member's locally observed status
+        // (§6 fail-awareness): sampled once per loop iteration, not per
+        // dispatch — gauges report levels, so the latest look wins.
         inbox_depth.set(datagrams.queued() as i64);
-        if let Some(r) = &recorder_watch {
-            recorder_buffered.set(r.buffered() as i64);
-        }
-
-        // Publish the member's locally observed status (§6
-        // fail-awareness) for harness-side checks.
         dispatcher.publish_status(clock.now_hw());
     }
 }

@@ -29,7 +29,7 @@ use timewheel::member::broadcast::ProposeError;
 use timewheel::{Action, Config, Delivery, Driver, Input, Member};
 pub use timewheel::{AppEvent, DeliveryHook};
 use tw_obs::{
-    FlightRecorder, OpsServer, OpsSources, RecorderConfig, Snapshot, StreamSink, TeeSink,
+    FlightRecorder, FlushGuard, OpsServer, OpsSources, RecorderConfig, Snapshot, TeeSink,
     TraceSink, Tracer,
 };
 use tw_proto::{HwTime, Incarnation, ProcessId, Semantics, View};
@@ -91,7 +91,6 @@ pub struct Node {
     gate: Arc<PauseGate>,
     status: Arc<StatusCell>,
     ops: Option<OpsServer>,
-    stream: Option<Arc<StreamSink>>,
 }
 
 impl Node {
@@ -100,19 +99,22 @@ impl Node {
         &self.metrics
     }
 
-    /// This node's flight recorder, when one was attached at spawn.
+    /// This node's TWFR writer, when recording or ops was attached at
+    /// spawn: the one [`FlightRecorder`] behind both its recording file
+    /// and its `/trace` stream.
     pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
         self.recorder.as_ref()
     }
 
     /// The path of this node's recording file, when recording.
     pub fn recording_path(&self) -> Option<&Path> {
-        self.recorder.as_ref().map(|r| r.path())
+        self.recorder.as_ref().and_then(|r| r.path())
     }
 
-    /// Persist any buffered trace events now (no-op when not
-    /// recording). The executor also flushes at every view install and
-    /// on shutdown/panic.
+    /// Spill any buffered trace events now, as one segment to the
+    /// recording file and the `/trace` subscribers (no-op when neither
+    /// is attached). The writer also spills at every view install, and
+    /// the executor flushes it on shutdown/panic.
     pub fn flush_recorder(&self) {
         if let Some(r) = &self.recorder {
             r.flush();
@@ -171,13 +173,11 @@ impl Node {
         if let Some(udp) = &self.udp {
             udp.shutdown();
         }
+        // Joining the executor drops its flush guard: the buffered tail
+        // reaches the file and the tailers before the ops server (dropped
+        // with self) goes away.
         for h in self.handles.drain(..) {
             let _ = h.join();
-        }
-        // Ship whatever the live stream still buffers so tailers see
-        // the tail before the ops server (dropped with self) goes away.
-        if let Some(s) = &self.stream {
-            s.flush();
         }
     }
 
@@ -235,6 +235,8 @@ pub(crate) struct Dispatcher {
     out: Sender<NodeOutput>,
     pub metrics: Arc<NodeMetrics>,
     status: Arc<StatusCell>,
+    /// The node's TWFR writer, sampled into `tw_recorder_buffered`.
+    writer: Option<Arc<FlightRecorder>>,
 }
 
 impl Dispatcher {
@@ -284,7 +286,9 @@ impl Dispatcher {
     }
 
     /// Publish the member's locally observed status (§6 fail-awareness)
-    /// for harness-side checks and the ops endpoint.
+    /// for harness-side checks and the ops endpoint, and the trace
+    /// writer's backlog: both executors call this once per loop, not per
+    /// dispatch — the gauge reports a level, so the latest look wins.
     pub(crate) fn publish_status(&self, now: HwTime) {
         let member = self.driver.member();
         self.status.publish(NodeStatus {
@@ -292,6 +296,9 @@ impl Dispatcher {
             view_len: member.view().len(),
             view_seq: member.view().id.seq,
         });
+        if let Some(w) = &self.writer {
+            self.metrics.recorder_buffered().set(w.buffered() as i64);
+        }
     }
 }
 
@@ -325,9 +332,12 @@ pub(crate) struct NodeParts {
     /// closed on shutdown.
     pub bell: Arc<Doorbell>,
     pub clock: Arc<dyn RuntimeClock + Sync>,
-    /// The node's black box; the executor holds a flush guard on its
-    /// stack so the tail is persisted even on panic unwind.
-    pub recorder: Option<Arc<FlightRecorder>>,
+    /// Flushes the node's TWFR writer when dropped. Each executor keeps
+    /// it on the stack of the thread that runs until shutdown, so the
+    /// buffered tail is spilled even if that thread unwinds — the
+    /// [`Node`]'s own `Arc` keeps the writer alive, so its `Drop` would
+    /// not fire.
+    pub flush: FlushGuard,
     /// Chaos pause switch; executors check it before every dispatch.
     pub gate: Arc<PauseGate>,
 }
@@ -342,42 +352,26 @@ fn status_json(pid: ProcessId, s: NodeStatus) -> String {
     )
 }
 
-/// Where a cluster's per-node ops endpoints listen and how their live
-/// trace streams are buffered.
+/// Where a cluster's per-node ops endpoints listen. A node's `/trace`
+/// streams the segments its [`FlightRecorder`] spills: with recording,
+/// the very segments of the file; without, at the default capacity.
 #[derive(Debug, Clone)]
 pub struct OpsSetup {
     /// Base TCP port on localhost: the node of rank `r` listens on
     /// `base_port + r`. `0` gives every node an ephemeral port —
     /// discover them through [`Node::ops_addr`].
     pub base_port: u16,
-    /// Events buffered per node before the live stream ships a
-    /// TWFR-framed segment to its subscribers (view installations force
-    /// a flush, mirroring the flight recorder).
-    pub stream_capacity: usize,
 }
 
 impl OpsSetup {
-    /// Ops endpoints on ephemeral ports with the default stream
-    /// batching (256 events per segment).
+    /// Ops endpoints on ephemeral ports.
     pub fn ephemeral() -> Self {
-        OpsSetup {
-            base_port: 0,
-            stream_capacity: 256,
-        }
+        OpsSetup { base_port: 0 }
     }
 
     /// Ops endpoints on the fixed ports `base_port + rank`.
     pub fn at(base_port: u16) -> Self {
-        OpsSetup {
-            base_port,
-            stream_capacity: 256,
-        }
-    }
-
-    /// Override the live stream's per-segment event budget.
-    pub fn stream_capacity(mut self, capacity: usize) -> Self {
-        self.stream_capacity = capacity.max(1);
-        self
+        OpsSetup { base_port }
     }
 
     /// The listen address for the node of rank `rank`.
@@ -436,10 +430,12 @@ pub struct ClusterBuilder {
     sink: Option<Arc<dyn TraceSink>>,
     record: Option<RecorderSetup>,
     ops: Option<OpsSetup>,
-    /// Per rank, once resolved: the flight recorder, when recording.
-    pub(crate) recorders: Vec<Option<Arc<FlightRecorder>>>,
-    /// Per rank, once resolved: recorder plus shared sink — the part of a
-    /// node's trace plumbing that outlives an incarnation.
+    /// Per rank, once resolved: the node's one TWFR writer, when
+    /// recording or ops is attached.
+    pub(crate) writers: Vec<Option<Arc<FlightRecorder>>>,
+    /// Per rank, once resolved: writer plus shared sink — the node's
+    /// trace plumbing, which outlives an incarnation and is all that
+    /// its member, its fault transport and the chaos controller trace to.
     pub(crate) sinks: Vec<Option<Arc<dyn TraceSink>>>,
 }
 
@@ -454,7 +450,7 @@ impl ClusterBuilder {
             sink: None,
             record: None,
             ops: None,
-            recorders: Vec::new(),
+            writers: Vec::new(),
             sinks: Vec::new(),
         }
     }
@@ -523,9 +519,9 @@ impl ClusterBuilder {
     }
 
     /// Fix what outlives any one node, before the first is started:
-    /// check that every rank's ops port exists, create every recording
-    /// file up front (so I/O errors surface here, not inside node
-    /// threads) and each rank's recorder-plus-shared-sink.
+    /// check that every rank's ops port exists, create every rank's
+    /// writer — and its recording file, up front, so I/O errors surface
+    /// here, not inside node threads — and its writer-plus-shared-sink.
     pub(crate) fn resolve(&mut self) -> std::io::Result<()> {
         let cfg = self.cfg;
         if let Some(ops) = &self.ops {
@@ -537,20 +533,26 @@ impl ClusterBuilder {
                 ));
             }
         }
-        self.recorders = vec![None; cfg.n];
         if let Some(setup) = &self.record {
             std::fs::create_dir_all(&setup.dir)?;
-            for (i, slot) in self.recorders.iter_mut().enumerate() {
-                let pid = ProcessId(i as u16);
-                let rc = RecorderConfig::new(cfg.stream_header(pid)).capacity(setup.capacity);
-                *slot = Some(Arc::new(FlightRecorder::create(setup.path_for(pid), rc)?));
-            }
         }
-        let with_shared = |r: &Option<Arc<FlightRecorder>>| {
-            let recorder = r.clone().map(|r| r as Arc<dyn TraceSink>);
-            tee(recorder.into_iter().chain(self.sink.clone()).collect())
+        self.writers = vec![None; cfg.n];
+        for (i, slot) in self.writers.iter_mut().enumerate() {
+            let pid = ProcessId(i as u16);
+            let rc = RecorderConfig::new(cfg.stream_header(pid));
+            let writer = match &self.record {
+                Some(r) => FlightRecorder::create(r.path_for(pid), rc.capacity(r.capacity))?,
+                None if self.ops.is_some() => FlightRecorder::new(rc),
+                None => continue,
+            };
+            *slot = Some(Arc::new(writer));
+        }
+        // The shared sink sees each event before the writer spills it.
+        let with_shared = |w: &Option<Arc<FlightRecorder>>| {
+            let writer = w.clone().map(|w| w as Arc<dyn TraceSink>);
+            tee(self.sink.clone().into_iter().chain(writer).collect())
         };
-        self.sinks = self.recorders.iter().map(with_shared).collect();
+        self.sinks = self.writers.iter().map(with_shared).collect();
         Ok(())
     }
 
@@ -574,11 +576,11 @@ impl ClusterBuilder {
         let (out_tx, out_rx) = unbounded();
         let gate = Arc::new(PauseGate::new());
         let status = Arc::new(StatusCell::new());
+        let writer = self.writers[rank].clone();
         // Bind the ops endpoint before the member threads start so a port
         // clash surfaces as an error here, not a half-observable node.
-        let (ops, stream) = match &self.ops {
+        let ops = match &self.ops {
             Some(o) => {
-                let stream = Arc::new(StreamSink::new(cfg.stream_header(pid), o.stream_capacity));
                 let status_for_json = status.clone();
                 let status_for_health = status.clone();
                 let sources = OpsSources {
@@ -590,21 +592,17 @@ impl ClusterBuilder {
                     // process liveness (liveness is the TCP connect itself).
                     healthy: Arc::new(move || status_for_health.read().up_to_date),
                 };
-                let tail = Some(stream.clone());
-                let bound = OpsServer::bind(o.addr_for(rank), sources.clone(), tail.clone());
-                let server = match bound {
-                    Err(_) if ops_fallback => OpsServer::bind("127.0.0.1:0", sources, tail)?,
+                let bind = |addr: &str| OpsServer::bind(addr, sources.clone(), writer.clone());
+                Some(match bind(&o.addr_for(rank)) {
+                    Err(_) if ops_fallback => bind("127.0.0.1:0")?,
                     bound => bound?,
-                };
-                (Some(server), Some(stream))
+                })
             }
-            None => (None, None),
+            None => None,
         };
-        let live = stream.clone().map(|s| s as Arc<dyn TraceSink>);
-        if let Some(s) = tee(self.sinks[rank].clone().into_iter().chain(live).collect()) {
+        if let Some(s) = self.sinks[rank].clone() {
             member.set_tracer(Tracer::new(s));
         }
-        let recorder = self.recorders[rank].clone();
         let parts = NodeParts {
             dispatcher: Dispatcher {
                 driver: Driver::new(member),
@@ -614,12 +612,13 @@ impl ClusterBuilder {
                 out: out_tx,
                 metrics: wiring.metrics.clone(),
                 status: status.clone(),
+                writer: writer.clone(),
             },
             datagrams: wiring.datagrams,
             cmds: cmd_rx,
             bell: wiring.bell.clone(),
             clock: wiring.clock,
-            recorder: recorder.clone(),
+            flush: FlushGuard::new(writer.clone()),
             gate: gate.clone(),
         };
         let kind = self.kind;
@@ -639,11 +638,10 @@ impl ClusterBuilder {
             handles: wiring.extra_handles,
             udp: wiring.udp,
             metrics: wiring.metrics,
-            recorder,
+            recorder: writer,
             gate,
             status,
             ops,
-            stream,
         })
     }
 
@@ -822,6 +820,7 @@ mod tests {
             out,
             metrics: metrics.clone(),
             status: Arc::new(StatusCell::new()),
+            writer: None,
         };
         let samples = || metrics.snapshot().histograms["dispatch_latency_us"].count;
         let at = HwTime::from_micros;

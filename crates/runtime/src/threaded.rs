@@ -22,14 +22,9 @@ pub(crate) fn run(parts: NodeParts) {
         cmds,
         bell,
         clock,
-        recorder,
+        flush: _flush,
         gate,
     } = parts;
-    // Held on the command-loop stack so the flight recorder's tail is
-    // spilled even if this thread panics (the Node's Arc keeps the
-    // recorder alive, so Drop alone would not fire here).
-    let recorder_watch = recorder.clone();
-    let _recorder_guard = tw_obs::FlushGuard::new(recorder);
     let metrics = dispatcher.metrics.clone();
     let tick = dispatcher.driver.member().config().tick;
     let inbox = datagrams.into_inbox();
@@ -120,7 +115,6 @@ pub(crate) fn run(parts: NodeParts) {
         let stop = stop.clone();
         let metrics = metrics.clone();
         let gate = gate.clone();
-        let recorder_buffered = metrics.recorder_buffered();
         handles.push(std::thread::spawn(move || {
             let period = StdDuration::from_micros(tick.as_micros() as u64);
             while !stop.load(Ordering::Relaxed) {
@@ -133,11 +127,6 @@ pub(crate) fn run(parts: NodeParts) {
                 let lag = clock.now_hw() - (before + tick);
                 metrics.on_tick_lag(lag.as_micros().max(0) as u64);
                 dispatch(Input::Tick);
-                if let Some(r) = &recorder_watch {
-                    recorder_buffered.set(r.buffered() as i64);
-                }
-                // Publish the member's locally observed status (§6
-                // fail-awareness) for harness-side checks.
                 shared.lock().publish_status(clock.now_hw());
             }
         }));

@@ -100,7 +100,13 @@ pub fn tokenize(src: &str) -> Vec<Token> {
                 i += 1;
                 while i < b.len() {
                     match b[i] {
-                        '\\' => i += 2,
+                        '\\' => {
+                            // `\` + newline continues the string on the next line.
+                            if b.get(i + 1) == Some(&'\n') {
+                                line += 1;
+                            }
+                            i += 2;
+                        }
                         '"' => {
                             i += 1;
                             break;
@@ -239,6 +245,16 @@ mod tests {
         let toks = tokenize(src);
         assert_eq!(toks[0].line, 1);
         assert_eq!(toks[1].line, 4);
+    }
+
+    #[test]
+    fn a_string_continued_past_a_newline_counts_the_newline() {
+        let toks = tokenize("let s = \"a\\\n  b\";\nnext");
+        let next = toks
+            .iter()
+            .find(|t| t.text == "next")
+            .expect("token after the string");
+        assert_eq!(next.line, 3);
     }
 
     #[test]
