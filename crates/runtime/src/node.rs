@@ -174,8 +174,8 @@ impl Node {
             udp.shutdown();
         }
         // Joining the executor drops its flush guard: the buffered tail
-        // reaches the file and the tailers before the ops server (dropped
-        // with self) goes away.
+        // reaches the file and the subscribers' queues before the ops
+        // server (dropped with self) goes away.
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
